@@ -27,7 +27,7 @@ from repro.constants import DCI_CRC_LEN
 from repro.core.decode_model import counter_uniform, decode_succeeds, \
     pdcch_bler
 from repro.core.rach_sniffer import TrackedUe
-from repro.phy import polar
+from repro.phy import pdcch, polar
 from repro.phy.coreset import SearchSpace
 from repro.phy.dci import Dci, DciError, DciFormat, DciSizeConfig, \
     dci_payload_size, unpack
@@ -243,194 +243,144 @@ class GridDciDecoder:
             self.attempts += attempts
         return decoded
 
-    #: Wave sizing for the batched path.  Waves are cut by the
-    #: CCE-claiming replay: a successful decode claims CCEs and may
-    #: disqualify later candidates, so decoding *everything* up front
-    #: wastes work proportional to the tracked-UE count.  A wave decodes
-    #: the next chunk of still-eligible candidates under the claims
-    #: known so far; wave members a new claim later skips are bounded
-    #: waste (< one wave per success).  Waves grow geometrically: when
-    #: claiming terminates the search early only a few small waves ran,
-    #: while a gate-off full sweep quickly reaches the wide, fully
-    #: amortized batches.
-    BATCH_WAVE_INITIAL = 4
-    BATCH_WAVE_MAX = 64
-    #: Entries per lazy gather/energy chunk (Phase 2).
-    BATCH_GATHER_CHUNK = 64
-
     def decode_slot_batch(self, grid: ResourceGrid, slot_index: int,
                           tracked: dict[int, TrackedUe],
                           claimed: set[int] | None = None) \
             -> list[DecodedDci]:
         """Batched :meth:`decode_slot`: same outputs, vectorized kernels.
 
-        Candidates are stacked through the batched gather / demod /
-        descramble / polar kernels in claim-aware waves, then the scalar
-        control flow (CCE claiming, energy gate, per-format attempt
-        accounting) is *replayed* over the precomputed blocks.  Decoded
-        DCIs, claiming effects and the ``attempts`` counter are
-        bit-identical to the per-candidate path (enforced by the
-        equivalence tests); only the numpy dispatch count changes.
+        PDCCH scrambling is seeded from the cell ID alone
+        (``pdcch_scrambling_init(n_id)``, ``n_rnti = 0``), so a
+        candidate's LLRs and polar output depend only on its *position*
+        (CORESET, level, first CCE, scrambling ``c_init``), never on
+        which UE's search space hashed onto it.  Each distinct eligible
+        position is therefore gathered, demodulated, descrambled and
+        polar-decoded once per slot — one joint polar call per (CORESET,
+        level) — and every tracked UE's entry reads its block from that
+        shared table.  The scalar control flow (CCE claiming, energy
+        gate, per-format attempt accounting, ``unpack``) is then
+        *replayed* over the shared blocks, so decoded DCIs, claiming
+        effects and the ``attempts`` counter are bit-identical to the
+        per-candidate path (enforced by the equivalence tests).
         """
         decoded: list[DecodedDci] = []
         attempts = 0
         if claimed is None:
             claimed = set()
 
-        # Phase 1: enumerate candidates in exact scalar iteration order.
-        # Each entry carries its CCE footprint as an int bitmask so the
-        # replay's claim checks are single AND operations; the shared
-        # ``claimed`` set stays the cross-shard interface.  Per-UE
-        # skeletons come from the frame-periodic plan cache (the hash
-        # only depends on the slot within its frame).
+        # Phase 1: enumerate entries in exact scalar iteration order and
+        # map each valid one onto its shared position.  Each entry
+        # carries its CCE footprint as an int bitmask so the replay's
+        # claim checks are single AND operations; the shared ``claimed``
+        # set stays the cross-shard interface.  Per-UE skeletons come
+        # from the frame-periodic plan cache (the hash only depends on
+        # the slot within its frame).
         reduced_slot = slot_index % slots_per_frame(30)
-        entries: list[tuple[int, int, int, object, bool, int]] = []
+        c_init = pdcch_scrambling_init(self.n_id)
+        positions: dict[tuple[object, int, int, int], int] = {}
+        entries: list[tuple[int, int, int, bool, int, int]] = []
         for rnti in sorted(tracked):
             space = tracked[rnti].search_space
             for level, start, valid, cce_bits in _ue_entry_plan(
                     space, rnti, reduced_slot):
-                entries.append((rnti, level, start, space, valid,
-                                cce_bits))
+                pos = positions.setdefault(
+                    (space.coreset, level, start, c_init),
+                    len(positions)) if valid else -1
+                entries.append((rnti, level, start, valid, cce_bits, pos))
         if not entries:
             return decoded
         claimed_bits = 0
         for cce in claimed:
             claimed_bits |= 1 << cce
 
-        # Phase 2: per-(CORESET, level) batched gather and energies,
-        # computed lazily over chunks of consecutive entries.  Once
-        # claiming saturates the CORESET the replay skips the tail on
-        # claim bits alone, so at high tracked-UE counts most
-        # candidates are never gathered at all (matching the scalar
-        # path, which checks claims before touching the grid).  The
-        # gathered rows are kept for the waves, so symbols leave the
-        # grid exactly once.
+        # Phase 2: group the positions the replay can reach per
+        # (CORESET, level, c_init).  Claims only grow during the replay,
+        # so a position claimed up front is never read and is never
+        # gathered (the scalar path checks claims before touching the
+        # grid).
+        groups: dict[tuple[object, int, int], list[tuple[int, int]]] = {}
+        for (coreset, level, start, key_c_init), pos in positions.items():
+            if self.use_cce_claiming \
+                    and ((1 << level) - 1) << start & claimed_bits:
+                continue
+            groups.setdefault((coreset, level, key_c_init),
+                              []).append((pos, start))
+
+        # Phase 3: per group, one gather + energy gate, then batched
+        # demod + descramble and one joint polar traversal for both DCI
+        # formats (they share the level's mother code).  Decoded blocks
+        # land in a per-format position table; payload sizes do not
+        # depend on the level, so one table spans every group.
         threshold = occupancy_threshold(self.noise_var)
-        energies = np.zeros(len(entries), dtype=np.float64)
-        values_by_idx: dict[int, np.ndarray] = {}
-        c_init = pdcch_scrambling_init(self.n_id)
-        gather_upto = 0
-
-        def ensure_gathered(upto: int) -> None:
-            """Gather + energy-measure entries up to at least ``upto``
-            (one chunk ahead, grouped per (CORESET, level))."""
-            nonlocal gather_upto
-            if upto < gather_upto:
-                return
-            hi = min(len(entries),
-                     max(upto + 1, gather_upto + self.BATCH_GATHER_CHUNK))
-            chunk_groups: dict[tuple[object, int], list[int]] = {}
-            for idx in range(gather_upto, hi):
-                _, level, _, space, valid, _ = entries[idx]
-                if valid:
-                    chunk_groups.setdefault((space.coreset, level),
-                                            []).append(idx)
-            for (coreset, level), idxs in chunk_groups.items():
-                starts = np.array([entries[i][2] for i in idxs],
-                                  dtype=np.intp)
-                values = gather_candidates_batch(grid, coreset, level,
-                                                 starts)
-                energies[idxs] = candidate_energies_batch(values)
-                for row, i in enumerate(idxs):
-                    values_by_idx[i] = values[row]
-            gather_upto = hi
-
-        def eligible(idx: int) -> bool:
-            """Would the scalar path demodulate entry ``idx`` under the
-            claims known right now?"""
-            _, _, _, _, valid, cce_bits = entries[idx]
-            if not valid:
-                return False
-            if self.use_cce_claiming and cce_bits & claimed_bits:
-                return False
+        energies = np.zeros(len(positions), dtype=np.float64)
+        formats = (DciFormat.DL_1_1, DciFormat.UL_0_1)
+        info_lens = {fmt: dci_payload_size(fmt, self.dci_cfg)
+                     + DCI_CRC_LEN for fmt in formats}
+        tables = {fmt: np.zeros((len(positions), info_lens[fmt]),
+                                dtype=np.uint8) for fmt in formats}
+        decoded_pos = {fmt: np.zeros(len(positions), dtype=bool)
+                       for fmt in formats}
+        for (coreset, level, key_c_init), members in groups.items():
+            pos_idx = np.array([pos for pos, _ in members], dtype=np.intp)
+            starts = np.array([start for _, start in members],
+                              dtype=np.intp)
+            values = gather_candidates_batch(grid, coreset, level, starts)
             if self.use_energy_gate:
-                ensure_gathered(idx)
-                if not energies[idx] > threshold:
-                    return False
-            return True
+                energies[pos_idx] = candidate_energies_batch(values)
+                keep = energies[pos_idx] > threshold
+                values = values[keep]
+                pos_idx = pos_idx[keep]
+                starts = starts[keep]
+            n_coded = level * BITS_PER_CCE
+            fits = [fmt for fmt in formats if info_lens[fmt] <= n_coded]
+            if not fits or pos_idx.size == 0:
+                continue
+            if self.equalize:
+                gains = np.array(
+                    [estimate_channel(
+                        grid, coreset,
+                        PdcchCandidate(first_cce=int(start),
+                                       aggregation_level=level),
+                        self.n_id, slot_index) for start in starts],
+                    dtype=np.complex128)
+                values = values / gains[:, None]
+                # Demodulating at unit noise then dividing per row is
+                # the scalar (d1-d0)/noise_var to the last bit: x/1.0
+                # is exact, so each LLR still sees one division by its
+                # effective noise variance.
+                nv_eff = np.maximum(
+                    self.noise_var / np.maximum(np.abs(gains) ** 2,
+                                                1e-9), 1e-12)
+                llrs = demodulate_soft_batch(values, QPSK, 1.0)
+                llrs = llrs / nv_eff[:, None]
+            else:
+                llrs = demodulate_soft_batch(
+                    values, QPSK, max(self.noise_var, 1e-12))
+            llrs = descramble_llrs(llrs, key_c_init)
+            outs = polar.decode_batch_joint(llrs, tuple(
+                polar.construct(info_lens[fmt], n_coded) for fmt in fits))
+            for fmt, out in zip(fits, outs):
+                tables[fmt][pos_idx] = out
+                decoded_pos[fmt][pos_idx] = True
 
-        blocks: dict[tuple[int, DciFormat], np.ndarray] = {}
-        crc_ok: dict[tuple[int, DciFormat], bool] = {}
-        demodulated: set[int] = set()
-        wave_size = self.BATCH_WAVE_INITIAL
+        # Phase 4: CRC verdicts for every (shared block, entry RNTI) row,
+        # one GF(2) matrix product per format (identical booleans to the
+        # scalar per-attempt check).
+        entry_pos = np.array([entry[5] for entry in entries],
+                             dtype=np.intp)
+        entry_rnti = np.array([entry[0] for entry in entries],
+                              dtype=np.int64)
+        valid_rows = np.flatnonzero(entry_pos >= 0)
+        crc_ok: dict[DciFormat, np.ndarray] = {}
+        for fmt in formats:
+            rows = valid_rows[decoded_pos[fmt][entry_pos[valid_rows]]]
+            crc_ok[fmt] = np.zeros(len(entries), dtype=bool)
+            if rows.size:
+                crc_ok[fmt][rows] = dci_crc_check_batch(
+                    tables[fmt][entry_pos[rows]], entry_rnti[rows])
 
-        def decode_wave(from_idx: int) -> None:
-            """Batch-demodulate and polar-decode the next eligible
-            chunk starting at ``from_idx`` (Phases 3+4, per wave)."""
-            nonlocal wave_size
-            wave: list[int] = []
-            for idx in range(from_idx, len(entries)):
-                if idx in demodulated or not eligible(idx):
-                    continue
-                ensure_gathered(idx)  # demod values when the gate is off
-                wave.append(idx)
-                if len(wave) >= wave_size:
-                    break
-            wave_size = min(wave_size * 2, self.BATCH_WAVE_MAX)
-            demodulated.update(wave)
-            # Phase 3: batched demod + descramble per (CORESET, level).
-            wave_groups: dict[tuple[object, int], list[int]] = {}
-            for idx in wave:
-                _, level, _, space, _, _ = entries[idx]
-                wave_groups.setdefault((space.coreset, level),
-                                       []).append(idx)
-            llrs_by_idx: dict[int, np.ndarray] = {}
-            for (coreset, level), idxs in wave_groups.items():
-                sub = np.stack([values_by_idx[i] for i in idxs])
-                if self.equalize:
-                    gains = np.array(
-                        [estimate_channel(
-                            grid, coreset,
-                            PdcchCandidate(first_cce=entries[i][2],
-                                           aggregation_level=level),
-                            self.n_id, slot_index) for i in idxs],
-                        dtype=np.complex128)
-                    sub = sub / gains[:, None]
-                    # Demodulating at unit noise then dividing per row
-                    # is the scalar (d1-d0)/noise_var to the last bit:
-                    # x/1.0 is exact, so each LLR still sees one
-                    # division by its effective noise variance.
-                    nv_eff = np.maximum(
-                        self.noise_var / np.maximum(np.abs(gains) ** 2,
-                                                    1e-9), 1e-12)
-                    llrs = demodulate_soft_batch(sub, QPSK, 1.0)
-                    llrs = llrs / nv_eff[:, None]
-                else:
-                    llrs = demodulate_soft_batch(
-                        sub, QPSK, max(self.noise_var, 1e-12))
-                llrs = descramble_llrs(llrs, c_init)
-                for row, i in enumerate(idxs):
-                    llrs_by_idx[i] = llrs[row]
-            # Phase 4: batched polar per level — both DCI formats share
-            # the level's mother code, so they ride one joint SC
-            # traversal instead of one call per format.
-            for (_, level), idxs in wave_groups.items():
-                n_coded = level * BITS_PER_CCE
-                fmts = []
-                codes = []
-                for fmt in (DciFormat.DL_1_1, DciFormat.UL_0_1):
-                    k = dci_payload_size(fmt, self.dci_cfg) + DCI_CRC_LEN
-                    if k <= n_coded:
-                        fmts.append(fmt)
-                        codes.append(polar.construct(k, n_coded))
-                if not fmts:
-                    continue
-                matrix = np.stack([llrs_by_idx[i] for i in idxs])
-                outs = polar.decode_batch_joint(matrix, tuple(codes))
-                # The CRC verdicts ride along in one GF(2) matrix
-                # product per format (identical booleans to the serial
-                # per-attempt check the replay used to run).
-                rntis = np.array([entries[i][0] for i in idxs],
-                                 dtype=np.int64)
-                for fmt, out in zip(fmts, outs):
-                    oks = dci_crc_check_batch(out, rntis)
-                    for row, i in enumerate(idxs):
-                        blocks[(i, fmt)] = out[row]
-                        crc_ok[(i, fmt)] = bool(oks[row])
-
-        # Phase 5: replay the scalar control flow, decoding lazily in
-        # claim-aware waves.
-        for idx, (rnti, level, start, _, valid, cce_bits) \
+        # Phase 5: replay the scalar control flow over the shared blocks.
+        for idx, (rnti, level, start, valid, cce_bits, pos) \
                 in enumerate(entries):
             if not valid:
                 if not self.use_energy_gate:
@@ -438,19 +388,14 @@ class GridDciDecoder:
                 continue
             if self.use_cce_claiming and cce_bits & claimed_bits:
                 continue
-            if self.use_energy_gate:
-                ensure_gathered(idx)
-                if not energies[idx] > threshold:
-                    continue
-            if idx not in demodulated:
-                decode_wave(idx)
-            for fmt in (DciFormat.DL_1_1, DciFormat.UL_0_1):
+            if self.use_energy_gate and not energies[pos] > threshold:
+                continue
+            for fmt in formats:
                 attempts += 1
-                block = blocks.get((idx, fmt))
                 dci = None
-                if block is not None and crc_ok[(idx, fmt)]:
+                if crc_ok[fmt][idx]:
                     try:
-                        dci = unpack(block[:-DCI_CRC_LEN], fmt,
+                        dci = unpack(tables[fmt][pos][:-DCI_CRC_LEN], fmt,
                                      self.dci_cfg, rnti)
                     except DciError:
                         dci = None
@@ -473,28 +418,32 @@ class GridDciDecoder:
         the cell's size config is known from SIB 1, so each candidate is
         decoded without an RNTI hypothesis and the CRC mask yields the
         TC-RNTI (paper section 3.1.2).
-        """
-        from repro.phy.pdcch import decode_candidate_bits, dci_recover_rnti
-        from repro.phy.dci import unpack
-        from repro.constants import DCI_CRC_LEN
 
+        Each level's occupied candidates ride one batched gather, demod
+        and polar decode; the RNTI recovery then runs per row in
+        candidate order, so the result equals the per-candidate
+        ``decode_candidate_bits`` search.
+        """
         decoded: list[DecodedDci] = []
-        payload_len = dci_payload_size(DciFormat.DL_1_1, self.dci_cfg)
+        coreset = common_space.coreset
+        k = dci_payload_size(DciFormat.DL_1_1, self.dci_cfg) + DCI_CRC_LEN
+        threshold = occupancy_threshold(self.noise_var)
+        c_init = pdcch_scrambling_init(self.n_id)
         for level, count in common_space.candidates_per_level.items():
-            if count == 0:
+            n_coded = level * BITS_PER_CCE
+            if count == 0 or k > n_coded:
                 continue
-            for start in common_space.candidate_cces(level, slot_index):
-                candidate = PdcchCandidate(first_cce=start,
-                                           aggregation_level=level)
-                if not candidate_occupied(grid, common_space.coreset,
-                                          candidate, self.noise_var):
-                    continue
-                bits = decode_candidate_bits(
-                    grid, common_space.coreset, candidate, payload_len,
-                    self.n_id, self.noise_var)
-                if bits is None:
-                    continue
-                rnti = dci_recover_rnti(bits)
+            starts = np.array(common_space.candidate_cces(level, slot_index),
+                              dtype=np.intp)
+            values = gather_candidates_batch(grid, coreset, level, starts)
+            values = values[candidate_energies_batch(values) > threshold]
+            if values.shape[0] == 0:
+                continue
+            llrs = descramble_llrs(demodulate_soft_batch(
+                values, QPSK, max(self.noise_var, 1e-12)), c_init)
+            blocks = polar.decode_batch(llrs, polar.construct(k, n_coded))
+            for bits in blocks:
+                rnti = pdcch.dci_recover_rnti(bits)
                 if rnti is None or rnti == 0:
                     continue
                 try:

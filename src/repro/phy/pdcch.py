@@ -192,13 +192,13 @@ def encode_pdcch(dci: Dci, cfg: DciSizeConfig, coreset: Coreset,
     scrambled = scramble_bits(coded, pdcch_scrambling_init(n_id))
     symbols = modulate(scrambled, QPSK)
 
-    positions = _candidate_re_positions(coreset, candidate)
-    if len(positions) != symbols.size:
+    indices = _candidate_flat_indices(coreset, candidate.first_cce,
+                                      candidate.aggregation_level)
+    if indices.size != symbols.size:
         raise PdcchError(
-            f"{symbols.size} symbols for {len(positions)} data REs")
-    for (prb, sym, sc), value in zip(positions, symbols):
-        grid.write_res(prb, sym, np.array([value]), ResourceGrid.PDCCH,
-                       first_sc=sc)
+            f"{symbols.size} symbols for {indices.size} data REs")
+    np.put(grid.data, indices, symbols)
+    np.put(grid.occupancy, indices, ResourceGrid.PDCCH)
     _write_dmrs(coreset, candidate, grid, n_id, slot_index)
     return payload
 

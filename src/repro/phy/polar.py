@@ -106,13 +106,20 @@ def construct(info_len: int, rate_matched_len: int) -> PolarCode:
 
 
 def _transform(u: np.ndarray) -> np.ndarray:
-    """Arikan transform ``x = u @ F^{(x)n}`` over GF(2), in place on a copy."""
+    """Arikan transform ``x = u @ F^{(x)n}`` over GF(2), in place on a copy.
+
+    One XOR per stage: viewing the block as ``(N / 2s, 2, s)`` puts every
+    butterfly's upper half in ``[:, 0]`` and its lower half in ``[:, 1]``.
+
+    Layout: u (N) uint8
+    Layout: return (N) uint8
+    """
     x = u.astype(np.uint8).copy()
     size = x.size
     stride = 1
     while stride < size:
-        for start in range(0, size, 2 * stride):
-            x[start:start + stride] ^= x[start + stride:start + 2 * stride]
+        pairs = x.reshape(-1, 2, stride)
+        pairs[:, 0] ^= pairs[:, 1]
         stride *= 2
     return x
 

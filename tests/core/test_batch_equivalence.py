@@ -1,9 +1,11 @@
 """decode_slot_batch is a drop-in for decode_slot, bit for bit.
 
-The batched decoder reorders work (gather waves, joint polar decodes,
-batch CRC) but must reproduce the scalar path's *decisions* exactly:
-same decoded DCIs in the same order, same attempt count, same claimed
-CCEs — under every ablation toggle and under noise.  The slim process
+The batched decoder reorders work (one shared decode per candidate
+position, joint polar decodes, batch CRC) but must reproduce the scalar
+path's *decisions* exactly: same decoded DCIs in the same order, same
+attempt count, same claimed CCEs — under every ablation toggle and
+under noise.  The batched common-space search must likewise match the
+per-candidate one.  The slim process
 wire forms (control-region grid slice + content-addressed search-space
 blob) must likewise be invisible to the decode.
 """
@@ -13,14 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dci_decoder import GridDciDecoder, _SPACES_CACHE, \
-    _tracked_from_blob, _ue_entry_plan, grid_decode_job, \
+from repro.constants import DCI_CRC_LEN
+from repro.core.dci_decoder import DecodedDci, GridDciDecoder, \
+    _SPACES_CACHE, _tracked_from_blob, _ue_entry_plan, grid_decode_job, \
     pack_grid_for_decode, pack_tracked_for_decode, unpack_grid_for_decode
 from repro.core.rach_sniffer import RachSniffer
 from repro.core.runtime import sharded_grid_decode
 from repro.gnb.cell_config import SRSRAN_PROFILE
-from repro.phy.dci import Dci, DciFormat, riv_encode
-from repro.phy.pdcch import PdcchCandidate, encode_pdcch
+from repro.phy import polar
+from repro.phy.dci import Dci, DciError, DciFormat, dci_payload_size, \
+    riv_encode, unpack
+from repro.phy.pdcch import PdcchCandidate, candidate_occupied, \
+    dci_recover_rnti, decode_candidate_bits, encode_pdcch
 from repro.phy.resource_grid import ResourceGrid
 from repro.rrc.messages import RrcSetup
 
@@ -73,23 +79,27 @@ class TestBatchMatchesScalar:
     @given(st.data())
     @settings(max_examples=15, deadline=None)
     def test_full_equivalence(self, data):
-        n_ues = data.draw(st.integers(min_value=1, max_value=5))
+        # Up to 16 UEs on one CORESET, so many entries share a position.
+        n_ues = data.draw(st.integers(min_value=1, max_value=16))
         slot_index = data.draw(st.integers(min_value=0, max_value=19))
-        level = data.draw(st.sampled_from([1, 2, 4]))
+        level = data.draw(st.sampled_from([1, 2, 4, 8]))
         noise_var = data.draw(st.sampled_from([0.0, 1e-3, 0.05]))
         gate = data.draw(st.booleans())
         claim = data.draw(st.booleans())
         seed = data.draw(st.integers(min_value=0, max_value=999))
 
         tracked = build_tracked(n_ues)
+        n_cces = next(iter(tracked.values())).search_space.coreset.n_cces
+        pre_claimed = data.draw(st.sets(
+            st.integers(min_value=0, max_value=n_cces - 1), max_size=6))
         grid = build_slot(tracked, slot_index, level=level,
                           noise_var=noise_var, seed=seed)
         kwargs = dict(noise_var=max(noise_var, 1e-3),
                       use_energy_gate=gate, use_cce_claiming=claim)
         scalar = make_decoder(**kwargs)
         batched = make_decoder(**kwargs)
-        claimed_s: set = set()
-        claimed_b: set = set()
+        claimed_s = set(pre_claimed)
+        claimed_b = set(pre_claimed)
         out_s = scalar.decode_slot(grid, slot_index, tracked,
                                    claimed=claimed_s)
         out_b = batched.decode_slot_batch(grid, slot_index, tracked,
@@ -119,6 +129,111 @@ class TestBatchMatchesScalar:
         # One hit per (space, rnti) entry: the whole phase-1 candidate
         # enumeration collapses to a memoized lookup on repeat slots.
         assert _ue_entry_plan.cache_info().hits >= before + len(tracked)
+
+    def test_each_position_is_decoded_once(self, monkeypatch):
+        tracked = build_tracked(16)
+        slot_index = 5
+        grid = build_slot(tracked, slot_index, level=2, noise_var=1e-3,
+                          seed=4)
+        decoder = make_decoder(use_cce_claiming=False)
+        entries = set()
+        n_entries = 0
+        for rnti, ue in tracked.items():
+            space = ue.search_space
+            for level, count in space.candidates_per_level.items():
+                for start in space.candidate_cces(level, slot_index, rnti):
+                    if candidate_occupied(grid, space.coreset,
+                                          PdcchCandidate(start, level),
+                                          decoder.noise_var):
+                        entries.add((level, start))
+                        n_entries += 1
+        rows = []
+        joint = polar.decode_batch_joint
+
+        def counting(llrs, codes):
+            rows.append(llrs.shape[0])
+            return joint(llrs, codes)
+
+        monkeypatch.setattr(polar, "decode_batch_joint", counting)
+        decoded = decoder.decode_slot_batch(grid, slot_index, tracked)
+        assert len(decoded) > 0
+        assert n_entries > len(entries)  # positions really are shared
+        assert sum(rows) <= len(entries)
+
+
+def build_common_slot(slot_index, tc_rntis, noise_var, seed):
+    """MSG 4-style DCIs, CRC-masked with TC-RNTIs, in CORESET 0."""
+    grid = ResourceGrid(SRSRAN_PROFILE.n_prb)
+    cfg = SRSRAN_PROFILE.dci_size_config()
+    space = SRSRAN_PROFILE.common_search_space()
+    used = set()
+    candidates = [(level, start)
+                  for level in space.candidates_per_level
+                  for start in space.candidate_cces(level, slot_index)]
+    for tc_rnti, (level, start) in zip(tc_rntis, candidates):
+        cces = set(range(start, start + level))
+        if cces & used:
+            continue
+        dci = Dci(format=DciFormat.DL_1_1, rnti=tc_rnti,
+                  freq_alloc_riv=riv_encode(0, 4, 51), time_alloc=1,
+                  mcs=4, ndi=0, rv=0, harq_id=0)
+        encode_pdcch(dci, cfg, space.coreset, PdcchCandidate(start, level),
+                     grid, n_id=SRSRAN_PROFILE.cell_id,
+                     slot_index=slot_index)
+        used |= cces
+    if noise_var > 0.0:
+        rng = np.random.default_rng(seed)
+        scale = np.sqrt(noise_var / 2.0)
+        grid.data += (rng.normal(0.0, scale, grid.data.shape)
+                      + 1j * rng.normal(0.0, scale, grid.data.shape))
+    return grid
+
+
+def per_candidate_common(decoder, grid, slot_index, space):
+    """The per-candidate scalar common-space search (reference)."""
+    decoded = []
+    payload_len = dci_payload_size(DciFormat.DL_1_1, decoder.dci_cfg)
+    for level, count in space.candidates_per_level.items():
+        if count == 0:
+            continue
+        for start in space.candidate_cces(level, slot_index):
+            candidate = PdcchCandidate(start, level)
+            if not candidate_occupied(grid, space.coreset, candidate,
+                                      decoder.noise_var):
+                continue
+            bits = decode_candidate_bits(grid, space.coreset, candidate,
+                                         payload_len, decoder.n_id,
+                                         decoder.noise_var)
+            if bits is None:
+                continue
+            rnti = dci_recover_rnti(bits)
+            if rnti is None or rnti == 0:
+                continue
+            try:
+                dci = unpack(bits[:-DCI_CRC_LEN], DciFormat.DL_1_1,
+                             decoder.dci_cfg, rnti)
+            except DciError:
+                continue
+            decoded.append(DecodedDci(dci=dci, aggregation_level=level,
+                                      from_common_space=True))
+    return decoded
+
+
+class TestCommonSpace:
+    @pytest.mark.parametrize("slot_index,noise_var,seed",
+                             [(0, 0.0, 0), (3, 1e-3, 1), (11, 0.05, 2),
+                              (17, 0.3, 3)])
+    def test_batched_matches_per_candidate(self, slot_index, noise_var,
+                                           seed):
+        space = SRSRAN_PROFILE.common_search_space()
+        grid = build_common_slot(slot_index, (0x4601, 0x4602),
+                                 noise_var, seed)
+        decoder = make_decoder(noise_var=max(noise_var, 1e-3))
+        batched = decoder.blind_decode_common(grid, slot_index, space)
+        assert batched == per_candidate_common(decoder, grid, slot_index,
+                                               space)
+        if noise_var < 0.1:
+            assert {d.dci.rnti for d in batched} >= {0x4601}
 
 
 class TestSlimWireForms:

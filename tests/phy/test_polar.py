@@ -71,6 +71,22 @@ class TestTransform:
         rhs = polar._transform(a) ^ polar._transform(b)
         assert np.array_equal(lhs, rhs)
 
+    @pytest.mark.parametrize("size", [32, 64, 128, 256, 512])
+    def test_matches_butterfly_loop(self, rng, size):
+        def loop_form(u):
+            x = u.copy()
+            stride = 1
+            while stride < size:
+                for start in range(0, size, 2 * stride):
+                    x[start:start + stride] ^= \
+                        x[start + stride:start + 2 * stride]
+                stride *= 2
+            return x
+
+        for _ in range(4):
+            u = rng.integers(0, 2, size).astype(np.uint8)
+            assert np.array_equal(polar._transform(u), loop_form(u))
+
 
 class TestEncodeDecode:
     def test_noiseless_roundtrip(self, rng):
@@ -96,7 +112,7 @@ class TestEncodeDecode:
     def test_decode_rejects_wrong_size(self):
         code = polar.construct(40, 108)
         with pytest.raises(polar.PolarError):
-            polar.decode(np.zeros(100), code)
+            polar.decode(np.zeros(100, dtype=np.float64), code)
 
     def test_shortened_outputs_transmit_zero(self, rng):
         code = polar.construct(40, 100)
@@ -140,6 +156,6 @@ class TestDecodeErrorBehaviour:
     def test_all_zero_llrs_decode_to_something(self):
         # Zero LLRs (pure noise) must not crash; output is arbitrary bits.
         code = polar.construct(40, 108)
-        out = polar.decode(np.zeros(108), code)
+        out = polar.decode(np.zeros(108, dtype=np.float64), code)
         assert out.size == 40
         assert set(np.unique(out)) <= {0, 1}
