@@ -123,9 +123,9 @@ def build_session_report(scope, duration_s: float,
     ues.sort(key=lambda u: -u.dl_mbps)
 
     utilisation = 0.0
-    if scope.spare is not None and scope.spare.history:
+    if scope.spare is not None and scope.spare.n_ttis:
         n_prb = n_prb_carrier or scope.spare.n_prb_carrier
-        used = [usage.used_prbs for usage, _ in scope.spare.history]
+        used = scope.spare.tti_table()["used_prbs"]
         utilisation = float(np.mean(used)) / n_prb
     cell = CellSummary(
         duration_s=duration_s,

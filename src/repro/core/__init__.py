@@ -16,8 +16,7 @@ from repro.core.runtime import Executor, InlineExecutor, RuntimeStats, \
     SlotContext, SlotRuntime, Stage, StageStats, ThreadedExecutor, \
     build_executor, shard_ues, sharded_grid_decode
 from repro.core.scope import NRScope, ScopeCounters
-from repro.core.spare_capacity import SpareCapacityEstimator, SpareShare, \
-    TtiUsage
+from repro.core.spare_capacity import SpareCapacityEstimator, TtiUsage
 from repro.core.telemetry import TelemetryLog, TelemetryRecord
 from repro.core.throughput import SlidingWindowEstimator, ThroughputBank
 from repro.core.uci_telemetry import UciObservation, UciTelemetry
@@ -31,7 +30,7 @@ __all__ = [
     "PacketAggregationAnalyzer", "RachSniffer", "RecordDciDecoder",
     "RuntimeStats", "ScopeCounters", "SlidingWindowEstimator",
     "SlotContext", "SlotRuntime", "SpareCapacityEstimator",
-    "SpareShare", "Stage", "StageStats", "TelemetryLog",
+    "Stage", "StageStats", "TelemetryLog",
     "TelemetryRecord", "ThreadedExecutor", "ThroughputBank",
     "TrackedUe", "TtiUsage",
     "RanFingerprint", "UciObservation", "UciTelemetry", "UeHarqTracker",

@@ -283,18 +283,6 @@ def detect_handovers(streams: list[CellStream],
     return events
 
 
-def _activity_vector(stream: CellStream, rnti: int, bin_s: float,
-                     end_s: float) -> np.ndarray:
-    """Binned new-data bits for one RNTI (the correlation feature).
-
-    One row of the store's :meth:`~repro.core.telemetry_store.\
-TelemetryStore.activity_matrix` kernel; kept as the single-RNTI entry
-    point.
-    """
-    store = stream.scope.telemetry.store
-    return store.activity_matrix([rnti], bin_s, end_s)[0]
-
-
 def correlate_streams(a: CellStream, b: CellStream,
                       bin_s: float = 0.1) -> list[tuple[int, int, float]]:
     """Cross-cell activity correlation: candidate CA pairings.

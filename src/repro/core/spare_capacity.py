@@ -6,15 +6,46 @@ The estimator knows the carrier width from SIB 1, sums the PRBs of the
 DCIs it decoded in the TTI, splits the remainder evenly, and prices each
 UE's share at that UE's *own* current MCS — which is why two UEs with
 identical spare PRBs report different spare bit rates (Fig 14a).
+
+The history is columnar: append-only typed arrays, one row per TTI
+(slot, time, used PRBs, fair-share PRBs, share count) and one row per
+share holding only what varies per UE (RNTI, MCS, used PRBs).  The slot
+path extends each column once per TTI and builds no per-share object;
+shares are priced into bits when a reader asks.  The columns pickle as
+raw buffers, so a checkpoint copies bytes instead of walking objects.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.phy.grant import GrantConfig
 from repro.phy.mcs_tables import mcs_entry
 from repro.phy.tbs import transport_block_size
+
+#: Columns of :meth:`SpareCapacityEstimator.tti_table`, one row per TTI.
+TTI_DTYPE = np.dtype([
+    ("slot_index", np.int64), ("time_s", np.float64),
+    ("used_prbs", np.int64), ("spare_prbs", np.int64),
+    ("n_shares", np.int64)])
+
+#: Columns of :meth:`SpareCapacityEstimator.shares`, one row per TTI in
+#: which the UE held a share.
+SHARE_DTYPE = np.dtype([
+    ("slot_index", np.int64), ("time_s", np.float64),
+    ("used_prbs", np.int64), ("spare_prbs", np.int64),
+    ("mcs_index", np.int64), ("used_bits", np.int64),
+    ("spare_bits", np.int64)])
+
+
+def _view(column: array) -> np.ndarray:
+    """Zero-copy numpy view of a column (array typecodes are numpy
+    dtype characters).  Views must not outlive the call that made them:
+    an array with a live view cannot grow."""
+    return np.frombuffer(column, dtype=column.typecode)
 
 
 class SpareCapacityError(ValueError):
@@ -32,17 +63,6 @@ class TtiUsage:
     per_ue_mcs: dict[int, int]        # rnti -> MCS index this TTI
 
 
-@dataclass(frozen=True)
-class SpareShare:
-    """Fair-share spare capacity for one UE in one TTI."""
-
-    rnti: int
-    spare_prbs: int
-    spare_bits: int
-    used_prbs: int
-    used_bits: int
-
-
 class SpareCapacityEstimator:
     """Turns per-TTI decoded grants into spare-capacity shares."""
 
@@ -55,7 +75,21 @@ class SpareCapacityEstimator:
         self.n_prb_carrier = n_prb_carrier
         self.n_symbols = n_symbols
         self._last_mcs: dict[int, int] = {}
-        self.history: list[tuple[TtiUsage, list[SpareShare]]] = []
+        # Per TTI.  PRB counts fit 16 bits (a carrier has <= 275 PRBs).
+        self._tti_slot = array("q")
+        self._tti_time = array("d")
+        self._tti_used = array("H")
+        self._tti_spare = array("H")      # fair-share PRBs per UE
+        self._tti_shares = array("I")     # shares this TTI
+        # Per share, in TTI order.
+        self._rnti = array("H")
+        self._mcs = array("B")
+        self._used = array("H")
+
+    @property
+    def n_ttis(self) -> int:
+        """TTIs observed so far."""
+        return len(self._tti_slot)
 
     def _bits_for(self, n_prb: int, mcs_index: int) -> int:
         if n_prb < 1:
@@ -67,10 +101,16 @@ class SpareCapacityEstimator:
             n_dmrs_per_prb=self.grant_config.n_dmrs_per_prb,
             n_oh_per_prb=self.grant_config.xoverhead_res).tbs_bits
 
+    def _price(self, n_prb: np.ndarray, mcs: np.ndarray) -> np.ndarray:
+        """Bits of each (PRBs, MCS) row, one TBS per distinct pair."""
+        pairs, inverse = np.unique(n_prb << 8 | mcs, return_inverse=True)
+        bits = np.array([self._bits_for(pair >> 8, pair & 0xFF)
+                         for pair in pairs.tolist()], dtype=np.int64)
+        return bits[inverse]
+
     def observe_tti(self, usage: TtiUsage,
-                    known_rntis: list[int] | None = None) \
-            -> list[SpareShare]:
-        """Compute the fair-share split for one TTI.
+                    known_rntis: list[int] | None = None) -> None:
+        """Record the fair-share split for one TTI.
 
         ``known_rntis`` widens the split to UEs that were idle this TTI
         (they still own a fair share of the spare room); their MCS falls
@@ -81,42 +121,60 @@ class SpareCapacityEstimator:
                 f"decoded {usage.used_prbs} PRBs on a {self.n_prb_carrier}"
                 f" PRB carrier")
         self._last_mcs.update(usage.per_ue_mcs)
-        participants = sorted(set(usage.per_ue_prbs)
-                              | set(known_rntis or []))
-        shares: list[SpareShare] = []
-        spare_prbs_total = self.n_prb_carrier - usage.used_prbs
-        if participants:
-            per_ue_spare = spare_prbs_total // len(participants)
-            for rnti in participants:
-                mcs_index = usage.per_ue_mcs.get(
-                    rnti, self._last_mcs.get(rnti, 0))
-                used = usage.per_ue_prbs.get(rnti, 0)
-                used_bits = self._bits_for(used, mcs_index) if used else 0
-                spare_bits = self._bits_for(per_ue_spare, mcs_index)
-                shares.append(SpareShare(
-                    rnti=rnti, spare_prbs=per_ue_spare,
-                    spare_bits=spare_bits, used_prbs=used,
-                    used_bits=used_bits))
-        self.history.append((usage, shares))
-        return shares
+        per_ue_prbs = usage.per_ue_prbs
+        participants = sorted(per_ue_prbs.keys() | set(known_rntis or ()))
+        self._tti_slot.append(usage.slot_index)
+        self._tti_time.append(usage.time_s)
+        self._tti_used.append(usage.used_prbs)
+        self._tti_shares.append(len(participants))
+        if not participants:
+            self._tti_spare.append(0)
+            return
+        self._tti_spare.append((self.n_prb_carrier - usage.used_prbs)
+                               // len(participants))
+        last_mcs = self._last_mcs
+        self._rnti.extend(participants)
+        self._mcs.extend([last_mcs.get(rnti, 0) for rnti in participants])
+        self._used.extend([per_ue_prbs.get(rnti, 0)
+                           for rnti in participants])
+
+    def tti_table(self) -> np.ndarray:
+        """Every observed TTI as a :data:`TTI_DTYPE` array."""
+        table = np.empty(self.n_ttis, dtype=TTI_DTYPE)
+        table["slot_index"] = _view(self._tti_slot)
+        table["time_s"] = _view(self._tti_time)
+        table["used_prbs"] = _view(self._tti_used)
+        table["spare_prbs"] = _view(self._tti_spare)
+        table["n_shares"] = _view(self._tti_shares)
+        return table
+
+    def shares(self, rnti: int) -> np.ndarray:
+        """One UE's share in every TTI it took part in, priced into
+        bits at its MCS of that TTI, as a :data:`SHARE_DTYPE` array."""
+        rows = np.flatnonzero(_view(self._rnti) == rnti)
+        ends = np.cumsum(_view(self._tti_shares), dtype=np.int64)
+        tti = np.searchsorted(ends, rows, side="right")
+        out = np.empty(rows.size, dtype=SHARE_DTYPE)
+        out["slot_index"] = _view(self._tti_slot)[tti]
+        out["time_s"] = _view(self._tti_time)[tti]
+        out["used_prbs"] = _view(self._used)[rows]
+        out["spare_prbs"] = _view(self._tti_spare)[tti]
+        out["mcs_index"] = _view(self._mcs)[rows]
+        out["used_bits"] = self._price(out["used_prbs"], out["mcs_index"])
+        out["spare_bits"] = self._price(out["spare_prbs"],
+                                        out["mcs_index"])
+        return out
 
     def spare_rate_series(self, rnti: int, slot_duration_s: float) \
             -> list[tuple[float, float]]:
         """(time, spare bits/s) per TTI for one UE (Fig 14a's 'Spare')."""
-        series = []
-        for usage, shares in self.history:
-            for share in shares:
-                if share.rnti == rnti:
-                    series.append((usage.time_s,
-                                   share.spare_bits / slot_duration_s))
-        return series
+        rows = self.shares(rnti)
+        return list(zip(rows["time_s"].tolist(),
+                        (rows["spare_bits"] / slot_duration_s).tolist()))
 
     def prb_series(self, rnti: int) -> list[tuple[int, int, int]]:
         """(slot, used PRBs, spare share PRBs) per TTI (Fig 14b)."""
-        rows = []
-        for usage, shares in self.history:
-            for share in shares:
-                if share.rnti == rnti:
-                    rows.append((usage.slot_index, share.used_prbs,
-                                 share.spare_prbs))
-        return rows
+        rows = self.shares(rnti)
+        return list(zip(rows["slot_index"].tolist(),
+                        rows["used_prbs"].tolist(),
+                        rows["spare_prbs"].tolist()))

@@ -32,6 +32,7 @@ this module dependency-free below numpy.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -317,18 +318,17 @@ class TelemetryStore:
         """Write the store as chunked ``.npy`` segments plus a manifest.
 
         Returns the number of rows written.  The directory is created;
-        existing segment files are overwritten.
+        existing segment files are overwritten.  Every file is first
+        written in full under a ``.tmp`` name, then moved into place
+        with ``os.replace``, the manifest last: a writer that fails
+        before the moves leaves the previous segments readable.
         """
         target = Path(directory)
         target.mkdir(parents=True, exist_ok=True)
         parts = list(self._chunks)
         if self._head_used:
             parts.append(self._head[:self._head_used])
-        names: list[str] = []
-        for index, part in enumerate(parts):
-            name = f"segment-{index:05d}.npy"
-            np.save(target / name, part)
-            names.append(name)
+        names = [f"segment-{index:05d}.npy" for index in range(len(parts))]
         manifest = {
             "schema": SEGMENT_SCHEMA,
             "dtype": [[n, str(RECORD_DTYPE.fields[n][0])]
@@ -337,9 +337,23 @@ class TelemetryStore:
             "rows": self._count,
             "segments": names,
         }
-        (target / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        staged = [(target / f"{name}.tmp", target / name)
+                  for name in [*names, "manifest.json"]]
+        try:
+            for (temp, _), part in zip(staged, parts):
+                # np.save appends ".npy" to a bare path; a handle keeps
+                # the temp name exact.
+                with open(temp, "wb") as fh:
+                    np.save(fh, part)
+            staged[-1][0].write_text(
+                json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8")
+        except BaseException:
+            for temp, _ in staged:
+                temp.unlink(missing_ok=True)
+            raise
+        for temp, final in staged:
+            os.replace(temp, final)
         return self._count
 
     @classmethod

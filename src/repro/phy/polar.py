@@ -135,8 +135,8 @@ def encode(info_bits: np.ndarray, code: PolarCode) -> np.ndarray:
     x = _transform(u)
     if code.rate_matched_len <= code.block_len:
         return x[:code.rate_matched_len].copy()
-    reps = code.rate_matched_len - code.block_len
-    return np.concatenate([x, x[:reps]])
+    # Cyclic repetition e_k = y_(k mod N) (38.212 section 5.4.1.2).
+    return np.resize(x, code.rate_matched_len)
 
 
 def _llrs_to_mother(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
@@ -144,9 +144,10 @@ def _llrs_to_mother(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
     out = np.zeros(code.block_len, dtype=np.float64)
     base = min(code.rate_matched_len, code.block_len)
     out[:base] = llrs[:base]
-    if code.rate_matched_len > code.block_len:
-        extra = llrs[code.block_len:]
-        out[:extra.size] += extra
+    for start in range(code.block_len, code.rate_matched_len,
+                       code.block_len):
+        wrap = llrs[start:start + code.block_len]
+        out[:wrap.size] += wrap
     for idx in code.shortened_outputs:
         out[idx] = _INF_LLR
     return out
@@ -226,9 +227,10 @@ def _llrs_to_mother_batch(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
     out = np.zeros((batch, code.block_len), dtype=np.float64)
     base = min(code.rate_matched_len, code.block_len)
     out[:, :base] = llrs[:, :base]
-    if code.rate_matched_len > code.block_len:
-        extra = llrs[:, code.block_len:]
-        out[:, :extra.shape[1]] += extra
+    for start in range(code.block_len, code.rate_matched_len,
+                       code.block_len):
+        wrap = llrs[:, start:start + code.block_len]
+        out[:, :wrap.shape[1]] += wrap
     for idx in code.shortened_outputs:
         out[:, idx] = _INF_LLR
     return out

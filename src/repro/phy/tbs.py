@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.constants import N_SC_PER_PRB
 from repro.phy.mcs_tables import McsEntry
@@ -98,6 +99,7 @@ def _quantize_large(n_info: float, code_rate: float) -> int:
     return 8 * math.ceil((n_info_prime + 24) / 8) - 24
 
 
+@lru_cache(maxsize=4096)
 def transport_block_size(n_prb: int, n_symbols: int, mcs: McsEntry,
                          n_layers: int = 1, n_dmrs_per_prb: int = 12,
                          n_oh_per_prb: int = 0) -> TbsResult:
@@ -106,6 +108,10 @@ def transport_block_size(n_prb: int, n_symbols: int, mcs: McsEntry,
     Defaults match the paper's testbeds: single-symbol type-A DMRS without
     CDM-group data sharing contributes 12 DMRS REs per PRB, and
     ``xOverhead`` is absent (0), as in the Appendix B sample grant.
+
+    Memoized: the result is a pure function of hashable arguments and
+    is itself frozen.  Invalid arguments are not cached, so they raise
+    on every call.
     """
     if not 1 <= n_layers <= 4:
         raise TbsError(f"layer count out of range: {n_layers}")

@@ -4,10 +4,15 @@ import pickle
 
 import pytest
 
+from repro.analysis.summary import build_session_report
+from repro.constants import TTI_DURATION_S
 from repro.core.fleet import CHECKPOINT_VERSION, FleetConfig, \
     FleetError, FleetSupervisor
 from repro.obs import KNOWN_EVENTS, ObsContext, RingReporter, \
     validate_events
+
+#: Slot duration at 30 kHz SCS, the simulated cells' numerology.
+SLOT_S = TTI_DURATION_S[30]
 
 
 def small_config(**overrides) -> FleetConfig:
@@ -16,6 +21,23 @@ def small_config(**overrides) -> FleetConfig:
                     checkpoint_interval_s=0.6)
     defaults.update(overrides)
     return FleetConfig(**defaults)
+
+
+def spare_of(supervisor: FleetSupervisor) -> dict:
+    """Per cell: every RNTI's spare PRB and bit-rate series, and the
+    session report's PRB utilisation."""
+    out = {}
+    for name in supervisor.controller.cells:
+        scope = supervisor.controller.stream(name).scope
+        rntis = sorted(set(scope.telemetry.rntis())
+                       | set(scope.tracked_rntis))
+        out[name] = (
+            {rnti: scope.spare.prb_series(rnti) for rnti in rntis},
+            {rnti: scope.spare.spare_rate_series(rnti, SLOT_S)
+             for rnti in rntis},
+            build_session_report(scope, supervisor.now_s)
+            .cell.mean_prb_utilisation)
+    return out
 
 
 def telemetry_of(supervisor: FleetSupervisor) -> dict:
@@ -85,6 +107,12 @@ class TestCheckpointResume:
             b = resumed.controller.stream(name).scope
             assert a.counters == b.counters
             assert a.tracked_rntis == b.tracked_rntis
+        want, got = spare_of(baseline), spare_of(resumed)
+        for name in want:
+            prbs, rates, utilisation = want[name]
+            assert any(prbs.values()), f"{name} has no spare shares"
+            assert utilisation > 0.0
+            assert got[name] == want[name], f"{name} spare diverged"
 
     def test_resumed_jsonl_bytes_identical(self, tmp_path):
         config = small_config(n_cells=1)
@@ -119,6 +147,14 @@ class TestCheckpointResume:
         path = tmp_path / "fleet.ckpt"
         path.write_bytes(pickle.dumps(
             {"version": CHECKPOINT_VERSION + 1, "cells": []}))
+        with pytest.raises(FleetError):
+            FleetSupervisor.restore(path)
+
+    def test_restore_rejects_previous_version(self, tmp_path):
+        # Version 1 snapshots held the spare estimator's object history.
+        assert CHECKPOINT_VERSION == 2
+        path = tmp_path / "fleet.ckpt"
+        path.write_bytes(pickle.dumps({"version": 1, "cells": []}))
         with pytest.raises(FleetError):
             FleetSupervisor.restore(path)
 

@@ -1,10 +1,19 @@
 """Tests for the fair-share spare capacity estimator (Fig 14)."""
 
+import pickle
+
+import numpy as np
 import pytest
 
+from repro.constants import TTI_DURATION_S
 from repro.core.spare_capacity import SpareCapacityError, \
     SpareCapacityEstimator, TtiUsage
 from repro.phy.grant import GrantConfig
+from repro.phy.mcs_tables import mcs_entry
+from repro.phy.tbs import transport_block_size
+
+#: Slot duration at 30 kHz SCS, the simulated cells' numerology.
+SLOT_S = TTI_DURATION_S[30]
 
 
 def make_estimator(n_prb=51, mcs_table="qam256"):
@@ -15,59 +24,75 @@ def make_estimator(n_prb=51, mcs_table="qam256"):
 
 def usage(slot=0, used=None, mcs=None):
     used = used or {}
-    return TtiUsage(slot_index=slot, time_s=slot * 0.5e-3,
+    return TtiUsage(slot_index=slot, time_s=slot * SLOT_S,
                     used_prbs=sum(used.values()), per_ue_prbs=used,
                     per_ue_mcs=mcs or {r: 10 for r in used})
+
+
+def last_shares(estimator, rntis=(1, 2, 3)):
+    """The last TTI's share row of each RNTI that took part in it."""
+    last = estimator.tti_table()["slot_index"][-1]
+    by_rnti = {}
+    for rnti in rntis:
+        rows = estimator.shares(rnti)
+        if rows.size and rows["slot_index"][-1] == last:
+            by_rnti[rnti] = rows[-1]
+    return by_rnti
 
 
 class TestSpareShares:
     def test_even_split(self):
         estimator = make_estimator()
-        shares = estimator.observe_tti(usage(used={1: 10, 2: 11}))
-        assert len(shares) == 2
+        estimator.observe_tti(usage(used={1: 10, 2: 11}))
+        by_rnti = last_shares(estimator)
+        assert len(by_rnti) == 2
+        assert estimator.tti_table()["n_shares"].tolist() == [2]
         spare_total = 51 - 21
-        assert all(s.spare_prbs == spare_total // 2 for s in shares)
+        assert all(s["spare_prbs"] == spare_total // 2
+                   for s in by_rnti.values())
 
     def test_idle_known_ue_gets_share(self):
         estimator = make_estimator()
-        shares = estimator.observe_tti(usage(used={1: 10}),
-                                       known_rntis=[1, 2])
-        assert {s.rnti for s in shares} == {1, 2}
-        idle = next(s for s in shares if s.rnti == 2)
-        assert idle.used_prbs == 0
-        assert idle.used_bits == 0
-        assert idle.spare_prbs == (51 - 10) // 2
+        estimator.observe_tti(usage(used={1: 10}), known_rntis=[1, 2])
+        by_rnti = last_shares(estimator)
+        assert set(by_rnti) == {1, 2}
+        idle = by_rnti[2]
+        assert idle["used_prbs"] == 0
+        assert idle["used_bits"] == 0
+        assert idle["spare_prbs"] == (51 - 10) // 2
 
     def test_same_prbs_different_mcs_different_bits(self):
         """Fig 14a's key observation: equal spare PRBs price differently
         because the UEs run different modulation and coding rates."""
         estimator = make_estimator()
-        shares = estimator.observe_tti(
-            usage(used={1: 10, 2: 10}, mcs={1: 27, 2: 5}))
-        by_rnti = {s.rnti: s for s in shares}
-        assert by_rnti[1].spare_prbs == by_rnti[2].spare_prbs
-        assert by_rnti[1].spare_bits > by_rnti[2].spare_bits
+        estimator.observe_tti(usage(used={1: 10, 2: 10}, mcs={1: 27, 2: 5}))
+        by_rnti = last_shares(estimator)
+        assert by_rnti[1]["spare_prbs"] == by_rnti[2]["spare_prbs"]
+        assert by_rnti[1]["spare_bits"] > by_rnti[2]["spare_bits"]
 
     def test_idle_ue_uses_last_seen_mcs(self):
         estimator = make_estimator()
         estimator.observe_tti(usage(slot=0, used={1: 5}, mcs={1: 20}))
-        shares = estimator.observe_tti(usage(slot=1), known_rntis=[1])
-        rich = shares[0].spare_bits
+        estimator.observe_tti(usage(slot=1), known_rntis=[1])
+        rich = last_shares(estimator)[1]["spare_bits"]
         estimator2 = make_estimator()
         estimator2.observe_tti(usage(slot=0, used={1: 5}, mcs={1: 2}))
-        poor = estimator2.observe_tti(usage(slot=1),
-                                      known_rntis=[1])[0].spare_bits
+        estimator2.observe_tti(usage(slot=1), known_rntis=[1])
+        poor = last_shares(estimator2)[1]["spare_bits"]
         assert rich > poor
 
     def test_full_carrier_leaves_nothing(self):
         estimator = make_estimator()
-        shares = estimator.observe_tti(usage(used={1: 51}))
-        assert shares[0].spare_prbs == 0
-        assert shares[0].spare_bits == 0
+        estimator.observe_tti(usage(used={1: 51}))
+        share = last_shares(estimator)[1]
+        assert share["spare_prbs"] == 0
+        assert share["spare_bits"] == 0
 
     def test_no_ues_no_shares(self):
         estimator = make_estimator()
-        assert estimator.observe_tti(usage()) == []
+        estimator.observe_tti(usage())
+        assert last_shares(estimator) == {}
+        assert estimator.tti_table()["n_shares"].tolist() == [0]
 
     def test_overflow_rejected(self):
         estimator = make_estimator(n_prb=10)
@@ -80,7 +105,7 @@ class TestSeries:
         estimator = make_estimator()
         for slot in range(5):
             estimator.observe_tti(usage(slot=slot, used={1: 10}))
-        series = estimator.spare_rate_series(1, slot_duration_s=0.5e-3)
+        series = estimator.spare_rate_series(1, slot_duration_s=SLOT_S)
         assert len(series) == 5
         times = [t for t, _ in series]
         assert times == sorted(times)
@@ -91,3 +116,81 @@ class TestSeries:
         estimator.observe_tti(usage(slot=3, used={1: 10, 2: 5}))
         rows = estimator.prb_series(1)
         assert rows == [(3, 10, (51 - 15) // 2)]
+
+
+def reference_rows(ttis, n_prb=51, mcs_table="qam256"):
+    """The per-share object loop the columns replace: rnti -> list of
+    (time, slot, used PRBs, spare PRBs, spare bits)."""
+    config = GrantConfig(bwp_n_prb=n_prb, mcs_table=mcs_table)
+
+    def bits(prbs, mcs_index):
+        if prbs < 1:
+            return 0
+        return transport_block_size(
+            prbs, 12, mcs_entry(mcs_index, mcs_table),
+            n_layers=config.n_layers,
+            n_dmrs_per_prb=config.n_dmrs_per_prb,
+            n_oh_per_prb=config.xoverhead_res).tbs_bits
+
+    last_mcs, rows = {}, {}
+    for tti, known in ttis:
+        last_mcs.update(tti.per_ue_mcs)
+        participants = sorted(set(tti.per_ue_prbs) | set(known))
+        if not participants:
+            continue
+        spare = (n_prb - tti.used_prbs) // len(participants)
+        for rnti in participants:
+            mcs_index = tti.per_ue_mcs.get(rnti, last_mcs.get(rnti, 0))
+            rows.setdefault(rnti, []).append(
+                (tti.time_s, tti.slot_index, tti.per_ue_prbs.get(rnti, 0),
+                 spare, bits(spare, mcs_index)))
+    return rows
+
+
+class TestColumns:
+    def random_ttis(self, seed, n=300):
+        rng = np.random.default_rng(seed)
+        ttis = []
+        for slot in range(n):
+            active = sorted(set(rng.integers(1, 9, rng.integers(0, 4))
+                                .tolist()))
+            used = {int(r): int(rng.integers(1, 12)) for r in active}
+            mcs = {r: int(rng.integers(0, 28)) for r in used}
+            known = rng.integers(1, 9, rng.integers(0, 5)).tolist()
+            ttis.append((TtiUsage(slot_index=2 * slot,
+                                  time_s=2 * slot * SLOT_S,
+                                  used_prbs=sum(used.values()),
+                                  per_ue_prbs=used, per_ue_mcs=mcs),
+                         known))
+        return ttis
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_series_match_reference_loop(self, seed):
+        ttis = self.random_ttis(seed)
+        estimator = make_estimator()
+        for tti, known in ttis:
+            estimator.observe_tti(tti, known_rntis=known)
+        expected = reference_rows(ttis)
+        assert estimator.n_ttis == len(ttis)
+        for rnti in range(1, 10):
+            rows = expected.get(rnti, [])
+            assert estimator.prb_series(rnti) == \
+                [(slot, used, spare) for _, slot, used, spare, _ in rows]
+            assert estimator.spare_rate_series(rnti, SLOT_S) == \
+                [(t, bits / SLOT_S) for t, _, _, _, bits in rows]
+
+    def test_pickle_roundtrip_stays_appendable(self):
+        ttis = self.random_ttis(3, n=50)
+        estimator = make_estimator()
+        for tti, known in ttis[:30]:
+            estimator.observe_tti(tti, known_rntis=known)
+        estimator.prb_series(1)         # readers leave columns growable
+        clone = pickle.loads(pickle.dumps(estimator))
+        for target in (estimator, clone):
+            for tti, known in ttis[30:]:
+                target.observe_tti(tti, known_rntis=known)
+        assert clone.tti_table().tolist() == \
+            estimator.tti_table().tolist()
+        for rnti in range(1, 9):
+            assert clone.shares(rnti).tolist() == \
+                estimator.shares(rnti).tolist()

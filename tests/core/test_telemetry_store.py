@@ -14,10 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import TTI_DURATION_S
 from repro.core.telemetry import TelemetryLog, TelemetryRecord
 from repro.core.telemetry_store import DEFAULT_CHUNK_ROWS, \
     RECORD_DTYPE, RECORD_FIELDS, TelemetryStore, TelemetryStoreError, \
     window_count, window_edges
+
+#: Slot duration at 30 kHz SCS, the simulated cells' numerology.
+SLOT_S = TTI_DURATION_S[30]
 
 
 def make_row(slot=0, time_s=0.0, rnti=0x4601, downlink=True, tbs=1000,
@@ -107,7 +111,7 @@ class TestStoreBasics:
 
     def test_append_and_table_order(self):
         store = fill(TelemetryStore(), [
-            make_row(slot=i, time_s=i * 0.5e-3, tbs=100 + i)
+            make_row(slot=i, time_s=i * SLOT_S, tbs=100 + i)
             for i in range(10)])
         assert len(store) == 10
         assert store.table()["tbs_bits"].tolist() == \
@@ -252,6 +256,33 @@ class TestPersistence:
         assert loaded.table().tolist() == store.table().tolist()
         assert loaded.rntis() == store.rntis()
 
+    def test_failed_write_keeps_previous_segments(self, tmp_path,
+                                                  monkeypatch):
+        old = fill(TelemetryStore(chunk_rows=4),
+                   [make_row(slot=i, tbs=i) for i in range(6)])
+        old.write_segments(tmp_path / "seg")
+        new = fill(TelemetryStore(chunk_rows=4),
+                   [make_row(slot=i, tbs=100 + i) for i in range(11)])
+        real_save = np.save
+        calls = []
+
+        def failing_save(file, arr, *args, **kwargs):
+            calls.append(file)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_save(file, arr, *args, **kwargs)
+
+        monkeypatch.setattr(np, "save", failing_save)
+        with pytest.raises(OSError):
+            new.write_segments(tmp_path / "seg")
+        monkeypatch.undo()
+        loaded = TelemetryStore.read_segments(tmp_path / "seg")
+        assert loaded.table().tolist() == old.table().tolist()
+        assert not list((tmp_path / "seg").glob("*.tmp"))
+        new.write_segments(tmp_path / "seg")
+        loaded = TelemetryStore.read_segments(tmp_path / "seg")
+        assert loaded.table().tolist() == new.table().tolist()
+
     def test_segments_reject_foreign_dtype(self, tmp_path):
         store = fill(TelemetryStore(chunk_rows=4),
                      [make_row() for _ in range(3)])
@@ -280,7 +311,7 @@ class TestFacadeEquivalence:
         log = TelemetryLog()
         for i in range(25):
             log.add(TelemetryRecord(
-                slot_index=i, time_s=i * 5e-4, rnti=0x4601 + i % 3,
+                slot_index=i, time_s=i * SLOT_S, rnti=0x4601 + i % 3,
                 downlink=i % 4 != 0, tbs_bits=999 + i, n_prb=4,
                 n_symbols=12, mcs_index=i % 28, harq_id=i % 16,
                 ndi=i % 2, rv=0, is_retransmission=i % 5 == 0,

@@ -156,9 +156,9 @@ class TestCrossConsistency:
         sim = Simulation.build(MOSOLAB_PROFILE, n_ues=2, seed=77)
         scope = NRScope.attach(sim, snr_db=20.0)
         sim.run(seconds=0.5)
-        for usage, shares in scope.spare.history:
-            if not shares:
+        for tti in scope.spare.tti_table():
+            if not tti["n_shares"]:
                 continue
-            total_spare = sum(s.spare_prbs for s in shares)
-            assert usage.used_prbs + total_spare <= \
+            total_spare = tti["n_shares"] * tti["spare_prbs"]
+            assert tti["used_prbs"] + total_spare <= \
                 MOSOLAB_PROFILE.n_prb

@@ -91,8 +91,8 @@ class TestStateBoundedness:
         sim = Simulation.build(SRSRAN_PROFILE, n_ues=1, seed=95)
         scope = NRScope.attach(sim, snr_db=20.0)
         sim.run(seconds=0.5)
-        first = len(scope.spare.history)
+        first = scope.spare.n_ttis
         sim.run(seconds=0.5)
-        second = len(scope.spare.history)
+        second = scope.spare.n_ttis
         # One entry per synchronized downlink slot.
         assert second == pytest.approx(2 * first, rel=0.2)

@@ -169,3 +169,30 @@ class TestTransportBlockSize:
             assert (result.tbs_bits + 24) % 8 == 0
         else:
             assert result.tbs_bits in TBS_TABLE
+
+
+class TestTbsMemo:
+    def test_cached_result_equals_fresh_computation(self):
+        fresh = transport_block_size.__wrapped__
+        for n_prb in (1, 7, 51, 273):
+            for n_sym in (2, 9, 12, 14):
+                for mcs_idx in (0, 13, 27):
+                    mcs = mcs_entry(mcs_idx, "qam256")
+                    for layers in (1, 2, 4):
+                        expected = fresh(n_prb, n_sym, mcs,
+                                         n_layers=layers)
+                        for _ in range(2):
+                            assert transport_block_size(
+                                n_prb, n_sym, mcs,
+                                n_layers=layers) == expected
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_prb=0, n_symbols=12), dict(n_prb=4, n_symbols=15),
+        dict(n_prb=4, n_symbols=12, n_layers=5),
+        dict(n_prb=4, n_symbols=1, n_dmrs_per_prb=12),
+    ])
+    def test_invalid_arguments_raise_every_call(self, kwargs):
+        mcs = mcs_entry(5, "qam64")
+        for _ in range(3):
+            with pytest.raises(TbsError):
+                transport_block_size(mcs=mcs, **kwargs)

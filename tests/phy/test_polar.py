@@ -104,6 +104,24 @@ class TestEncodeDecode:
         llrs = (1.0 - 2.0 * coded.astype(float)) * 8.0
         assert np.array_equal(polar.decode(llrs, code), info)
 
+    def test_noiseless_roundtrip_multi_wrap_repetition(self, rng):
+        """Aggregation level 16 (E = 1728 > 2N): cyclic repetition
+        wraps the N = 512 mother block three times over."""
+        code = polar.construct(70, 1728)
+        assert code.block_len == 512
+        info = rng.integers(0, 2, 70).astype(np.uint8)
+        coded = polar.encode(info, code)
+        assert coded.size == 1728
+        mother = coded[:code.block_len]
+        assert np.array_equal(coded, mother[np.arange(1728) % 512])
+        llrs = (1.0 - 2.0 * coded.astype(float)) * 8.0
+        assert np.array_equal(polar.decode(llrs, code), info)
+        other = rng.integers(0, 2, 70).astype(np.uint8)
+        batch = np.stack([
+            llrs, (1.0 - 2.0 * polar.encode(other, code)) * 8.0])
+        assert np.array_equal(polar.decode_batch(batch, code),
+                              np.stack([info, other]))
+
     def test_encode_rejects_wrong_size(self):
         code = polar.construct(40, 108)
         with pytest.raises(polar.PolarError):
