@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.analysis.report import Table, print_tables
 from repro.core.dci_decoder import GridDciDecoder
-from repro.core.runtime import sharded_grid_decode
 from repro.core.throughput import SlidingWindowEstimator
 from repro.experiments.common import run_session
 from repro.experiments.fig12_processing import build_workload
@@ -68,7 +67,9 @@ def test_ablation_decoder_optimisations(once):
     """Energy gate + CCE claiming vs the raw exhaustive search.
 
     The raw search is what the paper's cost model describes (O(m) polar
-    attempts per slot); the gated search flattens the per-UE cost.
+    attempts per slot); the gated search cuts the attempts.  The batched
+    search decodes each candidate position once whatever the attempt
+    count, so the wall time is printed but not asserted.
     """
 
     def measure(use_gate, use_claiming, n_ues):
@@ -79,35 +80,36 @@ def test_ablation_decoder_optimisations(once):
             use_energy_gate=use_gate, use_cce_claiming=use_claiming)
         grid = demodulate_slot(workload.samples, workload.ofdm)
         start = time.perf_counter()
-        decoded = sharded_grid_decode(decoder, grid, workload.slot_index,
-                                      workload.tracked, 1)
+        decoded = decoder.decode_slot_batch(grid, workload.slot_index,
+                                            workload.tracked)
         elapsed_s = time.perf_counter() - start
-        return 1e6 * elapsed_s, len(decoded)
+        return 1e6 * elapsed_s, decoder.attempts, len(decoded)
 
     def run_matrix():
         rows = []
         for n_ues in (4, 16):
             for gate, claim in ((False, False), (True, False),
                                 (True, True)):
-                us, found = measure(gate, claim, n_ues)
-                rows.append((n_ues, gate, claim, us, found))
+                us, attempts, found = measure(gate, claim, n_ues)
+                rows.append((n_ues, gate, claim, us, attempts, found))
         return rows
 
     rows = once(run_matrix)
     print()
     print_tables([Table(
-        title="Ablation - decoder optimisations (us per slot)",
+        title="Ablation - decoder optimisations (per slot)",
         columns=("UEs", "energy gate", "CCE claiming", "us/slot",
-                 "decoded"),
+                 "attempts", "decoded"),
         rows=tuple(rows))])
-    by_key = {(n, g, c): us for n, g, c, us, _ in rows}
+    attempts = {(n, g, c): a for n, g, c, _, a, _ in rows}
     # Every configuration decodes the same DCIs (found column equal).
     found = {(n): set() for n, *_ in rows}
-    for n, g, c, us, f in rows:
+    for n, g, c, us, a, f in rows:
         found[n].add(f)
     assert all(len(v) == 1 for v in found.values())
-    # Full optimisations beat the raw search at 16 UEs by a wide margin.
-    assert by_key[(16, True, True)] < 0.7 * by_key[(16, False, False)]
+    # Full optimisations cut the raw search's attempts at 16 UEs by a
+    # wide margin.
+    assert attempts[(16, True, True)] <= attempts[(16, False, False)] / 4
 
 
 def test_ablation_crc_verification(once):

@@ -11,10 +11,8 @@ Mirrors how the released NR-Scope tool is driven from a terminal:
 * ``fleet``    - supervised multi-cell run with come-and-go UEs and
   periodic checkpoints; ``--resume`` continues a killed run from its
   checkpoint file with telemetry identical to an uninterrupted run.
-* ``bench``    - repeatable perf benchmarks (``bench fig12`` writes
-  ``BENCH_fig12.json``, the executor x batch-kernel sweep;
-  ``bench telemetry`` writes ``BENCH_telemetry.json``, the columnar
-  store vs per-record baseline).
+* ``bench``    - repeatable perf benchmarks (``bench telemetry`` writes
+  ``BENCH_telemetry.json``, the columnar store vs per-record baseline).
 * ``obs``      - observability-stream tooling: ``obs topn`` clusters a
   session's failure events, ``obs validate`` checks a stream against
   the event schema.
@@ -28,6 +26,7 @@ import argparse
 import sys
 
 from repro.analysis.report import print_tables
+from repro.core.runtime import SlotRuntimeError, build_executor
 from repro.core.scope import NRScope
 from repro.gnb.cell_config import ALL_PROFILES
 from repro.simulation import Simulation
@@ -59,15 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sniff.add_argument("--report", action="store_true",
                        help="print the full per-UE session report")
     sniff.add_argument("--executor", default="inline",
-                       help="slot runtime executor: "
-                            "inline | threaded[:N] | process[:N]")
+                       help="slot runtime executor: inline | process[:N]")
     sniff.add_argument("--workers", type=int, default=4,
-                       help="slot workers for the threaded executor")
-    sniff.add_argument("--dci-threads", type=int, default=1,
-                       help="DCI decode shards per slot")
-    sniff.add_argument("--no-batch", action="store_true",
-                       help="disable the batched PHY kernels "
-                            "(per-candidate scalar decode)")
+                       help="worker processes for the process executor")
     sniff.add_argument("--runtime-stats", action="store_true",
                        help="print per-stage runtime statistics "
                             "(timings and drop counts, via the obs "
@@ -137,9 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--fidelity", default="message",
                        choices=["message", "iq"])
     fleet.add_argument("--executor", default="inline",
-                       help="slot runtime executor: "
-                            "inline | threaded[:N] | process[:N]")
-    fleet.add_argument("--workers", type=int, default=4)
+                       help="slot runtime executor: inline | process[:N]")
+    fleet.add_argument("--workers", type=int, default=4,
+                       help="worker processes for the process executor")
     fleet.add_argument("--json-dir", metavar="DIR", default=None,
                        help="write each cell's telemetry as "
                             "DIR/<cell>.jsonl")
@@ -154,16 +147,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench",
                            help="run a repeatable perf benchmark")
-    bench.add_argument("name", choices=["fig12", "telemetry"])
+    bench.add_argument("name", choices=["telemetry"])
     bench.add_argument("--quick", action="store_true",
                        help="tiny sweep (CI smoke; not a real "
                             "measurement)")
     bench.add_argument("--out", metavar="PATH", default=None,
                        help="output JSON document path (default "
                             "BENCH_<name>.json)")
-    bench.add_argument("--slots", type=int, default=None,
-                       help="timed slots per point (default 20, "
-                            "quick 2; fig12 only)")
 
     from repro.lint.cli import add_arguments as add_lint_arguments
     lint = sub.add_parser("lint",
@@ -178,8 +168,9 @@ def cmd_sniff(args: argparse.Namespace) -> int:
 
     profile = ALL_PROFILES[args.profile]
     try:
+        executor = build_executor(args.executor, n_workers=args.workers)
         reporters = reporters_from_specs(args.obs)
-    except ReporterError as exc:
+    except (SlotRuntimeError, ReporterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     counter_rep = next((r for r in reporters
@@ -195,11 +186,7 @@ def cmd_sniff(args: argparse.Namespace) -> int:
     sim = Simulation.build(profile, n_ues=args.ues, seed=args.seed,
                            traffic=args.traffic, channel=args.channel,
                            fidelity=args.fidelity)
-    scope = NRScope.attach(sim, snr_db=args.snr_db,
-                           executor=args.executor,
-                           n_workers=args.workers,
-                           n_dci_threads=args.dci_threads,
-                           batch_kernels=not args.no_batch,
+    scope = NRScope.attach(sim, snr_db=args.snr_db, executor=executor,
                            obs=obs)
     sim.run(seconds=args.seconds)
     scope.close()
@@ -394,13 +381,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.name == "fig12":
-        from repro.experiments import bench_fig12
-        out = args.out or "BENCH_fig12.json"
-        doc = bench_fig12.main(out_path=out, quick=args.quick,
-                               n_slots=args.slots)
-        print(bench_fig12.render(doc))
-    elif args.name == "telemetry":
+    if args.name == "telemetry":
         from repro.experiments import bench_telemetry
         out = args.out or "BENCH_telemetry.json"
         doc = bench_telemetry.main(out_path=out, quick=args.quick)

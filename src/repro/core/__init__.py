@@ -13,8 +13,7 @@ from repro.core.multicell import CellStream, FusedStream, HandoverEvent, \
     MultiCellController, correlate_streams, detect_handovers
 from repro.core.rach_sniffer import RachSniffer, TrackedUe
 from repro.core.runtime import Executor, InlineExecutor, RuntimeStats, \
-    SlotContext, SlotRuntime, Stage, StageStats, ThreadedExecutor, \
-    build_executor, shard_ues, sharded_grid_decode
+    SlotContext, SlotRuntime, Stage, StageStats, build_executor
 from repro.core.scope import NRScope, ScopeCounters
 from repro.core.spare_capacity import SpareCapacityEstimator, TtiUsage
 from repro.core.telemetry import TelemetryLog, TelemetryRecord
@@ -31,11 +30,10 @@ __all__ = [
     "RuntimeStats", "ScopeCounters", "SlidingWindowEstimator",
     "SlotContext", "SlotRuntime", "SpareCapacityEstimator",
     "Stage", "StageStats", "TelemetryLog",
-    "TelemetryRecord", "ThreadedExecutor", "ThroughputBank",
+    "TelemetryRecord", "ThroughputBank",
     "TrackedUe", "TtiUsage",
     "RanFingerprint", "UciObservation", "UciTelemetry", "UeHarqTracker",
     "anomaly_score", "build_executor", "classify_scheduler",
     "correlate_streams", "decode_succeeds", "detect_handovers",
-    "fingerprint_session", "pdcch_bler", "shard_ues",
-    "sharded_grid_decode", "uci_bler",
+    "fingerprint_session", "pdcch_bler", "uci_bler",
 ]

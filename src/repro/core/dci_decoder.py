@@ -3,9 +3,10 @@
 Two backends share one interface:
 
 * :class:`GridDciDecoder` (iq fidelity) - runs the real PDCCH decode
-  chain over a captured resource grid: for every tracked RNTI it
-  enumerates that UE's search-space candidates for the slot and attempts
-  a polar decode + CRC check per format.
+  chain over a captured resource grid: it enumerates every tracked
+  RNTI's search-space candidates for the slot, polar-decodes each
+  distinct candidate position once, and checks the CRC per UE and
+  format.
 * :class:`RecordDciDecoder` (message fidelity) - walks the slot's DCI
   records and applies the calibrated decode-failure model, producing the
   same outputs orders of magnitude faster.
@@ -34,9 +35,8 @@ from repro.phy.dci import Dci, DciError, DciFormat, DciSizeConfig, \
 from repro.phy.modulation import QPSK, demodulate_soft_batch
 from repro.phy.numerology import slots_per_frame
 from repro.phy.pdcch import BITS_PER_CCE, PdcchCandidate, \
-    candidate_energies_batch, candidate_occupied, dci_crc_check_batch, \
-    estimate_channel, gather_candidates_batch, occupancy_threshold, \
-    try_decode_pdcch
+    candidate_energies_batch, dci_crc_check_batch, estimate_channel, \
+    gather_candidates_batch, occupancy_threshold
 from repro.phy.resource_grid import ResourceGrid
 from repro.phy.scrambling import descramble_llrs, pdcch_scrambling_init
 from repro.gnb.gnb import DciRecord
@@ -64,7 +64,7 @@ def _ue_entry_plan(space: SearchSpace, rnti: int, reduced_slot: int) \
     batched decode performs for *every* tracked UE collapses to one
     cache hit per UE after the first frame.  Keyed on the search space
     itself (hashable, with an insertion-order-sensitive hash) so the
-    plan preserves the scalar path's exact iteration order.
+    plan preserves the per-candidate search's exact iteration order.
     """
     plan: list[tuple[int, int, bool, int]] = []
     n_cce = space.coreset.n_cces
@@ -95,14 +95,14 @@ class RecordDciDecoder:
         """Decode this slot's UE-search-space DCIs for tracked RNTIs.
 
         ``tracked`` only ever answers RNTI membership here, so it may
-        be the live tracked-UE dict (inline/threaded) or the immutable
+        be the live tracked-UE dict (inline) or the immutable
         ``frozenset`` of RNTIs a process payload ships (R009: the live
         table must not cross the pickle boundary).
 
         Runs on the slot runtime's parallel stage, so each decision is a
         counter-based draw keyed on (seed, slot, rnti, CCE, level,
         direction) rather than a shared-RNG state advance: the outcome
-        is identical whatever order and thread the slots run on.
+        is identical whatever order and process the slots run on.
 
         ``miss_log``, when given, receives one ``(slot_index, rnti,
         level)`` tuple per missed decode in record order — the
@@ -173,7 +173,7 @@ class GridDciDecoder:
     """IQ-fidelity backend: real polar decodes over a captured grid.
 
     Two receiver-side optimisations (both absent from the paper's tool,
-    both ablatable for the Fig 12 comparison):
+    both ablatable, see ``benchmarks/test_ablations.py``):
 
     * ``use_energy_gate`` skips candidates whose REs carry only noise.
     * CCE claiming: CCEs carry at most one DCI, so a decoded DCI
@@ -196,83 +196,46 @@ class GridDciDecoder:
         self._lock = threading.Lock()
         self.attempts = 0
 
-    def decode_slot(self, grid: ResourceGrid, slot_index: int,
-                    tracked: dict[int, TrackedUe],
-                    claimed: set[int] | None = None) -> list[DecodedDci]:
-        """Search every tracked UE's candidates in the captured grid.
-
-        ``claimed`` may be a set shared across DCI threads so shards
-        benefit from each other's successful decodes; per-element set
-        mutation is atomic under the GIL, so no lock is needed for this
-        advisory filter.
-        """
-        decoded: list[DecodedDci] = []
-        attempts = 0
-        if claimed is None:
-            claimed = set()
-        for rnti in sorted(tracked):
-            ue = tracked[rnti]
-            space = ue.search_space
-            for level, count in space.candidates_per_level.items():
-                if count == 0:
-                    continue
-                for start in space.candidate_cces(level, slot_index, rnti):
-                    cces = frozenset(range(start, start + level))
-                    if self.use_cce_claiming and cces & claimed:
-                        continue
-                    candidate = PdcchCandidate(first_cce=start,
-                                               aggregation_level=level)
-                    if self.use_energy_gate and not candidate_occupied(
-                            grid, space.coreset, candidate,
-                            self.noise_var):
-                        continue
-                    for fmt in (DciFormat.DL_1_1, DciFormat.UL_0_1):
-                        attempts += 1
-                        dci = try_decode_pdcch(
-                            grid, self.dci_cfg, space.coreset, candidate,
-                            fmt, rnti, self.n_id, self.noise_var,
-                            slot_index=slot_index,
-                            equalize=self.equalize)
-                        if dci is not None:
-                            decoded.append(DecodedDci(
-                                dci=dci, aggregation_level=level))
-                            if self.use_cce_claiming:
-                                claimed.update(cces)
-                            break
-        with self._lock:
-            self.attempts += attempts
-        return decoded
-
     def decode_slot_batch(self, grid: ResourceGrid, slot_index: int,
                           tracked: dict[int, TrackedUe],
                           claimed: set[int] | None = None) \
             -> list[DecodedDci]:
-        """Batched :meth:`decode_slot`: same outputs, vectorized kernels.
+        """Search every tracked UE's candidates in the captured grid.
 
-        PDCCH scrambling is seeded from the cell ID alone
-        (``pdcch_scrambling_init(n_id)``, ``n_rnti = 0``), so a
-        candidate's LLRs and polar output depend only on its *position*
-        (CORESET, level, first CCE, scrambling ``c_init``), never on
-        which UE's search space hashed onto it.  Each distinct eligible
-        position is therefore gathered, demodulated, descrambled and
-        polar-decoded once per slot — one joint polar call per (CORESET,
-        level) — and every tracked UE's entry reads its block from that
-        shared table.  The scalar control flow (CCE claiming, energy
-        gate, per-format attempt accounting, ``unpack``) is then
-        *replayed* over the shared blocks, so decoded DCIs, claiming
-        effects and the ``attempts`` counter are bit-identical to the
-        per-candidate path (enforced by the equivalence tests).
+        The decisions are those of the per-candidate search: for each
+        tracked RNTI in ascending order and each of its candidates,
+        skip the candidate if a decoded DCI already claimed one of its
+        CCEs or if its REs carry only noise, else try DL 1_1 then
+        UL 0_1 (one attempt each) until one passes the RNTI-masked CRC.
+
+        The PHY work behind them is shared.  PDCCH scrambling is seeded
+        from the cell ID alone (``pdcch_scrambling_init(n_id)``,
+        ``n_rnti = 0``), so a candidate's LLRs and polar output depend
+        only on its *position* (CORESET, level, first CCE, scrambling
+        ``c_init``), never on which UE's search space hashed onto it.
+        Each distinct eligible position is therefore gathered,
+        demodulated, descrambled and polar-decoded once per slot — one
+        joint polar call per (CORESET, level) — and every tracked UE's
+        entry reads its block from that shared table.  The per-candidate
+        control flow (CCE claiming, energy gate, per-format attempt
+        accounting, ``unpack``) is then *replayed* over the shared
+        blocks, so decoded DCIs, claiming effects and the ``attempts``
+        counter are bit-identical to the per-candidate reference in
+        ``tests/core/test_batch_equivalence.py``.
+
+        ``claimed`` optionally pre-claims CCEs; the CCEs this slot's
+        decodes claim are added to it.
         """
         decoded: list[DecodedDci] = []
         attempts = 0
         if claimed is None:
             claimed = set()
 
-        # Phase 1: enumerate entries in exact scalar iteration order and
+        # Phase 1: enumerate entries in exact per-candidate order and
         # map each valid one onto its shared position.  Each entry
         # carries its CCE footprint as an int bitmask so the replay's
-        # claim checks are single AND operations; the shared ``claimed``
-        # set stays the cross-shard interface.  Per-UE skeletons come
+        # claim checks are single AND operations; the ``claimed`` set
+        # stays the caller-facing interface.  Per-UE skeletons come
         # from the frame-periodic plan cache (the hash only depends on
         # the slot within its frame).
         reduced_slot = slot_index % slots_per_frame(30)
@@ -296,8 +259,8 @@ class GridDciDecoder:
         # Phase 2: group the positions the replay can reach per
         # (CORESET, level, c_init).  Claims only grow during the replay,
         # so a position claimed up front is never read and is never
-        # gathered (the scalar path checks claims before touching the
-        # grid).
+        # gathered (the per-candidate search checks claims before
+        # touching the grid).
         groups: dict[tuple[object, int, int], list[tuple[int, int]]] = {}
         for (coreset, level, start, key_c_init), pos in positions.items():
             if self.use_cce_claiming \
@@ -345,9 +308,9 @@ class GridDciDecoder:
                     dtype=np.complex128)
                 values = values / gains[:, None]
                 # Demodulating at unit noise then dividing per row is
-                # the scalar (d1-d0)/noise_var to the last bit: x/1.0
-                # is exact, so each LLR still sees one division by its
-                # effective noise variance.
+                # the per-candidate (d1-d0)/noise_var to the last bit:
+                # x/1.0 is exact, so each LLR still sees one division by
+                # its effective noise variance.
                 nv_eff = np.maximum(
                     self.noise_var / np.maximum(np.abs(gains) ** 2,
                                                 1e-9), 1e-12)
@@ -364,8 +327,8 @@ class GridDciDecoder:
                 decoded_pos[fmt][pos_idx] = True
 
         # Phase 4: CRC verdicts for every (shared block, entry RNTI) row,
-        # one GF(2) matrix product per format (identical booleans to the
-        # scalar per-attempt check).
+        # one GF(2) matrix product per format (identical booleans to a
+        # per-attempt check).
         entry_pos = np.array([entry[5] for entry in entries],
                              dtype=np.intp)
         entry_rnti = np.array([entry[0] for entry in entries],
@@ -379,7 +342,8 @@ class GridDciDecoder:
                 crc_ok[fmt][rows] = dci_crc_check_batch(
                     tables[fmt][entry_pos[rows]], entry_rnti[rows])
 
-        # Phase 5: replay the scalar control flow over the shared blocks.
+        # Phase 5: replay the per-candidate control flow over the shared
+        # blocks.
         for idx, (rnti, level, start, valid, cce_bits, pos) \
                 in enumerate(entries):
             if not valid:
@@ -560,15 +524,12 @@ def _tracked_from_blob(blob: bytes) -> dict[int, _DecodeUe]:
 def grid_decode_job(payload: dict) -> tuple[list[DecodedDci], int]:
     """One slot's iq-fidelity decode, picklable for a worker process.
 
-    Replays the exact inline path — including round-robin UE sharding
-    with per-shard claim sets, so the decoded-DCI order matches the
-    inline concatenation order byte for byte.  ``grid`` and ``tracked``
-    may arrive in their slim wire forms (see
+    Runs the same :meth:`GridDciDecoder.decode_slot_batch` call as the
+    inline stage, so the decoded-DCI list matches it byte for byte.
+    ``grid`` and ``tracked`` may arrive in their slim wire forms (see
     :func:`pack_grid_for_decode` / :func:`pack_tracked_for_decode`) or
     as the full in-process objects.
     """
-    from repro.core.runtime import sharded_grid_decode
-
     grid = payload["grid"]
     if not isinstance(grid, ResourceGrid):
         grid = unpack_grid_for_decode(grid)
@@ -581,10 +542,8 @@ def grid_decode_job(payload: dict) -> tuple[list[DecodedDci], int]:
         use_energy_gate=payload["use_energy_gate"],
         use_cce_claiming=payload["use_cce_claiming"],
         equalize=payload["equalize"])
-    decoded = sharded_grid_decode(
-        decoder, grid, payload["slot_index"],
-        tracked, payload["n_shards"],
-        batch=payload["batch"])
+    decoded = decoder.decode_slot_batch(grid, payload["slot_index"],
+                                        tracked)
     return decoded, decoder.attempts
 
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.multicell import MultiCellController
+from repro.core.runtime import SlotRuntimeError, build_executor
 from repro.gnb.cell_config import ALL_PROFILES
 from repro.obs.context import AnyObsContext, OBS_NOOP
 from repro.simulation import Simulation
@@ -88,6 +89,15 @@ class FleetConfig:
     n_workers: int = 4
 
 
+def _check_executor(config: FleetConfig) -> None:
+    """Reject an executor spec the slot runtime cannot build."""
+    try:
+        build_executor(config.executor, n_workers=config.n_workers)
+    except SlotRuntimeError as exc:
+        raise FleetError(
+            f"bad executor {config.executor!r}: {exc}") from exc
+
+
 class FleetSupervisor:
     """Runs a multi-cell fleet with periodic, resumable checkpoints."""
 
@@ -113,6 +123,7 @@ class FleetSupervisor:
         if config.checkpoint_interval_s <= 0:
             raise FleetError(f"checkpoint interval must be positive: "
                              f"{config.checkpoint_interval_s}")
+        _check_executor(config)
         obs = obs if obs is not None else OBS_NOOP
         controller = MultiCellController(executor=config.executor,
                                          n_workers=config.n_workers,
@@ -222,6 +233,7 @@ class FleetSupervisor:
             raise FleetError(
                 f"unsupported checkpoint version: {version!r}")
         config = blob["config"]
+        _check_executor(config)
         controller = MultiCellController(executor=config.executor,
                                          n_workers=config.n_workers,
                                          obs=obs)

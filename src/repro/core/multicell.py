@@ -67,11 +67,9 @@ class MultiCellController:
     """
 
     def __init__(self, executor: str = "inline", n_workers: int = 4,
-                 n_dci_threads: int = 1,
                  obs: AnyObsContext | None = None) -> None:
         self.executor = executor
         self.n_workers = n_workers
-        self.n_dci_threads = n_dci_threads
         #: Shared observability bus: every scope built by ``add_cell``
         #: binds its cell name as a constant event label, so the fleet
         #: emits one globally sequenced stream.
@@ -97,7 +95,6 @@ class MultiCellController:
             scope_kwargs.setdefault("cell", name)
             scope = NRScope.attach(sim, executor=self.executor,
                                    n_workers=self.n_workers,
-                                   n_dci_threads=self.n_dci_threads,
                                    **scope_kwargs)
         stream = CellStream(name=name, sim=sim, scope=scope)
         self._streams[name] = stream

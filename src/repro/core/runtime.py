@@ -5,7 +5,7 @@ pipeline — scheduler, worker pool, per-slot SIB/RACH/DCI tasks — and by
 *dropping* slots it cannot process in time rather than stalling the
 radio.  This module is that architecture, shared by every consumer in
 the repository (:class:`~repro.core.scope.NRScope`, the multi-cell
-controller, the Fig 12 benchmark):
+controller, the Fig 12 experiment):
 
 * :class:`Stage` - one typed processing step.  *Backbone* stages run
   sequentially in slot order on the submitting thread (cell sync,
@@ -14,16 +14,18 @@ controller, the Fig 12 benchmark):
   At most one stage is *parallel* (per-UE DCI decode: pure given the
   captured grid and a tracked-table snapshot) and is handed to the
   executor.  *Sink* stages (telemetry consumers) are committed strictly
-  in slot order behind a reorder buffer, so a threaded run writes the
-  exact :class:`~repro.core.telemetry.TelemetryLog` an inline run does.
+  in slot order behind a reorder buffer, so a process-executor run
+  writes the exact :class:`~repro.core.telemetry.TelemetryLog` an
+  inline run does.
 * :class:`InlineExecutor` - everything on the caller's thread; the
   deterministic, test-friendly default.
-* :class:`ThreadedExecutor` - the paper's worker pool: N slot workers
-  pulling from a bounded queue, each optionally sharding the tracked-UE
-  table across ``n_dci_threads`` (the paper's DCI threads).
-* Backpressure - the task queue is bounded; a slot arriving while the
-  pool is saturated is *dropped with accounting* (the paper's real-time
-  constraint: an over-budget slot is a counted DCI miss, never a stall).
+* :class:`ProcessExecutor` - the paper's worker pool: N spawned worker
+  processes, fed one picklable decode job per slot through the parallel
+  stage's ``pack``/``merge`` hooks.
+* Backpressure - the in-flight backlog is bounded; a slot arriving while
+  the pool is saturated is *dropped with accounting* (the paper's
+  real-time constraint: an over-budget slot is a counted DCI miss,
+  never a stall).
 * :class:`RuntimeStats` - per-stage timing/counter snapshot, the Fig 12
   measurement surface, exposed by ``repro.cli sniff --runtime-stats``.
 * Observability - an optional :mod:`repro.obs` context turns every
@@ -34,16 +36,16 @@ controller, the Fig 12 benchmark):
   executor ran the slot; disabled, the bus is a no-op singleton behind
   a truthiness guard (zero allocations).
 
-A deviation worth naming: CPython's GIL serialises the pure-Python
-decode work, so thread scaling here shows less speed-up than the C++
-original; the stats report per-stage time so the effect is visible
-rather than hidden (EXPERIMENTS.md discusses it).
+A deviation worth naming: the paper also splits one slot's UE table
+across several DCI threads.  There is no counterpart here — CPython's
+GIL serialises the pure-Python decode, and the batched search already
+decodes each candidate position once for every tracked UE
+(EXPERIMENTS.md discusses it).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import queue
 import threading
 import time
 from concurrent import futures
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from repro.constants import TTI_DURATION_S
-from repro.core.dci_decoder import DecodedDci, GridDciDecoder
+from repro.core.dci_decoder import DecodedDci
 from repro.core.rach_sniffer import TrackedUe
 from repro.core.sanitizer import Sanitizer
 from repro.obs.context import AnyObsContext, OBS_NOOP
@@ -109,7 +111,7 @@ class Stage:
     runs on the backbone and extracts a picklable ``(job, payload)``
     pair (``job`` must be a module-level function), ``merge`` applies
     the job's pickled result back onto the context before the sinks
-    see it.  Thread executors keep calling ``fn`` directly.
+    see it.  The inline executor keeps calling ``fn`` directly.
     """
 
     name: str
@@ -198,7 +200,6 @@ class Executor:
     """How slot work runs.  Subclasses supply the concurrency."""
 
     name = "base"
-    n_dci_threads = 1
     #: Payload executors cannot run closures; the runtime routes them
     #: through the parallel stage's ``pack``/``merge`` hooks instead.
     requires_payload = False
@@ -228,10 +229,6 @@ class Executor:
         """Block until all accepted work has finished."""
         raise NotImplementedError
 
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """In-slot fan-out (DCI shards); results in ``items`` order."""
-        raise NotImplementedError
-
 
 class InlineExecutor(Executor):
     """Deterministic synchronous execution on the caller's thread."""
@@ -253,127 +250,6 @@ class InlineExecutor(Executor):
     def wait(self, timeout_s: float) -> None:
         return None
 
-    def map(self, fn: Callable, items: Sequence) -> list:
-        return [fn(item) for item in items]
-
-
-class ThreadedExecutor(Executor):
-    """The paper's worker pool: N workers over a bounded task queue.
-
-    ``n_workers`` slot workers pull tasks; each task may further shard
-    its tracked-UE table across ``n_dci_threads`` transient threads (the
-    paper's DCI threads).  ``queue_depth`` bounds the task queue — a
-    full queue is the backpressure signal the runtime turns into a
-    counted slot drop.
-    """
-
-    name = "threaded"
-
-    def __init__(self, n_workers: int = 4, n_dci_threads: int = 1,
-                 queue_depth: int = 256) -> None:
-        if n_workers < 1:
-            raise SlotRuntimeError(f"need at least one worker: {n_workers}")
-        if n_dci_threads < 1:
-            raise SlotRuntimeError(
-                f"need at least one DCI thread: {n_dci_threads}")
-        if queue_depth < 1:
-            raise SlotRuntimeError(f"queue depth must be >= 1: {queue_depth}")
-        self.n_workers = n_workers
-        self.n_dci_threads = n_dci_threads
-        self.queue_depth = queue_depth
-        self._tasks: queue.Queue = queue.Queue(maxsize=queue_depth)
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._done: list[SlotContext | JobResult] = []
-        self._pending = 0
-        self._workers: list[threading.Thread] = []
-        self._started = False
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self._workers = [
-            threading.Thread(target=self._worker_loop, daemon=True,
-                             name=f"slot-worker-{i}")
-            for i in range(self.n_workers)]
-        for worker in self._workers:
-            worker.start()
-
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._tasks.get()
-            if item is None:
-                self._tasks.task_done()
-                return
-            thunk = item
-            ctx = thunk()
-            with self._idle:
-                self._done.append(ctx)
-                self._pending -= 1
-                self._idle.notify_all()
-            self._tasks.task_done()
-
-    def try_submit(self, seq: int,
-                   thunk: Callable[[], SlotContext]) -> bool:
-        self.start()
-        with self._lock:
-            self._pending += 1
-        try:
-            self._tasks.put_nowait(thunk)
-        except queue.Full:
-            with self._lock:
-                self._pending -= 1
-            return False
-        return True
-
-    def pop_ready(self) -> list[SlotContext | JobResult]:
-        with self._lock:
-            ready, self._done = self._done, []
-        return ready
-
-    def wait(self, timeout_s: float) -> None:
-        deadline = time.monotonic() + timeout_s
-        with self._idle:
-            while self._pending:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise SlotRuntimeError(
-                        f"timed out with {self._pending} slots in flight")
-                self._idle.wait(remaining)
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        items = list(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        results: list = [None] * len(items)
-        errors: list[BaseException] = []
-
-        def run(index: int) -> None:
-            try:
-                results[index] = fn(items[index])
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=run, args=(i,))
-                   for i in range(len(items))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results
-
-    def shutdown(self) -> None:
-        if not self._started:
-            return
-        for _ in self._workers:
-            self._tasks.put(None)
-        for worker in self._workers:
-            worker.join(timeout=10.0)
-        self._started = False
-
 
 def _timed_job(job: Callable[[object], object],
                payload: object) -> tuple[object, float]:
@@ -391,8 +267,8 @@ class ProcessExecutor(Executor):
     picklable ``(job, payload)`` pair; results come back as
     :class:`JobResult` and are merged on the backbone.  The pending-
     futures backlog plays the bounded queue's role — a submit that
-    would exceed ``queue_depth`` in-flight slots is refused, giving the
-    same drop-with-accounting backpressure as :class:`ThreadedExecutor`.
+    would exceed ``queue_depth`` in-flight slots is refused, and the
+    runtime turns the refusal into a counted slot drop.
     Workers are *spawned* (never forked), so each holds only what the
     payloads carry; module-level kernel caches warm up per worker.
     """
@@ -461,11 +337,6 @@ class ProcessExecutor(Executor):
             raise SlotRuntimeError(
                 f"timed out with {len(not_done)} slots in flight")
 
-    def map(self, fn: Callable, items: Sequence) -> list:
-        # In-slot shard fan-out happens inside the worker's payload job;
-        # a parent-side map is only reached by thunk-path callers.
-        return [fn(item) for item in items]
-
     def shutdown(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -473,12 +344,11 @@ class ProcessExecutor(Executor):
 
 
 def build_executor(spec: str | Executor, n_workers: int = 4,
-                   n_dci_threads: int = 1,
                    queue_depth: int = 256) -> Executor:
     """Resolve an executor from a name or pass an instance through.
 
-    Names accept an optional worker-count suffix — ``"threaded:8"``,
-    ``"process:4"`` — overriding the ``n_workers`` argument.
+    ``"inline"`` or ``"process"``; the latter accepts an optional
+    worker-count suffix (``"process:4"``) overriding ``n_workers``.
     """
     if isinstance(spec, Executor):
         return spec
@@ -494,64 +364,10 @@ def build_executor(spec: str | Executor, n_workers: int = 4,
             raise SlotRuntimeError(
                 f"inline executor takes no worker count: {spec!r}")
         return InlineExecutor()
-    if base == "threaded":
-        return ThreadedExecutor(n_workers=n_workers,
-                                n_dci_threads=n_dci_threads,
-                                queue_depth=queue_depth)
     if base == "process":
         return ProcessExecutor(n_workers=n_workers,
                                queue_depth=queue_depth)
     raise SlotRuntimeError(f"unknown executor: {spec!r}")
-
-
-# ------------------------------------------------------------- sharding
-def shard_ues(tracked: dict[int, TrackedUe], n_shards: int) \
-        -> list[dict[int, TrackedUe]]:
-    """Split the UE table across DCI threads (paper section 4).
-
-    UEs are dealt round-robin in ascending-RNTI order, so the shard
-    composition depends only on the table's *contents*, never on dict
-    insertion history — threaded and inline runs shard identically.
-    """
-    if n_shards < 1:
-        raise SlotRuntimeError(f"need at least one shard: {n_shards}")
-    shards: list[dict[int, TrackedUe]] = [{} for _ in range(n_shards)]
-    for position, rnti in enumerate(sorted(tracked)):
-        shards[position % n_shards][rnti] = tracked[rnti]
-    return shards
-
-
-def sharded_grid_decode(decoder: GridDciDecoder, grid: ResourceGrid,
-                        slot_index: int, tracked: dict[int, TrackedUe],
-                        n_shards: int,
-                        mapper: Callable | None = None,
-                        batch: bool = False) -> list[DecodedDci]:
-    """Run one slot's per-UE candidate search, optionally sharded.
-
-    ``mapper`` is an :meth:`Executor.map`; each shard keeps a private
-    CCE-claim set so the result is independent of shard timing, and
-    shard results are concatenated in ascending-RNTI shard order.
-    ``batch`` selects the vectorized
-    :meth:`~repro.core.dci_decoder.GridDciDecoder.decode_slot_batch`
-    kernel path (bit-identical outputs).
-    """
-    # Direct attribute calls in each branch keep the edges visible to
-    # the nrlint call-graph (a method reference stashed in a local is
-    # opaque to its annotation-based resolution).
-    if n_shards <= 1 or len(tracked) <= 1:
-        if batch:
-            return decoder.decode_slot_batch(grid, slot_index, tracked)
-        return decoder.decode_slot(grid, slot_index, tracked)
-    shards = shard_ues(tracked, n_shards)
-    run = mapper or (lambda fn, items: [fn(item) for item in items])
-
-    def decode_shard(shard: dict[int, TrackedUe]) -> list[DecodedDci]:
-        if batch:
-            return decoder.decode_slot_batch(grid, slot_index, shard)
-        return decoder.decode_slot(grid, slot_index, shard)
-
-    results = run(decode_shard, shards)
-    return [item for sub in results for item in sub]
 
 
 # -------------------------------------------------------------- runtime
@@ -563,7 +379,7 @@ class SlotRuntime:
     the executor, and commits sink stages strictly in slot order as
     results come back (a reorder buffer bridges out-of-order workers).
     ``flush`` barriers on everything in flight; it is called at prune
-    boundaries and at end of session, and is what makes a threaded run
+    boundaries and at end of session, and is what makes a process run
     byte-identical to an inline one.
     """
 
@@ -608,8 +424,8 @@ class SlotRuntime:
         #: self._obs:`` guard — one pointer truthiness check, zero
         #: allocations on the hot path.  When enabled, all of a slot's
         #: span/failure events are emitted at *commit* in slot order,
-        #: so inline, threaded and process sessions produce the
-        #: identical event sequence.
+        #: so inline and process sessions produce the identical event
+        #: sequence.
         self._obs = obs if obs is not None else OBS_NOOP
         #: nrsan hook: when enabled, the parallel stage runs inside the
         #: sanitizer's thread-local scope so guarded tracked tables and
@@ -634,7 +450,7 @@ class SlotRuntime:
     # ---------------------------------------------------------- intake
     def submit(self, output: object) -> SlotContext:
         """Feed one slot; returns its context (fully processed only
-        under the inline executor — threaded results land at a later
+        under the inline executor — process results land at a later
         ``submit``/``flush``)."""
         ctx = output if isinstance(output, SlotContext) \
             else SlotContext(output=output)

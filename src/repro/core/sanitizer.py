@@ -23,12 +23,6 @@ Activation: pass an enabled :class:`Sanitizer` explicitly, set the
 pytest fixture.  Disabled, every hook is a pass-through returning its
 input unchanged — production runs pay nothing.
 
-Known blind spot: the parallel-stage flag is thread-local and set in
-the thread running the stage thunk.  Per-UE shard threads spawned by
-``ThreadedExecutor.map`` inside the stage do not inherit it, so RNG
-audit does not extend into shards — the *table* guard does, because it
-is object-level and frozen unconditionally.
-
 :func:`parallel_stage` is the static anchor: decorating a stage entry
 point marks it as a purity root for lint rule R006 without importing
 anything at analysis time (the rule matches the decorator name).

@@ -12,9 +12,9 @@ a :class:`~repro.core.runtime.SlotRuntime` whose backbone stages carry
 the sequential, RNG-bearing work (sync, UCI, capture, RACH) in slot
 order, whose single parallel stage runs the per-UE DCI decode on the
 configured executor, and whose sink stage commits telemetry in slot
-order — so an inline and a threaded session produce byte-identical
-telemetry, and an over-budget slot is dropped with accounting rather
-than stalling the capture.
+order — so an inline and a process-executor session produce
+byte-identical telemetry, and an over-budget slot is dropped with
+accounting rather than stalling the capture.
 
 Passivity is structural: the scope only reads :class:`SlotOutput`
 broadcasts, never the gNB's or UEs' internal state.
@@ -36,7 +36,7 @@ from repro.core.harq_tracker import HarqTrackerBank
 from repro.core.rach_sniffer import RachSniffer
 from repro.obs.context import AnyObsContext, OBS_NOOP
 from repro.core.runtime import Executor, RuntimeStats, SlotContext, \
-    SlotRuntime, Stage, build_executor, sharded_grid_decode
+    SlotRuntime, Stage, build_executor
 from repro.core.sanitizer import Sanitizer, parallel_stage, \
     unwrap_tracked
 from repro.core.spare_capacity import SpareCapacityEstimator, TtiUsage
@@ -93,10 +93,8 @@ class NRScope:
                  capture_impairments: bool = False,
                  waveform_bootstrap: bool = False,
                  executor: str | Executor = "inline",
-                 n_workers: int = 4, n_dci_threads: int = 1,
-                 queue_depth: int = 256,
+                 n_workers: int = 4, queue_depth: int = 256,
                  slot_budget_s: float | None = None,
-                 batch_kernels: bool = True,
                  sanitizer: Sanitizer | None = None,
                  obs: AnyObsContext | None = None,
                  cell: str | None = None) -> None:
@@ -167,12 +165,6 @@ class NRScope:
         # (per-UE DCI decode) is pure and safe to run out of order; the
         # sink commits telemetry in slot order behind the runtime's
         # reorder buffer.
-        self.n_dci_threads = n_dci_threads
-        #: Batched PHY kernels: stack every candidate of the slot
-        #: through vectorized gather/demod/descramble/polar instead of
-        #: per-candidate scalar calls (bit-identical outputs; ablatable
-        #: for the Fig 12 / bench comparison).
-        self.batch_kernels = batch_kernels
         self._runtime = SlotRuntime(
             stages=[
                 Stage("sync", self._stage_sync),
@@ -185,7 +177,6 @@ class NRScope:
                 Stage("sinks", self._stage_sinks, sink=True),
             ],
             executor=build_executor(executor, n_workers=n_workers,
-                                    n_dci_threads=n_dci_threads,
                                     queue_depth=queue_depth),
             slot_budget_s=slot_budget_s or self._slot_duration_s,
             drop_cost=self._drop_cost,
@@ -566,11 +557,8 @@ class NRScope:
         output = ctx.output
         if self.fidelity == "iq":
             assert self._grid_decoder is not None
-            ctx.decoded = sharded_grid_decode(
-                self._grid_decoder, ctx.grid, output.slot.index,
-                ctx.tracked, self.n_dci_threads,
-                mapper=self._runtime.executor.map,
-                batch=self.batch_kernels)
+            ctx.decoded = self._grid_decoder.decode_slot_batch(
+                ctx.grid, output.slot.index, ctx.tracked)
         else:
             assert self._record_decoder is not None
             miss_log: list[tuple[int, int, int]] | None = \
@@ -585,8 +573,8 @@ class NRScope:
                         miss_log: list[tuple[int, int, int]]) -> None:
         """Queue one ``dci.miss`` event per missed decode; the runtime
         emits the queue at commit, so the stream is identical whether
-        the misses happened inline, on a thread, or in a worker
-        process (where the log rode the pickled job result)."""
+        the misses happened inline or in a worker process (where the
+        log rode the pickled job result)."""
         for slot_index, rnti, level in miss_log:
             ctx.events.append(("dci.miss", {
                 "slot": slot_index, "rnti": rnti, "stage": "dci",
@@ -595,9 +583,9 @@ class NRScope:
     def _pack_dci(self, ctx: SlotContext):
         """Picklable ``(job, payload)`` for a process executor.
 
-        Mirrors :meth:`_stage_dci` exactly — same sharding, same batch
-        flag, same decoder configuration — so a worker process produces
-        the byte-identical decoded list the inline stage would.  The
+        Mirrors :meth:`_stage_dci` exactly — same decoder
+        configuration — so a worker process produces the
+        byte-identical decoded list the inline stage would.  The
         tracked snapshot is unwrapped from any nrsan guards (they hold
         thread-locals and cannot pickle); the workers' copies are
         private, so the no-mutation contract holds by construction.
@@ -616,8 +604,6 @@ class NRScope:
                 "grid": pack_grid_for_decode(ctx.grid, tracked),
                 "slot_index": output.slot.index,
                 "tracked": pack_tracked_for_decode(tracked),
-                "n_shards": self.n_dci_threads,
-                "batch": self.batch_kernels,
             }
         rec = self._record_decoder
         assert rec is not None

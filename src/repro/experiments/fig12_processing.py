@@ -8,20 +8,19 @@ cell (10 MHz), and finds a linear trend in the UE count.
 This module measures the same quantities on the *shared* slot runtime —
 the same :class:`~repro.core.runtime.SlotRuntime` stages NR-Scope runs
 in production, with the per-stage means read out of its
-:class:`~repro.core.runtime.RuntimeStats` — not a private harness.  The
-GIL limits what Python threads can win back (EXPERIMENTS.md discusses
-the deviation); the linear-in-m trend is the portable result.
+:class:`~repro.core.runtime.RuntimeStats` — not a private harness.  It
+reports one inline series per cell: the paper's thread axis has no
+counterpart here (EXPERIMENTS.md discusses the deviation); the
+linear-in-m trend is the portable result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.dci_decoder import GridDciDecoder, grid_decode_job, \
-    pack_grid_for_decode, pack_tracked_for_decode
+from repro.core.dci_decoder import GridDciDecoder
 from repro.core.rach_sniffer import RachSniffer
-from repro.core.runtime import Executor, InlineExecutor, SlotContext, \
-    SlotRuntime, Stage, ThreadedExecutor, sharded_grid_decode
+from repro.core.runtime import SlotContext, SlotRuntime, Stage
 from repro.experiments.common import ExperimentError, FigureResult
 from repro.gnb.cell_config import AMARISOFT_PROFILE, CellProfile, \
     TMOBILE_N25_PROFILE
@@ -33,7 +32,8 @@ from repro.phy.resource_grid import ResourceGrid
 from repro.rrc.messages import RrcSetup
 
 UE_COUNTS = (1, 2, 4, 8, 16, 32, 64, 128)
-THREAD_COUNTS = (1, 4)
+#: Timed runs per point; the fastest one is reported.
+REPEATS = 5
 
 
 @dataclass
@@ -54,7 +54,6 @@ class TimingRow:
 
     profile: str
     n_ues: int
-    n_threads: int
     mean_us: float
 
 
@@ -104,20 +103,11 @@ def build_workload(profile: CellProfile, n_ues: int,
                     n_encoded=encoded)
 
 
-def build_runtime(workload: Workload, executor: Executor,
-                  noise_var: float = 1e-3, batch: bool = False,
-                  latencies: list | None = None,
-                  decoded_counts: list | None = None) -> SlotRuntime:
+def build_runtime(workload: Workload,
+                  noise_var: float = 1e-3) -> SlotRuntime:
     """The production stage graph over a fixed workload: OFDM
-    demodulation on the backbone, the sharded candidate search on the
-    parallel stage.
-
-    ``batch`` selects the vectorized kernel path; pack/merge hooks make
-    the graph runnable on a :class:`~repro.core.runtime.ProcessExecutor`
-    (the decode travels as a picklable job, byte-identical results).
-    ``latencies``/``decoded_counts`` are optional per-slot collectors
-    the bench harness reads (appended by a sink, so in slot order).
-    """
+    demodulation on the backbone, the candidate search on the parallel
+    stage, run inline."""
     decoder = GridDciDecoder(
         dci_cfg=workload.profile.dci_size_config(),
         n_id=workload.profile.cell_id, noise_var=noise_var)
@@ -127,103 +117,63 @@ def build_runtime(workload: Workload, executor: Executor,
         ctx.tracked = workload.tracked
 
     def dci(ctx: SlotContext) -> None:
-        ctx.decoded = sharded_grid_decode(
-            decoder, ctx.grid, workload.slot_index, ctx.tracked,
-            executor.n_dci_threads, mapper=executor.map, batch=batch)
+        ctx.decoded = decoder.decode_slot_batch(
+            ctx.grid, workload.slot_index, ctx.tracked)
 
-    def pack(ctx: SlotContext):
-        return grid_decode_job, {
-            "dci_cfg": decoder.dci_cfg, "n_id": decoder.n_id,
-            "noise_var": decoder.noise_var,
-            "use_energy_gate": decoder.use_energy_gate,
-            "use_cce_claiming": decoder.use_cce_claiming,
-            "equalize": decoder.equalize,
-            "grid": pack_grid_for_decode(ctx.grid, ctx.tracked),
-            "slot_index": workload.slot_index,
-            "tracked": pack_tracked_for_decode(ctx.tracked),
-            "n_shards": executor.n_dci_threads, "batch": batch,
-        }
-
-    def merge(ctx: SlotContext, result) -> None:
-        decoded, attempts = result
-        decoder.attempts += attempts
-        ctx.decoded = decoded
-
-    stages = [Stage("demod", demod),
-              Stage("dci", dci, parallel=True, pack=pack, merge=merge)]
-    if latencies is not None or decoded_counts is not None:
-
-        def collect(ctx: SlotContext) -> None:
-            if latencies is not None:
-                latencies.append(ctx.decode_time_s)
-            if decoded_counts is not None:
-                decoded_counts.append(len(ctx.decoded))
-
-        stages.append(Stage("collect", collect, sink=True))
-    return SlotRuntime(stages=stages, executor=executor)
+    return SlotRuntime(stages=[Stage("demod", demod),
+                               Stage("dci", dci, parallel=True)])
 
 
-def executor_for(n_threads: int) -> Executor:
-    """Map the paper's thread count onto a runtime executor: one DCI
-    thread is the deterministic inline path, more shard the tracked
-    table like the paper's DCI threads."""
-    if n_threads <= 1:
-        return InlineExecutor()
-    return ThreadedExecutor(n_workers=1, n_dci_threads=n_threads)
-
-
-def measure(profile: CellProfile, n_ues: int, n_threads: int,
+def measure(profile: CellProfile, n_ues: int,
             n_slots: int = 3) -> TimingRow:
-    """Mean per-slot processing time over ``n_slots`` repetitions."""
+    """Mean per-slot processing time over ``n_slots`` repetitions.
+
+    The best of :data:`REPEATS` such means is kept: per-slot cost grows
+    only about 2x from 1 to 128 UEs, so on a shared host a burst of
+    foreign load in one short run would otherwise reorder neighbouring
+    UE counts.
+    """
     workload = build_workload(profile, n_ues)
-    runtime = build_runtime(workload, executor_for(n_threads))
+    runtime = build_runtime(workload)
     runtime.submit(None)          # warm-up
-    runtime.flush()
-    runtime.reset_stats()
-    for _ in range(n_slots):
-        runtime.submit(None)
+    best_us = float("inf")
+    for _ in range(REPEATS):
+        runtime.flush()
+        runtime.reset_stats()
+        for _ in range(n_slots):
+            runtime.submit(None)
+        stats = runtime.stats()
+        best_us = min(best_us, stats.stage("demod").mean_us
+                      + stats.stage("dci").mean_us)
     runtime.close()
-    stats = runtime.stats()
-    mean_us = stats.stage("demod").mean_us + stats.stage("dci").mean_us
-    return TimingRow(profile=profile.name, n_ues=n_ues,
-                     n_threads=n_threads, mean_us=mean_us)
+    return TimingRow(profile=profile.name, n_ues=n_ues, mean_us=best_us)
 
 
 def run(ue_counts: tuple[int, ...] = UE_COUNTS,
         n_slots: int = 3) -> list[TimingRow]:
-    """The full sweep: both cells x both thread counts x UE counts."""
-    rows = []
-    for profile in (AMARISOFT_PROFILE, TMOBILE_N25_PROFILE):
-        for n_threads in THREAD_COUNTS:
-            for n_ues in ue_counts:
-                rows.append(measure(profile, n_ues, n_threads,
-                                    n_slots=n_slots))
-    return rows
+    """The full sweep: both cells x UE counts."""
+    return [measure(profile, n_ues, n_slots=n_slots)
+            for profile in (AMARISOFT_PROFILE, TMOBILE_N25_PROFILE)
+            for n_ues in ue_counts]
 
 
 def to_result(rows: list[TimingRow]) -> FigureResult:
     result = FigureResult(figure="fig12")
-    keys = {(r.profile, r.n_threads) for r in rows}
-    for profile, n_threads in sorted(keys):
-        points = [(float(r.n_ues), r.mean_us) for r in rows
-                  if r.profile == profile and r.n_threads == n_threads]
-        result.add_series(f"{profile}-{n_threads}thread",
-                          sorted(points))
-    # Linearity check: time at the largest UE count over the smallest
-    # should scale roughly with the count ratio, not explode.
-    for profile, n_threads in sorted(keys):
-        mine = sorted([(r.n_ues, r.mean_us) for r in rows
-                       if r.profile == profile
-                       and r.n_threads == n_threads])
-        if len(mine) >= 2 and mine[0][1] > 0:
-            result.summary[f"{profile}-{n_threads}t_growth"] = \
-                mine[-1][1] / mine[0][1]
+    for profile in sorted({r.profile for r in rows}):
+        points = sorted((float(r.n_ues), r.mean_us) for r in rows
+                        if r.profile == profile)
+        result.add_series(profile, points)
+        # Linearity check: time at the largest UE count over the
+        # smallest should scale roughly with the count ratio, not
+        # explode.
+        if len(points) >= 2 and points[0][1] > 0:
+            result.summary[f"{profile}_growth"] = \
+                points[-1][1] / points[0][1]
     return result
 
 
 def table(rows: list[TimingRow]) -> Table:
     return Table(
         title="Fig 12 - per-slot processing time",
-        columns=("cell", "UEs", "threads", "mean us/slot"),
-        rows=tuple((r.profile, r.n_ues, r.n_threads, r.mean_us)
-                   for r in rows))
+        columns=("cell", "UEs", "mean us/slot"),
+        rows=tuple((r.profile, r.n_ues, r.mean_us) for r in rows))

@@ -1,6 +1,6 @@
 """R006: parallel stage entry points must be transitively pure.
 
-The staged SlotRuntime's determinism contract (inline == threaded,
+The staged SlotRuntime's determinism contract (inline == process,
 byte-identical) holds only because the one parallel stage — per-UE DCI
 decode — is pure given the captured grid and the tracked-table snapshot.
 Backbone stages own all RNG draws and tracked-table mutation; the

@@ -13,7 +13,7 @@ runtime checks:
   instant instead of the slot-ordered value the inline path computes;
 * it must not capture **unpicklable values** (lambdas, generators,
   locks, threads) — a spawn-context crash that only reproduces under
-  ``--executor process:N``, never inline or threaded.
+  ``--executor process:N``, never inline.
 
 This module finds the boundary statically from the PR 3 call graph:
 every ``Stage(..., pack=...)`` site names a *pack root*; each pack

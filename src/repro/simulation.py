@@ -144,7 +144,7 @@ class Simulation:
         """Register a per-slot callback (e.g. NR-Scope's receiver).
 
         ``flush`` is called when a run finishes, so observers that
-        process slots asynchronously (a scope on a threaded runtime)
+        process slots asynchronously (a scope on a process executor)
         can barrier before their telemetry is read.
         """
         self._observers.append(observer)

@@ -1,8 +1,11 @@
 """Shared fixtures for the repro test suite."""
 
+from typing import Callable
+
 import numpy as np
 import pytest
 
+from repro.core.runtime import Executor
 from repro.core.sanitizer import Sanitizer
 
 
@@ -18,3 +21,41 @@ def nrsan() -> Sanitizer:
     (or to ``SlotRuntime``) to run the session instrumented — tracked
     snapshots become write-guarded and parallel-stage RNG draws trip."""
     return Sanitizer(enabled=True)
+
+
+class ScriptedExecutor(Executor):
+    """A saturated worker pool, without threads.
+
+    ``refuse(seq)`` picks the submissions that bounce (the runtime
+    counts each as a backpressure drop).  Accepted work is held until
+    :meth:`wait`, which runs it newest first, so the runtime's reorder
+    buffer sees completions out of slot order.
+    """
+
+    name = "scripted"
+
+    def __init__(self, refuse: Callable[[int], bool] = lambda seq: False):
+        self._refuse = refuse
+        self._held: list = []
+        self._ready: list = []
+
+    def try_submit(self, seq, thunk):
+        if self._refuse(seq):
+            return False
+        self._held.append(thunk)
+        return True
+
+    def pop_ready(self):
+        ready, self._ready = self._ready, []
+        return ready
+
+    def wait(self, timeout_s):
+        held, self._held = self._held, []
+        self._ready.extend(thunk() for thunk in reversed(held))
+
+
+@pytest.fixture
+def scripted_executor() -> type[ScriptedExecutor]:
+    """The :class:`ScriptedExecutor` class, for deterministic
+    backpressure and out-of-order-completion tests."""
+    return ScriptedExecutor

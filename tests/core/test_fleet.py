@@ -1,6 +1,7 @@
 """Tests for the checkpointable fleet supervisor."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -77,6 +78,10 @@ class TestBuild:
         with pytest.raises(FleetError):
             FleetSupervisor.build(
                 small_config(checkpoint_interval_s=0.0))
+
+    def test_rejects_unknown_executor(self):
+        with pytest.raises(FleetError, match="'bogus'"):
+            FleetSupervisor.build(small_config(executor="bogus"))
 
     def test_negative_run_rejected(self):
         supervisor = FleetSupervisor.build(small_config())
@@ -156,6 +161,16 @@ class TestCheckpointResume:
         path = tmp_path / "fleet.ckpt"
         path.write_bytes(pickle.dumps({"version": 1, "cells": []}))
         with pytest.raises(FleetError):
+            FleetSupervisor.restore(path)
+
+    def test_restore_rejects_unknown_executor(self, tmp_path):
+        path = tmp_path / "fleet.ckpt"
+        supervisor = FleetSupervisor.build(small_config())
+        supervisor.run(0.6, checkpoint_path=path)
+        blob = pickle.loads(path.read_bytes())
+        blob["config"] = replace(blob["config"], executor="threaded")
+        path.write_bytes(pickle.dumps(blob))
+        with pytest.raises(FleetError, match="'threaded'"):
             FleetSupervisor.restore(path)
 
     def test_restore_rejects_garbage(self, tmp_path):

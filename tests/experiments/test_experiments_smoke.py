@@ -83,7 +83,7 @@ class TestFig10And11:
 class TestFig12:
     def test_smoke(self):
         row = fig12_processing.measure(
-            fig12_processing.AMARISOFT_PROFILE, 2, 1, n_slots=1)
+            fig12_processing.AMARISOFT_PROFILE, 2, n_slots=1)
         assert row.mean_us > 0
         result = fig12_processing.to_result([row])
         assert result.series

@@ -77,11 +77,6 @@ class TestExecutorEquivalence:
         assert strip_volatile(inline_events) \
             == strip_volatile(process_events)
 
-    def test_inline_and_threaded_streams_are_identical(self):
-        _, inline_events = self._events("inline")
-        _, threaded_events = self._events("threaded:4")
-        assert strip_volatile(inline_events) \
-            == strip_volatile(threaded_events)
 
 
 class TestStreamReconstructsCounters:
@@ -147,16 +142,15 @@ class TestStreamReconstructsCounters:
 
 
 class TestBackpressureDrops:
-    def test_drop_events_match_drop_counters(self):
+    def test_drop_events_match_drop_counters(self, scripted_executor):
         ring = RingReporter()
         _, scope = run_session(
             seconds=1.0,
             obs=ObsContext.create([ring], run_id="t"),
-            executor="threaded:1", queue_depth=1,
+            executor=scripted_executor(refuse=lambda seq: seq % 3 != 0),
             slot_budget_s=1e-7)
         drops = [e for e in ring.events if e["name"] == "dci.drop"]
-        if scope.counters.dcis_dropped == 0:
-            pytest.skip("no backpressure this run")
+        assert scope.counters.dcis_dropped > 0
         assert len(drops) == scope.counters.dcis_dropped
         spans = [e for e in ring.events
                  if e["name"] == "stage.span"

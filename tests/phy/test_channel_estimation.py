@@ -125,9 +125,9 @@ class TestDecoderIntegration:
                     n_id=SRSRAN_PROFILE.cell_id,
                     noise_var=10 ** (-15 / 10))
         plain = GridDciDecoder(**base, equalize=False)
-        assert plain.decode_slot(captured, slot_index,
-                                 sniffer.tracked) == []
+        assert plain.decode_slot_batch(captured, slot_index,
+                                       sniffer.tracked) == []
         smart = GridDciDecoder(**base, equalize=True)
-        decoded = smart.decode_slot(captured, slot_index,
-                                    sniffer.tracked)
+        decoded = smart.decode_slot_batch(captured, slot_index,
+                                          sniffer.tracked)
         assert [d.dci for d in decoded] == [dci]

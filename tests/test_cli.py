@@ -82,6 +82,23 @@ class TestSniff:
                      "--obs", "statsd:nowhere"]) == 2
         assert "unknown obs reporter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["bogus", "process:0"])
+    def test_bad_executor_is_a_usage_error(self, spec, capsys):
+        assert main(["sniff", "--seconds", "0.1",
+                     "--executor", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+class TestFleet:
+    def test_bad_executor_is_a_usage_error(self, capsys):
+        assert main(["fleet", "--seconds", "0.1",
+                     "--executor", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'bogus'" in err
+
 
 class TestObs:
     def _stream(self, tmp_path):
