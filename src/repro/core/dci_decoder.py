@@ -214,8 +214,9 @@ class GridDciDecoder:
         only on its *position* (CORESET, level, first CCE, scrambling
         ``c_init``), never on which UE's search space hashed onto it.
         Each distinct eligible position is therefore gathered,
-        demodulated, descrambled and polar-decoded once per slot — one
-        joint polar call per (CORESET, level) — and every tracked UE's
+        demodulated, descrambled and polar-decoded once per slot — all
+        of the slot's (CORESET, level) groups in one polar traversal,
+        :func:`~repro.phy.polar.decode_blocks` — and every tracked UE's
         entry reads its block from that shared table.  The per-candidate
         control flow (CCE claiming, energy gate, per-format attempt
         accounting, ``unpack``) is then *replayed* over the shared
@@ -270,10 +271,11 @@ class GridDciDecoder:
                               []).append((pos, start))
 
         # Phase 3: per group, one gather + energy gate, then batched
-        # demod + descramble and one joint polar traversal for both DCI
-        # formats (they share the level's mother code).  Decoded blocks
-        # land in a per-format position table; payload sizes do not
-        # depend on the level, so one table spans every group.
+        # demod + descramble; every group's LLR block, with the DCI
+        # formats that fit its level, then rides ONE polar traversal.
+        # Decoded blocks land in a per-format position table; payload
+        # sizes do not depend on the level, so one table spans every
+        # group.
         threshold = occupancy_threshold(self.noise_var)
         energies = np.zeros(len(positions), dtype=np.float64)
         formats = (DciFormat.DL_1_1, DciFormat.UL_0_1)
@@ -283,6 +285,8 @@ class GridDciDecoder:
                                 dtype=np.uint8) for fmt in formats}
         decoded_pos = {fmt: np.zeros(len(positions), dtype=bool)
                        for fmt in formats}
+        blocks: list[tuple[np.ndarray, tuple[polar.PolarCode, ...]]] = []
+        block_rows: list[tuple[np.ndarray, list[DciFormat]]] = []
         for (coreset, level, key_c_init), members in groups.items():
             pos_idx = np.array([pos for pos, _ in members], dtype=np.intp)
             starts = np.array([start for _, start in members],
@@ -319,9 +323,11 @@ class GridDciDecoder:
             else:
                 llrs = demodulate_soft_batch(
                     values, QPSK, max(self.noise_var, 1e-12))
-            llrs = descramble_llrs(llrs, key_c_init)
-            outs = polar.decode_batch_joint(llrs, tuple(
-                polar.construct(info_lens[fmt], n_coded) for fmt in fits))
+            blocks.append((descramble_llrs(llrs, key_c_init), tuple(
+                polar.construct(info_lens[fmt], n_coded) for fmt in fits)))
+            block_rows.append((pos_idx, fits))
+        for (pos_idx, fits), outs in zip(block_rows,
+                                         polar.decode_blocks(blocks)):
             for fmt, out in zip(fits, outs):
                 tables[fmt][pos_idx] = out
                 decoded_pos[fmt][pos_idx] = True

@@ -203,42 +203,61 @@ def encode_pdcch(dci: Dci, cfg: DciSizeConfig, coreset: Coreset,
     return payload
 
 
-def _write_dmrs(coreset: Coreset, candidate: PdcchCandidate,
-                grid: ResourceGrid, n_id: int, slot_index: int) -> None:
-    """Place PDCCH DMRS pilots on the candidate's REGs."""
-    regs = []
-    for cce in range(candidate.first_cce,
-                     candidate.first_cce + candidate.aggregation_level):
-        regs.extend(coreset.cce_to_regs(cce))
-    per_symbol: dict[int, list[int]] = {}
-    for reg in regs:
-        prb, symbol = coreset.reg_to_position(reg)
-        per_symbol.setdefault(symbol, []).append(prb)
-    for symbol, prbs in per_symbol.items():
-        pilots = pdcch_dmrs_symbols(n_id, symbol, slot_index, len(prbs))
-        idx = 0
-        for prb in sorted(prbs):
-            for offset in PDCCH_DMRS_POSITIONS:
-                grid.write_res(prb, symbol, np.array([pilots[idx]]),
-                               ResourceGrid.DMRS, first_sc=offset)
-                idx += 1
+@dataclass(frozen=True)
+class _DmrsLayout:
+    """Where a candidate's DMRS pilots go, in pilot-generation order.
+
+    Pilots are generated per symbol (symbols in the order the
+    candidate's REGs first reach them) across that symbol's PRBs in
+    ascending order, three per REG.  ``flat`` holds their flat
+    ``grid.data`` indices in that order and ``per_symbol`` the
+    ``(symbol, n_regs)`` runs the generator is called with;
+    ``reg_order`` permutes generation order into REG order (CCE by
+    CCE), the order the channel estimate averages in.
+    """
+
+    flat: np.ndarray
+    per_symbol: tuple[tuple[int, int], ...]
+    reg_order: np.ndarray
+
+    def pilots(self, n_id: int, slot_index: int) -> np.ndarray:
+        """The candidate's pilot symbols, aligned with ``flat``."""
+        return np.concatenate([
+            pdcch_dmrs_symbols(n_id, symbol, slot_index, n_regs)
+            for symbol, n_regs in self.per_symbol])
 
 
 @lru_cache(maxsize=4096)
-def _dmrs_flat_indices(coreset: Coreset, first_cce: int,
-                       aggregation_level: int) -> np.ndarray:
-    """Flat grid indices of a candidate's DMRS pilot REs."""
-    candidate = PdcchCandidate(first_cce=first_cce,
-                               aggregation_level=aggregation_level)
-    indices = []
-    for cce in range(candidate.first_cce,
-                     candidate.first_cce + candidate.aggregation_level):
-        for reg in coreset.cce_to_regs(cce):
-            prb, symbol = coreset.reg_to_position(reg)
-            for sc in PDCCH_DMRS_POSITIONS:
-                indices.append((prb * 12 + sc) * N_SYMBOLS_PER_SLOT
-                               + symbol)
-    return np.array(indices, dtype=np.intp)
+def _dmrs_layout(coreset: Coreset, first_cce: int,
+                 aggregation_level: int) -> _DmrsLayout:
+    """Cached :class:`_DmrsLayout` of one candidate."""
+    positions = [coreset.reg_to_position(reg)
+                 for cce in range(first_cce, first_cce + aggregation_level)
+                 for reg in coreset.cce_to_regs(cce)]
+    per_symbol: dict[int, list[int]] = {}
+    for prb, symbol in positions:
+        per_symbol.setdefault(symbol, []).append(prb)
+    flat = [(prb * 12 + sc) * N_SYMBOLS_PER_SLOT + symbol
+            for symbol, prbs in per_symbol.items()
+            for prb in sorted(prbs) for sc in PDCCH_DMRS_POSITIONS]
+    generated_at = {idx: pos for pos, idx in enumerate(flat)}
+    reg_order = [generated_at[(prb * 12 + sc) * N_SYMBOLS_PER_SLOT + symbol]
+                 for prb, symbol in positions
+                 for sc in PDCCH_DMRS_POSITIONS]
+    return _DmrsLayout(
+        flat=np.array(flat, dtype=np.intp),
+        per_symbol=tuple((symbol, len(prbs))
+                         for symbol, prbs in per_symbol.items()),
+        reg_order=np.array(reg_order, dtype=np.intp))
+
+
+def _write_dmrs(coreset: Coreset, candidate: PdcchCandidate,
+                grid: ResourceGrid, n_id: int, slot_index: int) -> None:
+    """Place PDCCH DMRS pilots on the candidate's REGs."""
+    layout = _dmrs_layout(coreset, candidate.first_cce,
+                          candidate.aggregation_level)
+    np.put(grid.data, layout.flat, layout.pilots(n_id, slot_index))
+    np.put(grid.occupancy, layout.flat, ResourceGrid.DMRS)
 
 
 def estimate_channel(grid: ResourceGrid, coreset: Coreset,
@@ -252,37 +271,13 @@ def estimate_channel(grid: ResourceGrid, coreset: Coreset,
     """
     if candidate.first_cce + candidate.aggregation_level > coreset.n_cces:
         return 1.0 + 0.0j
-    indices = _dmrs_flat_indices(coreset, candidate.first_cce,
-                                 candidate.aggregation_level)
-    received = grid.data.reshape(-1)[indices]
-    # Rebuild the expected pilots in the same (symbol-grouped) order the
-    # encoder used: pilots are generated per symbol across the REGs.
-    per_symbol: dict[int, list[int]] = {}
-    regs = []
-    for cce in range(candidate.first_cce,
-                     candidate.first_cce + candidate.aggregation_level):
-        regs.extend(coreset.cce_to_regs(cce))
-    for reg in regs:
-        prb, symbol = coreset.reg_to_position(reg)
-        per_symbol.setdefault(symbol, []).append(prb)
-    expected_map: dict[tuple[int, int, int], complex] = {}
-    for symbol, prbs in per_symbol.items():
-        pilots = pdcch_dmrs_symbols(n_id, symbol, slot_index, len(prbs))
-        idx = 0
-        for prb in sorted(prbs):
-            for offset in PDCCH_DMRS_POSITIONS:
-                expected_map[(prb, symbol, offset)] = pilots[idx]
-                idx += 1
-    expected = []
-    for cce in range(candidate.first_cce,
-                     candidate.first_cce + candidate.aggregation_level):
-        for reg in coreset.cce_to_regs(cce):
-            prb, symbol = coreset.reg_to_position(reg)
-            for sc in PDCCH_DMRS_POSITIONS:
-                expected.append(expected_map[(prb, symbol, sc)])
-    expected_arr = np.array(expected)
-    power = float(np.mean(np.abs(expected_arr) ** 2))
-    estimate = np.mean(received * expected_arr.conj()) / max(power, 1e-12)
+    layout = _dmrs_layout(coreset, candidate.first_cce,
+                          candidate.aggregation_level)
+    received = grid.data.reshape(-1)[layout.flat]
+    expected = layout.pilots(n_id, slot_index)
+    power = float(np.mean(np.abs(expected) ** 2))
+    products = (received * expected.conj())[layout.reg_order]
+    estimate = np.mean(products) / max(power, 1e-12)
     if abs(estimate) < 1e-9:
         return 1.0 + 0.0j
     return complex(estimate)

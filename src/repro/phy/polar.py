@@ -15,6 +15,8 @@ standard applies in the regimes PDCCH operates in.
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -148,8 +150,8 @@ def _llrs_to_mother(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
                        code.block_len):
         wrap = llrs[start:start + code.block_len]
         out[:wrap.size] += wrap
-    for idx in code.shortened_outputs:
-        out[idx] = _INF_LLR
+    # ``construct`` shortens the suffix ``range(E, N)``.
+    out[base:] = _INF_LLR
     return out
 
 
@@ -231,8 +233,7 @@ def _llrs_to_mother_batch(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
                        code.block_len):
         wrap = llrs[:, start:start + code.block_len]
         out[:, :wrap.shape[1]] += wrap
-    for idx in code.shortened_outputs:
-        out[:, idx] = _INF_LLR
+    out[:, base:] = _INF_LLR
     return out
 
 
@@ -242,19 +243,30 @@ def _llrs_to_mother_batch(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
 _OP_F, _OP_G, _OP_C, _OP_GSKIP, _OP_CSKIP, _OP_RATE0, _OP_REP, \
     _OP_LEAF = range(8)
 
+#: Replica columns per pass of a compiled program.  A pass costs about
+#: the same for 1 column as for 16 (its cost is ufunc dispatch), so
+#: every batch is padded to this width and larger ones run in chunks.
+PROGRAM_WIDTH = 16
+
+#: Frozen masks whose compiled programs an engine keeps for reuse.
+_PROGRAMS_PER_ENGINE = 32
+
 
 @lru_cache(maxsize=256)
 def _sc_plan(size: int, frozen_bytes: bytes) \
-        -> tuple[tuple[int, int, int, int, int, int], ...]:
-    """Compile the SC traversal for one frozen mask into a flat op list.
+        -> tuple[tuple[int, int, int, bool], ...]:
+    """Schedule the SC traversal for one frozen mask as a flat op list.
 
     The successive-cancellation schedule depends only on (N, frozen
-    mask), so it is walked once here and the surviving array operations
-    are emitted as ``(tag, stage, offset, width, u_idx, flag)`` tuples;
-    :func:`_sc_decode_batch` then interprets the list with no recursion
-    and no per-node frozen-set bookkeeping.  Three structural shortcuts
-    prune the tree during compilation.  Each is *exact* — it reproduces
-    the scalar decoder's outputs bit for bit, never an approximation:
+    mask), so it is walked once here and the surviving node operations
+    are emitted as ``(tag, stage, base, keep)`` tuples: ``stage`` is
+    the node's depth (it spans ``2**stage`` leaves), ``base`` its first
+    leaf (u index) and ``keep`` whether its partial sums are consumed.
+    A stage-``s`` node always reads its LLRs from the whole stage-``s``
+    buffer (both children of a node reuse their parent's buffer from
+    offset 0), so no offset is needed.  Three structural shortcuts
+    prune the tree.  Each is *exact* — it reproduces the scalar
+    decoder's outputs bit for bit, never an approximation:
 
     * rate-0 subtrees (every covered leaf frozen): the scalar decoder
       forces each frozen leaf to 0 regardless of its LLR, so the
@@ -273,7 +285,7 @@ def _sc_plan(size: int, frozen_bytes: bytes) \
       broadcast (transform of ``[0..0,d]`` is ``d`` at every output).
 
     The root node's partial-sum outputs are consumed by nobody, so its
-    combine step (and the left-bit stash feeding it) is not emitted.
+    combine step is not emitted.
 
     DCI polar codes are low-rate (K/N ~ 0.1-0.25), so pruning removes
     the bulk of the O(N) butterfly (roughly 4-9x fewer array ops).
@@ -285,254 +297,320 @@ def _sc_plan(size: int, frozen_bytes: bytes) \
     # are all frozen  <=>  the subtree covering them is rate-0.
     frozen_count = np.concatenate(
         ([0], np.cumsum(frozen_mask.astype(np.int64))))
-    ops: list[tuple[int, int, int, int, int, int]] = []
-    next_u = [0]
+    ops: list[tuple[int, int, int, bool]] = []
 
-    def emit(stage: int, offset: int, keep_bits: bool) -> None:
+    def emit(stage: int, base: int, keep: bool) -> None:
         span = 1 << stage
-        base = next_u[0]
         n_frozen = int(frozen_count[base + span] - frozen_count[base])
         if n_frozen == span:
-            # Rate-0: u bits stay 0 (u_hat is zero-initialised and
-            # each u index is written at most once); the buffer slice
-            # must be cleared because stages reuse it across siblings.
-            next_u[0] += span
-            if keep_bits:
-                ops.append((_OP_RATE0, stage, offset, span, 0, 0))
+            # Rate-0: u bits stay 0; the partial sums are refilled
+            # because the buffer is reused across calls and siblings.
+            if keep:
+                ops.append((_OP_RATE0, stage, base, keep))
             return
         if span >= 2 and n_frozen == span - 1 \
                 and not frozen_mask[base + span - 1]:
-            next_u[0] += span
-            ops.append((_OP_REP, stage, offset, span,
-                        base + span - 1, int(keep_bits)))
+            ops.append((_OP_REP, stage, base, keep))
             return
         if stage == 0:
             # Frozen leaves were pruned above (a single-leaf rate-0
-            # subtree), so this leaf carries information.  Scalar
-            # decision rule: bit 0 iff llr >= 0 (ties to zero).
-            ops.append((_OP_LEAF, 0, offset, 1, next_u[0],
-                        int(keep_bits)))
-            next_u[0] += 1
+            # subtree), so this leaf carries information.
+            ops.append((_OP_LEAF, 0, base, keep))
             return
         half = 1 << (stage - 1)
         if frozen_count[base + half] - frozen_count[base] == half:
-            next_u[0] += half
-            ops.append((_OP_GSKIP, stage, offset, half, 0, 0))
-            emit(stage - 1, offset, True)
-            if keep_bits:
-                ops.append((_OP_CSKIP, stage, offset, half, 0, 0))
+            ops.append((_OP_GSKIP, stage, base, keep))
+            emit(stage - 1, base + half, True)
+            if keep:
+                ops.append((_OP_CSKIP, stage, base, keep))
             return
-        ops.append((_OP_F, stage, offset, half, 0, 0))
-        emit(stage - 1, offset, True)
-        # The G op stashes the left bits into this node's own output
-        # slice (free until the combine) so the combine needs no copy;
-        # the stash is skipped with the combine at the root.
-        ops.append((_OP_G, stage, offset, half, 0, int(keep_bits)))
-        emit(stage - 1, offset, True)
-        if keep_bits:
-            ops.append((_OP_C, stage, offset, half, 0, 0))
+        ops.append((_OP_F, stage, base, keep))
+        emit(stage - 1, base, True)
+        ops.append((_OP_G, stage, base, keep))
+        emit(stage - 1, base + half, True)
+        if keep:
+            ops.append((_OP_C, stage, base, keep))
 
     emit(n, 0, False)
     return tuple(ops)
 
 
-def _sc_decode_batch(llrs: np.ndarray, frozen_mask: np.ndarray,
-                     leaf_ok: np.ndarray | None = None) -> np.ndarray:
-    """Successive-cancellation decode of ``B`` independent blocks at once.
+class _Engine:
+    """Scratch for one tree size and the programs compiled onto it.
 
-    Identical per-element arithmetic to :func:`_sc_decode` — the one
-    licensed deviation is the f-node, computed as ``copysign(min(|a|,
-    |b|), a*b)`` instead of ``sign(a)*sign(b)*min(|a|, |b|)``: the two
-    differ only when an input is zero, where copysign may produce -0.0
-    instead of +0.0.  A zero-sign difference propagates only into other
-    zero magnitudes and never flips a ``(llr < 0)`` decision, so the
-    decoded bits are still bit-identical to the scalar decoder's (the
-    equivalence tests enforce this).
+    A program is one ``_sc_plan`` compiled into a flat tuple of
+    ``(ufunc, args)`` calls whose operands are views into this
+    engine's buffers, bound at compile time, so a pass is a loop of
+    ``fn(*args)`` with no per-op indexing, slicing or branching.
+    Buffers are laid out leaf-major and ``PROGRAM_WIDTH`` columns wide,
+    one column per replica, so every operand is a contiguous row block.
 
-    The traversal runs a pre-compiled :func:`_sc_plan` op list, so the
-    O(N) per-node Python overhead is paid once per *plan compilation*,
-    not per decode.  Buffers are laid out code-position-major —
-    ``(N, B)`` — so every plan slice is one contiguous block.  Rows
-    never interact: the output equals running the scalar decoder on
-    each row.
+    * ``llr[s]`` (``2**s`` rows) holds the LLRs entering stage ``s``;
+      ``llr[n]`` is the input.  Scratch ``mag`` serves the f-node.
+    * ``signs`` holds partial sums in the sign domain, ``1 - 2*beta``,
+      in place: a node writes its outputs over its own leaf range, so
+      its left child's signs sit in the first half when the g-node
+      reads them.  The g-node is then ``bot + signs*top`` (the product
+      the scalar ``(1.0 - 2.0*bits) * top`` forms) and the combine is
+      one product (XOR of bits).
+    * ``offsets`` narrows each replica's information set: a leaf
+      overwrites its offset with its decision value ``llr + offset``,
+      the offset being ``+0.0`` on the replica's info leaves and
+      ``+inf`` elsewhere (forcing bit 0, the scalar frozen-leaf rule).
+      ``+0.0`` also turns a ``-0.0`` LLR into ``+0.0``, so ``value < 0``
+      is the scalar rule ``llr < 0`` and ``copysign(1, value)`` is the
+      leaf's partial-sum sign.  After a pass ``offsets < 0`` are the
+      decoded bits; rows of pruned leaves keep their offset (bit 0).
 
-    ``leaf_ok`` (optional, ``(B, N)`` bool) narrows the information set
-    *per row*: a row's decision at leaf ``i`` is forced to 0 unless
-    ``leaf_ok[row, i]``.  ``frozen_mask`` must then be the *joint* mask
-    (frozen only where every row freezes), which keeps the plan's
-    pruning exact for all rows — see :func:`decode_batch_joint`.
-
-    Layout: llrs (B, N) float64
-    Layout: leaf_ok (B, N) bool
-    Layout: return (B, N) uint8
+    Every program of an engine shares its buffers, so an engine serves
+    one decode at a time (see :func:`_take_engine`).
     """
-    batch, size = llrs.shape
-    n = size.bit_length() - 1
-    plan = _sc_plan(
-        size, np.ascontiguousarray(frozen_mask, dtype=np.uint8)
-        .tobytes())
-    # Every plan read is preceded by a plan write (pruned subtrees emit
-    # neither), so the scratch stores can start uninitialised.
-    llr_store = [np.empty((size, batch), dtype=np.float64)
-                 for _ in range(n)]
-    llr_store.append(np.ascontiguousarray(llrs.T, dtype=np.float64))
-    bit_store = [np.empty((size, batch), dtype=np.uint8)
-                 for _ in range(n + 1)]
-    u_hat = np.zeros((batch, size), dtype=np.uint8)
-    ok_cols = None if leaf_ok is None \
-        else np.ascontiguousarray(leaf_ok.T, dtype=bool)
 
-    for tag, stage, offset, width, u_idx, flag in plan:
-        if tag == _OP_F:
-            src = llr_store[stage]
-            top = src[offset:offset + width]
-            bot = src[offset + width:offset + 2 * width]
-            mag = np.abs(top)
-            sgn = np.abs(bot)
-            np.minimum(mag, sgn, out=mag)
-            np.multiply(top, bot, out=sgn)
-            np.copysign(mag, sgn,
-                        out=llr_store[stage - 1][offset:offset + width])
-        elif tag == _OP_G:
-            src = llr_store[stage]
-            top = src[offset:offset + width]
-            bot = src[offset + width:offset + 2 * width]
-            left_bits = bit_store[stage - 1][offset:offset + width]
-            if flag:
-                bit_store[stage][offset:offset + width] = left_bits
-            t = left_bits * 2.0
-            np.subtract(1.0, t, out=t)
-            np.multiply(t, top, out=t)
-            np.add(bot, t,
-                   out=llr_store[stage - 1][offset:offset + width])
-        elif tag == _OP_C:
-            right_bits = bit_store[stage - 1][offset:offset + width]
-            dst = bit_store[stage]
-            np.bitwise_xor(dst[offset:offset + width], right_bits,
-                           out=dst[offset:offset + width])
-            dst[offset + width:offset + 2 * width] = right_bits
-        elif tag == _OP_GSKIP:
-            src = llr_store[stage]
-            np.add(src[offset + width:offset + 2 * width],
-                   src[offset:offset + width],
-                   out=llr_store[stage - 1][offset:offset + width])
-        elif tag == _OP_CSKIP:
-            right_bits = bit_store[stage - 1][offset:offset + width]
-            dst = bit_store[stage]
-            dst[offset:offset + width] = right_bits
-            dst[offset + width:offset + 2 * width] = right_bits
-        elif tag == _OP_RATE0:
-            bit_store[stage][offset:offset + width] = 0
-        elif tag == _OP_REP:
-            # Fold halves exactly as the scalar g-chain would
-            # (bot + top, left operand bot) down to the info leaf.
-            v = llr_store[stage][offset:offset + width]
-            w = width
-            while w > 1:
-                half_w = w >> 1
-                v = v[half_w:w] + v[:half_w]
-                w = half_w
-            d = (v[0] < 0)
-            if ok_cols is not None:
-                d &= ok_cols[u_idx]
-            u_hat[:, u_idx] = d
-            if flag:
-                bit_store[stage][offset:offset + width] = \
-                    d.astype(np.uint8)[None, :]
-        else:  # _OP_LEAF
-            d = (llr_store[0][offset] < 0)
-            if ok_cols is not None:
-                d &= ok_cols[u_idx]
-            u_hat[:, u_idx] = d
-            if flag:
-                bit_store[0][offset] = d
+    #: Programs compiled so far, over all engines.
+    compiled = 0
 
-    return u_hat
+    def __init__(self, size: int) -> None:
+        self.size = size
+        n = size.bit_length() - 1
+        width = PROGRAM_WIDTH
+        self.llr = [np.zeros((1 << s, width), dtype=np.float64)
+                    for s in range(n + 1)]
+        self.mag = np.zeros((size, width), dtype=np.float64)
+        self.signs = np.ones((size, width), dtype=np.float64)
+        self.offsets = np.zeros((size, width), dtype=np.float64)
+        self.ones = np.ones(width, dtype=np.float64)
+        self._programs: dict[bytes, tuple] = {}
+        # One view object per distinct row block, shared by programs.
+        self._views: dict[tuple[int, int, int], np.ndarray] = {}
+
+    def _rows(self, buf: np.ndarray, start: int, stop: int) -> np.ndarray:
+        key = (id(buf), start, stop)
+        if key not in self._views:
+            self._views[key] = buf[start:stop]
+        return self._views[key]
+
+    def _compile(self, frozen_bytes: bytes) -> tuple:
+        llr, mag, signs, off = self.llr, self.mag, self.signs, self.offsets
+        rows = self._rows
+        ops: list[tuple] = []
+
+        def leaf(idx: int, keep: bool) -> None:
+            value = rows(off, idx, idx + 1)
+            ops.append((np.add, (llr[0], value, value)))
+            if keep:
+                ops.append((np.copysign, (self.ones, value,
+                                          rows(signs, idx, idx + 1))))
+
+        for tag, stage, base, keep in _sc_plan(self.size, frozen_bytes):
+            span = 1 << stage
+            half = span >> 1
+            src, dst = llr[stage], llr[stage - 1] if stage else None
+            top, bot = rows(src, 0, half), rows(src, half, span)
+            left = rows(signs, base, base + half)
+            right = rows(signs, base + half, base + span)
+            if tag == _OP_F:
+                lo, hi = rows(mag, 0, half), rows(mag, half, span)
+                ops += [(np.absolute, (src, rows(mag, 0, span))),
+                        (np.fmin, (lo, hi, lo)),
+                        (np.multiply, (top, bot, hi)),
+                        (np.copysign, (lo, hi, dst))]
+            elif tag == _OP_G:
+                ops += [(np.multiply, (left, top, dst)),
+                        (np.add, (bot, dst, dst))]
+            elif tag == _OP_C:
+                ops.append((np.multiply, (left, right, left)))
+            elif tag == _OP_GSKIP:
+                ops.append((np.add, (bot, top, dst)))
+            elif tag == _OP_CSKIP:
+                ops.append((np.positive, (right, left)))
+            elif tag == _OP_RATE0:
+                ops.append((rows(signs, base, base + span).fill, (1.0,)))
+            elif tag == _OP_REP:
+                # Fold halves exactly as the scalar g-chain would
+                # (bot + top, left operand bot) down to the info leaf.
+                for s in range(stage, 0, -1):
+                    h = 1 << (s - 1)
+                    ops.append((np.add, (rows(llr[s], h, 2 * h),
+                                         rows(llr[s], 0, h), llr[s - 1])))
+                last = base + span - 1
+                leaf(last, keep)
+                if keep:
+                    ops.append((np.positive, (rows(signs, last, last + 1),
+                                              rows(signs, base, last))))
+            else:  # _OP_LEAF
+                leaf(base, keep)
+        _Engine.compiled += 1
+        return tuple(ops)
+
+    def program(self, frozen_bytes: bytes) -> tuple:
+        """The compiled program for one frozen mask (cached, LRU)."""
+        ops = self._programs.pop(frozen_bytes, None)
+        if ops is None:
+            ops = self._compile(frozen_bytes)
+            if len(self._programs) >= _PROGRAMS_PER_ENGINE:
+                del self._programs[next(iter(self._programs))]
+        self._programs[frozen_bytes] = ops
+        return ops
+
+    def run(self, ops: tuple, llrs: np.ndarray, offsets: np.ndarray,
+            out: np.ndarray) -> None:
+        """Decode up to ``PROGRAM_WIDTH`` replica rows in one pass.
+
+        Columns past ``len(llrs)`` keep stale finite values from an
+        earlier pass; their decisions are never read.
+
+        Layout: llrs (R, N) float64
+        Layout: offsets (R, N) float64
+        Layout: out (R, N) bool
+        """
+        rows = llrs.shape[0]
+        self.llr[-1][:, :rows] = llrs.T
+        self.offsets[:, :rows] = offsets.T
+        for fn, args in ops:
+            fn(*args)
+        np.less(self.offsets[:, :rows].T, 0.0, out=out)
+
+
+#: Idle engines by tree size.  A decode takes an engine out and gives
+#: it back when done, so overlapping decodes never share buffers: the
+#: second one finds no idle engine and builds its own.
+_IDLE_ENGINES: dict[int, list[_Engine]] = {}
+_ENGINES_LOCK = threading.Lock()
+
+
+def _take_engine(size: int) -> _Engine:
+    with _ENGINES_LOCK:
+        idle = _IDLE_ENGINES.get(size)
+        if idle:
+            return idle.pop()
+    return _Engine(size)
+
+
+def _give_engine(engine: _Engine) -> None:
+    with _ENGINES_LOCK:
+        _IDLE_ENGINES.setdefault(engine.size, []).append(engine)
+
+
+@lru_cache(maxsize=256)
+def _placement(code: PolarCode, size: int) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """``code``'s info leaves and leaf offsets in a ``size``-leaf tree.
+
+    A shorter code sits in the last ``N`` leaves (see
+    :func:`decode_blocks`), so its info set shifts by ``size - N``.
+    Read-only: the arrays are shared by every decode.
+    """
+    info = np.array(code.info_indices, dtype=np.intp) \
+        + (size - code.block_len)
+    offsets = np.full(size, np.inf, dtype=np.float64)
+    offsets[info] = 0.0
+    info.flags.writeable = False
+    offsets.flags.writeable = False
+    return info, offsets
+
+
+def decode_blocks(blocks: Sequence[tuple[np.ndarray,
+                                         tuple[PolarCode, ...]]]) \
+        -> list[list[np.ndarray]]:
+    """Decode several ``(llrs, codes)`` blocks in ONE SC traversal.
+
+    Each block is a stacked ``(B, E)`` LLR matrix to decode under every
+    code in its tuple (all with rate-matched length ``E``); the result
+    is, per block, one ``(B, K_i)`` uint8 matrix per code, in order.
+    Every output row is bit-identical to :func:`decode` of that row
+    under that code.  The PDCCH search hands over a slot's (CORESET,
+    level) groups at once, so the slot pays for one traversal.
+
+    Each block's rows are rate-unmatched under their own code and
+    replicated once per code.  The traversal runs on a tree sized to
+    the largest mother code ``N_max`` in the call: a replica of a code
+    with ``N < N_max`` puts its mother LLRs in the last ``N`` leaves
+    with ``0.0`` in front, and its info set shifts by ``N_max - N``.
+    This is exact: the replica's leading leaves are all frozen for it,
+    so its partial sums there are 0 and every g-node over the leading
+    zeros computes ``bot + 0.0`` — the same value, up to the sign of a
+    zero, which never flips a ``< 0`` decision (the same argument as
+    the f-node's ``copysign``).  The traversal is the program compiled
+    for the union of the shifted info sets (frozen only where every
+    replica freezes, keeping the plan's pruning exact for all), with
+    each replica's decisions forced to 0 off its own info set — the
+    scalar frozen-leaf rule.
+
+    The f-node computes ``copysign(min(|a|, |b|), a*b)`` instead of
+    the scalar ``sign(a)*sign(b)*min(|a|, |b|)``: the two differ only
+    when an input is zero, where copysign may give ``-0.0`` for
+    ``+0.0``.  A zero-sign difference propagates only into other zero
+    magnitudes and never flips a decision, so outputs stay
+    bit-identical (the equivalence tests enforce this).
+    """
+    checked: list[tuple[np.ndarray, tuple[PolarCode, ...]]] = []
+    size = N_MIN
+    for llrs, codes in blocks:
+        arr = np.asarray(llrs, dtype=float)
+        if arr.ndim != 2:
+            raise PolarError(f"expected a (B, E) LLR matrix, got shape"
+                             f" {arr.shape}")
+        for code in codes:
+            if arr.shape[1] != code.rate_matched_len:
+                raise PolarError(
+                    f"expected {code.rate_matched_len} LLRs per row,"
+                    f" got {arr.shape[1]}")
+            size = max(size, code.block_len)
+        checked.append((arr, codes))
+    n_rows = sum(arr.shape[0] * len(codes) for arr, codes in checked)
+    stacked = np.zeros((n_rows, size), dtype=np.float64)
+    offsets = np.empty((n_rows, size), dtype=np.float64)
+    frozen = np.ones(size, dtype=bool)
+    slices: list[list[tuple[int, int, np.ndarray]]] = []
+    row = 0
+    for arr, codes in checked:
+        placed = []
+        for code in codes:
+            stop = row + arr.shape[0]
+            info, leaf_offsets = _placement(code, size)
+            stacked[row:stop, size - code.block_len:] = \
+                _llrs_to_mother_batch(arr, code)
+            offsets[row:stop] = leaf_offsets
+            frozen[info] = False
+            placed.append((row, stop, info))
+            row = stop
+        slices.append(placed)
+    bits = np.zeros((n_rows, size), dtype=bool)
+    if n_rows:
+        engine = _take_engine(size)
+        try:
+            ops = engine.program(frozen.view(np.uint8).tobytes())
+            for start in range(0, n_rows, PROGRAM_WIDTH):
+                stop = min(start + PROGRAM_WIDTH, n_rows)
+                engine.run(ops, stacked[start:stop], offsets[start:stop],
+                           bits[start:stop])
+        finally:
+            _give_engine(engine)
+    return [[bits[start:stop, info].view(np.uint8)
+             for start, stop, info in placed] for placed in slices]
 
 
 def decode_batch(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
     """Decode a stacked ``(B, E)`` LLR matrix into ``(B, K)`` info bits.
 
-    The batch axis vectorizes the SC butterfly recursion across all
-    candidates sharing one :class:`PolarCode` — the PDCCH blind-decode
-    hot path, where every candidate at one (aggregation level, payload
-    size) pair uses the same code.  Bit-identical to calling
-    :func:`decode` per row (enforced by the equivalence tests).
+    One :func:`decode_blocks` traversal for the whole batch.
+    Bit-identical to calling :func:`decode` per row (enforced by the
+    equivalence tests).
 
     Layout: llrs (B, E) float64
     Layout: return (B, K) uint8
     """
-    arr = np.asarray(llrs, dtype=float)
-    if arr.ndim != 2:
-        raise PolarError(f"expected a (B, E) LLR matrix, got shape"
-                         f" {arr.shape}")
-    if arr.shape[1] != code.rate_matched_len:
-        raise PolarError(
-            f"expected {code.rate_matched_len} LLRs per row,"
-            f" got {arr.shape[1]}")
-    if arr.shape[0] == 0:
-        return np.zeros((0, code.info_len), dtype=np.uint8)
-    mother = _llrs_to_mother_batch(arr, code)
-    frozen = np.ones(code.block_len, dtype=bool)
-    frozen[list(code.info_indices)] = False
-    u_hat = _sc_decode_batch(mother, frozen)
-    return u_hat[:, list(code.info_indices)].astype(np.uint8)
+    return decode_blocks([(llrs, (code,))])[0][0]
 
 
 def decode_batch_joint(llrs: np.ndarray, codes: tuple[PolarCode, ...]) \
         -> list[np.ndarray]:
     """Decode one ``(B, E)`` LLR matrix under several codes in ONE pass.
 
-    The PDCCH blind decode evaluates every candidate against multiple
-    DCI payload sizes; at one aggregation level the formats share the
-    channel bits (same E) and hence the same mother code, differing
-    only in their information sets.  Rather than one SC traversal per
-    format, the rows are replicated per code and pushed through a
-    single traversal whose plan is compiled for the *joint* frozen mask
-    (frozen only where every code freezes).  Per-row leaf masks then
-    force a row's decision to 0 wherever *its* code freezes the leaf —
-    exactly the scalar decoder's frozen-leaf rule, so each replica's
-    output is bit-identical to :func:`decode_batch` under its own code
-    (the partial sums a forced 0 feeds are the ones the scalar path
-    computes, so every downstream LLR matches too).
-
-    Returns one ``(B, K_i)`` matrix per code, in ``codes`` order.  All
-    codes must share ``(N, E)``; DCI format pairs at one aggregation
-    level always do.
+    Returns one ``(B, K_i)`` matrix per code, in ``codes`` order, each
+    bit-identical to :func:`decode_batch` under that code; every code
+    must have rate-matched length ``E``.  See :func:`decode_blocks`.
 
     Layout: llrs (B, E) float64
     """
-    if not codes:
-        return []
-    if len(codes) == 1:
-        return [decode_batch(llrs, codes[0])]
-    first = codes[0]
-    for code in codes[1:]:
-        if code.block_len != first.block_len or \
-                code.rate_matched_len != first.rate_matched_len:
-            raise PolarError(
-                f"joint decode needs one mother code, got "
-                f"(N={first.block_len}, E={first.rate_matched_len}) vs "
-                f"(N={code.block_len}, E={code.rate_matched_len})")
-    arr = np.asarray(llrs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != first.rate_matched_len:
-        raise PolarError(
-            f"expected a (B, {first.rate_matched_len}) LLR matrix, got"
-            f" shape {arr.shape}")
-    batch = arr.shape[0]
-    if batch == 0:
-        return [np.zeros((0, code.info_len), dtype=np.uint8)
-                for code in codes]
-    mother = _llrs_to_mother_batch(arr, first)
-    stacked = np.tile(mother, (len(codes), 1))
-    joint_frozen = np.ones(first.block_len, dtype=bool)
-    leaf_ok = np.zeros((len(codes) * batch, first.block_len),
-                       dtype=bool)
-    for ci, code in enumerate(codes):
-        info = list(code.info_indices)
-        joint_frozen[info] = False
-        leaf_ok[ci * batch:(ci + 1) * batch, info] = True
-    u_hat = _sc_decode_batch(stacked, joint_frozen, leaf_ok)
-    return [u_hat[ci * batch:(ci + 1) * batch,
-                  list(code.info_indices)].astype(np.uint8)
-            for ci, code in enumerate(codes)]
+    return decode_blocks([(llrs, tuple(codes))])[0]

@@ -189,18 +189,22 @@ class TestBatchMatchesScalar:
                                           decoder.noise_var):
                         entries.add((level, start))
                         n_entries += 1
-        rows = []
-        joint = polar.decode_batch_joint
+        calls = []
+        decode_blocks = polar.decode_blocks
 
-        def counting(llrs, codes):
-            rows.append(llrs.shape[0])
-            return joint(llrs, codes)
+        def counting(blocks):
+            calls.append([llrs.shape[0] for llrs, _ in blocks])
+            return decode_blocks(blocks)
 
-        monkeypatch.setattr(polar, "decode_batch_joint", counting)
+        monkeypatch.setattr(polar, "decode_blocks", counting)
         decoded = decoder.decode_slot_batch(grid, slot_index, tracked)
         assert len(decoded) > 0
         assert n_entries > len(entries)  # positions really are shared
-        assert sum(rows) <= len(entries)
+        # One SC traversal for the whole slot, carrying every
+        # (CORESET, level) group: a per-group decode would call twice.
+        assert len(calls) == 1
+        assert len(calls[0]) >= 2
+        assert sum(calls[0]) <= len(entries)
 
 
 def build_common_slot(slot_index, tc_rntis, noise_var, seed):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.gnb.cell_config import SRSRAN_PROFILE
 from repro.phy.coreset import Coreset
 from repro.phy.dci import Dci, DciFormat, DciSizeConfig, riv_encode
 from repro.phy.pdcch import (
@@ -13,9 +14,12 @@ from repro.phy.pdcch import (
     dci_crc_check,
     dci_recover_rnti,
     decode_candidate_bits,
+    _write_dmrs,
     encode_pdcch,
+    estimate_channel,
     try_decode_pdcch,
 )
+from repro.phy.dmrs import PDCCH_DMRS_POSITIONS, pdcch_dmrs_symbols
 from repro.phy.resource_grid import ResourceGrid
 
 CFG = DciSizeConfig(n_prb_bwp=51)
@@ -195,3 +199,78 @@ class TestBlindDecode:
         bits = decode_candidate_bits(grid, coreset(), PdcchCandidate(0, 1),
                                      200, N_ID, 1e-4)
         assert bits is None
+
+
+def write_dmrs_per_re(coreset, candidate, grid, n_id, slot_index):
+    """The per-RE DMRS writer the layout replaced (reference)."""
+    per_symbol = {}
+    for cce in range(candidate.first_cce,
+                     candidate.first_cce + candidate.aggregation_level):
+        for reg in coreset.cce_to_regs(cce):
+            prb, symbol = coreset.reg_to_position(reg)
+            per_symbol.setdefault(symbol, []).append(prb)
+    for symbol, prbs in per_symbol.items():
+        pilots = pdcch_dmrs_symbols(n_id, symbol, slot_index, len(prbs))
+        idx = 0
+        for prb in sorted(prbs):
+            for offset in PDCCH_DMRS_POSITIONS:
+                grid.write_res(prb, symbol, np.array([pilots[idx]]),
+                               ResourceGrid.DMRS, first_sc=offset)
+                idx += 1
+
+
+def estimate_per_re(grid, coreset, candidate, n_id, slot_index):
+    """The pilot-map channel estimate the layout replaced (reference)."""
+    per_symbol = {}
+    positions = []
+    for cce in range(candidate.first_cce,
+                     candidate.first_cce + candidate.aggregation_level):
+        for reg in coreset.cce_to_regs(cce):
+            prb, symbol = coreset.reg_to_position(reg)
+            positions.append((prb, symbol))
+            per_symbol.setdefault(symbol, []).append(prb)
+    expected_map = {}
+    for symbol, prbs in per_symbol.items():
+        pilots = pdcch_dmrs_symbols(n_id, symbol, slot_index, len(prbs))
+        idx = 0
+        for prb in sorted(prbs):
+            for offset in PDCCH_DMRS_POSITIONS:
+                expected_map[(prb, symbol, offset)] = pilots[idx]
+                idx += 1
+    received, expected = [], []
+    for prb, symbol in positions:
+        for sc in PDCCH_DMRS_POSITIONS:
+            received.append(grid.data[prb * 12 + sc, symbol])
+            expected.append(expected_map[(prb, symbol, sc)])
+    received, expected = np.array(received), np.array(expected)
+    power = float(np.mean(np.abs(expected) ** 2))
+    return complex(np.mean(received * expected.conj()) / power)
+
+
+class TestDmrsLayout:
+    """The one-write DMRS layout equals the per-RE writer, byte for
+    byte, on every candidate of both lab CORESETs."""
+
+    @pytest.mark.parametrize("which", ["coreset0", "dedicated"])
+    def test_grid_bytes_match_per_re_writes(self, which):
+        cs = SRSRAN_PROFILE.coreset0() if which == "coreset0" \
+            else SRSRAN_PROFILE.dedicated_coreset()
+        rng = np.random.default_rng(3)
+        checked = 0
+        for slot_index in (0, 7, 19):
+            for level in (1, 2, 4, 8, 16):
+                for first in range(0, cs.n_cces - level + 1, level):
+                    cand = PdcchCandidate(first, level)
+                    got = ResourceGrid(SRSRAN_PROFILE.n_prb)
+                    want = ResourceGrid(SRSRAN_PROFILE.n_prb)
+                    _write_dmrs(cs, cand, got, N_ID, slot_index)
+                    write_dmrs_per_re(cs, cand, want, N_ID, slot_index)
+                    assert got.data.tobytes() == want.data.tobytes()
+                    assert got.occupancy.tobytes() == \
+                        want.occupancy.tobytes()
+                    got.data += rng.normal(size=got.data.shape)
+                    assert estimate_channel(got, cs, cand, N_ID,
+                                            slot_index) == \
+                        estimate_per_re(got, cs, cand, N_ID, slot_index)
+                    checked += 1
+        assert checked > 3 * 5
