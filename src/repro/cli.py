@@ -59,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the full per-UE session report")
     sniff.add_argument("--executor", default="inline",
                        help="slot runtime executor: inline | process[:N]")
-    sniff.add_argument("--workers", type=int, default=4,
-                       help="worker processes for the process executor")
     sniff.add_argument("--runtime-stats", action="store_true",
                        help="print per-stage runtime statistics "
                             "(timings and drop counts, via the obs "
@@ -131,8 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=["message", "iq"])
     fleet.add_argument("--executor", default="inline",
                        help="slot runtime executor: inline | process[:N]")
-    fleet.add_argument("--workers", type=int, default=4,
-                       help="worker processes for the process executor")
     fleet.add_argument("--json-dir", metavar="DIR", default=None,
                        help="write each cell's telemetry as "
                             "DIR/<cell>.jsonl")
@@ -168,7 +164,7 @@ def cmd_sniff(args: argparse.Namespace) -> int:
 
     profile = ALL_PROFILES[args.profile]
     try:
-        executor = build_executor(args.executor, n_workers=args.workers)
+        executor = build_executor(args.executor)
         reporters = reporters_from_specs(args.obs)
     except (SlotRuntimeError, ReporterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -338,7 +334,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 else args.seconds,
                 fidelity=args.fidelity,
                 checkpoint_interval_s=args.interval,
-                executor=args.executor, n_workers=args.workers)
+                executor=args.executor)
             supervisor = FleetSupervisor.build(config, obs=obs)
         supervisor.run(args.seconds, checkpoint_path=args.checkpoint)
     except FleetError as exc:

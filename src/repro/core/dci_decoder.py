@@ -21,13 +21,13 @@ import pickle
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Container, Mapping
 
 import numpy as np
 
 from repro.constants import DCI_CRC_LEN
 from repro.core.decode_model import counter_uniform, decode_succeeds, \
     pdcch_bler
-from repro.core.rach_sniffer import TrackedUe
 from repro.phy import pdcch, polar
 from repro.phy.coreset import SearchSpace
 from repro.phy.dci import Dci, DciError, DciFormat, DciSizeConfig, \
@@ -89,15 +89,14 @@ class RecordDciDecoder:
         self.misses = 0
 
     def decode_slot(self, records: list[DciRecord],
-                    tracked: dict[int, TrackedUe] | frozenset[int],
+                    tracked: Container[int],
                     miss_log: list[tuple[int, int, int]] | None = None) \
             -> list[DecodedDci]:
         """Decode this slot's UE-search-space DCIs for tracked RNTIs.
 
         ``tracked`` only ever answers RNTI membership here, so it may
-        be the live tracked-UE dict (inline) or the immutable
-        ``frozenset`` of RNTIs a process payload ships (R009: the live
-        table must not cross the pickle boundary).
+        be the scope's search-space snapshot (inline) or the
+        ``frozenset`` of RNTIs a process payload ships.
 
         Runs on the slot runtime's parallel stage, so each decision is a
         counter-based draw keyed on (seed, slot, rnti, CCE, level,
@@ -197,10 +196,12 @@ class GridDciDecoder:
         self.attempts = 0
 
     def decode_slot_batch(self, grid: ResourceGrid, slot_index: int,
-                          tracked: dict[int, TrackedUe],
+                          tracked: Mapping[int, SearchSpace],
                           claimed: set[int] | None = None) \
             -> list[DecodedDci]:
         """Search every tracked UE's candidates in the captured grid.
+
+        ``tracked`` maps each tracked RNTI to its UE search space.
 
         The decisions are those of the per-candidate search: for each
         tracked RNTI in ascending order and each of its candidates,
@@ -244,7 +245,7 @@ class GridDciDecoder:
         positions: dict[tuple[object, int, int, int], int] = {}
         entries: list[tuple[int, int, int, bool, int, int]] = []
         for rnti in sorted(tracked):
-            space = tracked[rnti].search_space
+            space = tracked[rnti]
             for level, start, valid, cce_bits in _ue_entry_plan(
                     space, rnti, reduced_slot):
                 pos = positions.setdefault(
@@ -452,7 +453,7 @@ class GridDciDecoder:
 # back for the parent to merge — worker-side decoder state is discarded.
 
 def pack_grid_for_decode(grid: ResourceGrid,
-                         tracked: dict[int, TrackedUe]) -> dict:
+                         tracked: Mapping[int, SearchSpace]) -> dict:
     """Slim picklable snapshot of the grid's PDCCH control region.
 
     The decode job only ever reads CORESET resource elements, and every
@@ -463,8 +464,8 @@ def pack_grid_for_decode(grid: ResourceGrid,
     the decode stays byte-identical.
     """
     n_symbols = 0
-    for ue in tracked.values():
-        coreset = ue.search_space.coreset
+    for space in tracked.values():
+        coreset = space.coreset
         n_symbols = max(n_symbols,
                         coreset.first_symbol + coreset.n_symbols)
     n_symbols = min(grid.data.shape[1], n_symbols)
@@ -483,20 +484,6 @@ def unpack_grid_for_decode(packed: dict) -> ResourceGrid:
     return grid
 
 
-class _DecodeUe:
-    """Worker-side stand-in for :class:`TrackedUe`.
-
-    The grid decode paths only read ``search_space``; shipping the
-    session bookkeeping (grant config, activity timestamps) across the
-    process boundary every slot would dominate the payload cost.
-    """
-
-    __slots__ = ("search_space",)
-
-    def __init__(self, search_space: SearchSpace) -> None:
-        self.search_space = search_space
-
-
 @lru_cache(maxsize=8)
 def _packed_spaces(items: tuple) -> bytes:
     """Pickle an ``(rnti, search_space)`` tuple once per tracked-table
@@ -505,22 +492,20 @@ def _packed_spaces(items: tuple) -> bytes:
     return pickle.dumps(dict(items), protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def pack_tracked_for_decode(tracked: dict[int, TrackedUe]) -> bytes:
+def pack_tracked_for_decode(tracked: Mapping[int, SearchSpace]) -> bytes:
     """Content-addressed search-space blob for the decode payload."""
-    return _packed_spaces(tuple(
-        (rnti, tracked[rnti].search_space) for rnti in sorted(tracked)))
+    return _packed_spaces(tuple(sorted(tracked.items())))
 
 
 #: Worker-side blob -> decode table cache, content-addressed by the
 #: pickled bytes so a stale entry is impossible by construction.
-_SPACES_CACHE: dict[bytes, dict[int, _DecodeUe]] = {}
+_SPACES_CACHE: dict[bytes, dict[int, SearchSpace]] = {}
 
 
-def _tracked_from_blob(blob: bytes) -> dict[int, _DecodeUe]:
+def _tracked_from_blob(blob: bytes) -> dict[int, SearchSpace]:
     cached = _SPACES_CACHE.get(blob)
     if cached is None:
-        cached = {rnti: _DecodeUe(space)
-                  for rnti, space in pickle.loads(blob).items()}
+        cached = pickle.loads(blob)
         while len(_SPACES_CACHE) >= 8:
             _SPACES_CACHE.pop(next(iter(_SPACES_CACHE)))
         _SPACES_CACHE[blob] = cached

@@ -86,13 +86,20 @@ class FleetConfig:
     fidelity: str = "message"
     checkpoint_interval_s: float = 1.0
     executor: str = "inline"
-    n_workers: int = 4
+
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints written while the worker count was a separate
+        # field carry ``n_workers``; fold it into the executor spec.
+        n_workers = state.pop("n_workers", None)
+        if n_workers is not None and state.get("executor") == "process":
+            state["executor"] = f"process:{n_workers}"
+        self.__dict__.update(state)
 
 
 def _check_executor(config: FleetConfig) -> None:
     """Reject an executor spec the slot runtime cannot build."""
     try:
-        build_executor(config.executor, n_workers=config.n_workers)
+        build_executor(config.executor)
     except SlotRuntimeError as exc:
         raise FleetError(
             f"bad executor {config.executor!r}: {exc}") from exc
@@ -126,7 +133,6 @@ class FleetSupervisor:
         _check_executor(config)
         obs = obs if obs is not None else OBS_NOOP
         controller = MultiCellController(executor=config.executor,
-                                         n_workers=config.n_workers,
                                          obs=obs)
         supervisor = cls(config, controller, obs)
         profile = ALL_PROFILES[config.profile]
@@ -235,7 +241,6 @@ class FleetSupervisor:
         config = blob["config"]
         _check_executor(config)
         controller = MultiCellController(executor=config.executor,
-                                         n_workers=config.n_workers,
                                          obs=obs)
         supervisor = cls(config, controller, obs)
         for cell in blob["cells"]:

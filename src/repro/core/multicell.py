@@ -66,10 +66,9 @@ class MultiCellController:
     per-cell runtimes driven through the same staged machinery.
     """
 
-    def __init__(self, executor: str = "inline", n_workers: int = 4,
+    def __init__(self, executor: str = "inline",
                  obs: AnyObsContext | None = None) -> None:
         self.executor = executor
-        self.n_workers = n_workers
         #: Shared observability bus: every scope built by ``add_cell``
         #: binds its cell name as a constant event label, so the fleet
         #: emits one globally sequenced stream.
@@ -94,7 +93,6 @@ class MultiCellController:
             scope_kwargs.setdefault("obs", self.obs)
             scope_kwargs.setdefault("cell", name)
             scope = NRScope.attach(sim, executor=self.executor,
-                                   n_workers=self.n_workers,
                                    **scope_kwargs)
         stream = CellStream(name=name, sim=sim, scope=scope)
         self._streams[name] = stream

@@ -15,6 +15,8 @@ UE-dedicated configuration.  Two paper behaviours are modelled exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.phy.coreset import Coreset, SearchSpace
 from repro.phy.grant import GrantConfig
@@ -72,6 +74,10 @@ class RachSniffer:
     missed_rach_rntis: set[int] = field(default_factory=set)
     cached_setup: RrcSetup | None = None
     setup_pdsch_decodes: int = 0
+    #: ``rnti -> search space`` copy behind :meth:`space_snapshot`,
+    #: replaced (never mutated) whenever the table changes.
+    _spaces: dict[int, SearchSpace] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def discover(self, rnti: int, time_s: float,
                  setup: RrcSetup | None) -> TrackedUe:
@@ -96,12 +102,28 @@ class RachSniffer:
             search_space=search_space_from_config(config.search_space),
             dci_format_dl=config.dci_format_dl)
         self.tracked[rnti] = ue
+        self._spaces = None
         return ue
 
     def miss(self, rnti: int) -> None:
         """Record a missed MSG 4: this UE is untrackable this session."""
         if rnti not in self.tracked:
             self.missed_rach_rntis.add(rnti)
+
+    def space_snapshot(self) -> Mapping[int, SearchSpace]:
+        """Read-only ``rnti -> search space`` copy of the tracked table.
+
+        This is all the parallel DCI stage ever reads.  The mapping is a
+        copy behind a read-only proxy and its values are frozen
+        :class:`SearchSpace` dataclasses, so the stage cannot write
+        tracked state through it, and later changes to the table do not
+        show in it.  The copy is rebuilt only when the table changes,
+        so the per-slot cost is one proxy.
+        """
+        if self._spaces is None:
+            self._spaces = {rnti: ue.search_space
+                            for rnti, ue in self.tracked.items()}
+        return MappingProxyType(self._spaces)
 
     def is_tracked(self, rnti: int) -> bool:
         """True when DCIs for this RNTI can be decoded."""
@@ -110,6 +132,7 @@ class RachSniffer:
     def release(self, rnti: int) -> None:
         """Forget a UE (departed or RNTI reused)."""
         self.tracked.pop(rnti, None)
+        self._spaces = None
 
     def prune_idle(self, now_s: float, idle_timeout_s: float) -> list[int]:
         """Drop UEs silent for longer than the timeout; returns RNTIs.
@@ -123,4 +146,6 @@ class RachSniffer:
                  if now_s - ue.last_seen_s > idle_timeout_s]
         for rnti in stale:
             del self.tracked[rnti]
+        if stale:
+            self._spaces = None
         return stale

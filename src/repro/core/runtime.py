@@ -12,7 +12,7 @@ controller, the Fig 12 experiment):
   broadcast decode, RACH sniffing: they mutate session state and draw
   from the session RNG, so their order is the determinism contract).
   At most one stage is *parallel* (per-UE DCI decode: pure given the
-  captured grid and a tracked-table snapshot) and is handed to the
+  captured grid and a search-space snapshot) and is handed to the
   executor.  *Sink* stages (telemetry consumers) are committed strictly
   in slot order behind a reorder buffer, so a process-executor run
   writes the exact :class:`~repro.core.telemetry.TelemetryLog` an
@@ -21,7 +21,10 @@ controller, the Fig 12 experiment):
   deterministic, test-friendly default.
 * :class:`ProcessExecutor` - the paper's worker pool: N spawned worker
   processes, fed one picklable decode job per slot through the parallel
-  stage's ``pack``/``merge`` hooks.
+  stage's ``pack``/``merge`` hooks.  Each job is pickled on the
+  backbone at submit by a checked pickler that refuses backbone state
+  (RNG streams, the obs bus, tracked UEs), so a bad payload fails at
+  the slot that built it.
 * Backpressure - the in-flight backlog is bounded; a slot arriving while
   the pool is saturated is *dropped with accounting* (the paper's
   real-time constraint: an over-budget slot is a counted DCI miss,
@@ -45,18 +48,25 @@ decodes each candidate position once for every tracked UE
 
 from __future__ import annotations
 
+import io
 import multiprocessing
+import pickle
 import threading
 import time
 from concurrent import futures
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from repro.constants import TTI_DURATION_S
 from repro.core.dci_decoder import DecodedDci
 from repro.core.rach_sniffer import TrackedUe
 from repro.core.sanitizer import Sanitizer
-from repro.obs.context import AnyObsContext, OBS_NOOP
+from repro.obs.context import AnyObsContext, OBS_NOOP, ObsContext
+from repro.obs.reporters import Reporter
+from repro.phy.coreset import SearchSpace
 from repro.phy.resource_grid import ResourceGrid
 
 
@@ -78,7 +88,9 @@ class SlotContext:
     output: object
     seq: int = -1                 #: commit-order ticket (runtime-assigned)
     grid: ResourceGrid | None = None
-    tracked: dict[int, TrackedUe] = field(default_factory=dict)
+    #: Read-only ``rnti -> search space`` snapshot for the parallel
+    #: stage (see :meth:`~repro.core.rach_sniffer.RachSniffer.space_snapshot`).
+    tracked: Mapping[int, SearchSpace] = field(default_factory=dict)
     decoded: list[DecodedDci] = field(default_factory=list)
     #: (rnti, time_s) activity marks deferred to the sink stage so that
     #: idle-pruning sees them in slot order under every executor.
@@ -178,11 +190,6 @@ class RuntimeStats:
             return 0.0
         return self.slots_dropped / self.slots_submitted
 
-    @property
-    def mean_slot_us(self) -> float:
-        """Summed per-stage means: the mean cost of one full slot."""
-        return sum(s.mean_us for s in self.stages)
-
 
 # ------------------------------------------------------------ executors
 @dataclass
@@ -251,10 +258,56 @@ class InlineExecutor(Executor):
         return None
 
 
-def _timed_job(job: Callable[[object], object],
-               payload: object) -> tuple[object, float]:
-    """Worker-side wrapper: run one payload job and clock its compute
-    time (excluding pickle transport, matching the thunk timing)."""
+#: Worker processes of a bare ``"process"`` executor spec.
+DEFAULT_WORKERS = 4
+
+#: Types whose instances are backbone state: a worker holding a copy
+#: would fork an RNG stream, emit outside commit order, or decode
+#: against tracked state the backbone keeps mutating.
+_BACKBONE_STATE = (np.random.Generator, np.random.BitGenerator,
+                   ObsContext, type(OBS_NOOP), TrackedUe)
+
+
+@lru_cache(maxsize=None)
+def _is_backbone_state(cls: type) -> bool:
+    return issubclass(cls, _BACKBONE_STATE) or issubclass(cls, Reporter)
+
+
+class _PayloadPickler(pickle.Pickler):
+    """Pickler that refuses backbone state anywhere in a payload."""
+
+    def reducer_override(self, obj: object) -> object:
+        if _is_backbone_state(type(obj)):
+            raise pickle.PicklingError(
+                f"{type(obj).__qualname__} is backbone state and must "
+                f"not be shipped to a worker")
+        return NotImplemented
+
+
+def dumps_payload(seq: int, job: Callable[[object], object],
+                  payload: object) -> bytes:
+    """Pickle one slot's ``(job, payload)`` for a worker process.
+
+    Runs on the backbone at submit, so the payload is captured in slot
+    order, and a payload that cannot or must not cross the process
+    boundary raises :class:`SlotRuntimeError` naming the slot.
+    """
+    buffer = io.BytesIO()
+    try:
+        _PayloadPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(
+            (job, payload))
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise SlotRuntimeError(
+            f"slot {seq}: payload cannot cross the process boundary: "
+            f"{exc}") from exc
+    return buffer.getvalue()
+
+
+def _run_pickled(blob: bytes) -> tuple[object, float]:
+    """Worker-side entry: unpickle one job, run it, and clock its
+    compute time (excluding pickle transport, matching the thunk
+    timing)."""
+    job, payload = pickle.loads(blob)
     start = time.perf_counter()
     result = job(payload)
     return result, time.perf_counter() - start
@@ -264,11 +317,12 @@ class ProcessExecutor(Executor):
     """True multi-core decode: N spawned worker processes.
 
     The parallel stage's ``pack`` hook hands each slot over as a
-    picklable ``(job, payload)`` pair; results come back as
-    :class:`JobResult` and are merged on the backbone.  The pending-
-    futures backlog plays the bounded queue's role — a submit that
-    would exceed ``queue_depth`` in-flight slots is refused, and the
-    runtime turns the refusal into a counted slot drop.
+    picklable ``(job, payload)`` pair, pickled here at submit by
+    :func:`dumps_payload`; results come back as :class:`JobResult` and
+    are merged on the backbone.  The pending-futures backlog plays the
+    bounded queue's role — a submit that would exceed ``queue_depth``
+    in-flight slots is refused, and the runtime turns the refusal into
+    a counted slot drop.
     Workers are *spawned* (never forked), so each holds only what the
     payloads carry; module-level kernel caches warm up per worker.
     """
@@ -276,7 +330,7 @@ class ProcessExecutor(Executor):
     name = "process"
     requires_payload = True
 
-    def __init__(self, n_workers: int = 4,
+    def __init__(self, n_workers: int = DEFAULT_WORKERS,
                  queue_depth: int = 256) -> None:
         if n_workers < 1:
             raise SlotRuntimeError(f"need at least one worker: {n_workers}")
@@ -307,8 +361,9 @@ class ProcessExecutor(Executor):
         self._reap()
         if len(self._pending) >= self.queue_depth:
             return False
+        blob = dumps_payload(seq, job, payload)
         assert self._pool is not None
-        self._pending[seq] = self._pool.submit(_timed_job, job, payload)
+        self._pending[seq] = self._pool.submit(_run_pickled, blob)
         return True
 
     def _reap(self) -> None:
@@ -343,16 +398,18 @@ class ProcessExecutor(Executor):
             self._pool = None
 
 
-def build_executor(spec: str | Executor, n_workers: int = 4,
+def build_executor(spec: str | Executor,
                    queue_depth: int = 256) -> Executor:
     """Resolve an executor from a name or pass an instance through.
 
     ``"inline"`` or ``"process"``; the latter accepts an optional
-    worker-count suffix (``"process:4"``) overriding ``n_workers``.
+    worker-count suffix (``"process:2"``), else runs
+    :data:`DEFAULT_WORKERS` workers.
     """
     if isinstance(spec, Executor):
         return spec
     base, _, suffix = spec.partition(":")
+    n_workers = DEFAULT_WORKERS
     if suffix:
         try:
             n_workers = int(suffix)
@@ -428,8 +485,8 @@ class SlotRuntime:
         #: sequence.
         self._obs = obs if obs is not None else OBS_NOOP
         #: nrsan hook: when enabled, the parallel stage runs inside the
-        #: sanitizer's thread-local scope so guarded tracked tables and
-        #: audited generators can attribute mutations/draws to it.
+        #: sanitizer's thread-local scope so audited generators can
+        #: attribute draws to it.
         self._sanitizer = sanitizer
         self._drop_cost = drop_cost or (lambda ctx: 0)
         self._lock = threading.Lock()
@@ -508,10 +565,9 @@ class SlotRuntime:
                 f"executor {self.executor.name!r} needs stage "
                 f"{stage.name!r} to supply pack/merge hooks")
         job, payload = stage.pack(ctx)
-        self._inflight[ctx.seq] = ctx
         accepted = self.executor.try_submit_payload(ctx.seq, job, payload)
-        if not accepted:
-            del self._inflight[ctx.seq]
+        if accepted:
+            self._inflight[ctx.seq] = ctx
         return accepted
 
     def _make_thunk(self, ctx: SlotContext) -> Callable[[], SlotContext]:
@@ -627,9 +683,12 @@ class SlotRuntime:
                 f"(next commit seq {self._next_commit})")
 
     def close(self) -> None:
-        """Flush and stop the executor's workers."""
-        self.flush()
-        self.executor.shutdown()
+        """Flush and stop the executor's workers (also when the flush
+        raises, so a failed session leaves no worker processes)."""
+        try:
+            self.flush()
+        finally:
+            self.executor.shutdown()
 
     # ----------------------------------------------------------- stats
     def stats(self) -> RuntimeStats:

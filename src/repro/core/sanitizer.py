@@ -2,16 +2,12 @@
 
 :mod:`repro.lint` proves *statically* (rules R006/R007) that the
 parallel DCI-decode stage never mutates tracked state or draws stateful
-RNG.  This module proves the same thing *dynamically*: an opt-in
-instrumented mode that
-
-* wraps the tracked-table snapshot handed to the parallel stage in a
-  write-guard proxy (:class:`GuardedTrackedTable` /
-  :class:`GuardedTrackedUe`) — the snapshot is frozen the moment it is
-  taken, and per-UE mutators (``touch``, attribute stores) trip inside
-  the parallel stage;
-* wraps the session generator in an :class:`AuditedGenerator` that
-  trips on any draw made while a parallel stage is on the call stack.
+RNG.  Tracked state needs no runtime guard: the stage only ever sees a
+read-only snapshot of frozen search spaces
+(:meth:`~repro.core.rach_sniffer.RachSniffer.space_snapshot`).  The
+RNG needs one, and this module is it: an opt-in instrumented mode that
+wraps the session generator in an :class:`AuditedGenerator` that trips
+on any draw made while a parallel stage is on the call stack.
 
 A trip raises :class:`SanitizerViolation` inside the stage; the
 :class:`~repro.core.runtime.SlotRuntime` stores it as ``ctx.error`` and
@@ -20,7 +16,7 @@ fails loudly in slot order.
 
 Activation: pass an enabled :class:`Sanitizer` explicitly, set the
 ``NRSAN`` environment variable (``NRSAN=1``), or use the ``nrsan``
-pytest fixture.  Disabled, every hook is a pass-through returning its
+pytest fixture.  Disabled, the hook is a pass-through returning its
 input unchanged — production runs pay nothing.
 
 :func:`parallel_stage` is the static anchor: decorating a stage entry
@@ -33,7 +29,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Mapping, TypeVar
+from typing import Any, Callable, Iterator, TypeVar
 
 F = TypeVar("F", bound=Callable[..., Any])
 
@@ -46,9 +42,6 @@ AUDITED_DRAWS = frozenset({
     "permutation", "standard_normal", "exponential", "poisson",
     "binomial", "bytes",
 })
-
-#: TrackedUe methods that mutate the UE (illegal in the parallel stage).
-UE_MUTATORS = frozenset({"touch"})
 
 
 class SanitizerViolation(RuntimeError):
@@ -69,9 +62,9 @@ def parallel_stage(fn: F) -> F:
 class Sanitizer:
     """The nrsan instrumentation switchboard.
 
-    One instance is shared by the scope (which wraps its RNG and
-    tracked snapshots through it) and the runtime (which brackets the
-    parallel stage with :meth:`parallel_stage_scope`).
+    One instance is shared by the scope (which wraps its RNG through
+    it) and the runtime (which brackets the parallel stage with
+    :meth:`parallel_stage_scope`).
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -124,123 +117,11 @@ class Sanitizer:
         raise SanitizerViolation(full)
 
     # ------------------------------------------------------------ hooks
-    def guard_tracked(self, table: dict[int, Any]) -> dict[int, Any]:
-        """Freeze a tracked-table snapshot for the parallel stage."""
-        if not self.enabled:
-            return table
-        return GuardedTrackedTable(self, table)
-
     def audit_rng(self, rng: Any) -> Any:
         """Wrap a Generator so parallel-stage draws trip the sanitizer."""
         if not self.enabled:
             return rng
         return AuditedGenerator(self, rng)
-
-
-def unwrap_tracked(table: dict[int, Any]) -> dict[int, Any]:
-    """Plain-dict copy of a (possibly guarded) tracked snapshot.
-
-    Payload executors pickle the snapshot for worker processes; the
-    guards hold a thread-local :class:`Sanitizer` and cannot travel, so
-    they are stripped here.  The workers' copies are private, so the
-    write-guard contract is preserved by construction: nothing a worker
-    does to its copy can reach the parent's table.
-    """
-    plain: dict[int, Any] = {}
-    for rnti, ue in table.items():
-        if isinstance(ue, GuardedTrackedUe):
-            ue = object.__getattribute__(ue, "_ue")
-        plain[rnti] = ue
-    return plain
-
-
-class GuardedTrackedTable(dict):
-    """A frozen tracked-table snapshot.
-
-    Any mutation of the mapping itself trips the sanitizer regardless
-    of stage — the snapshot's whole point is that it is immutable from
-    the moment the backbone takes it.  Values are wrapped in
-    :class:`GuardedTrackedUe` so per-UE mutation inside the parallel
-    stage trips too (backbone code mutates UEs through the *live*
-    table, never through a snapshot).
-    """
-
-    def __init__(self, sanitizer: Sanitizer,
-                 table: Mapping[int, Any]) -> None:
-        super().__init__({rnti: GuardedTrackedUe(sanitizer, ue)
-                          for rnti, ue in table.items()})
-        self._sanitizer = sanitizer
-
-    def _frozen(self, op: str) -> None:
-        self._sanitizer._trip(
-            f"'{op}' on a frozen tracked-table snapshot: only backbone "
-            f"stages may mutate tracked state, through the live table")
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        self._frozen("__setitem__")
-
-    def __delitem__(self, key: Any) -> None:
-        self._frozen("__delitem__")
-
-    def pop(self, *args: Any) -> Any:
-        self._frozen("pop")
-
-    def popitem(self) -> Any:
-        self._frozen("popitem")
-
-    def clear(self) -> None:
-        self._frozen("clear")
-
-    def update(self, *args: Any, **kwargs: Any) -> None:
-        self._frozen("update")
-
-    def setdefault(self, *args: Any) -> Any:
-        self._frozen("setdefault")
-
-
-class GuardedTrackedUe:
-    """Read-only view of one tracked UE during the parallel stage.
-
-    Attribute reads delegate to the wrapped UE.  Attribute writes and
-    mutator methods (``touch``) trip the sanitizer when the calling
-    thread is inside a parallel stage; outside one they delegate, since
-    the same UE objects are legitimately mutated by backbone and sink
-    stages through the live table.
-    """
-
-    __slots__ = ("_ue", "_sanitizer")
-
-    def __init__(self, sanitizer: Sanitizer, ue: Any) -> None:
-        object.__setattr__(self, "_ue", ue)
-        object.__setattr__(self, "_sanitizer", sanitizer)
-
-    def __getattr__(self, name: str) -> Any:
-        ue = object.__getattribute__(self, "_ue")
-        value = getattr(ue, name)
-        if name in UE_MUTATORS:
-            sanitizer = object.__getattribute__(self, "_sanitizer")
-
-            def guarded(*args: Any, **kwargs: Any) -> Any:
-                if sanitizer.in_parallel_stage:
-                    sanitizer._trip(
-                        f"TrackedUe.{name}() mutates tracked state "
-                        f"inside the parallel stage: defer it via "
-                        f"ctx.touch_marks to the sink stage")
-                return value(*args, **kwargs)
-
-            return guarded
-        return value
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        sanitizer = object.__getattribute__(self, "_sanitizer")
-        if sanitizer.in_parallel_stage:
-            sanitizer._trip(
-                f"attribute store 'TrackedUe.{name}' inside the "
-                f"parallel stage: the decode stage must be pure")
-        setattr(object.__getattribute__(self, "_ue"), name, value)
-
-    def __repr__(self) -> str:
-        return f"GuardedTrackedUe({object.__getattribute__(self, '_ue')!r})"
 
 
 class AuditedGenerator:

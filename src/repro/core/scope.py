@@ -37,8 +37,7 @@ from repro.core.rach_sniffer import RachSniffer
 from repro.obs.context import AnyObsContext, OBS_NOOP
 from repro.core.runtime import Executor, RuntimeStats, SlotContext, \
     SlotRuntime, Stage, build_executor
-from repro.core.sanitizer import Sanitizer, parallel_stage, \
-    unwrap_tracked
+from repro.core.sanitizer import Sanitizer, parallel_stage
 from repro.core.spare_capacity import SpareCapacityEstimator, TtiUsage
 from repro.core.decode_model import uci_decode_succeeds
 from repro.core.telemetry import TelemetryLog
@@ -93,7 +92,7 @@ class NRScope:
                  capture_impairments: bool = False,
                  waveform_bootstrap: bool = False,
                  executor: str | Executor = "inline",
-                 n_workers: int = 4, queue_depth: int = 256,
+                 queue_depth: int = 256,
                  slot_budget_s: float | None = None,
                  sanitizer: Sanitizer | None = None,
                  obs: AnyObsContext | None = None,
@@ -107,10 +106,9 @@ class NRScope:
         self.idle_timeout_s = idle_timeout_s
         self.always_decode_setup = always_decode_setup
         # nrsan (opt-in via the sanitizer argument, the nrsan pytest
-        # fixture or NRSAN=1): the session RNG is audited and tracked
-        # snapshots are write-guarded, proving at runtime the purity
-        # contract lint rules R006/R007 prove statically.  Disabled,
-        # both hooks return their argument unchanged.
+        # fixture or NRSAN=1): the session RNG is audited, proving at
+        # runtime the no-draw contract lint rule R007 proves statically.
+        # Disabled, the hook returns its argument unchanged.
         self._sanitizer = sanitizer if sanitizer is not None \
             else Sanitizer.from_env()
         self._rng = self._sanitizer.audit_rng(np.random.default_rng(seed))
@@ -176,8 +174,7 @@ class NRScope:
                       pack=self._pack_dci, merge=self._merge_dci),
                 Stage("sinks", self._stage_sinks, sink=True),
             ],
-            executor=build_executor(executor, n_workers=n_workers,
-                                    queue_depth=queue_depth),
+            executor=build_executor(executor, queue_depth=queue_depth),
             slot_budget_s=slot_budget_s or self._slot_duration_s,
             drop_cost=self._drop_cost,
             sanitizer=self._sanitizer,
@@ -536,7 +533,7 @@ class NRScope:
 
     def _stage_rach(self, ctx: SlotContext) -> None:
         """Common-space sniffing: MSG 4 discovery, then snapshot the
-        tracked table for the parallel decode."""
+        tracked search spaces for the parallel decode."""
         if ctx.skip_decode:
             return
         output = ctx.output
@@ -546,14 +543,14 @@ class NRScope:
             self._sniff_rach_iq_mode(ctx.grid, output, events)
         else:
             self._sniff_rach_message_mode(output, events)
-        ctx.tracked = self._sanitizer.guard_tracked(dict(self.rach.tracked))
+        ctx.tracked = self.rach.space_snapshot()
 
     @parallel_stage
     def _stage_dci(self, ctx: SlotContext) -> None:
         """Per-UE DCI decode — the parallel stage.  Pure given the
-        captured grid / slot records and the tracked snapshot.  The
-        decorator marks it as a purity root for lint rule R006 and for
-        the nrsan runtime guard."""
+        captured grid / slot records and the read-only search-space
+        snapshot.  The decorator marks it as a purity root for lint
+        rule R006."""
         output = ctx.output
         if self.fidelity == "iq":
             assert self._grid_decoder is not None
@@ -586,12 +583,10 @@ class NRScope:
         Mirrors :meth:`_stage_dci` exactly — same decoder
         configuration — so a worker process produces the
         byte-identical decoded list the inline stage would.  The
-        tracked snapshot is unwrapped from any nrsan guards (they hold
-        thread-locals and cannot pickle); the workers' copies are
-        private, so the no-mutation contract holds by construction.
+        executor pickles the pair at submit and refuses backbone state
+        (RNGs, the obs bus, tracked UEs) anywhere in it.
         """
         output = ctx.output
-        tracked = unwrap_tracked(ctx.tracked)
         if self.fidelity == "iq":
             dec = self._grid_decoder
             assert dec is not None
@@ -601,20 +596,17 @@ class NRScope:
                 "use_energy_gate": dec.use_energy_gate,
                 "use_cce_claiming": dec.use_cce_claiming,
                 "equalize": dec.equalize,
-                "grid": pack_grid_for_decode(ctx.grid, tracked),
+                "grid": pack_grid_for_decode(ctx.grid, ctx.tracked),
                 "slot_index": output.slot.index,
-                "tracked": pack_tracked_for_decode(tracked),
+                "tracked": pack_tracked_for_decode(ctx.tracked),
             }
         rec = self._record_decoder
         assert rec is not None
-        # The record decode only tests RNTI membership, so the wire
-        # carries an immutable projection of the tracked table rather
-        # than the live dict (which the backbone keeps mutating while
-        # the pickle walks it — lint rule R009).
+        # The record decode only tests RNTI membership.
         return record_decode_job, {
             "snr_db": rec.sniffer_snr_db, "seed": rec.seed,
             "records": output.dci_records,
-            "tracked": frozenset(tracked),
+            "tracked": frozenset(ctx.tracked),
             "collect_misses": bool(self._obs),
         }
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -433,8 +433,3 @@ class TelemetryStore:
         self._rnti_table = {}
         self._rnti_list = None
         self._cache_rows = 0
-
-    # -------------------------------------------------------- iteration
-    def iter_row_tuples(self) -> Iterable[tuple]:
-        """Rows as Python-scalar tuples in :data:`RECORD_FIELDS` order."""
-        return iter(self.table().tolist())

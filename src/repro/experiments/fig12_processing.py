@@ -17,6 +17,7 @@ linear-in-m trend is the portable result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.core.dci_decoder import GridDciDecoder
 from repro.core.rach_sniffer import RachSniffer
@@ -25,6 +26,7 @@ from repro.experiments.common import ExperimentError, FigureResult
 from repro.gnb.cell_config import AMARISOFT_PROFILE, CellProfile, \
     TMOBILE_N25_PROFILE
 from repro.analysis.report import Table
+from repro.phy.coreset import SearchSpace
 from repro.phy.dci import Dci, DciFormat, riv_encode
 from repro.phy.ofdm import OfdmConfig, demodulate_slot, modulate_slot
 from repro.phy.pdcch import PdcchCandidate, encode_pdcch
@@ -41,7 +43,7 @@ class Workload:
     """One slot's decode workload for a given tracked-UE count."""
 
     profile: CellProfile
-    tracked: dict
+    tracked: Mapping[int, SearchSpace]
     samples: object          # time-domain IQ for one slot
     ofdm: OfdmConfig
     slot_index: int
@@ -98,7 +100,7 @@ def build_workload(profile: CellProfile, n_ues: int,
             break
     ofdm = OfdmConfig.for_grid(grid.n_subcarriers)
     samples = modulate_slot(grid, ofdm)
-    return Workload(profile=profile, tracked=sniffer.tracked,
+    return Workload(profile=profile, tracked=sniffer.space_snapshot(),
                     samples=samples, ofdm=ofdm, slot_index=slot_index,
                     n_encoded=encoded)
 

@@ -87,10 +87,6 @@ class GnbLog:
     def add_msg4(self, record: Msg4Record) -> None:
         self.msg4_records.append(record)
 
-    def records_for_rnti(self, rnti: int) -> list[DciRecord]:
-        """All DCIs addressed to one RNTI."""
-        return [r for r in self.dci_records if r.rnti == rnti]
-
     def downlink_records(self) -> list[DciRecord]:
         """DL scheduling DCIs (format 1_1, excluding broadcast)."""
         return [r for r in self.dci_records

@@ -467,26 +467,6 @@ class CallGraph:
         return None
 
     # ------------------------------------------------------- queries
-    def type_env(self, function: FunctionNode) -> dict[str, TypeRef]:
-        """The statically known name -> type environment of a function
-        (public face of the resolver's internal env builder, used by
-        the wire-payload escape analysis)."""
-        module = self.modules.get(function.rel)
-        if module is None:
-            return {}
-        klass = module.classes.get(function.cls) \
-            if function.cls is not None else None
-        return self._build_env(module, function, klass)
-
-    def infer_type(self, rel: str, expr: ast.expr,
-                   env: dict[str, TypeRef]) -> TypeRef | None:
-        """Best-effort type of ``expr`` as seen from module ``rel``
-        under ``env`` (public face of the expression typer)."""
-        module = self.modules.get(rel)
-        if module is None:
-            return None
-        return self._infer_expr(module, expr, env)
-
     def resolve_callable_expr(self, rel: str, expr: ast.expr,
                               cls: str | None = None) \
             -> FunctionNode | None:

@@ -142,10 +142,9 @@ def _run_effects(args: argparse.Namespace, paths: list[str]) -> int:
 def _run_contracts(args: argparse.Namespace, paths: list[str]) -> int:
     """The ``contracts`` mode: emit the cross-boundary contract report.
 
-    Three sections mirror the three R009-R012 analyses: ``wire`` (what
-    crosses the process-executor boundary and how), ``shapes`` (dtype/
+    Two sections mirror the R010-R012 analyses: ``shapes`` (dtype/
     layout interpretation of the hot batched modules, including scalar/
-    batch twins), and ``obs`` (every emission site versus the declared
+    batch twins) and ``obs`` (every emission site versus the declared
     event registry).
     """
     from repro.lint.obsconform import collect_emissions
@@ -156,7 +155,6 @@ def _run_contracts(args: argparse.Namespace, paths: list[str]) -> int:
     engine = LintEngine(rules=[])
     modules, parse_failures = engine.collect(
         _resolve_paths(args, paths))
-    program = engine.build_program(modules)
 
     shapes_section: dict[str, object] = {}
     for module in modules:
@@ -201,7 +199,6 @@ def _run_contracts(args: argparse.Namespace, paths: list[str]) -> int:
                 unknown.append(site.name)
 
     report = {
-        "wire": program.wire.report(),
         "shapes": shapes_section,
         "obs": {
             "n_sites": len(sites),

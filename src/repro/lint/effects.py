@@ -34,16 +34,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.lint.callgraph import (
     CallGraph,
     FunctionNode,
     dotted_name,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.wire import WireAnalysis
 
 # Effect names (stable strings: they appear in the JSON report).
 MUTATES_TRACKED = "mutates-tracked"
@@ -372,16 +368,6 @@ class Program:
         self.effects = infer_effects(self.graph)
         self.stage_roots = _find_stage_roots(self.graph)
         self._reachable: dict[str, set[str]] | None = None
-        self._wire: "WireAnalysis | None" = None
-
-    @property
-    def wire(self) -> "WireAnalysis":
-        """Wire-payload escape analysis (built lazily: only R009 and
-        the contracts report need it)."""
-        from repro.lint.wire import WireAnalysis
-        if self._wire is None:
-            self._wire = WireAnalysis(self.graph)
-        return self._wire
 
     # ---------------------------------------------------- reachability
     def reachable_from(self, qualname: str) -> set[str]:

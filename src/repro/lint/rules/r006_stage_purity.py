@@ -2,7 +2,7 @@
 
 The staged SlotRuntime's determinism contract (inline == process,
 byte-identical) holds only because the one parallel stage — per-UE DCI
-decode — is pure given the captured grid and the tracked-table snapshot.
+decode — is pure given the captured grid and the search-space snapshot.
 Backbone stages own all RNG draws and tracked-table mutation; the
 parallel stage may use *counter-keyed* RNG only, because keyed draws are
 order- and thread-free.

@@ -18,8 +18,8 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def nrsan() -> Sanitizer:
     """An enabled nrsan sanitizer: pass as ``NRScope(sanitizer=nrsan)``
-    (or to ``SlotRuntime``) to run the session instrumented — tracked
-    snapshots become write-guarded and parallel-stage RNG draws trip."""
+    (or to ``SlotRuntime``) to run the session instrumented —
+    parallel-stage RNG draws trip."""
     return Sanitizer(enabled=True)
 
 

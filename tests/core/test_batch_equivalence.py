@@ -39,7 +39,7 @@ def build_tracked(n_ues=3):
     sniffer.discover(0x4601, 0.0, setup)
     for i in range(1, n_ues):
         sniffer.discover(0x4601 + i, 0.0, None)
-    return sniffer.tracked
+    return sniffer.space_snapshot()
 
 
 def build_slot(tracked, slot_index, level=2, noise_var=0.0, seed=0):
@@ -47,8 +47,7 @@ def build_slot(tracked, slot_index, level=2, noise_var=0.0, seed=0):
     grid = ResourceGrid(SRSRAN_PROFILE.n_prb)
     cfg = SRSRAN_PROFILE.dci_size_config()
     used = set()
-    for rnti, ue in tracked.items():
-        space = ue.search_space
+    for rnti, space in tracked.items():
         for start in space.candidate_cces(level, slot_index, rnti):
             cces = set(range(start, start + level))
             if cces & used:
@@ -88,7 +87,7 @@ def per_candidate_search(decoder, grid, slot_index, tracked,
     if claimed is None:
         claimed = set()
     for rnti in sorted(tracked):
-        space = tracked[rnti].search_space
+        space = tracked[rnti]
         for level, count in space.candidates_per_level.items():
             if count == 0:
                 continue
@@ -131,7 +130,7 @@ class TestBatchMatchesScalar:
         seed = data.draw(st.integers(min_value=0, max_value=999))
 
         tracked = build_tracked(n_ues)
-        n_cces = next(iter(tracked.values())).search_space.coreset.n_cces
+        n_cces = next(iter(tracked.values())).coreset.n_cces
         pre_claimed = data.draw(st.sets(
             st.integers(min_value=0, max_value=n_cces - 1), max_size=6))
         grid = build_slot(tracked, slot_index, level=level,
@@ -180,8 +179,7 @@ class TestBatchMatchesScalar:
         decoder = make_decoder(use_cce_claiming=False)
         entries = set()
         n_entries = 0
-        for rnti, ue in tracked.items():
-            space = ue.search_space
+        for rnti, space in tracked.items():
             for level, count in space.candidates_per_level.items():
                 for start in space.candidate_cces(level, slot_index, rnti):
                     if candidate_occupied(grid, space.coreset,
@@ -327,8 +325,8 @@ class TestSlimWireForms:
         table_a = _tracked_from_blob(blob_a)
         assert table_a is _tracked_from_blob(blob_a)
         assert sorted(table_a) == sorted(tracked)
-        for rnti, ue in table_a.items():
-            assert ue.search_space == tracked[rnti].search_space
+        for rnti, space in table_a.items():
+            assert space == tracked[rnti]
         assert blob_a in _SPACES_CACHE
 
     def test_blob_changes_when_a_ue_joins(self):

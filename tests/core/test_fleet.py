@@ -173,6 +173,25 @@ class TestCheckpointResume:
         with pytest.raises(FleetError, match="'threaded'"):
             FleetSupervisor.restore(path)
 
+    def test_restore_accepts_config_with_worker_count(self, tmp_path):
+        """Checkpoints written while the worker count was a separate
+        ``n_workers`` config field still restore; the count folds into
+        the executor spec."""
+        path = tmp_path / "fleet.ckpt"
+        supervisor = FleetSupervisor.build(small_config())
+        supervisor.run(0.6, checkpoint_path=path)
+        blob = pickle.loads(path.read_bytes())
+        for executor, expected in (("inline", "inline"),
+                                   ("process", "process:2")):
+            config = replace(blob["config"], executor=executor)
+            object.__setattr__(config, "n_workers", 2)
+            blob["config"] = config
+            path.write_bytes(pickle.dumps(blob))
+            restored = FleetSupervisor.restore(path)
+            assert restored.config.executor == expected
+            assert not hasattr(restored.config, "n_workers")
+            assert restored.now_s == supervisor.now_s
+
     def test_restore_rejects_garbage(self, tmp_path):
         path = tmp_path / "fleet.ckpt"
         path.write_bytes(b"not a pickle")

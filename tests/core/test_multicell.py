@@ -71,8 +71,7 @@ class TestController:
         assert len(scope.tracked_rntis) == 1
 
     def test_controller_executor_reaches_per_cell_runtimes(self):
-        controller = MultiCellController(executor="process",
-                                         n_workers=1)
+        controller = MultiCellController(executor="process:1")
         for index, profile in enumerate((SRSRAN_PROFILE,
                                          AMARISOFT_PROFILE)):
             sim = Simulation.build(profile, n_ues=1, seed=61 + index)

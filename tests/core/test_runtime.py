@@ -1,13 +1,20 @@
 """Tests for the staged slot runtime (executors, ordering, backpressure)."""
 
+import pickle
+import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import NRScope, Simulation
-from repro.core.runtime import InlineExecutor, ProcessExecutor, \
-    SlotRuntime, SlotRuntimeError, Stage, build_executor
+from repro.core.rach_sniffer import RachSniffer
+from repro.core.runtime import DEFAULT_WORKERS, InlineExecutor, \
+    ProcessExecutor, SlotRuntime, SlotRuntimeError, Stage, \
+    build_executor, dumps_payload
 from repro.gnb.cell_config import SRSRAN_PROFILE
+from repro.obs import ObsContext, RingReporter
+from repro.rrc.messages import RrcSetup
 
 
 def make_runtime(executor=None, **kwargs):
@@ -30,6 +37,21 @@ def make_runtime(executor=None, **kwargs):
                 Stage("sink", sink, sink=True)],
         executor=executor, **kwargs)
     return runtime, committed
+
+
+def payload_runtime(payload, job=len, executor=None):
+    """A runtime whose parallel stage ships ``job(payload)`` to a
+    process executor."""
+    return SlotRuntime(
+        stages=[Stage("decode", lambda ctx: None, parallel=True,
+                      pack=lambda ctx: (job, payload),
+                      merge=lambda ctx, result: None)],
+        executor=executor or ProcessExecutor(n_workers=1))
+
+
+def tracked_ue():
+    sniffer = RachSniffer(bwp_n_prb=52)
+    return sniffer.discover(0x4601, 0.0, RrcSetup(tc_rnti=0x4601))
 
 
 class TestSlotRuntime:
@@ -181,8 +203,8 @@ class TestScopeBackpressure:
 class TestExecutors:
     def test_build_executor_names(self):
         assert build_executor("inline").name == "inline"
-        process = build_executor("process", n_workers=2, queue_depth=7)
-        assert process.n_workers == 2
+        process = build_executor("process", queue_depth=7)
+        assert process.n_workers == DEFAULT_WORKERS == 4
         assert process.queue_depth == 7
         passthrough = InlineExecutor()
         assert build_executor(passthrough) is passthrough
@@ -194,7 +216,9 @@ class TestExecutors:
         assert isinstance(process, ProcessExecutor)
         assert process.name == "process"
         assert process.n_workers == 2
-        assert build_executor("process:3", n_workers=8).n_workers == 3
+        # The suffix is the only way to set the worker count.
+        with pytest.raises(TypeError):
+            build_executor("process", n_workers=2)
         with pytest.raises(SlotRuntimeError):
             build_executor("inline:2")
         with pytest.raises(SlotRuntimeError):
@@ -220,6 +244,74 @@ class TestExecutors:
         executor.shutdown()
         executor.shutdown()
 
+    def test_close_stops_workers_when_flush_raises(self):
+        """A worker error re-raised by close()'s final flush must not
+        leave the spawned pool running."""
+        executor = ProcessExecutor(n_workers=1)
+        runtime = payload_runtime("not a number", job=int,
+                                  executor=executor)
+        runtime.submit(object())
+        with pytest.raises(SlotRuntimeError, match="ValueError"):
+            runtime.close()
+        assert executor._pool is None
+
+
+class TestCheckedPickling:
+    """ProcessExecutor pickles every payload on the backbone at submit
+    and refuses backbone state, so a bad payload fails at the slot that
+    built it rather than later, or never, in a worker."""
+
+    @pytest.mark.parametrize("make_value,type_name", [
+        (lambda: np.random.default_rng(0), "Generator"),
+        (lambda: np.random.PCG64(0), "PCG64"),
+        (RingReporter, "RingReporter"),
+        (lambda: ObsContext.create([RingReporter()], run_id="t"),
+         "ObsContext"),
+        (tracked_ue, "TrackedUe"),
+    ], ids=["generator", "bit_generator", "reporter", "obs_context",
+            "tracked_ue"])
+    def test_backbone_state_raises_at_submit(self, make_value,
+                                             type_name):
+        runtime = payload_runtime({"grid": [0], "nested": [make_value()]})
+        with pytest.raises(SlotRuntimeError) as excinfo:
+            runtime.submit(object())
+        message = str(excinfo.value)
+        assert "slot 0" in message and type_name in message
+        runtime.close()
+
+    @pytest.mark.parametrize("make_value", [
+        lambda: (lambda x: x), threading.Lock,
+    ], ids=["lambda", "lock"])
+    def test_unpicklable_payload_raises_at_submit_not_commit(
+            self, make_value):
+        runtime = payload_runtime({"value": make_value()})
+        with pytest.raises(SlotRuntimeError, match="slot 0"):
+            runtime.submit(object())
+        runtime.close()
+
+    @pytest.mark.parametrize("fidelity", ["message", "iq"])
+    def test_scope_payloads_pass_the_check(self, fidelity):
+        """Both branches of the scope's pack hook ship only plain
+        projections (search-space blob, RNTI set, config scalars)."""
+        packed = []
+
+        class PackingScope(NRScope):
+            def _stage_dci(self, ctx):
+                packed.append(self._pack_dci(ctx))
+                super()._stage_dci(ctx)
+
+        sim = Simulation.build(SRSRAN_PROFILE, n_ues=2, seed=5,
+                               fidelity=fidelity)
+        scope = PackingScope.attach(
+            sim, snr_db=20.0,
+            obs=ObsContext.create([RingReporter()], run_id="t"))
+        sim.run(seconds=0.1)
+        scope.close()
+        assert packed
+        for seq, (job, payload) in enumerate(packed):
+            job_back, _ = pickle.loads(dumps_payload(seq, job, payload))
+            assert job_back is job
+
 
 class TestCrossExecutorDeterminism:
     @pytest.mark.parametrize("fidelity,seconds",
@@ -241,7 +333,7 @@ class TestCrossExecutorDeterminism:
         inline = session("inline")
         # A deep queue: the simulated clock outruns 1-CPU CI boxes, and
         # this comparison needs a drop-free run, not backpressure.
-        process = session("process", n_workers=2, queue_depth=8192)
+        process = session("process:2", queue_depth=8192)
         assert process.runtime_stats.slots_dropped == 0, \
             "determinism comparison needs a drop-free run"
         assert inline.telemetry.records == process.telemetry.records

@@ -1,9 +1,14 @@
 """nrsan tests: the runtime half of the stage-purity contract.
 
-The headline test mirrors the static R006 fixture dynamically: a
-parallel stage that mutates the tracked snapshot must be caught by the
-write-guard and surface as a ``SlotRuntimeError`` at commit.
+nrsan audits RNG draws inside the parallel stage.  Tracked state needs
+no runtime guard: the stage reads a read-only snapshot of frozen search
+spaces, so the static R006 fixture's violation (a tracked-UE write in
+the parallel stage) fails by construction and surfaces as a
+``SlotRuntimeError`` at commit.
 """
+
+import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -18,25 +23,25 @@ from repro.core.runtime import (
 )
 from repro.core.sanitizer import (
     AuditedGenerator,
-    GuardedTrackedTable,
     Sanitizer,
     SanitizerViolation,
     parallel_stage,
 )
+from repro.phy.coreset import SearchSpace
+from repro.rrc.messages import RrcSetup
 
 
-def make_ue(rnti=0x4601):
-    from repro.rrc.messages import RrcSetup
+def make_sniffer(*rntis):
     sniffer = RachSniffer(bwp_n_prb=52)
-    return sniffer.discover(rnti, 0.0, RrcSetup(tc_rnti=rnti))
+    for rnti in rntis:
+        sniffer.discover(rnti, 0.0, RrcSetup(tc_rnti=rnti))
+    return sniffer
 
 
 class TestActivation:
     def test_disabled_hooks_are_passthrough(self):
         san = Sanitizer(enabled=False)
-        table = {1: make_ue(1)}
         rng = np.random.default_rng(0)
-        assert san.guard_tracked(table) is table
         assert san.audit_rng(rng) is rng
 
     def test_from_env(self, monkeypatch):
@@ -59,46 +64,62 @@ class TestActivation:
 
 
 class TestTrackedGuard:
-    def test_snapshot_is_frozen_everywhere(self, nrsan):
-        guarded = nrsan.guard_tracked({1: make_ue(1)})
-        assert isinstance(guarded, GuardedTrackedTable)
-        for op in (lambda: guarded.pop(1),
-                   lambda: guarded.popitem(),
-                   lambda: guarded.clear(),
-                   lambda: guarded.update({2: make_ue(2)}),
-                   lambda: guarded.setdefault(3, make_ue(3)),
-                   lambda: guarded.__setitem__(4, make_ue(4)),
-                   lambda: guarded.__delitem__(1)):
-            with pytest.raises(SanitizerViolation):
+    """Tracked state is guarded by structure, not by a proxy: the
+    parallel stage reads a read-only snapshot of frozen search spaces,
+    so writes fail with or without nrsan."""
+
+    def test_snapshot_is_frozen_everywhere(self):
+        sniffer = make_sniffer(1)
+        snapshot = sniffer.space_snapshot()
+        for op in (lambda: snapshot.pop(1),
+                   lambda: snapshot.popitem(),
+                   lambda: snapshot.clear(),
+                   lambda: snapshot.update({2: None}),
+                   lambda: snapshot.setdefault(3, None)):
+            with pytest.raises(AttributeError):
                 op()
-        assert nrsan.violations
+        for op in (lambda: operator.setitem(snapshot, 4, None),
+                   lambda: operator.delitem(snapshot, 1)):
+            with pytest.raises(TypeError):
+                op()
+        assert sorted(sniffer.tracked) == [1]
 
-    def test_reads_pass_through(self, nrsan):
-        ue = make_ue(7)
-        guarded = nrsan.guard_tracked({7: ue})
-        assert 7 in guarded
-        assert guarded[7].rnti == 7
-        assert guarded[7].search_space is ue.search_space
-        assert sorted(guarded) == [7]
+    def test_reads_pass_through(self):
+        sniffer = make_sniffer(7)
+        snapshot = sniffer.space_snapshot()
+        assert 7 in snapshot
+        assert snapshot[7] is sniffer.tracked[7].search_space
+        assert sorted(snapshot) == [7]
 
-    def test_ue_mutation_legal_outside_stage(self, nrsan):
-        ue = make_ue()
-        guarded = nrsan.guard_tracked({ue.rnti: ue})
-        guarded[ue.rnti].touch(1.5)
-        assert ue.last_seen_s == 1.5
-        guarded[ue.rnti].decoded_dcis = 3
-        assert ue.decoded_dcis == 3
+    def test_ue_mutation_legal_outside_stage(self):
+        """Backbone stages mutate UEs through the live table; the
+        snapshot is a copy, so those changes never show in it."""
+        sniffer = make_sniffer(1)
+        snapshot = sniffer.space_snapshot()
+        sniffer.tracked[1].touch(1.5)
+        assert sniffer.tracked[1].last_seen_s == 1.5
+        sniffer.discover(2, 1.5, None)
+        sniffer.release(1)
+        assert sorted(snapshot) == [1]
 
-    def test_ue_mutation_trips_inside_stage(self, nrsan):
-        ue = make_ue()
-        guarded = nrsan.guard_tracked({ue.rnti: ue})
-        with nrsan.parallel_stage_scope("dci"):
-            with pytest.raises(SanitizerViolation):
-                guarded[ue.rnti].touch(2.0)
-            with pytest.raises(SanitizerViolation):
-                guarded[ue.rnti].decoded_dcis = 9
-        assert ue.last_seen_s == 0.0
-        assert any("dci" in v for v in nrsan.violations)
+    def test_new_snapshot_follows_table_changes(self):
+        sniffer = make_sniffer(1)
+        assert sorted(sniffer.space_snapshot()) == [1]
+        sniffer.discover(2, 5.0, None)
+        assert sorted(sniffer.space_snapshot()) == [1, 2]
+        sniffer.release(2)
+        assert sorted(sniffer.space_snapshot()) == [1]
+        assert sniffer.prune_idle(now_s=10.0, idle_timeout_s=1.0) == [1]
+        assert dict(sniffer.space_snapshot()) == {}
+
+    def test_ue_mutation_trips_inside_stage(self):
+        """Snapshot values are frozen spaces, not TrackedUe objects:
+        there is no mutator to call and attribute stores raise."""
+        space = make_sniffer(1).space_snapshot()[1]
+        assert isinstance(space, SearchSpace)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            space.is_common = True
+        assert not hasattr(space, "touch")
 
 
 class TestRngAudit:
@@ -139,29 +160,38 @@ class TestRngAudit:
 
 
 class TestRuntimeIntegration:
-    """The dynamic R006 catch: an impure parallel stage fails at commit."""
+    """The dynamic R006/R007 catch: an impure parallel stage fails at
+    commit."""
 
     def _runtime(self, nrsan, stage_fn):
         return SlotRuntime(
             stages=[Stage("decode", stage_fn, parallel=True)],
             sanitizer=nrsan)
 
-    def test_tracked_mutation_in_parallel_stage_is_caught(self, nrsan):
-        ue = make_ue()
+    def test_tracked_mutation_in_parallel_stage_is_caught(self):
+        """The violation bad_stage.py seeds for static R006 fails on
+        structure alone: the snapshot holds no TrackedUe to touch and
+        rejects item assignment, so no sanitizer is needed."""
+        sniffer = make_sniffer(0x4601)
+        ue = sniffer.tracked[0x4601]
 
-        def bad_stage(ctx):
-            # The same violation bad_stage.py seeds for static R006.
+        def touch_ue(ctx):
             ctx.tracked[ue.rnti].touch(9.9)
 
-        runtime = self._runtime(nrsan, bad_stage)
-        ctx = SlotContext(output=None)
-        ctx.tracked = nrsan.guard_tracked({ue.rnti: ue})
-        with pytest.raises(SlotRuntimeError) as excinfo:
-            runtime.submit(ctx)
-            runtime.flush()
-        assert isinstance(excinfo.value.__cause__, SanitizerViolation)
+        def replace_ue(ctx):
+            ctx.tracked[ue.rnti] = ue
+
+        for bad_stage, cause in ((touch_ue, AttributeError),
+                                 (replace_ue, TypeError)):
+            runtime = self._runtime(None, bad_stage)
+            ctx = SlotContext(output=None)
+            ctx.tracked = sniffer.space_snapshot()
+            with pytest.raises(SlotRuntimeError) as excinfo:
+                runtime.submit(ctx)
+                runtime.flush()
+            assert isinstance(excinfo.value.__cause__, cause)
         assert ue.last_seen_s == 0.0
-        assert nrsan.violations
+        assert sniffer.tracked == {ue.rnti: ue}
 
     def test_rng_draw_in_parallel_stage_is_caught(self, nrsan):
         audited = nrsan.audit_rng(np.random.default_rng(0))
@@ -182,7 +212,7 @@ class TestRuntimeIntegration:
 
         runtime = self._runtime(nrsan, good_stage)
         ctx = SlotContext(output=None)
-        ctx.tracked = nrsan.guard_tracked({5: make_ue(5)})
+        ctx.tracked = make_sniffer(5).space_snapshot()
         runtime.submit(ctx)
         runtime.flush()
         assert seen == [[5]]
@@ -217,7 +247,7 @@ class TestScopeIntegration:
         bare = self._session()
         sim = Simulation.build(SRSRAN_PROFILE, n_ues=2, seed=5)
         scope = NRScope.attach(sim, snr_db=20.0, sanitizer=nrsan,
-                               executor="process", n_workers=2,
+                               executor="process:2",
                                queue_depth=8192, idle_timeout_s=5.0)
         sim.run(seconds=0.5)
         scope.close()
@@ -225,3 +255,28 @@ class TestScopeIntegration:
         assert scope.runtime_stats.slots_dropped == 0
         assert [r for r in scope.telemetry.records] \
             == [r for r in bare.telemetry.records]
+
+    def test_scope_snapshot_is_read_only_without_nrsan(self):
+        """What the scope hands its DCI stage with nrsan off: a mapping
+        that rejects item assignment, holding the tracked UEs' frozen
+        search spaces."""
+        seen = []
+
+        class SpyScope(NRScope):
+            def _stage_dci(self, ctx):
+                seen.append(ctx.tracked)
+                super()._stage_dci(ctx)
+
+        sim = Simulation.build(SRSRAN_PROFILE, n_ues=2, seed=5)
+        scope = SpyScope.attach(sim, snr_db=20.0,
+                                sanitizer=Sanitizer(enabled=False))
+        sim.run(seconds=0.5)
+        scope.flush()
+        snapshot = seen[-1]
+        assert sorted(snapshot) == scope.tracked_rntis != []
+        with pytest.raises(TypeError):
+            snapshot[scope.tracked_rntis[0]] = None
+        for rnti, space in snapshot.items():
+            assert isinstance(space, SearchSpace)
+            assert type(space).__dataclass_params__.frozen
+            assert space is scope.rach.tracked[rnti].search_space

@@ -21,7 +21,7 @@ class TestLintCli:
         out = capsys.readouterr().out
         for rule_id in ("R001", "R002", "R003", "R004",
                         "R005", "R006", "R007", "R008",
-                        "R009", "R010", "R011", "R012"):
+                        "R010", "R011", "R012"):
             assert rule_id in out
 
     def test_single_rule_selection(self, fixtures_dir, capsys):
@@ -56,8 +56,9 @@ class TestLintCli:
         out = capsys.readouterr().out
         for rule_id in ("R001", "R002", "R003", "R004",
                         "R005", "R006", "R007", "R008",
-                        "R009", "R010", "R011", "R012"):
+                        "R010", "R011", "R012"):
             assert rule_id in out
+        assert "R009" not in out
 
     def test_sarif_format(self, fixtures_dir, capsys):
         assert lint_main([str(fixtures_dir), "--format",
@@ -67,7 +68,7 @@ class TestLintCli:
         run = log["runs"][0]
         assert run["tool"]["driver"]["name"] == "nrlint"
         catalogue = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"R001", "R009", "R010", "R011", "R012"} <= catalogue
+        assert {"R001", "R006", "R010", "R011", "R012"} <= catalogue
         assert run["results"]
         result = run["results"][0]
         assert result["ruleId"] in catalogue
@@ -156,13 +157,7 @@ class TestContractsMode:
     def test_contract_report_on_repo(self, capsys):
         assert lint_main(["contracts", str(REPO_SRC)]) == 0
         report = json.loads(capsys.readouterr().out)
-
-        wire = report["wire"]
-        assert wire["n_escapes"] == 0
-        assert wire["roots"]
-        assert all(r["clean"] for r in wire["roots"])
-        roles = {r["role"] for r in wire["roots"]}
-        assert roles == {"pack", "job"}
+        assert sorted(report) == ["obs", "parse_failures", "shapes"]
 
         polar = report["shapes"]["phy/polar.py"]
         assert any(t["scalar"] == "decode"
@@ -182,17 +177,15 @@ class TestContractsMode:
                                                      capsys):
         assert lint_main(["contracts", str(fixtures_dir)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["wire"]["n_escapes"] >= 5
-        reasons = {e["reason"] for r in report["wire"]["roots"]
-                   for f in r["fields"] for e in f["escapes"]}
-        assert {"tracked", "rng", "obs",
-                "unpicklable", "file"} <= reasons
-        assert "BadDecoder" in report["wire"]["unsafe_classes"]
         assert "decode.wat" in report["obs"]["unknown_names"]
+        assert any(issue["kind"]
+                   for module in report["shapes"].values()
+                   for fn in module["functions"].values()
+                   for issue in fn["issues"])
 
     def test_contracts_via_repro_cli(self, capsys):
         assert repro_main(["lint", "contracts", str(REPO_SRC)]) == 0
-        assert '"wire"' in capsys.readouterr().out
+        assert '"shapes"' in capsys.readouterr().out
 
 
 class TestChangedMode:
@@ -249,13 +242,13 @@ class TestChangedMode:
 
     def test_changed_prune_keeps_whole_program_entries(self, repo,
                                                        capsys):
-        """R009 runs against a *partial* program under --changed, so
+        """R006 runs against a *partial* program under --changed, so
         its silence must never prune a grandfathered entry — even one
         for the very file being scanned."""
         baseline = repo / "lint-baseline.json"
         baseline.write_text(json.dumps({
             "version": 1,
-            "entries": [{"rule": "R009", "path": "gnb/clean.py",
+            "entries": [{"rule": "R006", "path": "gnb/clean.py",
                          "snippet": "x = tracked", "count": 1,
                          "justification": "grandfathered"}]}))
         target = repo / "src" / "repro" / "gnb" / "clean.py"
@@ -269,7 +262,7 @@ class TestChangedMode:
                           "--prune-baseline"]) == 0
         assert "pruned 0" in capsys.readouterr().out
         rewritten = json.loads(baseline.read_text())
-        assert any(e["rule"] == "R009" for e in rewritten["entries"])
+        assert any(e["rule"] == "R006" for e in rewritten["entries"])
 
 
 class TestBaselineOrphans:
@@ -336,7 +329,7 @@ class TestBaselineOrphans:
         assert "pruned 0" in capsys.readouterr().out
         rewritten = json.loads(baseline.read_text())
         surviving = {e["rule"] for e in rewritten["entries"]}
-        assert {"R008", "R009", "R012"} <= surviving
+        assert {"R006", "R008", "R012"} <= surviving
 
 
 class TestReproCliIntegration:

@@ -733,105 +733,6 @@ class TestR008DtypeHygiene:
         assert not self.r008(lint(src, "analysis/metrics.py"))
 
 
-class TestR009WireEscape:
-    def r009(self, findings):
-        return [f for f in findings if f.rule_id == "R009"]
-
-    PREAMBLE = """
-        import threading
-
-        import numpy as np
-
-
-        class Stage:
-            def __init__(self, name, fn, pack=None, parallel=False):
-                self.name = name
-                self.fn = fn
-                self.pack = pack
-    """
-
-    def test_flags_every_payload_escape(self):
-        findings = self.r009(lint(self.PREAMBLE + """
-        def decode_job(grid):
-            return grid
-
-        class Pipeline:
-            def __init__(self, obs):
-                self.tracked = {}
-                self._rng = np.random.default_rng(0)
-                self._obs = obs
-                self.stage = Stage("d", None, pack=self._pack)
-
-            def _pack(self, ctx):
-                payload = {
-                    "tracked": ctx.tracked,
-                    "rng": self._rng,
-                    "obs": self._obs,
-                    "fn": lambda x: x,
-                    "log": open("x.log", "w"),
-                }
-                return decode_job, payload
-        """, "core/scope.py"))
-        reasons = " ".join(f.message for f in findings)
-        assert len(findings) == 5
-        assert "tracked-UE table" in reasons
-        assert "RNG state" in reasons
-        assert "observability handle" in reasons
-        assert "lambda" in reasons
-        assert "open file handle" in reasons
-
-    def test_flags_unsafe_instance_in_job_result(self):
-        findings = self.r009(lint(self.PREAMBLE + """
-        class Decoder:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-        def decode_job(grid):
-            decoder = Decoder()
-            return decoder, 0
-
-        class Pipeline:
-            def __init__(self):
-                self.stage = Stage("d", None, pack=self._pack)
-
-            def _pack(self, ctx):
-                return decode_job, {"grid": ctx.grid}
-        """, "core/scope.py"))
-        assert len(findings) == 1
-        assert "Decoder" in findings[0].message
-        assert "lock" in findings[0].message
-
-    def test_sanctioned_projections_are_clean(self):
-        findings = self.r009(lint(self.PREAMBLE + """
-        def pack_tracked_for_decode(tracked):
-            return frozenset(tracked)
-
-        def decode_job(grid, tracked):
-            return len(tracked)
-
-        class Pipeline:
-            def __init__(self, obs):
-                self.tracked = {}
-                self._obs = obs
-                self.stage = Stage("d", None, pack=self._pack)
-
-            def _pack(self, ctx):
-                return decode_job, {
-                    "tracked": pack_tracked_for_decode(ctx.tracked),
-                    "snapshot": frozenset(ctx.tracked),
-                    "collect": bool(self._obs),
-                }
-        """, "core/scope.py"))
-        assert not findings
-
-    def test_not_applied_without_pack_root(self):
-        findings = self.r009(lint("""
-        def helper(tracked, rng, obs):
-            return tracked, rng, obs
-        """, "core/scope.py"))
-        assert not findings
-
-
 class TestR010DtypeDrift:
     def r010(self, findings):
         return [f for f in findings if f.rule_id == "R010"]

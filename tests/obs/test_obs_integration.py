@@ -11,6 +11,7 @@ The acceptance criteria of the bus, as tests:
 * nrsan violations surface as structured ``nrsan.violation`` events.
 """
 
+import numpy as np
 import pytest
 
 from repro import NRScope, Simulation, SRSRAN_PROFILE
@@ -66,7 +67,7 @@ class TestExecutorEquivalence:
         _, scope = run_session(
             seconds=0.5,
             obs=ObsContext.create([ring], run_id="t"),
-            executor=executor, n_workers=4, queue_depth=8192,
+            executor=executor, queue_depth=8192,
             idle_timeout_s=5.0)
         assert validate_events(ring.events) == []
         return scope, ring.events
@@ -165,10 +166,10 @@ class TestSanitizerEvents:
         obs = ObsContext.create([ring], run_id="t")
         sanitizer = Sanitizer(enabled=True)
         sanitizer.bind_obs(obs)
-        guarded = sanitizer.guard_tracked({1: object()})
+        audited = sanitizer.audit_rng(np.random.default_rng(0))
         with sanitizer.parallel_stage_scope("dci"):
             with pytest.raises(SanitizerViolation):
-                guarded[2] = object()
+                audited.random()
         [event] = ring.events
         assert event["name"] == "nrsan.violation"
         assert event["stage"] == "dci"

@@ -126,8 +126,8 @@ class TestDecoderIntegration:
                     noise_var=10 ** (-15 / 10))
         plain = GridDciDecoder(**base, equalize=False)
         assert plain.decode_slot_batch(captured, slot_index,
-                                       sniffer.tracked) == []
+                                       sniffer.space_snapshot()) == []
         smart = GridDciDecoder(**base, equalize=True)
         decoded = smart.decode_slot_batch(captured, slot_index,
-                                          sniffer.tracked)
+                                          sniffer.space_snapshot())
         assert [d.dci for d in decoded] == [dci]
