@@ -50,7 +50,8 @@ class FleetError(ValueError):
 #: Version stamped into every checkpoint blob; ``restore`` rejects
 #: anything else rather than resuming from an incompatible layout.
 #: Version 2: the spare-capacity estimator's history is columnar.
-CHECKPOINT_VERSION = 2
+#: Version 3: the gNB holds its UEs' channel state in a column table.
+CHECKPOINT_VERSION = 3
 
 #: Per-cell spacing of derived seeds (cell i draws from seed-space
 #: ``seed + stride * (i + 1)``) and of population UE ids, so no two

@@ -38,6 +38,7 @@ from repro.gnb.scheduler import AllocationPlan, BaseScheduler, \
     UeSchedulingContext, build_dci
 from repro.rrc.messages import Mib, RrcSetup, Sib1
 from repro.ue.channel import transport_block_survives
+from repro.ue.table import UeTable
 from repro.ue.ue import UserEquipment
 
 
@@ -156,6 +157,8 @@ class GNodeB:
         self.rach = RachProcedure()
 
         self._ues: dict[int, UserEquipment] = {}
+        # Every admitted UE's channel, SNR and CQI, advanced per slot.
+        self._table = UeTable()
         self._by_rnti: dict[int, UserEquipment] = {}
         # DL and UL HARQ are independent protocol entities (38.321); a
         # shared entity would interleave NDI toggles across directions
@@ -201,6 +204,7 @@ class GNodeB:
         if ue.ue_id in self._ues:
             raise GnbError(f"duplicate UE id {ue.ue_id}")
         self._ues[ue.ue_id] = ue
+        self._table.add(ue)
         self.rach.request_connection(ue.ue_id, slot_index)
 
     def remove_ue(self, ue_id: int, time_s: float | None = None) -> None:
@@ -208,6 +212,7 @@ class GNodeB:
         ue = self._ues.pop(ue_id, None)
         if ue is None:
             return
+        self._table.remove(ue_id)
         if ue.rnti is not None:
             self._by_rnti.pop(ue.rnti, None)
         if time_s is not None:
@@ -342,18 +347,29 @@ class GNodeB:
 
     # ------------------------------------------------------- data path
     def _contexts(self) -> list[UeSchedulingContext]:
+        """Contexts of the connected UEs the scheduler can pick: those
+        with downlink backlog, known uplink backlog or a pending
+        retransmission (``BaseScheduler.schedule`` drops the rest)."""
         contexts = []
-        for ue in self.connected_ues:
-            assert ue.rnti is not None
+        for ue in self._ues.values():
+            if ue.rnti is None:
+                continue
+            ue_id = ue.ue_id
+            dl_backlog = ue.dl_buffer.backlog_bytes
+            ul_backlog = self._known_ul_backlog.get(ue_id, 0)
+            pending = self._pending_retx.get(ue_id, [])
+            if dl_backlog <= 0 and ul_backlog <= 0 and not pending:
+                continue
+            cqi = self._reported_cqi.get(ue_id)
             contexts.append(UeSchedulingContext(
-                ue_id=ue.ue_id, rnti=ue.rnti,
-                dl_backlog_bytes=ue.dl_buffer.backlog_bytes,
-                ul_backlog_bytes=self._known_ul_backlog.get(ue.ue_id, 0),
-                cqi=self._reported_cqi.get(ue.ue_id, ue.current_cqi),
-                olla_offset_db=self._olla_offset.get(ue.ue_id, 0.0),
-                pending_retx=list(self._pending_retx.get(ue.ue_id, [])),
-                retx_prb_sizes=dict(self._retx_sizes.get(ue.ue_id, {})),
-                ewma_throughput_bps=self._ewma.get(ue.ue_id, 1.0)))
+                ue_id=ue_id, rnti=ue.rnti,
+                dl_backlog_bytes=dl_backlog,
+                ul_backlog_bytes=ul_backlog,
+                cqi=self._table.cqi(ue_id) if cqi is None else cqi,
+                olla_offset_db=self._olla_offset.get(ue_id, 0.0),
+                pending_retx=list(pending),
+                retx_prb_sizes=dict(self._retx_sizes.get(ue_id, {})),
+                ewma_throughput_bps=self._ewma.get(ue_id, 1.0)))
         return contexts
 
     def _tbs_for_plan(self, plan: AllocationPlan) -> int:
@@ -364,7 +380,8 @@ class GNodeB:
             n_dmrs_per_prb=config.n_dmrs_per_prb,
             n_oh_per_prb=config.xoverhead_res).tbs_bits
 
-    def _resolve_plan(self, plan: AllocationPlan, slot: SlotClock,
+    def _resolve_plan(self, plan: AllocationPlan, slot_index: int,
+                      time_s: float,
                       used_processes: dict[tuple[int, bool], set[int]]) \
             -> DciRecord | None:
         """Turn an allocation plan into a transmitted DCI + data result.
@@ -421,7 +438,7 @@ class GNodeB:
         # combining of n copies adds ~10 log10(n) dB of effective SNR,
         # which is what makes post-retransmission drops genuinely rare
         # on real systems.
-        effective_snr = ue.current_snr_db
+        effective_snr = self._table.snr_db(plan.ue_id)
         if plan.is_retransmission:
             harq_entity = self._harq[(plan.ue_id, plan.downlink)]
             n_copies = 1 + harq_entity.processes[harq_id].retx_count
@@ -435,10 +452,10 @@ class GNodeB:
             delivered_bytes = stash.payload_bytes if stash else payload_bytes
             delivered_packets = stash.n_packets if stash else n_packets
             if plan.downlink:
-                ue.deliver_downlink(slot.time_s, delivered_bytes,
+                ue.deliver_downlink(time_s, delivered_bytes,
                                     delivered_packets)
             else:
-                ue.deliver_uplink(slot.time_s, delivered_bytes,
+                ue.deliver_uplink(time_s, delivered_bytes,
                                   delivered_packets)
             payload_bytes = delivered_bytes
             n_packets = delivered_packets
@@ -470,14 +487,14 @@ class GNodeB:
             / self.profile.slot_duration_s
 
         return DciRecord(
-            slot_index=slot.index, time_s=slot.time_s, rnti=ue.rnti,
+            slot_index=slot_index, time_s=time_s, rnti=ue.rnti,
             dci=dci, grant=grant, candidate=plan.candidate,
             search_space="ue", is_retransmission=plan.is_retransmission,
             delivered=survives, payload_bytes=payload_bytes,
             n_packets=n_packets)
 
     # ----------------------------------------------------------- grid
-    def _render_grid(self, output: SlotOutput) -> None:
+    def _render_grid(self, output: SlotOutput, slot_index: int) -> None:
         """IQ mode: polar-encode every PDCCH and occupy PDSCH regions."""
         grid = ResourceGrid(self.profile.n_prb)
         coreset0 = self.profile.coreset0()
@@ -489,7 +506,7 @@ class GNodeB:
                 encode_pdcch(record.dci, self._dci_cfg, coreset,
                              record.candidate, grid,
                              n_id=self.profile.cell_id,
-                             slot_index=output.slot.index)
+                             slot_index=slot_index)
             except PdcchError:
                 # A candidate occasionally exceeds CORESET 0's CCE count
                 # on narrow carriers; skip rendering (the record stays in
@@ -515,57 +532,63 @@ class GNodeB:
     # ----------------------------------------------------------- step
     def step(self, slot: SlotClock) -> SlotOutput:
         """Advance the cell one TTI and return what went on the air."""
+        # ``slot.index`` is computed on every read: read it once.
+        index = slot.index
+        time_s = slot.time_s
         output = SlotOutput(slot=slot,
-                            is_downlink=self.profile.is_downlink_slot(
-                                slot.index))
+                            is_downlink=self.profile.is_downlink_slot(index))
 
         for ue in self._ues.values():
-            ue.advance_slot(slot.index)
+            ue.advance_slot(index)
+        self._table.advance(index)
 
         if output.is_downlink:
             used_common: set[int] = set()
             self._broadcast(slot, output)
-            self._handle_msg4(self.rach.step(slot.index), slot, output,
+            self._handle_msg4(self.rach.step(index), slot, output,
                               used_common)
 
-            plans = self.scheduler.schedule(slot.index, self._contexts())
+            plans = self.scheduler.schedule(index, self._contexts())
             used_processes: dict[tuple[int, bool], set[int]] = {}
             for plan in plans:
-                record = self._resolve_plan(plan, slot, used_processes)
+                record = self._resolve_plan(plan, index, time_s,
+                                            used_processes)
                 if record is not None:
                     self.log.add_dci(record)
                     output.dci_records.append(record)
 
-        if self.profile.is_uplink_slot(slot.index):
-            self._collect_uci(slot, output)
+        if self.profile.is_uplink_slot(index):
+            self._collect_uci(index, time_s, output)
 
         if self.fidelity == "iq":
-            self._render_grid(output)
+            self._render_grid(output, index)
         return output
 
-    def _collect_uci(self, slot: SlotClock, output: SlotOutput) -> None:
+    def _collect_uci(self, slot_index: int, time_s: float,
+                     output: SlotOutput) -> None:
         """Connected UEs transmit periodic UCI on PUCCH (uplink slots):
         a CQI report, a scheduling request when data waits without a
         grant, and the last HARQ-ACK verdict."""
         for ue in self.connected_ues:
             assert ue.rnti is not None
-            if (slot.index + ue.ue_id) % self.uci_period_slots:
+            if (slot_index + ue.ue_id) % self.uci_period_slots:
                 continue
             ack = self._last_dl_ack.pop(ue.ue_id, None)
             wants_grant = ue.ul_buffer.backlog_bytes > 0 \
                 and self._known_ul_backlog.get(ue.ue_id, 0) == 0
+            cqi = self._table.cqi(ue.ue_id)
             report = UciReport(
-                rnti=ue.rnti, slot_index=slot.index,
+                rnti=ue.rnti, slot_index=slot_index,
                 harq_ack=(ack,) if ack is not None else (),
                 scheduling_request=wants_grant,
-                cqi=ue.current_cqi)
-            self._reported_cqi[ue.ue_id] = ue.current_cqi
+                cqi=cqi)
+            self._reported_cqi[ue.ue_id] = cqi
             if wants_grant:
                 self._known_ul_backlog[ue.ue_id] = max(
                     self._known_ul_backlog.get(ue.ue_id, 0),
                     self.sr_probe_bytes)
-            record = UciRecord(slot_index=slot.index,
-                               time_s=slot.time_s, rnti=ue.rnti,
+            record = UciRecord(slot_index=slot_index,
+                               time_s=time_s, rnti=ue.rnti,
                                report=report)
             self.log.uci_records.append(record)
             output.uci_records.append(record)

@@ -10,6 +10,7 @@ default 64QAM table and the 256QAM table (the Appendix B sample DCI shows
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.phy.modulation import QAM16, QAM64, QAM256, QPSK, ModulationScheme
 
@@ -90,6 +91,7 @@ def max_mcs_index(table: str = "qam64") -> int:
     return len(TABLES[table]) - 1
 
 
+@lru_cache(maxsize=1024)
 def mcs_for_spectral_efficiency(efficiency: float,
                                 table: str = "qam64") -> McsEntry:
     """Highest-rate MCS whose spectral efficiency does not exceed the target.

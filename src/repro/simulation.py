@@ -15,6 +15,7 @@ Typical use::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -93,6 +94,7 @@ class Simulation:
         self._observers: list[SlotObserver] = []
         self._observer_flushes: list[Callable[[], None]] = []
         self._sessions: list[_ScheduledSession] = []
+        self._index_sessions()
         self._rng = np.random.default_rng(seed)
         self.slots_run = 0
 
@@ -173,21 +175,63 @@ class Simulation:
                               rate_bps=rate_bps,
                               arrival_time_s=session.arrival_s)
             self._sessions.append(_ScheduledSession(session=session, ue=ue))
+        self._index_sessions()
+
+    def _index_sessions(self) -> None:
+        """Derive the admission cursor and the live list from the
+        sessions' flags, so a restored list needs nothing else."""
+        self._waiting = sorted(
+            (index for index, entry in enumerate(self._sessions)
+             if not entry.admitted),
+            key=lambda index: self._sessions[index].session.arrival_s)
+        self._next_waiting = 0
+        self._live = [entry for entry in self._sessions
+                      if entry.admitted and entry.ue.departure_time_s is None]
+        self._update_due()
+
+    def _update_due(self) -> None:
+        """When the next session arrives and the next one departs."""
+        self._next_arrival_s = math.inf
+        if self._next_waiting < len(self._waiting):
+            self._next_arrival_s = self._sessions[
+                self._waiting[self._next_waiting]].session.arrival_s
+        self._next_departure_s = min(
+            (entry.session.departure_s for entry in self._live),
+            default=math.inf)
 
     def _admit_and_release(self, now_s: float, slot_index: int) -> None:
-        for entry in self._sessions:
-            if not entry.admitted and entry.session.arrival_s <= now_s:
-                self.gnb.add_ue(entry.ue, slot_index=slot_index)
-                entry.admitted = True
-            elif entry.admitted and entry.ue.departure_time_s is None \
-                    and entry.session.departure_s <= now_s:
-                self.gnb.remove_ue(entry.ue.ue_id, time_s=now_s)
+        """Release the live sessions that are due, then admit this
+        slot's arrivals in list order, as a scan of every session would.
+        A session released by someone else (a handover) just leaves the
+        live list; one whose removal did not take stays due."""
+        if now_s >= self._next_departure_s:
+            live = []
+            for entry in self._live:
+                if entry.ue.departure_time_s is not None:
+                    continue
+                if entry.session.departure_s <= now_s:
+                    self.gnb.remove_ue(entry.ue.ue_id, time_s=now_s)
+                if entry.ue.departure_time_s is None:
+                    live.append(entry)
+            self._live = live
+        waiting = self._waiting
+        cursor = self._next_waiting
+        while cursor < len(waiting) and \
+                self._sessions[waiting[cursor]].session.arrival_s <= now_s:
+            cursor += 1
+        for index in sorted(waiting[self._next_waiting:cursor]):
+            entry = self._sessions[index]
+            self.gnb.add_ue(entry.ue, slot_index=slot_index)
+            entry.admitted = True
+            self._live.append(entry)
+        self._next_waiting = cursor
+        self._update_due()
 
     # ------------------------------------------------------ execution
     def step(self) -> SlotOutput:
         """Advance exactly one TTI."""
         now_s = self.clock.time_s
-        if self._sessions:
+        if now_s >= self._next_arrival_s or now_s >= self._next_departure_s:
             self._admit_and_release(now_s, self.clock.index)
         output = self.gnb.step(self.clock)
         for observer in self._observers:
@@ -237,6 +281,7 @@ class Simulation:
                   seed=state["seed"])
         sim.clock = state["clock"]
         sim._sessions = state["sessions"]
+        sim._index_sessions()
         sim._rng = state["rng"]
         sim.slots_run = state["slots_run"]
         return sim

@@ -8,6 +8,7 @@ from repro.ue.mobility import BlockedUe, MobilityModel, MovingUe, StaticUe, \
 from repro.ue.population import ComeAndGoProcess, PopulationProfile, \
     Session, TMOBILE_CELL1_PROFILES, TMOBILE_CELL2_PROFILES, active_counts, \
     holding_time_ccdf
+from repro.ue.table import UeTable
 from repro.ue.traffic import BulkDownload, ConstantBitRate, OnOffTraffic, \
     PoissonPackets, TrafficBuffer, TrafficModel, VideoStream
 from repro.ue.ue import PacketCapture, PacketRecord, UserEquipment
@@ -18,7 +19,7 @@ __all__ = [
     "PROFILES", "PacketCapture", "PacketRecord", "PoissonPackets",
     "PopulationProfile", "Session", "StaticUe", "TMOBILE_CELL1_PROFILES",
     "TMOBILE_CELL2_PROFILES", "TrafficBuffer", "TrafficModel",
-    "UserEquipment", "VideoStream", "active_counts",
+    "UeTable", "UserEquipment", "VideoStream", "active_counts",
     "block_error_probability", "cqi_to_efficiency", "holding_time_ccdf",
     "scenario", "snr_to_cqi", "transport_block_survives",
 ]

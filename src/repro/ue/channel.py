@@ -63,8 +63,113 @@ PROFILES = {
 }
 
 
+#: Slots of fading innovations drawn per ``Generator`` call.
+#: ``normal(size=n)`` returns the same values as ``n`` scalar draws and
+#: leaves the generator in the same state, so the size moves speed only.
+BLOCK_SLOTS = 64
+
+_BLOCK = 2 * BLOCK_SLOTS       # two innovations (re, im) per slot
+_SQRT2 = math.sqrt(2.0)
+
+
+class ChannelColumns:
+    """Fading state of many channels, one row each, advanced together.
+
+    Each row keeps a first-order Gauss-Markov complex gain as separate
+    ``re``/``im`` columns, its own ``Generator``, and a block of unread
+    innovations with a cursor into it.  :meth:`advance` steps every row
+    with array operations.  It reproduces the scalar recurrence bit for
+    bit: the gain update is ``rho*g + sqrt(1-rho^2)*(n/sqrt(2))`` per
+    component, ``np.hypot`` equals ``abs(complex)``, and ``h ** 2``,
+    ``max(., 1e-6)`` and ``math.log10`` run per element in Python
+    because numpy's ``square`` and ``log10`` round differently.
+    """
+
+    _ARRAYS = ("re", "im", "rho", "sq", "base", "scale", "draws", "cursor",
+               "blocks")
+
+    def __init__(self) -> None:
+        self.re = np.zeros(0)
+        self.im = np.zeros(0)
+        self.rho = np.zeros(0)
+        self.sq = np.zeros(0)           # sqrt(1 - rho^2)
+        self.base = np.zeros(0)         # mean SNR minus the profile offset
+        self.scale = np.zeros(0)        # fading sigma / 5.57
+        self.draws = np.zeros(0, dtype=np.int64)    # 2 fading, 0 flat
+        self.cursor = np.zeros(0, dtype=np.int64)
+        self.blocks = np.zeros((0, _BLOCK))
+        self.rngs: list[np.random.Generator] = []
+
+    @classmethod
+    def single(cls, profile: ChannelProfile, mean_snr_db: float,
+               slot_duration_s: float,
+               rng: np.random.Generator) -> "ChannelColumns":
+        """One fresh row; draws the initial gain from ``rng``."""
+        row = cls.__new__(cls)      # every column is set below
+        fading = profile.fading_sigma_db != 0.0
+        rho = profile.correlation(slot_duration_s) if fading else 1.0
+        # Complex Gauss-Markov state with unit variance.
+        re = rng.normal() / _SQRT2
+        im = rng.normal() / _SQRT2
+        values = np.array([re, im, rho, math.sqrt(1.0 - rho * rho),
+                           mean_snr_db - profile.mean_offset_db,
+                           profile.fading_sigma_db / 5.57])
+        row.re, row.im, row.rho = values[0:1], values[1:2], values[2:3]
+        row.sq, row.base, row.scale = values[3:4], values[4:5], values[5:6]
+        # A flat row never draws: its cursor stays inside a zero block.
+        counters = np.array([2, _BLOCK] if fading else [0, 0],
+                            dtype=np.int64)
+        row.draws, row.cursor = counters[0:1], counters[1:2]
+        row.blocks = np.zeros((1, _BLOCK))
+        row.rngs = [rng]
+        return row
+
+    def extend(self, other: "ChannelColumns") -> None:
+        """Append ``other``'s rows after this table's."""
+        for name in self._ARRAYS:
+            setattr(self, name, np.concatenate(
+                (getattr(self, name), getattr(other, name))))
+        self.rngs = self.rngs + other.rngs
+
+    def pop(self, row: int) -> "ChannelColumns":
+        """Remove row ``row`` and return it as a one-row table: its gain,
+        unread innovations and cursor go with it."""
+        out = ChannelColumns.__new__(ChannelColumns)
+        for name in self._ARRAYS:
+            column = getattr(self, name)
+            setattr(out, name, column[row:row + 1].copy())
+            setattr(self, name, np.delete(column, row, axis=0))
+        out.rngs = [self.rngs[row]]
+        self.rngs = self.rngs[:row] + self.rngs[row + 1:]
+        return out
+
+    def advance(self) -> np.ndarray:
+        """Advance every row one slot; the instantaneous SNRs in dB."""
+        for row in np.flatnonzero(self.cursor >= _BLOCK).tolist():
+            self.blocks[row] = self.rngs[row].normal(size=_BLOCK)
+            self.cursor[row] = 0
+        rows = np.arange(len(self.rngs))
+        n_re = self.blocks[rows, self.cursor]
+        n_im = self.blocks[rows, self.cursor + 1]
+        self.cursor += self.draws
+        self.re = self.rho * self.re + self.sq * (n_re / _SQRT2)
+        self.im = self.rho * self.im + self.sq * (n_im / _SQRT2)
+        # |gain|^2 is exponential(1); its dB value has the Rayleigh-fading
+        # distribution scaled into the profile's sigma.
+        fade_db = np.array([10.0 * math.log10(max(h ** 2, 1e-6))
+                            for h in np.hypot(self.re, self.im).tolist()])
+        return self.base + fade_db * self.scale
+
+
 class FadingChannel:
-    """A stateful per-UE channel producing instantaneous SNR per slot."""
+    """A per-UE channel producing instantaneous SNR per slot.
+
+    Its state is a one-row :class:`ChannelColumns`, built at the first
+    step: the generator's first two draws are the initial gain, and no
+    one else draws from it, so building late changes nothing.  While the
+    UE is admitted to a gNB, the gNB's :class:`~repro.ue.table.UeTable`
+    holds that row (``state`` is ``None``) and hands it back at removal.
+    """
 
     def __init__(self, profile: str | ChannelProfile, mean_snr_db: float,
                  slot_duration_s: float, seed: int = 0) -> None:
@@ -74,31 +179,36 @@ class FadingChannel:
             profile = PROFILES[profile]
         self.profile = profile
         self.mean_snr_db = mean_snr_db
-        self._rho = profile.correlation(slot_duration_s)
-        self._rng = np.random.default_rng(seed)
-        # Complex Gauss-Markov state with unit variance.
-        self._gain = (self._rng.normal() + 1j * self._rng.normal()) \
-            / math.sqrt(2.0)
+        self._slot_duration_s = slot_duration_s
+        # Moves into ``state`` when the state is built.
+        self._rng: np.random.Generator | None = np.random.default_rng(seed)
+        self.state: ChannelColumns | None = None
+
+    def take_state(self) -> ChannelColumns:
+        """Give the state to a UE table until it hands it back."""
+        state = self._own_state()
+        self.state = None
+        return state
+
+    def _own_state(self) -> ChannelColumns:
+        if self._rng is not None:
+            self.state = ChannelColumns.single(
+                self.profile, self.mean_snr_db, self._slot_duration_s,
+                self._rng)
+            self._rng = None
+        if self.state is None:
+            raise ChannelError("channel is advanced by its gNB's UE table")
+        return self.state
 
     def step(self) -> float:
         """Advance one slot; return the instantaneous SNR in dB."""
-        if self.profile.fading_sigma_db == 0.0:
-            return self.mean_snr_db - self.profile.mean_offset_db
-        rho = self._rho
-        innovation = (self._rng.normal() + 1j * self._rng.normal()) \
-            / math.sqrt(2.0)
-        self._gain = rho * self._gain + math.sqrt(1.0 - rho * rho) \
-            * innovation
-        # |gain|^2 is exponential(1); its dB value has the Rayleigh-fading
-        # distribution scaled into the profile's sigma.
-        fade_db = 10.0 * math.log10(max(abs(self._gain) ** 2, 1e-6))
-        fade_db *= self.profile.fading_sigma_db / 5.57  # match sigma
-        return self.mean_snr_db - self.profile.mean_offset_db + fade_db
+        return float(self._own_state().advance()[0])
 
 
 #: CQI table: index i usable when SNR >= threshold[i] (dB).  Thresholds
 #: follow the standard's ~1.9 dB per CQI step spanning -6.7..22 dB.
 CQI_THRESHOLDS_DB = tuple(-6.7 + 1.95 * i for i in range(15))
+_CQI_THRESHOLDS = np.array(CQI_THRESHOLDS_DB)
 
 #: Spectral efficiency per CQI (38.214 Table 5.2.2.1-2, abridged shape).
 CQI_EFFICIENCY = (0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766,
@@ -106,13 +216,13 @@ CQI_EFFICIENCY = (0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766,
                   5.5547)
 
 
-def snr_to_cqi(snr_db: float) -> int:
-    """CQI report (1-15) for an instantaneous SNR; 0 means out of range."""
-    cqi = 0
-    for index, threshold in enumerate(CQI_THRESHOLDS_DB):
-        if snr_db >= threshold:
-            cqi = index + 1
-    return cqi
+def snr_to_cqi(snr_db: float | np.ndarray) -> np.intp | np.ndarray:
+    """CQI report (1-15) per instantaneous SNR; 0 means out of range.
+
+    Takes a scalar or an array: the count of thresholds at or below
+    each SNR.
+    """
+    return np.searchsorted(_CQI_THRESHOLDS, snr_db, side="right")
 
 
 def cqi_to_efficiency(cqi: int) -> float:

@@ -17,6 +17,12 @@ import numpy as np
 from repro.constants import TTI_DURATION_S
 
 
+#: Values drawn per ``Generator`` call for the per-slot random streams.
+#: A block of ``n`` draws equals ``n`` scalar draws and leaves the
+#: generator in the same state, so the size moves speed only.
+BLOCK_DRAWS = 64
+
+
 class TrafficError(ValueError):
     """Raised for non-physical traffic parameters."""
 
@@ -61,10 +67,14 @@ class PoissonPackets(TrafficModel):
         if self.packets_per_second < 0 or self.packet_bytes <= 0:
             raise TrafficError("invalid Poisson traffic parameters")
         self._rng = np.random.default_rng(self.seed)
+        self._counts: list[int] = []    # unread block, next draw last
 
     def bytes_in_slot(self, slot_index: int) -> int:
-        mean = self.packets_per_second * self.slot_duration_s
-        return int(self._rng.poisson(mean)) * self.packet_bytes
+        if not self._counts:
+            mean = self.packets_per_second * self.slot_duration_s
+            self._counts = self._rng.poisson(
+                mean, size=BLOCK_DRAWS)[::-1].tolist()
+        return self._counts.pop() * self.packet_bytes
 
 
 @dataclass
@@ -89,11 +99,14 @@ class VideoStream(TrafficModel):
         self._slots_per_frame = max(
             1, int(round(1.0 / (self.fps * self.slot_duration_s))))
         self._frame_bytes = self.rate_bps / self.fps / 8.0
+        self._jitter: list[float] = []  # unread block, next draw last
 
     def bytes_in_slot(self, slot_index: int) -> int:
         if slot_index % self._slots_per_frame:
             return 0
-        jitter = 1.0 + self.size_jitter * float(self._rng.normal())
+        if not self._jitter:
+            self._jitter = self._rng.normal(size=BLOCK_DRAWS)[::-1].tolist()
+        jitter = 1.0 + self.size_jitter * self._jitter.pop()
         return max(0, int(self._frame_bytes * jitter))
 
 
@@ -217,6 +230,8 @@ class TrafficBuffer:
     def arrive(self, slot_index: int) -> int:
         """Pull one slot of arrivals from the model into the queue."""
         new_bytes = self.model.bytes_in_slot(slot_index)
+        if not new_bytes:
+            return 0        # most slots bring nothing
         remaining = new_bytes
         while remaining > 0:
             size = min(self.mtu_bytes, remaining)

@@ -1,6 +1,8 @@
 """The simulated user equipment and its ground-truth packet capture.
 
-Each UE owns its traffic buffers, fading channel and mobility model.  The
+Each UE owns its traffic buffers, fading channel and mobility model;
+while it is admitted, its gNB's :class:`~repro.ue.table.UeTable` steps
+the channel and mobility together with every other UE's.  The
 ``PacketCapture`` plays the role of tcpdump on the paper's phones
 (section 5.2.2): it records every MAC-delivered payload with a timestamp,
 and windowed bit rates computed from it are the ground truth NR-Scope's
@@ -12,7 +14,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from repro.ue.channel import FadingChannel, snr_to_cqi
+from repro.ue.channel import FadingChannel
 from repro.ue.mobility import MobilityModel, StaticUe
 from repro.ue.traffic import TrafficBuffer
 
@@ -94,8 +96,6 @@ class UserEquipment:
     def __post_init__(self) -> None:
         self.rnti: int | None = None
         self.capture = PacketCapture()
-        self.current_snr_db: float = self.channel.mean_snr_db
-        self.current_cqi: int = snr_to_cqi(self.current_snr_db)
         self.delivered_dl_bits = 0
         self.delivered_ul_bits = 0
 
@@ -115,12 +115,10 @@ class UserEquipment:
         self.rnti = None
 
     def advance_slot(self, slot_index: int) -> None:
-        """Per-slot housekeeping: traffic arrivals, fading, CQI."""
+        """Per-slot traffic arrivals (the gNB's UE table does the
+        channel)."""
         self.dl_buffer.arrive(slot_index)
         self.ul_buffer.arrive(slot_index)
-        snr = self.channel.step() + self.mobility.step(slot_index)
-        self.current_snr_db = snr
-        self.current_cqi = snr_to_cqi(snr)
 
     def deliver_downlink(self, time_s: float, payload_bytes: int,
                          n_packets: int) -> None:

@@ -157,10 +157,22 @@ class TestCheckpointResume:
 
     def test_restore_rejects_previous_version(self, tmp_path):
         # Version 1 snapshots held the spare estimator's object history.
-        assert CHECKPOINT_VERSION == 2
+        assert CHECKPOINT_VERSION == 3
         path = tmp_path / "fleet.ckpt"
         path.write_bytes(pickle.dumps({"version": 1, "cells": []}))
         with pytest.raises(FleetError):
+            FleetSupervisor.restore(path)
+
+    def test_restore_rejects_version_2_blob(self, tmp_path):
+        # Version 2 gNBs stepped each UE's channel on its own and held no
+        # UE table; resuming one would diverge from the cell it saved.
+        path = tmp_path / "fleet.ckpt"
+        supervisor = FleetSupervisor.build(small_config(n_cells=1))
+        supervisor.run(0.3, checkpoint_path=path)
+        blob = pickle.loads(path.read_bytes())
+        blob["version"] = 2
+        path.write_bytes(pickle.dumps(blob))
+        with pytest.raises(FleetError, match="version: 2"):
             FleetSupervisor.restore(path)
 
     def test_restore_rejects_unknown_executor(self, tmp_path):

@@ -2,29 +2,32 @@
 
 import pytest
 
+from repro.constants import TTI_DURATION_S
 from repro.gnb.cell_config import MOSOLAB_PROFILE, SRSRAN_PROFILE
 from repro.simulation import Simulation, SimulationError, make_traffic
 from repro.ue.population import Session
 from repro.ue.traffic import BulkDownload, ConstantBitRate, \
     PoissonPackets, VideoStream
 
+SLOT_S = TTI_DURATION_S[30]
+
 
 class TestMakeTraffic:
     def test_kinds(self):
-        assert isinstance(make_traffic("video", 5e-4, 0), VideoStream)
-        assert isinstance(make_traffic("bulk", 5e-4, 0), BulkDownload)
-        assert isinstance(make_traffic("cbr", 5e-4, 0), ConstantBitRate)
-        assert isinstance(make_traffic("poisson", 5e-4, 0),
+        assert isinstance(make_traffic("video", SLOT_S, 0), VideoStream)
+        assert isinstance(make_traffic("bulk", SLOT_S, 0), BulkDownload)
+        assert isinstance(make_traffic("cbr", SLOT_S, 0), ConstantBitRate)
+        assert isinstance(make_traffic("poisson", SLOT_S, 0),
                           PoissonPackets)
 
     def test_mixed_resolves_by_seed(self):
-        kinds = {type(make_traffic("mixed", 5e-4, seed))
+        kinds = {type(make_traffic("mixed", SLOT_S, seed))
                  for seed in range(4)}
         assert kinds == {VideoStream, BulkDownload}
 
     def test_unknown_kind(self):
         with pytest.raises(SimulationError):
-            make_traffic("carrier-pigeon", 5e-4, 0)
+            make_traffic("carrier-pigeon", SLOT_S, 0)
 
 
 class TestBuild:
@@ -110,6 +113,39 @@ class TestSessions:
         sim.run(seconds=0.3)
         entry = sim._sessions[0]
         assert entry.ue.departure_time_s == pytest.approx(0.1, abs=0.01)
+
+    def test_same_slot_arrivals_are_admitted_in_list_order(self):
+        # Arrivals due in one slot join in list order, not arrival order,
+        # so the gNB's add order and RACH requests match a full scan.
+        sim = Simulation.build(SRSRAN_PROFILE, n_ues=0, seed=4)
+        sim.schedule_sessions([
+            Session(ue_id=1, arrival_s=0.0102, holding_s=0.05),
+            Session(ue_id=2, arrival_s=0.0101, holding_s=0.0),
+            Session(ue_id=3, arrival_s=0.02, holding_s=0.05)])
+        sim.run_slots(21)                   # t = 0.0100 s: nobody due
+        assert sim.gnb.ues == {}
+        sim.step()                          # t = 0.0105 s
+        assert list(sim.gnb.ues) == [1, 2]
+        sim.step()            # UE 2 leaves the slot after it arrived
+        assert list(sim.gnb.ues) == [1]
+        sim.run(seconds=0.1)
+        assert sim.gnb.ues == {}
+        assert [e.ue.departure_time_s is not None
+                for e in sim._sessions] == [True, True, True]
+
+    def test_sessions_scheduled_mid_run_join_when_due(self):
+        sim = Simulation.build(SRSRAN_PROFILE, n_ues=0, seed=4)
+        sim.schedule_sessions([Session(ue_id=5, arrival_s=0.0,
+                                       holding_s=1.0)])
+        sim.run(seconds=0.05)
+        sim.schedule_sessions([Session(ue_id=6, arrival_s=0.01,
+                                       holding_s=1.0),
+                               Session(ue_id=7, arrival_s=0.08,
+                                       holding_s=1.0)])
+        sim.step()
+        assert list(sim.gnb.ues) == [5, 6]
+        sim.run(seconds=0.05)
+        assert list(sim.gnb.ues) == [5, 6, 7]
 
 
 class TestSnifferLink:

@@ -15,8 +15,26 @@ from repro.ue.channel import (
     snr_to_cqi,
     transport_block_survives,
 )
+from repro.ue.table import UeTable
+from repro.ue.traffic import ConstantBitRate, TrafficBuffer
+from repro.ue.ue import UserEquipment
 
 SLOT_S = 0.5e-3
+
+
+def table_snrs(profile: str, seed: int, n_slots: int) -> np.ndarray:
+    """One channel's SNR series as the gNB's UE table steps it."""
+    traffic = TrafficBuffer(ConstantBitRate(1e5, SLOT_S))
+    ue = UserEquipment(ue_id=0, dl_buffer=traffic, ul_buffer=traffic,
+                       channel=FadingChannel(profile, 20.0, SLOT_S,
+                                             seed=seed))
+    table = UeTable()
+    table.add(ue)
+    snrs = np.empty(n_slots)
+    for slot in range(n_slots):
+        table.advance(slot)
+        snrs[slot] = table.snr_db(0)
+    return snrs
 
 
 class TestProfiles:
@@ -44,23 +62,20 @@ class TestFadingChannel:
         assert all(s == snrs[0] for s in snrs)
 
     def test_mean_tracks_configured_snr(self):
-        channel = FadingChannel("pedestrian", 20.0, SLOT_S, seed=2)
-        snrs = np.array([channel.step() for _ in range(50000)])
+        snrs = table_snrs("pedestrian", seed=2, n_slots=50000)
         offset = PROFILES["pedestrian"].mean_offset_db
         # Fading is negatively skewed (deep fades) so allow slack.
         assert snrs.mean() == pytest.approx(20.0 - offset, abs=4.0)
 
     def test_urban_has_deep_fades(self):
-        channel = FadingChannel("urban", 20.0, SLOT_S, seed=3)
-        snrs = np.array([channel.step() for _ in range(20000)])
+        snrs = table_snrs("urban", seed=3, n_slots=20000)
         assert snrs.min() < 0.0
         assert snrs.std() > FadingChannel("pedestrian", 20.0, SLOT_S,
                                           seed=3).profile.fading_sigma_db / 4
 
     def test_temporal_correlation_slow_vs_fast(self):
         def lag1(name):
-            channel = FadingChannel(name, 20.0, SLOT_S, seed=4)
-            snrs = np.array([channel.step() for _ in range(20000)])
+            snrs = table_snrs(name, seed=4, n_slots=20000)
             x = snrs - snrs.mean()
             return float((x[:-1] * x[1:]).mean() / (x.var() + 1e-12))
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ue.channel import FadingChannel
+from repro.ue.table import UeTable
 from repro.ue.traffic import BulkDownload, TrafficBuffer
 from repro.ue.ue import PacketCapture, UeError, UserEquipment
 
@@ -73,9 +74,12 @@ class TestUserEquipment:
         assert ue.ul_buffer.backlog_bytes > 0
 
     def test_advance_updates_cqi(self):
+        # The gNB's UE table advances an admitted UE's channel and CQI.
         ue = make_ue()
-        ue.advance_slot(0)
-        assert 1 <= ue.current_cqi <= 15
+        table = UeTable()
+        table.add(ue)
+        table.advance(0)
+        assert 1 <= table.cqi(ue.ue_id) <= 15
 
     def test_delivery_recorded_in_capture(self):
         ue = make_ue()
