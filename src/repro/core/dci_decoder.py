@@ -12,16 +12,16 @@ Two backends share one interface:
   same outputs orders of magnitude faster.
 
 Both return :class:`DecodedDci` lists; everything downstream (grants,
-HARQ tracking, throughput) is backend-agnostic.
+HARQ tracking, throughput) is backend-agnostic.  The per-UE search of
+each slot is the slot runtime's parallel stage: :func:`grid_decode_job`
+and :func:`record_decode_job` run it from a payload alone.
 """
 
 from __future__ import annotations
 
-import pickle
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Container, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -78,61 +78,19 @@ def _ue_entry_plan(space: SearchSpace, rnti: int, reduced_slot: int) \
 
 
 class RecordDciDecoder:
-    """Message-fidelity backend driven by the calibrated BLER model."""
+    """Message-fidelity backend driven by the calibrated BLER model.
+
+    It decodes the common space on the backbone with its own seeded
+    generator; the per-UE search is :func:`record_decode_job`, whose
+    counters the scope merges into ``attempts`` and ``misses``.
+    """
 
     def __init__(self, sniffer_snr_db: float, seed: int = 0) -> None:
         self.sniffer_snr_db = sniffer_snr_db
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._lock = threading.Lock()
         self.attempts = 0
         self.misses = 0
-
-    def decode_slot(self, records: list[DciRecord],
-                    tracked: Container[int],
-                    miss_log: list[tuple[int, int, int]] | None = None) \
-            -> list[DecodedDci]:
-        """Decode this slot's UE-search-space DCIs for tracked RNTIs.
-
-        ``tracked`` only ever answers RNTI membership here, so it may
-        be the scope's search-space snapshot (inline) or the
-        ``frozenset`` of RNTIs a process payload ships.
-
-        Runs on the slot runtime's parallel stage, so each decision is a
-        counter-based draw keyed on (seed, slot, rnti, CCE, level,
-        direction) rather than a shared-RNG state advance: the outcome
-        is identical whatever order and process the slots run on.
-
-        ``miss_log``, when given, receives one ``(slot_index, rnti,
-        level)`` tuple per missed decode in record order — the
-        observability bus turns these into ``dci.miss`` events, and a
-        payload executor ships them back over the wire.
-        """
-        decoded: list[DecodedDci] = []
-        attempts = misses = 0
-        for record in records:
-            if record.search_space != "ue":
-                continue
-            if record.rnti not in tracked:
-                continue
-            attempts += 1
-            level = record.candidate.aggregation_level
-            draw = counter_uniform(
-                self.seed, record.slot_index, record.rnti,
-                record.candidate.first_cce, level,
-                int(record.dci.format == DciFormat.DL_1_1))
-            if draw >= pdcch_bler(self.sniffer_snr_db, level):
-                decoded.append(DecodedDci(dci=record.dci,
-                                          aggregation_level=level))
-            else:
-                misses += 1
-                if miss_log is not None:
-                    miss_log.append((record.slot_index, record.rnti,
-                                     level))
-        with self._lock:
-            self.attempts += attempts
-            self.misses += misses
-        return decoded
 
     def decode_common(self, records: list[DciRecord]) \
             -> list[tuple[DciRecord, bool]]:
@@ -151,7 +109,7 @@ class RecordDciDecoder:
         return results
 
     def checkpoint_state(self) -> dict:
-        """Picklable snapshot (the lock is rebuilt on restore)."""
+        """Picklable snapshot (the generator travels as its state)."""
         return {"sniffer_snr_db": self.sniffer_snr_db,
                 "seed": self.seed,
                 "rng_state": self._rng.bit_generator.state,
@@ -192,8 +150,16 @@ class GridDciDecoder:
         self.use_energy_gate = use_energy_gate
         self.use_cce_claiming = use_cce_claiming
         self.equalize = equalize
-        self._lock = threading.Lock()
         self.attempts = 0
+
+    def config(self) -> dict:
+        """Constructor arguments: ``GridDciDecoder(**d.config())`` is a
+        fresh decoder that decodes exactly like ``d``."""
+        return {"dci_cfg": self.dci_cfg, "n_id": self.n_id,
+                "noise_var": self.noise_var,
+                "use_energy_gate": self.use_energy_gate,
+                "use_cce_claiming": self.use_cce_claiming,
+                "equalize": self.equalize}
 
     def decode_slot_batch(self, grid: ResourceGrid, slot_index: int,
                           tracked: Mapping[int, SearchSpace],
@@ -377,8 +343,7 @@ class GridDciDecoder:
                         claimed_bits |= cce_bits
                         claimed.update(range(start, start + level))
                     break
-        with self._lock:
-            self.attempts += attempts
+        self.attempts += attempts
         return decoded
 
     def blind_decode_common(self, grid: ResourceGrid, slot_index: int,
@@ -427,136 +392,128 @@ class GridDciDecoder:
         return decoded
 
     def checkpoint_state(self) -> dict:
-        """Picklable snapshot (the lock is rebuilt on restore)."""
-        return {"dci_cfg": self.dci_cfg, "n_id": self.n_id,
-                "noise_var": self.noise_var,
-                "use_energy_gate": self.use_energy_gate,
-                "use_cce_claiming": self.use_cce_claiming,
-                "equalize": self.equalize, "attempts": self.attempts}
+        """Picklable snapshot: the configuration and the counter."""
+        return {**self.config(), "attempts": self.attempts}
 
     @classmethod
     def from_state(cls, state: dict) -> "GridDciDecoder":
         """Rebuild a decoder mid-stream from :meth:`checkpoint_state`."""
-        decoder = cls(dci_cfg=state["dci_cfg"], n_id=state["n_id"],
-                      noise_var=state["noise_var"],
-                      use_energy_gate=state["use_energy_gate"],
-                      use_cce_claiming=state["use_cce_claiming"],
-                      equalize=state["equalize"])
-        decoder.attempts = state["attempts"]
+        config = dict(state)
+        attempts = config.pop("attempts")
+        decoder = cls(**config)
+        decoder.attempts = attempts
         return decoder
 
 
-# ---------------------------------------------------- process-pool jobs
-# Module-level so spawned ProcessExecutor workers can unpickle them.
-# Each job rebuilds its decoder from plain config (the module-level
-# kernel caches stay warm per worker process) and ships the counters
-# back for the parent to merge — worker-side decoder state is discarded.
+# ------------------------------------------------- the parallel DCI stage
+# The slot runtime runs one of the two jobs below per slot, on the
+# backbone (inline) or in a spawned worker process.  Each is a
+# module-level function of its payload alone, so it cannot reach the
+# session: the scope packs the payload on the backbone and merges the
+# returned counters and decodes back.  Payload values choose their own
+# wire form through ``__reduce__``; inline, nothing is pickled.
 
-def pack_grid_for_decode(grid: ResourceGrid,
-                         tracked: Mapping[int, SearchSpace]) -> dict:
-    """Slim picklable snapshot of the grid's PDCCH control region.
+@dataclass(frozen=True)
+class ControlRegion:
+    """A captured grid as the DCI search reads it.
 
-    The decode job only ever reads CORESET resource elements, and every
-    tracked CORESET sits in the slot's first few symbols — so the
-    payload ships just those columns (2 of 14 symbols for the lab
-    cells) instead of the whole carrier grid.  The worker rebuilds a
-    full-size grid with zeros elsewhere; those REs are never read, so
-    the decode stays byte-identical.
+    The search only reads CORESET resource elements, and every tracked
+    CORESET sits in the slot's first ``n_symbols`` OFDM symbols.
+    Inline the job reads ``grid`` itself.  Pickled, the region ships
+    just those columns (2 of 14 symbols for the lab cells), and the
+    worker rebuilds a full-size grid with zeros elsewhere; those REs
+    are never read, so the decode stays byte-identical.
     """
-    n_symbols = 0
-    for space in tracked.values():
-        coreset = space.coreset
-        n_symbols = max(n_symbols,
-                        coreset.first_symbol + coreset.n_symbols)
-    n_symbols = min(grid.data.shape[1], n_symbols)
-    return {"n_prb": grid.n_prb, "n_control_symbols": n_symbols,
-            "data": np.ascontiguousarray(grid.data[:, :n_symbols]),
-            "occupancy": np.ascontiguousarray(
-                grid.occupancy[:, :n_symbols])}
+
+    grid: ResourceGrid
+    n_symbols: int
+
+    @classmethod
+    def of(cls, grid: ResourceGrid,
+           tracked: Mapping[int, SearchSpace]) -> "ControlRegion":
+        """The region of ``grid`` covering every tracked CORESET."""
+        n_symbols = 0
+        for space in tracked.values():
+            coreset = space.coreset
+            n_symbols = max(n_symbols,
+                            coreset.first_symbol + coreset.n_symbols)
+        return cls(grid, min(grid.data.shape[1], n_symbols))
+
+    def __reduce__(self):
+        n = self.n_symbols
+        return (_region_from_wire, (
+            self.grid.n_prb, n,
+            np.ascontiguousarray(self.grid.data[:, :n]),
+            np.ascontiguousarray(self.grid.occupancy[:, :n])))
 
 
-def unpack_grid_for_decode(packed: dict) -> ResourceGrid:
-    """Worker-side inverse of :func:`pack_grid_for_decode`."""
-    grid = ResourceGrid(n_prb=packed["n_prb"])
-    n_symbols = packed["n_control_symbols"]
-    grid.data[:, :n_symbols] = packed["data"]
-    grid.occupancy[:, :n_symbols] = packed["occupancy"]
-    return grid
+def _region_from_wire(n_prb: int, n_symbols: int, data: np.ndarray,
+                      occupancy: np.ndarray) -> ControlRegion:
+    """Worker-side inverse of :meth:`ControlRegion.__reduce__`."""
+    grid = ResourceGrid(n_prb=n_prb)
+    grid.data[:, :n_symbols] = data
+    grid.occupancy[:, :n_symbols] = occupancy
+    return ControlRegion(grid, n_symbols)
 
 
-@lru_cache(maxsize=8)
-def _packed_spaces(items: tuple) -> bytes:
-    """Pickle an ``(rnti, search_space)`` tuple once per tracked-table
-    generation — the table only changes when a UE joins or leaves, so
-    steady-state packs are one hash lookup (spaces are hashable)."""
-    return pickle.dumps(dict(items), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def pack_tracked_for_decode(tracked: Mapping[int, SearchSpace]) -> bytes:
-    """Content-addressed search-space blob for the decode payload."""
-    return _packed_spaces(tuple(sorted(tracked.items())))
-
-
-#: Worker-side blob -> decode table cache, content-addressed by the
-#: pickled bytes so a stale entry is impossible by construction.
-_SPACES_CACHE: dict[bytes, dict[int, SearchSpace]] = {}
-
-
-def _tracked_from_blob(blob: bytes) -> dict[int, SearchSpace]:
-    cached = _SPACES_CACHE.get(blob)
-    if cached is None:
-        cached = pickle.loads(blob)
-        while len(_SPACES_CACHE) >= 8:
-            _SPACES_CACHE.pop(next(iter(_SPACES_CACHE)))
-        _SPACES_CACHE[blob] = cached
-    return cached
+def grid_decode_payload(decoder: GridDciDecoder, grid: ResourceGrid,
+                        slot_index: int,
+                        tracked: Mapping[int, SearchSpace]) -> dict:
+    """The :func:`grid_decode_job` payload for one slot: ``decoder``'s
+    configuration, the grid's control region and the tracked search
+    spaces (a :class:`~repro.core.rach_sniffer.SpaceSnapshot` pickles
+    as one content-addressed blob)."""
+    return {"decoder": decoder.config(),
+            "region": ControlRegion.of(grid, tracked),
+            "slot_index": slot_index, "tracked": tracked}
 
 
 def grid_decode_job(payload: dict) -> tuple[list[DecodedDci], int]:
-    """One slot's iq-fidelity decode, picklable for a worker process.
-
-    Runs the same :meth:`GridDciDecoder.decode_slot_batch` call as the
-    inline stage, so the decoded-DCI list matches it byte for byte.
-    ``grid`` and ``tracked`` may arrive in their slim wire forms (see
-    :func:`pack_grid_for_decode` / :func:`pack_tracked_for_decode`) or
-    as the full in-process objects.
-    """
-    grid = payload["grid"]
-    if not isinstance(grid, ResourceGrid):
-        grid = unpack_grid_for_decode(grid)
-    tracked = payload["tracked"]
-    if isinstance(tracked, bytes):
-        tracked = _tracked_from_blob(tracked)
-    decoder = GridDciDecoder(
-        dci_cfg=payload["dci_cfg"], n_id=payload["n_id"],
-        noise_var=payload["noise_var"],
-        use_energy_gate=payload["use_energy_gate"],
-        use_cce_claiming=payload["use_cce_claiming"],
-        equalize=payload["equalize"])
-    decoded = decoder.decode_slot_batch(grid, payload["slot_index"],
-                                        tracked)
+    """One slot's iq-fidelity search: the decoded DCIs and the decode
+    attempts, from a fresh decoder built from the shipped
+    configuration."""
+    decoder = GridDciDecoder(**payload["decoder"])
+    decoded = decoder.decode_slot_batch(payload["region"].grid,
+                                        payload["slot_index"],
+                                        payload["tracked"])
     return decoded, decoder.attempts
 
 
 def record_decode_job(payload: dict) \
         -> tuple[list[DecodedDci], int, int, list[tuple[int, int, int]]]:
-    """One slot's message-fidelity decode, picklable for a worker.
+    """One slot's message-fidelity search: decode the UE-search-space
+    records (``payload["records"]``) of tracked RNTIs.
 
-    The decode decisions are counter-keyed on (seed, slot, rnti, CCE,
-    level, direction), so a fresh decoder with the session seed draws
-    the identical stream in any process.  ``payload["tracked"]`` is
-    the slim ``frozenset`` of tracked RNTIs (membership is all the
-    record decode needs — see :meth:`RecordDciDecoder.decode_slot`).
+    ``payload["tracked"]`` only answers RNTI membership.  Each decision
+    is a counter-based draw keyed on (seed, slot, rnti, CCE, level,
+    direction) rather than a generator advance, so the outcome is the
+    same whatever order and process the slots run on.
 
-    When ``payload["collect_misses"]`` is set, the fourth element
-    carries the per-miss ``(slot, rnti, level)`` log back over the wire
-    so the parent emits the same ``dci.miss`` events an inline session
-    would, in the same commit order.
+    Returns the decoded DCIs, the attempts, the misses and, when
+    ``payload["collect_misses"]`` is set, one ``(slot_index, rnti,
+    level)`` entry per miss in record order, which the scope turns into
+    ``dci.miss`` events at commit.
     """
-    decoder = RecordDciDecoder(sniffer_snr_db=payload["snr_db"],
-                               seed=payload["seed"])
+    snr_db, seed = payload["snr_db"], payload["seed"]
+    tracked = payload["tracked"]
+    collect_misses = payload["collect_misses"]
+    decoded: list[DecodedDci] = []
     miss_log: list[tuple[int, int, int]] = []
-    decoded = decoder.decode_slot(
-        payload["records"], payload["tracked"],
-        miss_log if payload.get("collect_misses") else None)
-    return decoded, decoder.attempts, decoder.misses, miss_log
+    attempts = misses = 0
+    for record in payload["records"]:
+        if record.search_space != "ue" or record.rnti not in tracked:
+            continue
+        attempts += 1
+        level = record.candidate.aggregation_level
+        draw = counter_uniform(
+            seed, record.slot_index, record.rnti,
+            record.candidate.first_cce, level,
+            int(record.dci.format == DciFormat.DL_1_1))
+        if draw >= pdcch_bler(snr_db, level):
+            decoded.append(DecodedDci(dci=record.dci,
+                                      aggregation_level=level))
+        else:
+            misses += 1
+            if collect_misses:
+                miss_log.append((record.slot_index, record.rnti, level))
+    return decoded, attempts, misses, miss_log

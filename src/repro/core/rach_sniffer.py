@@ -14,9 +14,9 @@ UE-dedicated configuration.  Two paper behaviours are modelled exactly:
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
+from typing import ItemsView, Iterator, Mapping, ValuesView
 
 from repro.phy.coreset import Coreset, SearchSpace
 from repro.phy.grant import GrantConfig
@@ -42,6 +42,71 @@ class TrackedUe:
     def touch(self, time_s: float) -> None:
         """Record activity for idle-pruning purposes."""
         self.last_seen_s = max(self.last_seen_s, time_s)
+
+
+class SpaceSnapshot(Mapping[int, SearchSpace]):
+    """Read-only ``rnti -> search space`` table: all the parallel DCI
+    stage reads of the tracked UEs.
+
+    It has no mutators, rejects item assignment, and its values are
+    frozen :class:`SearchSpace` dataclasses, so the stage cannot write
+    tracked state through it.  Pickled (a process-executor payload), it
+    travels as one blob of its RNTI-sorted items, built once per
+    snapshot; a worker unpickles each distinct blob once and then
+    reuses the same table, so per-UE plan caches stay warm.
+    """
+
+    __slots__ = ("_spaces", "_blob")
+
+    def __init__(self, spaces: Mapping[int, SearchSpace]) -> None:
+        self._spaces = dict(spaces)
+        self._blob: bytes | None = None
+
+    def __getitem__(self, rnti: int) -> SearchSpace:
+        return self._spaces[rnti]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._spaces)
+
+    def __len__(self) -> int:
+        return len(self._spaces)
+
+    def __contains__(self, rnti: object) -> bool:
+        return rnti in self._spaces
+
+    def values(self) -> ValuesView[SearchSpace]:
+        return self._spaces.values()
+
+    def items(self) -> ItemsView[int, SearchSpace]:
+        return self._spaces.items()
+
+    @property
+    def blob(self) -> bytes:
+        """The pickled wire form: equal tables give equal blobs."""
+        if self._blob is None:
+            self._blob = pickle.dumps(dict(sorted(self._spaces.items())),
+                                      protocol=pickle.HIGHEST_PROTOCOL)
+        return self._blob
+
+    def __reduce__(self):
+        return (snapshot_from_blob, (self.blob,))
+
+
+#: Worker-side blob -> snapshot cache, content-addressed by the pickled
+#: bytes so a stale entry is impossible by construction.
+_SNAPSHOTS: dict[bytes, SpaceSnapshot] = {}
+
+
+def snapshot_from_blob(blob: bytes) -> SpaceSnapshot:
+    """Inverse of :attr:`SpaceSnapshot.blob`, cached per distinct blob."""
+    snapshot = _SNAPSHOTS.get(blob)
+    if snapshot is None:
+        snapshot = SpaceSnapshot(pickle.loads(blob))
+        snapshot._blob = blob
+        while len(_SNAPSHOTS) >= 8:
+            _SNAPSHOTS.pop(next(iter(_SNAPSHOTS)))
+        _SNAPSHOTS[blob] = snapshot
+    return snapshot
 
 
 def search_space_from_config(config: SearchSpaceConfig) -> SearchSpace:
@@ -74,10 +139,15 @@ class RachSniffer:
     missed_rach_rntis: set[int] = field(default_factory=set)
     cached_setup: RrcSetup | None = None
     setup_pdsch_decodes: int = 0
-    #: ``rnti -> search space`` copy behind :meth:`space_snapshot`,
-    #: replaced (never mutated) whenever the table changes.
-    _spaces: dict[int, SearchSpace] | None = field(
+    #: The table's current :meth:`space_snapshot`, dropped whenever the
+    #: table changes (and from checkpoints: it is derived state).
+    _snapshot: SpaceSnapshot | None = field(
         default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_snapshot"] = None
+        return state
 
     def discover(self, rnti: int, time_s: float,
                  setup: RrcSetup | None) -> TrackedUe:
@@ -102,7 +172,7 @@ class RachSniffer:
             search_space=search_space_from_config(config.search_space),
             dci_format_dl=config.dci_format_dl)
         self.tracked[rnti] = ue
-        self._spaces = None
+        self._snapshot = None
         return ue
 
     def miss(self, rnti: int) -> None:
@@ -110,20 +180,17 @@ class RachSniffer:
         if rnti not in self.tracked:
             self.missed_rach_rntis.add(rnti)
 
-    def space_snapshot(self) -> Mapping[int, SearchSpace]:
-        """Read-only ``rnti -> search space`` copy of the tracked table.
+    def space_snapshot(self) -> SpaceSnapshot:
+        """Read-only :class:`SpaceSnapshot` copy of the tracked table.
 
-        This is all the parallel DCI stage ever reads.  The mapping is a
-        copy behind a read-only proxy and its values are frozen
-        :class:`SearchSpace` dataclasses, so the stage cannot write
-        tracked state through it, and later changes to the table do not
-        show in it.  The copy is rebuilt only when the table changes,
-        so the per-slot cost is one proxy.
+        Later changes to the table do not show in it.  It is rebuilt
+        only when the table changes, so steady-state slots share one
+        snapshot (and one wire blob).
         """
-        if self._spaces is None:
-            self._spaces = {rnti: ue.search_space
-                            for rnti, ue in self.tracked.items()}
-        return MappingProxyType(self._spaces)
+        if self._snapshot is None:
+            self._snapshot = SpaceSnapshot(
+                {rnti: ue.search_space for rnti, ue in self.tracked.items()})
+        return self._snapshot
 
     def is_tracked(self, rnti: int) -> bool:
         """True when DCIs for this RNTI can be decoded."""
@@ -132,7 +199,7 @@ class RachSniffer:
     def release(self, rnti: int) -> None:
         """Forget a UE (departed or RNTI reused)."""
         self.tracked.pop(rnti, None)
-        self._spaces = None
+        self._snapshot = None
 
     def prune_idle(self, now_s: float, idle_timeout_s: float) -> list[int]:
         """Drop UEs silent for longer than the timeout; returns RNTIs.
@@ -147,5 +214,5 @@ class RachSniffer:
         for rnti in stale:
             del self.tracked[rnti]
         if stale:
-            self._spaces = None
+            self._snapshot = None
         return stale

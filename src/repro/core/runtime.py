@@ -11,20 +11,26 @@ controller, the Fig 12 experiment):
   sequentially in slot order on the submitting thread (cell sync,
   broadcast decode, RACH sniffing: they mutate session state and draw
   from the session RNG, so their order is the determinism contract).
-  At most one stage is *parallel* (per-UE DCI decode: pure given the
-  captured grid and a search-space snapshot) and is handed to the
-  executor.  *Sink* stages (telemetry consumers) are committed strictly
-  in slot order behind a reorder buffer, so a process-executor run
-  writes the exact :class:`~repro.core.telemetry.TelemetryLog` an
-  inline run does.
-* :class:`InlineExecutor` - everything on the caller's thread; the
-  deterministic, test-friendly default.
+  *Sink* stages (telemetry consumers) are committed strictly in slot
+  order behind a reorder buffer.
+* The *parallel* stage (at most one: per-UE DCI decode) is a
+  module-level ``job(payload) -> result`` function plus two backbone
+  hooks: ``pack(ctx)`` builds the slot's payload and ``merge(ctx,
+  result)`` folds the result back before the sinks see it.  Every
+  executor runs that same ``merge(ctx, job(pack(ctx)))``; only where
+  ``job`` runs differs.  The job never sees the context or the
+  session, so it cannot reach backbone state, and inline and process
+  sessions commit the same telemetry by construction.
+* :class:`InlineExecutor` - runs the job on the caller's thread, with
+  the payload as built (nothing is pickled); the deterministic,
+  test-friendly default.
 * :class:`ProcessExecutor` - the paper's worker pool: N spawned worker
-  processes, fed one picklable decode job per slot through the parallel
-  stage's ``pack``/``merge`` hooks.  Each job is pickled on the
-  backbone at submit by a checked pickler that refuses backbone state
-  (RNG streams, the obs bus, tracked UEs), so a bad payload fails at
-  the slot that built it.
+  processes.  Each ``(job, payload)`` is pickled on the backbone at
+  submit by a checked pickler that refuses backbone state (RNG
+  streams, the obs bus, tracked UEs), so a bad payload fails at the
+  slot that built it.  Payload objects choose their own wire form
+  through ``__reduce__`` (the DCI stage ships only the grid's control
+  region).
 * Backpressure - the in-flight backlog is bounded; a slot arriving while
   the pool is saturated is *dropped with accounting* (the paper's
   real-time constraint: an over-budget slot is a counted DCI miss,
@@ -56,14 +62,13 @@ import time
 from concurrent import futures
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.constants import TTI_DURATION_S
 from repro.core.dci_decoder import DecodedDci
 from repro.core.rach_sniffer import TrackedUe
-from repro.core.sanitizer import Sanitizer
 from repro.obs.context import AnyObsContext, OBS_NOOP, ObsContext
 from repro.obs.reporters import Reporter
 from repro.phy.coreset import SearchSpace
@@ -104,8 +109,8 @@ class SlotContext:
     #: identical slot-ordered stream.
     stage_times: list[tuple[str, float]] = field(default_factory=list)
     #: Deferred observability events (name, fields), appended by stages
-    #: — including the parallel stage and payload-executor workers via
-    #: the merge hook — and emitted at commit in slot order.
+    #: and by the parallel stage's merge hook, and emitted at commit in
+    #: slot order.
     events: list[tuple[str, dict]] = field(default_factory=list)
 
 
@@ -113,26 +118,24 @@ class SlotContext:
 class Stage:
     """One typed step of the slot pipeline.
 
-    ``fn`` receives the :class:`SlotContext`; a backbone stage may
-    return ``False`` to halt the slot entirely (e.g. the sniffer is not
-    synchronized yet).  Exactly zero or one stage may be ``parallel``;
+    A backbone or sink stage's ``fn`` receives the
+    :class:`SlotContext`; a backbone stage may return ``False`` to halt
+    the slot entirely (e.g. the sniffer is not synchronized yet).
     ``sink`` stages must come last and are committed in slot order.
 
-    A parallel stage that should also run under a payload executor
-    (:class:`ProcessExecutor`) supplies ``pack``/``merge``: ``pack``
-    runs on the backbone and extracts a picklable ``(job, payload)``
-    pair (``job`` must be a module-level function), ``merge`` applies
-    the job's pickled result back onto the context before the sinks
-    see it.  The inline executor keeps calling ``fn`` directly.
+    At most one stage is ``parallel``.  Its ``fn`` is the job: a
+    module-level ``payload -> result`` function (picklable by
+    reference).  ``pack`` runs on the backbone and builds the slot's
+    payload from the context; ``merge`` runs on the backbone and
+    applies the job's result to the context before the sinks see it.
     """
 
     name: str
-    fn: Callable[[SlotContext], object]
+    fn: Callable[..., Any]
     parallel: bool = False
     sink: bool = False
-    pack: Callable[[SlotContext],
-                   tuple[Callable[[object], object], object]] | None = None
-    merge: Callable[[SlotContext, object], None] | None = None
+    pack: Callable[[SlotContext], object] | None = None
+    merge: Callable[[SlotContext, Any], None] | None = None
 
 
 # --------------------------------------------------------------- stats
@@ -194,8 +197,9 @@ class RuntimeStats:
 # ------------------------------------------------------------ executors
 @dataclass
 class JobResult:
-    """A payload executor's finished unit: the pickled-back result of
-    one slot's parallel job, matched to its context via ``seq``."""
+    """One slot's finished parallel job, matched to its context via
+    ``seq``: the job's result (or the error it raised) and its compute
+    time."""
 
     seq: int
     result: object
@@ -203,13 +207,25 @@ class JobResult:
     error: BaseException | None = None
 
 
+def run_job(seq: int, job: Callable[[Any], object],
+            payload: object) -> JobResult:
+    """Run one slot's job and clock it; an error it raises is carried
+    in the result and re-raised at the slot's commit."""
+    start = time.perf_counter()
+    try:
+        result = job(payload)
+    except Exception as exc:  # noqa: BLE001 - re-raised at commit
+        return JobResult(seq=seq, result=None,
+                         elapsed_s=time.perf_counter() - start, error=exc)
+    return JobResult(seq=seq, result=result,
+                     elapsed_s=time.perf_counter() - start)
+
+
 class Executor:
-    """How slot work runs.  Subclasses supply the concurrency."""
+    """Where the parallel stage's jobs run.  Subclasses supply the
+    concurrency."""
 
     name = "base"
-    #: Payload executors cannot run closures; the runtime routes them
-    #: through the parallel stage's ``pack``/``merge`` hooks instead.
-    requires_payload = False
 
     def start(self) -> None:
         """Bring up any workers (idempotent)."""
@@ -217,19 +233,14 @@ class Executor:
     def shutdown(self) -> None:
         """Stop workers after queued work finishes."""
 
-    def try_submit(self, seq: int,
-                   thunk: Callable[[], SlotContext]) -> bool:
-        """Accept one slot's parallel work, or refuse (backpressure)."""
-        raise NotImplementedError
-
     def try_submit_payload(self, seq: int,
-                           job: Callable[[object], object],
+                           job: Callable[[Any], object],
                            payload: object) -> bool:
-        """Accept one slot's picklable job, or refuse (backpressure)."""
+        """Accept one slot's job, or refuse (backpressure)."""
         raise NotImplementedError
 
-    def pop_ready(self) -> list[SlotContext | JobResult]:
-        """Collect finished contexts (any order; non-blocking)."""
+    def pop_ready(self) -> list[JobResult]:
+        """Collect finished jobs (any order; non-blocking)."""
         raise NotImplementedError
 
     def wait(self, timeout_s: float) -> None:
@@ -243,14 +254,15 @@ class InlineExecutor(Executor):
     name = "inline"
 
     def __init__(self) -> None:
-        self._ready: list[SlotContext | JobResult] = []
+        self._ready: list[JobResult] = []
 
-    def try_submit(self, seq: int,
-                   thunk: Callable[[], SlotContext]) -> bool:
-        self._ready.append(thunk())
+    def try_submit_payload(self, seq: int,
+                           job: Callable[[Any], object],
+                           payload: object) -> bool:
+        self._ready.append(run_job(seq, job, payload))
         return True
 
-    def pop_ready(self) -> list[SlotContext | JobResult]:
+    def pop_ready(self) -> list[JobResult]:
         ready, self._ready = self._ready, []
         return ready
 
@@ -303,21 +315,17 @@ def dumps_payload(seq: int, job: Callable[[object], object],
     return buffer.getvalue()
 
 
-def _run_pickled(blob: bytes) -> tuple[object, float]:
-    """Worker-side entry: unpickle one job, run it, and clock its
-    compute time (excluding pickle transport, matching the thunk
-    timing)."""
+def _run_pickled(seq: int, blob: bytes) -> JobResult:
+    """Worker-side entry: unpickle one job and run it (its clock
+    excludes the pickle transport)."""
     job, payload = pickle.loads(blob)
-    start = time.perf_counter()
-    result = job(payload)
-    return result, time.perf_counter() - start
+    return run_job(seq, job, payload)
 
 
 class ProcessExecutor(Executor):
     """True multi-core decode: N spawned worker processes.
 
-    The parallel stage's ``pack`` hook hands each slot over as a
-    picklable ``(job, payload)`` pair, pickled here at submit by
+    Each slot's ``(job, payload)`` is pickled here at submit by
     :func:`dumps_payload`; results come back as :class:`JobResult` and
     are merged on the backbone.  The pending-futures backlog plays the
     bounded queue's role — a submit that would exceed ``queue_depth``
@@ -328,7 +336,6 @@ class ProcessExecutor(Executor):
     """
 
     name = "process"
-    requires_payload = True
 
     def __init__(self, n_workers: int = DEFAULT_WORKERS,
                  queue_depth: int = 256) -> None:
@@ -339,8 +346,8 @@ class ProcessExecutor(Executor):
         self.n_workers = n_workers
         self.queue_depth = queue_depth
         self._pool: futures.ProcessPoolExecutor | None = None
-        self._pending: dict[int, futures.Future[tuple[object, float]]] = {}
-        self._ready: list[SlotContext | JobResult] = []
+        self._pending: dict[int, futures.Future[JobResult]] = {}
+        self._ready: list[JobResult] = []
 
     def start(self) -> None:
         if self._pool is None:
@@ -348,14 +355,8 @@ class ProcessExecutor(Executor):
                 max_workers=self.n_workers,
                 mp_context=multiprocessing.get_context("spawn"))
 
-    def try_submit(self, seq: int,
-                   thunk: Callable[[], SlotContext]) -> bool:
-        raise SlotRuntimeError(
-            "ProcessExecutor cannot run closures; the parallel stage "
-            "must supply pack/merge hooks (picklable payload jobs)")
-
     def try_submit_payload(self, seq: int,
-                           job: Callable[[object], object],
+                           job: Callable[[Any], object],
                            payload: object) -> bool:
         self.start()
         self._reap()
@@ -363,7 +364,7 @@ class ProcessExecutor(Executor):
             return False
         blob = dumps_payload(seq, job, payload)
         assert self._pool is not None
-        self._pending[seq] = self._pool.submit(_run_pickled, blob)
+        self._pending[seq] = self._pool.submit(_run_pickled, seq, blob)
         return True
 
     def _reap(self) -> None:
@@ -371,14 +372,12 @@ class ProcessExecutor(Executor):
         for seq in done:
             fut = self._pending.pop(seq)
             try:
-                result, elapsed_s = fut.result()
-                self._ready.append(JobResult(seq=seq, result=result,
-                                             elapsed_s=elapsed_s))
+                self._ready.append(fut.result())
             except BaseException as exc:  # noqa: BLE001 - surfaced at commit
                 self._ready.append(JobResult(seq=seq, result=None,
                                              elapsed_s=0.0, error=exc))
 
-    def pop_ready(self) -> list[SlotContext | JobResult]:
+    def pop_ready(self) -> list[JobResult]:
         self._reap()
         ready, self._ready = self._ready, []
         return ready
@@ -402,22 +401,22 @@ def build_executor(spec: str | Executor,
                    queue_depth: int = 256) -> Executor:
     """Resolve an executor from a name or pass an instance through.
 
-    ``"inline"`` or ``"process"``; the latter accepts an optional
-    worker-count suffix (``"process:2"``), else runs
-    :data:`DEFAULT_WORKERS` workers.
+    ``"inline"`` or ``"process"``; the latter accepts a worker-count
+    suffix (``"process:2"``), else runs :data:`DEFAULT_WORKERS`
+    workers.  An empty suffix (``"process:"``) is refused.
     """
     if isinstance(spec, Executor):
         return spec
-    base, _, suffix = spec.partition(":")
+    base, colon, suffix = spec.partition(":")
     n_workers = DEFAULT_WORKERS
-    if suffix:
+    if colon:
         try:
             n_workers = int(suffix)
         except ValueError:
             raise SlotRuntimeError(
                 f"bad worker count in executor spec: {spec!r}") from None
     if base == "inline":
-        if suffix:
+        if colon:
             raise SlotRuntimeError(
                 f"inline executor takes no worker count: {spec!r}")
         return InlineExecutor()
@@ -445,7 +444,6 @@ class SlotRuntime:
                  slot_budget_s: float = TTI_DURATION_S[30],
                  drop_cost: Callable[[SlotContext], int] | None = None,
                  flush_timeout_s: float = 30.0,
-                 sanitizer: "Sanitizer | None" = None,
                  obs: AnyObsContext | None = None) -> None:
         if slot_budget_s <= 0:
             raise SlotRuntimeError(
@@ -458,6 +456,11 @@ class SlotRuntime:
                 + ", ".join(s.name for s in parallel))
         if any(s.parallel and s.sink for s in stages):
             raise SlotRuntimeError("a sink stage cannot be parallel")
+        for stage in parallel:
+            if stage.pack is None or stage.merge is None:
+                raise SlotRuntimeError(
+                    f"parallel stage {stage.name!r} needs pack and "
+                    f"merge hooks")
         seen_tail = False
         for stage in stages:
             if stage.parallel or stage.sink:
@@ -484,10 +487,6 @@ class SlotRuntime:
         #: so inline and process sessions produce the identical event
         #: sequence.
         self._obs = obs if obs is not None else OBS_NOOP
-        #: nrsan hook: when enabled, the parallel stage runs inside the
-        #: sanitizer's thread-local scope so audited generators can
-        #: attribute draws to it.
-        self._sanitizer = sanitizer
         self._drop_cost = drop_cost or (lambda ctx: 0)
         self._lock = threading.Lock()
         self._stage_stats = {s.name: StageStats(name=s.name)
@@ -500,8 +499,8 @@ class SlotRuntime:
         self._next_commit = 0
         self._commit_seq = 0
         self._reorder: dict[int, SlotContext] = {}
-        #: Contexts whose parallel work travelled to a payload executor
-        #: as a pickled job; rejoined with their JobResult on drain.
+        #: Contexts whose parallel job the executor accepted; rejoined
+        #: with their JobResult on drain.
         self._inflight: dict[int, SlotContext] = {}
 
     # ---------------------------------------------------------- intake
@@ -538,58 +537,23 @@ class SlotRuntime:
             return ctx
         ctx.seq = self._commit_seq
         self._commit_seq += 1
-        if self._parallel is not None and not ctx.skip_decode:
-            if self.executor.requires_payload:
-                accepted = self._submit_payload(ctx)
+        stage = self._parallel
+        if stage is not None and not ctx.skip_decode:
+            assert stage.pack is not None
+            if self.executor.try_submit_payload(ctx.seq, stage.fn,
+                                                stage.pack(ctx)):
+                self._inflight[ctx.seq] = ctx
             else:
-                accepted = self.executor.try_submit(
-                    ctx.seq, self._make_thunk(ctx))
-            if not accepted:
                 ctx.dropped = True
                 with self._lock:
                     self._dropped += 1
                     self._dcis_dropped += int(self._drop_cost(ctx))
-                    self._stage_stats[self._parallel.name].drops += 1
+                    self._stage_stats[stage.name].drops += 1
                 self._reorder[ctx.seq] = ctx
         else:
             self._reorder[ctx.seq] = ctx
         self._drain_ready()
         return ctx
-
-    def _submit_payload(self, ctx: SlotContext) -> bool:
-        """Hand one slot to a payload executor via the stage's pack."""
-        stage = self._parallel
-        assert stage is not None
-        if stage.pack is None or stage.merge is None:
-            raise SlotRuntimeError(
-                f"executor {self.executor.name!r} needs stage "
-                f"{stage.name!r} to supply pack/merge hooks")
-        job, payload = stage.pack(ctx)
-        accepted = self.executor.try_submit_payload(ctx.seq, job, payload)
-        if accepted:
-            self._inflight[ctx.seq] = ctx
-        return accepted
-
-    def _make_thunk(self, ctx: SlotContext) -> Callable[[], SlotContext]:
-        stage = self._parallel
-        assert stage is not None
-        sanitizer = self._sanitizer
-
-        def thunk() -> SlotContext:
-            start = time.perf_counter()
-            try:
-                if sanitizer is not None and sanitizer.enabled:
-                    with sanitizer.parallel_stage_scope(stage.name):
-                        stage.fn(ctx)
-                else:
-                    stage.fn(ctx)
-            except BaseException as exc:  # noqa: BLE001 - re-raised at commit
-                ctx.error = exc
-            ctx.decode_time_s = time.perf_counter() - start
-            self._record_stage(stage.name, ctx.decode_time_s)
-            return ctx
-
-        return thunk
 
     def _record_stage(self, name: str, elapsed_s: float) -> None:
         with self._lock:
@@ -604,18 +568,16 @@ class SlotRuntime:
 
     # ---------------------------------------------------------- commit
     def _drain_ready(self) -> None:
-        for item in self.executor.pop_ready():
-            if isinstance(item, JobResult):
-                self._reorder[item.seq] = self._rejoin(item)
-            else:
-                self._reorder[item.seq] = item
+        for result in self.executor.pop_ready():
+            self._reorder[result.seq] = self._rejoin(result)
         while self._next_commit in self._reorder:
             ctx = self._reorder.pop(self._next_commit)
             self._next_commit += 1
             self._commit(ctx)
 
     def _rejoin(self, result: JobResult) -> SlotContext:
-        """Fold a payload executor's JobResult back into its context."""
+        """Fold a finished job back into its context (on the
+        backbone, in completion order; commit reorders)."""
         stage = self._parallel
         assert stage is not None and stage.merge is not None
         ctx = self._inflight.pop(result.seq)
@@ -645,9 +607,8 @@ class SlotRuntime:
             # All of the slot's deferred events flush here, on the
             # backbone, strictly in commit order: backbone stage spans,
             # the parallel stage's span (with its drop/backpressure
-            # outcome), then whatever the stages queued on the context
-            # (decode misses, worker-side events from payload
-            # executors).
+            # outcome), then whatever the stages and the merge hook
+            # queued on the context (decode misses).
             for name, elapsed in ctx.stage_times:
                 obs.timing("stage.span", elapsed, stage=name, slot=slot,
                            outcome="ok")

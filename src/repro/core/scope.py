@@ -30,14 +30,13 @@ from repro.constants import SI_RNTI
 from repro.core.aggregation import PacketAggregationAnalyzer
 from repro.core.cell_search import CellSearcher
 from repro.core.dci_decoder import DecodedDci, GridDciDecoder, \
-    RecordDciDecoder, grid_decode_job, pack_grid_for_decode, \
-    pack_tracked_for_decode, record_decode_job
+    RecordDciDecoder, grid_decode_job, grid_decode_payload, \
+    record_decode_job
 from repro.core.harq_tracker import HarqTrackerBank
 from repro.core.rach_sniffer import RachSniffer
 from repro.obs.context import AnyObsContext, OBS_NOOP
 from repro.core.runtime import Executor, RuntimeStats, SlotContext, \
     SlotRuntime, Stage, build_executor
-from repro.core.sanitizer import Sanitizer, parallel_stage
 from repro.core.spare_capacity import SpareCapacityEstimator, TtiUsage
 from repro.core.decode_model import uci_decode_succeeds
 from repro.core.telemetry import TelemetryLog
@@ -94,7 +93,6 @@ class NRScope:
                  executor: str | Executor = "inline",
                  queue_depth: int = 256,
                  slot_budget_s: float | None = None,
-                 sanitizer: Sanitizer | None = None,
                  obs: AnyObsContext | None = None,
                  cell: str | None = None) -> None:
         if fidelity not in ("message", "iq"):
@@ -105,13 +103,7 @@ class NRScope:
         self.cell_n_id = cell_n_id
         self.idle_timeout_s = idle_timeout_s
         self.always_decode_setup = always_decode_setup
-        # nrsan (opt-in via the sanitizer argument, the nrsan pytest
-        # fixture or NRSAN=1): the session RNG is audited, proving at
-        # runtime the no-draw contract lint rule R007 proves statically.
-        # Disabled, the hook returns its argument unchanged.
-        self._sanitizer = sanitizer if sanitizer is not None \
-            else Sanitizer.from_env()
-        self._rng = self._sanitizer.audit_rng(np.random.default_rng(seed))
+        self._rng = np.random.default_rng(seed)
         # Observability bus (repro.obs).  Disabled it is the shared
         # no-op singleton; every emission site is behind ``if
         # self._obs:`` so a disabled session pays one pointer check and
@@ -122,7 +114,6 @@ class NRScope:
         base_obs = obs if obs is not None else OBS_NOOP
         self._obs: AnyObsContext = base_obs.bind(cell=cell) if cell \
             else base_obs
-        self._sanitizer.bind_obs(self._obs)
 
         self.searcher = CellSearcher(sniffer_snr_db=link.snr_db)
         self.counters = ScopeCounters()
@@ -160,7 +151,8 @@ class NRScope:
         # The staged slot pipeline (paper Fig 4).  Backbone stages hold
         # every RNG draw and every tracked-table mutation, so slot order
         # alone fixes the session's randomness; the one parallel stage
-        # (per-UE DCI decode) is pure and safe to run out of order; the
+        # (per-UE DCI decode) is a module-level job of its packed
+        # payload, safe to run out of order and in another process; the
         # sink commits telemetry in slot order behind the runtime's
         # reorder buffer.
         self._runtime = SlotRuntime(
@@ -170,14 +162,14 @@ class NRScope:
                 Stage("uci", self._stage_uci),
                 Stage("capture", self._stage_capture),
                 Stage("rach", self._stage_rach),
-                Stage("dci", self._stage_dci, parallel=True,
+                Stage("dci", grid_decode_job if fidelity == "iq"
+                      else record_decode_job, parallel=True,
                       pack=self._pack_dci, merge=self._merge_dci),
                 Stage("sinks", self._stage_sinks, sink=True),
             ],
             executor=build_executor(executor, queue_depth=queue_depth),
             slot_budget_s=slot_budget_s or self._slot_duration_s,
             drop_cost=self._drop_cost,
-            sanitizer=self._sanitizer,
             obs=self._obs)
         if self._obs:
             self._obs.emit("session.start", fidelity=fidelity,
@@ -545,74 +537,39 @@ class NRScope:
             self._sniff_rach_message_mode(output, events)
         ctx.tracked = self.rach.space_snapshot()
 
-    @parallel_stage
-    def _stage_dci(self, ctx: SlotContext) -> None:
-        """Per-UE DCI decode — the parallel stage.  Pure given the
-        captured grid / slot records and the read-only search-space
-        snapshot.  The decorator marks it as a purity root for lint
-        rule R006."""
-        output = ctx.output
-        if self.fidelity == "iq":
-            assert self._grid_decoder is not None
-            ctx.decoded = self._grid_decoder.decode_slot_batch(
-                ctx.grid, output.slot.index, ctx.tracked)
-        else:
-            assert self._record_decoder is not None
-            miss_log: list[tuple[int, int, int]] | None = \
-                [] if self._obs else None
-            ctx.decoded = self._record_decoder.decode_slot(
-                output.dci_records, ctx.tracked, miss_log)
-            if miss_log:
-                self._log_dci_misses(ctx, miss_log)
-
     @staticmethod
     def _log_dci_misses(ctx: SlotContext,
                         miss_log: list[tuple[int, int, int]]) -> None:
         """Queue one ``dci.miss`` event per missed decode; the runtime
-        emits the queue at commit, so the stream is identical whether
-        the misses happened inline or in a worker process (where the
-        log rode the pickled job result)."""
+        emits the queue at commit, so the stream is identical whichever
+        executor ran the job."""
         for slot_index, rnti, level in miss_log:
             ctx.events.append(("dci.miss", {
                 "slot": slot_index, "rnti": rnti, "stage": "dci",
                 "reason": "bler", "level": level}))
 
-    def _pack_dci(self, ctx: SlotContext):
-        """Picklable ``(job, payload)`` for a process executor.
+    def _pack_dci(self, ctx: SlotContext) -> dict:
+        """The DCI job's payload for this slot, built on the backbone.
 
-        Mirrors :meth:`_stage_dci` exactly — same decoder
-        configuration — so a worker process produces the
-        byte-identical decoded list the inline stage would.  The
-        executor pickles the pair at submit and refuses backbone state
-        (RNGs, the obs bus, tracked UEs) anywhere in it.
+        It holds the decoder configuration and the slot's read-only
+        inputs, never the decoders themselves: the session RNG and
+        counters stay on the backbone.  A process executor pickles it
+        at submit and refuses backbone state anywhere in it.
         """
         output = ctx.output
         if self.fidelity == "iq":
-            dec = self._grid_decoder
-            assert dec is not None
-            return grid_decode_job, {
-                "dci_cfg": dec.dci_cfg, "n_id": dec.n_id,
-                "noise_var": dec.noise_var,
-                "use_energy_gate": dec.use_energy_gate,
-                "use_cce_claiming": dec.use_cce_claiming,
-                "equalize": dec.equalize,
-                "grid": pack_grid_for_decode(ctx.grid, ctx.tracked),
-                "slot_index": output.slot.index,
-                "tracked": pack_tracked_for_decode(ctx.tracked),
-            }
+            assert self._grid_decoder is not None
+            return grid_decode_payload(self._grid_decoder, ctx.grid,
+                                       output.slot.index, ctx.tracked)
         rec = self._record_decoder
         assert rec is not None
-        # The record decode only tests RNTI membership.
-        return record_decode_job, {
-            "snr_db": rec.sniffer_snr_db, "seed": rec.seed,
-            "records": output.dci_records,
-            "tracked": frozenset(ctx.tracked),
-            "collect_misses": bool(self._obs),
-        }
+        return {"snr_db": rec.sniffer_snr_db, "seed": rec.seed,
+                "records": output.dci_records, "tracked": ctx.tracked,
+                "collect_misses": bool(self._obs)}
 
     def _merge_dci(self, ctx: SlotContext, result) -> None:
-        """Fold a worker's pickled decode result back into the slot
-        (runs on the backbone, so plain counter adds are safe)."""
+        """Fold the job's decodes and counters back into the slot and
+        the session's decoders (on the backbone)."""
         if self.fidelity == "iq":
             decoded, attempts = result
             assert self._grid_decoder is not None

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.dci_decoder import GridDciDecoder
+from repro.core.dci_decoder import GridDciDecoder, grid_decode_job, \
+    grid_decode_payload
 from repro.core.rach_sniffer import RachSniffer
 from repro.core.runtime import SlotContext, SlotRuntime, Stage
 from repro.experiments.common import ExperimentError, FigureResult
@@ -118,12 +119,17 @@ def build_runtime(workload: Workload,
         ctx.grid = demodulate_slot(workload.samples, workload.ofdm)
         ctx.tracked = workload.tracked
 
-    def dci(ctx: SlotContext) -> None:
-        ctx.decoded = decoder.decode_slot_batch(
-            ctx.grid, workload.slot_index, ctx.tracked)
+    def pack(ctx: SlotContext) -> dict:
+        return grid_decode_payload(decoder, ctx.grid, workload.slot_index,
+                                   ctx.tracked)
 
-    return SlotRuntime(stages=[Stage("demod", demod),
-                               Stage("dci", dci, parallel=True)])
+    def merge(ctx: SlotContext, result) -> None:
+        ctx.decoded = result[0]
+
+    return SlotRuntime(stages=[
+        Stage("demod", demod),
+        Stage("dci", grid_decode_job, parallel=True, pack=pack,
+              merge=merge)])
 
 
 def measure(profile: CellProfile, n_ues: int,

@@ -29,9 +29,7 @@ Rule catalogue (see each module under :mod:`repro.lint.rules`):
 * **R008** dtype-less numpy allocations in PHY hot paths.
 
 R006/R007 run on a whole-scan :class:`~repro.lint.effects.Program`
-(project call graph + transitive effect inference); R007's runtime
-companion is nrsan (:mod:`repro.core.sanitizer`), which audits RNG
-draws inside the parallel stage.
+(project call graph + transitive effect inference).
 
 New rules are one file each: drop ``rNNN_name.py`` into
 :mod:`repro.lint.rules` with a ``@register``-decorated :class:`Rule`

@@ -471,7 +471,7 @@ class CallGraph:
                               cls: str | None = None) \
             -> FunctionNode | None:
         """Resolve a callable *reference* (not a call) like
-        ``self._stage_dci`` or a bare function name, as seen from
+        ``self._stage_rach`` or a bare function name, as seen from
         ``rel`` inside class ``cls``."""
         module = self.modules.get(rel)
         if module is None:

@@ -19,8 +19,8 @@ about:
 A function with none of these is *pure* for the runtime's purposes.
 Direct (seed) effects are detected per function body; the transitive
 closure then flows caller-ward over the call graph, carrying a witness
-chain so a violation can be reported as ``_stage_dci -> decode_slot ->
-self._rng.random() (core/dci_decoder.py:103)`` rather than as a bare
+chain so a violation can be reported as ``grid_decode_job ->
+decode_slot_batch -> np.random.random()`` rather than as a bare
 verdict.  Opaque (unresolvable) calls contribute no effects — the
 count of them is surfaced in the report so the blind spot is measured,
 not hidden.
@@ -349,14 +349,25 @@ def _find_stage_roots(graph: CallGraph) -> list[StageRoot]:
                     for kw in node.keywords:
                         if kw.arg == "fn":
                             fn_expr = kw.value
-                if fn_expr is None:
-                    continue
-                target = graph.resolve_callable_expr(
-                    module.rel, fn_expr, cls=klass_name)
-                if target is not None:
+                # A stage that picks its job by configuration
+                # (``a if iq else b``) roots every branch.
+                exprs = [fn_expr] if fn_expr is not None else []
+                while exprs:
+                    expr = exprs.pop()
+                    if isinstance(expr, ast.IfExp):
+                        exprs += [expr.orelse, expr.body]
+                        continue
+                    target = graph.resolve_callable_expr(
+                        module.rel, expr, cls=klass_name)
+                    if target is None:
+                        continue
+                    # Anchor at the Stage call when it sits in the
+                    # root's file, else at the root's definition.
+                    lineno = node.lineno if target.rel == module.rel \
+                        else target.node.lineno
                     roots.setdefault(target.qualname, StageRoot(
                         qualname=target.qualname, rel=target.rel,
-                        lineno=node.lineno, how="stage-call"))
+                        lineno=lineno, how="stage-call"))
     return sorted(roots.values(), key=lambda r: (r.rel, r.qualname))
 
 

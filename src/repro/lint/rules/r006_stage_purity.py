@@ -2,7 +2,8 @@
 
 The staged SlotRuntime's determinism contract (inline == process,
 byte-identical) holds only because the one parallel stage — per-UE DCI
-decode — is pure given the captured grid and the search-space snapshot.
+decode — is a pure job of its payload (the captured control region and
+the search-space snapshot).
 Backbone stages own all RNG draws and tracked-table mutation; the
 parallel stage may use *counter-keyed* RNG only, because keyed draws are
 order- and thread-free.
@@ -12,13 +13,16 @@ transitively reachable from a parallel-stage root must be free of
 ``mutates-tracked`` / ``rng`` / ``io`` / ``clock`` effects (see
 :mod:`repro.lint.effects`).  Roots are detected two ways:
 
-* a function decorated ``@parallel_stage`` (the marker exported by
-  :mod:`repro.core.sanitizer`);
-* the ``fn`` argument of any ``Stage(..., parallel=True)`` construction.
+* a function decorated ``@parallel_stage`` (any decorator of that
+  name);
+* the ``fn`` argument of any ``Stage(..., parallel=True)`` construction,
+  every branch of it when the stage picks its job with a conditional
+  expression (the scope's ``grid_decode_job if ... else
+  record_decode_job``).
 
 Findings are anchored at the root and carry the witness chain down to
-the seeding call (``_stage_dci -> decode_slot -> 'self._rng.random()'
-(core/dci_decoder.py:103)``) so the violation is actionable without
+the seeding call (``grid_decode_job -> decode_slot_batch ->
+'np.random.random()'``) so the violation is actionable without
 re-deriving the closure by hand.
 """
 

@@ -109,8 +109,6 @@ KNOWN_EVENTS: dict[str, EventSpec] = {spec.name: spec for spec in (
               required=("slot", "rnti", "stage", "reason")),
     EventSpec("msg4.tracked", "event",
               required=("slot", "rnti", "stage")),
-    EventSpec("nrsan.violation", "event",
-              required=("stage", "reason")),
     EventSpec("fleet.checkpoint", "span", required=("cells",),
               fields={"cells": (int,), "bytes": (int,)}),
     EventSpec("fleet.restore", "span", required=("cells",),

@@ -3,8 +3,8 @@
 The first question a fleet operator asks of a long run is "which
 UEs/cells account for the misses?".  This module answers it from the
 bus's event stream alone: failure events (DCI misses, backpressure
-drops, MSG 4 losses, sanitizer violations) are grouped by
-``(cell, rnti, stage, reason)`` and ranked by count, producing a JSON
+drops, MSG 4 losses) are grouped by ``(cell, rnti, stage, reason)``
+and ranked by count, producing a JSON
 document for machines and a markdown table for humans
 (``python -m repro.cli obs topn events.jsonl``).
 """
@@ -22,7 +22,6 @@ FAILURE_NAMES: dict[str, str] = {
     "dci.miss": "decode miss",
     "dci.drop": "backpressure drop",
     "msg4.miss": "acquisition miss",
-    "nrsan.violation": "sanitizer violation",
 }
 
 #: Report document version (independent of the event schema version).

@@ -5,22 +5,13 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from repro.core.runtime import Executor
-from repro.core.sanitizer import Sanitizer
+from repro.core.runtime import Executor, run_job
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator; reseed per test for isolation."""
     return np.random.default_rng(0xC0FFEE)
-
-
-@pytest.fixture
-def nrsan() -> Sanitizer:
-    """An enabled nrsan sanitizer: pass as ``NRScope(sanitizer=nrsan)``
-    (or to ``SlotRuntime``) to run the session instrumented —
-    parallel-stage RNG draws trip."""
-    return Sanitizer(enabled=True)
 
 
 class ScriptedExecutor(Executor):
@@ -39,10 +30,10 @@ class ScriptedExecutor(Executor):
         self._held: list = []
         self._ready: list = []
 
-    def try_submit(self, seq, thunk):
+    def try_submit_payload(self, seq, job, payload):
         if self._refuse(seq):
             return False
-        self._held.append(thunk)
+        self._held.append((seq, job, payload))
         return True
 
     def pop_ready(self):
@@ -51,7 +42,7 @@ class ScriptedExecutor(Executor):
 
     def wait(self, timeout_s):
         held, self._held = self._held, []
-        self._ready.extend(thunk() for thunk in reversed(held))
+        self._ready.extend(run_job(*entry) for entry in reversed(held))
 
 
 @pytest.fixture

@@ -11,16 +11,18 @@ wire forms (control-region grid slice + content-addressed search-space
 blob) must likewise be invisible to the decode.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import DCI_CRC_LEN
-from repro.core.dci_decoder import DecodedDci, GridDciDecoder, \
-    _SPACES_CACHE, _tracked_from_blob, _ue_entry_plan, grid_decode_job, \
-    pack_grid_for_decode, pack_tracked_for_decode, unpack_grid_for_decode
-from repro.core.rach_sniffer import RachSniffer
+from repro.core.dci_decoder import ControlRegion, DecodedDci, \
+    GridDciDecoder, _ue_entry_plan, grid_decode_job, grid_decode_payload
+from repro.core.rach_sniffer import RachSniffer, SpaceSnapshot, \
+    _SNAPSHOTS, snapshot_from_blob
 from repro.gnb.cell_config import SRSRAN_PROFILE
 from repro.phy import polar
 from repro.phy.dci import Dci, DciError, DciFormat, dci_payload_size, \
@@ -284,10 +286,11 @@ class TestSlimWireForms:
     def test_grid_roundtrip_preserves_control_region(self):
         tracked = build_tracked(3)
         grid = build_slot(tracked, slot_index=4, noise_var=1e-3, seed=2)
-        packed = pack_grid_for_decode(grid, tracked)
-        n_sym = packed["n_control_symbols"]
+        region = ControlRegion.of(grid, tracked)
+        assert region.grid is grid
+        n_sym = region.n_symbols
         assert 0 < n_sym < grid.data.shape[1]
-        rebuilt = unpack_grid_for_decode(packed)
+        rebuilt = pickle.loads(pickle.dumps(region)).grid
         assert rebuilt.n_prb == grid.n_prb
         assert np.array_equal(rebuilt.data[:, :n_sym],
                               grid.data[:, :n_sym])
@@ -302,35 +305,31 @@ class TestSlimWireForms:
         decoder = make_decoder(use_energy_gate=gated,
                                use_cce_claiming=gated)
         inline = decoder.decode_slot_batch(grid, 7, tracked)
-        payload = {
-            "grid": pack_grid_for_decode(grid, tracked),
-            "tracked": pack_tracked_for_decode(tracked),
-            "slot_index": 7,
-            "dci_cfg": SRSRAN_PROFILE.dci_size_config(),
-            "n_id": SRSRAN_PROFILE.cell_id, "noise_var": 1e-3,
-            "use_energy_gate": gated, "use_cce_claiming": gated,
-            "equalize": False,
-        }
+        payload = pickle.loads(pickle.dumps(grid_decode_payload(
+            make_decoder(use_energy_gate=gated, use_cce_claiming=gated),
+            grid, 7, tracked)))
+        assert payload["region"].grid is not grid
         decoded, attempts = grid_decode_job(payload)
         assert decoded == inline
         assert attempts == decoder.attempts > 0
 
     def test_tracked_blob_is_content_addressed(self):
         tracked = build_tracked(3)
-        blob_a = pack_tracked_for_decode(tracked)
-        blob_b = pack_tracked_for_decode(dict(reversed(tracked.items())))
-        # Same table contents -> same blob (packing sorts by RNTI), and
-        # the lru means the steady-state pack is one hash lookup.
+        blob_a = tracked.blob
+        blob_b = SpaceSnapshot(dict(reversed(tracked.items()))).blob
+        # Same table contents -> same blob (the blob sorts by RNTI), and
+        # it is built once per snapshot.
         assert blob_a == blob_b
-        table_a = _tracked_from_blob(blob_a)
-        assert table_a is _tracked_from_blob(blob_a)
+        assert tracked.blob is blob_a
+        table_a = snapshot_from_blob(blob_a)
+        assert table_a is snapshot_from_blob(blob_a)
+        assert table_a is pickle.loads(pickle.dumps(tracked))
         assert sorted(table_a) == sorted(tracked)
         for rnti, space in table_a.items():
             assert space == tracked[rnti]
-        assert blob_a in _SPACES_CACHE
+        assert blob_a in _SNAPSHOTS
 
     def test_blob_changes_when_a_ue_joins(self):
         small = build_tracked(2)
         large = build_tracked(3)
-        assert pack_tracked_for_decode(small) \
-            != pack_tracked_for_decode(large)
+        assert small.blob != large.blob

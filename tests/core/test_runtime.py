@@ -8,13 +8,27 @@ import numpy as np
 import pytest
 
 from repro import NRScope, Simulation
-from repro.core.rach_sniffer import RachSniffer
+from repro.core import runtime as runtime_module
+from repro.core.dci_decoder import ControlRegion, grid_decode_job, \
+    record_decode_job
+from repro.core.rach_sniffer import RachSniffer, SpaceSnapshot
 from repro.core.runtime import DEFAULT_WORKERS, InlineExecutor, \
     ProcessExecutor, SlotRuntime, SlotRuntimeError, Stage, \
     build_executor, dumps_payload
 from repro.gnb.cell_config import SRSRAN_PROFILE
 from repro.obs import ObsContext, RingReporter
 from repro.rrc.messages import RrcSetup
+
+
+def square(n):
+    return n ** 2
+
+
+def job_stage(name, job=len, pack=lambda ctx: (),
+              merge=lambda ctx, result: None):
+    """A parallel stage running ``job(pack(ctx))``; the result is
+    dropped unless ``merge`` says otherwise."""
+    return Stage(name, job, parallel=True, pack=pack, merge=merge)
 
 
 def make_runtime(executor=None, **kwargs):
@@ -25,15 +39,16 @@ def make_runtime(executor=None, **kwargs):
     def backbone(ctx):
         ctx.output = dict(ctx.output)
 
-    def work(ctx):
-        ctx.output["square"] = ctx.output["n"] ** 2
+    def merge(ctx, result):
+        ctx.output["square"] = result
 
     def sink(ctx):
         committed.append(ctx)
 
     runtime = SlotRuntime(
         stages=[Stage("backbone", backbone),
-                Stage("work", work, parallel=True),
+                job_stage("work", square,
+                          pack=lambda ctx: ctx.output["n"], merge=merge),
                 Stage("sink", sink, sink=True)],
         executor=executor, **kwargs)
     return runtime, committed
@@ -43,9 +58,7 @@ def payload_runtime(payload, job=len, executor=None):
     """A runtime whose parallel stage ships ``job(payload)`` to a
     process executor."""
     return SlotRuntime(
-        stages=[Stage("decode", lambda ctx: None, parallel=True,
-                      pack=lambda ctx: (job, payload),
-                      merge=lambda ctx, result: None)],
+        stages=[job_stage("decode", job, pack=lambda ctx: payload)],
         executor=executor or ProcessExecutor(n_workers=1))
 
 
@@ -90,11 +103,11 @@ class TestSlotRuntime:
         assert runtime.stats().slots_completed == 1
 
     def test_worker_error_raised_at_commit(self, scripted_executor):
-        def boom(ctx):
+        def boom(payload):
             raise RuntimeError("decode exploded")
 
         runtime = SlotRuntime(
-            stages=[Stage("work", boom, parallel=True)],
+            stages=[job_stage("work", boom)],
             executor=scripted_executor())
         with pytest.raises(SlotRuntimeError, match="decode exploded"):
             runtime.submit(object())
@@ -111,8 +124,16 @@ class TestSlotRuntime:
 
     def test_rejects_two_parallel_stages(self):
         with pytest.raises(SlotRuntimeError):
-            SlotRuntime(stages=[Stage("a", lambda c: None, parallel=True),
-                                Stage("b", lambda c: None, parallel=True)])
+            SlotRuntime(stages=[job_stage("a"), job_stage("b")])
+
+    @pytest.mark.parametrize("hooks", [
+        {}, {"pack": lambda ctx: ()},
+        {"merge": lambda ctx, result: None}], ids=["none", "pack", "merge"])
+    def test_parallel_stage_needs_pack_and_merge(self, hooks):
+        """Every executor runs ``merge(ctx, job(pack(ctx)))``, so a
+        parallel stage without both hooks is refused up front."""
+        with pytest.raises(SlotRuntimeError, match="pack and merge"):
+            SlotRuntime(stages=[Stage("a", len, parallel=True, **hooks)])
 
     def test_rejects_backbone_after_sink(self):
         with pytest.raises(SlotRuntimeError):
@@ -137,7 +158,7 @@ class TestBackpressure:
         the runtime must shed them with accounting, then flush cleanly
         — no stall, no deadlock."""
         runtime = SlotRuntime(
-            stages=[Stage("slow", lambda ctx: None, parallel=True),
+            stages=[job_stage("slow"),
                     Stage("sink", lambda ctx: None, sink=True)],
             executor=scripted_executor(refuse=lambda seq: seq >= 2),
             drop_cost=lambda ctx: 3)
@@ -157,7 +178,7 @@ class TestBackpressure:
     def test_dropped_context_flagged(self, scripted_executor):
         dropped_flags = []
         runtime = SlotRuntime(
-            stages=[Stage("slow", lambda ctx: None, parallel=True),
+            stages=[job_stage("slow"),
                     Stage("sink",
                           lambda ctx: dropped_flags.append(ctx.dropped),
                           sink=True)],
@@ -171,9 +192,7 @@ class TestBackpressure:
 
     def test_flush_timeout_raises(self):
         runtime = SlotRuntime(
-            stages=[Stage("hang", lambda ctx: None, parallel=True,
-                          pack=lambda ctx: (time.sleep, 2.0),
-                          merge=lambda ctx, result: None)],
+            stages=[job_stage("hang", time.sleep, pack=lambda ctx: 2.0)],
             executor=ProcessExecutor(n_workers=1))
         runtime.submit(object())
         with pytest.raises(SlotRuntimeError, match="timed out"):
@@ -223,6 +242,10 @@ class TestExecutors:
             build_executor("inline:2")
         with pytest.raises(SlotRuntimeError):
             build_executor("process:lots")
+        # An empty suffix is an error, not the default.
+        for spec in ("inline:", "process:"):
+            with pytest.raises(SlotRuntimeError):
+                build_executor(spec)
 
     def test_process_rejects_bad_config(self):
         for kwargs in ({"n_workers": 0}, {"queue_depth": 0}):
@@ -292,13 +315,15 @@ class TestCheckedPickling:
     @pytest.mark.parametrize("fidelity", ["message", "iq"])
     def test_scope_payloads_pass_the_check(self, fidelity):
         """Both branches of the scope's pack hook ship only plain
-        projections (search-space blob, RNTI set, config scalars)."""
+        projections (search-space snapshot, control region, records,
+        config scalars)."""
         packed = []
 
         class PackingScope(NRScope):
-            def _stage_dci(self, ctx):
-                packed.append(self._pack_dci(ctx))
-                super()._stage_dci(ctx)
+            def _pack_dci(self, ctx):
+                payload = super()._pack_dci(ctx)
+                packed.append(payload)
+                return payload
 
         sim = Simulation.build(SRSRAN_PROFILE, n_ues=2, seed=5,
                                fidelity=fidelity)
@@ -308,9 +333,28 @@ class TestCheckedPickling:
         sim.run(seconds=0.1)
         scope.close()
         assert packed
-        for seq, (job, payload) in enumerate(packed):
+        job = grid_decode_job if fidelity == "iq" else record_decode_job
+        for seq, payload in enumerate(packed):
             job_back, _ = pickle.loads(dumps_payload(seq, job, payload))
             assert job_back is job
+
+    @pytest.mark.parametrize("fidelity", ["message", "iq"])
+    def test_inline_session_pickles_nothing(self, fidelity, monkeypatch):
+        """Inline, the job gets its payload as packed: no payload
+        pickling and no wire form is ever built."""
+
+        def refuse(*args):
+            raise AssertionError("inline session pickled a payload")
+
+        monkeypatch.setattr(runtime_module, "dumps_payload", refuse)
+        monkeypatch.setattr(ControlRegion, "__reduce__", refuse)
+        monkeypatch.setattr(SpaceSnapshot, "__reduce__", refuse)
+        sim = Simulation.build(SRSRAN_PROFILE, n_ues=2, seed=5,
+                               fidelity=fidelity)
+        scope = NRScope.attach(sim, snr_db=20.0)
+        sim.run(seconds=0.1)
+        scope.close()
+        assert scope.counters.dcis_decoded > 0
 
 
 class TestCrossExecutorDeterminism:

@@ -4,8 +4,9 @@ Both root-detection forms appear: the ``@parallel_stage`` decorator and
 a ``Stage(..., parallel=True)`` construction.  The stage body reaches,
 through helpers, a tracked-table mutation, a stateful RNG draw and a
 wall-clock read — each must surface as an R006 finding with a witness
-chain.  The same file doubles as the nrsan test's shape reference: the
-runtime guard must catch the tracked mutation dynamically.
+chain.  At runtime the same tracked write fails by construction: the
+real parallel stage only sees a read-only snapshot of frozen search
+spaces (``tests/core/test_space_snapshot.py``).
 """
 
 import time

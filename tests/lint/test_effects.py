@@ -210,6 +210,34 @@ class TestStageRoots:
             ["core/m.py::Pipe._decode"]
         assert prog.stage_roots[0].how == "stage-call"
 
+    def test_stage_call_root_picked_by_configuration(self):
+        """A stage that picks its job with a conditional expression
+        roots every branch, each anchored at its definition when the
+        job lives in another module."""
+        prog = program(
+            ("core/jobs.py", """
+             def grid_job(payload):
+                 pass
+
+             def record_job(payload):
+                 pass
+             """),
+            ("core/m.py", """
+             from repro.core.jobs import grid_job, record_job
+
+             class Stage:
+                 def __init__(self, name, fn, parallel=False):
+                     pass
+
+             class Pipe:
+                 def __init__(self, iq):
+                     self.s = Stage("dci", grid_job if iq else record_job,
+                                    parallel=True)
+             """))
+        assert [(r.qualname, r.lineno, r.how) for r in prog.stage_roots] \
+            == [("core/jobs.py::grid_job", 2, "stage-call"),
+                ("core/jobs.py::record_job", 5, "stage-call")]
+
     def test_non_parallel_stage_is_not_a_root(self):
         prog = program(("core/m.py", """
             class Stage:
@@ -276,7 +304,8 @@ class TestReport:
         assert failures == []
         prog = engine.build_program(modules)
         roots = [r.qualname for r in prog.stage_roots]
-        assert roots == ["core/scope.py::NRScope._stage_dci"]
+        assert roots == ["core/dci_decoder.py::grid_decode_job",
+                         "core/dci_decoder.py::record_decode_job"]
         report = prog.effect_report()
         frontier = report["purity_frontier"][0]
         assert frontier["pure"] is True

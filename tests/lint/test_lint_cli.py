@@ -133,7 +133,8 @@ class TestEffectsMode:
         assert lint_main(["effects", str(REPO_SRC)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["stage_roots"] == \
-            ["core/scope.py::NRScope._stage_dci"]
+            ["core/dci_decoder.py::grid_decode_job",
+             "core/dci_decoder.py::record_decode_job"]
         frontier = report["purity_frontier"][0]
         assert frontier["pure"] is True
         assert report["functions"] > 100

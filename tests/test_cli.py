@@ -82,7 +82,8 @@ class TestSniff:
                      "--obs", "statsd:nowhere"]) == 2
         assert "unknown obs reporter" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["bogus", "process:0"])
+    @pytest.mark.parametrize("spec", ["bogus", "process:0", "inline:",
+                                      "process:"])
     def test_bad_executor_is_a_usage_error(self, spec, capsys):
         assert main(["sniff", "--seconds", "0.1",
                      "--executor", spec]) == 2
