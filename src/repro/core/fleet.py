@@ -51,7 +51,9 @@ class FleetError(ValueError):
 #: anything else rather than resuming from an incompatible layout.
 #: Version 2: the spare-capacity estimator's history is columnar.
 #: Version 3: the gNB holds its UEs' channel state in a column table.
-CHECKPOINT_VERSION = 3
+#: Version 4: the gNB files traffic buffers in a due schedule, and the
+#: table computes SNR and CQI when read.
+CHECKPOINT_VERSION = 4
 
 #: Per-cell spacing of derived seeds (cell i draws from seed-space
 #: ``seed + stride * (i + 1)``) and of population UE ids, so no two

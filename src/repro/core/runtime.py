@@ -57,7 +57,6 @@ from __future__ import annotations
 import io
 import multiprocessing
 import pickle
-import threading
 import time
 from concurrent import futures
 from dataclasses import dataclass, field, replace
@@ -488,7 +487,6 @@ class SlotRuntime:
         #: sequence.
         self._obs = obs if obs is not None else OBS_NOOP
         self._drop_cost = drop_cost or (lambda ctx: 0)
-        self._lock = threading.Lock()
         self._stage_stats = {s.name: StageStats(name=s.name)
                              for s in stages}
         self._submitted = 0
@@ -510,8 +508,7 @@ class SlotRuntime:
         ``submit``/``flush``)."""
         ctx = output if isinstance(output, SlotContext) \
             else SlotContext(output=output)
-        with self._lock:
-            self._submitted += 1
+        self._submitted += 1
         halted = False
         for stage in self._backbone:
             start = time.perf_counter()
@@ -545,10 +542,9 @@ class SlotRuntime:
                 self._inflight[ctx.seq] = ctx
             else:
                 ctx.dropped = True
-                with self._lock:
-                    self._dropped += 1
-                    self._dcis_dropped += int(self._drop_cost(ctx))
-                    self._stage_stats[stage.name].drops += 1
+                self._dropped += 1
+                self._dcis_dropped += int(self._drop_cost(ctx))
+                self._stage_stats[stage.name].drops += 1
                 self._reorder[ctx.seq] = ctx
         else:
             self._reorder[ctx.seq] = ctx
@@ -556,8 +552,7 @@ class SlotRuntime:
         return ctx
 
     def _record_stage(self, name: str, elapsed_s: float) -> None:
-        with self._lock:
-            self._stage_stats[name].record(elapsed_s)
+        self._stage_stats[name].record(elapsed_s)
 
     @staticmethod
     def _slot_index(ctx: SlotContext) -> int:
@@ -599,8 +594,7 @@ class SlotRuntime:
                 f"{self._parallel.name if self._parallel else '?'}: "
                 f"{ctx.error!r}") from ctx.error
         if ctx.decode_time_s > self.slot_budget_s:
-            with self._lock:
-                self._overruns += 1
+            self._overruns += 1
         obs = self._obs
         slot = self._slot_index(ctx) if obs else ctx.seq
         if obs:
@@ -630,8 +624,7 @@ class SlotRuntime:
             if obs:
                 obs.timing("stage.span", elapsed, stage=stage.name,
                            slot=slot, outcome="ok")
-        with self._lock:
-            self._completed += 1
+        self._completed += 1
 
     def flush(self, timeout_s: float | None = None) -> None:
         """Barrier: wait for in-flight slots and commit them in order."""
@@ -654,26 +647,24 @@ class SlotRuntime:
     # ----------------------------------------------------------- stats
     def stats(self) -> RuntimeStats:
         """Consistent snapshot of every counter."""
-        with self._lock:
-            stages = tuple(replace(self._stage_stats[s.name])
-                           for s in self.stages)
-            return RuntimeStats(
-                executor=self.executor.name,
-                slots_submitted=self._submitted,
-                slots_completed=self._completed,
-                slots_dropped=self._dropped,
-                dcis_dropped=self._dcis_dropped,
-                budget_overruns=self._overruns,
-                slot_budget_s=self.slot_budget_s,
-                stages=stages)
+        stages = tuple(replace(self._stage_stats[s.name])
+                       for s in self.stages)
+        return RuntimeStats(
+            executor=self.executor.name,
+            slots_submitted=self._submitted,
+            slots_completed=self._completed,
+            slots_dropped=self._dropped,
+            dcis_dropped=self._dcis_dropped,
+            budget_overruns=self._overruns,
+            slot_budget_s=self.slot_budget_s,
+            stages=stages)
 
     def reset_stats(self) -> None:
         """Zero the counters (e.g. after a benchmark warm-up)."""
-        with self._lock:
-            for stats in self._stage_stats.values():
-                stats.calls = 0
-                stats.total_s = 0.0
-                stats.max_s = 0.0
-                stats.drops = 0
-            self._submitted = self._completed = 0
-            self._dropped = self._dcis_dropped = self._overruns = 0
+        for stats in self._stage_stats.values():
+            stats.calls = 0
+            stats.total_s = 0.0
+            stats.max_s = 0.0
+            stats.drops = 0
+        self._submitted = self._completed = 0
+        self._dropped = self._dcis_dropped = self._overruns = 0

@@ -387,7 +387,7 @@ class NRScope:
         boundary with no in-flight decodes.  The dict holds *live*
         references (tracked tables, the columnar telemetry store, RNG
         states) — callers must serialise it before stepping the session
-        again.  The runtime itself (executors, locks) is deliberately
+        again.  The runtime itself (its executor) is deliberately
         absent: a restored scope brings its own.
         """
         self.flush()

@@ -35,10 +35,11 @@ from repro.gnb.harq import HarqEntity
 from repro.gnb.rach import Msg4Event, RachProcedure
 from repro.gnb.scheduler import AllocationPlan, BaseScheduler, \
     ProportionalFairScheduler, RoundRobinScheduler, \
-    UeSchedulingContext, build_dci
+    UeSchedulingContext, UeSource, build_dci
 from repro.rrc.messages import Mib, RrcSetup, Sib1
 from repro.ue.channel import transport_block_survives
 from repro.ue.table import UeTable
+from repro.ue.traffic import TrafficBuffer
 from repro.ue.ue import UserEquipment
 
 
@@ -128,6 +129,67 @@ class SlotOutput:
     ssb_samples: object | None = None
 
 
+class _Arrivals:
+    """One traffic buffer's place in the gNB's due schedule: ``start``
+    is the first slot its model has not accounted for (``None`` until
+    the buffer's first step), ``due`` the slot it is filed under."""
+
+    __slots__ = ("buffer", "start", "due")
+
+    def __init__(self, buffer: TrafficBuffer) -> None:
+        self.buffer = buffer
+        self.start: int | None = None
+        self.due: int | None = None
+
+    def catch_up(self, slot_index: int) -> None:
+        """Account for the quiet slots before ``slot_index``."""
+        if self.start is not None and self.start < slot_index:
+            self.buffer.model.skip_quiet(self.start,
+                                         slot_index - self.start)
+        self.start = slot_index
+
+
+class _SchedulerView(UeSource):
+    """The gNB's connected UEs as the scheduler reads them: a context
+    is built only for a UE the scheduler visits."""
+
+    def __init__(self, gnb: "GNodeB") -> None:
+        self._gnb = gnb
+
+    def candidates(self) -> list[int]:
+        """Connected UEs with downlink backlog, known uplink backlog or
+        a pending retransmission, in admission order."""
+        gnb = self._gnb
+        known_ul = gnb._known_ul_backlog
+        pending = gnb._pending_retx
+        return [ue_id for ue_id, ue in gnb._ues.items()
+                if ue.rnti is not None
+                and (ue.dl_buffer.backlog_bytes > 0
+                     or known_ul.get(ue_id, 0) > 0 or pending.get(ue_id))]
+
+    def cqi(self, ue_id: int) -> int:
+        """The last reported CQI; the table's before the first report."""
+        cqi = self._gnb._reported_cqi.get(ue_id)
+        return self._gnb._table.cqi(ue_id) if cqi is None else cqi
+
+    def ewma(self, ue_id: int) -> float:
+        return self._gnb._ewma.get(ue_id, 1.0)
+
+    def context(self, ue_id: int) -> UeSchedulingContext:
+        gnb = self._gnb
+        ue = gnb._ues[ue_id]
+        assert ue.rnti is not None
+        return UeSchedulingContext(
+            ue_id=ue_id, rnti=ue.rnti,
+            dl_backlog_bytes=ue.dl_buffer.backlog_bytes,
+            ul_backlog_bytes=gnb._known_ul_backlog.get(ue_id, 0),
+            cqi=self.cqi(ue_id),
+            olla_offset_db=gnb._olla_offset.get(ue_id, 0.0),
+            pending_retx=list(gnb._pending_retx.get(ue_id, [])),
+            retx_prb_sizes=dict(gnb._retx_sizes.get(ue_id, {})),
+            ewma_throughput_bps=self.ewma(ue_id))
+
+
 @dataclass
 class _HarqStash:
     """Payload retained by the gNB for potential retransmission."""
@@ -157,8 +219,16 @@ class GNodeB:
         self.rach = RachProcedure()
 
         self._ues: dict[int, UserEquipment] = {}
-        # Every admitted UE's channel, SNR and CQI, advanced per slot.
+        # Every admitted UE's channel, advanced per slot; SNR and CQI
+        # are computed when read.
         self._table = UeTable()
+        # Traffic buffers by the slot their model is next called in;
+        # the slots between bring no bytes (DESIGN.md section 10).
+        # Admitted buffers join at the next step.
+        self._due: dict[int, list[_Arrivals]] = {}
+        self._joining: list[_Arrivals] = []
+        self._arrivals: dict[int, tuple[_Arrivals, _Arrivals]] = {}
+        self._next_index: int | None = None
         self._by_rnti: dict[int, UserEquipment] = {}
         # DL and UL HARQ are independent protocol entities (38.321); a
         # shared entity would interleave NDI toggles across directions
@@ -195,16 +265,23 @@ class GNodeB:
             raise GnbError(f"unknown scheduler policy: {scheduler!r}")
         self.scheduler: BaseScheduler = scheduler_classes[scheduler](
             grant_config, search_space, max_ues_per_slot=max_ues_per_slot)
+        self._view = _SchedulerView(self)
         self._dci_cfg = profile.dci_size_config()
         self._common_space = profile.common_search_space()
 
     # ------------------------------------------------------------ UEs
     def add_ue(self, ue: UserEquipment, slot_index: int = 0) -> None:
-        """Admit a UE; it starts the RACH process immediately."""
+        """Admit a UE; it starts the RACH process immediately, and its
+        traffic arrives from the gNB's next step on."""
         if ue.ue_id in self._ues:
             raise GnbError(f"duplicate UE id {ue.ue_id}")
+        if ue.dl_buffer is ue.ul_buffer:
+            raise GnbError(f"UE {ue.ue_id} feeds one buffer twice a slot")
         self._ues[ue.ue_id] = ue
         self._table.add(ue)
+        arrivals = (_Arrivals(ue.dl_buffer), _Arrivals(ue.ul_buffer))
+        self._arrivals[ue.ue_id] = arrivals
+        self._joining.extend(arrivals)
         self.rach.request_connection(ue.ue_id, slot_index)
 
     def remove_ue(self, ue_id: int, time_s: float | None = None) -> None:
@@ -213,6 +290,13 @@ class GNodeB:
         if ue is None:
             return
         self._table.remove(ue_id)
+        for entry in self._arrivals.pop(ue_id):
+            if entry.due is None:
+                self._joining.remove(entry)
+                continue
+            entry.catch_up(self._next_index)
+            self._due[entry.due].remove(entry)
+        self.rach.cancel(ue_id)
         if ue.rnti is not None:
             self._by_rnti.pop(ue.rnti, None)
         if time_s is not None:
@@ -346,32 +430,6 @@ class GNodeB:
         output.dci_records.append(record)
 
     # ------------------------------------------------------- data path
-    def _contexts(self) -> list[UeSchedulingContext]:
-        """Contexts of the connected UEs the scheduler can pick: those
-        with downlink backlog, known uplink backlog or a pending
-        retransmission (``BaseScheduler.schedule`` drops the rest)."""
-        contexts = []
-        for ue in self._ues.values():
-            if ue.rnti is None:
-                continue
-            ue_id = ue.ue_id
-            dl_backlog = ue.dl_buffer.backlog_bytes
-            ul_backlog = self._known_ul_backlog.get(ue_id, 0)
-            pending = self._pending_retx.get(ue_id, [])
-            if dl_backlog <= 0 and ul_backlog <= 0 and not pending:
-                continue
-            cqi = self._reported_cqi.get(ue_id)
-            contexts.append(UeSchedulingContext(
-                ue_id=ue_id, rnti=ue.rnti,
-                dl_backlog_bytes=dl_backlog,
-                ul_backlog_bytes=ul_backlog,
-                cqi=self._table.cqi(ue_id) if cqi is None else cqi,
-                olla_offset_db=self._olla_offset.get(ue_id, 0.0),
-                pending_retx=list(pending),
-                retx_prb_sizes=dict(self._retx_sizes.get(ue_id, {})),
-                ewma_throughput_bps=self._ewma.get(ue_id, 1.0)))
-        return contexts
-
     def _tbs_for_plan(self, plan: AllocationPlan) -> int:
         config = self.scheduler.grant_config
         return transport_block_size(
@@ -538,8 +596,7 @@ class GNodeB:
         output = SlotOutput(slot=slot,
                             is_downlink=self.profile.is_downlink_slot(index))
 
-        for ue in self._ues.values():
-            ue.advance_slot(index)
+        self._arrive(index)
         self._table.advance(index)
 
         if output.is_downlink:
@@ -548,7 +605,7 @@ class GNodeB:
             self._handle_msg4(self.rach.step(index), slot, output,
                               used_common)
 
-            plans = self.scheduler.schedule(index, self._contexts())
+            plans = self.scheduler.schedule(index, self._view)
             used_processes: dict[tuple[int, bool], set[int]] = {}
             for plan in plans:
                 record = self._resolve_plan(plan, index, time_s,
@@ -564,14 +621,34 @@ class GNodeB:
             self._render_grid(output, index)
         return output
 
+    def _arrive(self, index: int) -> None:
+        """Traffic arrivals of the buffers due this slot, each filed
+        again under the next slot its model may bring bytes in."""
+        if self._next_index is not None and index != self._next_index:
+            raise GnbError(f"step at slot {index}: the gNB steps once per "
+                           f"slot, and slot {self._next_index} is next")
+        self._next_index = index + 1
+        due = self._due.pop(index, [])
+        if self._joining:
+            due += self._joining
+            self._joining = []
+        schedule = self._due
+        for entry in due:
+            entry.catch_up(index)
+            buffer = entry.buffer
+            buffer.arrive(index)
+            entry.start = index + 1
+            entry.due = index + 1 + buffer.model.quiet_slots(index + 1)
+            schedule.setdefault(entry.due, []).append(entry)
+
     def _collect_uci(self, slot_index: int, time_s: float,
                      output: SlotOutput) -> None:
         """Connected UEs transmit periodic UCI on PUCCH (uplink slots):
         a CQI report, a scheduling request when data waits without a
         grant, and the last HARQ-ACK verdict."""
-        for ue in self.connected_ues:
-            assert ue.rnti is not None
-            if (slot_index + ue.ue_id) % self.uci_period_slots:
+        for ue in self._ues.values():
+            if ue.rnti is None \
+                    or (slot_index + ue.ue_id) % self.uci_period_slots:
                 continue
             ack = self._last_dl_ack.pop(ue.ue_id, None)
             wants_grant = ue.ul_buffer.backlog_bytes > 0 \

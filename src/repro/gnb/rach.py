@@ -104,6 +104,10 @@ class RachProcedure:
         self._attempts[ue_id] = RachAttempt(ue_id=ue_id,
                                             requested_slot=slot_index)
 
+    def cancel(self, ue_id: int) -> None:
+        """Drop ``ue_id``'s attempt, if any (the UE left mid-RACH)."""
+        self._attempts.pop(ue_id, None)
+
     @property
     def in_flight(self) -> int:
         """Attempts not yet completed."""

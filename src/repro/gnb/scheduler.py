@@ -14,15 +14,19 @@ dedicated CORESET) bounds how many UEs can be scheduled per slot, HARQ
 retransmissions preempt new data, and the MCS follows the UE's CQI
 report through the same 38.214 tables the sniffer uses.
 
-The scheduler emits :class:`AllocationPlan` objects; the gNB resolves
-each plan against the UE's HARQ entity (assigning harq_id/NDI/RV) and
-only then builds the final DCI and grant.
+The scheduler reads the UEs through a :class:`UeSource`: the policy
+ranks candidate UE ids, and a UE's full :class:`UeSchedulingContext` is
+built only when the slot's loop reaches it.  It emits
+:class:`AllocationPlan` objects; the gNB resolves each plan against the
+UE's HARQ entity (assigning harq_id/NDI/RV) and only then builds the
+final DCI and grant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.phy.coreset import SearchSpace
 from repro.phy.dci import Dci, DciFormat, riv_encode
@@ -71,6 +75,54 @@ class UeSchedulingContext:
     olla_offset_db: float = 0.0
 
 
+class UeSource:
+    """What the scheduler reads about the UEs it may serve.
+
+    :meth:`candidates` lists the UEs with downlink backlog, uplink
+    backlog or a pending retransmission, in a fixed order.  A policy
+    that ranks on channel or history reads :meth:`cqi` and
+    :meth:`ewma` per candidate; :meth:`context` is called only for the
+    UEs the slot's loop visits.
+    """
+
+    def candidates(self) -> list[int]:
+        raise NotImplementedError
+
+    def cqi(self, ue_id: int) -> int:
+        raise NotImplementedError
+
+    def ewma(self, ue_id: int) -> float:
+        raise NotImplementedError
+
+    def context(self, ue_id: int) -> "UeSchedulingContext":
+        raise NotImplementedError
+
+
+class ContextList(UeSource):
+    """A :class:`UeSource` over ready-made contexts, in list order."""
+
+    def __init__(self, contexts: Iterable[UeSchedulingContext]) -> None:
+        self._by_id: dict[int, UeSchedulingContext] = {}
+        for ue in contexts:
+            if ue.ue_id in self._by_id:
+                raise SchedulerError(f"two contexts for UE {ue.ue_id}")
+            self._by_id[ue.ue_id] = ue
+
+    def candidates(self) -> list[int]:
+        return [ue.ue_id for ue in self._by_id.values()
+                if ue.dl_backlog_bytes > 0 or ue.ul_backlog_bytes > 0
+                or ue.pending_retx]
+
+    def cqi(self, ue_id: int) -> int:
+        return self._by_id[ue_id].cqi
+
+    def ewma(self, ue_id: int) -> float:
+        return self._by_id[ue_id].ewma_throughput_bps
+
+    def context(self, ue_id: int) -> UeSchedulingContext:
+        return self._by_id[ue_id]
+
+
 @dataclass(frozen=True)
 class AllocationPlan:
     """One scheduling decision awaiting HARQ resolution."""
@@ -112,9 +164,9 @@ class BaseScheduler:
         self._rr_offset = 0
 
     # -- policy hook -------------------------------------------------
-    def _order(self, ues: list[UeSchedulingContext]) \
-            -> list[UeSchedulingContext]:
-        """Priority order for this slot; overridden per policy."""
+    def _order(self, ue_ids: list[int], ues: UeSource) -> list[int]:
+        """Priority order of the candidate ids for this slot;
+        overridden per policy."""
         raise NotImplementedError
 
     # -- shared pieces -----------------------------------------------
@@ -202,22 +254,25 @@ class BaseScheduler:
         return None
 
     # -- main entry ---------------------------------------------------
-    def schedule(self, slot_index: int, ues: list[UeSchedulingContext],
+    def schedule(self, slot_index: int,
+                 ues: UeSource | Iterable[UeSchedulingContext],
                  schedule_uplink: bool = True) -> list[AllocationPlan]:
-        """Produce this slot's allocation plans."""
+        """Produce this slot's allocation plans.  ``ues`` is a
+        :class:`UeSource` or the contexts of a :class:`ContextList`."""
+        source = ues if isinstance(ues, UeSource) else ContextList(ues)
         plans: list[AllocationPlan] = []
         used_cces: set[int] = set()
         n_prb_total = self.grant_config.bwp_n_prb
+        n_cces = self.search_space.coreset.n_cces
         next_prb = 0
 
-        candidates = self._order([u for u in ues
-                                  if u.dl_backlog_bytes > 0
-                                  or u.ul_backlog_bytes > 0
-                                  or u.pending_retx])
         scheduled = 0
-        for ue in candidates:
-            if scheduled >= self.max_ues_per_slot or next_prb >= n_prb_total:
+        for ue_id in self._order(source.candidates(), source):
+            # With every CCE taken, no later UE can get a PDCCH.
+            if scheduled >= self.max_ues_per_slot \
+                    or next_prb >= n_prb_total or len(used_cces) >= n_cces:
                 break
+            ue = source.context(ue_id)
             mcs = self._mcs_for(ue.cqi, ue.olla_offset_db)
             level = self._aggregation_level(ue.cqi)
             made_one = False
@@ -283,11 +338,10 @@ class BaseScheduler:
 class RoundRobinScheduler(BaseScheduler):
     """Rotates priority across UEs slot by slot."""
 
-    def _order(self, ues: list[UeSchedulingContext]) \
-            -> list[UeSchedulingContext]:
-        if not ues:
+    def _order(self, ue_ids: list[int], ues: UeSource) -> list[int]:
+        if not ue_ids:
             return []
-        ordered = sorted(ues, key=lambda u: u.ue_id)
+        ordered = sorted(ue_ids)
         self._rr_offset = (self._rr_offset + 1) % len(ordered)
         return ordered[self._rr_offset:] + ordered[:self._rr_offset]
 
@@ -295,10 +349,9 @@ class RoundRobinScheduler(BaseScheduler):
 class ProportionalFairScheduler(BaseScheduler):
     """Classic PF: rank by achievable rate over historical throughput."""
 
-    def _order(self, ues: list[UeSchedulingContext]) \
-            -> list[UeSchedulingContext]:
-        def metric(ue: UeSchedulingContext) -> float:
-            rate = cqi_to_efficiency(max(ue.cqi, 1))
-            return rate / max(ue.ewma_throughput_bps, 1.0)
+    def _order(self, ue_ids: list[int], ues: UeSource) -> list[int]:
+        def metric(ue_id: int) -> float:
+            rate = cqi_to_efficiency(max(ues.cqi(ue_id), 1))
+            return rate / max(ues.ewma(ue_id), 1.0)
 
-        return sorted(ues, key=metric, reverse=True)
+        return sorted(ue_ids, key=metric, reverse=True)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from threading import Lock
 from typing import Any, Iterable, Iterator, Protocol, Union
 
 from repro.obs.events import SCHEMA_VERSION
@@ -99,14 +98,13 @@ OBS_NOOP = _NoOpObsContext()
 class _Core:
     """State shared by a context and all its ``bind`` children."""
 
-    __slots__ = ("reporters", "run_id", "seq", "lock", "errors")
+    __slots__ = ("reporters", "run_id", "seq", "errors")
 
     def __init__(self, reporters: tuple[Reporter, ...],
                  run_id: str) -> None:
         self.reporters = reporters
         self.run_id = run_id
         self.seq = 0
-        self.lock = Lock()
         #: Reporter exceptions swallowed so far (reporters must never
         #: abort a telemetry session).
         self.errors = 0
@@ -157,9 +155,8 @@ class ObsContext:
              **fields: Any) -> None:
         """Assemble one event and hand it to every reporter."""
         core = self._core
-        with core.lock:
-            seq = core.seq
-            core.seq += 1
+        seq = core.seq
+        core.seq += 1
         event: dict[str, Any] = {
             "v": SCHEMA_VERSION, "seq": seq, "run_id": core.run_id,
             "kind": _kind, "name": name,

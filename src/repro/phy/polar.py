@@ -15,7 +15,6 @@ standard applies in the regimes PDCCH operates in.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -475,20 +474,17 @@ class _Engine:
 #: it back when done, so overlapping decodes never share buffers: the
 #: second one finds no idle engine and builds its own.
 _IDLE_ENGINES: dict[int, list[_Engine]] = {}
-_ENGINES_LOCK = threading.Lock()
 
 
 def _take_engine(size: int) -> _Engine:
-    with _ENGINES_LOCK:
-        idle = _IDLE_ENGINES.get(size)
-        if idle:
-            return idle.pop()
+    idle = _IDLE_ENGINES.get(size)
+    if idle:
+        return idle.pop()
     return _Engine(size)
 
 
 def _give_engine(engine: _Engine) -> None:
-    with _ENGINES_LOCK:
-        _IDLE_ENGINES.setdefault(engine.size, []).append(engine)
+    _IDLE_ENGINES.setdefault(engine.size, []).append(engine)
 
 
 @lru_cache(maxsize=256)

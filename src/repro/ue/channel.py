@@ -77,12 +77,15 @@ class ChannelColumns:
 
     Each row keeps a first-order Gauss-Markov complex gain as separate
     ``re``/``im`` columns, its own ``Generator``, and a block of unread
-    innovations with a cursor into it.  :meth:`advance` steps every row
-    with array operations.  It reproduces the scalar recurrence bit for
-    bit: the gain update is ``rho*g + sqrt(1-rho^2)*(n/sqrt(2))`` per
-    component, ``np.hypot`` equals ``abs(complex)``, and ``h ** 2``,
-    ``max(., 1e-6)`` and ``math.log10`` run per element in Python
-    because numpy's ``square`` and ``log10`` round differently.
+    innovations with a cursor into it.  :meth:`advance` steps every
+    row's gain with array operations; :meth:`snr_db` turns one row's
+    gain into its SNR when it is read.  Together they reproduce the
+    scalar recurrence bit for bit: the gain update is
+    ``rho*g + sqrt(1-rho^2)*(n/sqrt(2))`` per component, ``np.hypot``
+    equals ``abs(complex)``, and ``h ** 2``, ``max(., 1e-6)`` and
+    ``math.log10`` run in Python because numpy's ``square`` and
+    ``log10`` round differently.  A pickle keeps only each row's unread
+    innovations.
     """
 
     _ARRAYS = ("re", "im", "rho", "sq", "base", "scale", "draws", "cursor",
@@ -143,8 +146,8 @@ class ChannelColumns:
         self.rngs = self.rngs[:row] + self.rngs[row + 1:]
         return out
 
-    def advance(self) -> np.ndarray:
-        """Advance every row one slot; the instantaneous SNRs in dB."""
+    def advance(self) -> None:
+        """Advance every row's gain one slot."""
         for row in np.flatnonzero(self.cursor >= _BLOCK).tolist():
             self.blocks[row] = self.rngs[row].normal(size=_BLOCK)
             self.cursor[row] = 0
@@ -154,11 +157,37 @@ class ChannelColumns:
         self.cursor += self.draws
         self.re = self.rho * self.re + self.sq * (n_re / _SQRT2)
         self.im = self.rho * self.im + self.sq * (n_im / _SQRT2)
+
+    def snr_db(self, row: int) -> float:
+        """Row ``row``'s instantaneous SNR in dB at its current gain."""
+        h = float(np.hypot(self.re[row], self.im[row]))
         # |gain|^2 is exponential(1); its dB value has the Rayleigh-fading
         # distribution scaled into the profile's sigma.
-        fade_db = np.array([10.0 * math.log10(max(h ** 2, 1e-6))
-                            for h in np.hypot(self.re, self.im).tolist()])
-        return self.base + fade_db * self.scale
+        fade_db = 10.0 * math.log10(max(h ** 2, 1e-6))
+        return float(self.base[row] + fade_db * self.scale[row])
+
+    def __getstate__(self) -> dict:
+        # Innovations behind a row's cursor are never read again; a flat
+        # row reads only zeros.  Keep the rest, row after row.
+        tails = [block[cursor:] for block, cursor, draws
+                 in zip(self.blocks, self.cursor.tolist(),
+                        self.draws.tolist()) if draws]
+        state = {name: getattr(self, name) for name in self._ARRAYS
+                 if name != "blocks"}
+        state["tails"] = np.concatenate(tails) if tails else np.zeros(0)
+        state["rngs"] = self.rngs
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        tails = state.pop("tails")
+        self.__dict__.update(state)
+        self.blocks = np.zeros((len(self.rngs), _BLOCK))
+        at = 0
+        for row in np.flatnonzero(self.draws).tolist():
+            cursor = int(self.cursor[row])
+            width = _BLOCK - cursor
+            self.blocks[row, cursor:] = tails[at:at + width]
+            at += width
 
 
 class FadingChannel:
@@ -202,7 +231,9 @@ class FadingChannel:
 
     def step(self) -> float:
         """Advance one slot; return the instantaneous SNR in dB."""
-        return float(self._own_state().advance()[0])
+        state = self._own_state()
+        state.advance()
+        return state.snr_db(0)
 
 
 #: CQI table: index i usable when SNR >= threshold[i] (dB).  Thresholds

@@ -3,15 +3,14 @@
 The gNB owns one :class:`UeTable`.  A UE's row joins at ``add_ue`` and
 leaves at ``remove_ue``, so the rows follow the gNB's admitted UEs in
 order.  Each slot, :meth:`UeTable.advance` steps every row's fading
-gain, SNR and CQI with array operations; the gNB then reads a UE's SNR
-and CQI from the table.  The result equals stepping each UE's
-:class:`~repro.ue.channel.FadingChannel` and mobility model on its own,
-bit for bit.
+gain with array operations and every moving row's mobility; the gNB
+then reads the SNR and CQI of the UEs it needs from the table, which
+computes them on the first read of the slot.  The result equals
+stepping each UE's :class:`~repro.ue.channel.FadingChannel` and
+mobility model on its own, bit for bit.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.ue.channel import ChannelColumns, snr_to_cqi
 from repro.ue.mobility import MobilityModel, StaticUe
@@ -27,8 +26,10 @@ class UeTable:
         self._row: dict[int, int] = {}
         # Rows whose mobility moves the SNR; static rows add 0.0.
         self._moving: list[tuple[int, MobilityModel]] = []
-        self._snr_db: list[float] = []
-        self._cqi: list[int] = []
+        self._offsets: list[float] = []
+        # (SNR, CQI) by UE id, read this slot; a row added since the
+        # last advance reads its channel's mean SNR.
+        self._read: dict[int, tuple[float, int]] = {}
 
     def __len__(self) -> int:
         return len(self._ues)
@@ -39,8 +40,9 @@ class UeTable:
             raise UeError(f"UE {ue.ue_id} already has a row")
         self._fading.extend(ue.channel.take_state())
         self._ues.append(ue)
-        self._snr_db.append(ue.channel.mean_snr_db)
-        self._cqi.append(int(snr_to_cqi(ue.channel.mean_snr_db)))
+        self._offsets.append(0.0)
+        mean = ue.channel.mean_snr_db
+        self._read[ue.ue_id] = (mean, int(snr_to_cqi(mean)))
         self._reindex()
 
     def remove(self, ue_id: int) -> None:
@@ -50,8 +52,8 @@ class UeTable:
             raise UeError(f"UE {ue_id} has no row")
         ue = self._ues.pop(row)
         ue.channel.state = self._fading.pop(row)
-        del self._snr_db[row]
-        del self._cqi[row]
+        del self._offsets[row]
+        self._read.pop(ue_id, None)
         self._reindex()
 
     def _reindex(self) -> None:
@@ -60,21 +62,28 @@ class UeTable:
                         if type(ue.mobility) is not StaticUe]
 
     def advance(self, slot_index: int) -> None:
-        """Step every row's fading, mobility, SNR and CQI one slot."""
+        """Step every row's fading gain and every moving row's mobility
+        one slot."""
+        self._read = {}
         if not self._ues:
             return
-        offsets = np.zeros(len(self._ues))
-        snr = self._fading.advance()
+        self._fading.advance()
+        offsets = self._offsets
         for row, mobility in self._moving:
             offsets[row] = mobility.step(slot_index)
-        snr = snr + offsets
-        self._snr_db = snr.tolist()
-        self._cqi = snr_to_cqi(snr).tolist()
+
+    def _snr_cqi(self, ue_id: int) -> tuple[float, int]:
+        got = self._read.get(ue_id)
+        if got is None:
+            row = self._row[ue_id]
+            snr = self._fading.snr_db(row) + self._offsets[row]
+            got = self._read[ue_id] = (snr, int(snr_to_cqi(snr)))
+        return got
 
     def snr_db(self, ue_id: int) -> float:
         """``ue_id``'s instantaneous SNR this slot."""
-        return self._snr_db[self._row[ue_id]]
+        return self._snr_cqi(ue_id)[0]
 
     def cqi(self, ue_id: int) -> int:
         """``ue_id``'s CQI this slot."""
-        return self._cqi[self._row[ue_id]]
+        return self._snr_cqi(ue_id)[1]

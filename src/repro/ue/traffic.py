@@ -22,17 +22,39 @@ from repro.constants import TTI_DURATION_S
 #: generator in the same state, so the size moves speed only.
 BLOCK_DRAWS = 64
 
+#: Most slots one :meth:`TrafficModel.quiet_slots` call looks ahead, so
+#: that a model whose rate is zero still answers.
+MAX_QUIET_SLOTS = 1024
+
 
 class TrafficError(ValueError):
     """Raised for non-physical traffic parameters."""
 
 
 class TrafficModel:
-    """Interface: bytes arriving during one slot."""
+    """Interface: bytes arriving during one slot.
+
+    A caller may skip the slots :meth:`quiet_slots` names, then call
+    :meth:`skip_quiet` for them before the next :meth:`bytes_in_slot`.
+    The model's later arrivals are the same as if it had been called
+    for every slot.
+    """
 
     def bytes_in_slot(self, slot_index: int) -> int:
         """New payload bytes generated during ``slot_index``."""
         raise NotImplementedError
+
+    def quiet_slots(self, slot_index: int) -> int:
+        """How many slots from ``slot_index`` on bring no bytes for
+        certain (0: call every slot).  What later calls return does not
+        change."""
+        return 0
+
+    def skip_quiet(self, slot_index: int, n_slots: int) -> None:
+        """Account for ``n_slots`` quiet slots from ``slot_index`` on,
+        as ``bytes_in_slot`` would have."""
+        for offset in range(n_slots):
+            self.bytes_in_slot(slot_index + offset)
 
 
 @dataclass
@@ -69,12 +91,33 @@ class PoissonPackets(TrafficModel):
         self._rng = np.random.default_rng(self.seed)
         self._counts: list[int] = []    # unread block, next draw last
 
+    def _draw_block(self) -> list[int]:
+        mean = self.packets_per_second * self.slot_duration_s
+        return self._rng.poisson(mean, size=BLOCK_DRAWS)[::-1].tolist()
+
     def bytes_in_slot(self, slot_index: int) -> int:
         if not self._counts:
-            mean = self.packets_per_second * self.slot_duration_s
-            self._counts = self._rng.poisson(
-                mean, size=BLOCK_DRAWS)[::-1].tolist()
+            self._counts = self._draw_block()
         return self._counts.pop() * self.packet_bytes
+
+    def quiet_slots(self, slot_index: int) -> int:
+        # The leading zero counts.  When they run to the end of the
+        # unread block, the next block is drawn now: it holds the values
+        # the generator would give later, since nothing else draws from
+        # it.
+        quiet = 0
+        block = self._counts
+        while quiet < MAX_QUIET_SLOTS:
+            for count in reversed(block):
+                if count:
+                    return quiet
+                quiet += 1
+            block = self._draw_block()
+            self._counts[:0] = block
+        return quiet
+
+    def skip_quiet(self, slot_index: int, n_slots: int) -> None:
+        del self._counts[len(self._counts) - n_slots:]
 
 
 @dataclass
@@ -109,6 +152,12 @@ class VideoStream(TrafficModel):
         jitter = 1.0 + self.size_jitter * self._jitter.pop()
         return max(0, int(self._frame_bytes * jitter))
 
+    def quiet_slots(self, slot_index: int) -> int:
+        return -slot_index % self._slots_per_frame
+
+    def skip_quiet(self, slot_index: int, n_slots: int) -> None:
+        pass                # slots between frames change nothing
+
 
 @dataclass
 class BulkDownload(TrafficModel):
@@ -136,6 +185,23 @@ class BulkDownload(TrafficModel):
             self._carry -= chunks * self.chunk_bytes
             return chunks * self.chunk_bytes
         return 0
+
+    def quiet_slots(self, slot_index: int) -> int:
+        # Replay the per-slot additions on a copy of the carry.
+        step = self.rate_cap_bps * self.slot_duration_s / 8.0
+        carry = self._carry
+        quiet = 0
+        while quiet < MAX_QUIET_SLOTS:
+            carry += step
+            if carry >= self.chunk_bytes:
+                break
+            quiet += 1
+        return quiet
+
+    def skip_quiet(self, slot_index: int, n_slots: int) -> None:
+        step = self.rate_cap_bps * self.slot_duration_s / 8.0
+        for _ in range(n_slots):
+            self._carry += step
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Each UE owns its traffic buffers, fading channel and mobility model;
 while it is admitted, its gNB's :class:`~repro.ue.table.UeTable` steps
-the channel and mobility together with every other UE's.  The
+the channel and mobility together with every other UE's, and the gNB
+pulls the buffers' arrivals in the slots they are due.  The
 ``PacketCapture`` plays the role of tcpdump on the paper's phones
 (section 5.2.2): it records every MAC-delivered payload with a timestamp,
 and windowed bit rates computed from it are the ground truth NR-Scope's
@@ -115,8 +116,9 @@ class UserEquipment:
         self.rnti = None
 
     def advance_slot(self, slot_index: int) -> None:
-        """Per-slot traffic arrivals (the gNB's UE table does the
-        channel)."""
+        """One slot of traffic arrivals in both buffers.  An admitted
+        UE's gNB calls each buffer's model only in its due slots
+        instead, with the same result."""
         self.dl_buffer.arrive(slot_index)
         self.ul_buffer.arrive(slot_index)
 

@@ -157,7 +157,7 @@ class TestCheckpointResume:
 
     def test_restore_rejects_previous_version(self, tmp_path):
         # Version 1 snapshots held the spare estimator's object history.
-        assert CHECKPOINT_VERSION == 3
+        assert CHECKPOINT_VERSION == 4
         path = tmp_path / "fleet.ckpt"
         path.write_bytes(pickle.dumps({"version": 1, "cells": []}))
         with pytest.raises(FleetError):
@@ -173,6 +173,18 @@ class TestCheckpointResume:
         blob["version"] = 2
         path.write_bytes(pickle.dumps(blob))
         with pytest.raises(FleetError, match="version: 2"):
+            FleetSupervisor.restore(path)
+
+    def test_restore_rejects_version_3_blob(self, tmp_path):
+        # Version 3 gNBs called every buffer's traffic model each slot
+        # and held no due schedule; resuming one would lose arrivals.
+        path = tmp_path / "fleet.ckpt"
+        supervisor = FleetSupervisor.build(small_config(n_cells=1))
+        supervisor.run(0.3, checkpoint_path=path)
+        blob = pickle.loads(path.read_bytes())
+        blob["version"] = 3
+        path.write_bytes(pickle.dumps(blob))
+        with pytest.raises(FleetError, match="version: 3"):
             FleetSupervisor.restore(path)
 
     def test_restore_rejects_unknown_executor(self, tmp_path):

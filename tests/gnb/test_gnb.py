@@ -40,6 +40,24 @@ class TestLifecycle:
         assert ue.departure_time_s == pytest.approx(0.2, abs=0.01)
         sim.run(seconds=0.1)  # must not crash with the UE gone
 
+    def test_remove_mid_rach_cancels_the_attempt(self):
+        sim = Simulation.build(SRSRAN_PROFILE, n_ues=0, seed=11)
+        gnb = sim.gnb
+        gnb.add_ue(sim.make_ue(ue_id=0))
+        sim.run_slots(1)
+        gnb.remove_ue(0)
+        sim.run_slots(40)
+        # The departed UE neither contends nor takes a TC-RNTI.
+        assert gnb.rach.in_flight == 0
+        assert gnb.rach.completed == 0
+        assert gnb.log.msg4_records == []
+        # Its id can come back, and takes the first TC-RNTI.
+        again = sim.make_ue(ue_id=0)
+        gnb.add_ue(again)
+        sim.run_slots(40)
+        assert again.rnti == 0x4601
+        assert gnb.rach.completed == 1
+
     def test_unknown_fidelity_rejected(self):
         with pytest.raises(GnbError):
             GNodeB(SRSRAN_PROFILE, fidelity="magic")

@@ -24,6 +24,17 @@ class TestRachProcedure:
         assert rach.completed == 1
         assert rach.in_flight == 0
 
+    def test_cancel_drops_the_attempt(self):
+        rach = RachProcedure()
+        rach.request_connection(ue_id=7, slot_index=0)
+        rach.request_connection(ue_id=8, slot_index=0)
+        rach.step(0)                    # both send MSG 1
+        rach.cancel(7)
+        rach.cancel(99)                 # no attempt: nothing to drop
+        events = [e for slot in range(1, 30) for e in rach.step(slot)]
+        assert [e.ue_id for e in events] == [8]
+        rach.request_connection(ue_id=7, slot_index=30)
+
     def test_msg4_timing_respects_delays(self):
         rach = RachProcedure(occasion_period_slots=10, msg2_delay_slots=2,
                              msg3_delay_slots=3, msg4_delay_slots=2)

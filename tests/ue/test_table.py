@@ -18,7 +18,7 @@ from repro.gnb.cell_config import SRSRAN_PROFILE
 from repro.radio.medium import Position
 from repro.simulation import Simulation
 from repro.ue.channel import BLOCK_SLOTS, CQI_THRESHOLDS_DB, PROFILES, \
-    ChannelError, ChannelProfile, FadingChannel, snr_to_cqi
+    ChannelColumns, ChannelError, ChannelProfile, FadingChannel, snr_to_cqi
 from repro.ue.mobility import BlockedUe, MovingUe, StaticUe
 from repro.ue.population import Session
 from repro.ue.table import UeTable
@@ -189,6 +189,107 @@ class TestTableAgainstScalarOracle:
                              channel=pair.ue.channel)
         with pytest.raises(ChannelError):
             other.add(twin)     # its channel already lives in ``table``
+
+
+class EagerTable:
+    """The table as it was before SNR and CQI moved to the read: every
+    row's SNR and CQI computed each slot, verbatim."""
+
+    def __init__(self) -> None:
+        self._fading = ChannelColumns()
+        self._ues: list[UserEquipment] = []
+        self._snr_db: list[float] = []
+        self._cqi: list[int] = []
+
+    def add(self, ue: UserEquipment) -> None:
+        self._fading.extend(ue.channel.take_state())
+        self._ues.append(ue)
+        self._snr_db.append(ue.channel.mean_snr_db)
+        self._cqi.append(int(snr_to_cqi(ue.channel.mean_snr_db)))
+
+    def remove(self, ue_id: int) -> None:
+        row = [ue.ue_id for ue in self._ues].index(ue_id)
+        ue = self._ues.pop(row)
+        ue.channel.state = self._fading.pop(row)
+        del self._snr_db[row]
+        del self._cqi[row]
+
+    def advance(self, slot_index: int) -> None:
+        if not self._ues:
+            return
+        offsets = np.zeros(len(self._ues))
+        self._fading.advance()
+        fading = self._fading
+        fade_db = np.array([10.0 * math.log10(max(h ** 2, 1e-6))
+                            for h in np.hypot(fading.re,
+                                              fading.im).tolist()])
+        snr = fading.base + fade_db * fading.scale
+        for row, ue in enumerate(self._ues):
+            if type(ue.mobility) is not StaticUe:
+                offsets[row] = ue.mobility.step(slot_index)
+        snr = snr + offsets
+        self._snr_db = snr.tolist()
+        self._cqi = snr_to_cqi(snr).tolist()
+
+    def read(self, ue_id: int) -> tuple[float, int]:
+        row = [ue.ue_id for ue in self._ues].index(ue_id)
+        return self._snr_db[row], self._cqi[row]
+
+
+class TestReadEqualsEagerTable:
+    def test_sparse_reads_equal_every_row_computed(self):
+        # Static, moving and blocked rows; a few read each slot, some
+        # twice, some before their first advance; rows join and leave.
+        rng = np.random.default_rng(12)
+        pairs = {}
+        for ue_id, kind in enumerate(KINDS * 2):
+            pairs[ue_id] = (Pair(ue_id, *kind), Pair(ue_id, *kind))
+        lazy, eager = UeTable(), EagerTable()
+        admitted: list[int] = []
+        next_id = 0
+        for slot in range(3 * BLOCK_SLOTS + 30):
+            if slot % 9 == 0 and next_id < len(pairs):
+                ue_id = next_id
+                next_id += 1
+                lazy.add(pairs[ue_id][0].ue)
+                eager.add(pairs[ue_id][1].ue)
+                admitted.append(ue_id)
+                assert (lazy.snr_db(ue_id), lazy.cqi(ue_id)) == \
+                    eager.read(ue_id)               # before any advance
+            if slot % 41 == 40:
+                gone = admitted.pop(int(rng.integers(len(admitted))))
+                lazy.remove(gone)
+                eager.remove(gone)
+            if slot == 2 * BLOCK_SLOTS + 3:
+                lazy = pickle.loads(pickle.dumps(lazy))
+            lazy.advance(slot)
+            eager.advance(slot)
+            for ue_id in rng.choice(admitted, size=min(3, len(admitted)),
+                                    replace=False).tolist() * 2:
+                got = (lazy.snr_db(ue_id), lazy.cqi(ue_id))
+                assert got == eager.read(ue_id), f"UE {ue_id} slot {slot}"
+                assert type(got[0]) is float and type(got[1]) is int
+        moving = [ue_id for ue_id in admitted
+                  if type(pairs[ue_id][0].ue.mobility) is not StaticUe]
+        assert moving and len(admitted) > 10
+
+    def test_pickle_keeps_only_unread_innovations(self):
+        pairs = [Pair(ue_id, "pedestrian", "static") for ue_id in range(16)]
+        table = UeTable()
+        for pair in pairs:
+            table.add(pair.ue)
+        for slot in range(BLOCK_SLOTS // 2 + 3):
+            table.advance(slot)
+        blob = pickle.dumps(table._fading)
+        # 70 of each row's 128 innovations are read: 16 * 70 * 8 bytes.
+        whole = pickle.dumps(vars(table._fading))
+        assert len(blob) < len(whole) - 16 * 64 * 8
+        back = pickle.loads(blob)
+        for slot in range(BLOCK_SLOTS):
+            table._fading.advance()
+            back.advance()
+            assert back.re.tolist() == table._fading.re.tolist()
+            assert back.im.tolist() == table._fading.im.tolist()
 
 
 class TestBlockDrawnStreams:

@@ -178,3 +178,90 @@ class TestTrafficBuffer:
         buffer = TrafficBuffer(BulkDownload())
         with pytest.raises(TrafficError):
             buffer.drain(-1)
+
+
+def _models():
+    """Fresh models of every kind, with a per-slot rate change for the
+    sender-controlled one (set at the same slots on both copies)."""
+    from repro.ue.traffic import ControlledRate
+    return {
+        "cbr": ConstantBitRate(rate_bps=3e5, slot_duration_s=SLOT_S),
+        "poisson-sparse": PoissonPackets(packets_per_second=9.0,
+                                         packet_bytes=1400,
+                                         slot_duration_s=SLOT_S, seed=3),
+        "poisson-dense": PoissonPackets(packets_per_second=4000.0,
+                                        packet_bytes=1400,
+                                        slot_duration_s=SLOT_S, seed=4),
+        "poisson-zero": PoissonPackets(packets_per_second=0.0,
+                                       packet_bytes=1400,
+                                       slot_duration_s=SLOT_S, seed=5),
+        "video": VideoStream(rate_bps=4e6, slot_duration_s=SLOT_S, seed=6),
+        "bulk": BulkDownload(rate_cap_bps=8e6, slot_duration_s=SLOT_S),
+        "bulk-zero": BulkDownload(rate_cap_bps=0.0, slot_duration_s=SLOT_S,
+                                  chunk_bytes=3000),
+        "controlled": ControlledRate(slot_duration_s=SLOT_S,
+                                     initial_rate_bps=2e5),
+        "onoff": OnOffTraffic(inner=ConstantBitRate(1e6, SLOT_S),
+                              slot_duration_s=SLOT_S, mean_on_s=0.01,
+                              mean_off_s=0.02, seed=7),
+    }
+
+
+def _control(model, slot: int) -> None:
+    if slot % 97 == 0 and hasattr(model, "set_rate"):
+        model.set_rate(1e4 * (slot % 7))
+
+
+class TestQuietSlots:
+    """A model called only in the slots its ``quiet_slots`` leaves due,
+    with the skipped ones accounted for by ``skip_quiet``, gives what
+    it gives when called every slot."""
+
+    N_SLOTS = 3000
+
+    @pytest.mark.parametrize("kind", sorted(_models()))
+    def test_due_calls_equal_per_slot_calls(self, kind):
+        import pickle
+
+        model, oracle = _models()[kind], _models()[kind]
+        start = due = 0
+        calls = 0
+        for slot in range(self.N_SLOTS):
+            _control(model, slot)
+            _control(oracle, slot)
+            want = oracle.bytes_in_slot(slot)
+            if slot == 1234:                    # checkpoint mid-gap
+                model = pickle.loads(pickle.dumps(model))
+            if slot < due:
+                assert want == 0, f"{kind}: slot {slot} was not quiet"
+                continue
+            model.skip_quiet(start, slot - start)
+            assert model.bytes_in_slot(slot) == want, f"{kind} {slot}"
+            calls += 1
+            start = slot + 1
+            due = start + model.quiet_slots(start)
+        # Caught up at the end, the two continue as one.
+        model.skip_quiet(start, self.N_SLOTS - start)
+        for slot in range(self.N_SLOTS, self.N_SLOTS + 500):
+            assert model.bytes_in_slot(slot) == oracle.bytes_in_slot(slot)
+        if kind in ("video", "bulk", "poisson-sparse", "poisson-zero",
+                    "bulk-zero"):
+            assert calls < self.N_SLOTS // 4, f"{kind}: {calls} calls"
+
+    @pytest.mark.parametrize("kind", sorted(_models()))
+    def test_peeking_changes_no_arrival(self, kind):
+        model, oracle = _models()[kind], _models()[kind]
+        for slot in range(1500):
+            _control(model, slot)
+            _control(oracle, slot)
+            model.quiet_slots(slot)
+            model.quiet_slots(slot)
+            assert model.bytes_in_slot(slot) == oracle.bytes_in_slot(slot)
+
+    def test_zero_rate_peek_is_bounded(self):
+        from repro.ue.traffic import MAX_QUIET_SLOTS
+        for kind in ("poisson-zero", "bulk-zero"):
+            model = _models()[kind]
+            model.bytes_in_slot(0)      # the bulk model's first chunk
+            quiet = model.quiet_slots(1)
+            assert MAX_QUIET_SLOTS <= quiet < 2 * MAX_QUIET_SLOTS
