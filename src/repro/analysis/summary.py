@@ -83,7 +83,8 @@ class SessionReport:
                        f"{stats.slots_completed}/{stats.slots_submitted}"
                        f" slots, {stats.slots_dropped} dropped "
                        f"({stats.dcis_dropped} DCIs), "
-                       f"{stats.budget_overruns} over budget"),
+                       f"{stats.budget_overruns} over budget, "
+                       f"amortized decode time per slot"),
                 columns=("stage", "calls", "mean us", "max us"),
                 rows=tuple((s.name, s.calls, s.mean_us, 1e6 * s.max_s)
                            for s in stats.stages))

@@ -62,7 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sniff.add_argument("--runtime-stats", action="store_true",
                        help="print per-stage runtime statistics "
                             "(timings and drop counts, via the obs "
-                            "bus counters)")
+                            "bus counters; the dci stage's time and "
+                            "the slot budget check are amortized over "
+                            "each decode window)")
     sniff.add_argument("--obs", action="append", default=[],
                        metavar="SPEC",
                        help="enable the observability bus with a "
@@ -210,7 +212,8 @@ def cmd_sniff(args: argparse.Namespace) -> int:
               f"{stats.slots_completed}/{stats.slots_submitted} slots, "
               f"{stats.slots_dropped} dropped "
               f"({stats.dcis_dropped} DCIs), "
-              f"{stats.budget_overruns} over budget")
+              f"{stats.budget_overruns} over budget "
+              f"(amortized decode time per slot)")
         for stage in stats.stages:
             drops = int(counter_rep.value("stage.drop",
                                           stage=stage.name)) \

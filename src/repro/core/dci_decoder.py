@@ -14,20 +14,22 @@ Two backends share one interface:
 Both return :class:`DecodedDci` lists; everything downstream (grants,
 HARQ tracking, throughput) is backend-agnostic.  The per-UE search of
 each slot is the slot runtime's parallel stage: :func:`grid_decode_job`
-and :func:`record_decode_job` run it from a payload alone.
+runs a window of prepared slots with one polar traversal, and
+:func:`record_decode_job` runs one slot from its payload alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.constants import DCI_CRC_LEN
 from repro.core.decode_model import counter_uniform, decode_succeeds, \
     pdcch_bler
+from repro.core.rach_sniffer import SpaceSnapshot
 from repro.phy import pdcch, polar
 from repro.phy.coreset import SearchSpace
 from repro.phy.dci import Dci, DciError, DciFormat, DciSizeConfig, \
@@ -37,6 +39,7 @@ from repro.phy.numerology import slots_per_frame
 from repro.phy.pdcch import BITS_PER_CCE, PdcchCandidate, \
     candidate_energies_batch, dci_crc_check_batch, estimate_channel, \
     gather_candidates_batch, occupancy_threshold
+from repro.phy.polar import Traversal
 from repro.phy.resource_grid import ResourceGrid
 from repro.phy.scrambling import descramble_llrs, pdcch_scrambling_init
 from repro.gnb.gnb import DciRecord
@@ -75,6 +78,127 @@ def _ue_entry_plan(space: SearchSpace, rnti: int, reduced_slot: int) \
             plan.append((level, start, start + level <= n_cce,
                          ((1 << level) - 1) << start))
     return tuple(plan)
+
+
+#: The UE-space formats the search tries, in attempt order; tables
+#: in :class:`PreparedSearch` are indexed by position in this tuple.
+_FORMATS = (DciFormat.DL_1_1, DciFormat.UL_0_1)
+
+
+@lru_cache(maxsize=16)
+def _info_lens(dci_cfg: DciSizeConfig) -> tuple[int, ...]:
+    """Payload plus CRC bits of each of :data:`_FORMATS`."""
+    return tuple(dci_payload_size(fmt, dci_cfg) + DCI_CRC_LEN
+                 for fmt in _FORMATS)
+
+
+@dataclass
+class PreparedSearch:
+    """One slot's UE-space search up to its polar decode.
+
+    :meth:`GridDciDecoder.prepare` fills it; :attr:`blocks` are the
+    slot's ``(llrs, codes)`` polar blocks, one per (CORESET, level)
+    group, and :meth:`finish` turns their decoded bits into the slot's
+    DCIs.  It holds no grid and no decoder, only arrays, tuples and the
+    decoder's frozen settings, so a window of them ships to a worker
+    as is.
+    """
+
+    dci_cfg: DciSizeConfig
+    use_energy_gate: bool
+    use_cce_claiming: bool
+    #: ``(rnti, level, start, valid, cce_bits, pos)`` in per-candidate
+    #: order; ``pos`` indexes the shared positions (-1 when invalid).
+    entries: list[tuple[int, int, int, bool, int, int]]
+    n_positions: int
+    claimed_bits: int
+    blocks: list[tuple[np.ndarray, tuple[polar.PolarCode, ...]]] = \
+        field(default_factory=list)
+    #: Per block, its rows' positions and the indices into
+    #: :data:`_FORMATS` of its codes.
+    block_rows: list[tuple[np.ndarray, tuple[int, ...]]] = \
+        field(default_factory=list)
+    #: Per position, whether its REs passed the energy gate (set only
+    #: when the gate is on).
+    occupied: list[bool] = field(default_factory=list)
+
+    def finish(self, outs: Sequence[Sequence[np.ndarray]],
+               claimed: set[int] | None = None) \
+            -> tuple[list[DecodedDci], int]:
+        """Phases 4-5: the slot's decoded DCIs and decode attempts from
+        ``outs``, the decoded bits of :attr:`blocks` (per block, one
+        matrix per code, as :func:`~repro.phy.polar.decode_blocks`
+        returns them).
+
+        The per-candidate control flow (CCE claiming, energy gate,
+        per-format attempt accounting, ``unpack``) is *replayed* over
+        the shared blocks, so decoded DCIs, claiming effects and the
+        attempt count are bit-identical to the per-candidate reference
+        in ``tests/core/test_batch_equivalence.py``.  The CCEs the
+        slot's decodes claim are added to ``claimed`` when given.
+        """
+        decoded: list[DecodedDci] = []
+        entries = self.entries
+        if not entries:
+            return decoded, 0
+        info_lens = _info_lens(self.dci_cfg)
+        n_pos = self.n_positions
+        tables = [np.zeros((n_pos, k), dtype=np.uint8) for k in info_lens]
+        decoded_pos = [np.zeros(n_pos, dtype=bool) for _ in info_lens]
+        for (pos_idx, fits), block_outs in zip(self.block_rows, outs):
+            for f, out in zip(fits, block_outs):
+                tables[f][pos_idx] = out
+                decoded_pos[f][pos_idx] = True
+
+        # Phase 4: CRC verdicts for every (shared block, entry RNTI) row,
+        # one batched check per format (identical booleans to a
+        # per-attempt check).
+        entry_pos = np.array([entry[5] for entry in entries],
+                             dtype=np.intp)
+        entry_rnti = np.array([entry[0] for entry in entries],
+                              dtype=np.int64)
+        valid_rows = np.flatnonzero(entry_pos >= 0)
+        crc_ok: list[list[bool]] = []
+        for f in range(len(_FORMATS)):
+            rows = valid_rows[decoded_pos[f][entry_pos[valid_rows]]]
+            ok = np.zeros(len(entries), dtype=bool)
+            if rows.size:
+                ok[rows] = dci_crc_check_batch(
+                    tables[f][entry_pos[rows]], entry_rnti[rows])
+            crc_ok.append(ok.tolist())
+
+        # Phase 5: replay the per-candidate control flow over the shared
+        # blocks.
+        gate, claiming = self.use_energy_gate, self.use_cce_claiming
+        occupied = self.occupied
+        claimed_bits = self.claimed_bits
+        attempts = 0
+        for idx, (rnti, level, start, valid, cce_bits, pos) \
+                in enumerate(entries):
+            if not valid:
+                if not gate:
+                    attempts += 2  # both formats tried, both fail early
+                continue
+            if claiming and cce_bits & claimed_bits:
+                continue
+            if gate and not occupied[pos]:
+                continue
+            for f, fmt in enumerate(_FORMATS):
+                attempts += 1
+                if not crc_ok[f][idx]:
+                    continue
+                try:
+                    dci = unpack(tables[f][pos][:-DCI_CRC_LEN], fmt,
+                                 self.dci_cfg, rnti)
+                except DciError:
+                    continue
+                decoded.append(DecodedDci(dci=dci, aggregation_level=level))
+                if claiming:
+                    claimed_bits |= cce_bits
+                    if claimed is not None:
+                        claimed.update(range(start, start + level))
+                break
+        return decoded, attempts
 
 
 class RecordDciDecoder:
@@ -175,86 +299,92 @@ class GridDciDecoder:
         CCEs or if its REs carry only noise, else try DL 1_1 then
         UL 0_1 (one attempt each) until one passes the RNTI-masked CRC.
 
-        The PHY work behind them is shared.  PDCCH scrambling is seeded
-        from the cell ID alone (``pdcch_scrambling_init(n_id)``,
-        ``n_rnti = 0``), so a candidate's LLRs and polar output depend
-        only on its *position* (CORESET, level, first CCE, scrambling
-        ``c_init``), never on which UE's search space hashed onto it.
-        Each distinct eligible position is therefore gathered,
-        demodulated, descrambled and polar-decoded once per slot — all
-        of the slot's (CORESET, level) groups in one polar traversal,
-        :func:`~repro.phy.polar.decode_blocks` — and every tracked UE's
-        entry reads its block from that shared table.  The per-candidate
-        control flow (CCE claiming, energy gate, per-format attempt
-        accounting, ``unpack``) is then *replayed* over the shared
-        blocks, so decoded DCIs, claiming effects and the ``attempts``
-        counter are bit-identical to the per-candidate reference in
-        ``tests/core/test_batch_equivalence.py``.
+        This is the one-slot composition of the search's three parts:
+        :meth:`prepare`, one :func:`~repro.phy.polar.decode_blocks`
+        traversal of its blocks, and :meth:`PreparedSearch.finish`.
+        The slot runtime runs the same parts over a window of slots
+        (:func:`grid_decode_job`), with one traversal for the window.
 
         ``claimed`` optionally pre-claims CCEs; the CCEs this slot's
         decodes claim are added to it.
         """
-        decoded: list[DecodedDci] = []
-        attempts = 0
-        if claimed is None:
-            claimed = set()
+        prepared = self.prepare(grid, slot_index, tracked, claimed)
+        decoded, attempts = prepared.finish(
+            polar.decode_blocks(prepared.blocks), claimed)
+        self.attempts += attempts
+        return decoded
 
+    def prepare(self, grid: ResourceGrid, slot_index: int,
+                tracked: Mapping[int, SearchSpace],
+                claimed: set[int] | None = None) -> "PreparedSearch":
+        """Phases 1-3 of the search: everything but the polar decode
+        and what follows it.
+
+        PDCCH scrambling is seeded from the cell ID alone
+        (``pdcch_scrambling_init(n_id)``, ``n_rnti = 0``), so a
+        candidate's LLRs and polar output depend only on its *position*
+        (CORESET, level, first CCE), never on which UE's search space
+        hashed onto it.  Each distinct eligible position is therefore
+        gathered, demodulated and descrambled once per slot, and every
+        tracked UE's entry reads its block from that shared table.
+        """
         # Phase 1: enumerate entries in exact per-candidate order and
         # map each valid one onto its shared position.  Each entry
         # carries its CCE footprint as an int bitmask so the replay's
-        # claim checks are single AND operations; the ``claimed`` set
-        # stays the caller-facing interface.  Per-UE skeletons come
-        # from the frame-periodic plan cache (the hash only depends on
-        # the slot within its frame).
+        # claim checks are single AND operations.  Per-UE skeletons
+        # come from the frame-periodic plan cache (the hash only
+        # depends on the slot within its frame), and positions are
+        # keyed by the snapshot's interned CORESET index (the
+        # scrambling ``c_init`` is the decoder's, one per slot).
+        if not isinstance(tracked, SpaceSnapshot):
+            tracked = SpaceSnapshot(tracked)
+        order, coresets = tracked.search_order()
         reduced_slot = slot_index % slots_per_frame(30)
-        c_init = pdcch_scrambling_init(self.n_id)
-        positions: dict[tuple[object, int, int, int], int] = {}
+        positions: dict[tuple[int, int, int], int] = {}
         entries: list[tuple[int, int, int, bool, int, int]] = []
-        for rnti in sorted(tracked):
-            space = tracked[rnti]
+        for rnti, space, coreset_index in order:
             for level, start, valid, cce_bits in _ue_entry_plan(
                     space, rnti, reduced_slot):
-                pos = positions.setdefault(
-                    (space.coreset, level, start, c_init),
-                    len(positions)) if valid else -1
+                if valid:
+                    key = (coreset_index, level, start)
+                    pos = positions.get(key)
+                    if pos is None:
+                        pos = positions[key] = len(positions)
+                else:
+                    pos = -1
                 entries.append((rnti, level, start, valid, cce_bits, pos))
-        if not entries:
-            return decoded
         claimed_bits = 0
-        for cce in claimed:
+        for cce in claimed or ():
             claimed_bits |= 1 << cce
+        prepared = PreparedSearch(
+            dci_cfg=self.dci_cfg, use_energy_gate=self.use_energy_gate,
+            use_cce_claiming=self.use_cce_claiming, entries=entries,
+            n_positions=len(positions), claimed_bits=claimed_bits)
+        if not entries:
+            return prepared
 
         # Phase 2: group the positions the replay can reach per
-        # (CORESET, level, c_init).  Claims only grow during the replay,
-        # so a position claimed up front is never read and is never
+        # (CORESET, level).  Claims only grow during the replay, so a
+        # position claimed up front is never read and is never
         # gathered (the per-candidate search checks claims before
         # touching the grid).
-        groups: dict[tuple[object, int, int], list[tuple[int, int]]] = {}
-        for (coreset, level, start, key_c_init), pos in positions.items():
+        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (coreset_index, level, start), pos in positions.items():
             if self.use_cce_claiming \
                     and ((1 << level) - 1) << start & claimed_bits:
                 continue
-            groups.setdefault((coreset, level, key_c_init),
+            groups.setdefault((coreset_index, level),
                               []).append((pos, start))
 
         # Phase 3: per group, one gather + energy gate, then batched
-        # demod + descramble; every group's LLR block, with the DCI
-        # formats that fit its level, then rides ONE polar traversal.
-        # Decoded blocks land in a per-format position table; payload
-        # sizes do not depend on the level, so one table spans every
-        # group.
+        # demod + descramble; every group's LLR block goes out with the
+        # DCI formats that fit its level.
         threshold = occupancy_threshold(self.noise_var)
         energies = np.zeros(len(positions), dtype=np.float64)
-        formats = (DciFormat.DL_1_1, DciFormat.UL_0_1)
-        info_lens = {fmt: dci_payload_size(fmt, self.dci_cfg)
-                     + DCI_CRC_LEN for fmt in formats}
-        tables = {fmt: np.zeros((len(positions), info_lens[fmt]),
-                                dtype=np.uint8) for fmt in formats}
-        decoded_pos = {fmt: np.zeros(len(positions), dtype=bool)
-                       for fmt in formats}
-        blocks: list[tuple[np.ndarray, tuple[polar.PolarCode, ...]]] = []
-        block_rows: list[tuple[np.ndarray, list[DciFormat]]] = []
-        for (coreset, level, key_c_init), members in groups.items():
+        info_lens = _info_lens(self.dci_cfg)
+        c_init = pdcch_scrambling_init(self.n_id)
+        for (coreset_index, level), members in groups.items():
+            coreset = coresets[coreset_index]
             pos_idx = np.array([pos for pos, _ in members], dtype=np.intp)
             starts = np.array([start for _, start in members],
                               dtype=np.intp)
@@ -266,7 +396,7 @@ class GridDciDecoder:
                 pos_idx = pos_idx[keep]
                 starts = starts[keep]
             n_coded = level * BITS_PER_CCE
-            fits = [fmt for fmt in formats if info_lens[fmt] <= n_coded]
+            fits = tuple(f for f, k in enumerate(info_lens) if k <= n_coded)
             if not fits or pos_idx.size == 0:
                 continue
             if self.equalize:
@@ -290,61 +420,12 @@ class GridDciDecoder:
             else:
                 llrs = demodulate_soft_batch(
                     values, QPSK, max(self.noise_var, 1e-12))
-            blocks.append((descramble_llrs(llrs, key_c_init), tuple(
-                polar.construct(info_lens[fmt], n_coded) for fmt in fits)))
-            block_rows.append((pos_idx, fits))
-        for (pos_idx, fits), outs in zip(block_rows,
-                                         polar.decode_blocks(blocks)):
-            for fmt, out in zip(fits, outs):
-                tables[fmt][pos_idx] = out
-                decoded_pos[fmt][pos_idx] = True
-
-        # Phase 4: CRC verdicts for every (shared block, entry RNTI) row,
-        # one GF(2) matrix product per format (identical booleans to a
-        # per-attempt check).
-        entry_pos = np.array([entry[5] for entry in entries],
-                             dtype=np.intp)
-        entry_rnti = np.array([entry[0] for entry in entries],
-                              dtype=np.int64)
-        valid_rows = np.flatnonzero(entry_pos >= 0)
-        crc_ok: dict[DciFormat, np.ndarray] = {}
-        for fmt in formats:
-            rows = valid_rows[decoded_pos[fmt][entry_pos[valid_rows]]]
-            crc_ok[fmt] = np.zeros(len(entries), dtype=bool)
-            if rows.size:
-                crc_ok[fmt][rows] = dci_crc_check_batch(
-                    tables[fmt][entry_pos[rows]], entry_rnti[rows])
-
-        # Phase 5: replay the per-candidate control flow over the shared
-        # blocks.
-        for idx, (rnti, level, start, valid, cce_bits, pos) \
-                in enumerate(entries):
-            if not valid:
-                if not self.use_energy_gate:
-                    attempts += 2  # both formats tried, both fail early
-                continue
-            if self.use_cce_claiming and cce_bits & claimed_bits:
-                continue
-            if self.use_energy_gate and not energies[pos] > threshold:
-                continue
-            for fmt in formats:
-                attempts += 1
-                dci = None
-                if crc_ok[fmt][idx]:
-                    try:
-                        dci = unpack(tables[fmt][pos][:-DCI_CRC_LEN], fmt,
-                                     self.dci_cfg, rnti)
-                    except DciError:
-                        dci = None
-                if dci is not None:
-                    decoded.append(DecodedDci(dci=dci,
-                                              aggregation_level=level))
-                    if self.use_cce_claiming:
-                        claimed_bits |= cce_bits
-                        claimed.update(range(start, start + level))
-                    break
-        self.attempts += attempts
-        return decoded
+            prepared.blocks.append((descramble_llrs(llrs, c_init), tuple(
+                polar.construct(info_lens[f], n_coded) for f in fits)))
+            prepared.block_rows.append((pos_idx, fits))
+        if self.use_energy_gate:
+            prepared.occupied = (energies > threshold).tolist()
+        return prepared
 
     def blind_decode_common(self, grid: ResourceGrid, slot_index: int,
                             common_space) -> list[DecodedDci]:
@@ -406,77 +487,37 @@ class GridDciDecoder:
 
 
 # ------------------------------------------------- the parallel DCI stage
-# The slot runtime runs one of the two jobs below per slot, on the
-# backbone (inline) or in a spawned worker process.  Each is a
-# module-level function of its payload alone, so it cannot reach the
-# session: the scope packs the payload on the backbone and merges the
-# returned counters and decodes back.  Payload values choose their own
-# wire form through ``__reduce__``; inline, nothing is pickled.
+# The slot runtime runs one of the two jobs below, on the backbone
+# (inline) or in a spawned worker process.  Each is a module-level
+# function of its payloads alone, so it cannot reach the session: the
+# scope packs each slot's payload on the backbone and merges the
+# returned counters and decodes back.  Inline, nothing is pickled.
 
-@dataclass(frozen=True)
-class ControlRegion:
-    """A captured grid as the DCI search reads it.
+def grid_decode_job(window: list[PreparedSearch]) \
+        -> Iterator[tuple[list[DecodedDci], int] | None]:
+    """A window of slots' iq-fidelity searches, past their
+    :meth:`~GridDciDecoder.prepare`: one polar traversal for the whole
+    window, then each slot's :meth:`~PreparedSearch.finish`.
 
-    The search only reads CORESET resource elements, and every tracked
-    CORESET sits in the slot's first ``n_symbols`` OFDM symbols.
-    Inline the job reads ``grid`` itself.  Pickled, the region ships
-    just those columns (2 of 14 symbols for the lab cells), and the
-    worker rebuilds a full-size grid with zeros elsewhere; those REs
-    are never read, so the decode stays byte-identical.
+    A window job (see :class:`~repro.core.runtime.SlotRuntime`): it
+    yields ``None`` after each of ``len(window)`` equal slices of the
+    traversal's ops, then each slot's ``(decoded DCIs, attempts)`` in
+    slot order.  The bits are those of per-slot traversals, so every
+    slot's result equals its own :meth:`~GridDciDecoder.decode_slot_batch`.
     """
-
-    grid: ResourceGrid
-    n_symbols: int
-
-    @classmethod
-    def of(cls, grid: ResourceGrid,
-           tracked: Mapping[int, SearchSpace]) -> "ControlRegion":
-        """The region of ``grid`` covering every tracked CORESET."""
-        n_symbols = 0
-        for space in tracked.values():
-            coreset = space.coreset
-            n_symbols = max(n_symbols,
-                            coreset.first_symbol + coreset.n_symbols)
-        return cls(grid, min(grid.data.shape[1], n_symbols))
-
-    def __reduce__(self):
-        n = self.n_symbols
-        return (_region_from_wire, (
-            self.grid.n_prb, n,
-            np.ascontiguousarray(self.grid.data[:, :n]),
-            np.ascontiguousarray(self.grid.occupancy[:, :n])))
-
-
-def _region_from_wire(n_prb: int, n_symbols: int, data: np.ndarray,
-                      occupancy: np.ndarray) -> ControlRegion:
-    """Worker-side inverse of :meth:`ControlRegion.__reduce__`."""
-    grid = ResourceGrid(n_prb=n_prb)
-    grid.data[:, :n_symbols] = data
-    grid.occupancy[:, :n_symbols] = occupancy
-    return ControlRegion(grid, n_symbols)
-
-
-def grid_decode_payload(decoder: GridDciDecoder, grid: ResourceGrid,
-                        slot_index: int,
-                        tracked: Mapping[int, SearchSpace]) -> dict:
-    """The :func:`grid_decode_job` payload for one slot: ``decoder``'s
-    configuration, the grid's control region and the tracked search
-    spaces (a :class:`~repro.core.rach_sniffer.SpaceSnapshot` pickles
-    as one content-addressed blob)."""
-    return {"decoder": decoder.config(),
-            "region": ControlRegion.of(grid, tracked),
-            "slot_index": slot_index, "tracked": tracked}
-
-
-def grid_decode_job(payload: dict) -> tuple[list[DecodedDci], int]:
-    """One slot's iq-fidelity search: the decoded DCIs and the decode
-    attempts, from a fresh decoder built from the shipped
-    configuration."""
-    decoder = GridDciDecoder(**payload["decoder"])
-    decoded = decoder.decode_slot_batch(payload["region"].grid,
-                                        payload["slot_index"],
-                                        payload["tracked"])
-    return decoded, decoder.attempts
+    traversal = Traversal(
+        [block for prepared in window for block in prepared.blocks])
+    share = -(-traversal.n_ops // len(window))
+    for _ in window:
+        traversal.step(share)
+        yield None
+    outs = traversal.result()
+    first = 0
+    prepared: PreparedSearch
+    for prepared in window:
+        stop = first + len(prepared.blocks)
+        yield prepared.finish(outs[first:stop])
+        first = stop
 
 
 def record_decode_job(payload: dict) \

@@ -56,11 +56,12 @@ class SpaceSnapshot(Mapping[int, SearchSpace]):
     reuses the same table, so per-UE plan caches stay warm.
     """
 
-    __slots__ = ("_spaces", "_blob")
+    __slots__ = ("_spaces", "_blob", "_order")
 
     def __init__(self, spaces: Mapping[int, SearchSpace]) -> None:
         self._spaces = dict(spaces)
         self._blob: bytes | None = None
+        self._order: tuple | None = None
 
     def __getitem__(self, rnti: int) -> SearchSpace:
         return self._spaces[rnti]
@@ -79,6 +80,24 @@ class SpaceSnapshot(Mapping[int, SearchSpace]):
 
     def items(self) -> ItemsView[int, SearchSpace]:
         return self._spaces.items()
+
+    def search_order(self) -> tuple[
+            tuple[tuple[int, SearchSpace, int], ...], tuple[Coreset, ...]]:
+        """``(rnti, space, coreset index)`` rows in ascending RNTI
+        order, and the distinct CORESETs the indices point into.
+
+        Equal CORESETs share one index, so a per-slot search keys its
+        candidate positions by small ints instead of comparing frozen
+        dataclasses.  Built once per snapshot.
+        """
+        if self._order is None:
+            interned: dict[Coreset, int] = {}
+            rows = tuple(
+                (rnti, space,
+                 interned.setdefault(space.coreset, len(interned)))
+                for rnti, space in sorted(self._spaces.items()))
+            self._order = (rows, tuple(interned))
+        return self._order
 
     @property
     def blob(self) -> bytes:

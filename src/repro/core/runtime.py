@@ -14,54 +14,70 @@ controller, the Fig 12 experiment):
   *Sink* stages (telemetry consumers) are committed strictly in slot
   order behind a reorder buffer.
 * The *parallel* stage (at most one: per-UE DCI decode) is a
-  module-level ``job(payload) -> result`` function plus two backbone
-  hooks: ``pack(ctx)`` builds the slot's payload and ``merge(ctx,
-  result)`` folds the result back before the sinks see it.  Every
-  executor runs that same ``merge(ctx, job(pack(ctx)))``; only where
-  ``job`` runs differs.  The job never sees the context or the
-  session, so it cannot reach backbone state, and inline and process
-  sessions commit the same telemetry by construction.
-* :class:`InlineExecutor` - runs the job on the caller's thread, with
-  the payload as built (nothing is pickled); the deterministic,
-  test-friendly default.
+  module-level job plus two backbone hooks: ``pack(ctx)`` builds each
+  slot's payload in the slot's own submit, and ``merge(ctx, result)``
+  folds the slot's result back before the sinks see it.  The job runs
+  on *windows* of consecutive slots: a window closes at the first slot
+  with no parallel work of its own (a TDD uplink slot) or at
+  :data:`WINDOW_SLOTS` slots.  A *window job* is a generator function
+  of the window's payloads that does its shared work in one slice per
+  slot, then yields each slot's result (the iq DCI search decodes the
+  whole window in one polar traversal); a plain ``payload -> result``
+  function runs as windows of one slot.  :class:`WindowRun` drives
+  either.  The job never sees the context or the session, so it
+  cannot reach backbone state, and every executor commits the same
+  telemetry by construction.
+* :class:`InlineExecutor` - runs windows on the caller's thread, with
+  the payloads as built (nothing is pickled), spread over the slots
+  that follow: each submit runs one slice of the oldest open window
+  and finishes, merges and commits at most one slot.  The
+  deterministic, test-friendly default.
 * :class:`ProcessExecutor` - the paper's worker pool: N spawned worker
-  processes.  Each ``(job, payload)`` is pickled on the backbone at
-  submit by a checked pickler that refuses backbone state (RNG
-  streams, the obs bus, tracked UEs), so a bad payload fails at the
-  slot that built it.  Payload objects choose their own wire form
-  through ``__reduce__`` (the DCI stage ships only the grid's control
-  region).
-* Backpressure - the in-flight backlog is bounded; a slot arriving while
-  the pool is saturated is *dropped with accounting* (the paper's
-  real-time constraint: an over-budget slot is a counted DCI miss,
-  never a stall).
+  processes.  Each closed window's ``(job, payloads)`` is pickled on
+  the backbone at submit by a checked pickler that refuses backbone
+  state (RNG streams, the obs bus, tracked UEs), so a bad payload
+  fails at the slot that built it, and a worker runs the window to the
+  end.
+* Backpressure - the in-flight backlog is bounded; a window arriving
+  while the pool is saturated is *dropped with accounting* (the
+  paper's real-time constraint: an over-budget slot is a counted DCI
+  miss, never a stall).
 * :class:`RuntimeStats` - per-stage timing/counter snapshot, the Fig 12
   measurement surface, exposed by ``repro.cli sniff --runtime-stats``.
+  The parallel stage's time per slot is amortized: a window job's
+  ``pack`` (the slot's own share of its work), the slot's finish and
+  an equal share of its window's shared work.
 * Observability - an optional :mod:`repro.obs` context turns every
   stage run into a timed span event (stage, slot, duration,
   drop/backpressure outcome) and every backpressure drop into a
   ``stage.drop`` counter.  All of a slot's events are emitted at
   commit, on the backbone, so the stream is identical whichever
-  executor ran the slot; disabled, the bus is a no-op singleton behind
-  a truthiness guard (zero allocations).
+  executor ran the slot and however its windows fell; disabled, the
+  bus is a no-op singleton behind a truthiness guard (zero
+  allocations).
 
-A deviation worth naming: the paper also splits one slot's UE table
-across several DCI threads.  There is no counterpart here — CPython's
-GIL serialises the pure-Python decode, and the batched search already
-decodes each candidate position once for every tracked UE
-(EXPERIMENTS.md discusses it).
+Two deviations worth naming.  The paper decodes each slot within its
+own TTI; here a windowed slot commits up to about two TDD periods
+after its capture, and the slot budget is checked against amortized
+decode time (DESIGN.md, "The windowed DCI decode").  And the paper
+also splits one slot's UE table across several DCI threads.  There is
+no counterpart here — CPython's GIL serialises the pure-Python decode,
+and the batched search already decodes each candidate position once
+for every tracked UE (EXPERIMENTS.md discusses it).
 """
 
 from __future__ import annotations
 
+import inspect
 import io
 import multiprocessing
 import pickle
 import time
+from collections import deque
 from concurrent import futures
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -101,6 +117,8 @@ class SlotContext:
     touch_marks: list[tuple[int, float]] = field(default_factory=list)
     skip_decode: bool = False     #: backbone decided no decode is needed
     dropped: bool = False         #: backpressure dropped the decode
+    #: Amortized parallel-stage time: a window job's ``pack``, then the
+    #: slot's finish and its share of its window's shared work.
     decode_time_s: float = 0.0
     error: BaseException | None = None
     #: Per-stage backbone timings, captured when the bus is enabled and
@@ -122,11 +140,12 @@ class Stage:
     the slot entirely (e.g. the sniffer is not synchronized yet).
     ``sink`` stages must come last and are committed in slot order.
 
-    At most one stage is ``parallel``.  Its ``fn`` is the job: a
-    module-level ``payload -> result`` function (picklable by
-    reference).  ``pack`` runs on the backbone and builds the slot's
-    payload from the context; ``merge`` runs on the backbone and
-    applies the job's result to the context before the sinks see it.
+    At most one stage is ``parallel``.  Its ``fn`` is the job, picklable
+    by reference: a module-level window job (a generator function of a
+    window's payloads, see :class:`WindowRun`) or a ``payload ->
+    result`` function.  ``pack`` runs on the backbone and builds the
+    slot's payload from the context; ``merge`` runs on the backbone and
+    applies the slot's result to the context before the sinks see it.
     """
 
     name: str
@@ -174,6 +193,9 @@ class RuntimeStats:
     slots_completed: int
     slots_dropped: int
     dcis_dropped: int
+    #: Slots whose amortized decode time (a window job's ``pack``, the
+    #: slot's own finish and its share of its window's shared work)
+    #: exceeded ``slot_budget_s``.
     budget_overruns: int
     slot_budget_s: float
     stages: tuple[StageStats, ...]
@@ -194,11 +216,23 @@ class RuntimeStats:
 
 
 # ------------------------------------------------------------ executors
+#: Most slots one window of a window job holds.  A window also closes at
+#: the first slot with no parallel work of its own (a TDD uplink slot),
+#: so on the TDD cells a window is one period's run of downlink slots
+#: (7 on the lab cells) and the cap only bounds FDD windows.  A slot
+#: commits at most about two windows after its capture.  On the
+#: 15 kHz FDD cell with 16 UEs, caps of 4, 8 and 16 cost 0.74, 0.72
+#: and 0.66 s of CPU per 0.3 s of air; 8 keeps the lag near two TDD
+#: periods' worth of slots.
+WINDOW_SLOTS = 8
+
+
 @dataclass
 class JobResult:
     """One slot's finished parallel job, matched to its context via
     ``seq``: the job's result (or the error it raised) and its compute
-    time."""
+    time (its own finish plus an equal share of its window's shared
+    work)."""
 
     seq: int
     result: object
@@ -206,22 +240,93 @@ class JobResult:
     error: BaseException | None = None
 
 
-def run_job(seq: int, job: Callable[[Any], object],
-            payload: object) -> JobResult:
-    """Run one slot's job and clock it; an error it raises is carried
-    in the result and re-raised at the slot's commit."""
-    start = time.perf_counter()
-    try:
-        result = job(payload)
-    except Exception as exc:  # noqa: BLE001 - re-raised at commit
-        return JobResult(seq=seq, result=None,
-                         elapsed_s=time.perf_counter() - start, error=exc)
-    return JobResult(seq=seq, result=result,
-                     elapsed_s=time.perf_counter() - start)
+@lru_cache(maxsize=None)
+def _is_window_job(job: Callable[[Any], object]) -> bool:
+    """Whether ``job`` is a window job (a generator function)."""
+    return inspect.isgeneratorfunction(job)
+
+
+class WindowRun:
+    """One closed window of slots, driven a step at a time.
+
+    The parallel stage's job is either a *window job*, a generator
+    function of the window's payloads (in slot order) that yields once
+    after each of ``len(payloads)`` slices of its shared work and then
+    each slot's result in slot order, or a plain ``payload -> result``
+    function, which runs as windows of one slot with no shared work.
+    :meth:`slice` runs the next slice and :meth:`finish` the next
+    slot's result.  An error the job raises is carried by the result of
+    the slot it hit and, for a window job, of every slot it leaves
+    unfinished; each is re-raised at that slot's commit.
+    """
+
+    def __init__(self, seqs: list[int], job: Callable[[Any], Any],
+                 payloads: list[Any]) -> None:
+        self.seqs = seqs
+        self._job = job
+        self._payloads = payloads
+        self._steps: Iterator[object] | None = None
+        #: Slices of the shared work not yet run.
+        self.slices_left = 0
+        if _is_window_job(job):
+            self._steps = job(payloads)
+            self.slices_left = len(seqs)
+        self._finished = 0
+        self._shared_s = 0.0
+        self._error: BaseException | None = None
+
+    @property
+    def done(self) -> bool:
+        """Every slot of the window is finished."""
+        return self._finished == len(self.seqs)
+
+    def slice(self) -> None:
+        """Run the next slice of the window's shared work."""
+        assert self._steps is not None and self.slices_left
+        start = time.perf_counter()
+        if self._error is None:
+            try:
+                next(self._steps)
+            except Exception as exc:  # noqa: BLE001 - raised at commit
+                self._error = exc
+        self._shared_s += time.perf_counter() - start
+        self.slices_left -= 1
+
+    def finish(self) -> JobResult:
+        """The next slot's result (every slice must have run)."""
+        assert not self.slices_left
+        index = self._finished
+        self._finished += 1
+        start = time.perf_counter()
+        result: object = None
+        error = self._error
+        if error is None:
+            try:
+                result = self._job(self._payloads[index]) \
+                    if self._steps is None else next(self._steps)
+            except Exception as exc:  # noqa: BLE001 - raised at commit
+                error = exc
+                if self._steps is not None:
+                    self._error = exc
+        elapsed = time.perf_counter() - start \
+            + self._shared_s / len(self.seqs)
+        return JobResult(seq=self.seqs[index], result=result,
+                         elapsed_s=elapsed, error=error)
+
+
+def run_window(window: WindowRun) -> list[JobResult]:
+    """Run the rest of a window: its remaining slices, then its
+    unfinished slots."""
+    while window.slices_left:
+        window.slice()
+    results: list[JobResult] = []
+    while not window.done:
+        results.append(window.finish())
+    return results
 
 
 class Executor:
-    """Where the parallel stage's jobs run.  Subclasses supply the
+    """Where the parallel stage's windows run.  Subclasses supply the
     concurrency."""
 
     name = "base"
@@ -232,14 +337,17 @@ class Executor:
     def shutdown(self) -> None:
         """Stop workers after queued work finishes."""
 
-    def try_submit_payload(self, seq: int,
-                           job: Callable[[Any], object],
-                           payload: object) -> bool:
-        """Accept one slot's job, or refuse (backpressure)."""
+    def try_submit(self, seqs: list[int], job: Callable[[Any], object],
+                   payloads: list[Any]) -> bool:
+        """Accept one closed window's job, or refuse (backpressure)."""
         raise NotImplementedError
 
+    def step(self) -> None:
+        """Give queued work one slot's share of the backbone (executors
+        with workers of their own do nothing)."""
+
     def pop_ready(self) -> list[JobResult]:
-        """Collect finished jobs (any order; non-blocking)."""
+        """Collect finished slots (any order; non-blocking)."""
         raise NotImplementedError
 
     def wait(self, timeout_s: float) -> None:
@@ -248,25 +356,45 @@ class Executor:
 
 
 class InlineExecutor(Executor):
-    """Deterministic synchronous execution on the caller's thread."""
+    """Deterministic execution on the caller's thread, spread over the
+    slots that follow a window.
+
+    Each :meth:`step` runs one slice of the oldest window with shared
+    work left, then finishes at most one slot, the oldest, once its
+    window's shared work is done.  So no slot carries a whole window,
+    and a slot commits at most about two windows after it was
+    captured; :meth:`wait` runs everything queued to the end.
+    """
 
     name = "inline"
 
     def __init__(self) -> None:
+        self._windows: deque[WindowRun] = deque()
         self._ready: list[JobResult] = []
 
-    def try_submit_payload(self, seq: int,
-                           job: Callable[[Any], object],
-                           payload: object) -> bool:
-        self._ready.append(run_job(seq, job, payload))
+    def try_submit(self, seqs: list[int], job: Callable[[Any], object],
+                   payloads: list[Any]) -> bool:
+        self._windows.append(WindowRun(seqs, job, payloads))
         return True
+
+    def step(self) -> None:
+        for window in self._windows:
+            if window.slices_left:
+                window.slice()
+                break
+        if self._windows and not self._windows[0].slices_left:
+            head = self._windows[0]
+            self._ready.append(head.finish())
+            if head.done:
+                self._windows.popleft()
 
     def pop_ready(self) -> list[JobResult]:
         ready, self._ready = self._ready, []
         return ready
 
     def wait(self, timeout_s: float) -> None:
-        return None
+        while self._windows:
+            self._ready.extend(run_window(self._windows.popleft()))
 
 
 #: Worker processes of a bare ``"process"`` executor spec.
@@ -297,7 +425,8 @@ class _PayloadPickler(pickle.Pickler):
 
 def dumps_payload(seq: int, job: Callable[[object], object],
                   payload: object) -> bytes:
-    """Pickle one slot's ``(job, payload)`` for a worker process.
+    """Pickle ``(job, payload)`` for a worker process: one window's
+    job and payloads, from slot ``seq`` on.
 
     Runs on the backbone at submit, so the payload is captured in slot
     order, and a payload that cannot or must not cross the process
@@ -314,22 +443,23 @@ def dumps_payload(seq: int, job: Callable[[object], object],
     return buffer.getvalue()
 
 
-def _run_pickled(seq: int, blob: bytes) -> JobResult:
-    """Worker-side entry: unpickle one job and run it (its clock
-    excludes the pickle transport)."""
-    job, payload = pickle.loads(blob)
-    return run_job(seq, job, payload)
+def _run_pickled(seqs: list[int], blob: bytes) -> list[JobResult]:
+    """Worker-side entry: unpickle one window and run it to the end
+    (its clocks exclude the pickle transport)."""
+    job, payloads = pickle.loads(blob)
+    return run_window(WindowRun(seqs, job, payloads))
 
 
 class ProcessExecutor(Executor):
     """True multi-core decode: N spawned worker processes.
 
-    Each slot's ``(job, payload)`` is pickled here at submit by
-    :func:`dumps_payload`; results come back as :class:`JobResult` and
-    are merged on the backbone.  The pending-futures backlog plays the
-    bounded queue's role — a submit that would exceed ``queue_depth``
-    in-flight slots is refused, and the runtime turns the refusal into
-    a counted slot drop.
+    Each closed window's ``(job, payloads)`` is pickled here at submit
+    by :func:`dumps_payload`, and a worker runs the window to the end;
+    results come back as :class:`JobResult` per slot and are merged on
+    the backbone.  The pending slots play the bounded queue's role — a
+    window that would take more than ``queue_depth`` slots in flight
+    is refused, and the runtime turns the refusal into counted slot
+    drops.
     Workers are *spawned* (never forked), so each holds only what the
     payloads carry; module-level kernel caches warm up per worker.
     """
@@ -345,7 +475,9 @@ class ProcessExecutor(Executor):
         self.n_workers = n_workers
         self.queue_depth = queue_depth
         self._pool: futures.ProcessPoolExecutor | None = None
-        self._pending: dict[int, futures.Future[JobResult]] = {}
+        self._pending: dict[tuple[int, ...],
+                            futures.Future[list[JobResult]]] = {}
+        self._in_flight = 0
         self._ready: list[JobResult] = []
 
     def start(self) -> None:
@@ -354,27 +486,30 @@ class ProcessExecutor(Executor):
                 max_workers=self.n_workers,
                 mp_context=multiprocessing.get_context("spawn"))
 
-    def try_submit_payload(self, seq: int,
-                           job: Callable[[Any], object],
-                           payload: object) -> bool:
+    def try_submit(self, seqs: list[int], job: Callable[[Any], object],
+                   payloads: list[Any]) -> bool:
         self.start()
         self._reap()
-        if len(self._pending) >= self.queue_depth:
+        if self._in_flight + len(seqs) > self.queue_depth:
             return False
-        blob = dumps_payload(seq, job, payload)
+        blob = dumps_payload(seqs[0], job, payloads)
         assert self._pool is not None
-        self._pending[seq] = self._pool.submit(_run_pickled, seq, blob)
+        self._pending[tuple(seqs)] = self._pool.submit(_run_pickled, seqs,
+                                                       blob)
+        self._in_flight += len(seqs)
         return True
 
     def _reap(self) -> None:
-        done = [seq for seq, fut in self._pending.items() if fut.done()]
-        for seq in done:
-            fut = self._pending.pop(seq)
+        done = [seqs for seqs, fut in self._pending.items() if fut.done()]
+        for seqs in done:
+            fut = self._pending.pop(seqs)
+            self._in_flight -= len(seqs)
             try:
-                self._ready.append(fut.result())
+                self._ready.extend(fut.result())
             except BaseException as exc:  # noqa: BLE001 - surfaced at commit
-                self._ready.append(JobResult(seq=seq, result=None,
-                                             elapsed_s=0.0, error=exc))
+                self._ready.extend(JobResult(seq=seq, result=None,
+                                             elapsed_s=0.0, error=exc)
+                                   for seq in seqs)
 
     def pop_ready(self) -> list[JobResult]:
         self._reap()
@@ -388,7 +523,7 @@ class ProcessExecutor(Executor):
         _, not_done = futures.wait(pending, timeout=timeout_s)
         if not_done:
             raise SlotRuntimeError(
-                f"timed out with {len(not_done)} slots in flight")
+                f"timed out with {len(not_done)} windows in flight")
 
     def shutdown(self) -> None:
         if self._pool is not None:
@@ -430,12 +565,14 @@ class SlotRuntime:
     """Drives slots through backbone stages, the executor, and sinks.
 
     The submitting thread is the *backbone*: it runs the sequential
-    stages for each slot in arrival order, hands the parallel stage to
-    the executor, and commits sink stages strictly in slot order as
-    results come back (a reorder buffer bridges out-of-order workers).
-    ``flush`` barriers on everything in flight; it is called at prune
-    boundaries and at end of session, and is what makes a process run
-    byte-identical to an inline one.
+    stages for each slot in arrival order, packs the parallel stage's
+    payload into the open window, hands each closed window to the
+    executor, and commits sink stages strictly in slot order as
+    results come back (a reorder buffer bridges windows and
+    out-of-order workers).  ``flush`` closes the open window and
+    barriers on everything in flight; it is called at prune
+    boundaries, checkpoints and end of session, and is what makes a
+    process run byte-identical to an inline one.
     """
 
     def __init__(self, stages: Sequence[Stage],
@@ -500,6 +637,13 @@ class SlotRuntime:
         #: Contexts whose parallel job the executor accepted; rejoined
         #: with their JobResult on drain.
         self._inflight: dict[int, SlotContext] = {}
+        #: The open window: packed slots (already in ``_inflight``)
+        #: waiting for it to close.
+        self._window_seqs: list[int] = []
+        self._window_payloads: list[object] = []
+        self._windowed = self._parallel is not None \
+            and _is_window_job(self._parallel.fn)
+        self._window_cap = WINDOW_SLOTS if self._windowed else 1
 
     # ---------------------------------------------------------- intake
     def submit(self, output: object) -> SlotContext:
@@ -537,19 +681,45 @@ class SlotRuntime:
         stage = self._parallel
         if stage is not None and not ctx.skip_decode:
             assert stage.pack is not None
-            if self.executor.try_submit_payload(ctx.seq, stage.fn,
-                                                stage.pack(ctx)):
-                self._inflight[ctx.seq] = ctx
+            if self._windowed:
+                # A window job's pack is the slot's own share of its
+                # work (the iq search's prepare): it counts as decode
+                # time.  A per-slot job's pack only builds its payload.
+                start = time.perf_counter()
+                payload = stage.pack(ctx)
+                ctx.decode_time_s = time.perf_counter() - start
             else:
-                ctx.dropped = True
-                self._dropped += 1
-                self._dcis_dropped += int(self._drop_cost(ctx))
-                self._stage_stats[stage.name].drops += 1
-                self._reorder[ctx.seq] = ctx
+                payload = stage.pack(ctx)
+            self._inflight[ctx.seq] = ctx
+            self._window_seqs.append(ctx.seq)
+            self._window_payloads.append(payload)
+            if len(self._window_seqs) >= self._window_cap:
+                self._close_window()
         else:
+            self._close_window()
             self._reorder[ctx.seq] = ctx
+        self.executor.step()
         self._drain_ready()
         return ctx
+
+    def _close_window(self) -> None:
+        """Hand the open window, if any, to the executor; a refused
+        window's slots are dropped with accounting."""
+        seqs, payloads = self._window_seqs, self._window_payloads
+        if not seqs:
+            return
+        self._window_seqs, self._window_payloads = [], []
+        stage = self._parallel
+        assert stage is not None
+        if self.executor.try_submit(seqs, stage.fn, payloads):
+            return
+        for seq in seqs:
+            ctx = self._inflight.pop(seq)
+            ctx.dropped = True
+            self._dropped += 1
+            self._dcis_dropped += int(self._drop_cost(ctx))
+            self._stage_stats[stage.name].drops += 1
+            self._reorder[ctx.seq] = ctx
 
     def _record_stage(self, name: str, elapsed_s: float) -> None:
         self._stage_stats[name].record(elapsed_s)
@@ -583,8 +753,8 @@ class SlotRuntime:
                 stage.merge(ctx, result.result)
             except BaseException as exc:  # noqa: BLE001 - raised at commit
                 ctx.error = exc
-        ctx.decode_time_s = result.elapsed_s
-        self._record_stage(stage.name, result.elapsed_s)
+        ctx.decode_time_s += result.elapsed_s
+        self._record_stage(stage.name, ctx.decode_time_s)
         return ctx
 
     def _commit(self, ctx: SlotContext) -> None:
@@ -627,7 +797,9 @@ class SlotRuntime:
         self._completed += 1
 
     def flush(self, timeout_s: float | None = None) -> None:
-        """Barrier: wait for in-flight slots and commit them in order."""
+        """Barrier: close the open window, wait for in-flight slots and
+        commit them in order."""
+        self._close_window()
         self.executor.wait(timeout_s if timeout_s is not None
                            else self.flush_timeout_s)
         self._drain_ready()

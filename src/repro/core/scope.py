@@ -30,8 +30,7 @@ from repro.constants import SI_RNTI
 from repro.core.aggregation import PacketAggregationAnalyzer
 from repro.core.cell_search import CellSearcher
 from repro.core.dci_decoder import DecodedDci, GridDciDecoder, \
-    RecordDciDecoder, grid_decode_job, grid_decode_payload, \
-    record_decode_job
+    PreparedSearch, RecordDciDecoder, grid_decode_job, record_decode_job
 from repro.core.harq_tracker import HarqTrackerBank
 from repro.core.rach_sniffer import RachSniffer
 from repro.obs.context import AnyObsContext, OBS_NOOP
@@ -152,9 +151,10 @@ class NRScope:
         # every RNG draw and every tracked-table mutation, so slot order
         # alone fixes the session's randomness; the one parallel stage
         # (per-UE DCI decode) is a module-level job of its packed
-        # payload, safe to run out of order and in another process; the
-        # sink commits telemetry in slot order behind the runtime's
-        # reorder buffer.
+        # payloads, safe to run late, out of order and in another
+        # process (iq windows share one polar traversal; message
+        # windows are one slot long); the sink commits telemetry in
+        # slot order behind the runtime's reorder buffer.
         self._runtime = SlotRuntime(
             stages=[
                 Stage("sync", self._stage_sync),
@@ -548,19 +548,22 @@ class NRScope:
                 "slot": slot_index, "rnti": rnti, "stage": "dci",
                 "reason": "bler", "level": level}))
 
-    def _pack_dci(self, ctx: SlotContext) -> dict:
+    def _pack_dci(self, ctx: SlotContext) -> PreparedSearch | dict:
         """The DCI job's payload for this slot, built on the backbone.
 
-        It holds the decoder configuration and the slot's read-only
-        inputs, never the decoders themselves: the session RNG and
-        counters stay on the backbone.  A process executor pickles it
-        at submit and refuses backbone state anywhere in it.
+        In iq fidelity it is the slot's prepared search (gathered,
+        gated, demodulated and descrambled candidates, ready for the
+        window's polar traversal); in message fidelity, the slot's
+        records and the decode model's parameters.  Neither holds the
+        decoders themselves: the session RNG and counters stay on the
+        backbone.  A process executor pickles the window's payloads at
+        submit and refuses backbone state anywhere in them.
         """
         output = ctx.output
         if self.fidelity == "iq":
             assert self._grid_decoder is not None
-            return grid_decode_payload(self._grid_decoder, ctx.grid,
-                                       output.slot.index, ctx.tracked)
+            return self._grid_decoder.prepare(ctx.grid, output.slot.index,
+                                              ctx.tracked)
         rec = self._record_decoder
         assert rec is not None
         return {"snr_db": rec.sniffer_snr_db, "seed": rec.seed,

@@ -18,6 +18,7 @@ abort a telemetry session.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import deque
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Protocol, runtime_checkable
@@ -137,7 +138,9 @@ class CounterReporter:
     * plain ``event`` events count occurrences the same way (so failure
       events aggregate without a separate counter emission);
     * ``span`` events land in a fixed-bucket histogram per (name,
-      labels) with ``sum``/``count`` like a Prometheus histogram.
+      labels) with ``sum``/``count`` like a Prometheus histogram.  Each
+      observation increments one bucket; the cumulative ``le`` counts
+      are summed when read.
 
     :meth:`render_text` dumps everything in the Prometheus text
     exposition format (deterministic ordering).
@@ -176,9 +179,10 @@ class CounterReporter:
             if buckets is None:
                 buckets = [0.0] * len(SPAN_BUCKETS_US)
                 self._hist[key] = buckets
-            for i, bound in enumerate(SPAN_BUCKETS_US):
-                if duration <= bound:
-                    buckets[i] += 1
+            # One bucket per observation: the first bound >= duration
+            # (a NaN duration is <= no bound and lands in none).
+            if duration == duration:
+                buckets[bisect_left(SPAN_BUCKETS_US, duration)] += 1
             self._hist_sum[key] = self._hist_sum.get(key, 0.0) + duration
 
     # ------------------------------------------------------------ query
@@ -202,7 +206,7 @@ class CounterReporter:
         total = 0.0
         for (hname, hlabels), buckets in self._hist.items():
             if hname == name and want <= set(hlabels):
-                total += buckets[-1]
+                total += sum(buckets)
         return total
 
     def span_sum_us(self, name: str, **labels: Any) -> float:
@@ -250,7 +254,9 @@ class CounterReporter:
             lines.append(f"# TYPE {metric} histogram")
             for labels, buckets in sorted(by_hist[name],
                                           key=lambda item: item[0]):
-                for bound, count in zip(SPAN_BUCKETS_US, buckets):
+                count = 0.0
+                for bound, in_bucket in zip(SPAN_BUCKETS_US, buckets):
+                    count += in_bucket
                     le = "+Inf" if bound == float("inf") else \
                         f"{bound:g}"
                     lines.append(
@@ -263,7 +269,7 @@ class CounterReporter:
                              f" {total:.3f}")
                 lines.append(f"{metric}_count"
                              f"{self._format_labels(labels)}"
-                             f" {int(buckets[-1])}")
+                             f" {int(count)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def close(self) -> None:

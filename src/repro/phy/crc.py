@@ -96,11 +96,28 @@ def crc_generator_matrix(n_bits: int, name: str) -> np.ndarray:
     return matrix
 
 
+@lru_cache(maxsize=64)
+def crc_terms(n_bits: int, name: str) -> np.ndarray:
+    """The rows of :func:`crc_generator_matrix` as integers, MSB first.
+
+    The parity of an ``n_bits`` block is the XOR of the terms at its set
+    bits, so one reduction replaces a GF(2) matrix product.  Read-only
+    int64, cached per block length.
+    """
+    matrix = crc_generator_matrix(n_bits, name)
+    length, _ = POLYNOMIALS[name]
+    weights = 1 << np.arange(length - 1, -1, -1, dtype=np.int64)
+    terms = matrix.astype(np.int64) @ weights
+    terms.setflags(write=False)
+    return terms
+
+
 def crc_remainder_batch(bits: np.ndarray, name: str) -> np.ndarray:
     """Row-wise :func:`crc_remainder` over a ``(batch, n_bits)`` matrix.
 
-    One GF(2) matrix product replaces ``batch`` serial LFSR walks; the
-    result is bit-identical to calling :func:`crc_remainder` per row.
+    One XOR reduction over the cached :func:`crc_terms` replaces
+    ``batch`` serial LFSR walks; the result is bit-identical to calling
+    :func:`crc_remainder` per row.
 
     Layout: bits (B, n) uint8
     Layout: return (B, L) uint8
@@ -108,9 +125,22 @@ def crc_remainder_batch(bits: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 2:
         raise CrcError(f"expected a 2-D bit matrix, got shape {arr.shape}")
-    matrix = crc_generator_matrix(arr.shape[1], name)
-    counts = arr.astype(np.int32) @ matrix.astype(np.int32)
-    return (counts & 1).astype(np.uint8)
+    terms = crc_terms(arr.shape[1], name)
+    length, _ = POLYNOMIALS[name]
+    values = np.bitwise_xor.reduce(arr * terms, axis=1)
+    shifts = np.arange(length - 1, -1, -1, dtype=np.int64)
+    return ((values[:, None] >> shifts) & 1).astype(np.uint8)
+
+
+def crc_parity(bits: np.ndarray, name: str) -> np.ndarray:
+    """:func:`crc_remainder` of one block from the cached generator
+    matrix (bit-identical; the LFSR only builds the matrix, once per
+    block length).
+
+    Layout: bits (n) uint8
+    Layout: return (L) uint8
+    """
+    return crc_remainder_batch(_as_bits(bits)[None, :], name)[0]
 
 
 def crc_attach(bits: np.ndarray | list[int], name: str) -> np.ndarray:

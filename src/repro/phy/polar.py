@@ -242,10 +242,13 @@ def _llrs_to_mother_batch(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
 _OP_F, _OP_G, _OP_C, _OP_GSKIP, _OP_CSKIP, _OP_RATE0, _OP_REP, \
     _OP_LEAF = range(8)
 
-#: Replica columns per pass of a compiled program.  A pass costs about
-#: the same for 1 column as for 16 (its cost is ufunc dispatch), so
-#: every batch is padded to this width and larger ones run in chunks.
-PROGRAM_WIDTH = 16
+#: Replica columns per pass of a compiled program.  A pass's cost is
+#: mostly ufunc dispatch, so every batch is padded to this width and
+#: larger ones run in chunks.  A window of the iq search brings 40-80
+#: replicas (about 8 per downlink slot); at 64 columns a pass costs
+#: about 1.4x a 16-column one and most windows need one pass (the
+#: 16-UE srsRAN session ran no faster at 96 or 128, and slower at 32).
+PROGRAM_WIDTH = 64
 
 #: Frozen masks whose compiled programs an engine keeps for reuse.
 _PROGRAMS_PER_ENGINE = 32
@@ -451,28 +454,30 @@ class _Engine:
         self._programs[frozen_bytes] = ops
         return ops
 
-    def run(self, ops: tuple, llrs: np.ndarray, offsets: np.ndarray,
-            out: np.ndarray) -> None:
-        """Decode up to ``PROGRAM_WIDTH`` replica rows in one pass.
+    def load(self, llrs: np.ndarray, offsets: np.ndarray) -> None:
+        """Stage up to ``PROGRAM_WIDTH`` replica rows for one pass.
 
         Columns past ``len(llrs)`` keep stale finite values from an
         earlier pass; their decisions are never read.
 
         Layout: llrs (R, N) float64
         Layout: offsets (R, N) float64
-        Layout: out (R, N) bool
         """
         rows = llrs.shape[0]
         self.llr[-1][:, :rows] = llrs.T
         self.offsets[:, :rows] = offsets.T
-        for fn, args in ops:
-            fn(*args)
-        np.less(self.offsets[:, :rows].T, 0.0, out=out)
+
+    def read(self, out: np.ndarray) -> None:
+        """The decisions of a finished pass over ``len(out)`` rows.
+
+        Layout: out (R, N) bool
+        """
+        np.less(self.offsets[:, :out.shape[0]].T, 0.0, out=out)
 
 
-#: Idle engines by tree size.  A decode takes an engine out and gives
-#: it back when done, so overlapping decodes never share buffers: the
-#: second one finds no idle engine and builds its own.
+#: Idle engines by tree size.  A traversal takes an engine out and
+#: gives it back when done, so overlapping traversals never share
+#: buffers: the second one finds no idle engine and builds its own.
 _IDLE_ENGINES: dict[int, list[_Engine]] = {}
 
 
@@ -505,17 +510,20 @@ def _placement(code: PolarCode, size: int) \
     return info, offsets
 
 
-def decode_blocks(blocks: Sequence[tuple[np.ndarray,
-                                         tuple[PolarCode, ...]]]) \
-        -> list[list[np.ndarray]]:
-    """Decode several ``(llrs, codes)`` blocks in ONE SC traversal.
+class Traversal:
+    """One SC traversal over several ``(llrs, codes)`` blocks, run in
+    as many pieces as the caller likes.
 
     Each block is a stacked ``(B, E)`` LLR matrix to decode under every
-    code in its tuple (all with rate-matched length ``E``); the result
-    is, per block, one ``(B, K_i)`` uint8 matrix per code, in order.
-    Every output row is bit-identical to :func:`decode` of that row
-    under that code.  The PDCCH search hands over a slot's (CORESET,
-    level) groups at once, so the slot pays for one traversal.
+    code in its tuple (all with rate-matched length ``E``).  The work
+    is :attr:`n_ops` compiled ops: one program, run once per
+    ``PROGRAM_WIDTH`` replica rows.  :meth:`step` runs the next ``n``
+    of them, crossing passes as it goes, and :meth:`result` reads the
+    bits once :attr:`remaining` is 0.  However the ops are split, the
+    bits are those of one uninterrupted run: the traversal takes an
+    engine when built and gives it back after its last op, so nothing
+    else touches the engine's buffers in between (a traversal dropped
+    half-run takes its engine with it).
 
     Each block's rows are rate-unmatched under their own code and
     replicated once per code.  The traversal runs on a tree sized to
@@ -537,53 +545,107 @@ def decode_blocks(blocks: Sequence[tuple[np.ndarray,
     when an input is zero, where copysign may give ``-0.0`` for
     ``+0.0``.  A zero-sign difference propagates only into other zero
     magnitudes and never flips a decision, so outputs stay
-    bit-identical (the equivalence tests enforce this).
+    bit-identical to :func:`decode` (the equivalence tests enforce
+    this).
     """
-    checked: list[tuple[np.ndarray, tuple[PolarCode, ...]]] = []
-    size = N_MIN
-    for llrs, codes in blocks:
-        arr = np.asarray(llrs, dtype=float)
-        if arr.ndim != 2:
-            raise PolarError(f"expected a (B, E) LLR matrix, got shape"
-                             f" {arr.shape}")
-        for code in codes:
-            if arr.shape[1] != code.rate_matched_len:
-                raise PolarError(
-                    f"expected {code.rate_matched_len} LLRs per row,"
-                    f" got {arr.shape[1]}")
-            size = max(size, code.block_len)
-        checked.append((arr, codes))
-    n_rows = sum(arr.shape[0] * len(codes) for arr, codes in checked)
-    stacked = np.zeros((n_rows, size), dtype=np.float64)
-    offsets = np.empty((n_rows, size), dtype=np.float64)
-    frozen = np.ones(size, dtype=bool)
-    slices: list[list[tuple[int, int, np.ndarray]]] = []
-    row = 0
-    for arr, codes in checked:
-        placed = []
-        for code in codes:
-            stop = row + arr.shape[0]
-            info, leaf_offsets = _placement(code, size)
-            stacked[row:stop, size - code.block_len:] = \
-                _llrs_to_mother_batch(arr, code)
-            offsets[row:stop] = leaf_offsets
-            frozen[info] = False
-            placed.append((row, stop, info))
-            row = stop
-        slices.append(placed)
-    bits = np.zeros((n_rows, size), dtype=bool)
-    if n_rows:
-        engine = _take_engine(size)
-        try:
-            ops = engine.program(frozen.view(np.uint8).tobytes())
-            for start in range(0, n_rows, PROGRAM_WIDTH):
-                stop = min(start + PROGRAM_WIDTH, n_rows)
-                engine.run(ops, stacked[start:stop], offsets[start:stop],
-                           bits[start:stop])
-        finally:
+
+    def __init__(self, blocks: Sequence[tuple[np.ndarray,
+                                              tuple[PolarCode, ...]]]) \
+            -> None:
+        checked: list[tuple[np.ndarray, tuple[PolarCode, ...]]] = []
+        size = N_MIN
+        for llrs, codes in blocks:
+            arr = np.asarray(llrs, dtype=float)
+            if arr.ndim != 2:
+                raise PolarError(f"expected a (B, E) LLR matrix, got"
+                                 f" shape {arr.shape}")
+            for code in codes:
+                if arr.shape[1] != code.rate_matched_len:
+                    raise PolarError(
+                        f"expected {code.rate_matched_len} LLRs per row,"
+                        f" got {arr.shape[1]}")
+                size = max(size, code.block_len)
+            checked.append((arr, codes))
+        n_rows = sum(arr.shape[0] * len(codes) for arr, codes in checked)
+        self._llrs = np.zeros((n_rows, size), dtype=np.float64)
+        self._offsets = np.empty((n_rows, size), dtype=np.float64)
+        frozen = np.ones(size, dtype=bool)
+        self._slices: list[list[tuple[int, int, np.ndarray]]] = []
+        row = 0
+        for arr, codes in checked:
+            placed = []
+            for code in codes:
+                stop = row + arr.shape[0]
+                info, leaf_offsets = _placement(code, size)
+                self._llrs[row:stop, size - code.block_len:] = \
+                    _llrs_to_mother_batch(arr, code)
+                self._offsets[row:stop] = leaf_offsets
+                frozen[info] = False
+                placed.append((row, stop, info))
+                row = stop
+            self._slices.append(placed)
+        self._bits = np.zeros((n_rows, size), dtype=bool)
+        self._engine: _Engine | None = None
+        self._ops: tuple = ()
+        if n_rows:
+            self._engine = _take_engine(size)
+            self._ops = self._engine.program(
+                frozen.view(np.uint8).tobytes())
+        passes = -(-n_rows // PROGRAM_WIDTH)
+        #: Compiled ops the whole traversal runs.
+        self.n_ops = passes * len(self._ops)
+        self._done = 0
+
+    @property
+    def remaining(self) -> int:
+        """Ops left to run."""
+        return self.n_ops - self._done
+
+    def step(self, n: int) -> None:
+        """Run the next ``n`` ops (fewer if fewer remain)."""
+        stop_at = min(self.n_ops, self._done + max(n, 0))
+        engine, ops = self._engine, self._ops
+        while self._done < stop_at:
+            assert engine is not None
+            pass_index, op = divmod(self._done, len(ops))
+            start = pass_index * PROGRAM_WIDTH
+            stop = min(start + PROGRAM_WIDTH, self._bits.shape[0])
+            if op == 0:
+                engine.load(self._llrs[start:stop],
+                            self._offsets[start:stop])
+            end = min(len(ops), op + stop_at - self._done)
+            for fn, args in ops[op:end]:
+                fn(*args)
+            self._done += end - op
+            if end == len(ops):
+                engine.read(self._bits[start:stop])
+        if engine is not None and self._done == self.n_ops:
+            self._engine = None
             _give_engine(engine)
-    return [[bits[start:stop, info].view(np.uint8)
-             for start, stop, info in placed] for placed in slices]
+
+    def result(self) -> list[list[np.ndarray]]:
+        """Per block, one ``(B, K_i)`` uint8 matrix per code, in order;
+        every row bit-identical to :func:`decode` of that row under
+        that code."""
+        if self.remaining:
+            raise PolarError(f"traversal has {self.remaining} ops to go")
+        return [[self._bits[start:stop, info].view(np.uint8)
+                 for start, stop, info in placed]
+                for placed in self._slices]
+
+
+def decode_blocks(blocks: Sequence[tuple[np.ndarray,
+                                         tuple[PolarCode, ...]]]) \
+        -> list[list[np.ndarray]]:
+    """Decode several ``(llrs, codes)`` blocks in ONE SC traversal: a
+    :class:`Traversal` run to the end.
+
+    The PDCCH search hands over its (CORESET, level) groups at once, so
+    they pay for one traversal.
+    """
+    traversal = Traversal(blocks)
+    traversal.step(traversal.remaining)
+    return traversal.result()
 
 
 def decode_batch(llrs: np.ndarray, code: PolarCode) -> np.ndarray:

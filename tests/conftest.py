@@ -5,7 +5,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from repro.core.runtime import Executor, run_job
+from repro.core.runtime import Executor, WindowRun, run_window
 
 
 @pytest.fixture
@@ -17,10 +17,11 @@ def rng() -> np.random.Generator:
 class ScriptedExecutor(Executor):
     """A saturated worker pool, without threads.
 
-    ``refuse(seq)`` picks the submissions that bounce (the runtime
-    counts each as a backpressure drop).  Accepted work is held until
-    :meth:`wait`, which runs it newest first, so the runtime's reorder
-    buffer sees completions out of slot order.
+    ``refuse(seq)`` picks the windows that bounce, by their first slot
+    (the runtime counts each of their slots as a backpressure drop).
+    Accepted windows are held until :meth:`wait`, which runs them
+    newest first, so the runtime's reorder buffer sees completions out
+    of slot order.
     """
 
     name = "scripted"
@@ -30,10 +31,10 @@ class ScriptedExecutor(Executor):
         self._held: list = []
         self._ready: list = []
 
-    def try_submit_payload(self, seq, job, payload):
-        if self._refuse(seq):
+    def try_submit(self, seqs, job, payloads):
+        if self._refuse(seqs[0]):
             return False
-        self._held.append((seq, job, payload))
+        self._held.append(WindowRun(seqs, job, payloads))
         return True
 
     def pop_ready(self):
@@ -42,7 +43,8 @@ class ScriptedExecutor(Executor):
 
     def wait(self, timeout_s):
         held, self._held = self._held, []
-        self._ready.extend(run_job(*entry) for entry in reversed(held))
+        for window in reversed(held):
+            self._ready.extend(reversed(run_window(window)))
 
 
 @pytest.fixture

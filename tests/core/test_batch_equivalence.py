@@ -6,9 +6,9 @@ per-candidate search's *decisions* exactly: same decoded DCIs in the
 same order, same attempt count, same claimed CCEs — under every
 ablation toggle and under noise.  The per-candidate searches live here
 as reference functions (``per_candidate_search`` for the UE space,
-``per_candidate_common`` for the common space).  The slim process
-wire forms (control-region grid slice + content-addressed search-space
-blob) must likewise be invisible to the decode.
+``per_candidate_common`` for the common space).  The window job and
+the process wire forms (pickled prepared searches, content-addressed
+search-space blob) must likewise be invisible to the decode.
 """
 
 import pickle
@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import DCI_CRC_LEN
-from repro.core.dci_decoder import ControlRegion, DecodedDci, \
-    GridDciDecoder, _ue_entry_plan, grid_decode_job, grid_decode_payload
+from repro.core.dci_decoder import DecodedDci, GridDciDecoder, \
+    _ue_entry_plan, grid_decode_job
+from repro.core.runtime import WindowRun, run_window
 from repro.core.rach_sniffer import RachSniffer, SpaceSnapshot, \
     _SNAPSHOTS, snapshot_from_blob
 from repro.gnb.cell_config import SRSRAN_PROFILE
@@ -283,21 +284,6 @@ class TestCommonSpace:
 
 
 class TestSlimWireForms:
-    def test_grid_roundtrip_preserves_control_region(self):
-        tracked = build_tracked(3)
-        grid = build_slot(tracked, slot_index=4, noise_var=1e-3, seed=2)
-        region = ControlRegion.of(grid, tracked)
-        assert region.grid is grid
-        n_sym = region.n_symbols
-        assert 0 < n_sym < grid.data.shape[1]
-        rebuilt = pickle.loads(pickle.dumps(region)).grid
-        assert rebuilt.n_prb == grid.n_prb
-        assert np.array_equal(rebuilt.data[:, :n_sym],
-                              grid.data[:, :n_sym])
-        assert np.array_equal(rebuilt.occupancy[:, :n_sym],
-                              grid.occupancy[:, :n_sym])
-        assert not rebuilt.data[:, n_sym:].any()
-
     @pytest.mark.parametrize("gated", [False, True])
     def test_slim_job_matches_inline_decode(self, gated):
         tracked = build_tracked(4)
@@ -305,11 +291,13 @@ class TestSlimWireForms:
         decoder = make_decoder(use_energy_gate=gated,
                                use_cce_claiming=gated)
         inline = decoder.decode_slot_batch(grid, 7, tracked)
-        payload = pickle.loads(pickle.dumps(grid_decode_payload(
-            make_decoder(use_energy_gate=gated, use_cce_claiming=gated),
-            grid, 7, tracked)))
-        assert payload["region"].grid is not grid
-        decoded, attempts = grid_decode_job(payload)
+        prepared = make_decoder(use_energy_gate=gated,
+                                use_cce_claiming=gated).prepare(
+            grid, 7, tracked)
+        shipped = pickle.loads(pickle.dumps([prepared]))
+        [result] = run_window(WindowRun([0], grid_decode_job, shipped))
+        assert result.error is None
+        decoded, attempts = result.result
         assert decoded == inline
         assert attempts == decoder.attempts > 0
 

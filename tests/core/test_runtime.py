@@ -9,13 +9,12 @@ import pytest
 
 from repro import NRScope, Simulation
 from repro.core import runtime as runtime_module
-from repro.core.dci_decoder import ControlRegion, grid_decode_job, \
-    record_decode_job
+from repro.core.dci_decoder import grid_decode_job, record_decode_job
 from repro.core.rach_sniffer import RachSniffer, SpaceSnapshot
 from repro.core.runtime import DEFAULT_WORKERS, InlineExecutor, \
     ProcessExecutor, SlotRuntime, SlotRuntimeError, Stage, \
     build_executor, dumps_payload
-from repro.gnb.cell_config import SRSRAN_PROFILE
+from repro.gnb.cell_config import SRSRAN_PROFILE, TMOBILE_N25_PROFILE
 from repro.obs import ObsContext, RingReporter
 from repro.rrc.messages import RrcSetup
 
@@ -315,7 +314,7 @@ class TestCheckedPickling:
     @pytest.mark.parametrize("fidelity", ["message", "iq"])
     def test_scope_payloads_pass_the_check(self, fidelity):
         """Both branches of the scope's pack hook ship only plain
-        projections (search-space snapshot, control region, records,
+        projections (prepared searches, search-space snapshot, records,
         config scalars)."""
         packed = []
 
@@ -347,7 +346,6 @@ class TestCheckedPickling:
             raise AssertionError("inline session pickled a payload")
 
         monkeypatch.setattr(runtime_module, "dumps_payload", refuse)
-        monkeypatch.setattr(ControlRegion, "__reduce__", refuse)
         monkeypatch.setattr(SpaceSnapshot, "__reduce__", refuse)
         sim = Simulation.build(SRSRAN_PROFILE, n_ues=2, seed=5,
                                fidelity=fidelity)
@@ -384,3 +382,37 @@ class TestCrossExecutorDeterminism:
         assert inline.counters == process.counters
         assert inline.tracked_rntis == process.tracked_rntis
         assert inline.uci.observations == process.uci.observations
+
+    @pytest.mark.parametrize("profile", [SRSRAN_PROFILE,
+                                         TMOBILE_N25_PROFILE],
+                             ids=["srsran-tdd", "tmobile-n25-fdd"])
+    def test_process_windows_match_inline_windows(self, profile):
+        """iq windows (TDD: closed at the uplink slots; FDD: at the
+        cap) shipped whole to the workers commit what the inline
+        executor's spread-out windows commit: telemetry, counters,
+        decode attempts and the obs stream (durations and the
+        executor's name aside)."""
+
+        def session(executor, **kwargs):
+            ring = RingReporter()
+            sim = Simulation.build(profile, n_ues=4, seed=42,
+                                   fidelity="iq")
+            scope = NRScope.attach(
+                sim, snr_db=18.0, executor=executor, idle_timeout_s=5.0,
+                obs=ObsContext.create([ring], run_id="x"), **kwargs)
+            sim.run(seconds=0.1)
+            scope.close()
+            events = [{k: v for k, v in event.items()
+                       if k not in ("duration_us", "executor")}
+                      for event in ring.events]
+            return scope, events
+
+        inline, inline_events = session("inline")
+        process, process_events = session("process:2", queue_depth=8192)
+        assert process.runtime_stats.slots_dropped == 0
+        assert inline.counters.dcis_decoded > 0
+        assert inline.telemetry.records == process.telemetry.records
+        assert inline.counters == process.counters
+        assert inline._grid_decoder.attempts == \
+            process._grid_decoder.attempts
+        assert inline_events == process_events

@@ -3,9 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import CounterReporter, JsonlReporter, Reporter, \
     ReporterError, RingReporter, reporters_from_specs
+from repro.obs.reporters import SPAN_BUCKETS_US
 
 
 def make_event(name="dci.miss", kind="event", seq=0, **fields):
@@ -109,6 +112,88 @@ class TestCounterReporter:
 
     def test_render_text_empty(self):
         assert CounterReporter().render_text() == ""
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["stage.span", "dci.miss", "fleet.checkpoint"]),
+        st.sampled_from(["span", "event", "counter"]),
+        st.sampled_from([{}, {"stage": "dci"}, {"stage": "sinks"},
+                         {"cell": "a", "outcome": "ok"}]),
+        st.one_of(st.sampled_from(SPAN_BUCKETS_US), st.floats(),
+                  st.integers(-10, 10 ** 6), st.booleans(), st.none())),
+        max_size=60))
+    @settings(max_examples=80, deadline=None)
+    def test_render_text_matches_cumulative_buckets(self, stream):
+        """One bucket per observation, cumulated when read, renders the
+        same bytes as walking every bound per observation."""
+        new, reference = CounterReporter(), CumulativeReference()
+        for seq, (name, kind, labels, value) in enumerate(stream):
+            fields = dict(labels)
+            if kind == "span" and value is not None:
+                fields["duration_us"] = value
+            event = make_event(name, kind=kind, seq=seq, **fields)
+            new.emit(event)
+            reference.emit(event)
+        assert new.render_text() == reference.render_text()
+        for stage in (None, "dci", "sinks"):
+            labels = {} if stage is None else {"stage": stage}
+            assert new.span_count("stage.span", **labels) == \
+                reference.span_count("stage.span", **labels)
+
+
+class CumulativeReference(CounterReporter):
+    """The span histogram as first written: every observation walks
+    every bound and the buckets hold cumulative counts."""
+
+    def __init__(self):
+        super().__init__()
+        self._cumulative = {}
+
+    def emit(self, event):
+        if event.get("kind") != "span":
+            super().emit(event)
+            return
+        self.events_seen += 1
+        key = (str(event.get("name")), self._labels_of(event))
+        raw = event.get("duration_us", 0.0)
+        duration = float(raw) if isinstance(raw, (int, float)) \
+            and not isinstance(raw, bool) else 0.0
+        buckets = self._cumulative.setdefault(
+            key, [0.0] * len(SPAN_BUCKETS_US))
+        for i, bound in enumerate(SPAN_BUCKETS_US):
+            if duration <= bound:
+                buckets[i] += 1
+        self._hist_sum[key] = self._hist_sum.get(key, 0.0) + duration
+
+    def span_count(self, name, **labels):
+        want = set(labels.items())
+        return sum(buckets[-1] for (hname, hlabels), buckets
+                   in self._cumulative.items()
+                   if hname == name and want <= set(hlabels))
+
+    def render_text(self):
+        lines = super().render_text().splitlines()  # counters only
+        by_hist = {}
+        for (name, labels), buckets in self._cumulative.items():
+            by_hist.setdefault(name, []).append((labels, buckets))
+        for name in sorted(by_hist):
+            metric = self._metric_name(name, "_duration_us")
+            lines.append(f"# TYPE {metric} histogram")
+            for labels, buckets in sorted(by_hist[name],
+                                          key=lambda item: item[0]):
+                for bound, count in zip(SPAN_BUCKETS_US, buckets):
+                    le = "+Inf" if bound == float("inf") else \
+                        f"{bound:g}"
+                    lines.append(
+                        f"{metric}_bucket"
+                        f"{self._format_labels(labels, (('le', le),))}"
+                        f" {int(count)}")
+                total = self._hist_sum[(name, labels)]
+                lines.append(f"{metric}_sum{self._format_labels(labels)}"
+                             f" {total:.3f}")
+                lines.append(f"{metric}_count"
+                             f"{self._format_labels(labels)}"
+                             f" {int(buckets[-1])}")
+        return "\n".join(lines) + ("\n" if lines else "")
 
 
 class TestSpecs:

@@ -124,6 +124,48 @@ class TestDecodeBlocks:
                 polar.construct(k, e) for k in ks)))
         assert_blocks_match_scalar(blocks, polar.decode_blocks(blocks))
 
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_traversal_in_random_slices_matches_decode_blocks(self, data):
+        """A traversal stepped in slices of any size, across pass
+        boundaries and with other decodes in between, returns the bits
+        of one uninterrupted :func:`polar.decode_blocks`."""
+        blocks = []
+        for index in range(data.draw(st.integers(min_value=1,
+                                                 max_value=3))):
+            e = data.draw(st.sampled_from(MIXED_ES))
+            ks = data.draw(st.sampled_from(K_TUPLES))
+            # The first block alone can fill more than one pass.
+            low = polar.PROGRAM_WIDTH // 2 if index == 0 else 0
+            rows = data.draw(st.integers(
+                min_value=low, max_value=polar.PROGRAM_WIDTH + 4))
+            seed = data.draw(st.integers(min_value=0,
+                                         max_value=2 ** 32 - 1))
+            blocks.append((lattice_llrs(seed, rows, e), tuple(
+                polar.construct(k, e) for k in ks)))
+        traversal = polar.Traversal(blocks)
+        assert traversal.remaining == traversal.n_ops > 0
+        cuts = sorted(data.draw(st.lists(st.integers(
+            min_value=0, max_value=traversal.n_ops), max_size=8)))
+        for cut in cuts + [traversal.n_ops]:
+            if traversal.remaining:
+                with pytest.raises(polar.PolarError):
+                    traversal.result()
+            traversal.step(cut - (traversal.n_ops - traversal.remaining))
+            assert traversal.remaining == traversal.n_ops - cut
+            if cut < traversal.n_ops and data.draw(st.booleans()):
+                # Another decode mid-traversal takes its own engine.
+                other = (blocks[-1][0][:2], blocks[-1][1])
+                assert_blocks_match_scalar([other],
+                                           polar.decode_blocks([other]))
+        got = traversal.result()
+        want = polar.decode_blocks(blocks)
+        assert len(got) == len(want)
+        for got_block, want_block in zip(got, want):
+            for got_bits, want_bits in zip(got_block, want_block):
+                assert got_bits.dtype == np.uint8
+                assert np.array_equal(got_bits, want_bits)
+
     def test_rows_beyond_program_width_run_in_chunks(self):
         # 2W + 1 replicas per code of the smaller mother code, next to a
         # block of the largest one: three passes, shifted info sets.
@@ -139,18 +181,18 @@ class TestDecodeBlocks:
         inner = lattice_llrs(8, 6, 216)
         polar.decode_batch_joint(outer, codes)  # an idle engine exists
         engines, nested = [], []
-        run = polar._Engine.run
+        load = polar._Engine.load
 
-        def reentrant(engine, ops, llrs, offsets, out):
+        def reentrant(engine, llrs, offsets):
             engines.append(engine)
             if not nested:
                 # A second decode while the outer one holds the idle
                 # engine (and is about to run on it) must not share it.
                 nested.append(None)
                 nested[0] = polar.decode_batch_joint(inner, codes)
-            run(engine, ops, llrs, offsets, out)
+            load(engine, llrs, offsets)
 
-        monkeypatch.setattr(polar._Engine, "run", reentrant)
+        monkeypatch.setattr(polar._Engine, "load", reentrant)
         got = polar.decode_batch_joint(outer, codes)
         assert len(engines) == 2 and engines[0] is not engines[1]
         assert_blocks_match_scalar([(outer, codes)], [got])

@@ -11,6 +11,7 @@ from repro.phy.crc import (
     bits_to_rnti,
     crc_attach,
     crc_check,
+    crc_parity,
     crc_remainder,
     recover_rnti,
     rnti_to_bits,
@@ -53,6 +54,25 @@ class TestCrcRemainder:
     def test_rejects_2d_input(self):
         with pytest.raises(CrcError):
             crc_remainder(np.zeros((2, 2), dtype=np.uint8), "crc16")
+
+
+    @given(st.sampled_from(ALL_CRCS), st.integers(0, 200),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_property_matrix_parity_equals_lfsr(self, name, n_bits, seed):
+        """The cached generator-matrix product is the LFSR, bit for bit,
+        at every block length and under every polynomial."""
+        bits = np.random.default_rng(seed).integers(
+            0, 2, n_bits).astype(np.uint8)
+        parity = crc_parity(bits, name)
+        assert parity.dtype == np.uint8
+        assert np.array_equal(parity, crc_remainder(bits, name))
+
+    def test_matrix_parity_rejects_what_the_lfsr_rejects(self):
+        with pytest.raises(CrcError):
+            crc_parity(_bits([0, 2, 1]), "crc16")
+        with pytest.raises(CrcError):
+            crc_parity(_bits([0, 1]), "crc99")
 
 
 class TestAttachCheck:
