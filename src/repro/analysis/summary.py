@@ -79,11 +79,9 @@ class SessionReport:
         if self.runtime is not None:
             stats = self.runtime
             runtime_table = Table(
-                title=(f"Runtime stages [{stats.executor}] - "
+                title=(f"Runtime stages - "
                        f"{stats.slots_completed}/{stats.slots_submitted}"
-                       f" slots, {stats.slots_dropped} dropped "
-                       f"({stats.dcis_dropped} DCIs), "
-                       f"{stats.budget_overruns} over budget, "
+                       f" slots, {stats.budget_overruns} over budget, "
                        f"amortized decode time per slot"),
                 columns=("stage", "calls", "mean us", "max us"),
                 rows=tuple((s.name, s.calls, s.mean_us, 1e6 * s.max_s)

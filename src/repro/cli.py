@@ -26,7 +26,6 @@ import argparse
 import sys
 
 from repro.analysis.report import print_tables
-from repro.core.runtime import SlotRuntimeError, build_executor
 from repro.core.scope import NRScope
 from repro.gnb.cell_config import ALL_PROFILES
 from repro.simulation import Simulation
@@ -57,14 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the telemetry log as JSON lines")
     sniff.add_argument("--report", action="store_true",
                        help="print the full per-UE session report")
-    sniff.add_argument("--executor", default="inline",
-                       help="slot runtime executor: inline | process[:N]")
     sniff.add_argument("--runtime-stats", action="store_true",
                        help="print per-stage runtime statistics "
-                            "(timings and drop counts, via the obs "
-                            "bus counters; the dci stage's time and "
-                            "the slot budget check are amortized over "
-                            "each decode window)")
+                            "(the dci stage's time and the slot budget "
+                            "check are amortized over each decode "
+                            "window)")
     sniff.add_argument("--obs", action="append", default=[],
                        metavar="SPEC",
                        help="enable the observability bus with a "
@@ -129,8 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "before running")
     fleet.add_argument("--fidelity", default="message",
                        choices=["message", "iq"])
-    fleet.add_argument("--executor", default="inline",
-                       help="slot runtime executor: inline | process[:N]")
     fleet.add_argument("--json-dir", metavar="DIR", default=None,
                        help="write each cell's telemetry as "
                             "DIR/<cell>.jsonl")
@@ -166,26 +160,18 @@ def cmd_sniff(args: argparse.Namespace) -> int:
 
     profile = ALL_PROFILES[args.profile]
     try:
-        executor = build_executor(args.executor)
         reporters = reporters_from_specs(args.obs)
-    except (SlotRuntimeError, ReporterError) as exc:
+    except ReporterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     counter_rep = next((r for r in reporters
                         if isinstance(r, CounterReporter)), None)
-    show_counters = counter_rep is not None
-    if args.runtime_stats and counter_rep is None:
-        # The drops column is sourced from the bus counters, so the
-        # stats flag quietly rides a counter reporter along.
-        counter_rep = CounterReporter()
-        reporters.append(counter_rep)
     obs = ObsContext.create(reporters, run_id=f"run-{args.seed:08x}")
 
     sim = Simulation.build(profile, n_ues=args.ues, seed=args.seed,
                            traffic=args.traffic, channel=args.channel,
                            fidelity=args.fidelity)
-    scope = NRScope.attach(sim, snr_db=args.snr_db, executor=executor,
-                           obs=obs)
+    scope = NRScope.attach(sim, snr_db=args.snr_db, obs=obs)
     sim.run(seconds=args.seconds)
     scope.close()
     obs.close()
@@ -208,21 +194,15 @@ def cmd_sniff(args: argparse.Namespace) -> int:
               f"{srs} SRs")
     if args.runtime_stats:
         stats = scope.runtime_stats
-        print(f"runtime [{stats.executor}]: "
+        print(f"runtime: "
               f"{stats.slots_completed}/{stats.slots_submitted} slots, "
-              f"{stats.slots_dropped} dropped "
-              f"({stats.dcis_dropped} DCIs), "
               f"{stats.budget_overruns} over budget "
               f"(amortized decode time per slot)")
         for stage in stats.stages:
-            drops = int(counter_rep.value("stage.drop",
-                                          stage=stage.name)) \
-                if counter_rep is not None else stage.drops
             print(f"  {stage.name:<8} {stage.calls:6d} calls, "
                   f"mean {stage.mean_us:9.1f} us, "
-                  f"max {1e6 * stage.max_s:9.1f} us, "
-                  f"drops {drops:4d}")
-    if show_counters and counter_rep is not None:
+                  f"max {1e6 * stage.max_s:9.1f} us")
+    if counter_rep is not None:
         print()
         print(counter_rep.render_text(), end="")
     if args.report:
@@ -336,8 +316,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 horizon_s=args.horizon if args.horizon is not None
                 else args.seconds,
                 fidelity=args.fidelity,
-                checkpoint_interval_s=args.interval,
-                executor=args.executor)
+                checkpoint_interval_s=args.interval)
             supervisor = FleetSupervisor.build(config, obs=obs)
         supervisor.run(args.seconds, checkpoint_path=args.checkpoint)
     except FleetError as exc:

@@ -12,8 +12,8 @@ from repro.core.harq_tracker import HarqTrackerBank, UeHarqTracker
 from repro.core.multicell import CellStream, FusedStream, HandoverEvent, \
     MultiCellController, correlate_streams, detect_handovers
 from repro.core.rach_sniffer import RachSniffer, TrackedUe
-from repro.core.runtime import Executor, InlineExecutor, RuntimeStats, \
-    SlotContext, SlotRuntime, Stage, StageStats, build_executor
+from repro.core.runtime import RuntimeStats, SlotContext, SlotRuntime, \
+    Stage, StageStats
 from repro.core.scope import NRScope, ScopeCounters
 from repro.core.spare_capacity import SpareCapacityEstimator, TtiUsage
 from repro.core.telemetry import TelemetryLog, TelemetryRecord
@@ -22,9 +22,9 @@ from repro.core.uci_telemetry import UciObservation, UciTelemetry
 
 __all__ = [
     "CellKnowledge", "CellSearcher", "CellStream", "DecodedDci",
-    "Executor", "FeedbackMessage", "FeedbackService",
+    "FeedbackMessage", "FeedbackService",
     "FingerprintLibrary", "FusedStream", "GridDciDecoder",
-    "HandoverEvent", "HarqTrackerBank", "InlineExecutor",
+    "HandoverEvent", "HarqTrackerBank",
     "MultiCellController", "NRScope",
     "PacketAggregationAnalyzer", "RachSniffer", "RecordDciDecoder",
     "RuntimeStats", "ScopeCounters", "SlidingWindowEstimator",
@@ -33,7 +33,7 @@ __all__ = [
     "TelemetryRecord", "ThroughputBank",
     "TrackedUe", "TtiUsage",
     "RanFingerprint", "UciObservation", "UciTelemetry", "UeHarqTracker",
-    "anomaly_score", "build_executor", "classify_scheduler",
+    "anomaly_score", "classify_scheduler",
     "correlate_streams", "decode_succeeds", "detect_handovers",
     "fingerprint_session", "pdcch_bler", "uci_bler",
 ]

@@ -100,8 +100,8 @@ class PreparedSearch:
     slot's ``(llrs, codes)`` polar blocks, one per (CORESET, level)
     group, and :meth:`finish` turns their decoded bits into the slot's
     DCIs.  It holds no grid and no decoder, only arrays, tuples and the
-    decoder's frozen settings, so a window of them ships to a worker
-    as is.
+    decoder's frozen settings, so a window of them can be decoded late
+    without reaching the session.
     """
 
     dci_cfg: DciSizeConfig
@@ -487,11 +487,10 @@ class GridDciDecoder:
 
 
 # ------------------------------------------------- the parallel DCI stage
-# The slot runtime runs one of the two jobs below, on the backbone
-# (inline) or in a spawned worker process.  Each is a module-level
-# function of its payloads alone, so it cannot reach the session: the
-# scope packs each slot's payload on the backbone and merges the
-# returned counters and decodes back.  Inline, nothing is pickled.
+# The slot runtime runs one of the two jobs below, window by window on
+# the backbone.  Each is a module-level function of its payloads alone,
+# so it cannot reach the session: the scope packs each slot's payload
+# on the backbone and merges the returned counters and decodes back.
 
 def grid_decode_job(window: list[PreparedSearch]) \
         -> Iterator[tuple[list[DecodedDci], int] | None]:
@@ -528,7 +527,7 @@ def record_decode_job(payload: dict) \
     ``payload["tracked"]`` only answers RNTI membership.  Each decision
     is a counter-based draw keyed on (seed, slot, rnti, CCE, level,
     direction) rather than a generator advance, so the outcome is the
-    same whatever order and process the slots run on.
+    same whatever order the slots run in.
 
     Returns the decoded DCIs, the attempts, the misses and, when
     ``payload["collect_misses"]`` is set, one ``(slot_index, rnti,

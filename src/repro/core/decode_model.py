@@ -77,9 +77,9 @@ def counter_uniform(*fields: int) -> float:
     """Counter-based uniform in [0, 1): hash the key fields, no state.
 
     A decode decision keyed on (seed, slot, rnti, cce, ...) is the same
-    no matter which thread evaluates it or in which order — the property
-    the slot runtime's parallel DCI stage needs for cross-executor
-    determinism.  Each field is folded through splitmix64 so nearby keys
+    no matter when or in which order it is evaluated — the property the
+    slot runtime's windowed DCI stage needs to decode a slot late.
+    Each field is folded through splitmix64 so nearby keys
     (consecutive slots, adjacent CCEs) decorrelate.
     """
     state = 0

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.multicell import MultiCellController
-from repro.core.runtime import SlotRuntimeError, build_executor
 from repro.gnb.cell_config import ALL_PROFILES
 from repro.obs.context import AnyObsContext, OBS_NOOP
 from repro.simulation import Simulation
@@ -53,7 +52,9 @@ class FleetError(ValueError):
 #: Version 3: the gNB holds its UEs' channel state in a column table.
 #: Version 4: the gNB files traffic buffers in a due schedule, and the
 #: table computes SNR and CQI when read.
-CHECKPOINT_VERSION = 4
+#: Version 5: the config has no executor and the scope counters no
+#: dropped DCIs.
+CHECKPOINT_VERSION = 5
 
 #: Per-cell spacing of derived seeds (cell i draws from seed-space
 #: ``seed + stride * (i + 1)``) and of population UE ids, so no two
@@ -88,24 +89,6 @@ class FleetConfig:
     rate_bps: float = 2e6
     fidelity: str = "message"
     checkpoint_interval_s: float = 1.0
-    executor: str = "inline"
-
-    def __setstate__(self, state: dict) -> None:
-        # Checkpoints written while the worker count was a separate
-        # field carry ``n_workers``; fold it into the executor spec.
-        n_workers = state.pop("n_workers", None)
-        if n_workers is not None and state.get("executor") == "process":
-            state["executor"] = f"process:{n_workers}"
-        self.__dict__.update(state)
-
-
-def _check_executor(config: FleetConfig) -> None:
-    """Reject an executor spec the slot runtime cannot build."""
-    try:
-        build_executor(config.executor)
-    except SlotRuntimeError as exc:
-        raise FleetError(
-            f"bad executor {config.executor!r}: {exc}") from exc
 
 
 class FleetSupervisor:
@@ -133,10 +116,8 @@ class FleetSupervisor:
         if config.checkpoint_interval_s <= 0:
             raise FleetError(f"checkpoint interval must be positive: "
                              f"{config.checkpoint_interval_s}")
-        _check_executor(config)
         obs = obs if obs is not None else OBS_NOOP
-        controller = MultiCellController(executor=config.executor,
-                                         obs=obs)
+        controller = MultiCellController(obs=obs)
         supervisor = cls(config, controller, obs)
         profile = ALL_PROFILES[config.profile]
         for index in range(config.n_cells):
@@ -242,9 +223,7 @@ class FleetSupervisor:
             raise FleetError(
                 f"unsupported checkpoint version: {version!r}")
         config = blob["config"]
-        _check_executor(config)
-        controller = MultiCellController(executor=config.executor,
-                                         obs=obs)
+        controller = MultiCellController(obs=obs)
         supervisor = cls(config, controller, obs)
         for cell in blob["cells"]:
             sim = Simulation.from_state(cell["sim"])

@@ -61,14 +61,11 @@ class MultiCellController:
     """Runs several cells side by side under one clock.
 
     Each cell's scope is an independent
-    :class:`~repro.core.runtime.SlotRuntime`; the controller's executor
-    settings are handed to every scope it builds, so N cells means N
+    :class:`~repro.core.runtime.SlotRuntime`, so N cells means N
     per-cell runtimes driven through the same staged machinery.
     """
 
-    def __init__(self, executor: str = "inline",
-                 obs: AnyObsContext | None = None) -> None:
-        self.executor = executor
+    def __init__(self, obs: AnyObsContext | None = None) -> None:
         #: Shared observability bus: every scope built by ``add_cell``
         #: binds its cell name as a constant event label, so the fleet
         #: emits one globally sequenced stream.
@@ -82,8 +79,8 @@ class MultiCellController:
                  **scope_kwargs) -> CellStream:
         """Register one cell + sniffer pair.
 
-        With no ``scope``, one is attached here with the controller's
-        executor settings (``scope_kwargs`` pass through to
+        With no ``scope``, one is attached here on the controller's
+        obs bus (``scope_kwargs`` pass through to
         :meth:`NRScope.attach`); passing a pre-built scope keeps
         working for callers that need custom wiring.
         """
@@ -92,8 +89,7 @@ class MultiCellController:
         if scope is None:
             scope_kwargs.setdefault("obs", self.obs)
             scope_kwargs.setdefault("cell", name)
-            scope = NRScope.attach(sim, executor=self.executor,
-                                   **scope_kwargs)
+            scope = NRScope.attach(sim, **scope_kwargs)
         stream = CellStream(name=name, sim=sim, scope=scope)
         self._streams[name] = stream
         return stream

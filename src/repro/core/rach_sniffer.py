@@ -14,7 +14,6 @@ UE-dedicated configuration.  Two paper behaviours are modelled exactly:
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import ItemsView, Iterator, Mapping, ValuesView
 
@@ -50,17 +49,13 @@ class SpaceSnapshot(Mapping[int, SearchSpace]):
 
     It has no mutators, rejects item assignment, and its values are
     frozen :class:`SearchSpace` dataclasses, so the stage cannot write
-    tracked state through it.  Pickled (a process-executor payload), it
-    travels as one blob of its RNTI-sorted items, built once per
-    snapshot; a worker unpickles each distinct blob once and then
-    reuses the same table, so per-UE plan caches stay warm.
+    tracked state through it.
     """
 
-    __slots__ = ("_spaces", "_blob", "_order")
+    __slots__ = ("_spaces", "_order")
 
     def __init__(self, spaces: Mapping[int, SearchSpace]) -> None:
         self._spaces = dict(spaces)
-        self._blob: bytes | None = None
         self._order: tuple | None = None
 
     def __getitem__(self, rnti: int) -> SearchSpace:
@@ -98,34 +93,6 @@ class SpaceSnapshot(Mapping[int, SearchSpace]):
                 for rnti, space in sorted(self._spaces.items()))
             self._order = (rows, tuple(interned))
         return self._order
-
-    @property
-    def blob(self) -> bytes:
-        """The pickled wire form: equal tables give equal blobs."""
-        if self._blob is None:
-            self._blob = pickle.dumps(dict(sorted(self._spaces.items())),
-                                      protocol=pickle.HIGHEST_PROTOCOL)
-        return self._blob
-
-    def __reduce__(self):
-        return (snapshot_from_blob, (self.blob,))
-
-
-#: Worker-side blob -> snapshot cache, content-addressed by the pickled
-#: bytes so a stale entry is impossible by construction.
-_SNAPSHOTS: dict[bytes, SpaceSnapshot] = {}
-
-
-def snapshot_from_blob(blob: bytes) -> SpaceSnapshot:
-    """Inverse of :attr:`SpaceSnapshot.blob`, cached per distinct blob."""
-    snapshot = _SNAPSHOTS.get(blob)
-    if snapshot is None:
-        snapshot = SpaceSnapshot(pickle.loads(blob))
-        snapshot._blob = blob
-        while len(_SNAPSHOTS) >= 8:
-            _SNAPSHOTS.pop(next(iter(_SNAPSHOTS)))
-        _SNAPSHOTS[blob] = snapshot
-    return snapshot
 
 
 def search_space_from_config(config: SearchSpaceConfig) -> SearchSpace:
@@ -204,7 +171,7 @@ class RachSniffer:
 
         Later changes to the table do not show in it.  It is rebuilt
         only when the table changes, so steady-state slots share one
-        snapshot (and one wire blob).
+        snapshot.
         """
         if self._snapshot is None:
             self._snapshot = SpaceSnapshot(

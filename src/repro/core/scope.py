@@ -10,11 +10,10 @@ packet-aggregation analysis.
 Since the staged-runtime refactor the class is a *facade*: it assembles
 a :class:`~repro.core.runtime.SlotRuntime` whose backbone stages carry
 the sequential, RNG-bearing work (sync, UCI, capture, RACH) in slot
-order, whose single parallel stage runs the per-UE DCI decode on the
-configured executor, and whose sink stage commits telemetry in slot
-order — so an inline and a process-executor session produce
-byte-identical telemetry, and an over-budget slot is dropped with
-accounting rather than stalling the capture.
+order, whose single parallel stage runs the per-UE DCI decode as a job
+of its packed payloads, window by window, and whose sink stage commits
+telemetry in slot order — so however the windows fall, the session
+commits the same telemetry.
 
 Passivity is structural: the scope only reads :class:`SlotOutput`
 broadcasts, never the gNB's or UEs' internal state.
@@ -34,8 +33,8 @@ from repro.core.dci_decoder import DecodedDci, GridDciDecoder, \
 from repro.core.harq_tracker import HarqTrackerBank
 from repro.core.rach_sniffer import RachSniffer
 from repro.obs.context import AnyObsContext, OBS_NOOP
-from repro.core.runtime import Executor, RuntimeStats, SlotContext, \
-    SlotRuntime, Stage, build_executor
+from repro.core.runtime import RuntimeStats, SlotContext, SlotRuntime, \
+    Stage
 from repro.core.spare_capacity import SpareCapacityEstimator, TtiUsage
 from repro.core.decode_model import uci_decode_succeeds
 from repro.core.telemetry import TelemetryLog
@@ -66,11 +65,8 @@ class ScopeCounters:
     dcis_decoded: int = 0
     msg4_seen: int = 0
     msg4_missed: int = 0
-    #: Slots whose DCI decode was shed under backpressure, and the
-    #: DCI opportunities that went with them (counted DCI misses, the
-    #: paper's real-time constraint).
+    #: Always 0; read by bench_e2e's _gate_runtime.
     slots_dropped: int = 0
-    dcis_dropped: int = 0
 
     @property
     def msg4_total(self) -> int:
@@ -89,8 +85,6 @@ class NRScope:
                  uplink_snr_offset_db: float = 6.0,
                  capture_impairments: bool = False,
                  waveform_bootstrap: bool = False,
-                 executor: str | Executor = "inline",
-                 queue_depth: int = 256,
                  slot_budget_s: float | None = None,
                  obs: AnyObsContext | None = None,
                  cell: str | None = None) -> None:
@@ -151,10 +145,9 @@ class NRScope:
         # every RNG draw and every tracked-table mutation, so slot order
         # alone fixes the session's randomness; the one parallel stage
         # (per-UE DCI decode) is a module-level job of its packed
-        # payloads, safe to run late, out of order and in another
-        # process (iq windows share one polar traversal; message
-        # windows are one slot long); the sink commits telemetry in
-        # slot order behind the runtime's reorder buffer.
+        # payloads, safe to run late (iq windows share one polar
+        # traversal; message windows are one slot long); the sink
+        # commits telemetry in slot order.
         self._runtime = SlotRuntime(
             stages=[
                 Stage("sync", self._stage_sync),
@@ -167,14 +160,10 @@ class NRScope:
                       pack=self._pack_dci, merge=self._merge_dci),
                 Stage("sinks", self._stage_sinks, sink=True),
             ],
-            executor=build_executor(executor, queue_depth=queue_depth),
             slot_budget_s=slot_budget_s or self._slot_duration_s,
-            drop_cost=self._drop_cost,
             obs=self._obs)
         if self._obs:
-            self._obs.emit("session.start", fidelity=fidelity,
-                           executor=self._runtime.executor.name,
-                           seed=seed)
+            self._obs.emit("session.start", fidelity=fidelity, seed=seed)
 
     # ----------------------------------------------------- attachment
     @classmethod
@@ -359,19 +348,18 @@ class NRScope:
         """Consume one slot of the air interface."""
         self._runtime.submit(output)
 
-    def flush(self, timeout_s: float | None = None) -> None:
-        """Barrier on in-flight slots; telemetry is complete after."""
-        self._runtime.flush(timeout_s)
+    def flush(self) -> None:
+        """Barrier on pending slots; telemetry is complete after."""
+        self._runtime.flush()
 
     def close(self) -> None:
-        """Flush and stop the runtime's workers."""
-        self._runtime.close()
+        """Flush and end the session."""
+        self._runtime.flush()
         if self._obs:
             self._obs.emit(
                 "session.end",
                 slots=self.counters.slots_observed,
                 dcis_decoded=self.counters.dcis_decoded,
-                dcis_dropped=self.counters.dcis_dropped,
                 msg4_missed=self.counters.msg4_missed)
 
     @property
@@ -384,11 +372,11 @@ class NRScope:
         """Everything needed to resume this session after a restart.
 
         Flushes the runtime first, so the snapshot sits on a slot
-        boundary with no in-flight decodes.  The dict holds *live*
+        boundary with no pending decodes.  The dict holds *live*
         references (tracked tables, the columnar telemetry store, RNG
         states) — callers must serialise it before stepping the session
-        again.  The runtime itself (its executor) is deliberately
-        absent: a restored scope brings its own.
+        again.  The runtime itself is deliberately absent: a restored
+        scope brings its own.
         """
         self.flush()
         return {
@@ -468,9 +456,9 @@ class NRScope:
         """Age out idle RNTIs once a second.
 
         The tracked table is only ever mutated on the backbone, so the
-        prune first barriers on in-flight slots: every earlier slot's
+        prune first barriers on pending slots: every earlier slot's
         activity marks have then committed, and the surviving set is
-        the same whichever executor ran the decodes.
+        the same however the decode windows fell.
         """
         if self.rach is None:
             return
@@ -490,7 +478,7 @@ class NRScope:
 
         Decode decisions draw the session RNG here on the backbone;
         the activity marks they imply are deferred to the sink stage so
-        they land in slot order under every executor.
+        they land in slot order.
         """
         output = ctx.output
         if output.uci_records and self.decode_uci and \
@@ -541,8 +529,7 @@ class NRScope:
     def _log_dci_misses(ctx: SlotContext,
                         miss_log: list[tuple[int, int, int]]) -> None:
         """Queue one ``dci.miss`` event per missed decode; the runtime
-        emits the queue at commit, so the stream is identical whichever
-        executor ran the job."""
+        emits the queue at commit, in slot order."""
         for slot_index, rnti, level in miss_log:
             ctx.events.append(("dci.miss", {
                 "slot": slot_index, "rnti": rnti, "stage": "dci",
@@ -556,8 +543,7 @@ class NRScope:
         window's polar traversal); in message fidelity, the slot's
         records and the decode model's parameters.  Neither holds the
         decoders themselves: the session RNG and counters stay on the
-        backbone.  A process executor pickles the window's payloads at
-        submit and refuses backbone state anywhere in them.
+        backbone.
         """
         output = ctx.output
         if self.fidelity == "iq":
@@ -586,15 +572,6 @@ class NRScope:
                 self._log_dci_misses(ctx, miss_log)
         ctx.decoded = decoded
 
-    def _drop_cost(self, ctx: SlotContext) -> int:
-        """DCIs lost with a shed slot: the tracked UE-space DCIs it
-        carried (counted from ground truth, for the counters only —
-        like the iq-mode MSG 4 miss accounting)."""
-        output = ctx.output
-        return sum(1 for record in output.dci_records
-                   if record.search_space == "ue"
-                   and record.rnti in ctx.tracked)
-
     def _stage_sinks(self, ctx: SlotContext) -> None:
         """Telemetry commit, strictly in slot order."""
         output = ctx.output
@@ -604,21 +581,6 @@ class NRScope:
                 if ue is not None:
                     ue.touch(time_s)
         if ctx.skip_decode:
-            return
-        if ctx.dropped:
-            self.counters.slots_dropped += 1
-            self.counters.dcis_dropped += self._drop_cost(ctx)
-            if self._obs:
-                # One failure event per DCI opportunity the shed slot
-                # carried (direct emission is safe here: sinks always
-                # run on the backbone, in commit order).
-                for record in output.dci_records:
-                    if record.search_space == "ue" \
-                            and record.rnti in ctx.tracked:
-                        self._obs.emit(
-                            "dci.drop", slot=output.slot.index,
-                            rnti=record.rnti, stage="dci",
-                            reason="backpressure")
             return
         assert self.spare is not None
         decoded_before = self.counters.dcis_decoded

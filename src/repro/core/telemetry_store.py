@@ -358,34 +358,59 @@ class TelemetryStore:
 
     @classmethod
     def read_segments(cls, directory: str | Path) -> "TelemetryStore":
-        """Reload a store written by :meth:`write_segments`."""
+        """Reload a store written by :meth:`write_segments`.
+
+        A damaged directory (unreadable manifest or segment, a segment
+        list that is not one, a segment named outside the directory)
+        raises :class:`TelemetryStoreError` naming the file at fault.
+        """
         target = Path(directory)
         manifest_path = target / "manifest.json"
         if not manifest_path.exists():
             raise TelemetryStoreError(
                 f"no segment manifest at {manifest_path}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            declared = [tuple(item) for item in manifest.get("dtype", [])]
+            chunk_rows = int(manifest.get("chunk_rows", DEFAULT_CHUNK_ROWS))
+            rows = int(manifest["rows"]) if "rows" in manifest else None
+        except (OSError, ValueError, TypeError, AttributeError) as exc:
+            raise TelemetryStoreError(
+                f"unreadable segment manifest {manifest_path}: {exc}") \
+                from exc
         if manifest.get("schema") != SEGMENT_SCHEMA:
             raise TelemetryStoreError(
                 f"unknown segment schema: {manifest.get('schema')!r}")
-        declared = [tuple(item) for item in manifest.get("dtype", [])]
         current = [(n, str(RECORD_DTYPE.fields[n][0]))
                    for n in RECORD_DTYPE.names or ()]
         if declared != current:
             raise TelemetryStoreError(
                 "segment dtype does not match RECORD_DTYPE "
                 f"(found {declared!r})")
-        store = cls(chunk_rows=int(manifest.get(
-            "chunk_rows", DEFAULT_CHUNK_ROWS)))
-        for name in manifest.get("segments", []):
-            part = np.load(target / name)
+        names = manifest.get("segments", [])
+        if not isinstance(names, list):
+            raise TelemetryStoreError(
+                f"{manifest_path}: segments is not a list: {names!r}")
+        store = cls(chunk_rows=chunk_rows)
+        for name in names:
+            if not isinstance(name, str) or name != Path(name).name \
+                    or name in ("", ".."):
+                raise TelemetryStoreError(
+                    f"{manifest_path}: segment {name!r} is not a file "
+                    f"in {target}")
+            path = target / name
+            try:
+                part = np.load(path)
+            except (OSError, ValueError, EOFError) as exc:
+                raise TelemetryStoreError(
+                    f"unreadable segment {path}: {exc}") from exc
             if part.dtype != RECORD_DTYPE:
                 raise TelemetryStoreError(
                     f"segment {name} has dtype {part.dtype}")
             store.extend_rows(part)
-        if len(store) != int(manifest.get("rows", len(store))):
+        if rows is not None and len(store) != rows:
             raise TelemetryStoreError(
-                f"manifest declares {manifest.get('rows')} rows, "
+                f"manifest declares {rows} rows, "
                 f"segments carry {len(store)}")
         return store
 

@@ -156,7 +156,6 @@ def measure(profile: CellProfile, n_ues: int,
         stats = runtime.stats()
         best_us = min(best_us, stats.stage("demod").mean_us
                       + stats.stage("dci").mean_us)
-    runtime.close()
     return TimingRow(profile=profile.name, n_ues=n_ues, mean_us=best_us)
 
 

@@ -22,13 +22,11 @@ Rule catalogue (see each module under :mod:`repro.lint.rules`):
 * **R004** raw slot/frame modular arithmetic bypassing numerology.
 * **R005** unseeded randomness or wall-clock reads in deterministic
   simulation code.
-* **R006** (flow-aware) parallel stage entry points must be
-  transitively pure except counter-keyed RNG.
 * **R007** (flow-aware) every RNG draw in the runtime core must flow
   from an owned, seeded Generator.
 * **R008** dtype-less numpy allocations in PHY hot paths.
 
-R006/R007 run on a whole-scan :class:`~repro.lint.effects.Program`
+R007 runs on a whole-scan :class:`~repro.lint.effects.Program`
 (project call graph + transitive effect inference).
 
 New rules are one file each: drop ``rNNN_name.py`` into

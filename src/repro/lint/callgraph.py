@@ -1,10 +1,10 @@
 """Project-wide call graph for the flow-aware lint passes.
 
 The per-file rules (R001-R005) can check anything visible in one
-module; the stage-purity contract cannot be seen that way — whether the
-parallel DCI-decode stage is pure depends on everything it *transitively
-calls* across the package.  This module builds the call graph those
-passes (:mod:`repro.lint.effects`, rules R006/R007) walk.
+module; what the parallel DCI-decode stage may do cannot be seen that
+way — it depends on everything the stage *transitively calls* across
+the package.  This module builds the call graph those passes
+(:mod:`repro.lint.effects`, rule R007) walk.
 
 Resolution is deliberately static and conservative.  A call edge is
 recorded only when the callee can be pinned to a function definition in

@@ -16,12 +16,11 @@ about:
 * ``io`` — file/socket/process side effects;
 * ``clock`` — wall-clock reads.
 
-A function with none of these is *pure* for the runtime's purposes.
 Direct (seed) effects are detected per function body; the transitive
 closure then flows caller-ward over the call graph, carrying a witness
-chain so a violation can be reported as ``grid_decode_job ->
-decode_slot_batch -> np.random.random()`` rather than as a bare
-verdict.  Opaque (unresolvable) calls contribute no effects — the
+chain per effect, so an effect traces back to its seed as
+``grid_decode_job -> decode_slot_batch -> np.random.random()``
+rather than as a bare verdict.  Opaque (unresolvable) calls contribute no effects — the
 count of them is surfaced in the report so the blind spot is measured,
 not hidden.
 
@@ -49,10 +48,6 @@ IO = "io"
 CLOCK = "clock"
 
 ALL_EFFECTS = (MUTATES_TRACKED, RNG, COUNTER_RNG, IO, CLOCK)
-
-#: Effects a parallel (pure) stage may not have.  ``counter-rng`` is
-#: the deliberate exception: keyed draws are order- and thread-free.
-FORBIDDEN_IN_PARALLEL = (MUTATES_TRACKED, RNG, IO, CLOCK)
 
 #: Draw methods of numpy Generator objects (stateful: each call
 #: advances the stream).
@@ -407,28 +402,12 @@ class Program:
             qn: sorted(effects)
             for qn, effects in sorted(self.effects.effects.items())
             if effects}
-        frontier: list[dict[str, object]] = []
-        for root in self.stage_roots:
-            reachable = sorted(self.reachable_from(root.qualname))
-            violations = []
-            root_effects = self.effects.effects_of(root.qualname)
-            for effect in FORBIDDEN_IN_PARALLEL:
-                if effect in root_effects:
-                    violations.append({
-                        "effect": effect,
-                        "witness": self.effects.witness_chain(
-                            root.qualname, effect),
-                        "detail": self.effects.describe(
-                            root.qualname, effect),
-                    })
-            frontier.append({
-                "root": root.qualname,
-                "detected_by": root.how,
-                "reachable": reachable,
-                "effects": sorted(root_effects),
-                "pure": not violations,
-                "violations": violations,
-            })
+        frontier = [{
+            "root": root.qualname,
+            "detected_by": root.how,
+            "reachable": sorted(self.reachable_from(root.qualname)),
+            "effects": sorted(self.effects.effects_of(root.qualname)),
+        } for root in self.stage_roots]
         return {
             "modules": len(self.graph.modules),
             "functions": len(self.graph.functions),

@@ -11,7 +11,7 @@ Two rule tiers share the walk.  Per-file rules see only their module.
 Flow-aware rules (``needs_program = True``) additionally get a
 :class:`~repro.lint.effects.Program` — call graph, transitive effect
 table and parallel-stage roots — built once over *every* parsed file of
-the scan, so cross-module properties (stage purity, RNG ownership) are
+the scan, so cross-module properties (RNG ownership) are
 checked against the same file set the per-file rules saw.
 
 A rule that *crashes* raises :class:`LintError` (naming the rule and

@@ -59,7 +59,7 @@ _IMPLICIT_FIELDS: dict[str, frozenset[str]] = {
 #: small and closed (DESIGN.md §7), so dynamically built strings are
 #: cardinality bombs.
 _LABEL_FIELDS = frozenset(("stage", "reason", "outcome", "cell",
-                           "fidelity", "executor"))
+                           "fidelity"))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ Well-known optional fields (typed when present):
 * ``slot`` (int) — slot index the event describes;
 * ``rnti`` (int) — UE identity, for failure clustering;
 * ``stage`` (str) — slot-runtime stage name;
-* ``reason`` (str) — failure cause (``bler``, ``backpressure``, ...);
-* ``outcome`` (str) — span outcome (``ok`` | ``backpressure`` | ``halt``);
+* ``reason`` (str) — failure cause (``bler``, ``msg4_decode``, ...);
+* ``outcome`` (str) — span outcome (``ok`` | ``halt``);
 * ``duration_us`` (number) — span duration in microseconds;
 * ``value`` (number) — counter increment.
 
@@ -61,7 +61,6 @@ OPTIONAL_FIELDS: dict[str, tuple[type, ...]] = {
     "duration_us": (int, float),
     "value": (int, float),
     "level": (int,),
-    "executor": (str,),
     "fidelity": (str,),
 }
 
@@ -92,17 +91,13 @@ class EventSpec:
 #: silently.  New events are *declared here first*, then emitted.
 KNOWN_EVENTS: dict[str, EventSpec] = {spec.name: spec for spec in (
     EventSpec("session.start", "event",
-              required=("fidelity", "executor"),
-              fields={"seed": (int,)}),
+              required=("fidelity",), fields={"seed": (int,)}),
     EventSpec("session.end", "event",
               fields={"slots": (int,), "dcis_decoded": (int,),
-                      "dcis_dropped": (int,), "msg4_missed": (int,)}),
+                      "msg4_missed": (int,)}),
     EventSpec("sync.acquired", "event", required=("slot",)),
     EventSpec("stage.span", "span", required=("stage", "outcome")),
-    EventSpec("stage.drop", "counter", required=("stage", "reason")),
     EventSpec("dci.miss", "event",
-              required=("slot", "rnti", "stage", "reason")),
-    EventSpec("dci.drop", "event",
               required=("slot", "rnti", "stage", "reason")),
     EventSpec("dci.decoded", "counter", required=("slot",)),
     EventSpec("msg4.miss", "event",

@@ -189,9 +189,9 @@ class CounterReporter:
     def value(self, name: str, **labels: Any) -> float:
         """Sum of a counter over every series matching ``labels``.
 
-        Label filters are a subset match: ``value("stage.drop",
-        stage="dci")`` sums all ``stage.drop`` series whose ``stage``
-        label is ``dci`` whatever their other labels.
+        Label filters are a subset match: ``value("dci.decoded",
+        cell="a")`` sums all ``dci.decoded`` series whose ``cell``
+        label is ``a`` whatever their other labels.
         """
         want = set(labels.items())
         total = 0.0

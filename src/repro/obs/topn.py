@@ -2,9 +2,9 @@
 
 The first question a fleet operator asks of a long run is "which
 UEs/cells account for the misses?".  This module answers it from the
-bus's event stream alone: failure events (DCI misses, backpressure
-drops, MSG 4 losses) are grouped by ``(cell, rnti, stage, reason)``
-and ranked by count, producing a JSON
+bus's event stream alone: failure events (DCI misses, MSG 4 losses)
+are grouped by ``(cell, rnti, stage, reason)`` and ranked by count,
+producing a JSON
 document for machines and a markdown table for humans
 (``python -m repro.cli obs topn events.jsonl``).
 """
@@ -20,7 +20,6 @@ from typing import Any, Iterable, Mapping
 #: toward in the report's ``by_name`` totals.
 FAILURE_NAMES: dict[str, str] = {
     "dci.miss": "decode miss",
-    "dci.drop": "backpressure drop",
     "msg4.miss": "acquisition miss",
 }
 

@@ -145,16 +145,17 @@ class Simulation:
                      flush: Callable[[], None] | None = None) -> None:
         """Register a per-slot callback (e.g. NR-Scope's receiver).
 
-        ``flush`` is called when a run finishes, so observers that
-        process slots asynchronously (a scope on a process executor)
-        can barrier before their telemetry is read.
+        ``flush`` is called when a run finishes, so observers whose
+        telemetry lags the air (a windowed iq scope commits a slot up
+        to about two TDD periods after its capture) can barrier before
+        their telemetry is read.
         """
         self._observers.append(observer)
         if flush is not None:
             self._observer_flushes.append(flush)
 
     def flush_observers(self) -> None:
-        """Barrier on every observer's in-flight slot processing."""
+        """Barrier on every observer's pending slot processing."""
         for flush in self._observer_flushes:
             flush()
 

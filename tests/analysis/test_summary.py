@@ -60,7 +60,7 @@ class TestBuild:
         assert report.runtime is not None
         assert report.runtime.slots_submitted == 2000
         text = report.render()
-        assert "Runtime stages [inline]" in text
+        assert "Runtime stages - 2000/2000 slots" in text
         for stage in ("sync", "dci", "sinks"):
             assert stage in text
 

@@ -6,12 +6,9 @@ per-candidate search's *decisions* exactly: same decoded DCIs in the
 same order, same attempt count, same claimed CCEs — under every
 ablation toggle and under noise.  The per-candidate searches live here
 as reference functions (``per_candidate_search`` for the UE space,
-``per_candidate_common`` for the common space).  The window job and
-the process wire forms (pickled prepared searches, content-addressed
-search-space blob) must likewise be invisible to the decode.
+``per_candidate_common`` for the common space).  The window job over
+prepared searches must likewise be invisible to the decode.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -22,8 +19,7 @@ from repro.constants import DCI_CRC_LEN
 from repro.core.dci_decoder import DecodedDci, GridDciDecoder, \
     _ue_entry_plan, grid_decode_job
 from repro.core.runtime import WindowRun, run_window
-from repro.core.rach_sniffer import RachSniffer, SpaceSnapshot, \
-    _SNAPSHOTS, snapshot_from_blob
+from repro.core.rach_sniffer import RachSniffer
 from repro.gnb.cell_config import SRSRAN_PROFILE
 from repro.phy import polar
 from repro.phy.dci import Dci, DciError, DciFormat, dci_payload_size, \
@@ -294,30 +290,8 @@ class TestSlimWireForms:
         prepared = make_decoder(use_energy_gate=gated,
                                 use_cce_claiming=gated).prepare(
             grid, 7, tracked)
-        shipped = pickle.loads(pickle.dumps([prepared]))
-        [result] = run_window(WindowRun([0], grid_decode_job, shipped))
+        [result] = run_window(WindowRun([0], grid_decode_job, [prepared]))
         assert result.error is None
         decoded, attempts = result.result
         assert decoded == inline
         assert attempts == decoder.attempts > 0
-
-    def test_tracked_blob_is_content_addressed(self):
-        tracked = build_tracked(3)
-        blob_a = tracked.blob
-        blob_b = SpaceSnapshot(dict(reversed(tracked.items()))).blob
-        # Same table contents -> same blob (the blob sorts by RNTI), and
-        # it is built once per snapshot.
-        assert blob_a == blob_b
-        assert tracked.blob is blob_a
-        table_a = snapshot_from_blob(blob_a)
-        assert table_a is snapshot_from_blob(blob_a)
-        assert table_a is pickle.loads(pickle.dumps(tracked))
-        assert sorted(table_a) == sorted(tracked)
-        for rnti, space in table_a.items():
-            assert space == tracked[rnti]
-        assert blob_a in _SNAPSHOTS
-
-    def test_blob_changes_when_a_ue_joins(self):
-        small = build_tracked(2)
-        large = build_tracked(3)
-        assert small.blob != large.blob

@@ -1,7 +1,6 @@
 """Tests for the checkpointable fleet supervisor."""
 
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -79,10 +78,6 @@ class TestBuild:
             FleetSupervisor.build(
                 small_config(checkpoint_interval_s=0.0))
 
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(FleetError, match="'bogus'"):
-            FleetSupervisor.build(small_config(executor="bogus"))
-
     def test_negative_run_rejected(self):
         supervisor = FleetSupervisor.build(small_config())
         with pytest.raises(FleetError):
@@ -157,7 +152,7 @@ class TestCheckpointResume:
 
     def test_restore_rejects_previous_version(self, tmp_path):
         # Version 1 snapshots held the spare estimator's object history.
-        assert CHECKPOINT_VERSION == 4
+        assert CHECKPOINT_VERSION == 5
         path = tmp_path / "fleet.ckpt"
         path.write_bytes(pickle.dumps({"version": 1, "cells": []}))
         with pytest.raises(FleetError):
@@ -187,34 +182,18 @@ class TestCheckpointResume:
         with pytest.raises(FleetError, match="version: 3"):
             FleetSupervisor.restore(path)
 
-    def test_restore_rejects_unknown_executor(self, tmp_path):
+    def test_restore_rejects_version_4_blob(self, tmp_path):
+        # Version 4 configs named an executor and version 4 scope
+        # counters held dropped DCIs; neither field exists any more.
         path = tmp_path / "fleet.ckpt"
-        supervisor = FleetSupervisor.build(small_config())
-        supervisor.run(0.6, checkpoint_path=path)
+        supervisor = FleetSupervisor.build(small_config(n_cells=1))
+        supervisor.run(0.3, checkpoint_path=path)
         blob = pickle.loads(path.read_bytes())
-        blob["config"] = replace(blob["config"], executor="threaded")
+        blob["version"] = 4
+        object.__setattr__(blob["config"], "executor", "inline")
         path.write_bytes(pickle.dumps(blob))
-        with pytest.raises(FleetError, match="'threaded'"):
+        with pytest.raises(FleetError, match="version: 4"):
             FleetSupervisor.restore(path)
-
-    def test_restore_accepts_config_with_worker_count(self, tmp_path):
-        """Checkpoints written while the worker count was a separate
-        ``n_workers`` config field still restore; the count folds into
-        the executor spec."""
-        path = tmp_path / "fleet.ckpt"
-        supervisor = FleetSupervisor.build(small_config())
-        supervisor.run(0.6, checkpoint_path=path)
-        blob = pickle.loads(path.read_bytes())
-        for executor, expected in (("inline", "inline"),
-                                   ("process", "process:2")):
-            config = replace(blob["config"], executor=executor)
-            object.__setattr__(config, "n_workers", 2)
-            blob["config"] = config
-            path.write_bytes(pickle.dumps(blob))
-            restored = FleetSupervisor.restore(path)
-            assert restored.config.executor == expected
-            assert not hasattr(restored.config, "n_workers")
-            assert restored.now_s == supervisor.now_s
 
     def test_restore_rejects_garbage(self, tmp_path):
         path = tmp_path / "fleet.ckpt"

@@ -67,27 +67,8 @@ class TestController:
         controller.attach_device("srsran")
         controller.run(seconds=0.3)
         scope = controller.stream("srsran").scope
-        assert scope.runtime_stats.executor == "inline"
+        assert scope.runtime_stats.slots_completed > 0
         assert len(scope.tracked_rntis) == 1
-
-    def test_controller_executor_reaches_per_cell_runtimes(self):
-        controller = MultiCellController(executor="process:1")
-        for index, profile in enumerate((SRSRAN_PROFILE,
-                                         AMARISOFT_PROFILE)):
-            sim = Simulation.build(profile, n_ues=1, seed=61 + index)
-            # A deep queue: this checks the wiring, not backpressure.
-            controller.add_cell(profile.name, sim, snr_db=20.0,
-                                queue_depth=8192)
-        controller.run(seconds=0.3)
-        for name in controller.cells:
-            controller.stream(name).scope.close()
-        stats = controller.runtime_stats()
-        assert sorted(stats) == ["amarisoft", "srsran"]
-        for cell_stats in stats.values():
-            assert cell_stats.executor == "process"
-            assert cell_stats.slots_completed == \
-                cell_stats.slots_submitted
-            assert cell_stats.slots_dropped == 0
 
     def test_runtime_stats_aggregates_across_cells(self):
         controller = MultiCellController()

@@ -1,9 +1,8 @@
 """The DCI stage's read-only view of the tracked UEs.
 
 The parallel stage reads a :class:`~repro.core.rach_sniffer.SpaceSnapshot`
-of frozen search spaces, so a tracked-UE write from it (the static R006
-fixture's violation) fails by construction and surfaces as a
-``SlotRuntimeError`` at commit.
+of frozen search spaces, so a tracked-UE write from it fails by
+construction and surfaces as a ``SlotRuntimeError`` at commit.
 """
 
 import dataclasses
@@ -98,7 +97,7 @@ class TestRuntimeIntegration:
                           merge=lambda ctx, result: None)])
 
     def test_tracked_mutation_in_parallel_stage_is_caught(self):
-        """The violation bad_stage.py seeds for static R006 fails on
+        """A tracked-UE write from the parallel stage fails on
         structure alone: the snapshot holds no TrackedUe to touch and
         rejects item assignment."""
         sniffer = make_sniffer(0x4601)

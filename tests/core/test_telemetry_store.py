@@ -6,6 +6,7 @@ is checked for *exact* agreement — including hypothesis-generated
 record batches and a seeded end-to-end sniff session.
 """
 
+import json
 import math
 import pickle
 
@@ -292,6 +293,56 @@ class TestPersistence:
         manifest.write_text(text)
         with pytest.raises(TelemetryStoreError):
             TelemetryStore.read_segments(tmp_path / "seg")
+
+    @staticmethod
+    def _truncate_segment(seg):
+        path = seg / "segment-00001.npy"
+        path.write_bytes(path.read_bytes()[:20])
+        return "segment-00001.npy"
+
+    @staticmethod
+    def _delete_segment(seg):
+        (seg / "segment-00001.npy").unlink()
+        return "segment-00001.npy"
+
+    @staticmethod
+    def _garble_manifest(seg):
+        (seg / "manifest.json").write_text("{not json")
+        return "manifest.json"
+
+    @staticmethod
+    def _segments_not_a_list(seg):
+        manifest = seg / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["segments"] = 7
+        manifest.write_text(json.dumps(doc))
+        return "manifest.json"
+
+    @staticmethod
+    def _segment_outside_directory(seg):
+        # A valid segment one level up: read, it would load rows from
+        # outside the store's directory.
+        (seg / "segment-00000.npy").rename(seg.parent / "x.npy")
+        manifest = seg / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["segments"][0] = "../x.npy"
+        manifest.write_text(json.dumps(doc))
+        return "../x.npy"
+
+    @pytest.mark.parametrize("damage", [
+        "_truncate_segment", "_delete_segment", "_garble_manifest",
+        "_segments_not_a_list", "_segment_outside_directory"])
+    def test_damaged_segments_raise_typed_error(self, tmp_path, damage):
+        """Every damaged segment directory ends in a TelemetryStoreError
+        that names the file at fault."""
+        store = fill(TelemetryStore(chunk_rows=4),
+                     [make_row(slot=i, tbs=i) for i in range(11)])
+        seg = tmp_path / "seg"
+        store.write_segments(seg)
+        culprit = getattr(self, damage)(seg)
+        with pytest.raises(TelemetryStoreError) as excinfo:
+            TelemetryStore.read_segments(seg)
+        assert culprit in str(excinfo.value)
 
     def test_pickle_roundtrip_keeps_rows_and_queries(self):
         rows = [make_row(slot=i, time_s=i * 0.1, tbs=50 * i,

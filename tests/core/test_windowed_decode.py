@@ -16,21 +16,22 @@ import pytest
 
 from repro import NRScope, Simulation
 from repro.core import runtime as runtime_module
-from repro.core.runtime import InlineExecutor
 from repro.gnb.cell_config import SRSRAN_PROFILE, TMOBILE_N25_PROFILE
 from repro.obs import ObsContext
 
 
-class WindowLog(InlineExecutor):
-    """The inline executor, recording the size of every window."""
+def window_sizes(runtime):
+    """The size of every window ``runtime`` closes from now on."""
+    sizes = []
+    close = runtime._close_window
 
-    def __init__(self):
-        super().__init__()
-        self.sizes = []
+    def logged():
+        if runtime._window_seqs:
+            sizes.append(len(runtime._window_seqs))
+        close()
 
-    def try_submit(self, seqs, job, payloads):
-        self.sizes.append(len(seqs))
-        return super().try_submit(seqs, job, payloads)
+    runtime._close_window = logged
+    return sizes
 
 
 class ListReporter:
@@ -48,21 +49,19 @@ class ListReporter:
 
 def build(profile, per_slot, monkeypatch, seed=42, n_ues=4,
           prune_every=None, idle_timeout_s=10.0):
-    """A cell, an iq scope with an event log, and its executor."""
+    """A cell, an iq scope with an event log, and its window sizes."""
     sim = Simulation.build(profile, n_ues=n_ues, seed=seed,
                            fidelity="iq")
     reporter = ListReporter()
-    executor = WindowLog()
     with monkeypatch.context() as patch:
         if per_slot:
             patch.setattr(runtime_module, "WINDOW_SLOTS", 1)
         scope = NRScope.attach(
-            sim, snr_db=18.0, executor=executor,
-            idle_timeout_s=idle_timeout_s,
+            sim, snr_db=18.0, idle_timeout_s=idle_timeout_s,
             obs=ObsContext.create([reporter], run_id="w"))
     if prune_every is not None:
         scope._prune_interval_slots = prune_every
-    return sim, scope, reporter, executor
+    return sim, scope, reporter, window_sizes(scope._runtime)
 
 
 def without_durations(events):
@@ -81,11 +80,11 @@ def run_pair(profile, slots, monkeypatch, **kwargs):
     """The same session with windows and with one-slot windows."""
     sessions = []
     for per_slot in (False, True):
-        sim, scope, reporter, executor = build(profile, per_slot,
-                                               monkeypatch, **kwargs)
+        sim, scope, reporter, sizes = build(profile, per_slot,
+                                            monkeypatch, **kwargs)
         sim.run_slots(slots)
         scope.close()
-        sessions.append((scope, reporter, executor))
+        sessions.append((scope, reporter, sizes))
     return sessions
 
 
@@ -97,13 +96,13 @@ class TestWindowedMatchesPerSlot:
                                              monkeypatch):
         """TDD windows end at the uplink slots, FDD windows at the cap;
         the run ends mid-window."""
-        (windowed, w_obs, w_exec), (per_slot, p_obs, p_exec) = \
+        (windowed, w_obs, w_sizes), (per_slot, p_obs, p_sizes) = \
             run_pair(profile, slots, monkeypatch)
-        assert set(p_exec.sizes) == {1}
+        assert set(p_sizes) == {1}
         if profile.is_tdd:
-            assert max(w_exec.sizes) > 1
+            assert max(w_sizes) > 1
         else:
-            assert max(w_exec.sizes) == runtime_module.WINDOW_SLOTS
+            assert max(w_sizes) == runtime_module.WINDOW_SLOTS
         assert windowed.counters.dcis_decoded > 0
         assert outcome(windowed) == outcome(per_slot)
         assert without_durations(w_obs.events) == \
@@ -112,10 +111,10 @@ class TestWindowedMatchesPerSlot:
     def test_prune_barrier_cuts_windows(self, monkeypatch):
         """A prune flushes mid-window; the idle UEs it drops depend on
         every earlier slot's activity having committed."""
-        (windowed, w_obs, w_exec), (per_slot, p_obs, _) = run_pair(
+        (windowed, w_obs, w_sizes), (per_slot, p_obs, _) = run_pair(
             SRSRAN_PROFILE, 400, monkeypatch, prune_every=23,
             idle_timeout_s=0.015)
-        assert 1 in w_exec.sizes and max(w_exec.sizes) > 1
+        assert 1 in w_sizes and max(w_sizes) > 1
         assert len(windowed.tracked_rntis) < windowed.counters.msg4_seen
         assert outcome(windowed) == outcome(per_slot)
         assert without_durations(w_obs.events) == \
@@ -124,16 +123,14 @@ class TestWindowedMatchesPerSlot:
     def test_commit_lags_by_at_most_two_periods(self, monkeypatch):
         """A windowed slot commits within about two TDD periods of its
         capture, and no submit finishes more than one decoded slot."""
-        sim, scope, _, executor = build(SRSRAN_PROFILE, False,
-                                        monkeypatch)
+        sim, scope, _, _ = build(SRSRAN_PROFILE, False, monkeypatch)
         runtime = scope._runtime
         worst_lag = 0
         for _ in range(200):
             before = runtime.stats().stage("dci").calls
             sim.step()
             assert runtime.stats().stage("dci").calls - before <= 1
-            worst_lag = max(worst_lag,
-                            runtime._commit_seq - runtime._next_commit)
+            worst_lag = max(worst_lag, len(runtime._pending))
         scope.close()
         assert 0 < worst_lag <= 2 * 10 + 1
 
@@ -149,8 +146,7 @@ class TestWindowedMatchesPerSlot:
                              "scope": scope.checkpoint_state()})
         state = pickle.loads(blob)
         resumed_sim = Simulation.from_state(state["sim"])
-        resumed = NRScope.attach(resumed_sim, snr_db=18.0,
-                                 executor=WindowLog())
+        resumed = NRScope.attach(resumed_sim, snr_db=18.0)
         resumed.restore_state(state["scope"])
         resumed_sim.run_slots(total - cut)
         resumed.close()

@@ -1,24 +1,12 @@
-"""R008 + R006 fixture: a batched kernel done wrong, both ways.
+"""R008 fixture: a batched kernel with dtype-less stacked scratch.
 
-The batched PHY path's two contracts are dtype-pinned scratch (R008 —
-a dtype-less stacked allocation silently promotes every candidate row
-to float64) and stage purity (R006 — a batched closure that samples the
-wall clock or mutates the tracked table breaks executor determinism).
-This fixture seeds one violation of each in the shapes the real batch
-kernels use: a ``(rows, width)`` stacked gather buffer and a
-``Stage(..., parallel=True)`` batched decode closure.
+The batched PHY path's contract is dtype-pinned scratch: a dtype-less
+stacked allocation silently promotes every candidate row to float64.
+This fixture seeds that violation in the shape the real batch kernels
+use: a ``(rows, width)`` stacked gather buffer.
 """
 
-import time
-
 import numpy as np
-
-
-class Stage:
-    def __init__(self, name, fn, parallel=False):
-        self.name = name
-        self.fn = fn
-        self.parallel = parallel
 
 
 def gather_candidates_stacked(grid, starts, width):
@@ -28,24 +16,3 @@ def gather_candidates_stacked(grid, starts, width):
         stacked[row] = grid[start:start + width]
         energies[row] = abs(stacked[row]).mean()
     return stacked, energies
-
-
-def _batch_deadline():
-    return time.time() + 0.5
-
-
-def decode_candidates_batch(ctx):
-    stacked, energies = gather_candidates_stacked(
-        ctx.grid, ctx.starts, ctx.width)
-    deadline = _batch_deadline()
-    decoded = []
-    for row, energy in enumerate(energies):
-        if time.time() > deadline:
-            break
-        if energy > ctx.threshold:
-            decoded.append(stacked[row])
-            ctx.tracked[ctx.rntis[row]].decoded_dcis += 1
-    return decoded
-
-
-BATCH_STAGE = Stage("dci-batch", decode_candidates_batch, parallel=True)

@@ -23,7 +23,7 @@ class TestEngine:
         findings = engine.run([fixtures_dir])
         seen = {f.rule_id for f in findings}
         assert {"R001", "R002", "R003", "R004",
-                "R005", "R006", "R007", "R008"} <= seen
+                "R005", "R007", "R008"} <= seen
 
     def test_findings_independent_of_file_order(self, engine, fixtures_dir):
         """Flow-aware rules see the whole program: linting the tree must

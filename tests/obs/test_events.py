@@ -40,7 +40,7 @@ class TestRegistryValidation:
 
     def test_typed_spec_extra_is_checked(self):
         bad = event(name="session.start", fidelity="phy",
-                    executor="inline", seed="not-an-int")
+                    seed="not-an-int")
         problems = validate_event(bad, registry=KNOWN_EVENTS)
         assert any("field 'seed'" in p for p in problems)
 

@@ -79,9 +79,9 @@ class TestCluster:
                                      reason="bler", slot=seq))
             seq += 1
         for _ in range(3):
-            events.append(make_event("dci.drop", seq=seq, cell="a",
-                                     rnti=0x4602, stage="dci",
-                                     reason="backpressure", slot=seq))
+            events.append(make_event("msg4.miss", seq=seq, cell="a",
+                                     rnti=0x4602, stage="rach",
+                                     reason="rrc_setup", slot=seq))
             seq += 1
         events.append(make_event("msg4.miss", seq=seq, cell="b",
                                  rnti=0x4603, stage="rach",
@@ -95,8 +95,7 @@ class TestCluster:
         report = cluster_failures(self.make_stream())
         assert report.total_events == 10
         assert report.failures_total == 9
-        assert report.by_name == {"dci.drop": 3, "dci.miss": 5,
-                                  "msg4.miss": 1}
+        assert report.by_name == {"dci.miss": 5, "msg4.miss": 4}
         assert [c.count for c in report.clusters] == [5, 3, 1]
         top = report.clusters[0]
         assert top.key.rnti == 0x4601

@@ -51,12 +51,12 @@ class TestSniff:
         with pytest.raises(SystemExit):
             main(["sniff", "--profile", "fantasy"])
 
-    def test_runtime_stats_prints_drops_column(self, capsys):
+    def test_runtime_stats_prints_stage_table(self, capsys):
         assert main(["sniff", "--seconds", "0.3", "--ues", "1",
                      "--runtime-stats"]) == 0
         out = capsys.readouterr().out
-        assert "runtime [inline]" in out
-        assert "drops" in out
+        assert "runtime: 600/600 slots" in out
+        assert "  dci " in out and "drops" not in out
 
     def test_obs_jsonl_stream(self, tmp_path, capsys):
         path = tmp_path / "events.jsonl"
@@ -81,24 +81,6 @@ class TestSniff:
         assert main(["sniff", "--seconds", "0.1",
                      "--obs", "statsd:nowhere"]) == 2
         assert "unknown obs reporter" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("spec", ["bogus", "process:0", "inline:",
-                                      "process:"])
-    def test_bad_executor_is_a_usage_error(self, spec, capsys):
-        assert main(["sniff", "--seconds", "0.1",
-                     "--executor", spec]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
-
-
-class TestFleet:
-    def test_bad_executor_is_a_usage_error(self, capsys):
-        assert main(["fleet", "--seconds", "0.1",
-                     "--executor", "bogus"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "'bogus'" in err
 
 
 class TestObs:
