@@ -47,11 +47,11 @@ caller's thread, so no slot is ever dropped (DESIGN.md §2 and §5).
 The paper decodes each slot within its own TTI; here a windowed slot
 commits up to about two TDD periods after its capture, and the slot
 budget is checked against amortized decode time (DESIGN.md, "The
-windowed DCI decode").  And the paper also splits one slot's UE table across several DCI threads.
-There is no counterpart here — CPython's GIL serialises the
-pure-Python decode, and the batched search already decodes each
-candidate position once for every tracked UE (EXPERIMENTS.md discusses
-it).
+windowed DCI decode").  And the paper also splits one slot's UE table
+across several DCI threads.  There is no counterpart here — CPython's
+GIL serialises the pure-Python decode, and the batched search already
+decodes each candidate position once for every tracked UE
+(EXPERIMENTS.md discusses it).
 """
 
 from __future__ import annotations

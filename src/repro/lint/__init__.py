@@ -9,9 +9,9 @@ repo's 3GPP bit-contract and determinism invariants (paper section
 
 Run it as ``python -m repro.lint [--format text|json] [paths...]`` or
 through the main CLI as ``python -m repro.cli lint``.  Two more modes:
-``python -m repro.lint effects`` prints the call-graph-backed JSON
-effect report (see :mod:`repro.lint.effects`), and ``--changed [REF]``
-scopes the scan to git-changed files for a fast PR gate.
+``python -m repro.lint contracts`` prints the JSON contract report
+(shapes and obs emission sites), and ``--changed [REF]`` scopes the
+scan to git-changed files for a fast PR gate.
 
 Rule catalogue (see each module under :mod:`repro.lint.rules`):
 
@@ -22,36 +22,30 @@ Rule catalogue (see each module under :mod:`repro.lint.rules`):
 * **R004** raw slot/frame modular arithmetic bypassing numerology.
 * **R005** unseeded randomness or wall-clock reads in deterministic
   simulation code.
-* **R007** (flow-aware) every RNG draw in the runtime core must flow
-  from an owned, seeded Generator.
+* **R007** every RNG draw in the runtime core must flow from an
+  owned, seeded Generator.
 * **R008** dtype-less numpy allocations in PHY hot paths.
+* **R010**/**R011** dtype drift and axis-layout safety in the batched
+  PHY kernels; **R012** obs emission conformance.
 
-R007 runs on a whole-scan :class:`~repro.lint.effects.Program`
-(project call graph + transitive effect inference).
-
-New rules are one file each: drop ``rNNN_name.py`` into
-:mod:`repro.lint.rules` with a ``@register``-decorated :class:`Rule`
-subclass and the registry discovers it; set ``needs_program = True``
-to receive the whole-scan analysis on ``ctx.program``.
+Every rule sees one module at a time.  New rules are one file each:
+drop ``rNNN_name.py`` into :mod:`repro.lint.rules` with a
+``@register``-decorated :class:`Rule` subclass and the registry
+discovers it.
 """
 
 from __future__ import annotations
 
 from repro.lint.baseline import Baseline
-from repro.lint.callgraph import CallGraph
-from repro.lint.effects import EffectTable, Program
 from repro.lint.engine import LintContext, LintEngine
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, iter_rules, register
 
 __all__ = [
     "Baseline",
-    "CallGraph",
-    "EffectTable",
     "Finding",
     "LintContext",
     "LintEngine",
-    "Program",
     "Rule",
     "iter_rules",
     "register",

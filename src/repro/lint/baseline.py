@@ -117,10 +117,9 @@ class Baseline:
         actually covered are considered, so a scoped run (``--changed``,
         a single file) never flags entries for files it did not look at.
         When ``active_rules`` is given, entries for rules that did not
-        run are likewise never judged — a ``--select R012`` or
-        ``--changed`` scan (which disables whole-program rules) produces
-        zero findings for the other rules by construction, not because
-        the grandfathered code was fixed.
+        run are likewise never judged — a ``--select R012`` scan
+        produces zero findings for the other rules by construction, not
+        because the grandfathered code was fixed.
         """
         used: Counter = Counter(f.group_key for f in findings)
         orphans: list[tuple[str, str, str]] = []

@@ -5,7 +5,6 @@ Also mounted as the ``lint`` subcommand of ``python -m repro.cli``.
 Modes::
 
     python -m repro.lint [PATH...]        # lint (default)
-    python -m repro.lint effects [PATH...]  # JSON effect report
     python -m repro.lint contracts [PATH...]  # JSON contract report
     python -m repro.lint --changed [REF]  # lint only git-changed files
 
@@ -38,10 +37,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the lint options (shared with the repro.cli subcommand)."""
     parser.add_argument("paths", nargs="*", metavar="PATH",
                         help="files or directories to lint; the first "
-                             "may be the literal 'effects' or "
-                             "'contracts' to emit the corresponding "
-                             "JSON report instead of findings "
-                             "(default: the repro package)")
+                             "may be the literal 'contracts' to emit "
+                             "the JSON contract report instead of "
+                             "findings (default: the repro package)")
     parser.add_argument("--format", choices=["text", "json", "sarif"],
                         default="text", dest="output_format",
                         help="finding output format (sarif emits a "
@@ -127,18 +125,6 @@ def changed_python_files(ref: str) -> list[Path]:
     return out
 
 
-def _run_effects(args: argparse.Namespace, paths: list[str]) -> int:
-    """The ``effects`` mode: emit the JSON effect report."""
-    engine = LintEngine(rules=[])
-    modules, parse_failures = engine.collect(
-        _resolve_paths(args, paths))
-    program = engine.build_program(modules)
-    report = program.effect_report()
-    report["parse_failures"] = [f.rel for f in parse_failures]
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
-
-
 def _run_contracts(args: argparse.Namespace, paths: list[str]) -> int:
     """The ``contracts`` mode: emit the cross-boundary contract report.
 
@@ -216,9 +202,8 @@ def _run_contracts(args: argparse.Namespace, paths: list[str]) -> int:
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation; returns the exit code."""
     paths = list(args.paths)
-    effects_mode = bool(paths) and paths[0] == "effects"
     contracts_mode = bool(paths) and paths[0] == "contracts"
-    if effects_mode or contracts_mode:
+    if contracts_mode:
         paths = paths[1:]
 
     try:
@@ -239,8 +224,6 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        if effects_mode:
-            return _run_effects(args, paths)
         if contracts_mode:
             return _run_contracts(args, paths)
 
@@ -281,11 +264,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     # Only entries for rules that actually ran may be judged orphaned.
-    # A --changed scan additionally drops whole-program rules from the
-    # active set: they run against a *partial* program there, so their
-    # silence proves nothing about grandfathered findings.
-    active_rules = {rule.rule_id for rule in rules
-                    if args.changed is None or not rule.needs_program}
+    active_rules = {rule.rule_id for rule in rules}
 
     suppressed: list = []
     if baseline_path is not None and baseline_path.is_file():

@@ -5,14 +5,8 @@ wrapped in a :class:`LintContext`.  Rule scoping works on a
 *package-relative* path (``phy/dci.py``, ``gnb/scheduler.py``) computed
 by stripping any leading ``src/repro/`` / ``repro/`` components, so the
 same rules fire identically on the real tree and on test fixtures that
-mimic its layout.
-
-Two rule tiers share the walk.  Per-file rules see only their module.
-Flow-aware rules (``needs_program = True``) additionally get a
-:class:`~repro.lint.effects.Program` — call graph, transitive effect
-table and parallel-stage roots — built once over *every* parsed file of
-the scan, so cross-module properties (RNG ownership) are
-checked against the same file set the per-file rules saw.
+mimic its layout.  Every rule sees one module at a time, so a file's
+findings do not depend on what else the scan covers.
 
 A rule that *crashes* raises :class:`LintError` (naming the rule and
 file) rather than leaking a traceback, so the CLI can report analyzer
@@ -24,13 +18,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, iter_rules
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.effects import Program
 
 #: Directory names never scanned.
 SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
@@ -53,9 +44,6 @@ class LintContext:
     source: str
     tree: ast.Module
     lines: tuple[str, ...] = field(default_factory=tuple)
-    #: Whole-scan analysis (call graph, effects, stage roots); present
-    #: whenever a selected rule declares ``needs_program``.
-    program: "Program | None" = None
 
 
 @dataclass(frozen=True)
@@ -139,17 +127,12 @@ class LintEngine:
     #: the scan actually covered).
     last_scanned: set[str] = field(default_factory=set)
 
-    @property
-    def needs_program(self) -> bool:
-        """Whether any selected rule wants whole-scan analysis."""
-        return any(rule.needs_program for rule in self.rules)
-
     def collect(self, paths: Iterable[Path | str]) \
             -> tuple[list[ParsedModule], list[Finding]]:
         """Parse every Python file under ``paths`` exactly once.
 
         Returns the parsed modules plus E000 findings for files that do
-        not parse (those are excluded from program analysis).
+        not parse.
         """
         modules: list[ParsedModule] = []
         findings: list[Finding] = []
@@ -175,23 +158,12 @@ class LintEngine:
                                             source=source, tree=tree))
         return modules, findings
 
-    def build_program(self, modules: list[ParsedModule]) -> "Program":
-        """Whole-scan call-graph/effect analysis over parsed modules."""
-        from repro.lint.effects import Program
-        try:
-            return Program([(str(m.path), m.rel, m.tree)
-                            for m in modules])
-        except RecursionError as exc:  # pragma: no cover - safety net
-            raise LintError(f"effect analysis crashed: {exc!r}")
-
     def run(self, paths: Iterable[Path | str]) -> list[Finding]:
         """Lint every Python file under ``paths``; returns all findings."""
         modules, findings = self.collect(paths)
         self.last_scanned = {m.rel for m in modules}
-        program = self.build_program(modules) if self.needs_program \
-            else None
         for module in modules:
-            findings.extend(self._check_module(module, program))
+            findings.extend(self._check_module(module))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
         return findings
 
@@ -214,17 +186,13 @@ class LintEngine:
         except SyntaxError as exc:
             return [_syntax_finding(path, rel, exc)]
         module = ParsedModule(path=path, rel=rel, source=source, tree=tree)
-        program = self.build_program([module]) if self.needs_program \
-            else None
-        return sorted(self._check_module(module, program),
+        return sorted(self._check_module(module),
                       key=lambda f: (f.path, f.line, f.col, f.rule_id))
 
-    def _check_module(self, module: ParsedModule,
-                      program: "Program | None") -> list[Finding]:
+    def _check_module(self, module: ParsedModule) -> list[Finding]:
         ctx = LintContext(path=module.path, rel=module.rel,
                           source=module.source, tree=module.tree,
-                          lines=tuple(module.source.splitlines()),
-                          program=program)
+                          lines=tuple(module.source.splitlines()))
         findings: list[Finding] = []
         for rule in self.rules:
             if not rule.applies(module.rel):

@@ -31,9 +31,6 @@ class Rule:
 
     rule_id: str = ""
     title: str = ""
-    #: Flow-aware rules set this to receive a whole-scan
-    #: :class:`~repro.lint.effects.Program` on ``ctx.program``.
-    needs_program: bool = False
 
     def applies(self, rel: str) -> bool:
         """Whether this rule scans the file at package-relative ``rel``."""

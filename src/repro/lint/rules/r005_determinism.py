@@ -31,7 +31,7 @@ from repro.lint.registry import Rule, register
 DETERMINISTIC_PREFIXES = ("gnb/", "ue/")
 DETERMINISTIC_BASENAMES = {"simulation.py"}
 
-#: Legacy numpy global-state entry points.
+#: Legacy numpy global-state entry points (R007 uses this table too).
 LEGACY_NP_RANDOM = {
     "rand", "randn", "randint", "random", "random_sample", "choice",
     "shuffle", "permutation", "seed", "normal", "uniform", "poisson",

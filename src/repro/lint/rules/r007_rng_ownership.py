@@ -10,11 +10,10 @@ entropy-seeded ``default_rng()``, or a draw chained onto a fresh
 ``default_rng(...)`` that nobody keeps — makes replay diverge or (for
 global state) couples independent components.
 
-Flow-aware part: constructing *any* generator (even a seeded one)
-inside a function reachable from a parallel-stage root is flagged too —
-generators are sequential state machines, so the parallel per-UE stage
-may only use counter-keyed draws (``counter_uniform``) or values drawn
-by a backbone stage beforehand.
+A *seeded* generator built inside a function is not flagged: it
+reproduces run to run, and a draw from one that changes what the DCI
+jobs decode fails the accuracy tests (EXPERIMENTS.md, "Catch matrix:
+R007's parallel closure after the inline runtime").
 """
 
 from __future__ import annotations
@@ -26,13 +25,7 @@ from repro.lint.astutil import dotted_name
 from repro.lint.engine import LintContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
-
-#: Legacy numpy global-state entry points (mirrors R005's table).
-LEGACY_NP_RANDOM = {
-    "rand", "randn", "randint", "random", "random_sample", "choice",
-    "shuffle", "permutation", "seed", "normal", "uniform", "poisson",
-    "exponential", "standard_normal", "binomial",
-}
+from repro.lint.rules.r005_determinism import LEGACY_NP_RANDOM
 
 #: Draw methods of numpy Generator objects.
 RNG_DRAW_METHODS = {
@@ -48,25 +41,19 @@ class RngOwnershipRule(Rule):
 
     rule_id = "R007"
     title = "RNG draw not owned by a seeded stage Generator"
-    needs_program = True
 
     def applies(self, rel: str) -> bool:
         return rel.startswith("core/")
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        reported: set[tuple[int, int]] = set()
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom) and node.module == "random":
-                reported.add((node.lineno, node.col_offset))
                 yield self.finding(
                     ctx, node,
                     "stdlib 'random' in the runtime core: draws must "
                     "flow from a stored, seeded np.random.default_rng")
             elif isinstance(node, ast.Call):
-                for finding in self._check_call(ctx, node):
-                    reported.add((node.lineno, node.col_offset))
-                    yield finding
-        yield from self._check_parallel_closure(ctx, reported)
+                yield from self._check_call(ctx, node)
 
     def _check_call(self, ctx: LintContext,
                     node: ast.Call) -> Iterator[Finding]:
@@ -112,35 +99,3 @@ class RngOwnershipRule(Rule):
                     f"draw on a fresh '{inner}(...)': the generator is "
                     f"discarded after one draw, so the stream is not "
                     f"owned by any stage — store it and reuse it")
-
-    def _check_parallel_closure(self, ctx: LintContext,
-                                reported: set[tuple[int, int]]) \
-            -> Iterator[Finding]:
-        program = ctx.program
-        if program is None:  # pragma: no cover - engine always supplies it
-            return
-        module = program.graph.modules.get(ctx.rel)
-        if module is None:
-            return
-        parallel = program.parallel_reachable()
-        functions = list(module.functions.values())
-        for klass in module.classes.values():
-            functions.extend(klass.methods.values())
-        for function in functions:
-            if function.qualname not in parallel:
-                continue
-            for node in ast.walk(function.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                if (node.lineno, node.col_offset) in reported:
-                    continue
-                name = dotted_name(node.func)
-                if name is not None and \
-                        name.split(".")[-1] == "default_rng":
-                    short = function.qualname.split("::", 1)[-1]
-                    yield self.finding(
-                        ctx, node,
-                        f"'{name}(...)' constructs a Generator inside "
-                        f"'{short}', which is reachable from a parallel "
-                        f"stage: generators are sequential state — use "
-                        f"counter_uniform or draw in a backbone stage")

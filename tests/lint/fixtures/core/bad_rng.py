@@ -1,21 +1,12 @@
 """R007 fixture: randomness nobody owns, in every flavour.
 
 stdlib ``random``, legacy ``np.random`` global state, entropy-seeded
-``default_rng()``, a draw chained on a discarded fresh generator, and —
-the flow-aware case — a *seeded* generator constructed inside a
-function reachable from a parallel stage.
+``default_rng()`` and a draw chained on a discarded fresh generator.
 """
 
 import random
 
 import numpy as np
-
-
-class Stage:
-    def __init__(self, name, fn, parallel=False):
-        self.name = name
-        self.fn = fn
-        self.parallel = parallel
 
 
 def coin_flip():
@@ -32,11 +23,3 @@ def entropy_seeded():
 
 def one_shot_draw():
     return np.random.default_rng(7).random()
-
-
-def decode_with_local_generator(payload):
-    rng = np.random.default_rng(1234)
-    return payload if rng is not None else None
-
-
-STAGE = Stage("decode", decode_with_local_generator, parallel=True)

@@ -26,8 +26,8 @@ class TestEngine:
                 "R005", "R007", "R008"} <= seen
 
     def test_findings_independent_of_file_order(self, engine, fixtures_dir):
-        """Flow-aware rules see the whole program: linting the tree must
-        produce the same findings regardless of collection order."""
+        """Linting the tree must produce the same findings regardless
+        of the order its files are given in."""
         files = sorted(p for p in fixtures_dir.rglob("*.py"))
         forward = engine.run(files)
         backward = engine.run(list(reversed(files)))

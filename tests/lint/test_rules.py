@@ -454,19 +454,6 @@ class TestR005Determinism:
         assert not findings
 
 
-STAGE_PREAMBLE = """
-class Stage:
-    def __init__(self, name, fn, parallel=False):
-        self.name = name
-        self.fn = fn
-        self.parallel = parallel
-
-
-def parallel_stage(fn):
-    return fn
-"""
-
-
 class TestR007RngOwnership:
     def r007(self, findings):
         return [f for f in findings if f.rule_id == "R007"]
@@ -526,21 +513,6 @@ class TestR007RngOwnership:
                 return self._rng.random() < 0.5
         """, "core/scope_like.py")
         assert not self.r007(findings)
-
-    def test_seeded_generator_in_parallel_closure_is_flagged(self):
-        findings = lint(STAGE_PREAMBLE + textwrap.dedent("""
-        import numpy as np
-
-
-        def decode(ctx):
-            rng = np.random.default_rng(1234)
-            return rng
-
-
-        STAGE = Stage("dci", decode, parallel=True)
-        """), "core/pipeline.py")
-        assert any("reachable from a parallel" in f.message
-                   for f in self.r007(findings))
 
     def test_not_applied_outside_core(self):
         findings = lint("""
