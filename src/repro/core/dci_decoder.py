@@ -36,12 +36,12 @@ from repro.phy.dci import Dci, DciError, DciFormat, DciSizeConfig, \
     dci_payload_size, unpack
 from repro.phy.modulation import QPSK, demodulate_soft_batch
 from repro.phy.numerology import slots_per_frame
-from repro.phy.pdcch import BITS_PER_CCE, PdcchCandidate, \
-    candidate_energies_batch, dci_crc_check_batch, estimate_channel, \
-    gather_candidates_batch, occupancy_threshold
+from repro.phy.pdcch import BITS_PER_CCE, CandidateLayout, \
+    PdcchCandidate, dci_crc_check_batch, estimate_channel, \
+    occupancy_threshold, read_only
 from repro.phy.polar import Traversal
 from repro.phy.resource_grid import ResourceGrid
-from repro.phy.scrambling import descramble_llrs, pdcch_scrambling_init
+from repro.phy.scrambling import pdcch_scrambling_init
 from repro.gnb.gnb import DciRecord
 
 
@@ -92,6 +92,116 @@ def _info_lens(dci_cfg: DciSizeConfig) -> tuple[int, ...]:
                  for fmt in _FORMATS)
 
 
+@lru_cache(maxsize=16)
+def _common_layout(space: SearchSpace, dci_cfg: DciSizeConfig,
+                   n_id: int) \
+        -> tuple[CandidateLayout, tuple[polar.PolarCode, ...]]:
+    """The common space's candidates for :meth:`blind_decode_common`,
+    one group per level that can carry format 1_1, and each group's
+    polar code."""
+    if not space.is_common:
+        raise DciDecoderError("the blind search needs a common space")
+    k = dci_payload_size(DciFormat.DL_1_1, dci_cfg) + DCI_CRC_LEN
+    levels = [level for level, count in space.candidates_per_level.items()
+              if count and k <= level * BITS_PER_CCE]
+    layout = CandidateLayout.build(
+        [(space.coreset, level, space.candidate_cces(level, 0))
+         for level in levels], pdcch_scrambling_init(n_id))
+    return layout, tuple(polar.construct(k, level * BITS_PER_CCE)
+                         for level in levels)
+
+
+@dataclass(frozen=True, eq=False)
+class SearchLayout:
+    """Phases 1-2 of a slot's UE-space search: everything that depends
+    only on the tracked spaces, the slot within its frame and the
+    decoder's size config and cell ID.
+
+    It is the same for every slot at that offset into the frame, so
+    :meth:`GridDciDecoder.prepare` keeps it on the
+    :class:`SpaceSnapshot` and builds it once per snapshot and slot of
+    the frame.  Its arrays are shared and read-only.
+    """
+
+    #: ``(rnti, level, start, valid, cce_bits, pos)`` in per-candidate
+    #: order; ``pos`` indexes the shared positions (-1 when invalid).
+    entries: tuple[tuple[int, int, int, bool, int, int], ...]
+    n_positions: int
+    #: Each entry's position and RNTI, and the entries with a position.
+    entry_pos: np.ndarray
+    entry_rnti: np.ndarray
+    valid_rows: np.ndarray
+    #: The positions the replay can reach, one group per (CORESET,
+    #: level); ``row_pos`` is each row's position.
+    candidates: CandidateLayout
+    row_pos: np.ndarray
+    #: Per group, the indices into :data:`_FORMATS` whose payload fits
+    #: its level and their polar codes; ``row_fits`` marks the rows of
+    #: groups where some format fits.
+    group_codes: tuple[tuple[tuple[int, ...],
+                             tuple[polar.PolarCode, ...]], ...]
+    row_fits: np.ndarray
+
+    @classmethod
+    def build(cls, tracked: SpaceSnapshot, reduced_slot: int,
+              dci_cfg: DciSizeConfig, n_id: int) -> "SearchLayout":
+        """The layout of one slot.
+
+        Phase 1 enumerates entries in exact per-candidate order and
+        maps each valid one onto its shared position, keyed by the
+        snapshot's interned CORESET index.  Each entry carries its CCE
+        footprint as an int bitmask, so the replay's claim checks are
+        single AND operations.  Phase 2 groups the positions per
+        (CORESET, level).
+        """
+        order, coresets = tracked.search_order()
+        positions: dict[tuple[int, int, int], int] = {}
+        entries: list[tuple[int, int, int, bool, int, int]] = []
+        for rnti, space, coreset_index in order:
+            for level, start, valid, cce_bits in _ue_entry_plan(
+                    space, rnti, reduced_slot):
+                if valid:
+                    key = (coreset_index, level, start)
+                    pos = positions.get(key)
+                    if pos is None:
+                        pos = positions[key] = len(positions)
+                else:
+                    pos = -1
+                entries.append((rnti, level, start, valid, cce_bits, pos))
+        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (coreset_index, level, start), pos in positions.items():
+            groups.setdefault((coreset_index, level),
+                              []).append((pos, start))
+        info_lens = _info_lens(dci_cfg)
+        group_codes: list[tuple[tuple[int, ...],
+                                tuple[polar.PolarCode, ...]]] = []
+        fits_rows: list[bool] = []
+        for (_, level), members in groups.items():
+            n_coded = level * BITS_PER_CCE
+            fits = tuple(f for f, k in enumerate(info_lens) if k <= n_coded)
+            group_codes.append((fits, tuple(
+                polar.construct(info_lens[f], n_coded) for f in fits)))
+            fits_rows.extend([bool(fits)] * len(members))
+        entry_pos = np.array([entry[5] for entry in entries],
+                             dtype=np.intp)
+        return cls(
+            entries=tuple(entries), n_positions=len(positions),
+            entry_pos=read_only(entry_pos),
+            entry_rnti=read_only(np.array([entry[0] for entry in entries],
+                                           dtype=np.int64)),
+            valid_rows=read_only(np.flatnonzero(entry_pos >= 0)),
+            candidates=CandidateLayout.build(
+                [(coresets[coreset_index], level,
+                  [start for _, start in members])
+                 for (coreset_index, level), members in groups.items()],
+                pdcch_scrambling_init(n_id)),
+            row_pos=read_only(np.array(
+                [pos for members in groups.values() for pos, _ in members],
+                dtype=np.intp)),
+            group_codes=tuple(group_codes),
+            row_fits=read_only(np.array(fits_rows, dtype=bool)))
+
+
 @dataclass
 class PreparedSearch:
     """One slot's UE-space search up to its polar decode.
@@ -99,28 +209,26 @@ class PreparedSearch:
     :meth:`GridDciDecoder.prepare` fills it; :attr:`blocks` are the
     slot's ``(llrs, codes)`` polar blocks, one per (CORESET, level)
     group, and :meth:`finish` turns their decoded bits into the slot's
-    DCIs.  It holds no grid and no decoder, only arrays, tuples and the
-    decoder's frozen settings, so a window of them can be decoded late
-    without reaching the session.
+    DCIs.  It holds no grid and no decoder, only arrays, tuples, the
+    slot's read-only :class:`SearchLayout` and the decoder's frozen
+    settings, so a window of them can be decoded late without reaching
+    the session.
     """
 
     dci_cfg: DciSizeConfig
     use_energy_gate: bool
     use_cce_claiming: bool
-    #: ``(rnti, level, start, valid, cce_bits, pos)`` in per-candidate
-    #: order; ``pos`` indexes the shared positions (-1 when invalid).
-    entries: list[tuple[int, int, int, bool, int, int]]
-    n_positions: int
+    layout: SearchLayout
     claimed_bits: int
+    #: Per position, whether its REs passed the energy gate (all False
+    #: when the gate is off).
+    occupied: np.ndarray
     blocks: list[tuple[np.ndarray, tuple[polar.PolarCode, ...]]] = \
         field(default_factory=list)
     #: Per block, its rows' positions and the indices into
     #: :data:`_FORMATS` of its codes.
     block_rows: list[tuple[np.ndarray, tuple[int, ...]]] = \
         field(default_factory=list)
-    #: Per position, whether its REs passed the energy gate (set only
-    #: when the gate is on).
-    occupied: list[bool] = field(default_factory=list)
 
     def finish(self, outs: Sequence[Sequence[np.ndarray]],
                claimed: set[int] | None = None) \
@@ -138,11 +246,12 @@ class PreparedSearch:
         slot's decodes claim are added to ``claimed`` when given.
         """
         decoded: list[DecodedDci] = []
-        entries = self.entries
+        layout = self.layout
+        entries = layout.entries
         if not entries:
             return decoded, 0
         info_lens = _info_lens(self.dci_cfg)
-        n_pos = self.n_positions
+        n_pos = layout.n_positions
         tables = [np.zeros((n_pos, k), dtype=np.uint8) for k in info_lens]
         decoded_pos = [np.zeros(n_pos, dtype=bool) for _ in info_lens]
         for (pos_idx, fits), block_outs in zip(self.block_rows, outs):
@@ -150,38 +259,37 @@ class PreparedSearch:
                 tables[f][pos_idx] = out
                 decoded_pos[f][pos_idx] = True
 
-        # Phase 4: CRC verdicts for every (shared block, entry RNTI) row,
-        # one batched check per format (identical booleans to a
-        # per-attempt check).
-        entry_pos = np.array([entry[5] for entry in entries],
-                             dtype=np.intp)
-        entry_rnti = np.array([entry[0] for entry in entries],
-                              dtype=np.int64)
-        valid_rows = np.flatnonzero(entry_pos >= 0)
+        # The replay reaches an entry only when it has a position and,
+        # with the gate on, that position passed the gate.  Without the
+        # gate an entry with no position costs two attempts (both
+        # formats tried, both fail early) and nothing else.
+        entry_pos = layout.entry_pos
+        live = layout.valid_rows
+        if self.use_energy_gate:
+            live = live[self.occupied[entry_pos[live]]]
+            attempts = 0
+        else:
+            attempts = 2 * (len(entries) - live.size)
+
+        # Phase 4: CRC verdicts for every live (shared block, entry
+        # RNTI) row, one batched check per format (identical booleans
+        # to a per-attempt check).
         crc_ok: list[list[bool]] = []
         for f in range(len(_FORMATS)):
-            rows = valid_rows[decoded_pos[f][entry_pos[valid_rows]]]
+            rows = live[decoded_pos[f][entry_pos[live]]]
             ok = np.zeros(len(entries), dtype=bool)
             if rows.size:
                 ok[rows] = dci_crc_check_batch(
-                    tables[f][entry_pos[rows]], entry_rnti[rows])
+                    tables[f][entry_pos[rows]], layout.entry_rnti[rows])
             crc_ok.append(ok.tolist())
 
-        # Phase 5: replay the per-candidate control flow over the shared
-        # blocks.
-        gate, claiming = self.use_energy_gate, self.use_cce_claiming
-        occupied = self.occupied
+        # Phase 5: replay the per-candidate control flow over the live
+        # entries, in entry order.
+        claiming = self.use_cce_claiming
         claimed_bits = self.claimed_bits
-        attempts = 0
-        for idx, (rnti, level, start, valid, cce_bits, pos) \
-                in enumerate(entries):
-            if not valid:
-                if not gate:
-                    attempts += 2  # both formats tried, both fail early
-                continue
+        for idx in live.tolist():
+            rnti, level, start, _, cce_bits, pos = entries[idx]
             if claiming and cce_bits & claimed_bits:
-                continue
-            if gate and not occupied[pos]:
                 continue
             for f, fmt in enumerate(_FORMATS):
                 attempts += 1
@@ -327,108 +435,85 @@ class GridDciDecoder:
         hashed onto it.  Each distinct eligible position is therefore
         gathered, demodulated and descrambled once per slot, and every
         tracked UE's entry reads its block from that shared table.
+
+        Phases 1-2 are the slot's :class:`SearchLayout`, built once per
+        snapshot and slot of the frame.  CCEs claimed up front do not
+        change it: :meth:`PreparedSearch.finish` skips their entries
+        before counting an attempt, as the per-candidate search does.
+        Phase 3 is one gather of every position, the energy
+        gate (per group, one row reduction) and one demod of the rows
+        that pass, descrambled per group.
         """
-        # Phase 1: enumerate entries in exact per-candidate order and
-        # map each valid one onto its shared position.  Each entry
-        # carries its CCE footprint as an int bitmask so the replay's
-        # claim checks are single AND operations.  Per-UE skeletons
-        # come from the frame-periodic plan cache (the hash only
-        # depends on the slot within its frame), and positions are
-        # keyed by the snapshot's interned CORESET index (the
-        # scrambling ``c_init`` is the decoder's, one per slot).
         if not isinstance(tracked, SpaceSnapshot):
             tracked = SpaceSnapshot(tracked)
-        order, coresets = tracked.search_order()
-        reduced_slot = slot_index % slots_per_frame(30)
-        positions: dict[tuple[int, int, int], int] = {}
-        entries: list[tuple[int, int, int, bool, int, int]] = []
-        for rnti, space, coreset_index in order:
-            for level, start, valid, cce_bits in _ue_entry_plan(
-                    space, rnti, reduced_slot):
-                if valid:
-                    key = (coreset_index, level, start)
-                    pos = positions.get(key)
-                    if pos is None:
-                        pos = positions[key] = len(positions)
-                else:
-                    pos = -1
-                entries.append((rnti, level, start, valid, cce_bits, pos))
         claimed_bits = 0
         for cce in claimed or ():
             claimed_bits |= 1 << cce
+        reduced_slot = slot_index % slots_per_frame(30)
+        layout = tracked.layout(
+            (reduced_slot, self.dci_cfg, self.n_id),
+            lambda: SearchLayout.build(tracked, reduced_slot,
+                                       self.dci_cfg, self.n_id))
         prepared = PreparedSearch(
             dci_cfg=self.dci_cfg, use_energy_gate=self.use_energy_gate,
-            use_cce_claiming=self.use_cce_claiming, entries=entries,
-            n_positions=len(positions), claimed_bits=claimed_bits)
-        if not entries:
+            use_cce_claiming=self.use_cce_claiming, layout=layout,
+            claimed_bits=claimed_bits,
+            occupied=np.zeros(layout.n_positions, dtype=bool))
+        candidates = layout.candidates
+        if not candidates.n_rows:
             return prepared
 
-        # Phase 2: group the positions the replay can reach per
-        # (CORESET, level).  Claims only grow during the replay, so a
-        # position claimed up front is never read and is never
-        # gathered (the per-candidate search checks claims before
-        # touching the grid).
-        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for (coreset_index, level, start), pos in positions.items():
-            if self.use_cce_claiming \
-                    and ((1 << level) - 1) << start & claimed_bits:
-                continue
-            groups.setdefault((coreset_index, level),
-                              []).append((pos, start))
-
-        # Phase 3: per group, one gather + energy gate, then batched
-        # demod + descramble; every group's LLR block goes out with the
-        # DCI formats that fit its level.
-        threshold = occupancy_threshold(self.noise_var)
-        energies = np.zeros(len(positions), dtype=np.float64)
-        info_lens = _info_lens(self.dci_cfg)
-        c_init = pdcch_scrambling_init(self.n_id)
-        for (coreset_index, level), members in groups.items():
-            coreset = coresets[coreset_index]
-            pos_idx = np.array([pos for pos, _ in members], dtype=np.intp)
-            starts = np.array([start for _, start in members],
-                              dtype=np.intp)
-            values = gather_candidates_batch(grid, coreset, level, starts)
-            if self.use_energy_gate:
-                energies[pos_idx] = candidate_energies_batch(values)
-                keep = energies[pos_idx] > threshold
-                values = values[keep]
-                pos_idx = pos_idx[keep]
-                starts = starts[keep]
-            n_coded = level * BITS_PER_CCE
-            fits = tuple(f for f, k in enumerate(info_lens) if k <= n_coded)
-            if not fits or pos_idx.size == 0:
-                continue
-            if self.equalize:
-                gains = np.array(
-                    [estimate_channel(
-                        grid, coreset,
-                        PdcchCandidate(first_cce=int(start),
-                                       aggregation_level=level),
-                        self.n_id, slot_index) for start in starts],
-                    dtype=np.complex128)
-                values = values / gains[:, None]
-                # Demodulating at unit noise then dividing per row is
-                # the per-candidate (d1-d0)/noise_var to the last bit:
-                # x/1.0 is exact, so each LLR still sees one division by
-                # its effective noise variance.
-                nv_eff = np.maximum(
-                    self.noise_var / np.maximum(np.abs(gains) ** 2,
-                                                1e-9), 1e-12)
-                llrs = demodulate_soft_batch(values, QPSK, 1.0)
-                llrs = llrs / nv_eff[:, None]
-            else:
-                llrs = demodulate_soft_batch(
-                    values, QPSK, max(self.noise_var, 1e-12))
-            prepared.blocks.append((descramble_llrs(llrs, c_init), tuple(
-                polar.construct(info_lens[f], n_coded) for f in fits)))
-            prepared.block_rows.append((pos_idx, fits))
+        # Phase 3: one gather and energy gate, then one demod of the
+        # rows that pass; every group's descrambled LLR block goes out
+        # with the DCI formats that fit its level.
+        values = candidates.gather(grid)
+        keep = layout.row_fits
         if self.use_energy_gate:
-            prepared.occupied = (energies > threshold).tolist()
+            passed = candidates.energies(values) \
+                > occupancy_threshold(self.noise_var)
+            prepared.occupied[layout.row_pos] = passed
+            keep = keep & passed
+        if not keep.any():
+            return prepared
+        symbols = candidates.select(values, keep)
+        if self.equalize:
+            positions = [(coreset, level, start)
+                         for coreset, level, starts in candidates.groups
+                         for start in starts]
+            gains = np.array(
+                [estimate_channel(grid, coreset,
+                                  PdcchCandidate(first_cce=start,
+                                                 aggregation_level=level),
+                                  self.n_id, slot_index)
+                 for (coreset, level, start), kept in zip(positions, keep)
+                 if kept],
+                dtype=np.complex128)
+            widths = candidates.row_widths[keep]
+            # Demodulating at unit noise then dividing per candidate is
+            # the per-candidate (d1-d0)/noise_var to the last bit: x/1.0
+            # is exact, so each LLR still sees one division by its
+            # effective noise variance.
+            nv_eff = np.maximum(
+                self.noise_var / np.maximum(np.abs(gains) ** 2, 1e-9),
+                1e-12)
+            llrs = demodulate_soft_batch(
+                (symbols / np.repeat(gains, widths))[None, :], QPSK, 1.0)[0]
+            llrs = llrs / np.repeat(nv_eff, QPSK.bits_per_symbol * widths)
+        else:
+            llrs = demodulate_soft_batch(
+                symbols[None, :], QPSK, max(self.noise_var, 1e-12))[0]
+        bounds = candidates.row_bounds
+        for g, ((fits, codes), block) in enumerate(zip(
+                layout.group_codes, candidates.split(llrs, keep))):
+            if block.shape[0]:
+                rows = slice(bounds[g], bounds[g + 1])
+                prepared.blocks.append((block, codes))
+                prepared.block_rows.append(
+                    (layout.row_pos[rows][keep[rows]], fits))
         return prepared
 
     def blind_decode_common(self, grid: ResourceGrid, slot_index: int,
-                            common_space) -> list[DecodedDci]:
+                            common_space: SearchSpace) -> list[DecodedDci]:
         """Blind-search the common space, recovering RNTIs via CRC XOR.
 
         Used for MSG 4 discovery: the payload length of format 1_1 under
@@ -436,30 +521,30 @@ class GridDciDecoder:
         decoded without an RNTI hypothesis and the CRC mask yields the
         TC-RNTI (paper section 3.1.2).
 
-        Each level's occupied candidates ride one batched gather, demod
-        and polar decode; the RNTI recovery then runs per row in
+        Common spaces hash from ``Y = 0``, so the candidates are the
+        same every slot and their layout is built once.  All
+        candidates ride one gather, the occupied ones one demod, then
+        one descramble and polar decode per level; the RNTI recovery
+        then runs per row in
         candidate order, so the result equals the per-candidate
         ``decode_candidate_bits`` search.
         """
+        layout, codes = _common_layout(common_space, self.dci_cfg,
+                                       self.n_id)
+        values = layout.gather(grid)
+        keep = layout.energies(values) > occupancy_threshold(self.noise_var)
+        if not keep.any():
+            return []
+        llrs = demodulate_soft_batch(
+            layout.select(values, keep)[None, :], QPSK,
+            max(self.noise_var, 1e-12))[0]
         decoded: list[DecodedDci] = []
-        coreset = common_space.coreset
-        k = dci_payload_size(DciFormat.DL_1_1, self.dci_cfg) + DCI_CRC_LEN
-        threshold = occupancy_threshold(self.noise_var)
-        c_init = pdcch_scrambling_init(self.n_id)
-        for level, count in common_space.candidates_per_level.items():
-            n_coded = level * BITS_PER_CCE
-            if count == 0 or k > n_coded:
+        for group, code, block in zip(layout.groups, codes,
+                                      layout.split(llrs, keep)):
+            level = group[1]
+            if block.shape[0] == 0:
                 continue
-            starts = np.array(common_space.candidate_cces(level, slot_index),
-                              dtype=np.intp)
-            values = gather_candidates_batch(grid, coreset, level, starts)
-            values = values[candidate_energies_batch(values) > threshold]
-            if values.shape[0] == 0:
-                continue
-            llrs = descramble_llrs(demodulate_soft_batch(
-                values, QPSK, max(self.noise_var, 1e-12)), c_init)
-            blocks = polar.decode_batch(llrs, polar.construct(k, n_coded))
-            for bits in blocks:
+            for bits in polar.decode_batch(block, code):
                 rnti = pdcch.dci_recover_rnti(bits)
                 if rnti is None or rnti == 0:
                     continue

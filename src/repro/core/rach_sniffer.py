@@ -15,7 +15,8 @@ UE-dedicated configuration.  Two paper behaviours are modelled exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ItemsView, Iterator, Mapping, ValuesView
+from typing import Any, Callable, Hashable, ItemsView, Iterator, Mapping, \
+    ValuesView
 
 from repro.phy.coreset import Coreset, SearchSpace
 from repro.phy.grant import GrantConfig
@@ -49,14 +50,16 @@ class SpaceSnapshot(Mapping[int, SearchSpace]):
 
     It has no mutators, rejects item assignment, and its values are
     frozen :class:`SearchSpace` dataclasses, so the stage cannot write
-    tracked state through it.
+    tracked state through it.  What it memoizes (the search order and
+    the search layouts) is derived from the table alone.
     """
 
-    __slots__ = ("_spaces", "_order")
+    __slots__ = ("_spaces", "_order", "_layouts")
 
     def __init__(self, spaces: Mapping[int, SearchSpace]) -> None:
         self._spaces = dict(spaces)
         self._order: tuple | None = None
+        self._layouts: dict[Hashable, Any] = {}
 
     def __getitem__(self, rnti: int) -> SearchSpace:
         return self._spaces[rnti]
@@ -93,6 +96,17 @@ class SpaceSnapshot(Mapping[int, SearchSpace]):
                 for rnti, space in sorted(self._spaces.items()))
             self._order = (rows, tuple(interned))
         return self._order
+
+    def layout(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, memoized on the snapshot under ``key``.
+
+        A searcher keeps its per-slot search layouts here (keyed on the
+        slot within its frame, among others), so they live exactly as
+        long as the tracked table they were built from.
+        """
+        if key not in self._layouts:
+            self._layouts[key] = build()
+        return self._layouts[key]
 
 
 def search_space_from_config(config: SearchSpaceConfig) -> SearchSpace:

@@ -93,8 +93,8 @@ def build_workload(profile: CellProfile, n_ues: int,
             dci = Dci(format=DciFormat.DL_1_1, rnti=rnti,
                       freq_alloc_riv=riv_encode(0, 4, profile.n_prb),
                       time_alloc=1, mcs=10, ndi=0, rv=0, harq_id=0)
-            encode_pdcch(dci, cfg, ue.search_space.coreset,
-                         PdcchCandidate(start, 2), grid,
+            encode_pdcch([(dci, ue.search_space.coreset,
+                           PdcchCandidate(start, 2))], cfg, grid,
                          n_id=profile.cell_id, slot_index=slot_index)
             used |= cces
             encoded += 1

@@ -25,8 +25,9 @@ import numpy as np
 from repro.constants import SI_RNTI
 from repro.phy.dci import Dci, DciFormat, riv_encode
 from repro.phy.grant import Grant, dci_to_grant
+from repro.phy.modulation import QPSK, constellation
 from repro.phy.numerology import SlotClock
-from repro.phy.pdcch import PdcchCandidate, PdcchError, encode_pdcch
+from repro.phy.pdcch import PdcchCandidate, encode_pdcch
 from repro.phy.resource_grid import GridError, ResourceGrid
 from repro.phy.tbs import transport_block_size
 from repro.phy.uci import UciReport
@@ -553,38 +554,41 @@ class GNodeB:
 
     # ----------------------------------------------------------- grid
     def _render_grid(self, output: SlotOutput, slot_index: int) -> None:
-        """IQ mode: polar-encode every PDCCH and occupy PDSCH regions."""
+        """IQ mode: polar-encode every PDCCH and occupy PDSCH regions.
+
+        The slot's PDCCHs are one :func:`encode_pdcch` call.  They sit
+        on the CORESETs' symbols (0-1) and every PDSCH starts at
+        symbol 2, so writing all PDCCHs before the PDSCHs leaves the
+        grid as a DCI-by-DCI render would.
+        """
         grid = ResourceGrid(self.profile.n_prb)
-        coreset0 = self.profile.coreset0()
-        dedicated = self.profile.dedicated_coreset()
-        for record in output.dci_records:
-            coreset = coreset0 if record.search_space == "common" \
-                else dedicated
-            try:
-                encode_pdcch(record.dci, self._dci_cfg, coreset,
-                             record.candidate, grid,
-                             n_id=self.profile.cell_id,
-                             slot_index=slot_index)
-            except PdcchError:
-                # A candidate occasionally exceeds CORESET 0's CCE count
-                # on narrow carriers; skip rendering (the record stays in
-                # the log, counted as a sniffer miss).
-                continue
+        coreset0 = self._common_space.coreset
+        dedicated = self.scheduler.search_space.coreset
+        records = output.dci_records
+        payloads = encode_pdcch(
+            [(record.dci,
+              coreset0 if record.search_space == "common" else dedicated,
+              record.candidate) for record in records],
+            self._dci_cfg, grid, n_id=self.profile.cell_id,
+            slot_index=slot_index)
+        qpsk = constellation(QPSK)
+        for record, payload in zip(records, payloads):
+            # A candidate occasionally exceeds CORESET 0's CCE count on
+            # narrow carriers; it is not rendered (the record stays in
+            # the log, counted as a sniffer miss), nor is its PDSCH.
             grant = record.grant
-            if grant.downlink and grant.n_prb > 0:
-                n_res = grant.n_re
-                payload = self._grid_rng.integers(0, 2, 2 * n_res)
-                symbols = (1 - 2.0 * payload[0::2]) \
-                    + 1j * (1 - 2.0 * payload[1::2])
-                symbols /= np.sqrt(2.0)
-                try:
-                    grid.fill_block(grant.first_prb, grant.n_prb,
-                                    grant.first_symbol, grant.n_symbols,
-                                    symbols[:grant.n_prb * 12
-                                            * grant.n_symbols],
-                                    ResourceGrid.PDSCH)
-                except GridError:
-                    continue
+            if payload is None or not grant.downlink or grant.n_prb <= 0:
+                continue
+            bits = self._grid_rng.integers(0, 2, 2 * grant.n_re)
+            symbols = qpsk[2 * bits[0::2] + bits[1::2]]
+            try:
+                grid.fill_block(grant.first_prb, grant.n_prb,
+                                grant.first_symbol, grant.n_symbols,
+                                symbols[:grant.n_prb * 12
+                                        * grant.n_symbols],
+                                ResourceGrid.PDSCH)
+            except GridError:
+                continue
         output.grid = grid
 
     # ----------------------------------------------------------- step

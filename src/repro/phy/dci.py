@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,8 +121,11 @@ class Dci:
                 f"dai={self.dai}, tpc={self.tpc}")
 
 
-def field_layout(fmt: DciFormat, cfg: DciSizeConfig) -> list[tuple[str, int]]:
-    """Ordered (field, width) pairs for a format under a size config."""
+@lru_cache(maxsize=64)
+def field_layout(fmt: DciFormat,
+                 cfg: DciSizeConfig) -> tuple[tuple[str, int], ...]:
+    """Ordered (field, width) pairs for a format under a size config
+    (cached: every pack and unpack asks for it)."""
     if fmt is DciFormat.DL_1_1:
         layout = [
             ("bwp_indicator", cfg.bwp_indicator_bits),
@@ -158,7 +162,7 @@ def field_layout(fmt: DciFormat, cfg: DciSizeConfig) -> list[tuple[str, int]]:
     else:  # pragma: no cover - exhaustive over the enum
         raise DciError(f"unknown format: {fmt}")
     # The leading format-identifier bit (38.212 7.3.1: 1 for DL, 0 for UL).
-    return [("_identifier", 1)] + [(n, w) for n, w in layout if w > 0]
+    return (("_identifier", 1),) + tuple((n, w) for n, w in layout if w > 0)
 
 
 def dci_payload_size(fmt: DciFormat, cfg: DciSizeConfig) -> int:
@@ -171,17 +175,20 @@ _VALID_FIELDS = {f.name for f in fields(Dci)}
 
 def pack(dci: Dci, cfg: DciSizeConfig) -> np.ndarray:
     """Serialise a DCI into its payload bits (MSB-first per field)."""
-    bits: list[int] = []
+    value = size = 0
     for name, width in field_layout(dci.format, cfg):
         if name == "_identifier":
-            value = 1 if dci.format is DciFormat.DL_1_1 else 0
+            field_value = 1 if dci.format is DciFormat.DL_1_1 else 0
         else:
-            value = getattr(dci, name)
-        if not 0 <= value < (1 << width):
+            field_value = getattr(dci, name)
+        if not 0 <= field_value < (1 << width):
             raise DciError(
-                f"field {name}={value} does not fit in {width} bits")
-        bits.extend((value >> (width - 1 - i)) & 1 for i in range(width))
-    return np.array(bits, dtype=np.uint8)
+                f"field {name}={field_value} does not fit in {width} bits")
+        value = (value << width) | int(field_value)
+        size += width
+    packed = np.frombuffer(value.to_bytes((size + 7) // 8, "big"),
+                           dtype=np.uint8)
+    return np.unpackbits(packed)[-size:]
 
 
 def unpack(bits: np.ndarray, fmt: DciFormat, cfg: DciSizeConfig,
@@ -198,14 +205,15 @@ def unpack(bits: np.ndarray, fmt: DciFormat, cfg: DciSizeConfig,
     if arr.size != expected:
         raise DciError(
             f"payload is {arr.size} bits, format {fmt.value} needs {expected}")
+    # The payload as one integer, MSB first (packbits pads the last
+    # byte with zeros on the right).
+    value = int.from_bytes(np.packbits(arr).tobytes(), "big") \
+        >> (-expected % 8)
     values: dict[str, int] = {}
-    pos = 0
+    remaining = expected
     for name, width in layout:
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | int(arr[pos])
-            pos += 1
-        values[name] = value
+        remaining -= width
+        values[name] = (value >> remaining) & ((1 << width) - 1)
     identifier = values.pop("_identifier")
     expected_id = 1 if fmt is DciFormat.DL_1_1 else 0
     if identifier != expected_id:

@@ -141,7 +141,8 @@ def demodulate_soft_batch(symbols: np.ndarray,
     elementwise over symbols, so this is exactly
     :func:`demodulate_soft` applied per row (flatten, demap once,
     reshape) — bit-identical, but one numpy dispatch for the whole
-    candidate batch instead of one per candidate.
+    candidate batch instead of one per candidate.  QPSK goes through
+    :func:`demodulate_qpsk`, the same LLRs from pairwise minima.
 
     Layout: symbols (B, S) complex128
     Layout: return (B, E) float64
@@ -155,8 +156,35 @@ def demodulate_soft_batch(symbols: np.ndarray,
     qm = scheme.bits_per_symbol
     if batch == 0:
         return np.zeros((0, n_symbols * qm), dtype=np.float64)
-    flat = demodulate_soft(arr.reshape(-1), scheme, noise_var)
+    if scheme == QPSK:
+        flat = demodulate_qpsk(arr.reshape(-1), noise_var)
+    else:
+        flat = demodulate_soft(arr.reshape(-1), scheme, noise_var)
     return flat.reshape(batch, n_symbols * qm)
+
+
+def demodulate_qpsk(symbols: np.ndarray, noise_var: float) -> np.ndarray:
+    """:func:`demodulate_soft` for QPSK, bit for bit, at half the cost.
+
+    Same squared distances to the four points, but each bit's two
+    minima are pairwise ``np.minimum`` of distance rows (symbol value
+    ``2 * b0 + b1``: b0 splits the points {0, 1} from {2, 3}, b1 {0, 2}
+    from {1, 3}) instead of masked column copies and row reductions.
+
+    Layout: symbols (S) complex128
+    Layout: return (E) float64
+    """
+    syms = np.asarray(symbols, dtype=np.complex128).ravel()
+    if noise_var <= 0:
+        raise ModulationError(f"noise variance must be positive: {noise_var}")
+    d2 = np.abs(syms[None, :] - constellation(QPSK)[:, None]) ** 2
+    llrs = np.empty((syms.size, 2), dtype=np.float64)
+    np.subtract(np.minimum(d2[2], d2[3]), np.minimum(d2[0], d2[1]),
+                out=llrs[:, 0])
+    np.subtract(np.minimum(d2[1], d2[3]), np.minimum(d2[0], d2[2]),
+                out=llrs[:, 1])
+    llrs /= noise_var
+    return llrs.ravel()
 
 
 def demodulate_hard(symbols: np.ndarray,

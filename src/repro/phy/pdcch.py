@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +32,11 @@ from repro.phy.dci import Dci, DciError, DciFormat, DciSizeConfig, \
     dci_payload_size, pack, unpack
 from repro.phy.dmrs import PDCCH_DATA_RES_PER_REG, PDCCH_DMRS_POSITIONS, \
     pdcch_dmrs_symbols, reg_data_subcarriers
-from repro.phy.modulation import QPSK, demodulate_soft, modulate
+from repro.phy.modulation import QPSK, constellation, demodulate_soft
+from repro.phy.numerology import slots_per_frame
 from repro.phy.resource_grid import ResourceGrid
-from repro.phy.scrambling import descramble_llrs, pdcch_scrambling_init, \
-    scramble_bits
+from repro.phy.scrambling import descramble_llrs, descramble_signs, \
+    gold_sequence, pdcch_scrambling_init
 
 
 class PdcchError(ValueError):
@@ -48,6 +50,13 @@ BITS_PER_CCE = N_REG_PER_CCE * PDCCH_DATA_RES_PER_REG * QPSK.bits_per_symbol
 _CRC_PREFIX = np.ones(DCI_CRC_LEN, dtype=np.uint8)
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, frozen: cached arrays are shared by every later slot,
+    so a caller that writes into one must fail, not corrupt them."""
+    array.setflags(write=False)
+    return array
+
+
 def dci_crc_attach(payload: np.ndarray, rnti: int) -> np.ndarray:
     """Attach the RNTI-scrambled CRC24C to a DCI payload.
 
@@ -56,9 +65,8 @@ def dci_crc_attach(payload: np.ndarray, rnti: int) -> np.ndarray:
     XOR-masked with the RNTI.
     """
     bits = np.asarray(payload, dtype=np.uint8).ravel()
-    parity = crc_parity(np.concatenate([_CRC_PREFIX, bits]), "crc24c")
-    parity[-16:] ^= rnti_to_bits(rnti)
-    return np.concatenate([bits, parity])
+    return dci_crc_attach_batch(
+        bits[None, :], np.array([rnti], dtype=np.int64)).reshape(-1)
 
 
 def dci_crc_check(block: np.ndarray, rnti: int) -> bool:
@@ -108,7 +116,29 @@ def dci_crc_check_batch(blocks: np.ndarray,
     expected = np.bitwise_xor.reduce(arr[:, :payload_len] * terms,
                                      axis=1) ^ prefix
     expected ^= np.asarray(rntis, dtype=np.int64).reshape(-1) & MAX_RNTI
-    return expected == arr[:, payload_len:] @ weights
+    verdicts: np.ndarray = expected == arr[:, payload_len:] @ weights
+    return verdicts
+
+
+def dci_crc_attach_batch(payloads: np.ndarray,
+                         rntis: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`dci_crc_attach` over stacked payloads.
+
+    The parity of each row is one XOR reduction of the generator terms
+    at its set bits (as in :func:`dci_crc_check_batch`), masked with the
+    row's RNTI on its low 16 bits, then unpacked MSB first.
+
+    Layout: payloads (N, A) uint8
+    Layout: rntis (N) int64
+    Layout: return (N, K) uint8
+    """
+    arr = np.asarray(payloads, dtype=np.uint8)
+    prefix, terms, _ = _dci_crc_terms(arr.shape[1] + DCI_CRC_LEN)
+    parity = np.bitwise_xor.reduce(arr * terms, axis=1) ^ prefix
+    parity ^= np.asarray(rntis, dtype=np.int64) & MAX_RNTI
+    shifts = np.arange(DCI_CRC_LEN - 1, -1, -1, dtype=np.int64)
+    bits = ((parity[:, None] >> shifts) & 1).astype(np.uint8)
+    return np.concatenate([arr, bits], axis=1)
 
 
 def dci_recover_rnti(block: np.ndarray) -> int | None:
@@ -170,8 +200,9 @@ def _candidate_flat_indices(coreset: Coreset, first_cce: int,
     candidate = PdcchCandidate(first_cce=first_cce,
                                aggregation_level=aggregation_level)
     positions = _candidate_re_positions(coreset, candidate)
-    return np.array([(prb * 12 + sc) * N_SYMBOLS_PER_SLOT + sym
-                     for prb, sym, sc in positions], dtype=np.intp)
+    return read_only(np.array([(prb * 12 + sc) * N_SYMBOLS_PER_SLOT + sym
+                                for prb, sym, sc in positions],
+                               dtype=np.intp))
 
 
 def _gather_candidate(grid: ResourceGrid, coreset: Coreset,
@@ -182,35 +213,86 @@ def _gather_candidate(grid: ResourceGrid, coreset: Coreset,
     return grid.data.reshape(-1)[indices]
 
 
-def encode_pdcch(dci: Dci, cfg: DciSizeConfig, coreset: Coreset,
-                 candidate: PdcchCandidate, grid: ResourceGrid,
-                 n_id: int, slot_index: int) -> np.ndarray:
-    """Encode a DCI and write it (plus DMRS) into the grid.
+@lru_cache(maxsize=64)
+def _scrambled_qpsk_index(c_init: int, n_coded: int) -> np.ndarray:
+    """The Gold sequence of ``c_init`` as QPSK symbol-index offsets:
+    ``(2 * c[2i] + c[2i+1])`` per symbol, read-only.  XOR-ing it into a
+    codeword's symbol indices scrambles the bits pairwise."""
+    bits = gold_sequence(c_init, n_coded)
+    return read_only((bits[0::2] << 1) | bits[1::2])
 
-    Returns the payload bits for ground-truth logging.  Raises
-    :class:`PdcchError` when the candidate does not fit the CORESET.
+
+def encode_pdcch(items: Sequence[tuple[Dci, Coreset, PdcchCandidate]],
+                 cfg: DciSizeConfig, grid: ResourceGrid, n_id: int,
+                 slot_index: int) -> list[np.ndarray | None]:
+    """Encode one slot's DCIs and write them, with DMRS, into the grid.
+
+    ``items`` are ``(dci, coreset, candidate)`` in transmission order.
+    Returns each item's payload bits for ground-truth logging, or None
+    for a candidate that does not fit its CORESET (nothing of it is
+    written).  The result equals encoding the items one at a time: a
+    later item's REs overwrite an earlier one's where candidates
+    overlap, and data and DMRS REs never coincide (DMRS sits on
+    subcarriers 1, 5, 9 of every REG, whatever the CORESET).
+
+    The slot is one pass: ``pack`` per DCI, one CRC batch and one polar
+    encode per (K, E), a cached scrambling sequence folded into the
+    QPSK symbol indices, cached DMRS pilots, and one ``np.put`` each
+    for the data, the pilots and the occupancy.
     """
-    if candidate.first_cce + candidate.aggregation_level > coreset.n_cces:
-        raise PdcchError(
-            f"candidate CCEs [{candidate.first_cce},"
-            f" +{candidate.aggregation_level}) exceed CORESET of"
-            f" {coreset.n_cces} CCEs")
-    payload = pack(dci, cfg)
-    with_crc = dci_crc_attach(payload, dci.rnti)
-    code = polar.construct(with_crc.size, candidate.n_coded_bits)
-    coded = polar.encode(with_crc, code)
-    scrambled = scramble_bits(coded, pdcch_scrambling_init(n_id))
-    symbols = modulate(scrambled, QPSK)
+    payloads: dict[int, np.ndarray] = {}
+    by_code: dict[tuple[int, int], list[int]] = {}
+    for i, (dci, coreset, candidate) in enumerate(items):
+        if candidate.first_cce + candidate.aggregation_level \
+                > coreset.n_cces:
+            continue
+        payloads[i] = pack(dci, cfg)
+        by_code.setdefault((payloads[i].size, candidate.n_coded_bits),
+                           []).append(i)
+    written = list(payloads)
+    if not written:
+        return [None] * len(items)
 
-    indices = _candidate_flat_indices(coreset, candidate.first_cce,
-                                      candidate.aggregation_level)
-    if indices.size != symbols.size:
-        raise PdcchError(
-            f"{symbols.size} symbols for {indices.size} data REs")
-    np.put(grid.data, indices, symbols)
-    np.put(grid.occupancy, indices, ResourceGrid.PDCCH)
-    _write_dmrs(coreset, candidate, grid, n_id, slot_index)
-    return payload
+    c_init = pdcch_scrambling_init(n_id)
+    points = constellation(QPSK)
+    symbols: dict[int, np.ndarray] = {}
+    for (payload_len, n_coded), members in by_code.items():
+        with_crc = dci_crc_attach_batch(
+            np.stack([payloads[i] for i in members]),
+            np.array([items[i][0].rnti for i in members], dtype=np.int64))
+        coded = polar.encode_batch(
+            with_crc, polar.construct(payload_len + DCI_CRC_LEN, n_coded))
+        index = ((coded[:, 0::2] << 1) | coded[:, 1::2]) \
+            ^ _scrambled_qpsk_index(c_init, n_coded)
+        symbols.update(zip(members, points[index]))
+
+    data_idx, dmrs_idx, pilots = [], [], []
+    for i in written:
+        _, coreset, candidate = items[i]
+        data_idx.append(_candidate_flat_indices(
+            coreset, candidate.first_cce, candidate.aggregation_level))
+        layout = _dmrs_layout(coreset, candidate.first_cce,
+                              candidate.aggregation_level)
+        dmrs_idx.append(layout.flat)
+        pilots.append(layout.pilots(n_id, slot_index))
+    data_at = np.concatenate(data_idx)
+    dmrs_at = np.concatenate(dmrs_idx)
+    np.put(grid.data, data_at, np.concatenate([symbols[i]
+                                               for i in written]))
+    np.put(grid.data, dmrs_at, np.concatenate(pilots))
+    np.put(grid.occupancy, np.concatenate([data_at, dmrs_at]),
+           np.repeat(np.array([ResourceGrid.PDCCH, ResourceGrid.DMRS],
+                              dtype=np.uint8),
+                     [data_at.size, dmrs_at.size]))
+    return [payloads.get(i) for i in range(len(items))]
+
+
+@lru_cache(maxsize=4096)
+def _dmrs_pilots(n_id: int, reduced_slot: int, symbol: int,
+                 n_regs: int) -> np.ndarray:
+    """:func:`~repro.phy.dmrs.pdcch_dmrs_symbols` for a slot reduced
+    modulo the frame (the pilots repeat every frame), read-only."""
+    return read_only(pdcch_dmrs_symbols(n_id, symbol, reduced_slot, n_regs))
 
 
 @dataclass(frozen=True)
@@ -223,7 +305,8 @@ class _DmrsLayout:
     ``grid.data`` indices in that order and ``per_symbol`` the
     ``(symbol, n_regs)`` runs the generator is called with;
     ``reg_order`` permutes generation order into REG order (CCE by
-    CCE), the order the channel estimate averages in.
+    CCE), the order the channel estimate averages in.  Both arrays
+    are shared and read-only.
     """
 
     flat: np.ndarray
@@ -232,8 +315,9 @@ class _DmrsLayout:
 
     def pilots(self, n_id: int, slot_index: int) -> np.ndarray:
         """The candidate's pilot symbols, aligned with ``flat``."""
+        reduced_slot = slot_index % slots_per_frame(30)
         return np.concatenate([
-            pdcch_dmrs_symbols(n_id, symbol, slot_index, n_regs)
+            _dmrs_pilots(n_id, reduced_slot, symbol, n_regs)
             for symbol, n_regs in self.per_symbol])
 
 
@@ -255,19 +339,10 @@ def _dmrs_layout(coreset: Coreset, first_cce: int,
                  for prb, symbol in positions
                  for sc in PDCCH_DMRS_POSITIONS]
     return _DmrsLayout(
-        flat=np.array(flat, dtype=np.intp),
+        flat=read_only(np.array(flat, dtype=np.intp)),
         per_symbol=tuple((symbol, len(prbs))
                          for symbol, prbs in per_symbol.items()),
-        reg_order=np.array(reg_order, dtype=np.intp))
-
-
-def _write_dmrs(coreset: Coreset, candidate: PdcchCandidate,
-                grid: ResourceGrid, n_id: int, slot_index: int) -> None:
-    """Place PDCCH DMRS pilots on the candidate's REGs."""
-    layout = _dmrs_layout(coreset, candidate.first_cce,
-                          candidate.aggregation_level)
-    np.put(grid.data, layout.flat, layout.pilots(n_id, slot_index))
-    np.put(grid.occupancy, layout.flat, ResourceGrid.DMRS)
+        reg_order=read_only(np.array(reg_order, dtype=np.intp)))
 
 
 def estimate_channel(grid: ResourceGrid, coreset: Coreset,
@@ -300,57 +375,128 @@ def _level_index_matrix(coreset: Coreset,
 
     Row ``p`` holds the data-RE indices of the candidate starting at CCE
     ``p * aggregation_level``: one cached ``(n_positions, E/2)`` matrix
-    per (CORESET, level) replaces the per-candidate gather loop — the
-    batched decoder fancy-indexes all of a slot's candidates in one shot.
+    per (CORESET, level), whose rows :class:`CandidateLayout` picks.
     """
     n_positions = coreset.n_cces // aggregation_level
     if n_positions == 0:
         cols = aggregation_level * BITS_PER_CCE // QPSK.bits_per_symbol
-        return np.zeros((0, cols), dtype=np.intp)
-    return np.stack([
+        return read_only(np.zeros((0, cols), dtype=np.intp))
+    return read_only(np.stack([
         _candidate_flat_indices(coreset, pos * aggregation_level,
                                 aggregation_level)
-        for pos in range(n_positions)])
+        for pos in range(n_positions)]))
 
 
-def gather_candidates_batch(grid: ResourceGrid, coreset: Coreset,
-                            aggregation_level: int,
-                            starts: np.ndarray) -> np.ndarray:
-    """Read the data REs of many same-level candidates in one gather.
+@dataclass(frozen=True, eq=False)
+class CandidateLayout:
+    """Candidates of several (CORESET, level) groups, laid out so that
+    one slot reads all of them with one gather.
 
-    ``starts`` are first-CCE indices, each aligned to the aggregation
-    level (as :meth:`SearchSpace.candidate_cces` always produces) and in
-    range.  Returns a ``(len(starts), n_symbols)`` complex matrix whose
-    rows equal the per-candidate :func:`_gather_candidate` reads.
-
-    Layout: starts (N) intp
-    Layout: return (N, S) complex128
+    ``groups`` are ``(coreset, level, starts)``.  Group ``g`` holds
+    rows ``row_bounds[g]:row_bounds[g + 1]``, one per start, whose data
+    REs are ``flat[re_bounds[g]:re_bounds[g + 1]]`` row after row,
+    ``widths[g]`` REs a row (the rows of :func:`_level_index_matrix`).
+    ``row_widths`` is each row's width and ``signs[g]`` the LLR
+    descramble signs of one row of group ``g`` (every row restarts the
+    cell's scrambling sequence).  The arrays are shared by every slot
+    that uses the layout, so they are read-only.
     """
-    matrix = _level_index_matrix(coreset, aggregation_level)
-    starts_arr = np.asarray(starts, dtype=np.intp)
-    if starts_arr.size == 0:
-        return np.zeros((0, matrix.shape[1]), dtype=np.complex128)
-    rows = starts_arr // aggregation_level
-    if np.any(starts_arr % aggregation_level) \
-            or np.any(rows >= matrix.shape[0]) or np.any(rows < 0):
-        raise PdcchError(
-            f"unaligned or out-of-range candidate starts for level"
-            f" {aggregation_level}: {starts_arr.tolist()}")
-    return grid.data.reshape(-1)[matrix[rows]]
 
+    groups: tuple[tuple[Coreset, int, tuple[int, ...]], ...]
+    flat: np.ndarray
+    row_bounds: tuple[int, ...]
+    re_bounds: tuple[int, ...]
+    widths: tuple[int, ...]
+    row_widths: np.ndarray
+    signs: tuple[np.ndarray, ...]
 
-def candidate_energies_batch(values: np.ndarray) -> np.ndarray:
-    """Mean per-RE power per row of a gathered candidate matrix.
+    @classmethod
+    def build(cls, groups: Sequence[tuple[Coreset, int, Sequence[int]]],
+              c_init: int) -> "CandidateLayout":
+        """The layout of ``groups``, descrambled with ``c_init``.
 
-    Row-for-row identical to :func:`candidate_energy` on the same REs
-    (numpy's pairwise row reduction matches the 1-D mean).
+        Starts must be aligned to their level and in range, as
+        :meth:`SearchSpace.candidate_cces` produces them.
+        """
+        flats: list[np.ndarray] = []
+        signs: list[np.ndarray] = []
+        widths: list[int] = []
+        row_bounds, re_bounds = [0], [0]
+        for coreset, level, starts in groups:
+            matrix = _level_index_matrix(coreset, level)
+            rows = matrix[np.asarray(starts, dtype=np.intp) // level]
+            width = matrix.shape[1]
+            flats.append(rows.ravel())
+            signs.append(descramble_signs(c_init,
+                                          width * QPSK.bits_per_symbol))
+            widths.append(width)
+            row_bounds.append(row_bounds[-1] + len(starts))
+            re_bounds.append(re_bounds[-1] + rows.size)
+        return cls(
+            groups=tuple((coreset, level, tuple(starts))
+                         for coreset, level, starts in groups),
+            flat=read_only(np.concatenate(
+                flats or [np.zeros(0, dtype=np.intp)])),
+            row_bounds=tuple(row_bounds), re_bounds=tuple(re_bounds),
+            widths=tuple(widths),
+            row_widths=read_only(np.repeat(
+                np.array(widths, dtype=np.intp),
+                np.diff(np.array(row_bounds, dtype=np.intp)))),
+            signs=tuple(signs))
 
-    Layout: values (N, S) complex128
-    Layout: return (N) float64
-    """
-    if values.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
-    return np.mean(np.abs(values) ** 2, axis=1)
+    @property
+    def n_rows(self) -> int:
+        """Candidates in the layout, over all groups."""
+        return self.row_bounds[-1]
+
+    def gather(self, grid: ResourceGrid) -> np.ndarray:
+        """Every row's REs from ``grid``, back to back."""
+        return grid.data.reshape(-1)[self.flat]
+
+    def energies(self, values: np.ndarray) -> np.ndarray:
+        """Mean per-RE power of each row of the gathered ``values``.
+
+        Each group's rows reduce as a ``(rows, width)`` matrix, numpy's
+        pairwise row reduction, so every energy is bit-identical to
+        :func:`candidate_energy` on that candidate.
+
+        Layout: values (R) complex128
+        Layout: return (N) float64
+        """
+        power = np.abs(values) ** 2
+        out = np.zeros(self.n_rows, dtype=np.float64)
+        for g, width in enumerate(self.widths):
+            first, stop = self.row_bounds[g], self.row_bounds[g + 1]
+            if stop > first:
+                # np.mean's own reduction, without its dispatch.
+                out[first:stop] = np.add.reduce(power[
+                    self.re_bounds[g]:self.re_bounds[g + 1]].reshape(
+                        stop - first, width), axis=1) / width
+        return out
+
+    def select(self, values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """The REs of the rows ``keep`` marks, back to back.
+
+        Layout: values (R) complex128
+        Layout: keep (N) bool
+        Layout: return (S) complex128
+        """
+        return values[np.repeat(keep, self.row_widths)]
+
+    def split(self, llrs: np.ndarray, keep: np.ndarray) \
+            -> list[np.ndarray]:
+        """Per group, the descrambled ``(kept rows, 2 * width)`` LLR
+        matrix of its rows ``keep`` marks, from the kept rows' ``llrs``
+        (the demod of :meth:`select`'s REs)."""
+        out = []
+        offset = 0
+        for g, signs in enumerate(self.signs):
+            n_kept = int(np.count_nonzero(
+                keep[self.row_bounds[g]:self.row_bounds[g + 1]]))
+            block = llrs[offset:offset + n_kept * signs.size]
+            out.append(block.reshape(n_kept, signs.size) * signs)
+            offset += block.size
+        return out
 
 
 def occupancy_threshold(noise_var: float) -> float:

@@ -107,20 +107,21 @@ def construct(info_len: int, rate_matched_len: int) -> PolarCode:
 
 
 def _transform(u: np.ndarray) -> np.ndarray:
-    """Arikan transform ``x = u @ F^{(x)n}`` over GF(2), in place on a copy.
+    """Arikan transform ``x = u @ F^{(x)n}`` over GF(2) of each row, on
+    a copy.
 
-    One XOR per stage: viewing the block as ``(N / 2s, 2, s)`` puts every
+    One XOR per stage: viewing a row as ``(N / 2s, 2, s)`` puts every
     butterfly's upper half in ``[:, 0]`` and its lower half in ``[:, 1]``.
 
-    Layout: u (N) uint8
-    Layout: return (N) uint8
+    Layout: u (B, N) uint8
+    Layout: return (B, N) uint8
     """
-    x = u.astype(np.uint8).copy()
-    size = x.size
+    x = u.astype(np.uint8)
+    size = x.shape[-1]
     stride = 1
     while stride < size:
-        pairs = x.reshape(-1, 2, stride)
-        pairs[:, 0] ^= pairs[:, 1]
+        pairs = x.reshape(*x.shape[:-1], -1, 2, stride)
+        pairs[..., 0, :] ^= pairs[..., 1, :]
         stride *= 2
     return x
 
@@ -131,13 +132,42 @@ def encode(info_bits: np.ndarray, code: PolarCode) -> np.ndarray:
     if bits.size != code.info_len:
         raise PolarError(
             f"expected {code.info_len} info bits, got {bits.size}")
-    u = np.zeros(code.block_len, dtype=np.uint8)
-    u[list(code.info_indices)] = bits
-    x = _transform(u)
-    if code.rate_matched_len <= code.block_len:
-        return x[:code.rate_matched_len].copy()
-    # Cyclic repetition e_k = y_(k mod N) (38.212 section 5.4.1.2).
-    return np.resize(x, code.rate_matched_len)
+    return encode_batch(bits[None, :], code)[0]
+
+
+@lru_cache(maxsize=64)
+def _generator(info_len: int, rate_matched_len: int) -> np.ndarray:
+    """The ``(K, E)`` code's generator over GF(2), as float32 for one
+    BLAS product: row ``i`` is the rate-matched codeword of info bit
+    ``i`` alone.  Read-only."""
+    code = construct(info_len, rate_matched_len)
+    unit = np.zeros((code.info_len, code.block_len), dtype=np.uint8)
+    unit[np.arange(code.info_len), list(code.info_indices)] = 1
+    # Shortening keeps the prefix; repetition is cyclic,
+    # e_k = y_(k mod N) (38.212 section 5.4.1.2).
+    columns = np.arange(code.rate_matched_len) % code.block_len
+    generator = _transform(unit)[:, columns].astype(np.float32)
+    generator.setflags(write=False)
+    return generator
+
+
+def encode_batch(info_bits: np.ndarray, code: PolarCode) -> np.ndarray:
+    """Row-wise :func:`encode` of a ``(B, K)`` info-bit matrix.
+
+    The code is linear over GF(2), so each codeword is the parity of
+    the generator rows at its set bits: one matrix product whose
+    integer sums (at most K) float32 holds exactly.
+
+    Layout: info_bits (B, K) uint8
+    Layout: return (B, E) uint8
+    """
+    bits = np.asarray(info_bits, dtype=np.uint8)
+    if bits.ndim != 2 or bits.shape[1] != code.info_len:
+        raise PolarError(
+            f"expected (B, {code.info_len}) info bits, got {bits.shape}")
+    counts = bits.astype(np.float32) \
+        @ _generator(code.info_len, code.rate_matched_len)
+    return (counts.astype(np.int32) & 1).astype(np.uint8)
 
 
 def _llrs_to_mother(llrs: np.ndarray, code: PolarCode) -> np.ndarray:

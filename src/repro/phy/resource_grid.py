@@ -93,19 +93,25 @@ class ResourceGrid:
                 f"symbol range [{first_symbol}, +{n_symbols}) out of slot")
         values = np.asarray(symbols, dtype=np.complex128).ravel()
         sc0 = first_prb * N_SC_PER_PRB
-        sc1 = sc0 + n_prb * N_SC_PER_PRB
-        capacity = (sc1 - sc0) * n_symbols
+        width = n_prb * N_SC_PER_PRB
+        capacity = width * n_symbols
         if values.size > capacity:
             raise GridError(
                 f"{values.size} symbols exceed block capacity {capacity}")
-        padded = np.zeros(capacity, dtype=np.complex128)
-        padded[:values.size] = values
-        block = padded.reshape(n_symbols, sc1 - sc0).T
-        self.data[sc0:sc1, first_symbol:first_symbol + n_symbols] = block
-        occ = self.occupancy[sc0:sc1, first_symbol:first_symbol + n_symbols]
-        mask = np.zeros(capacity, dtype=bool)
-        mask[:values.size] = True
-        occ[mask.reshape(n_symbols, sc1 - sc0).T] = kind
+        # Whole symbols first, then the partly filled one; the block's
+        # REs past the values are zeroed but keep their occupancy.
+        full, rest = divmod(values.size, width)
+        block = self.data[sc0:sc0 + width,
+                          first_symbol:first_symbol + n_symbols]
+        occ = self.occupancy[sc0:sc0 + width,
+                             first_symbol:first_symbol + n_symbols]
+        block[:, :full] = values[:full * width].reshape(full, width).T
+        occ[:, :full] = kind
+        if full < n_symbols:
+            block[:rest, full] = values[full * width:]
+            block[rest:, full] = 0
+            block[:, full + 1:] = 0
+            occ[:rest, full] = kind
 
     def read_block(self, first_prb: int, n_prb: int, first_symbol: int,
                    n_symbols: int) -> np.ndarray:

@@ -99,8 +99,8 @@ def scramble_bits(bits: np.ndarray, c_init: int) -> np.ndarray:
 def descramble_signs(c_init: int, length: int) -> np.ndarray:
     """Float sign vector ``1 - 2*c`` for LLR descrambling, cached.
 
-    Returned arrays are shared and must not be mutated by callers; the
-    descramble itself (`llrs * signs`) allocates a fresh output.
+    Returned arrays are shared and read-only; the descramble itself
+    (`llrs * signs`) allocates a fresh output.
     """
     global _SIGN_CACHE_HITS, _SIGN_CACHE_MISSES
     key = (c_init, length)
@@ -110,6 +110,7 @@ def descramble_signs(c_init: int, length: int) -> np.ndarray:
         return cached
     _SIGN_CACHE_MISSES += 1
     signs = 1.0 - 2.0 * gold_sequence(c_init, length).astype(np.float64)
+    signs.setflags(write=False)
     if len(_SIGN_CACHE) < _CACHE_LIMIT:
         _SIGN_CACHE[key] = signs
     return signs

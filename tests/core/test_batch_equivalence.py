@@ -19,11 +19,13 @@ from repro.constants import DCI_CRC_LEN
 from repro.core.dci_decoder import DecodedDci, GridDciDecoder, \
     _ue_entry_plan, grid_decode_job
 from repro.core.runtime import WindowRun, run_window
-from repro.core.rach_sniffer import RachSniffer
+from repro.core.rach_sniffer import RachSniffer, SpaceSnapshot
 from repro.gnb.cell_config import SRSRAN_PROFILE
 from repro.phy import polar
 from repro.phy.dci import Dci, DciError, DciFormat, dci_payload_size, \
     riv_encode, unpack
+from repro.phy.modulation import QPSK, demodulate_qpsk, demodulate_soft, \
+    demodulate_soft_batch
 from repro.phy.pdcch import PdcchCandidate, candidate_occupied, \
     dci_recover_rnti, decode_candidate_bits, encode_pdcch, \
     try_decode_pdcch
@@ -54,8 +56,8 @@ def build_slot(tracked, slot_index, level=2, noise_var=0.0, seed=0):
             dci = Dci(format=DciFormat.DL_1_1, rnti=rnti,
                       freq_alloc_riv=riv_encode(0, 4, 51), time_alloc=1,
                       mcs=10, ndi=0, rv=0, harq_id=0)
-            encode_pdcch(dci, cfg, space.coreset,
-                         PdcchCandidate(start, level), grid,
+            encode_pdcch([(dci, space.coreset,
+                           PdcchCandidate(start, level))], cfg, grid,
                          n_id=SRSRAN_PROFILE.cell_id,
                          slot_index=slot_index)
             used |= cces
@@ -164,9 +166,13 @@ class TestBatchMatchesScalar:
         grid = build_slot(tracked, slot_index=4)
         decoder = make_decoder()
         decoder.decode_slot_batch(grid, 4, tracked)
+        # The same snapshot reuses its layout: phases 1-2 are not redone.
+        assert decoder.prepare(grid, 24, tracked).layout \
+            is decoder.prepare(grid, 4, tracked).layout
         before = _ue_entry_plan.cache_info().hits
-        decoder.decode_slot_batch(grid, 4, tracked)
-        # One hit per (space, rnti) entry: the whole phase-1 candidate
+        decoder.decode_slot_batch(grid, 4, SpaceSnapshot(tracked))
+        # A new snapshot builds its layout from the plans: one hit per
+        # (space, rnti) entry, so the whole phase-1 candidate
         # enumeration collapses to a memoized lookup on repeat slots.
         assert _ue_entry_plan.cache_info().hits >= before + len(tracked)
 
@@ -204,6 +210,142 @@ class TestBatchMatchesScalar:
         assert sum(calls[0]) <= len(entries)
 
 
+def assert_matches_reference(tracked, slot_index, grid, claimed=None,
+                             **kwargs):
+    """The batched search against the per-candidate reference: decoded
+    DCIs, attempts and claimed CCEs."""
+    scalar = make_decoder(**kwargs)
+    batched = make_decoder(**kwargs)
+    claimed_s = set(claimed or ())
+    claimed_b = set(claimed or ())
+    out_s, attempts_s = per_candidate_search(
+        scalar, grid, slot_index, tracked, claimed=claimed_s)
+    out_b = batched.decode_slot_batch(grid, slot_index, tracked,
+                                      claimed=claimed_b)
+    assert out_b == out_s
+    assert batched.attempts == attempts_s
+    assert claimed_b == claimed_s
+    return out_b
+
+
+#: Decoder settings the cached layout must decode under: the default,
+#: each ablation flag off, and the equalizer.
+LAYOUT_OPTIONS = [
+    dict(),
+    dict(use_energy_gate=False),
+    dict(use_cce_claiming=False),
+    dict(use_energy_gate=False, use_cce_claiming=False),
+    dict(equalize=True),
+]
+
+
+class TestLayoutCache:
+    """The layout :meth:`GridDciDecoder.prepare` keeps on the snapshot
+    decodes like the per-candidate search, whatever slot reuses it."""
+
+    @pytest.mark.parametrize("options", LAYOUT_OPTIONS)
+    def test_one_snapshot_across_two_frames(self, options):
+        tracked = build_tracked(8)
+        decoder = make_decoder(**options)
+        layouts = set()
+        for slot_index, seed in ((5, 1), (25, 2), (45, 3), (6, 4)):
+            grid = build_slot(tracked, slot_index, level=2,
+                              noise_var=0.02, seed=seed)
+            if options.get("equalize"):
+                grid.data *= 0.9 * np.exp(0.4j)
+            decoded = assert_matches_reference(tracked, slot_index, grid,
+                                               **options)
+            assert decoded
+            layouts.add(id(decoder.prepare(grid, slot_index,
+                                           tracked).layout))
+        # Slots 5, 25 and 45 share one layout; slot 6 has its own.
+        assert len(layouts) == 2
+
+    @pytest.mark.parametrize("options", LAYOUT_OPTIONS)
+    def test_ue_joining_mid_frame(self, options):
+        sniffer = RachSniffer(bwp_n_prb=51)
+        setup = RrcSetup(tc_rnti=0x4601,
+                         search_space=SRSRAN_PROFILE.search_space_config())
+        sniffer.discover(0x4601, 0.0, setup)
+        sniffer.discover(0x4602, 0.0, None)
+        before = sniffer.space_snapshot()
+        grid = build_slot(before, 7, noise_var=1e-3, seed=5)
+        assert_matches_reference(before, 7, grid, **options)
+        sniffer.discover(0x4a11, 0.0035, None)
+        after = sniffer.space_snapshot()
+        assert after is not before and len(after) == 3
+        grid = build_slot(after, 8, noise_var=1e-3, seed=6)
+        assert len(assert_matches_reference(after, 8, grid,
+                                            **options)) == 3
+        # The old snapshot still searches its own two UEs.
+        assert len(assert_matches_reference(before, 8, grid,
+                                            **options)) == 2
+
+    @pytest.mark.parametrize("options", LAYOUT_OPTIONS)
+    def test_pre_claimed_cces(self, options):
+        tracked = build_tracked(10)
+        grid = build_slot(tracked, 11, level=1, noise_var=1e-3, seed=7)
+        # Build the snapshot's layout with nothing claimed, so the
+        # claimed searches below reuse it.
+        make_decoder(**options).prepare(grid, 11, tracked)
+        for claimed in ({0}, {2, 3}, set(range(8))):
+            assert_matches_reference(tracked, 11, grid, claimed=claimed,
+                                     **options)
+
+
+class TestQpskDemod:
+    @given(st.lists(st.tuples(
+        st.floats(-4, 4, allow_nan=False, width=32),
+        st.floats(-4, 4, allow_nan=False, width=32)), max_size=300),
+        st.sampled_from([1e-12, 1e-3, 0.05, 0.7, 1.0, 3.3]))
+    @settings(max_examples=120, deadline=None)
+    def test_bitwise_equal_to_generic_demod(self, points, noise_var):
+        symbols = np.array([complex(re, im) for re, im in points],
+                           dtype=np.complex128)
+        assert demodulate_qpsk(symbols, noise_var).tobytes() == \
+            demodulate_soft(symbols, QPSK, noise_var).tobytes()
+
+    def test_batch_demod_takes_the_qpsk_kernel(self):
+        rng = np.random.default_rng(2)
+        block = rng.normal(size=(6, 54)) + 1j * rng.normal(size=(6, 54))
+        got = demodulate_soft_batch(block, QPSK, 0.3)
+        for row, llrs in zip(block, got):
+            assert llrs.tobytes() == \
+                demodulate_soft(row, QPSK, 0.3).tobytes()
+
+
+def test_at_most_two_gathers_and_demods_per_downlink_slot(monkeypatch):
+    """One gather and at most one demod for the UE-space search, the
+    same for the common search."""
+    from repro.core import dci_decoder
+    from repro.core.scope import NRScope
+    from repro.phy.pdcch import CandidateLayout
+    from repro.simulation import Simulation
+
+    counts = {"gather": 0, "demod": 0}
+    gather, demod = CandidateLayout.gather, dci_decoder.demodulate_soft_batch
+
+    def counting_gather(self, grid):
+        counts["gather"] += 1
+        return gather(self, grid)
+
+    def counting_demod(*args):
+        counts["demod"] += 1
+        return demod(*args)
+
+    monkeypatch.setattr(CandidateLayout, "gather", counting_gather)
+    monkeypatch.setattr(dci_decoder, "demodulate_soft_batch",
+                        counting_demod)
+    sim = Simulation.build(SRSRAN_PROFILE, n_ues=4, seed=2, fidelity="iq")
+    scope = NRScope.attach(sim, snr_db=18.0)
+    downlink = 0
+    for _ in range(120):
+        downlink += sim.step().is_downlink
+    scope.flush()
+    assert scope.tracked_rntis
+    assert 0 < counts["demod"] <= counts["gather"] <= 2 * downlink
+
+
 def build_common_slot(slot_index, tc_rntis, noise_var, seed):
     """MSG 4-style DCIs, CRC-masked with TC-RNTIs, in CORESET 0."""
     grid = ResourceGrid(SRSRAN_PROFILE.n_prb)
@@ -220,8 +362,8 @@ def build_common_slot(slot_index, tc_rntis, noise_var, seed):
         dci = Dci(format=DciFormat.DL_1_1, rnti=tc_rnti,
                   freq_alloc_riv=riv_encode(0, 4, 51), time_alloc=1,
                   mcs=4, ndi=0, rv=0, harq_id=0)
-        encode_pdcch(dci, cfg, space.coreset, PdcchCandidate(start, level),
-                     grid, n_id=SRSRAN_PROFILE.cell_id,
+        encode_pdcch([(dci, space.coreset, PdcchCandidate(start, level))],
+                     cfg, grid, n_id=SRSRAN_PROFILE.cell_id,
                      slot_index=slot_index)
         used |= cces
     if noise_var > 0.0:

@@ -22,8 +22,7 @@ class TestEngine:
     def test_fixture_tree_violates_every_rule(self, engine, fixtures_dir):
         findings = engine.run([fixtures_dir])
         seen = {f.rule_id for f in findings}
-        assert {"R001", "R002", "R003", "R004",
-                "R005", "R007", "R008"} <= seen
+        assert {rule.rule_id for rule in iter_rules()} <= seen
 
     def test_findings_independent_of_file_order(self, engine, fixtures_dir):
         """Linting the tree must produce the same findings regardless

@@ -19,8 +19,8 @@ from repro.phy.crc import crc_generator_matrix, crc_remainder, \
     crc_remainder_batch
 from repro.phy.pdcch import dci_crc_attach, dci_crc_check, \
     dci_crc_check_batch
-from repro.phy.scrambling import descramble_llrs, gold_sequence, \
-    sign_cache_stats
+from repro.phy.scrambling import descramble_llrs, descramble_signs, \
+    gold_sequence, sign_cache_stats
 
 #: (k, E) pairs the PDCCH path actually uses: E = 108 * level, k = DCI
 #: payload + CRC for the two monitored formats.
@@ -286,6 +286,55 @@ class TestKernelCaches:
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
 
+    def test_shared_cached_arrays_are_read_only(self):
+        """Every cached array a later slot reuses refuses writes: a
+        caller that mutated one would corrupt every slot after it."""
+        from repro.core.dci_decoder import GridDciDecoder, _common_layout
+        from repro.core.rach_sniffer import SpaceSnapshot
+        from repro.gnb.cell_config import SRSRAN_PROFILE
+        from repro.phy import pdcch
+        from repro.phy.resource_grid import ResourceGrid
+
+        coreset = SRSRAN_PROFILE.dedicated_coreset()
+        dmrs = pdcch._dmrs_layout(coreset, 0, 2)
+        common, _ = _common_layout(SRSRAN_PROFILE.common_search_space(),
+                                   SRSRAN_PROFILE.dci_size_config(), 1)
+        decoder = GridDciDecoder(SRSRAN_PROFILE.dci_size_config(), n_id=1,
+                                 noise_var=0.01)
+        search = decoder.prepare(
+            ResourceGrid(SRSRAN_PROFILE.n_prb), 3,
+            SpaceSnapshot({0x4601: SearchSpace(
+                search_space_id=1, coreset=coreset, is_common=False,
+                candidates_per_level={2: 2, 4: 2})})).layout
+        shared = {
+            "candidate indices": pdcch._candidate_flat_indices(
+                coreset, 0, 2),
+            "level matrix": pdcch._level_index_matrix(coreset, 2),
+            "dmrs flat": dmrs.flat,
+            "dmrs reg order": dmrs.reg_order,
+            "dmrs pilots": pdcch._dmrs_pilots(1, 3, 1, 12),
+            "scrambling index": pdcch._scrambled_qpsk_index(1, 216),
+            "descramble signs": descramble_signs(0x1234, 216),
+            "polar generator": polar._generator(44, 216),
+            "common flat": common.flat,
+            "common row widths": common.row_widths,
+            "common signs": common.signs[0],
+            "search flat": search.candidates.flat,
+            "search signs": search.candidates.signs[0],
+            "entry pos": search.entry_pos,
+            "entry rnti": search.entry_rnti,
+            "valid rows": search.valid_rows,
+            "row pos": search.row_pos,
+            "row fits": search.row_fits,
+        }
+        for name, array in shared.items():
+            assert array.size, name
+            first = (0,) * array.ndim
+            with pytest.raises(ValueError, match="read-only"):
+                array[first] = array[first]
+            with pytest.raises(ValueError, match="read-only"):
+                array += array
+
     def test_gold_sequence_served_from_cache(self):
         first = gold_sequence(0x4242, 512)
         second = gold_sequence(0x4242, 256)
@@ -325,3 +374,48 @@ class TestSearchSpaceHashing:
         b = SearchSpace(1, coreset, False, {4: 1, 2: 2})
         assert a == b
         assert hash(a) != hash(b)
+
+
+class TestCandidateLayout:
+    """One gather over many candidates reads, gates and demodulates
+    each candidate exactly as the per-candidate kernels do."""
+
+    def test_rows_match_per_candidate_kernels(self):
+        from repro.gnb.cell_config import SRSRAN_PROFILE
+        from repro.phy.modulation import QPSK, demodulate_qpsk, \
+            demodulate_soft
+        from repro.phy.pdcch import CandidateLayout, PdcchCandidate, \
+            _gather_candidate, candidate_energy
+        from repro.phy.resource_grid import ResourceGrid
+
+        rng = np.random.default_rng(11)
+        grid = ResourceGrid(SRSRAN_PROFILE.n_prb)
+        grid.data[:] = rng.normal(size=grid.data.shape) \
+            + 1j * rng.normal(size=grid.data.shape)
+        groups = [(coreset, level,
+                   list(range(0, coreset.n_cces - level + 1, level)))
+                  for coreset in (SRSRAN_PROFILE.coreset0(),
+                                  SRSRAN_PROFILE.dedicated_coreset())
+                  for level in (1, 2, 4, 8)]
+        c_init = 0x1F5
+        layout = CandidateLayout.build(groups, c_init)
+        candidates = [(coreset, PdcchCandidate(start, level))
+                      for coreset, level, starts in groups
+                      for start in starts]
+        assert layout.n_rows == len(candidates)
+        values = layout.gather(grid)
+        energies = layout.energies(values)
+        for (coreset, candidate), energy in zip(candidates, energies):
+            assert energy.tobytes() == np.float64(candidate_energy(
+                grid, coreset, candidate)).tobytes()
+        keep = rng.random(layout.n_rows) < 0.5
+        blocks = layout.split(
+            demodulate_qpsk(layout.select(values, keep), 0.2), keep)
+        want = [descramble_llrs(demodulate_soft(
+            _gather_candidate(grid, coreset, candidate), QPSK, 0.2), c_init)
+            for (coreset, candidate), kept in zip(candidates, keep)
+            if kept]
+        got = [row for block in blocks for row in block]
+        assert len(got) == len(want) == int(keep.sum())
+        for row, expected in zip(got, want):
+            assert row.tobytes() == expected.tobytes()

@@ -20,7 +20,7 @@ def encode_one(gain=1.0 + 0j, slot_index=3, level=2):
               ndi=1, rv=0, harq_id=4)
     grid = ResourceGrid(51)
     candidate = PdcchCandidate(0, level)
-    encode_pdcch(dci, CFG, CORESET, candidate, grid, N_ID, slot_index)
+    encode_pdcch([(dci, CORESET, candidate)], CFG, grid, N_ID, slot_index)
     grid.data *= gain
     return dci, grid, candidate
 
@@ -114,10 +114,10 @@ class TestDecoderIntegration:
         dci = Dci(format=DciFormat.DL_1_1, rnti=0x4601,
                   freq_alloc_riv=riv_encode(0, 4, 51), time_alloc=1,
                   mcs=9, ndi=0, rv=0, harq_id=1)
-        encode_pdcch(dci, SRSRAN_PROFILE.dci_size_config(),
-                     ue.search_space.coreset, PdcchCandidate(start, 2),
-                     grid, n_id=SRSRAN_PROFILE.cell_id,
-                     slot_index=slot_index)
+        encode_pdcch([(dci, ue.search_space.coreset,
+                       PdcchCandidate(start, 2))],
+                     SRSRAN_PROFILE.dci_size_config(), grid,
+                     n_id=SRSRAN_PROFILE.cell_id, slot_index=slot_index)
         grid.data *= np.exp(1.5j)
         captured = grid.clone_with_noise(15.0, rng)
 

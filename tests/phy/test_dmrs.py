@@ -74,8 +74,9 @@ class TestGridIntegration:
         dci = Dci(format=DciFormat.DL_1_1, rnti=0x4601,
                   freq_alloc_riv=riv_encode(0, 4, 51), time_alloc=1,
                   mcs=5, ndi=0, rv=0, harq_id=0)
-        encode_pdcch(dci, DciSizeConfig(n_prb_bwp=51), coreset,
-                     PdcchCandidate(0, 1), grid, n_id=500, slot_index=0)
+        encode_pdcch([(dci, coreset, PdcchCandidate(0, 1))],
+                     DciSizeConfig(n_prb_bwp=51), grid, n_id=500,
+                     slot_index=0)
         dmrs_res = np.where(grid.occupancy == ResourceGrid.DMRS)
         assert dmrs_res[0].size == 6 * 3  # 6 REGs x 3 pilots
         for sc_total in dmrs_res[0]:

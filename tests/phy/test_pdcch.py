@@ -9,12 +9,10 @@ from repro.phy.dci import Dci, DciFormat, DciSizeConfig, riv_encode
 from repro.phy.pdcch import (
     BITS_PER_CCE,
     PdcchCandidate,
-    PdcchError,
     dci_crc_attach,
     dci_crc_check,
     dci_recover_rnti,
     decode_candidate_bits,
-    _write_dmrs,
     encode_pdcch,
     estimate_channel,
     try_decode_pdcch,
@@ -40,7 +38,9 @@ def coreset():
 
 
 def encode_one(grid, dci, cand, slot_index=0):
-    return encode_pdcch(dci, CFG, coreset(), cand, grid, N_ID, slot_index)
+    [payload] = encode_pdcch([(dci, coreset(), cand)], CFG, grid, N_ID,
+                             slot_index)
+    return payload
 
 
 class TestCrcChain:
@@ -87,10 +87,12 @@ class TestEncode:
         assert dmrs_res == 2 * 6 * 3
 
     def test_candidate_must_fit(self):
+        # A candidate past the CORESET's CCEs is skipped: no payload,
+        # nothing written.
         grid = ResourceGrid(n_prb=51)
         cand = PdcchCandidate(first_cce=6, aggregation_level=4)
-        with pytest.raises(PdcchError):
-            encode_one(grid, make_dci(), cand)
+        assert encode_one(grid, make_dci(), cand) is None
+        assert not grid.occupancy.any() and not grid.data.any()
 
     def test_bits_per_cce(self):
         assert BITS_PER_CCE == 108
@@ -262,8 +264,13 @@ class TestDmrsLayout:
                 for first in range(0, cs.n_cces - level + 1, level):
                     cand = PdcchCandidate(first, level)
                     got = ResourceGrid(SRSRAN_PROFILE.n_prb)
+                    encode_pdcch([(make_dci(), cs, cand)], CFG, got, N_ID,
+                                  slot_index)
+                    # The same data REs, then the pilots RE by RE.
                     want = ResourceGrid(SRSRAN_PROFILE.n_prb)
-                    _write_dmrs(cs, cand, got, N_ID, slot_index)
+                    data = got.occupancy == ResourceGrid.PDCCH
+                    want.data[data] = got.data[data]
+                    want.occupancy[data] = ResourceGrid.PDCCH
                     write_dmrs_per_re(cs, cand, want, N_ID, slot_index)
                     assert got.data.tobytes() == want.data.tobytes()
                     assert got.occupancy.tobytes() == \

@@ -51,7 +51,7 @@ class TestChainProperties:
                                    aggregation_level=level)
         grid = ResourceGrid(51)
         slot = data.draw(st.integers(0, 1000))
-        encode_pdcch(dci, CFG, CORESET, candidate, grid, N_ID, slot)
+        encode_pdcch([(dci, CORESET, candidate)], CFG, grid, N_ID, slot)
         decoded = try_decode_pdcch(grid, CFG, CORESET, candidate,
                                    dci.format, dci.rnti, N_ID, 1e-4)
         assert decoded == dci
@@ -65,7 +65,7 @@ class TestChainProperties:
                           .filter(lambda r: r != dci.rnti))
         grid = ResourceGrid(51)
         candidate = PdcchCandidate(0, 2)
-        encode_pdcch(dci, CFG, CORESET, candidate, grid, N_ID, 0)
+        encode_pdcch([(dci, CORESET, candidate)], CFG, grid, N_ID, 0)
         assert try_decode_pdcch(grid, CFG, CORESET, candidate,
                                 dci.format, wrong, N_ID, 1e-4) is None
 
@@ -78,7 +78,7 @@ class TestChainProperties:
                              n_layers=data.draw(st.integers(1, 2)))
         grid = ResourceGrid(51)
         candidate = PdcchCandidate(0, 4)
-        encode_pdcch(dci, CFG, CORESET, candidate, grid, N_ID, 0)
+        encode_pdcch([(dci, CORESET, candidate)], CFG, grid, N_ID, 0)
         decoded = try_decode_pdcch(grid, CFG, CORESET, candidate,
                                    dci.format, dci.rnti, N_ID, 1e-4)
         assert decoded is not None
@@ -96,7 +96,7 @@ class TestChainProperties:
                   mcs=10, ndi=0, rv=0, harq_id=3)
         grid = ResourceGrid(51)
         candidate = PdcchCandidate(0, 2)
-        encode_pdcch(dci, CFG, CORESET, candidate, grid, N_ID, 0)
+        encode_pdcch([(dci, CORESET, candidate)], CFG, grid, N_ID, 0)
         snr_db = float(rng.uniform(-6.0, 4.0))
         noisy = grid.clone_with_noise(snr_db, rng)
         decoded = try_decode_pdcch(noisy, CFG, CORESET, candidate,
