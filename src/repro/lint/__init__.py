@@ -8,10 +8,8 @@ repo's 3GPP bit-contract and determinism invariants (paper section
 3.2.1: one mis-sized field silently corrupts every downstream metric).
 
 Run it as ``python -m repro.lint [--format text|json] [paths...]`` or
-through the main CLI as ``python -m repro.cli lint``.  Two more modes:
-``python -m repro.lint contracts`` prints the JSON contract report
-(shapes and obs emission sites), and ``--changed [REF]`` scopes the
-scan to git-changed files for a fast PR gate.
+through the main CLI as ``python -m repro.cli lint``.  ``--changed
+[REF]`` scopes the scan to git-changed files for a fast PR gate.
 
 Rule catalogue (see each module under :mod:`repro.lint.rules`):
 
@@ -25,8 +23,12 @@ Rule catalogue (see each module under :mod:`repro.lint.rules`):
 * **R007** every RNG draw in the runtime core must flow from an
   owned, seeded Generator.
 * **R008** dtype-less numpy allocations in PHY hot paths.
-* **R010**/**R011** dtype drift and axis-layout safety in the batched
-  PHY kernels; **R012** obs emission conformance.
+* **R012** obs emission conformance against the declared event
+  registry.
+
+The batched PHY kernels' dtypes, ranks and bit identity with their
+scalar twins are pinned by tests (``tests/phy/test_batch_kernels.py``),
+not by a rule.
 
 Every rule sees one module at a time.  New rules are one file each:
 drop ``rNNN_name.py`` into :mod:`repro.lint.rules` with a

@@ -5,7 +5,6 @@ Also mounted as the ``lint`` subcommand of ``python -m repro.cli``.
 Modes::
 
     python -m repro.lint [PATH...]        # lint (default)
-    python -m repro.lint contracts [PATH...]  # JSON contract report
     python -m repro.lint --changed [REF]  # lint only git-changed files
 
 Exit codes: 0 clean (or fully baselined), 1 new findings, 2 analyzer
@@ -36,10 +35,8 @@ DEFAULT_ROOTS = ("src/repro", "repro", "src")
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the lint options (shared with the repro.cli subcommand)."""
     parser.add_argument("paths", nargs="*", metavar="PATH",
-                        help="files or directories to lint; the first "
-                             "may be the literal 'contracts' to emit "
-                             "the JSON contract report instead of "
-                             "findings (default: the repro package)")
+                        help="files or directories to lint "
+                             "(default: the repro package)")
     parser.add_argument("--format", choices=["text", "json", "sarif"],
                         default="text", dest="output_format",
                         help="finding output format (sarif emits a "
@@ -125,87 +122,9 @@ def changed_python_files(ref: str) -> list[Path]:
     return out
 
 
-def _run_contracts(args: argparse.Namespace, paths: list[str]) -> int:
-    """The ``contracts`` mode: emit the cross-boundary contract report.
-
-    Two sections mirror the R010-R012 analyses: ``shapes`` (dtype/
-    layout interpretation of the hot batched modules, including scalar/
-    batch twins) and ``obs`` (every emission site versus the declared
-    event registry).
-    """
-    from repro.lint.obsconform import collect_emissions
-    from repro.lint.rules.r010_dtype_drift import HOT_FILES, HOT_PREFIXES
-    from repro.lint.shapes import analyze_module
-    from repro.obs.events import KNOWN_EVENTS
-
-    engine = LintEngine(rules=[])
-    modules, parse_failures = engine.collect(
-        _resolve_paths(args, paths))
-
-    shapes_section: dict[str, object] = {}
-    for module in modules:
-        if not (module.rel.startswith(HOT_PREFIXES)
-                or module.rel in HOT_FILES):
-            continue
-        mod = analyze_module(module.tree)
-        functions = {
-            qualname: {
-                "layouts": {name: value.render() for name, value
-                            in sorted(shapes.layouts.items())},
-                "return": shapes.return_value.render(),
-                "issues": [
-                    {"kind": issue.kind, "line": issue.lineno,
-                     "detail": issue.detail}
-                    for issue in shapes.issues
-                ],
-            }
-            for qualname, shapes in sorted(mod.functions.items())
-        }
-        twins = [
-            {"scalar": scalar.qualname, "batch": batch.qualname,
-             "scalar_return": scalar.return_value.render(),
-             "batch_return": batch.return_value.render()}
-            for scalar, batch in mod.batch_twins()
-        ]
-        shapes_section[module.rel] = {
-            "functions": functions, "twins": twins,
-        }
-
-    sites: list[dict[str, object]] = []
-    unknown: list[str] = []
-    for module in modules:
-        for site in collect_emissions(module.tree):
-            known = site.name in KNOWN_EVENTS
-            sites.append({
-                "rel": module.rel, "line": site.lineno,
-                "name": site.name, "kind": site.kind,
-                "method": site.method, "known": known,
-            })
-            if site.name is not None and not known:
-                unknown.append(site.name)
-
-    report = {
-        "shapes": shapes_section,
-        "obs": {
-            "n_sites": len(sites),
-            "known_events": sorted(KNOWN_EVENTS),
-            "unknown_names": sorted(set(unknown)),
-            "sites": sorted(sites,
-                            key=lambda s: (s["rel"], s["line"])),
-        },
-        "parse_failures": [f.rel for f in parse_failures],
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation; returns the exit code."""
     paths = list(args.paths)
-    contracts_mode = bool(paths) and paths[0] == "contracts"
-    if contracts_mode:
-        paths = paths[1:]
-
     try:
         select = None if args.select is None else \
             [s.strip() for s in args.select.split(",") if s.strip()]
@@ -224,9 +143,6 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        if contracts_mode:
-            return _run_contracts(args, paths)
-
         if args.changed is not None:
             if paths:
                 print("error: --changed and explicit paths are "

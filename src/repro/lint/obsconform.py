@@ -260,12 +260,3 @@ def check_site(site: EmissionSite,
                   f"(DESIGN.md §7); use a closed set of literals")
     return issues
 
-
-def check_module(tree: ast.Module,
-                 registry: Mapping[str, EventSpec]) \
-        -> list[tuple[EmissionSite, list[ConformanceIssue]]]:
-    """Collect and check every emission site of one module."""
-    out: list[tuple[EmissionSite, list[ConformanceIssue]]] = []
-    for site in collect_emissions(tree):
-        out.append((site, check_site(site, registry)))
-    return out

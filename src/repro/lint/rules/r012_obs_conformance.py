@@ -30,7 +30,7 @@ from typing import Iterator
 
 from repro.lint.engine import LintContext
 from repro.lint.findings import Finding
-from repro.lint.obsconform import check_module
+from repro.lint.obsconform import check_site, collect_emissions
 from repro.lint.registry import Rule, register
 from repro.obs.events import KNOWN_EVENTS
 
@@ -43,8 +43,8 @@ class ObsConformanceRule(Rule):
     title = "obs emission violates the declared event registry"
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for site, issues in check_module(ctx.tree, KNOWN_EVENTS):
-            for issue in issues:
+        for site in collect_emissions(ctx.tree):
+            for issue in check_site(site, KNOWN_EVENTS):
                 node = ast.Constant(value=None)
                 node.lineno = issue.lineno
                 node.col_offset = issue.col

@@ -38,8 +38,14 @@ class TestLintCli:
         assert lint_main(["--select", "", str(REPO_SRC)]) == 2
         assert "names no rules" in capsys.readouterr().err
 
-    def test_missing_path_exits_two(self, tmp_path, capsys):
-        assert lint_main([str(tmp_path / "missing")]) == 2
+    def test_missing_path_exits_two(self, tmp_path, capsys,
+                                    monkeypatch):
+        """Also the retired ``effects`` mode: the word is now linted as
+        a path, which does not exist."""
+        monkeypatch.chdir(tmp_path)
+        for path in ("missing", "effects"):
+            assert lint_main([path]) == 2
+            assert repro_main(["lint", path]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_json_format(self, fixtures_dir, capsys):
@@ -55,10 +61,10 @@ class TestLintCli:
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("R001", "R002", "R003", "R004",
-                        "R005", "R007", "R008",
-                        "R010", "R011", "R012"):
+                        "R005", "R007", "R008", "R012"):
             assert rule_id in out
-        assert "R006" not in out and "R009" not in out
+        for retired in ("R006", "R009", "R010", "R011"):
+            assert retired not in out
 
     def test_sarif_format(self, fixtures_dir, capsys):
         assert lint_main([str(fixtures_dir), "--format",
@@ -68,7 +74,8 @@ class TestLintCli:
         run = log["runs"][0]
         assert run["tool"]["driver"]["name"] == "nrlint"
         catalogue = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"R001", "R007", "R010", "R011", "R012"} <= catalogue
+        assert {"R001", "R007", "R012"} <= catalogue
+        assert not {"R010", "R011"} & catalogue
         assert run["results"]
         result = run["results"][0]
         assert result["ruleId"] in catalogue
@@ -129,38 +136,15 @@ class TestLintCli:
 
 
 class TestContractsMode:
-    def test_contract_report_on_repo(self, capsys):
-        assert lint_main(["contracts", str(REPO_SRC)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert sorted(report) == ["obs", "parse_failures", "shapes"]
-
-        polar = report["shapes"]["phy/polar.py"]
-        assert any(t["scalar"] == "decode"
-                   and t["batch"] == "decode_batch"
-                   for t in polar["twins"])
-        decode_batch = polar["functions"]["decode_batch"]
-        assert decode_batch["layouts"]["llrs"] == "(B, E) float64"
-        assert not decode_batch["issues"]
-
-        obs = report["obs"]
-        assert obs["n_sites"] >= 14
-        assert obs["unknown_names"] == []
-        assert all(s["known"] for s in obs["sites"])
-        assert report["parse_failures"] == []
-
-    def test_contract_report_flags_fixture_contracts(self, fixtures_dir,
-                                                     capsys):
-        assert lint_main(["contracts", str(fixtures_dir)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert "decode.wat" in report["obs"]["unknown_names"]
-        assert any(issue["kind"]
-                   for module in report["shapes"].values()
-                   for fn in module["functions"].values()
-                   for issue in fn["issues"])
-
-    def test_contracts_via_repro_cli(self, capsys):
-        assert repro_main(["lint", "contracts", str(REPO_SRC)]) == 0
-        assert '"shapes"' in capsys.readouterr().out
+    def test_contracts_via_repro_cli(self, tmp_path, capsys, monkeypatch):
+        """The contracts report is retired: ``repro lint contracts``
+        lints ``contracts`` as a path, which does not exist, and prints
+        no report."""
+        monkeypatch.chdir(tmp_path)
+        assert repro_main(["lint", "contracts", str(REPO_SRC)]) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err
+        assert '"shapes"' not in captured.out
 
 
 class TestChangedMode:

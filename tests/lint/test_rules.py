@@ -1,8 +1,13 @@
 """Positive and negative self-tests for every built-in nrlint rule."""
 
 import textwrap
+from pathlib import Path
 
 from repro.lint import LintEngine
+from repro.lint.obsconform import collect_emissions
+from repro.obs.events import KNOWN_EVENTS
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def lint(source: str, rel: str, engine: LintEngine | None = None):
@@ -601,107 +606,6 @@ class TestR008DtypeHygiene:
         assert not self.r008(lint(src, "analysis/metrics.py"))
 
 
-class TestR010DtypeDrift:
-    def r010(self, findings):
-        return [f for f in findings if f.rule_id == "R010"]
-
-    def test_flags_upcast_and_return_drift(self):
-        findings = self.r010(lint('''
-        import numpy as np
-
-        def scale(llrs):
-            """Scale.
-
-            Layout: llrs (B, E) float32
-            Layout: return (B, E) float32
-            """
-            weights = np.full(llrs.shape[1], 0.5)
-            return llrs * weights
-        ''', "phy/kernel.py"))
-        kinds = " ".join(f.message for f in findings)
-        assert len(findings) == 2
-        assert "silently upcasts" in kinds
-        assert "declared 'Layout: return" in kinds
-
-    def test_flags_twin_return_drift(self):
-        findings = self.r010(lint("""
-        import numpy as np
-
-        def pack(bits):
-            return np.asarray(bits, dtype=np.uint8)
-
-        def pack_batch(bits):
-            return np.asarray(bits, dtype=np.uint16)
-        """, "phy/kernel.py"))
-        assert len(findings) == 1
-        assert "scalar twin" in findings[0].message
-
-    def test_matching_twins_are_clean(self):
-        findings = self.r010(lint("""
-        import numpy as np
-
-        def pack(bits):
-            return np.asarray(bits, dtype=np.uint8)
-
-        def pack_batch(bits):
-            return np.asarray(bits, dtype=np.uint8)
-        """, "phy/kernel.py"))
-        assert not findings
-
-    def test_only_hot_paths_are_checked(self):
-        src = '''
-        import numpy as np
-
-        def scale(llrs):
-            """Layout: llrs (B, E) float32"""
-            return llrs * np.full(3, 0.5)
-        '''
-        assert self.r010(lint(src, "core/dci_decoder.py"))
-        assert not self.r010(lint(src, "analysis/metrics.py"))
-
-
-class TestR011Layout:
-    def r011(self, findings):
-        return [f for f in findings if f.rule_id == "R011"]
-
-    def test_flags_symbol_misaligned_broadcast(self):
-        findings = self.r011(lint('''
-        def weight(llrs, scales):
-            """Weight.
-
-            Layout: llrs (N, B) float64
-            Layout: scales (N) float64
-            """
-            return llrs * scales
-        ''', "phy/kernel.py"))
-        assert len(findings) == 1
-        assert "N == B" in findings[0].message
-
-    def test_aligned_broadcast_is_clean(self):
-        findings = self.r011(lint('''
-        def weight(llrs, scales):
-            """Weight.
-
-            Layout: llrs (N, B) float64
-            Layout: scales (B) float64
-            """
-            return llrs * scales
-        ''', "phy/kernel.py"))
-        assert not findings
-
-    def test_reshaped_vector_is_clean(self):
-        findings = self.r011(lint('''
-        def weight(llrs, scales):
-            """Weight.
-
-            Layout: llrs (N, B) float64
-            Layout: scales (N) float64
-            """
-            return llrs * scales[:, None]
-        ''', "phy/kernel.py"))
-        assert not findings
-
-
 class TestR012ObsConformance:
     def r012(self, findings):
         return [f for f in findings if f.rule_id == "R012"]
@@ -792,3 +696,14 @@ class TestR012ObsConformance:
                 queue.emit("decode.wat", slot=1)
         """)
         assert not findings
+
+    def test_collects_emission_sites_on_repo(self):
+        """The collector still finds the package's real emission sites
+        (a floor, so a collector that silently finds nothing fails),
+        and every site names a declared event."""
+        modules, parse_failures = LintEngine(rules=[]).collect([REPO_SRC])
+        assert parse_failures == []
+        sites = [site for module in modules
+                 for site in collect_emissions(module.tree)]
+        assert len(sites) >= 14
+        assert all(site.name in KNOWN_EVENTS for site in sites)

@@ -8,17 +8,24 @@ diverges first) and assert that the caches the hot loop depends on
 actually hit.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gnb.cell_config import SRSRAN_PROFILE
 from repro.phy import polar
 from repro.phy.coreset import Coreset, SearchSpace, _candidate_starts
-from repro.phy.crc import crc_generator_matrix, crc_remainder, \
-    crc_remainder_batch
-from repro.phy.pdcch import dci_crc_attach, dci_crc_check, \
-    dci_crc_check_batch
+from repro.phy.crc import crc_generator_matrix, crc_parity, \
+    crc_remainder, crc_remainder_batch
+from repro.phy.modulation import QAM16, QPSK, demodulate_qpsk, \
+    demodulate_soft, demodulate_soft_batch
+from repro.phy.pdcch import CandidateLayout, PdcchCandidate, \
+    _gather_candidate, candidate_energy, dci_crc_attach, \
+    dci_crc_attach_batch, dci_crc_check, dci_crc_check_batch
+from repro.phy.resource_grid import ResourceGrid
 from repro.phy.scrambling import descramble_llrs, descramble_signs, \
     gold_sequence, sign_cache_stats
 
@@ -291,9 +298,7 @@ class TestKernelCaches:
         caller that mutated one would corrupt every slot after it."""
         from repro.core.dci_decoder import GridDciDecoder, _common_layout
         from repro.core.rach_sniffer import SpaceSnapshot
-        from repro.gnb.cell_config import SRSRAN_PROFILE
         from repro.phy import pdcch
-        from repro.phy.resource_grid import ResourceGrid
 
         coreset = SRSRAN_PROFILE.dedicated_coreset()
         dmrs = pdcch._dmrs_layout(coreset, 0, 2)
@@ -381,13 +386,6 @@ class TestCandidateLayout:
     each candidate exactly as the per-candidate kernels do."""
 
     def test_rows_match_per_candidate_kernels(self):
-        from repro.gnb.cell_config import SRSRAN_PROFILE
-        from repro.phy.modulation import QPSK, demodulate_qpsk, \
-            demodulate_soft
-        from repro.phy.pdcch import CandidateLayout, PdcchCandidate, \
-            _gather_candidate, candidate_energy
-        from repro.phy.resource_grid import ResourceGrid
-
         rng = np.random.default_rng(11)
         grid = ResourceGrid(SRSRAN_PROFILE.n_prb)
         grid.data[:] = rng.normal(size=grid.data.shape) \
@@ -419,3 +417,101 @@ class TestCandidateLayout:
         assert len(got) == len(want) == int(keep.sum())
         for row, expected in zip(got, want):
             assert row.tobytes() == expected.tobytes()
+
+
+
+def _kernel_inputs():
+    """Small inputs for every kernel of :data:`KERNEL_CASES`."""
+    rng = np.random.default_rng(5)
+    grid = ResourceGrid(SRSRAN_PROFILE.n_prb)
+    grid.data[:] = rng.normal(size=grid.data.shape) \
+        + 1j * rng.normal(size=grid.data.shape)
+    coreset = SRSRAN_PROFILE.coreset0()
+    layout = CandidateLayout.build([(coreset, 4, [0, 4])], 0x1F5)
+    return SimpleNamespace(
+        code=polar.construct(44, 108),
+        info=rng.integers(0, 2, size=(3, 44)).astype(np.uint8),
+        u=rng.integers(0, 2, size=(3, 64)).astype(np.uint8),
+        llrs=lattice_llrs(5, 3, 108),
+        bits=rng.integers(0, 2, size=(3, 40)).astype(np.uint8),
+        rntis=np.array([0x4601, 0x4602, 0xFFFF], dtype=np.int64),
+        symbols=rng.normal(size=(3, 54)) + 1j * rng.normal(size=(3, 54)),
+        grid=grid, coreset=coreset, layout=layout,
+        values=layout.gather(grid), keep=np.array([True, False]),
+        first=PdcchCandidate(0, 4))
+
+
+def _crc_blocks(k):
+    return dci_crc_attach_batch(k.bits, k.rntis)
+
+
+#: ``name -> (batch call, scalar twin call or None, dtype, rank)`` for
+#: every kernel whose docstring carries a ``Layout: return`` line, plus
+#: :func:`dci_crc_check_batch`, whose twin returns a bool.  Each call
+#: takes the :func:`_kernel_inputs` namespace.
+KERNEL_CASES = {
+    "polar._transform": (
+        lambda k: polar._transform(k.u), None, np.uint8, 2),
+    "polar.encode_batch": (
+        lambda k: polar.encode_batch(k.info, k.code),
+        lambda k: polar.encode(k.info[0], k.code), np.uint8, 2),
+    "polar.decode_batch": (
+        lambda k: polar.decode_batch(k.llrs, k.code),
+        lambda k: polar.decode(k.llrs[0], k.code), np.uint8, 2),
+    "polar.decode_blocks": (
+        lambda k: polar.decode_blocks([(k.llrs, (k.code,))])[0][0],
+        None, np.uint8, 2),
+    "crc.crc_remainder_batch": (
+        lambda k: crc_remainder_batch(k.bits, "crc24c"),
+        lambda k: crc_remainder(k.bits[0], "crc24c"), np.uint8, 2),
+    "crc.crc_parity": (
+        lambda k: crc_parity(k.bits[0], "crc24c"), None, np.uint8, 1),
+    "pdcch.dci_crc_attach_batch": (
+        _crc_blocks,
+        lambda k: dci_crc_attach(k.bits[0], int(k.rntis[0])), np.uint8, 2),
+    "pdcch.dci_crc_check_batch": (
+        lambda k: dci_crc_check_batch(_crc_blocks(k), k.rntis),
+        lambda k: dci_crc_check(_crc_blocks(k)[0], int(k.rntis[0])),
+        np.bool_, 1),
+    "scrambling.descramble_llrs": (
+        lambda k: descramble_llrs(k.llrs, 0x1F5),
+        lambda k: descramble_llrs(k.llrs[0], 0x1F5), np.float64, 2),
+    "modulation.demodulate_soft_batch[QPSK]": (
+        lambda k: demodulate_soft_batch(k.symbols, QPSK, 0.2),
+        lambda k: demodulate_soft(k.symbols[0], QPSK, 0.2), np.float64, 2),
+    "modulation.demodulate_soft_batch[16QAM]": (
+        lambda k: demodulate_soft_batch(k.symbols, QAM16, 0.2),
+        lambda k: demodulate_soft(k.symbols[0], QAM16, 0.2),
+        np.float64, 2),
+    "modulation.demodulate_qpsk": (
+        lambda k: demodulate_qpsk(k.symbols.reshape(-1), 0.2),
+        lambda k: demodulate_soft(k.symbols.reshape(-1), QPSK, 0.2),
+        np.float64, 1),
+    "pdcch.CandidateLayout.energies": (
+        lambda k: k.layout.energies(k.values),
+        lambda k: candidate_energy(k.grid, k.coreset, k.first),
+        np.float64, 1),
+    "pdcch.CandidateLayout.select": (
+        lambda k: k.layout.select(k.values, k.keep),
+        lambda k: _gather_candidate(k.grid, k.coreset, k.first),
+        np.complex128, 1),
+}
+
+
+class TestKernelDtypes:
+    """Each batch kernel returns the dtype and rank its ``Layout:``
+    docstring line states, and the dtype its scalar twin returns: a
+    twin that drifts (a bool verdict turned uint8, float64 LLRs turned
+    float32) breaks bit identity downstream even when values agree."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_output_dtype_rank_and_twin(self, name):
+        batch, scalar, dtype, rank = KERNEL_CASES[name]
+        inputs = _kernel_inputs()
+        out = batch(inputs)
+        assert out.dtype == dtype, f"{name} returned {out.dtype}"
+        assert out.ndim == rank, f"{name} returned rank {out.ndim}"
+        if scalar is not None:
+            twin = np.asarray(scalar(inputs))
+            assert twin.dtype == out.dtype, \
+                f"{name} returns {out.dtype}, its scalar twin {twin.dtype}"
