@@ -54,7 +54,8 @@ class FleetError(ValueError):
 #: table computes SNR and CQI when read.
 #: Version 5: the config has no executor and the scope counters no
 #: dropped DCIs.
-CHECKPOINT_VERSION = 5
+#: Version 6: the gNB holds no PDSCH grid generator.
+CHECKPOINT_VERSION = 6
 
 #: Per-cell spacing of derived seeds (cell i draws from seed-space
 #: ``seed + stride * (i + 1)``) and of population UE ids, so no two
@@ -221,7 +222,8 @@ class FleetSupervisor:
         version = blob.get("version") if isinstance(blob, dict) else None
         if version != CHECKPOINT_VERSION:
             raise FleetError(
-                f"unsupported checkpoint version: {version!r}")
+                f"unsupported checkpoint version: {version!r} (this"
+                f" build reads version {CHECKPOINT_VERSION})")
         config = blob["config"]
         controller = MultiCellController(obs=obs)
         supervisor = cls(config, controller, obs)

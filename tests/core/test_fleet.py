@@ -152,7 +152,7 @@ class TestCheckpointResume:
 
     def test_restore_rejects_previous_version(self, tmp_path):
         # Version 1 snapshots held the spare estimator's object history.
-        assert CHECKPOINT_VERSION == 5
+        assert CHECKPOINT_VERSION == 6
         path = tmp_path / "fleet.ckpt"
         path.write_bytes(pickle.dumps({"version": 1, "cells": []}))
         with pytest.raises(FleetError):
@@ -193,6 +193,19 @@ class TestCheckpointResume:
         object.__setattr__(blob["config"], "executor", "inline")
         path.write_bytes(pickle.dumps(blob))
         with pytest.raises(FleetError, match="version: 4"):
+            FleetSupervisor.restore(path)
+
+    def test_restore_rejects_version_5_blob(self, tmp_path):
+        # Version 5 gNBs held the generator of the PDSCH REs they
+        # rendered into iq grids; the error names both versions.
+        path = tmp_path / "fleet.ckpt"
+        supervisor = FleetSupervisor.build(small_config(n_cells=1))
+        supervisor.run(0.3, checkpoint_path=path)
+        blob = pickle.loads(path.read_bytes())
+        blob["version"] = 5
+        path.write_bytes(pickle.dumps(blob))
+        with pytest.raises(FleetError,
+                           match=r"version: 5 \(this build reads version 6\)"):
             FleetSupervisor.restore(path)
 
     def test_restore_rejects_garbage(self, tmp_path):
