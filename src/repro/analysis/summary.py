@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.analysis.report import Table
 from repro.core.runtime import RuntimeStats
+from repro.phy.numerology import slot_duration_s
 
 
 class SummaryError(ValueError):
@@ -55,6 +56,9 @@ class SessionReport:
     cell: CellSummary
     ues: list[UeSummary]
     runtime: RuntimeStats | None = None
+    #: Length of one slot of the session's cell, for the runtime's
+    #: seconds per air second.
+    slot_s: float | None = None
 
     def render(self) -> str:
         """Multi-table text rendering."""
@@ -78,11 +82,14 @@ class SessionReport:
         text = header + "\n\n" + table.render()
         if self.runtime is not None:
             stats = self.runtime
+            keep_up = "" if self.slot_s is None else (
+                f", {stats.busy_per_air_s(self.slot_s):.2f} s per air s")
             runtime_table = Table(
                 title=(f"Runtime stages - "
                        f"{stats.slots_completed}/{stats.slots_submitted}"
-                       f" slots, {stats.budget_overruns} over budget, "
-                       f"amortized decode time per slot"),
+                       f" slots{keep_up}, {stats.budget_overruns} over "
+                       f"budget (a slot's DCI time counts its amortized "
+                       f"share of its window's traversal)"),
                 columns=("stage", "calls", "mean us", "max us"),
                 rows=tuple((s.name, s.calls, s.mean_us, 1e6 * s.max_s)
                            for s in stats.stages))
@@ -135,4 +142,5 @@ def build_session_report(scope, duration_s: float,
         aggregate_dl_mbps=aggregate_dl_bits / duration_s / 1e6,
         mean_prb_utilisation=utilisation)
     return SessionReport(cell=cell, ues=ues,
-                         runtime=getattr(scope, "runtime_stats", None))
+                         runtime=getattr(scope, "runtime_stats", None),
+                         slot_s=slot_duration_s(scope.scs_khz))

@@ -196,8 +196,11 @@ def cmd_sniff(args: argparse.Namespace) -> int:
         stats = scope.runtime_stats
         print(f"runtime: "
               f"{stats.slots_completed}/{stats.slots_submitted} slots, "
+              f"{stats.busy_per_air_s(profile.slot_duration_s):.2f} s "
+              f"per air s (sniffer stages only), "
               f"{stats.budget_overruns} over budget "
-              f"(amortized decode time per slot)")
+              f"(a slot's DCI time counts its amortized share of its "
+              f"window's traversal)")
         for stage in stats.stages:
             print(f"  {stage.name:<8} {stage.calls:6d} calls, "
                   f"mean {stage.mean_us:9.1f} us, "

@@ -174,6 +174,14 @@ class RuntimeStats:
     #: Always 0; read by bench_e2e's _gate_runtime and repeat_layers.
     slots_dropped: int = 0
 
+    def busy_per_air_s(self, slot_s: float) -> float:
+        """Seconds spent in the stages per second of air, for slots
+        ``slot_s`` long: below 1 the stages keep up with the cell.
+        The parallel stage counts its amortized time."""
+        air_s = self.slots_submitted * slot_s
+        return sum(s.total_s for s in self.stages) / air_s if air_s \
+            else 0.0
+
     def stage(self, name: str) -> StageStats:
         """Look up one stage's counters by name."""
         for stats in self.stages:

@@ -137,7 +137,6 @@ class NRScope:
         self.spare: SpareCapacityEstimator | None = None
         self._record_decoder: RecordDciDecoder | None = None
         self._grid_decoder: GridDciDecoder | None = None
-        self._usrp = None
         self._slot_duration_s = slot_duration_s(scs_khz)
         self._prune_interval_slots = int(round(1.0 / self._slot_duration_s))
 
@@ -500,7 +499,7 @@ class NRScope:
             ctx.skip_decode = True
 
     def _stage_capture(self, ctx: SlotContext) -> None:
-        """Noisy IQ capture of the slot (the virtual USRP front end)."""
+        """Noisy IQ capture of the slot's control region."""
         if ctx.skip_decode:
             return
         output = ctx.output
@@ -610,7 +609,8 @@ class NRScope:
         return result.mib
 
     def _capture(self, output: SlotOutput):
-        """Noisy capture of the transmitted grid (the virtual USRP)."""
+        """Noisy capture of the transmitted grid's control region (the
+        sniffer's front end, DESIGN.md section 2)."""
         assert output.grid is not None
         captured = output.grid.clone_with_noise(self.link.snr_db,
                                                 self._rng)
@@ -621,7 +621,7 @@ class NRScope:
             self._capture_amplitude = float(np.clip(
                 self._capture_amplitude
                 + self._rng.normal(0.0, 0.01), 0.7, 1.4))
-            captured.data *= self._capture_amplitude \
+            captured.data[:, :captured.n_ctrl] *= self._capture_amplitude \
                 * np.exp(1j * self._capture_phase)
         return captured
 

@@ -85,6 +85,14 @@ class CellProfile:
         return Coreset(coreset_id=1, first_prb=0, n_prb=n_prb, n_symbols=1,
                        first_symbol=1, interleaved=True)
 
+    @property
+    def control_symbols(self) -> int:
+        """End of the last symbol of any CORESET the cell configures:
+        the control region a capture covers (DESIGN.md section 2)."""
+        return max(coreset.first_symbol + coreset.n_symbols
+                   for coreset in (self.coreset0(),
+                                   self.dedicated_coreset()))
+
     def search_space_config(self) -> SearchSpaceConfig:
         """The MSG 4 search-space element for this cell."""
         coreset = self.dedicated_coreset()

@@ -3,8 +3,8 @@
 DMRS pilots let a real receiver estimate the channel; in this reproduction
 the sniffer's channel knowledge comes from the radio-medium model, but the
 pilots still occupy their standard RE positions so that REG accounting,
-TBS overhead (``N_DMRS`` in the paper's Appendix A) and grid occupancy all
-match the air interface.
+TBS overhead (``N_DMRS`` in the paper's Appendix A) and the PDCCH's grid
+placement all match the air interface.
 """
 
 from __future__ import annotations

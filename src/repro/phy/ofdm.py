@@ -87,9 +87,7 @@ def modulate_slot(grid: ResourceGrid, config: OfdmConfig) -> np.ndarray:
 def demodulate_slot(samples: np.ndarray, config: OfdmConfig) -> ResourceGrid:
     """Recover a resource grid from one slot of IQ samples.
 
-    The inverse of :func:`modulate_slot` under perfect timing; occupancy
-    metadata is unknown to a receiver, so the returned grid reports all
-    REs as empty even where data was decoded.
+    The inverse of :func:`modulate_slot` under perfect timing.
     """
     arr = np.asarray(samples, dtype=np.complex128).ravel()
     if arr.size != config.samples_per_slot:

@@ -238,7 +238,7 @@ def encode_pdcch(items: Sequence[tuple[Dci, Coreset, PdcchCandidate]],
     The slot is one pass: ``pack`` per DCI, one CRC batch and one polar
     encode per (K, E), a cached scrambling sequence folded into the
     QPSK symbol indices, cached DMRS pilots, and one ``np.put`` each
-    for the data, the pilots and the occupancy.
+    for the data and the pilots.
     """
     payloads: dict[int, np.ndarray] = {}
     by_code: dict[tuple[int, int], list[int]] = {}
@@ -280,10 +280,6 @@ def encode_pdcch(items: Sequence[tuple[Dci, Coreset, PdcchCandidate]],
     np.put(grid.data, data_at, np.concatenate([symbols[i]
                                                for i in written]))
     np.put(grid.data, dmrs_at, np.concatenate(pilots))
-    np.put(grid.occupancy, np.concatenate([data_at, dmrs_at]),
-           np.repeat(np.array([ResourceGrid.PDCCH, ResourceGrid.DMRS],
-                              dtype=np.uint8),
-                     [data_at.size, dmrs_at.size]))
     return [payloads.get(i) for i in range(len(items))]
 
 

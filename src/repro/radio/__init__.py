@@ -1,10 +1,8 @@
-"""Radio medium and sniffer front-end models."""
+"""Radio medium: path loss and the sniffer's link budget."""
 
-from repro.radio.iq import AutomaticGainControl, VirtualUsrp, resample
 from repro.radio.medium import Link, PathLossModel, Position, RadioMedium, \
     lab_medium
 
 __all__ = [
-    "AutomaticGainControl", "Link", "PathLossModel", "Position",
-    "RadioMedium", "VirtualUsrp", "lab_medium", "resample",
+    "Link", "PathLossModel", "Position", "RadioMedium", "lab_medium",
 ]

@@ -83,3 +83,25 @@ class TestBuild:
         assert report.ues == []
         assert report.cell.aggregate_dl_mbps == 0.0
         assert report.render()
+
+
+class TestKeepUp:
+    def test_sniffer_seconds_per_air_second_on_an_iq_run(self):
+        """The keep-up number is the scope's stage time (the DCI stage
+        amortized) over the air time of every submitted slot; the gNB's
+        own time is not in it."""
+        sim = Simulation.build(SRSRAN_PROFILE, n_ues=2, seed=7,
+                               fidelity="iq")
+        scope = NRScope.attach(sim, snr_db=15.0)
+        sim.run(seconds=0.05)
+        stats = scope.runtime_stats
+        slot_s = SRSRAN_PROFILE.slot_duration_s
+        busy_s = sum(stage.total_s for stage in stats.stages)
+        keep_up = stats.busy_per_air_s(slot_s)
+        assert stats.slots_submitted == 100
+        assert keep_up == pytest.approx(busy_s / (100 * slot_s))
+        assert keep_up > 0
+        text = build_session_report(scope, 0.05).render()
+        assert f"100/100 slots, {keep_up:.2f} s per air s, " \
+            f"{stats.budget_overruns} over budget" in text
+        assert "amortized share of its window's traversal" in text

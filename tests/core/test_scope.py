@@ -1,5 +1,6 @@
 """Integration tests for the NRScope orchestrator."""
 
+import numpy as np
 import pytest
 
 from repro import NRScope, Simulation, SRSRAN_PROFILE
@@ -146,6 +147,46 @@ class TestCaptureImpairments:
                 if r.downlink and r.time_s > 0.05]
         assert truth
         assert len(late) < len(truth) * 0.5
+
+
+class TestControlSlab:
+    @staticmethod
+    def iq_session(poison, impairments):
+        """A short iq session; with ``poison``, every captured RE past
+        the control region is NaN before the decoder sees it."""
+        sim = Simulation.build(SRSRAN_PROFILE, n_ues=4, seed=5,
+                               fidelity="iq")
+        scope = NRScope.attach(sim, snr_db=10.0,
+                               capture_impairments=impairments)
+        capture = scope._capture
+        poisoned = []
+
+        def capture_control_region(output):
+            grid = capture(output)
+            if poison:
+                grid.data[:, grid.n_ctrl:] = np.nan
+                poisoned.append(grid.n_ctrl)
+            return grid
+
+        scope._capture = capture_control_region
+        sim.run(seconds=0.2)
+        scope.close()
+        return scope, poisoned
+
+    @pytest.mark.parametrize("impairments", [False, True])
+    def test_decode_reads_only_the_control_region(self, impairments):
+        """The capture's noise covers symbols [0, n_ctrl) only, which is
+        exact only while nothing reads past them: the decoder must
+        decode the same DCIs, with the same attempts, from a capture
+        whose other symbols are NaN."""
+        clean, _ = self.iq_session(False, impairments)
+        dirty, poisoned = self.iq_session(True, impairments)
+        assert poisoned and set(poisoned) == {2}
+        assert clean.counters.dcis_decoded > 20
+        assert dirty.telemetry.records == clean.telemetry.records
+        assert dirty._grid_decoder.attempts == \
+            clean._grid_decoder.attempts
+        assert dirty.counters == clean.counters
 
 
 class TestIqParity:

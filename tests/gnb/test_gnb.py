@@ -1,5 +1,6 @@
 """Tests for the integrated gNodeB."""
 
+import numpy as np
 import pytest
 
 from repro.constants import SI_RNTI
@@ -7,7 +8,7 @@ from repro.gnb.cell_config import AMARISOFT_PROFILE, SRSRAN_PROFILE, \
     TMOBILE_N25_PROFILE
 from repro.gnb.gnb import GNodeB, GnbError
 from repro.phy.numerology import SlotClock
-from repro.phy.resource_grid import ResourceGrid
+from repro.phy.pdcch import _candidate_flat_indices, _dmrs_layout
 from repro.simulation import Simulation
 
 
@@ -214,9 +215,25 @@ class TestIqMode:
         with_dcis = [o for o in outputs
                      if o.grid is not None and o.dci_records]
         assert with_dcis
+        profile = SRSRAN_PROFILE
         for output in with_dcis:
-            assert output.grid.count_regs(
-                kinds=(ResourceGrid.PDCCH,)) > 0
+            # The grid holds each fitting record's PDCCH data REs (the
+            # sniffer's gather indices) and pilots, and nothing else.
+            want = set()
+            for record in output.dci_records:
+                coreset = profile.coreset0() \
+                    if record.search_space == "common" \
+                    else profile.dedicated_coreset()
+                first = record.candidate.first_cce
+                level = record.candidate.aggregation_level
+                if first + level <= coreset.n_cces:
+                    want.update(_candidate_flat_indices(
+                        coreset, first, level).tolist())
+                    want.update(_dmrs_layout(
+                        coreset, first, level).flat.tolist())
+            assert want
+            assert np.flatnonzero(output.grid.data).tolist() == \
+                sorted(want)
 
     def test_message_mode_has_no_grid(self):
         sim = run_sim(seconds=0.05, fidelity="message")

@@ -65,7 +65,8 @@ class TestGridIntegration:
     def test_pdcch_encode_places_pilots_on_dmrs_positions(self):
         from repro.phy.coreset import Coreset
         from repro.phy.dci import Dci, DciFormat, DciSizeConfig, riv_encode
-        from repro.phy.pdcch import PdcchCandidate, encode_pdcch
+        from repro.phy.pdcch import PdcchCandidate, \
+            _candidate_flat_indices, encode_pdcch
         from repro.phy.resource_grid import ResourceGrid
 
         grid = ResourceGrid(51)
@@ -77,7 +78,11 @@ class TestGridIntegration:
         encode_pdcch([(dci, coreset, PdcchCandidate(0, 1))],
                      DciSizeConfig(n_prb_bwp=51), grid, n_id=500,
                      slot_index=0)
-        dmrs_res = np.where(grid.occupancy == ResourceGrid.DMRS)
-        assert dmrs_res[0].size == 6 * 3  # 6 REGs x 3 pilots
-        for sc_total in dmrs_res[0]:
-            assert sc_total % 12 in PDCCH_DMRS_POSITIONS
+        # Every written RE that is not a data RE is a pilot.
+        written = np.flatnonzero(grid.data)
+        pilots = np.setdiff1d(written, _candidate_flat_indices(coreset, 0, 1))
+        assert written.size == 6 * 12  # 6 REGs x (9 data + 3 pilots)
+        assert pilots.size == 6 * 3
+        subcarriers, symbols = np.unravel_index(pilots, grid.data.shape)
+        assert set(subcarriers % 12) == set(PDCCH_DMRS_POSITIONS)
+        assert set(symbols) == {0}

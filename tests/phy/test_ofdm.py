@@ -64,7 +64,7 @@ class TestRoundtrip:
     def test_single_subcarrier_tone(self):
         # One RE on one symbol becomes a complex tone in that symbol only.
         grid = ResourceGrid(n_prb=4)
-        grid.write_res(0, 3, np.array([1.0 + 0j]), ResourceGrid.PDSCH)
+        grid.data[0, 3] = 1.0
         config = OfdmConfig.for_grid(grid.n_subcarriers)
         samples = modulate_slot(grid, config)
         sps = config.samples_per_symbol

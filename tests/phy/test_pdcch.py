@@ -8,7 +8,10 @@ from repro.phy.coreset import Coreset
 from repro.phy.dci import Dci, DciFormat, DciSizeConfig, riv_encode
 from repro.phy.pdcch import (
     BITS_PER_CCE,
+    CandidateLayout,
     PdcchCandidate,
+    _candidate_flat_indices,
+    _dmrs_layout,
     dci_crc_attach,
     dci_crc_check,
     dci_recover_rnti,
@@ -77,14 +80,18 @@ class TestCrcChain:
 class TestEncode:
     def test_grid_occupancy(self):
         grid = ResourceGrid(n_prb=51)
-        cand = PdcchCandidate(first_cce=0, aggregation_level=2)
+        cand = PdcchCandidate(first_cce=2, aggregation_level=2)
         encode_one(grid, make_dci(), cand)
-        # 2 CCEs = 12 REGs, each fully occupied (9 data + 3 DMRS REs).
-        assert grid.count_regs() == 12
-        pdcch_res = (grid.occupancy == ResourceGrid.PDCCH).sum()
-        dmrs_res = (grid.occupancy == ResourceGrid.DMRS).sum()
-        assert pdcch_res == 2 * 6 * 9
-        assert dmrs_res == 2 * 6 * 3
+        # 2 CCEs = 12 REGs, each fully written (9 data + 3 DMRS REs),
+        # at the REs the sniffer's gather reads and nowhere else.
+        data = _candidate_flat_indices(coreset(), 2, 2)
+        layout = CandidateLayout.build([(coreset(), 2, (2,))], 0)
+        assert data.tobytes() == layout.flat.tobytes()
+        pilots = _dmrs_layout(coreset(), 2, 2).flat
+        assert data.size == 2 * 6 * 9
+        assert pilots.size == 2 * 6 * 3
+        assert np.flatnonzero(grid.data).tolist() == \
+            sorted(data.tolist() + pilots.tolist())
 
     def test_candidate_must_fit(self):
         # A candidate past the CORESET's CCEs is skipped: no payload,
@@ -92,7 +99,7 @@ class TestEncode:
         grid = ResourceGrid(n_prb=51)
         cand = PdcchCandidate(first_cce=6, aggregation_level=4)
         assert encode_one(grid, make_dci(), cand) is None
-        assert not grid.occupancy.any() and not grid.data.any()
+        assert not grid.data.any()
 
     def test_bits_per_cce(self):
         assert BITS_PER_CCE == 108
@@ -216,8 +223,7 @@ def write_dmrs_per_re(coreset, candidate, grid, n_id, slot_index):
         idx = 0
         for prb in sorted(prbs):
             for offset in PDCCH_DMRS_POSITIONS:
-                grid.write_res(prb, symbol, np.array([pilots[idx]]),
-                               ResourceGrid.DMRS, first_sc=offset)
+                grid.data[prb * 12 + offset, symbol] = pilots[idx]
                 idx += 1
 
 
@@ -268,13 +274,11 @@ class TestDmrsLayout:
                                   slot_index)
                     # The same data REs, then the pilots RE by RE.
                     want = ResourceGrid(SRSRAN_PROFILE.n_prb)
-                    data = got.occupancy == ResourceGrid.PDCCH
-                    want.data[data] = got.data[data]
-                    want.occupancy[data] = ResourceGrid.PDCCH
+                    data = _candidate_flat_indices(cs, first, level)
+                    want.data.reshape(-1)[data] = \
+                        got.data.reshape(-1)[data]
                     write_dmrs_per_re(cs, cand, want, N_ID, slot_index)
                     assert got.data.tobytes() == want.data.tobytes()
-                    assert got.occupancy.tobytes() == \
-                        want.occupancy.tobytes()
                     got.data += rng.normal(size=got.data.shape)
                     assert estimate_channel(got, cs, cand, N_ID,
                                             slot_index) == \

@@ -1,4 +1,5 @@
-"""Tests for repro.phy.resource_grid: RE mapping and REG accounting."""
+"""Tests for repro.phy.resource_grid: geometry and the control-slab
+capture noise."""
 
 import numpy as np
 import pytest
@@ -11,104 +12,59 @@ class TestGridBasics:
         grid = ResourceGrid(n_prb=51)
         assert grid.data.shape == (612, 14)
         assert grid.n_subcarriers == 612
+        assert grid.n_ctrl == 14
+        # A control region keeps the whole slot's shape, so flat RE
+        # indices mean the same in every grid.
+        assert ResourceGrid(n_prb=51, n_ctrl=2).data.shape == (612, 14)
 
     def test_starts_empty(self):
         grid = ResourceGrid(n_prb=4)
-        assert grid.spare_res() == 4 * 12 * 14
-        assert grid.count_regs() == 0
+        assert not grid.data.any()
 
     def test_rejects_bad_size(self):
         with pytest.raises(GridError):
             ResourceGrid(n_prb=0)
 
-
-class TestWriteRead:
-    def test_write_read_res(self):
-        grid = ResourceGrid(n_prb=4)
-        values = np.array([1 + 1j, 2 - 1j, 0.5j])
-        grid.write_res(2, 5, values, ResourceGrid.PDCCH, first_sc=3)
-        out = grid.read_res(2, 5, 3, first_sc=3)
-        assert np.allclose(out, values)
-
-    def test_write_out_of_prb(self):
-        grid = ResourceGrid(n_prb=4)
+    @pytest.mark.parametrize("n_ctrl", [0, 15])
+    def test_rejects_bad_control_region(self, n_ctrl):
         with pytest.raises(GridError):
-            grid.write_res(2, 5, np.ones(5), ResourceGrid.PDCCH, first_sc=10)
-        with pytest.raises(GridError):
-            grid.write_res(4, 0, np.ones(1), ResourceGrid.PDCCH)
-        with pytest.raises(GridError):
-            grid.write_res(0, 14, np.ones(1), ResourceGrid.PDCCH)
-
-    def test_block_roundtrip(self, rng):
-        grid = ResourceGrid(n_prb=10)
-        symbols = rng.normal(size=3 * 12 * 4) + 1j * rng.normal(size=144)
-        grid.fill_block(2, 3, 1, 4, symbols, ResourceGrid.PDSCH)
-        out = grid.read_block(2, 3, 1, 4)
-        assert np.allclose(out, symbols)
-
-    def test_block_partial_fill(self, rng):
-        # Fewer symbols than block capacity: tail is zero-padded and not
-        # marked occupied.
-        grid = ResourceGrid(n_prb=4)
-        symbols = np.ones(20, dtype=complex)
-        grid.fill_block(0, 2, 0, 2, symbols, ResourceGrid.PDSCH)
-        occupied = (grid.occupancy == ResourceGrid.PDSCH).sum()
-        assert occupied == 20
-
-    def test_block_overflow_rejected(self):
-        grid = ResourceGrid(n_prb=4)
-        with pytest.raises(GridError):
-            grid.fill_block(0, 2, 0, 1, np.ones(25), ResourceGrid.PDSCH)
-
-    def test_block_outside_slot(self):
-        grid = ResourceGrid(n_prb=4)
-        with pytest.raises(GridError):
-            grid.fill_block(0, 1, 13, 2, np.ones(1), ResourceGrid.PDSCH)
-
-
-class TestRegCounting:
-    def test_one_write_is_one_reg(self):
-        grid = ResourceGrid(n_prb=4)
-        grid.write_res(1, 3, np.array([1.0]), ResourceGrid.PDCCH)
-        assert grid.count_regs() == 1
-
-    def test_res_in_same_reg_count_once(self):
-        grid = ResourceGrid(n_prb=4)
-        grid.write_res(1, 3, np.ones(12), ResourceGrid.PDCCH)
-        assert grid.count_regs() == 1
-
-    def test_block_regs(self):
-        grid = ResourceGrid(n_prb=10)
-        grid.fill_block(0, 3, 2, 4, np.ones(3 * 12 * 4), ResourceGrid.PDSCH)
-        assert grid.count_regs() == 12
-
-    def test_kind_filter(self):
-        grid = ResourceGrid(n_prb=4)
-        grid.write_res(0, 0, np.ones(12), ResourceGrid.PDCCH)
-        grid.write_res(1, 0, np.ones(12), ResourceGrid.PDSCH)
-        assert grid.count_regs(kinds=(ResourceGrid.PDCCH,)) == 1
-        assert grid.count_regs(kinds=(ResourceGrid.PDSCH,)) == 1
-        assert grid.count_regs() == 2
-
-    def test_spare_res_decreases(self):
-        grid = ResourceGrid(n_prb=4)
-        before = grid.spare_res()
-        grid.write_res(0, 0, np.ones(12), ResourceGrid.PDSCH)
-        assert grid.spare_res() == before - 12
+            ResourceGrid(n_prb=4, n_ctrl=n_ctrl)
 
 
 class TestNoise:
     def test_noise_preserves_signal_at_high_snr(self, rng):
         grid = ResourceGrid(n_prb=4)
-        grid.write_res(0, 0, np.ones(12), ResourceGrid.PDSCH)
+        grid.data[:12, 0] = 1.0
         noisy = grid.clone_with_noise(40.0, rng)
         assert np.allclose(noisy.data[:12, 0], 1.0, atol=0.1)
 
     def test_noise_power_matches_snr(self, rng):
-        grid = ResourceGrid(n_prb=51)
-        noisy = grid.clone_with_noise(0.0, rng)  # empty grid: pure noise
-        measured = np.mean(np.abs(noisy.data) ** 2)
-        assert measured == pytest.approx(1.0, rel=0.05)
+        """Noise lands on the control slab only, at the SNR's variance;
+        the REs past the slab equal the transmitted grid."""
+        for snr_db in (0.0, 10.0):
+            grid = ResourceGrid(n_prb=51, n_ctrl=2)
+            grid.data[:] = rng.normal(size=grid.data.shape) \
+                + 1j * rng.normal(size=grid.data.shape)
+            noisy = grid.clone_with_noise(snr_db, rng)
+            noise = noisy.data[:, :2] - grid.data[:, :2]
+            variance = 10 ** (-snr_db / 10)
+            # 1,224 complex REs: the mean power is within 10% of the
+            # variance, and real and imaginary parts share it evenly.
+            assert np.mean(np.abs(noise) ** 2) == \
+                pytest.approx(variance, rel=0.1)
+            assert np.mean(noise.real ** 2) == \
+                pytest.approx(variance / 2, rel=0.15)
+            assert np.mean(noise.imag ** 2) == \
+                pytest.approx(variance / 2, rel=0.15)
+            assert np.all(noise != 0)
+            assert noisy.data[:, 2:].tobytes() == \
+                grid.data[:, 2:].tobytes()
+            assert noisy.n_ctrl == 2
+
+    def test_whole_slot_by_default(self, rng):
+        noisy = ResourceGrid(n_prb=51).clone_with_noise(0.0, rng)
+        assert np.mean(np.abs(noisy.data) ** 2) == \
+            pytest.approx(1.0, rel=0.05)
 
     def test_original_untouched(self, rng):
         grid = ResourceGrid(n_prb=4)

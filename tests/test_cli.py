@@ -56,6 +56,7 @@ class TestSniff:
                      "--runtime-stats"]) == 0
         out = capsys.readouterr().out
         assert "runtime: 600/600 slots" in out
+        assert " s per air s (sniffer stages only), " in out
         assert "  dci " in out and "drops" not in out
 
     def test_obs_jsonl_stream(self, tmp_path, capsys):
