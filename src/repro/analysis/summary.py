@@ -47,6 +47,8 @@ class CellSummary:
     ues_missed: int
     aggregate_dl_mbps: float
     mean_prb_utilisation: float
+    #: TTIs whose decoded PRBs exceeded the carrier (phantom DCIs).
+    overbooked_ttis: int = 0
 
 
 @dataclass
@@ -69,7 +71,8 @@ class SessionReport:
             f"UEs: {self.cell.ues_discovered} discovered via RACH"
             f" ({self.cell.ues_missed} missed), aggregate DL "
             f"{self.cell.aggregate_dl_mbps:.2f} Mbps, mean PRB "
-            f"utilisation {100 * self.cell.mean_prb_utilisation:.1f}%")
+            f"utilisation {100 * self.cell.mean_prb_utilisation:.1f}%, "
+            f"{self.cell.overbooked_ttis} TTIs overbooked")
         table = Table(
             title="Per-UE telemetry",
             columns=("RNTI", "DL Mbps", "UL Mbps", "MCS", "retx %",
@@ -129,10 +132,12 @@ def build_session_report(scope, duration_s: float,
     ues.sort(key=lambda u: -u.dl_mbps)
 
     utilisation = 0.0
+    overbooked = 0
     if scope.spare is not None and scope.spare.n_ttis:
         n_prb = n_prb_carrier or scope.spare.n_prb_carrier
         used = scope.spare.tti_table()["used_prbs"]
         utilisation = float(np.mean(used)) / n_prb
+        overbooked = scope.spare.overbooked
     cell = CellSummary(
         duration_s=duration_s,
         slots_observed=scope.counters.slots_observed,
@@ -140,7 +145,7 @@ def build_session_report(scope, duration_s: float,
         ues_discovered=scope.counters.msg4_seen,
         ues_missed=scope.counters.msg4_missed,
         aggregate_dl_mbps=aggregate_dl_bits / duration_s / 1e6,
-        mean_prb_utilisation=utilisation)
+        mean_prb_utilisation=utilisation, overbooked_ttis=overbooked)
     return SessionReport(cell=cell, ues=ues,
                          runtime=getattr(scope, "runtime_stats", None),
                          slot_s=slot_duration_s(scope.scs_khz))

@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.constants import DCI_CRC_LEN
+from repro.constants import DCI_CRC_LEN, MAX_RNTI
 from repro.core.decode_model import counter_uniform, decode_succeeds, \
     pdcch_bler
 from repro.core.rach_sniffer import SpaceSnapshot
@@ -36,9 +36,11 @@ from repro.phy.dci import Dci, DciError, DciFormat, DciSizeConfig, \
     dci_payload_size, unpack
 from repro.phy.modulation import QPSK, demodulate_soft_batch
 from repro.phy.numerology import slots_per_frame
+# ``dci_crc_check_batch`` is no longer called here; bench_e2e/layers.py
+# looks it up on this module by name to trace it.
 from repro.phy.pdcch import BITS_PER_CCE, CandidateLayout, \
-    PdcchCandidate, dci_crc_check_batch, estimate_channel, \
-    occupancy_threshold, read_only
+    PdcchCandidate, dci_crc_check_batch, dci_crc_syndromes, \
+    estimate_channel, occupancy_threshold, read_only  # noqa: F401
 from repro.phy.polar import Traversal
 from repro.phy.resource_grid import ResourceGrid
 from repro.phy.scrambling import pdcch_scrambling_init
@@ -127,9 +129,12 @@ class SearchLayout:
     #: order; ``pos`` indexes the shared positions (-1 when invalid).
     entries: tuple[tuple[int, int, int, bool, int, int], ...]
     n_positions: int
-    #: Each entry's position and RNTI, and the entries with a position.
+    #: Each entry's position, RNTI, first CCE and level, and the
+    #: entries with a position.
     entry_pos: np.ndarray
     entry_rnti: np.ndarray
+    entry_start: np.ndarray
+    entry_level: np.ndarray
     valid_rows: np.ndarray
     #: The positions the replay can reach, one group per (CORESET,
     #: level); ``row_pos`` is each row's position.
@@ -189,6 +194,10 @@ class SearchLayout:
             entry_pos=read_only(entry_pos),
             entry_rnti=read_only(np.array([entry[0] for entry in entries],
                                            dtype=np.int64)),
+            entry_start=read_only(np.array(
+                [entry[2] for entry in entries], dtype=np.int64)),
+            entry_level=read_only(np.array(
+                [entry[1] for entry in entries], dtype=np.int64)),
             valid_rows=read_only(np.flatnonzero(entry_pos >= 0)),
             candidates=CandidateLayout.build(
                 [(coresets[coreset_index], level,
@@ -208,11 +217,11 @@ class PreparedSearch:
 
     :meth:`GridDciDecoder.prepare` fills it; :attr:`blocks` are the
     slot's ``(llrs, codes)`` polar blocks, one per (CORESET, level)
-    group, and :meth:`finish` turns their decoded bits into the slot's
-    DCIs.  It holds no grid and no decoder, only arrays, tuples, the
-    slot's read-only :class:`SearchLayout` and the decoder's frozen
-    settings, so a window of them can be decoded late without reaching
-    the session.
+    group, and :meth:`finish` turns their decoded, CRC-checked rows
+    (:class:`WindowRows`) into the slot's DCIs.  It holds no grid and
+    no decoder, only arrays, tuples, the slot's read-only
+    :class:`SearchLayout` and the decoder's frozen settings, so a
+    window of them can be decoded late without reaching the session.
     """
 
     dci_cfg: DciSizeConfig
@@ -230,17 +239,18 @@ class PreparedSearch:
     block_rows: list[tuple[np.ndarray, tuple[int, ...]]] = \
         field(default_factory=list)
 
-    def finish(self, outs: Sequence[Sequence[np.ndarray]],
+    def finish(self, rows: "WindowRows", places: Sequence[tuple[int, int]],
                claimed: set[int] | None = None) \
             -> tuple[list[DecodedDci], int]:
-        """Phases 4-5: the slot's decoded DCIs and decode attempts from
-        ``outs``, the decoded bits of :attr:`blocks` (per block, one
-        matrix per code, as :func:`~repro.phy.polar.decode_blocks`
-        returns them).
+        """Phases 4-5: the slot's decoded DCIs and decode attempts.
+
+        ``rows`` are the window's checked rows and ``places`` this
+        slot's entry of :attr:`WindowBlocks.places`: where each of
+        :attr:`blocks` landed among them.
 
         The per-candidate control flow (CCE claiming, energy gate,
         per-format attempt accounting, ``unpack``) is *replayed* over
-        the shared blocks, so decoded DCIs, claiming effects and the
+        the shared rows, so decoded DCIs, claiming effects and the
         attempt count are bit-identical to the per-candidate reference
         in ``tests/core/test_batch_equivalence.py``.  The CCEs the
         slot's decodes claim are added to ``claimed`` when given.
@@ -250,14 +260,15 @@ class PreparedSearch:
         entries = layout.entries
         if not entries:
             return decoded, 0
-        info_lens = _info_lens(self.dci_cfg)
-        n_pos = layout.n_positions
-        tables = [np.zeros((n_pos, k), dtype=np.uint8) for k in info_lens]
-        decoded_pos = [np.zeros(n_pos, dtype=bool) for _ in info_lens]
-        for (pos_idx, fits), block_outs in zip(self.block_rows, outs):
-            for f, out in zip(fits, block_outs):
-                tables[f][pos_idx] = out
-                decoded_pos[f][pos_idx] = True
+        # Each position's row among the window's rows, per format (-1,
+        # whose syndrome is the sentinel, where it was not decoded).
+        pos_rows = [np.full(layout.n_positions, -1, dtype=np.intp)
+                    for _ in _FORMATS]
+        for (pos_idx, fits), (block, first) in zip(self.block_rows, places):
+            for f in fits:
+                start = rows.firsts[f][block] + first
+                pos_rows[f][pos_idx] = np.arange(start,
+                                                 start + pos_idx.size)
 
         # The replay reaches an entry only when it has a position and,
         # with the gate on, that position passed the gate.  Without the
@@ -271,42 +282,143 @@ class PreparedSearch:
         else:
             attempts = 2 * (len(entries) - live.size)
 
-        # Phase 4: CRC verdicts for every live (shared block, entry
-        # RNTI) row, one batched check per format (identical booleans
-        # to a per-attempt check).
-        crc_ok: list[list[bool]] = []
-        for f in range(len(_FORMATS)):
-            rows = live[decoded_pos[f][entry_pos[live]]]
-            ok = np.zeros(len(entries), dtype=bool)
-            if rows.size:
-                ok[rows] = dci_crc_check_batch(
-                    tables[f][entry_pos[rows]], layout.entry_rnti[rows])
-            crc_ok.append(ok.tolist())
+        # Phase 4: an entry's CRC passes under a format exactly when
+        # its position's syndrome is the entry's masked RNTI (the
+        # booleans of ``dci_crc_check_batch``).
+        masked = layout.entry_rnti[live] & MAX_RNTI
+        live_pos = entry_pos[live]
+        live_rows = [table[live_pos] for table in pos_rows]
+        passed = [syndromes[at] == masked
+                  for syndromes, at in zip(rows.syndromes, live_rows)]
+        hit = np.logical_or.reduce(passed)
 
         # Phase 5: replay the per-candidate control flow over the live
-        # entries, in entry order.
+        # entries some CRC passed, in entry order.
         claiming = self.use_cce_claiming
         claimed_bits = self.claimed_bits
-        for idx in live.tolist():
-            rnti, level, start, _, cce_bits, pos = entries[idx]
+        # ``(entry, first CCE, end CCE)`` of every claim, in replay
+        # order; each CCE claimed up front comes before every entry.
+        claims = [(-1, cce, cce + 1) for cce in range(
+            claimed_bits.bit_length()) if claimed_bits >> cce & 1] \
+            if claiming else []
+        for i in np.flatnonzero(hit).tolist():
+            idx = int(live[i])
+            rnti, level, start, _, cce_bits, _ = entries[idx]
             if claiming and cce_bits & claimed_bits:
                 continue
             for f, fmt in enumerate(_FORMATS):
                 attempts += 1
-                if not crc_ok[f][idx]:
+                if not passed[f][i]:
                     continue
                 try:
-                    dci = unpack(tables[f][pos][:-DCI_CRC_LEN], fmt,
-                                 self.dci_cfg, rnti)
+                    dci = unpack(rows.bits[f][live_rows[f][i]]
+                                 [:-DCI_CRC_LEN], fmt, self.dci_cfg, rnti)
                 except DciError:
                     continue
                 decoded.append(DecodedDci(dci=dci, aggregation_level=level))
                 if claiming:
                     claimed_bits |= cce_bits
+                    claims.append((idx, start, start + level))
                     if claimed is not None:
                         claimed.update(range(start, start + level))
                 break
+
+        # Every other live entry fails both CRCs: two attempts, or none
+        # when a claim made before it covers one of its CCEs.  Claims
+        # change only at a decode, so these counts are exact.
+        misses = live[~hit]
+        blocked = np.zeros(misses.size, dtype=bool)
+        if claims:
+            first_cce = layout.entry_start[misses]
+            end_cce = first_cce + layout.entry_level[misses]
+            for after, first, end in claims:
+                blocked |= (misses > after) & (first_cce < end) \
+                    & (first < end_cce)
+        attempts += 2 * (misses.size - int(np.count_nonzero(blocked)))
         return decoded, attempts
+
+
+@dataclass(frozen=True)
+class WindowRows:
+    """A window's decoded polar rows under each of :data:`_FORMATS`,
+    CRC-checked once for every RNTI hypothesis.
+
+    ``bits[f]`` stacks the window's decoded rows of format ``f`` (its
+    merged blocks in order) and ``syndromes[f]`` holds their
+    :func:`~repro.phy.pdcch.dci_crc_syndromes` and then ``-1``, which
+    no masked RNTI equals, so row ``-1`` stands for "not decoded".
+    ``firsts[f][m]`` is the first row of merged block ``m`` (-1 when
+    it has no code of format ``f``).
+    """
+
+    bits: tuple[np.ndarray, ...]
+    syndromes: tuple[np.ndarray, ...]
+    firsts: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class WindowBlocks:
+    """A window's polar blocks, merged: the blocks of every slot that
+    share a code tuple (the same level, so the same ``E`` and the same
+    formats) stacked into one, in slot order."""
+
+    blocks: list[tuple[np.ndarray, tuple[polar.PolarCode, ...]]]
+    #: Per merged block, the indices into :data:`_FORMATS` of its codes.
+    fits: list[tuple[int, ...]]
+    #: Per slot, per block of its :attr:`PreparedSearch.blocks`: the
+    #: merged block it joined and its first row there.
+    places: list[list[tuple[int, int]]]
+
+    @classmethod
+    def merge(cls, window: Sequence[PreparedSearch]) -> "WindowBlocks":
+        """Merge the blocks of ``window``'s slots."""
+        merged: dict[tuple[polar.PolarCode, ...], int] = {}
+        parts: list[list[np.ndarray]] = []
+        fits: list[tuple[int, ...]] = []
+        sizes: list[int] = []
+        places: list[list[tuple[int, int]]] = []
+        for prepared in window:
+            slot = []
+            for (llrs, codes), (_, block_fits) in zip(prepared.blocks,
+                                                      prepared.block_rows):
+                block = merged.setdefault(codes, len(parts))
+                if block == len(parts):
+                    parts.append([])
+                    fits.append(block_fits)
+                    sizes.append(0)
+                slot.append((block, sizes[block]))
+                parts[block].append(llrs)
+                sizes[block] += llrs.shape[0]
+            places.append(slot)
+        return cls(blocks=[(np.concatenate(part), codes)
+                           for part, codes in zip(parts, merged)],
+                   fits=fits, places=places)
+
+    def check(self, outs: Sequence[Sequence[np.ndarray]]) -> WindowRows:
+        """The checked rows of ``outs``, the decoded bits of
+        :attr:`blocks` (per block, one matrix per code, as
+        :meth:`~repro.phy.polar.Traversal.result` returns them): one
+        syndrome pass per format over the whole window."""
+        bits, syndromes, firsts = [], [], []
+        for f in range(len(_FORMATS)):
+            mats: list[np.ndarray] = []
+            starts: list[int] = []
+            n_rows = 0
+            for block_fits, block_outs in zip(self.fits, outs):
+                if f in block_fits:
+                    out = block_outs[block_fits.index(f)]
+                    starts.append(n_rows)
+                    mats.append(out)
+                    n_rows += out.shape[0]
+                else:
+                    starts.append(-1)
+            stacked = np.concatenate(mats) if mats \
+                else np.zeros((0, 0), dtype=np.uint8)
+            bits.append(stacked)
+            syndromes.append(np.append(dci_crc_syndromes(stacked), -1))
+            firsts.append(tuple(starts))
+        return WindowRows(bits=tuple(bits), syndromes=tuple(syndromes),
+                          firsts=tuple(firsts))
 
 
 class RecordDciDecoder:
@@ -407,18 +519,20 @@ class GridDciDecoder:
         CCEs or if its REs carry only noise, else try DL 1_1 then
         UL 0_1 (one attempt each) until one passes the RNTI-masked CRC.
 
-        This is the one-slot composition of the search's three parts:
-        :meth:`prepare`, one :func:`~repro.phy.polar.decode_blocks`
-        traversal of its blocks, and :meth:`PreparedSearch.finish`.
-        The slot runtime runs the same parts over a window of slots
-        (:func:`grid_decode_job`), with one traversal for the window.
+        This is the search's window decode (:func:`grid_decode_job`)
+        for a window of one slot: :meth:`prepare`, one
+        :func:`~repro.phy.polar.decode_blocks` traversal of its merged
+        blocks, one :meth:`WindowBlocks.check` and
+        :meth:`PreparedSearch.finish`.
 
         ``claimed`` optionally pre-claims CCEs; the CCEs this slot's
         decodes claim are added to it.
         """
         prepared = self.prepare(grid, slot_index, tracked, claimed)
+        merged = WindowBlocks.merge([prepared])
         decoded, attempts = prepared.finish(
-            polar.decode_blocks(prepared.blocks), claimed)
+            merged.check(polar.decode_blocks(merged.blocks)),
+            merged.places[0], claimed)
         self.attempts += attempts
         return decoded
 
@@ -580,28 +694,26 @@ class GridDciDecoder:
 def grid_decode_job(window: list[PreparedSearch]) \
         -> Iterator[tuple[list[DecodedDci], int] | None]:
     """A window of slots' iq-fidelity searches, past their
-    :meth:`~GridDciDecoder.prepare`: one polar traversal for the whole
-    window, then each slot's :meth:`~PreparedSearch.finish`.
+    :meth:`~GridDciDecoder.prepare`, decoded and checked as a whole:
+    the slots' blocks merged per code tuple, one polar traversal, one
+    CRC-syndrome pass, then each slot's :meth:`~PreparedSearch.finish`.
 
     A window job (see :class:`~repro.core.runtime.SlotRuntime`): it
     yields ``None`` after each of ``len(window)`` equal slices of the
     traversal's ops, then each slot's ``(decoded DCIs, attempts)`` in
-    slot order.  The bits are those of per-slot traversals, so every
-    slot's result equals its own :meth:`~GridDciDecoder.decode_slot_batch`.
+    slot order.  A row's bits and syndrome do not depend on the rows
+    it shares a traversal with, so every slot's result equals its own
+    :meth:`~GridDciDecoder.decode_slot_batch`.
     """
-    traversal = Traversal(
-        [block for prepared in window for block in prepared.blocks])
+    merged = WindowBlocks.merge(window)
+    traversal = Traversal(merged.blocks)
     share = -(-traversal.n_ops // len(window))
     for _ in window:
         traversal.step(share)
         yield None
-    outs = traversal.result()
-    first = 0
-    prepared: PreparedSearch
-    for prepared in window:
-        stop = first + len(prepared.blocks)
-        yield prepared.finish(outs[first:stop])
-        first = stop
+    rows = merged.check(traversal.result())
+    for prepared, places in zip(window, merged.places):
+        yield prepared.finish(rows, places)
 
 
 def record_decode_job(payload: dict) \

@@ -55,7 +55,8 @@ class FleetError(ValueError):
 #: Version 5: the config has no executor and the scope counters no
 #: dropped DCIs.
 #: Version 6: the gNB holds no PDSCH grid generator.
-CHECKPOINT_VERSION = 6
+#: Version 7: the spare-capacity estimator counts overbooked TTIs.
+CHECKPOINT_VERSION = 7
 
 #: Per-cell spacing of derived seeds (cell i draws from seed-space
 #: ``seed + stride * (i + 1)``) and of population UE ids, so no two

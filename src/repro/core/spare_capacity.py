@@ -85,6 +85,8 @@ class SpareCapacityEstimator:
         self._rnti = array("H")
         self._mcs = array("B")
         self._used = array("H")
+        #: TTIs whose decoded PRBs exceeded the carrier.
+        self.overbooked = 0
 
     @property
     def n_ttis(self) -> int:
@@ -115,11 +117,15 @@ class SpareCapacityEstimator:
         ``known_rntis`` widens the split to UEs that were idle this TTI
         (they still own a fair share of the spare room); their MCS falls
         back to the last one observed.
+
+        A TTI whose decoded PRBs exceed the carrier, which one
+        CRC-passing phantom DCI can cause, is recorded with no spare
+        PRBs and counted in :attr:`overbooked`: the sniffer keeps going.
         """
-        if usage.used_prbs > self.n_prb_carrier:
-            raise SpareCapacityError(
-                f"decoded {usage.used_prbs} PRBs on a {self.n_prb_carrier}"
-                f" PRB carrier")
+        spare = self.n_prb_carrier - usage.used_prbs
+        if spare < 0:
+            self.overbooked += 1
+            spare = 0
         self._last_mcs.update(usage.per_ue_mcs)
         per_ue_prbs = usage.per_ue_prbs
         participants = sorted(per_ue_prbs.keys() | set(known_rntis or ()))
@@ -130,8 +136,7 @@ class SpareCapacityEstimator:
         if not participants:
             self._tti_spare.append(0)
             return
-        self._tti_spare.append((self.n_prb_carrier - usage.used_prbs)
-                               // len(participants))
+        self._tti_spare.append(spare // len(participants))
         last_mcs = self._last_mcs
         self._rnti.extend(participants)
         self._mcs.extend([last_mcs.get(rnti, 0) for rnti in participants])

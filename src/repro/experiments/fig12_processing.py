@@ -36,7 +36,7 @@ from repro.rrc.messages import RrcSetup
 
 UE_COUNTS = (1, 2, 4, 8, 16, 32, 64, 128)
 #: Timed runs per point; the fastest one is reported.
-REPEATS = 5
+REPEATS = 9
 
 
 @dataclass
@@ -131,40 +131,60 @@ def build_runtime(workload: Workload,
               merge=merge)])
 
 
-def measure(profile: CellProfile, n_ues: int,
-            n_slots: int = 3) -> TimingRow:
-    """Mean per-slot processing time over ``n_slots`` repetitions.
+def _slot_us(runtime: SlotRuntime, n_slots: int) -> float:
+    """One timed run: the mean per-slot time of ``n_slots`` slots.
 
     The DCI stage's time per slot is amortized (its prepare and finish
     plus its share of the window's polar traversal), and the runtime
     is flushed before its stats are read, so slots still in their
-    window count.  The best of :data:`REPEATS` such means is kept:
-    per-slot cost grows only about 2x from 1 to 128 UEs, so on a
-    shared host a burst of foreign load in one short run would
-    otherwise reorder neighbouring UE counts.
+    window count.
     """
-    workload = build_workload(profile, n_ues)
-    runtime = build_runtime(workload)
-    runtime.submit(None)          # warm-up
-    best_us = float("inf")
+    runtime.flush()
+    runtime.reset_stats()
+    for _ in range(n_slots):
+        runtime.submit(None)
+    runtime.flush()
+    stats = runtime.stats()
+    return stats.stage("demod").mean_us + stats.stage("dci").mean_us
+
+
+def _sweep(points: list[tuple[CellProfile, int]],
+           n_slots: int) -> list[TimingRow]:
+    """Each (cell, UE count) point's best of :data:`REPEATS` timed
+    runs.
+
+    The repeats go in rounds over all points, so each point's runs are
+    spread over the whole sweep: per-slot cost grows only about 1.5x
+    from 1 to 128 UEs, and hardly at all from 8 UEs on, so on a shared
+    host a burst of foreign load that covered every run of one point
+    would reorder neighbouring UE counts.
+    """
+    runtimes = []
+    for profile, n_ues in points:
+        runtime = build_runtime(build_workload(profile, n_ues))
+        runtime.submit(None)          # warm-up
+        runtimes.append(runtime)
+    best_us = [float("inf")] * len(points)
     for _ in range(REPEATS):
-        runtime.flush()
-        runtime.reset_stats()
-        for _ in range(n_slots):
-            runtime.submit(None)
-        runtime.flush()
-        stats = runtime.stats()
-        best_us = min(best_us, stats.stage("demod").mean_us
-                      + stats.stage("dci").mean_us)
-    return TimingRow(profile=profile.name, n_ues=n_ues, mean_us=best_us)
+        for i, runtime in enumerate(runtimes):
+            best_us[i] = min(best_us[i], _slot_us(runtime, n_slots))
+    return [TimingRow(profile=profile.name, n_ues=n_ues, mean_us=us)
+            for (profile, n_ues), us in zip(points, best_us)]
+
+
+def measure(profile: CellProfile, n_ues: int,
+            n_slots: int = 3) -> TimingRow:
+    """Mean per-slot processing time over ``n_slots`` repetitions, the
+    best of :data:`REPEATS` timed runs."""
+    return _sweep([(profile, n_ues)], n_slots)[0]
 
 
 def run(ue_counts: tuple[int, ...] = UE_COUNTS,
         n_slots: int = 3) -> list[TimingRow]:
     """The full sweep: both cells x UE counts."""
-    return [measure(profile, n_ues, n_slots=n_slots)
-            for profile in (AMARISOFT_PROFILE, TMOBILE_N25_PROFILE)
-            for n_ues in ue_counts]
+    return _sweep([(profile, n_ues)
+                   for profile in (AMARISOFT_PROFILE, TMOBILE_N25_PROFILE)
+                   for n_ues in ue_counts], n_slots)
 
 
 def to_result(rows: list[TimingRow]) -> FigureResult:

@@ -93,30 +93,57 @@ def _dci_crc_terms(block_len: int) -> tuple[int, np.ndarray, np.ndarray]:
             terms[DCI_CRC_LEN:], weights)
 
 
-def dci_crc_check_batch(blocks: np.ndarray,
-                        rntis: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`dci_crc_check` over stacked payload+CRC blocks.
+def _dci_parity(payloads: np.ndarray) -> np.ndarray:
+    """Each payload row's CRC24C parity as a 24-bit integer: one XOR
+    reduction of the generator-matrix rows at its set bits, held as
+    integers (:func:`~repro.phy.crc.crc_terms`; the 24 prefix ones
+    share one precomputed term)."""
+    prefix, terms, _ = _dci_crc_terms(payloads.shape[1] + DCI_CRC_LEN)
+    parity: np.ndarray = np.bitwise_xor.reduce(payloads * terms,
+                                               axis=1) ^ prefix
+    return parity
 
-    ``blocks`` is ``(batch, k)`` and ``rntis`` gives each row's
-    hypothesised RNTI.  Each row's parity is one XOR reduction of the
-    generator-matrix rows at its set bits, held as 24-bit integers
-    (:func:`~repro.phy.crc.crc_terms`; the 24 prefix ones share one
-    precomputed term), and the RNTI mask is an XOR on its low 16 bits,
-    so the boolean verdicts are bit-identical to the scalar check at a
-    fraction of the dispatch cost.
+
+def dci_crc_syndromes(blocks: np.ndarray) -> np.ndarray:
+    """Per row of stacked payload+CRC blocks, the CRC24C parity of its
+    payload XOR its received CRC field, as a 24-bit integer (-1 for a
+    row too short to carry a CRC).
+
+    A row passes :func:`dci_crc_check` under ``rnti`` exactly when its
+    syndrome equals ``rnti & MAX_RNTI``: the gNB masks only the low 16
+    parity bits, with the RNTI.  So a syndrome with its top 8 bits
+    clear *is* the RNTI that scrambled the row, the XOR of the paper's
+    RNTI recovery (section 3.1.2), and one syndrome per decoded row
+    answers every RNTI hypothesis for it.
+
+    Layout: blocks (B, K) uint8
+    Layout: return (B) int64
     """
     arr = np.asarray(blocks, dtype=np.uint8)
     if arr.ndim != 2:
         raise PdcchError(
             f"expected stacked blocks, got shape {arr.shape}")
     if arr.shape[1] <= DCI_CRC_LEN:
-        return np.zeros(arr.shape[0], dtype=bool)
-    prefix, terms, weights = _dci_crc_terms(arr.shape[1])
+        return np.full(arr.shape[0], -1, dtype=np.int64)
     payload_len = arr.shape[1] - DCI_CRC_LEN
-    expected = np.bitwise_xor.reduce(arr[:, :payload_len] * terms,
-                                     axis=1) ^ prefix
-    expected ^= np.asarray(rntis, dtype=np.int64).reshape(-1) & MAX_RNTI
-    verdicts: np.ndarray = expected == arr[:, payload_len:] @ weights
+    _, _, weights = _dci_crc_terms(arr.shape[1])
+    syndromes: np.ndarray = _dci_parity(arr[:, :payload_len]) \
+        ^ (arr[:, payload_len:] @ weights)
+    return syndromes
+
+
+def dci_crc_check_batch(blocks: np.ndarray,
+                        rntis: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`dci_crc_check` over stacked payload+CRC blocks.
+
+    ``blocks`` is ``(batch, k)`` and ``rntis`` gives each row's
+    hypothesised RNTI: a row passes when its
+    :func:`dci_crc_syndromes` entry equals its RNTI on the 16 masked
+    bits, so the boolean verdicts are bit-identical to the scalar
+    check at a fraction of the dispatch cost.
+    """
+    verdicts: np.ndarray = dci_crc_syndromes(blocks) \
+        == (np.asarray(rntis, dtype=np.int64).reshape(-1) & MAX_RNTI)
     return verdicts
 
 
@@ -124,18 +151,16 @@ def dci_crc_attach_batch(payloads: np.ndarray,
                          rntis: np.ndarray) -> np.ndarray:
     """Row-wise :func:`dci_crc_attach` over stacked payloads.
 
-    The parity of each row is one XOR reduction of the generator terms
-    at its set bits (as in :func:`dci_crc_check_batch`), masked with the
-    row's RNTI on its low 16 bits, then unpacked MSB first.
+    Each row's parity (:func:`_dci_parity`) is masked with the row's
+    RNTI on its low 16 bits, then unpacked MSB first.
 
     Layout: payloads (N, A) uint8
     Layout: rntis (N) int64
     Layout: return (N, K) uint8
     """
     arr = np.asarray(payloads, dtype=np.uint8)
-    prefix, terms, _ = _dci_crc_terms(arr.shape[1] + DCI_CRC_LEN)
-    parity = np.bitwise_xor.reduce(arr * terms, axis=1) ^ prefix
-    parity ^= np.asarray(rntis, dtype=np.int64) & MAX_RNTI
+    parity = _dci_parity(arr) \
+        ^ (np.asarray(rntis, dtype=np.int64) & MAX_RNTI)
     shifts = np.arange(DCI_CRC_LEN - 1, -1, -1, dtype=np.int64)
     bits = ((parity[:, None] >> shifts) & 1).astype(np.uint8)
     return np.concatenate([arr, bits], axis=1)
@@ -145,23 +170,14 @@ def dci_recover_rnti(block: np.ndarray) -> int | None:
     """Recover the RNTI that scrambled a received DCI block's CRC.
 
     This is the C-RNTI acquisition trick of paper section 3.1.2: XOR the
-    locally computed CRC with the received one.  The 8 unmasked parity
-    bits double as a confidence check; None means they disagreed, i.e.
-    the block is corrupt rather than merely scrambled.
+    locally computed CRC with the received one (the block's
+    :func:`dci_crc_syndromes` entry).  The 8 unmasked parity bits
+    double as a confidence check; None means they disagreed, i.e. the
+    block is corrupt rather than merely scrambled.
     """
-    bits = np.asarray(block, dtype=np.uint8).ravel()
-    if bits.size <= DCI_CRC_LEN:
-        return None
-    payload, received = bits[:-DCI_CRC_LEN], bits[-DCI_CRC_LEN:]
-    expected = crc_parity(
-        np.concatenate([_CRC_PREFIX, payload]), "crc24c")
-    if not np.array_equal(expected[:-16], received[:-16]):
-        return None
-    mask = expected[-16:] ^ received[-16:]
-    value = 0
-    for bit in mask:
-        value = (value << 1) | int(bit)
-    return value
+    bits = np.asarray(block, dtype=np.uint8).reshape(1, -1)
+    syndrome = int(dci_crc_syndromes(bits)[0])
+    return syndrome if 0 <= syndrome <= MAX_RNTI else None
 
 
 @dataclass(frozen=True)

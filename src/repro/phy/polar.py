@@ -272,15 +272,28 @@ def _llrs_to_mother_batch(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
 _OP_F, _OP_G, _OP_C, _OP_GSKIP, _OP_CSKIP, _OP_RATE0, _OP_REP, \
     _OP_LEAF = range(8)
 
-#: Replica columns per pass of a compiled program.  A pass's cost is
-#: mostly ufunc dispatch, so every batch is padded to this width and
-#: larger ones run in chunks.  A window of the iq search brings 40-80
-#: replicas (about 8 per downlink slot); at 64 columns a pass costs
-#: about 1.4x a 16-column one and most windows need one pass (the
-#: 16-UE srsRAN session ran no faster at 96 or 128, and slower at 32).
-PROGRAM_WIDTH = 64
+#: Replica columns a compiled program can run in one pass.  A pass's
+#: cost is mostly ufunc dispatch, so a traversal runs each pass at the
+#: smallest of these widths that holds its rows, and a traversal with
+#: more rows than the largest runs in passes of that width.  A pass of
+#: the iq window's 1,327-op program costs about 1.00, 1.12, 1.35, 1.58
+#: and 1.87 at 16, 32, 64, 96 and 128 columns (best of 60, shared
+#: 2-CPU host), so an 82-row window costs 1.58 instead of two 64-column
+#: passes (2.70).  A window of the iq search brings 40-82 replicas
+#: (about 8 per downlink slot).
+PROGRAM_WIDTHS = (16, 32, 64, 96, 128)
 
-#: Frozen masks whose compiled programs an engine keeps for reuse.
+
+def fitted_width(rows: int) -> int:
+    """The smallest of :data:`PROGRAM_WIDTHS` that holds ``rows``
+    replica rows (the largest when none does)."""
+    for width in PROGRAM_WIDTHS:
+        if rows <= width:
+            return width
+    return PROGRAM_WIDTHS[-1]
+
+
+#: Compiled (frozen mask, width) programs an engine keeps for reuse.
 _PROGRAMS_PER_ENGINE = 32
 
 
@@ -367,15 +380,37 @@ def _sc_plan(size: int, frozen_bytes: bytes) \
     return tuple(ops)
 
 
+class _Buffers:
+    """One width's ``(rows, width)`` views of an engine's scratch.
+
+    Every width lays its rows out over the first ``rows * width``
+    elements of the same flat buffers, so each operand of a program is
+    a contiguous row block at any width and the widths share memory.
+    """
+
+    def __init__(self, engine: "_Engine", width: int) -> None:
+        def view(buf: np.ndarray, rows: int) -> np.ndarray:
+            return buf[:rows * width].reshape(rows, width)
+
+        self.llr = [view(buf, 1 << s)
+                    for s, buf in enumerate(engine.flat_llr)]
+        self.mag = view(engine.flat_mag, engine.size)
+        self.signs = view(engine.flat_signs, engine.size)
+        self.offsets = view(engine.flat_offsets, engine.size)
+        self.ones = engine.flat_ones[:width]
+
+
 class _Engine:
     """Scratch for one tree size and the programs compiled onto it.
 
-    A program is one ``_sc_plan`` compiled into a flat tuple of
-    ``(ufunc, args)`` calls whose operands are views into this
-    engine's buffers, bound at compile time, so a pass is a loop of
-    ``fn(*args)`` with no per-op indexing, slicing or branching.
-    Buffers are laid out leaf-major and ``PROGRAM_WIDTH`` columns wide,
-    one column per replica, so every operand is a contiguous row block.
+    A program is one ``_sc_plan`` compiled, for one of
+    :data:`PROGRAM_WIDTHS`, into a flat tuple of ``(ufunc, args)``
+    calls whose operands are views into this engine's buffers, bound
+    at compile time, so a pass is a loop of ``fn(*args)`` with no
+    per-op indexing, slicing or branching.  Buffers are laid out
+    leaf-major, one column per replica, so every operand is a
+    contiguous row block; each width views the same flat memory (see
+    :class:`_Buffers`), sized for the largest width.
 
     * ``llr[s]`` (``2**s`` rows) holds the LLRs entering stage ``s``;
       ``llr[n]`` is the input.  Scratch ``mag`` serves the f-node.
@@ -394,8 +429,11 @@ class _Engine:
       leaf's partial-sum sign.  After a pass ``offsets < 0`` are the
       decoded bits; rows of pruned leaves keep their offset (bit 0).
 
-    Every program of an engine shares its buffers, so an engine serves
-    one decode at a time (see :func:`_take_engine`).
+    A pass writes every scratch value before it reads it, except its
+    loaded inputs, so what an earlier pass of any width left behind
+    never reaches a decision.  Every program of an engine shares its
+    buffers, so an engine serves one decode at a time (see
+    :func:`_take_engine`).
     """
 
     #: Programs compiled so far, over all engines.
@@ -404,16 +442,28 @@ class _Engine:
     def __init__(self, size: int) -> None:
         self.size = size
         n = size.bit_length() - 1
-        width = PROGRAM_WIDTH
-        self.llr = [np.zeros((1 << s, width), dtype=np.float64)
-                    for s in range(n + 1)]
-        self.mag = np.zeros((size, width), dtype=np.float64)
-        self.signs = np.ones((size, width), dtype=np.float64)
-        self.offsets = np.zeros((size, width), dtype=np.float64)
-        self.ones = np.ones(width, dtype=np.float64)
-        self._programs: dict[bytes, tuple] = {}
-        # One view object per distinct row block, shared by programs.
+        cap = PROGRAM_WIDTHS[-1]
+        # Zeroed, so pages a narrow width never reaches stay unmapped.
+        self.flat_llr = [np.zeros((1 << s) * cap, dtype=np.float64)
+                         for s in range(n + 1)]
+        self.flat_mag = np.zeros(size * cap, dtype=np.float64)
+        self.flat_signs = np.zeros(size * cap, dtype=np.float64)
+        self.flat_offsets = np.zeros(size * cap, dtype=np.float64)
+        self.flat_ones = np.ones(cap, dtype=np.float64)
+        self._buffers: dict[int, _Buffers] = {}
+        self._programs: dict[tuple[bytes, int], tuple] = {}
+        # One view object per distinct row block and one op tuple per
+        # distinct call, shared by programs: about half of a program's
+        # ops repeat within it, and programs of one width share most.
         self._views: dict[tuple[int, int, int], np.ndarray] = {}
+        self._calls: dict[tuple, tuple] = {}
+
+    def buffers(self, width: int) -> _Buffers:
+        """The views of one of :data:`PROGRAM_WIDTHS`."""
+        buffers = self._buffers.get(width)
+        if buffers is None:
+            buffers = self._buffers[width] = _Buffers(self, width)
+        return buffers
 
     def _rows(self, buf: np.ndarray, start: int, stop: int) -> np.ndarray:
         key = (id(buf), start, stop)
@@ -421,8 +471,10 @@ class _Engine:
             self._views[key] = buf[start:stop]
         return self._views[key]
 
-    def _compile(self, frozen_bytes: bytes) -> tuple:
-        llr, mag, signs, off = self.llr, self.mag, self.signs, self.offsets
+    def _compile(self, frozen_bytes: bytes, width: int) -> tuple:
+        buffers = self.buffers(width)
+        llr, mag, signs, off = buffers.llr, buffers.mag, buffers.signs, \
+            buffers.offsets
         rows = self._rows
         ops: list[tuple] = []
 
@@ -430,7 +482,7 @@ class _Engine:
             value = rows(off, idx, idx + 1)
             ops.append((np.add, (llr[0], value, value)))
             if keep:
-                ops.append((np.copysign, (self.ones, value,
+                ops.append((np.copysign, (buffers.ones, value,
                                           rows(signs, idx, idx + 1))))
 
         for tag, stage, base, keep in _sc_plan(self.size, frozen_bytes):
@@ -472,20 +524,26 @@ class _Engine:
             else:  # _OP_LEAF
                 leaf(base, keep)
         _Engine.compiled += 1
-        return tuple(ops)
+        # The ids key live objects: every op holds its operands.
+        calls = self._calls
+        return tuple(calls.setdefault((fn, *map(id, args)), (fn, args))
+                     for fn, args in ops)
 
-    def program(self, frozen_bytes: bytes) -> tuple:
-        """The compiled program for one frozen mask (cached, LRU)."""
-        ops = self._programs.pop(frozen_bytes, None)
+    def program(self, frozen_bytes: bytes, width: int) -> tuple:
+        """The compiled program for one frozen mask at one of
+        :data:`PROGRAM_WIDTHS` (cached, LRU)."""
+        key = (frozen_bytes, width)
+        ops = self._programs.pop(key, None)
         if ops is None:
-            ops = self._compile(frozen_bytes)
+            ops = self._compile(frozen_bytes, width)
             if len(self._programs) >= _PROGRAMS_PER_ENGINE:
                 del self._programs[next(iter(self._programs))]
-        self._programs[frozen_bytes] = ops
+        self._programs[key] = ops
         return ops
 
     def load(self, llrs: np.ndarray, offsets: np.ndarray) -> None:
-        """Stage up to ``PROGRAM_WIDTH`` replica rows for one pass.
+        """Stage the replica rows of one pass, at the width
+        :func:`fitted_width` gives for them.
 
         Columns past ``len(llrs)`` keep stale finite values from an
         earlier pass; their decisions are never read.
@@ -494,15 +552,18 @@ class _Engine:
         Layout: offsets (R, N) float64
         """
         rows = llrs.shape[0]
-        self.llr[-1][:, :rows] = llrs.T
-        self.offsets[:, :rows] = offsets.T
+        buffers = self.buffers(fitted_width(rows))
+        buffers.llr[-1][:, :rows] = llrs.T
+        buffers.offsets[:, :rows] = offsets.T
 
     def read(self, out: np.ndarray) -> None:
         """The decisions of a finished pass over ``len(out)`` rows.
 
         Layout: out (R, N) bool
         """
-        np.less(self.offsets[:, :out.shape[0]].T, 0.0, out=out)
+        rows = out.shape[0]
+        np.less(self.buffers(fitted_width(rows)).offsets[:, :rows].T, 0.0,
+                out=out)
 
 
 #: Idle engines by tree size.  A traversal takes an engine out and
@@ -546,14 +607,17 @@ class Traversal:
 
     Each block is a stacked ``(B, E)`` LLR matrix to decode under every
     code in its tuple (all with rate-matched length ``E``).  The work
-    is :attr:`n_ops` compiled ops: one program, run once per
-    ``PROGRAM_WIDTH`` replica rows.  :meth:`step` runs the next ``n``
+    is :attr:`n_ops` compiled ops: one program run once per pass, a
+    pass being up to ``PROGRAM_WIDTHS[-1]`` replica rows run at the
+    :func:`fitted_width` of its rows.  :meth:`step` runs the next ``n``
     of them, crossing passes as it goes, and :meth:`result` reads the
     bits once :attr:`remaining` is 0.  However the ops are split, the
     bits are those of one uninterrupted run: the traversal takes an
     engine when built and gives it back after its last op, so nothing
     else touches the engine's buffers in between (a traversal dropped
-    half-run takes its engine with it).
+    half-run takes its engine with it).  Columns never interact, so a
+    row's bits do not depend on the width, the pass or the other rows
+    it runs with.
 
     Each block's rows are rate-unmatched under their own code and
     replicated once per code.  The traversal runs on a tree sized to
@@ -616,14 +680,20 @@ class Traversal:
             self._slices.append(placed)
         self._bits = np.zeros((n_rows, size), dtype=bool)
         self._engine: _Engine | None = None
-        self._ops: tuple = ()
+        #: Per pass, its rows and the program compiled at its width.
+        self._passes: list[tuple[int, int, tuple]] = []
         if n_rows:
-            self._engine = _take_engine(size)
-            self._ops = self._engine.program(
-                frozen.view(np.uint8).tobytes())
-        passes = -(-n_rows // PROGRAM_WIDTH)
+            engine = self._engine = _take_engine(size)
+            frozen_bytes = frozen.view(np.uint8).tobytes()
+            cap = PROGRAM_WIDTHS[-1]
+            for start in range(0, n_rows, cap):
+                stop = min(start + cap, n_rows)
+                self._passes.append((start, stop, engine.program(
+                    frozen_bytes, fitted_width(stop - start))))
+        #: Compiled ops per pass (every width compiles the same plan).
+        self._pass_ops = len(self._passes[0][2]) if self._passes else 0
         #: Compiled ops the whole traversal runs.
-        self.n_ops = passes * len(self._ops)
+        self.n_ops = len(self._passes) * self._pass_ops
         self._done = 0
 
     @property
@@ -634,12 +704,11 @@ class Traversal:
     def step(self, n: int) -> None:
         """Run the next ``n`` ops (fewer if fewer remain)."""
         stop_at = min(self.n_ops, self._done + max(n, 0))
-        engine, ops = self._engine, self._ops
+        engine = self._engine
         while self._done < stop_at:
             assert engine is not None
-            pass_index, op = divmod(self._done, len(ops))
-            start = pass_index * PROGRAM_WIDTH
-            stop = min(start + PROGRAM_WIDTH, self._bits.shape[0])
+            pass_index, op = divmod(self._done, self._pass_ops)
+            start, stop, ops = self._passes[pass_index]
             if op == 0:
                 engine.load(self._llrs[start:stop],
                             self._offsets[start:stop])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.constants import DCI_CRC_LEN
 from repro.core.dci_decoder import DecodedDci, GridDciDecoder, \
-    _ue_entry_plan, grid_decode_job
+    WindowBlocks, _ue_entry_plan, grid_decode_job
 from repro.core.runtime import WindowRun, run_window
 from repro.core.rach_sniffer import RachSniffer, SpaceSnapshot
 from repro.gnb.cell_config import SRSRAN_PROFILE
@@ -192,22 +192,26 @@ class TestBatchMatchesScalar:
                                           decoder.noise_var):
                         entries.add((level, start))
                         n_entries += 1
-        calls = []
-        decode_blocks = polar.decode_blocks
+        traversals = []
+        init = polar.Traversal.__init__
 
-        def counting(blocks):
-            calls.append([llrs.shape[0] for llrs, _ in blocks])
-            return decode_blocks(blocks)
+        def counting(traversal, blocks):
+            traversals.append([(llrs.shape[0], codes)
+                               for llrs, codes in blocks])
+            init(traversal, blocks)
 
-        monkeypatch.setattr(polar, "decode_blocks", counting)
+        monkeypatch.setattr(polar.Traversal, "__init__", counting)
         decoded = decoder.decode_slot_batch(grid, slot_index, tracked)
         assert len(decoded) > 0
         assert n_entries > len(entries)  # positions really are shared
         # One SC traversal for the whole slot, carrying every
-        # (CORESET, level) group: a per-group decode would call twice.
-        assert len(calls) == 1
-        assert len(calls[0]) >= 2
-        assert sum(calls[0]) <= len(entries)
+        # (CORESET, level) group, merged into one block per code tuple:
+        # a per-group decode would build two.
+        assert len(traversals) == 1
+        [blocks] = traversals
+        assert len(blocks) >= 2
+        assert len({codes for _, codes in blocks}) == len(blocks)
+        assert sum(rows for rows, _ in blocks) <= len(entries)
 
 
 def assert_matches_reference(tracked, slot_index, grid, claimed=None,
@@ -437,3 +441,51 @@ class TestSlimWireForms:
         decoded, attempts = result.result
         assert decoded == inline
         assert attempts == decoder.attempts > 0
+
+
+class TestWindowMatchesSlots:
+    """A window of prepared slots, merged, decoded and CRC-checked as
+    a whole, gives every slot what its own ``decode_slot_batch``
+    gives."""
+
+    @pytest.mark.parametrize("gated", [True, False])
+    @pytest.mark.parametrize("pre_claimed", [(), (0, 1), (6, 7)])
+    def test_mixed_levels(self, gated, pre_claimed):
+        tracked = build_tracked(6)
+        slots = [(10 + i, (2, 4, 8)[i % 3]) for i in range(8)]
+        grids = [build_slot(tracked, slot_index, level=level,
+                            noise_var=0.02, seed=slot_index)
+                 for slot_index, level in slots]
+        want = []
+        for (slot_index, _), grid in zip(slots, grids):
+            decoder = make_decoder(use_energy_gate=gated)
+            claimed = set(pre_claimed)
+            decoded = decoder.decode_slot_batch(grid, slot_index, tracked,
+                                                claimed=claimed)
+            want.append((decoded, decoder.attempts, claimed))
+        levels = {d.aggregation_level for decoded, _, _ in want
+                  for d in decoded}
+        # A pre-claimed CCE blocks the one level-8 candidate.
+        assert levels == ({2, 4} if pre_claimed else {2, 4, 8})
+        decoder = make_decoder(use_energy_gate=gated)
+        window = [decoder.prepare(grid, slot_index, tracked,
+                                  set(pre_claimed))
+                  for (slot_index, _), grid in zip(slots, grids)]
+
+        # The window job, as the runtime runs it.
+        results = run_window(WindowRun(list(range(len(window))),
+                                       grid_decode_job, window))
+        assert [r.error for r in results] == [None] * len(window)
+        assert [r.result for r in results] \
+            == [(decoded, attempts) for decoded, attempts, _ in want]
+
+        # Its parts, with the claims each slot's decodes make.
+        merged = WindowBlocks.merge(window)
+        assert len(merged.blocks) == len({codes for prepared in window
+                                          for _, codes in prepared.blocks})
+        rows = merged.check(polar.decode_blocks(merged.blocks))
+        for prepared, places, (decoded, attempts, claimed) in zip(
+                window, merged.places, want):
+            got = set(pre_claimed)
+            assert prepared.finish(rows, places, got) == (decoded, attempts)
+            assert got == claimed

@@ -152,7 +152,7 @@ class TestCheckpointResume:
 
     def test_restore_rejects_previous_version(self, tmp_path):
         # Version 1 snapshots held the spare estimator's object history.
-        assert CHECKPOINT_VERSION == 6
+        assert CHECKPOINT_VERSION == 7
         path = tmp_path / "fleet.ckpt"
         path.write_bytes(pickle.dumps({"version": 1, "cells": []}))
         with pytest.raises(FleetError):
@@ -205,7 +205,20 @@ class TestCheckpointResume:
         blob["version"] = 5
         path.write_bytes(pickle.dumps(blob))
         with pytest.raises(FleetError,
-                           match=r"version: 5 \(this build reads version 6\)"):
+                           match=r"version: 5 \(this build reads version 7\)"):
+            FleetSupervisor.restore(path)
+
+    def test_restore_rejects_version_6_blob(self, tmp_path):
+        # Version 6 spare-capacity estimators raised on an overbooked
+        # TTI and hold no count of them.
+        path = tmp_path / "fleet.ckpt"
+        supervisor = FleetSupervisor.build(small_config(n_cells=1))
+        supervisor.run(0.3, checkpoint_path=path)
+        blob = pickle.loads(path.read_bytes())
+        blob["version"] = 6
+        path.write_bytes(pickle.dumps(blob))
+        with pytest.raises(FleetError,
+                           match=r"version: 6 \(this build reads version 7\)"):
             FleetSupervisor.restore(path)
 
     def test_restore_rejects_garbage(self, tmp_path):

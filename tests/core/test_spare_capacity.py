@@ -94,10 +94,22 @@ class TestSpareShares:
         assert last_shares(estimator) == {}
         assert estimator.tti_table()["n_shares"].tolist() == [0]
 
-    def test_overflow_rejected(self):
+    def test_overflow_counted_as_overbooked(self):
         estimator = make_estimator(n_prb=10)
+        estimator.observe_tti(usage(slot=0, used={1: 4}))
+        estimator.observe_tti(usage(slot=1, used={1: 8, 2: 3}))
+        assert estimator.overbooked == 1
+        table = estimator.tti_table()
+        assert table["used_prbs"].tolist() == [4, 11]
+        assert table["spare_prbs"].tolist() == [6, 0]
+        assert {r: row["spare_prbs"] for r, row in
+                last_shares(estimator).items()} == {1: 0, 2: 0}
+        assert pickle.loads(pickle.dumps(estimator)).overbooked == 1
+
+    def test_carrier_without_prbs_rejected(self):
         with pytest.raises(SpareCapacityError):
-            estimator.observe_tti(usage(used={1: 11}))
+            SpareCapacityEstimator(grant_config=GrantConfig(bwp_n_prb=51),
+                                   n_prb_carrier=0)
 
 
 class TestSeries:
@@ -194,3 +206,25 @@ class TestColumns:
         for rnti in range(1, 9):
             assert clone.shares(rnti).tolist() == \
                 estimator.shares(rnti).tolist()
+
+
+class TestPhantomDci:
+    def test_iq_session_survives_an_overbooked_tti(self):
+        """A CRC-passing phantom DCI that pushes a slot's decoded PRBs
+        past the carrier is counted, and the session runs to its end
+        (this seed and SNR decode a phantom DL 1_1 worth 86 PRBs on a
+        51-PRB carrier)."""
+        from repro import NRScope, Simulation
+        from repro.analysis.summary import build_session_report
+        from repro.gnb.cell_config import SRSRAN_PROFILE
+
+        sim = Simulation.build(SRSRAN_PROFILE, n_ues=16, seed=1,
+                               fidelity="iq")
+        scope = NRScope.attach(sim, snr_db=25.0)
+        sim.run(1.0)
+        assert scope.counters.slots_observed == 2000
+        assert scope.spare.overbooked >= 1
+        report = build_session_report(scope, 1.0)
+        assert report.cell.overbooked_ttis == scope.spare.overbooked
+        assert f"{scope.spare.overbooked} TTIs overbooked" \
+            in report.render()

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import DCI_CRC_LEN, MAX_RNTI
 from repro.gnb.cell_config import SRSRAN_PROFILE
 from repro.phy import polar
 from repro.phy.coreset import Coreset, SearchSpace, _candidate_starts
@@ -24,7 +25,8 @@ from repro.phy.modulation import QAM16, QPSK, demodulate_qpsk, \
     demodulate_soft, demodulate_soft_batch
 from repro.phy.pdcch import CandidateLayout, PdcchCandidate, \
     _gather_candidate, candidate_energy, dci_crc_attach, \
-    dci_crc_attach_batch, dci_crc_check, dci_crc_check_batch
+    dci_crc_attach_batch, dci_crc_check, dci_crc_check_batch, \
+    dci_crc_syndromes
 from repro.phy.resource_grid import ResourceGrid
 from repro.phy.scrambling import descramble_llrs, descramble_signs, \
     gold_sequence, sign_cache_stats
@@ -123,8 +125,7 @@ class TestDecodeBlocks:
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
             e = data.draw(st.sampled_from(MIXED_ES))
             ks = data.draw(st.sampled_from(K_TUPLES))
-            rows = data.draw(st.integers(
-                min_value=0, max_value=polar.PROGRAM_WIDTH + 4))
+            rows = data.draw(st.integers(min_value=0, max_value=68))
             seed = data.draw(st.integers(min_value=0,
                                          max_value=2 ** 32 - 1))
             blocks.append((lattice_llrs(seed, rows, e), tuple(
@@ -143,9 +144,10 @@ class TestDecodeBlocks:
             e = data.draw(st.sampled_from(MIXED_ES))
             ks = data.draw(st.sampled_from(K_TUPLES))
             # The first block alone can fill more than one pass.
-            low = polar.PROGRAM_WIDTH // 2 if index == 0 else 0
-            rows = data.draw(st.integers(
-                min_value=low, max_value=polar.PROGRAM_WIDTH + 4))
+            widest = polar.PROGRAM_WIDTHS[-1]
+            low = widest // 2 if index == 0 else 0
+            rows = data.draw(st.integers(min_value=low,
+                                         max_value=widest + 4))
             seed = data.draw(st.integers(min_value=0,
                                          max_value=2 ** 32 - 1))
             blocks.append((lattice_llrs(seed, rows, e), tuple(
@@ -174,13 +176,49 @@ class TestDecodeBlocks:
                 assert np.array_equal(got_bits, want_bits)
 
     def test_rows_beyond_program_width_run_in_chunks(self):
-        # 2W + 1 replicas per code of the smaller mother code, next to a
-        # block of the largest one: three passes, shifted info sets.
-        rows = 2 * polar.PROGRAM_WIDTH + 1
+        # W + 1 replicas per code of the smaller mother code, next to a
+        # block of the largest one: passes of W, W and 3 + 2 rows,
+        # shifted info sets.
+        rows = polar.PROGRAM_WIDTHS[-1] + 1
         blocks = [(lattice_llrs(5, rows, 108), (polar.construct(65, 108),
                                                 polar.construct(44, 108))),
                   (lattice_llrs(6, 3, 864), (polar.construct(65, 864),))]
         assert_blocks_match_scalar(blocks, polar.decode_blocks(blocks))
+
+    @pytest.mark.parametrize("rows", sorted(
+        {n for width in polar.PROGRAM_WIDTHS for n in (width, width + 1)}
+        | {2 * polar.PROGRAM_WIDTHS[-1] + 1}))
+    def test_each_side_of_every_width(self, rows, monkeypatch):
+        """A traversal of ``rows`` replicas runs one pass at the
+        smallest width that holds them (passes of the widest beyond
+        it), and its bits equal the scalar decode."""
+        code = polar.construct(44, 108)
+        blocks = [(lattice_llrs(rows, rows, 108), (code,))]
+        widths = []
+        program = polar._Engine.program
+
+        def spy(engine, frozen_bytes, width):
+            widths.append(width)
+            return program(engine, frozen_bytes, width)
+
+        monkeypatch.setattr(polar._Engine, "program", spy)
+        traversal = polar.Traversal(blocks)
+        widest = polar.PROGRAM_WIDTHS[-1]
+        full, rest = divmod(rows, widest)
+        assert widths == [widest] * full \
+            + ([polar.fitted_width(rest)] if rest else [])
+        assert traversal.n_ops % len(widths) == 0
+        traversal.step(traversal.n_ops)
+        assert_blocks_match_scalar(blocks, traversal.result())
+
+    def test_fitted_width_is_the_smallest_that_holds_the_rows(self):
+        widths = polar.PROGRAM_WIDTHS
+        assert list(widths) == sorted(set(widths))
+        for rows in range(1, widths[-1] + 1):
+            width = polar.fitted_width(rows)
+            assert width in widths and width >= rows
+            assert all(w < rows for w in widths if w < width)
+        assert polar.fitted_width(widths[-1] + 1) == widths[-1]
 
     def test_overlapping_call_gets_its_own_engine(self, monkeypatch):
         codes = (polar.construct(65, 216), polar.construct(44, 216))
@@ -254,6 +292,39 @@ class TestCrcBatchEquivalence:
                     for i in range(3)]
         assert got.tolist() == expected
         assert expected[0] is True
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_syndrome_verdict_matches_scalar_check(self, data):
+        """``syndrome == rnti & MAX_RNTI`` is the CRC check's verdict on
+        any rows and RNTIs, and a CRC-attached row's syndrome is its
+        masked RNTI.  Above ``MAX_RNTI`` the batch check masks the RNTI
+        as the gNB does, and the scalar check, which refuses such an
+        RNTI, is asked about its masked 16 bits."""
+        k = data.draw(st.integers(min_value=DCI_CRC_LEN - 2,
+                                  max_value=96))
+        batch = data.draw(st.integers(min_value=1, max_value=6))
+        rntis = np.array(data.draw(st.lists(
+            st.integers(min_value=0, max_value=1 << 20),
+            min_size=batch, max_size=batch)), dtype=np.int64)
+        blocks = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=k, max_size=k),
+            min_size=batch, max_size=batch)), dtype=np.uint8)
+        if k > DCI_CRC_LEN:
+            # Half the rows carry a real CRC under their own RNTI.
+            attached = dci_crc_attach_batch(blocks[:, :-DCI_CRC_LEN],
+                                            rntis)
+            blocks[::2] = attached[::2]
+            assert (dci_crc_syndromes(attached)
+                    == rntis & MAX_RNTI).all()
+        syndromes = dci_crc_syndromes(blocks)
+        assert syndromes.dtype == np.int64
+        verdicts = (syndromes == rntis & MAX_RNTI).tolist()
+        assert verdicts == [dci_crc_check(row, int(rnti) & MAX_RNTI)
+                            for row, rnti in zip(blocks, rntis)]
+        assert verdicts == dci_crc_check_batch(blocks, rntis).tolist()
+        if k > DCI_CRC_LEN:
+            assert all(verdicts[::2])
 
     def test_generator_matrix_is_cached_and_frozen(self):
         before = crc_generator_matrix.cache_info().hits
@@ -473,6 +544,8 @@ KERNEL_CASES = {
         lambda k: dci_crc_check_batch(_crc_blocks(k), k.rntis),
         lambda k: dci_crc_check(_crc_blocks(k)[0], int(k.rntis[0])),
         np.bool_, 1),
+    "pdcch.dci_crc_syndromes": (
+        lambda k: dci_crc_syndromes(_crc_blocks(k)), None, np.int64, 1),
     "scrambling.descramble_llrs": (
         lambda k: descramble_llrs(k.llrs, 0x1F5),
         lambda k: descramble_llrs(k.llrs[0], 0x1F5), np.float64, 2),
