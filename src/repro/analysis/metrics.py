@@ -123,29 +123,6 @@ def jain_fairness(allocations: list[float] | np.ndarray) -> float:
     return total_sq / (arr.size * sq_total)
 
 
-def bootstrap_ci(values: list[float] | np.ndarray, q: float = 50.0,
-                 confidence: float = 0.95, n_resamples: int = 1000,
-                 seed: int = 0) -> tuple[float, float]:
-    """Bootstrap confidence interval for a percentile of a sample.
-
-    Returns (low, high) bounds; used to report uncertainty alongside
-    the figure summaries when session durations are scaled down.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise MetricsError("cannot bootstrap an empty sample")
-    if not 0.0 < confidence < 1.0:
-        raise MetricsError(f"confidence out of range: {confidence}")
-    rng = np.random.default_rng(seed)
-    stats = np.empty(n_resamples)
-    for i in range(n_resamples):
-        resample = rng.choice(arr, size=arr.size, replace=True)
-        stats[i] = np.percentile(resample, q)
-    alpha = (1.0 - confidence) / 2.0
-    return (float(np.quantile(stats, alpha)),
-            float(np.quantile(stats, 1.0 - alpha)))
-
-
 def coefficient_of_determination(estimates: list[float] | np.ndarray,
                                  truth: list[float] | np.ndarray) -> float:
     """R^2 between paired samples (Fig 15: 0.9970 MCS, 0.9862 retx)."""

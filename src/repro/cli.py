@@ -11,8 +11,6 @@ Mirrors how the released NR-Scope tool is driven from a terminal:
 * ``fleet``    - supervised multi-cell run with come-and-go UEs and
   periodic checkpoints; ``--resume`` continues a killed run from its
   checkpoint file with telemetry identical to an uninterrupted run.
-* ``bench``    - repeatable perf benchmarks (``bench telemetry`` writes
-  ``BENCH_telemetry.json``, the columnar store vs per-record baseline).
 * ``obs``      - observability-stream tooling: ``obs topn`` clusters a
   session's failure events, ``obs validate`` checks a stream against
   the event schema.
@@ -136,16 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="enable the observability bus: jsonl:PATH "
                             "| counters | ring[:N] | tail[:stdout] "
                             "(repeatable)")
-
-    bench = sub.add_parser("bench",
-                           help="run a repeatable perf benchmark")
-    bench.add_argument("name", choices=["telemetry"])
-    bench.add_argument("--quick", action="store_true",
-                       help="tiny sweep (CI smoke; not a real "
-                            "measurement)")
-    bench.add_argument("--out", metavar="PATH", default=None,
-                       help="output JSON document path (default "
-                            "BENCH_<name>.json)")
 
     from repro.lint.cli import add_arguments as add_lint_arguments
     lint = sub.add_parser("lint",
@@ -361,18 +349,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.name == "telemetry":
-        from repro.experiments import bench_telemetry
-        out = args.out or "BENCH_telemetry.json"
-        doc = bench_telemetry.main(out_path=out, quick=args.quick)
-        print(bench_telemetry.render(doc))
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown bench: {args.name}")
-    print(f"wrote {out}")
-    return 0
-
-
 def cmd_obs(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
@@ -427,7 +403,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 _COMMANDS = {"sniff": cmd_sniff, "cells": cmd_cells,
              "figure": cmd_figure, "survey": cmd_survey,
-             "fleet": cmd_fleet, "bench": cmd_bench, "obs": cmd_obs,
+             "fleet": cmd_fleet, "obs": cmd_obs,
              "lint": cmd_lint}
 
 

@@ -55,6 +55,10 @@ class ScopeError(ValueError):
 #: than a single-shot DCI, hence the high floor.
 _SETUP_DECODE_SNR_FLOOR_DB = -2.0
 
+#: How far below the downlink link SNR the sniffer hears PUCCH: the UE's
+#: transmitter is much weaker than the gNB's.
+UPLINK_SNR_OFFSET_DB = 6.0
+
 
 @dataclass
 class ScopeCounters:
@@ -82,10 +86,8 @@ class NRScope:
                  packet_bytes: int = 1400, cell_n_id: int = 0,
                  always_decode_setup: bool = False,
                  decode_uci: bool = True,
-                 uplink_snr_offset_db: float = 6.0,
                  capture_impairments: bool = False,
                  waveform_bootstrap: bool = False,
-                 slot_budget_s: float | None = None,
                  obs: AnyObsContext | None = None,
                  cell: str | None = None) -> None:
         if fidelity not in ("message", "iq"):
@@ -115,10 +117,9 @@ class NRScope:
         self.throughput = ThroughputBank(window_s=window_s)
         self.aggregation = PacketAggregationAnalyzer(
             packet_bytes=packet_bytes)
-        # UCI decoding (paper section 7 future work): PUCCH comes from
-        # the UE's much weaker transmitter, hence the SNR offset.
+        # UCI decoding (paper section 7 future work), heard
+        # UPLINK_SNR_OFFSET_DB below the downlink.
         self.decode_uci = decode_uci
-        self.uplink_snr_offset_db = uplink_snr_offset_db
         self.uci = UciTelemetry()
         # Front-end impairments: a slowly drifting complex gain applied
         # to every IQ capture (oscillator drift / AGC wobble).  The grid
@@ -159,7 +160,7 @@ class NRScope:
                       pack=self._pack_dci, merge=self._merge_dci),
                 Stage("sinks", self._stage_sinks, sink=True),
             ],
-            slot_budget_s=slot_budget_s or self._slot_duration_s,
+            slot_budget_s=self._slot_duration_s,
             obs=self._obs)
         if self._obs:
             self._obs.emit("session.start", fidelity=fidelity, seed=seed)
@@ -482,7 +483,7 @@ class NRScope:
         output = ctx.output
         if output.uci_records and self.decode_uci and \
                 self.rach is not None:
-            snr = self.link.snr_db - self.uplink_snr_offset_db
+            snr = self.link.snr_db - UPLINK_SNR_OFFSET_DB
             for record in output.uci_records:
                 if not self.rach.is_tracked(record.rnti):
                     continue

@@ -49,19 +49,6 @@ class TelemetryRecord:
     is_retransmission: bool
     aggregation_level: int
 
-    @classmethod
-    def from_decode(cls, slot_index: int, time_s: float, dci: Dci,
-                    grant: Grant, aggregation_level: int,
-                    is_retransmission: bool) -> "TelemetryRecord":
-        """Build a record from a decoded DCI/grant pair."""
-        return cls(slot_index=slot_index, time_s=time_s, rnti=dci.rnti,
-                   downlink=dci.format is DciFormat.DL_1_1,
-                   tbs_bits=grant.tbs_bits, n_prb=grant.n_prb,
-                   n_symbols=grant.n_symbols, mcs_index=dci.mcs,
-                   harq_id=dci.harq_id, ndi=dci.ndi, rv=dci.rv,
-                   is_retransmission=is_retransmission,
-                   aggregation_level=aggregation_level)
-
     @property
     def n_regs(self) -> int:
         """REGs this record's grant occupies."""

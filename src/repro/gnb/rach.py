@@ -24,7 +24,9 @@ from enum import Enum
 import numpy as np
 
 from repro.constants import FIRST_C_RNTI, LAST_C_RNTI
-from repro.phy.prach import N_PREAMBLES
+
+#: Preambles available per occasion (38.331 totalNumberOfRA-Preambles).
+N_PREAMBLES = 64
 
 
 class RachError(ValueError):

@@ -8,8 +8,7 @@ repo's 3GPP bit-contract and determinism invariants (paper section
 3.2.1: one mis-sized field silently corrupts every downstream metric).
 
 Run it as ``python -m repro.lint [--format text|json] [paths...]`` or
-through the main CLI as ``python -m repro.cli lint``.  ``--changed
-[REF]`` scopes the scan to git-changed files for a fast PR gate.
+through the main CLI as ``python -m repro.cli lint``.
 
 Rule catalogue (see each module under :mod:`repro.lint.rules`):
 
@@ -38,13 +37,11 @@ discovers it.
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import LintContext, LintEngine
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, iter_rules, register
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintContext",
     "LintEngine",

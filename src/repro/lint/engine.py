@@ -122,10 +122,6 @@ class LintEngine:
     """Runs a rule set over a list of scan roots."""
 
     rules: list[Rule] = field(default_factory=iter_rules)
-    #: Package-relative paths of the last ``run()``'s scanned files
-    #: (used by the CLI to restrict baseline-orphan detection to files
-    #: the scan actually covered).
-    last_scanned: set[str] = field(default_factory=set)
 
     def collect(self, paths: Iterable[Path | str]) \
             -> tuple[list[ParsedModule], list[Finding]]:
@@ -161,7 +157,6 @@ class LintEngine:
     def run(self, paths: Iterable[Path | str]) -> list[Finding]:
         """Lint every Python file under ``paths``; returns all findings."""
         modules, findings = self.collect(paths)
-        self.last_scanned = {m.rel for m in modules}
         for module in modules:
             findings.extend(self._check_module(module))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))

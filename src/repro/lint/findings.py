@@ -1,9 +1,4 @@
-"""The unit of lint output: one finding at one source location.
-
-Findings identify themselves to the baseline by *content* (rule, file,
-stripped source line) rather than line number, so unrelated edits above
-a grandfathered violation do not un-suppress it.
-"""
+"""The unit of lint output: one finding at one source location."""
 
 from __future__ import annotations
 
@@ -17,15 +12,10 @@ class Finding:
     rule_id: str
     message: str
     path: str       #: path as scanned, for display
-    rel: str        #: package-relative path, for scoping and baselines
+    rel: str        #: package-relative path, for scoping
     line: int       #: 1-based source line
     col: int        #: 0-based column
-    snippet: str    #: the stripped source line, for baseline matching
-
-    @property
-    def group_key(self) -> tuple[str, str, str]:
-        """Content-based identity used for baseline suppression."""
-        return (self.rule_id, self.rel, self.snippet)
+    snippet: str    #: the stripped source line, for display
 
     def render(self) -> str:
         """Conventional ``path:line:col: RULE message`` line."""

@@ -4,7 +4,7 @@
 paths is almost always a latent bug: values arrive through FFTs, AGC
 gains and LLR scalings where exact equality is an accident of rounding.
 The fix is ``math.isclose`` / ``np.isclose`` — or, when the comparison
-really is an exact sentinel, a baseline entry saying so.
+really is an exact sentinel, a named module-level constant saying so.
 
 Also flags identity comparisons with numeric literals (``x is 5``),
 which compare object identity and only work by CPython caching

@@ -2,8 +2,8 @@
 
 GitHub code scanning (and most IDE SARIF viewers) ingest the Static
 Analysis Results Interchange Format.  This module renders a lint run —
-the post-baseline *new* findings plus the rule catalog that produced
-them — as a single-run SARIF log.  URIs are repo-relative so the
+the findings plus the rule catalog that produced them — as a
+single-run SARIF log.  URIs are repo-relative so the
 upload action can map results onto PR diffs; columns are converted
 from nrlint's 0-based ``col`` to SARIF's 1-based ``startColumn``.
 """

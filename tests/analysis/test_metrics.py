@@ -115,33 +115,6 @@ class TestJainFairness:
             jain_fairness([-1.0, 1.0])
 
 
-class TestBootstrapCi:
-    def test_brackets_the_true_median(self):
-        from repro.analysis.metrics import bootstrap_ci
-        rng = np.random.default_rng(4)
-        sample = rng.normal(10.0, 2.0, size=400)
-        low, high = bootstrap_ci(sample, q=50.0)
-        assert low <= 10.0 + 0.5
-        assert high >= 10.0 - 0.5
-        assert low < high
-
-    def test_narrows_with_sample_size(self):
-        from repro.analysis.metrics import bootstrap_ci
-        rng = np.random.default_rng(5)
-        small = rng.normal(0, 1, 30)
-        large = rng.normal(0, 1, 3000)
-        low_s, high_s = bootstrap_ci(small)
-        low_l, high_l = bootstrap_ci(large)
-        assert (high_l - low_l) < (high_s - low_s)
-
-    def test_validation(self):
-        from repro.analysis.metrics import bootstrap_ci
-        with pytest.raises(MetricsError):
-            bootstrap_ci([])
-        with pytest.raises(MetricsError):
-            bootstrap_ci([1.0], confidence=1.5)
-
-
 class TestR2:
     def test_perfect_fit(self):
         assert coefficient_of_determination([1, 2, 3], [1, 2, 3]) == 1.0

@@ -18,15 +18,22 @@ def make_record(slot=0, time_s=0.0, rnti=0x4601, tbs=1000, downlink=True,
 
 
 class TestRecord:
-    def test_from_decode(self):
+    def test_append_decode(self):
+        """The sink's DCI/grant → row mapping, read back as a record."""
         config = GrantConfig(bwp_n_prb=51)
         dci = Dci(format=DciFormat.DL_1_1, rnti=0x4601,
                   freq_alloc_riv=riv_encode(0, 4, 51), time_alloc=1,
                   mcs=10, ndi=1, rv=0, harq_id=2)
         grant = dci_to_grant(dci, config)
-        record = TelemetryRecord.from_decode(5, 0.0025, dci, grant, 2,
-                                             is_retransmission=False)
-        assert record.tbs_bits == grant.tbs_bits
+        log = TelemetryLog()
+        log.append_decode(5, 0.0025, dci, grant, 2,
+                          is_retransmission=False)
+        record = log.records[0]
+        assert record == TelemetryRecord(
+            slot_index=5, time_s=0.0025, rnti=0x4601, downlink=True,
+            tbs_bits=grant.tbs_bits, n_prb=4, n_symbols=12,
+            mcs_index=10, harq_id=2, ndi=1, rv=0,
+            is_retransmission=False, aggregation_level=2)
         assert record.n_regs == 4 * 12
         assert record.downlink
 

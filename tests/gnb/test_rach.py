@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gnb.rach import RachError, RachProcedure
+from repro.gnb.rach import RachError, RachProcedure, RachState
 
 
 def drive(rach: RachProcedure, until_slot: int):
@@ -89,3 +89,39 @@ class TestRachProcedure:
         events = drive(rach, 60)
         assert len(events) == 64
         assert rach.completed == 64
+
+
+class TestContention:
+    def test_collisions_back_off_and_retry(self):
+        procedure = RachProcedure(seed=3)
+        for ue in range(32):
+            procedure.request_connection(ue, 0)
+        events = drive(procedure, 400)
+        assert procedure.completed == 32
+        assert len(events) == 32
+        # With 32 UEs drawing from 64 preambles, collisions are near
+        # certain (birthday bound).
+        assert procedure.collisions > 0
+
+    def test_lone_ue_never_collides(self):
+        procedure = RachProcedure(seed=4)
+        procedure.request_connection(0, 0)
+        drive(procedure, 30)
+        assert procedure.completed == 1
+        assert procedure.collisions == 0
+
+    def test_collided_attempt_keeps_waiting_state(self):
+        procedure = RachProcedure(seed=5)
+        # Force a collision by flooding one occasion.
+        for ue in range(64):
+            procedure.request_connection(ue, 0)
+        procedure.step(0)
+        waiting = [a for a in procedure._attempts.values()
+                   if a.state is RachState.WAITING_OCCASION]
+        sent = [a for a in procedure._attempts.values()
+                if a.state is RachState.MSG1_SENT]
+        assert waiting, "some UEs must have collided"
+        assert sent, "some UEs must have won their preamble"
+        for attempt in waiting:
+            assert attempt.collisions >= 1
+            assert attempt.next_action_slot > 0

@@ -1,12 +1,10 @@
-"""Engine, baseline and output-format tests for nrlint."""
+"""Engine tests for nrlint."""
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, Finding, LintEngine
-from repro.lint.baseline import BaselineError
+from repro.lint import LintEngine
 from repro.lint.registry import RuleError, iter_rules
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -15,7 +13,7 @@ REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 class TestEngine:
     def test_repo_is_clean(self, engine):
         """The headline acceptance check: the shipped tree has no
-        unfixed violations (the committed baseline is empty)."""
+        violations."""
         findings = engine.run([REPO_SRC])
         assert findings == [], "\n".join(f.render() for f in findings)
 
@@ -101,79 +99,3 @@ class TestEngine:
         findings = engine.run([fixtures_dir])
         assert findings and {f.rule_id for f in findings} == {"R004"}
 
-
-class TestBaseline:
-    def _finding(self, rel="gnb/mod.py", line=3,
-                 snippet="return sfn % 1024"):
-        return Finding(rule_id="R004", message="m", path=rel, rel=rel,
-                       line=line, col=0, snippet=snippet)
-
-    def test_roundtrip_and_suppression(self, tmp_path):
-        finding = self._finding()
-        baseline = Baseline.from_findings([finding])
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        fresh, suppressed = loaded.filter([finding])
-        assert fresh == [] and suppressed == [finding]
-
-    def test_line_number_drift_still_matches(self, tmp_path):
-        baseline = Baseline.from_findings([self._finding(line=3)])
-        fresh, suppressed = baseline.filter([self._finding(line=300)])
-        assert fresh == [] and len(suppressed) == 1
-
-    def test_count_budget_is_enforced(self):
-        baseline = Baseline.from_findings([self._finding()])
-        fresh, suppressed = baseline.filter(
-            [self._finding(), self._finding()])
-        assert len(fresh) == 1 and len(suppressed) == 1
-
-    def test_new_finding_not_suppressed(self):
-        baseline = Baseline.from_findings([self._finding()])
-        other = self._finding(snippet="return slot % 20")
-        fresh, _ = baseline.filter([other])
-        assert fresh == [other]
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("{not json")
-        with pytest.raises(BaselineError):
-            Baseline.load(path)
-        path.write_text(json.dumps({"entries": [{"rule": "R001"}]}))
-        with pytest.raises(BaselineError):
-            Baseline.load(path)
-
-    def test_saved_file_carries_justification_slot(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings([self._finding()]).save(path)
-        entry = json.loads(path.read_text())["entries"][0]
-        assert entry["rule"] == "R004"
-        assert entry["path"] == "gnb/mod.py"
-        assert "justification" in entry
-
-    def test_unmatched_reports_orphaned_entries(self):
-        baseline = Baseline.from_findings([self._finding()])
-        orphans = baseline.unmatched([])
-        assert len(orphans) == 1 and orphans[0][0] == "R004"
-
-    def test_unmatched_ignores_unscanned_files(self):
-        """An entry for a file outside the scan scope is not an orphan —
-        a ``--changed`` run must not flag the rest of the baseline."""
-        baseline = Baseline.from_findings([self._finding()])
-        assert baseline.unmatched([], scanned_rels={"phy/other.py"}) == []
-
-    def test_prune_drops_unused_budget(self):
-        used = self._finding()
-        stale = self._finding(rel="gnb/gone.py")
-        baseline = Baseline.from_findings([used, used, stale])
-        pruned = baseline.prune([used])
-        assert pruned == 2  # one surplus count + one whole stale entry
-        fresh, suppressed = baseline.filter([used])
-        assert fresh == [] and suppressed == [used]
-        assert baseline.unmatched([used]) == []
-
-    def test_committed_baseline_is_valid(self):
-        committed = Path(__file__).resolve().parents[2] \
-            / "lint-baseline.json"
-        baseline = Baseline.load(committed)
-        assert sum(baseline.entries.values()) == 0

@@ -1,4 +1,4 @@
-"""CLI-level tests: exit codes, formats, baseline workflow, repro.cli."""
+"""CLI-level tests: exit codes, formats, repro.cli."""
 
 import json
 from pathlib import Path
@@ -101,38 +101,16 @@ class TestLintCli:
         assert lint_main([str(fixtures_dir)]) == 2
         assert "crashed" in capsys.readouterr().err
 
-    def test_baseline_workflow(self, fixtures_dir, tmp_path, capsys):
-        """write-baseline grandfathers everything; reruns go green;
-        a new violation still fails."""
-        baseline = tmp_path / "baseline.json"
-        assert lint_main([str(fixtures_dir), "--baseline", str(baseline),
-                          "--write-baseline"]) == 0
-        capsys.readouterr()
-        assert lint_main([str(fixtures_dir), "--baseline",
-                          str(baseline)]) == 0
-        assert "baselined" in capsys.readouterr().out
-
-        extra = tmp_path / "tree" / "gnb"
-        extra.mkdir(parents=True)
-        (extra / "fresh.py").write_text("import time\nt = time.time()\n")
-        assert lint_main([str(fixtures_dir), str(extra.parent),
-                          "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "fresh.py" in out
-
-    def test_write_baseline_keeps_justifications(self, fixtures_dir,
-                                                 tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert lint_main([str(fixtures_dir), "--baseline", str(baseline),
-                          "--write-baseline"]) == 0
-        data = json.loads(baseline.read_text())
-        data["entries"][0]["justification"] = "grandfathered: see PR 4"
-        baseline.write_text(json.dumps(data))
-        assert lint_main([str(fixtures_dir), "--baseline", str(baseline),
-                          "--write-baseline"]) == 0
-        rewritten = json.loads(baseline.read_text())
-        assert any(e["justification"] == "grandfathered: see PR 4"
-                   for e in rewritten["entries"])
+    def test_retired_options_are_usage_errors(self, fixtures_dir,
+                                              capsys):
+        """nrlint has no baseline and no changed-files mode: a finding
+        can only be fixed, and these options are usage errors."""
+        for option in ("--baseline=f.json", "--write-baseline",
+                       "--prune-baseline", "--changed"):
+            with pytest.raises(SystemExit) as exc:
+                lint_main([str(fixtures_dir), option])
+            assert exc.value.code == 2, option
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestContractsMode:
@@ -145,155 +123,6 @@ class TestContractsMode:
         captured = capsys.readouterr()
         assert "error" in captured.err
         assert '"shapes"' not in captured.out
-
-
-class TestChangedMode:
-    def _git(self, *argv, cwd):
-        import subprocess
-        subprocess.run(["git", *argv], cwd=cwd, check=True,
-                       capture_output=True,
-                       env={"GIT_AUTHOR_NAME": "t",
-                            "GIT_AUTHOR_EMAIL": "t@t",
-                            "GIT_COMMITTER_NAME": "t",
-                            "GIT_COMMITTER_EMAIL": "t@t",
-                            "HOME": str(cwd), "PATH": "/usr/bin:/bin"})
-
-    @pytest.fixture
-    def repo(self, tmp_path, monkeypatch):
-        self._git("init", "-q", cwd=tmp_path)
-        tree = tmp_path / "src" / "repro" / "gnb"
-        tree.mkdir(parents=True)
-        (tree / "clean.py").write_text("X = 0\n")
-        self._git("add", "-A", cwd=tmp_path)
-        self._git("commit", "-qm", "seed", cwd=tmp_path)
-        monkeypatch.chdir(tmp_path)
-        return tmp_path
-
-    def test_no_changes_is_clean_noop(self, repo, capsys):
-        assert lint_main(["--changed"]) == 0
-        assert "nothing to lint" in capsys.readouterr().out
-
-    def test_untracked_violation_is_caught(self, repo, capsys):
-        bad = repo / "src" / "repro" / "gnb" / "fresh.py"
-        bad.write_text("import time\nt = time.time()\n")
-        assert lint_main(["--changed"]) == 1
-        assert "fresh.py" in capsys.readouterr().out
-
-    def test_modified_tracked_file_is_caught(self, repo, capsys):
-        target = repo / "src" / "repro" / "gnb" / "clean.py"
-        target.write_text("import random\nrandom.random()\n")
-        assert lint_main(["--changed", "HEAD"]) == 1
-        assert "clean.py" in capsys.readouterr().out
-
-    def test_changed_plus_paths_is_usage_error(self, repo, capsys):
-        assert lint_main(["--changed", "--", "src"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_seeded_fixtures_are_exempt_from_the_gate(self, repo,
-                                                      capsys):
-        """A PR touching the violation fixtures must not turn the fast
-        gate red: those files contain findings by design."""
-        fixture = repo / "tests" / "lint" / "fixtures" / "phy"
-        fixture.mkdir(parents=True)
-        (fixture / "seeded.py").write_text("import time\nt = time.time()\n")
-        assert lint_main(["--changed"]) == 0
-        assert "nothing to lint" in capsys.readouterr().out
-
-    def test_changed_prunes_fixed_r007_entry(self, repo, capsys):
-        """Every rule sees one file at a time, so a --changed scan of a
-        core/ file judges its R007 baseline entries like any other
-        rule's: a fixed finding is orphaned, and pruned on request."""
-        core = repo / "src" / "repro" / "core"
-        core.mkdir()
-        target = core / "noise.py"
-        target.write_text("import numpy as np\nx = np.random.randn(4)\n")
-        self._git("add", "-A", cwd=repo)
-        self._git("commit", "-qm", "noise", cwd=repo)
-        baseline = repo / "lint-baseline.json"
-        baseline.write_text(json.dumps({
-            "version": 1,
-            "entries": [{"rule": "R007", "path": "core/noise.py",
-                         "snippet": "x = np.random.randn(4)", "count": 1,
-                         "justification": "grandfathered"}]}))
-        target.write_text("import numpy as np\nx = np.zeros(4)\n")
-        capsys.readouterr()
-
-        assert lint_main(["--changed", "HEAD"]) == 0
-        assert "orphaned baseline entry R007 core/noise.py" in \
-            capsys.readouterr().err
-
-        assert lint_main(["--changed", "HEAD",
-                          "--prune-baseline"]) == 0
-        assert "pruned 1" in capsys.readouterr().out
-        rewritten = json.loads(baseline.read_text())
-        assert not any(e["rule"] == "R007" for e in rewritten["entries"])
-
-
-class TestBaselineOrphans:
-    def test_orphan_warning_and_prune(self, fixtures_dir, tmp_path,
-                                      capsys):
-        """A baselined-then-fixed finding warns, then --prune-baseline
-        rewrites the file and the warning goes away."""
-        baseline = tmp_path / "baseline.json"
-        assert lint_main([str(fixtures_dir), "--baseline", str(baseline),
-                          "--write-baseline"]) == 0
-        data = json.loads(baseline.read_text())
-        data["entries"].append({
-            "rule": "R001", "path": "ue/ghost.py",
-            "snippet": "x = 1024", "count": 1,
-            "justification": "file was deleted"})
-        baseline.write_text(json.dumps(data))
-        capsys.readouterr()
-
-        # The ghost entry's directory was never scanned, so a scoped
-        # run stays quiet about it...
-        assert lint_main([str(fixtures_dir), "--baseline",
-                          str(baseline)]) == 0
-        assert "orphaned" not in capsys.readouterr().err
-
-        # ...but a scan that *does* cover ue/ flags the dead entry.
-        ghost_root = tmp_path / "tree" / "ue"
-        ghost_root.mkdir(parents=True)
-        (ghost_root / "other.py").write_text("Y = 1\n")
-        assert lint_main([str(fixtures_dir), str(ghost_root.parent),
-                          "--baseline", str(baseline)]) == 0
-        assert "orphaned baseline entry" in capsys.readouterr().err
-
-        assert lint_main([str(fixtures_dir), str(ghost_root.parent),
-                          "--baseline", str(baseline),
-                          "--prune-baseline"]) == 0
-        assert "pruned 1" in capsys.readouterr().out
-        rewritten = json.loads(baseline.read_text())
-        assert not any(e["path"] == "ue/ghost.py"
-                       for e in rewritten["entries"])
-
-    def test_prune_without_baseline_is_usage_error(self, fixtures_dir,
-                                                   tmp_path, capsys):
-        missing = tmp_path / "nope.json"
-        assert lint_main([str(fixtures_dir), "--baseline", str(missing),
-                          "--prune-baseline"]) == 2
-        assert "existing baseline" in capsys.readouterr().err
-
-    def test_select_scan_cannot_orphan_other_rules(self, fixtures_dir,
-                                                   tmp_path, capsys):
-        """A --select run finds nothing for the unselected rules *by
-        construction*; their baseline entries must survive a prune."""
-        baseline = tmp_path / "baseline.json"
-        assert lint_main([str(fixtures_dir), "--baseline", str(baseline),
-                          "--write-baseline"]) == 0
-        capsys.readouterr()
-
-        assert lint_main([str(fixtures_dir), "--select", "R001",
-                          "--baseline", str(baseline)]) == 0
-        assert "orphaned" not in capsys.readouterr().err
-
-        assert lint_main([str(fixtures_dir), "--select", "R001",
-                          "--baseline", str(baseline),
-                          "--prune-baseline"]) == 0
-        assert "pruned 0" in capsys.readouterr().out
-        rewritten = json.loads(baseline.read_text())
-        surviving = {e["rule"] for e in rewritten["entries"]}
-        assert {"R007", "R008", "R012"} <= surviving
 
 
 class TestReproCliIntegration:
