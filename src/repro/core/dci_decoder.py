@@ -484,7 +484,7 @@ class GridDciDecoder:
     def __init__(self, dci_cfg: DciSizeConfig, n_id: int,
                  noise_var: float, use_energy_gate: bool = True,
                  use_cce_claiming: bool = True,
-                 equalize: bool = False) -> None:
+                 equalize: bool = False, scs_khz: int = 30) -> None:
         if noise_var <= 0:
             raise DciDecoderError(
                 f"noise variance must be positive: {noise_var}")
@@ -494,6 +494,7 @@ class GridDciDecoder:
         self.use_energy_gate = use_energy_gate
         self.use_cce_claiming = use_cce_claiming
         self.equalize = equalize
+        self.scs_khz = scs_khz
         self.attempts = 0
 
     def config(self) -> dict:
@@ -503,7 +504,7 @@ class GridDciDecoder:
                 "noise_var": self.noise_var,
                 "use_energy_gate": self.use_energy_gate,
                 "use_cce_claiming": self.use_cce_claiming,
-                "equalize": self.equalize}
+                "equalize": self.equalize, "scs_khz": self.scs_khz}
 
     def decode_slot_batch(self, grid: ResourceGrid, slot_index: int,
                           tracked: Mapping[int, SearchSpace],
@@ -563,7 +564,7 @@ class GridDciDecoder:
         claimed_bits = 0
         for cce in claimed or ():
             claimed_bits |= 1 << cce
-        reduced_slot = slot_index % slots_per_frame(30)
+        reduced_slot = slot_index % slots_per_frame(self.scs_khz)
         layout = tracked.layout(
             (reduced_slot, self.dci_cfg, self.n_id),
             lambda: SearchLayout.build(tracked, reduced_slot,
@@ -598,7 +599,7 @@ class GridDciDecoder:
                 [estimate_channel(grid, coreset,
                                   PdcchCandidate(first_cce=start,
                                                  aggregation_level=level),
-                                  self.n_id, slot_index)
+                                  self.n_id, slot_index, self.scs_khz)
                  for (coreset, level, start), kept in zip(positions, keep)
                  if kept],
                 dtype=np.complex128)

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import os
 import pickle
+import struct
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,7 +58,17 @@ class FleetError(ValueError):
 #: dropped DCIs.
 #: Version 6: the gNB holds no PDSCH grid generator.
 #: Version 7: the spare-capacity estimator counts overbooked TTIs.
-CHECKPOINT_VERSION = 7
+#: Version 8: the gNB log keeps packed rows instead of record objects,
+#: and the file starts with :data:`CHECKPOINT_HEADER`.
+CHECKPOINT_VERSION = 8
+
+#: A checkpoint file is this header, then the pickled payload: magic,
+#: version, payload length and the payload's CRC-32.  ``restore`` checks
+#: all four before unpickling, so a truncated file or a flipped bit is a
+#: :class:`FleetError` instead of a resumed run with silently different
+#: state.
+CHECKPOINT_MAGIC = b"NRSCKPT\n"
+CHECKPOINT_HEADER = struct.Struct("<8sIQI")
 
 #: Per-cell spacing of derived seeds (cell i draws from seed-space
 #: ``seed + stride * (i + 1)``) and of population UE ids, so no two
@@ -174,9 +186,10 @@ class FleetSupervisor:
 
         One ``pickle.dumps`` covers the whole blob, so object identity
         shared between a cell's session list and its gNB's tracked
-        tables survives the round trip.  The write lands via a temp
-        file + ``os.replace`` — a crash mid-checkpoint leaves the
-        previous snapshot intact.
+        tables survives the round trip; the file is
+        :data:`CHECKPOINT_HEADER` and then that pickle.  The write lands
+        via a temp file + ``os.replace`` — a crash mid-checkpoint leaves
+        the previous snapshot intact.
         """
         started = time.perf_counter()
         cells = []
@@ -188,26 +201,34 @@ class FleetSupervisor:
                 "sim": stream.sim.checkpoint_state(),
                 "scope": stream.scope.checkpoint_state(),
             })
-        blob = {"version": CHECKPOINT_VERSION, "config": self.config,
+        blob = {"config": self.config,
                 "controller": self.controller.fleet_state(),
                 "cells": cells}
         data = pickle.dumps(blob, protocol=pickle.HIGHEST_PROTOCOL)
+        header = CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                        len(data), zlib.crc32(data))
         target = Path(path)
         scratch = target.with_suffix(target.suffix + ".tmp")
-        scratch.write_bytes(data)
+        with open(scratch, "wb") as out:
+            out.write(header)
+            out.write(data)
         os.replace(scratch, target)
+        size = len(header) + len(data)
         if self._obs:
             self._obs.timing("fleet.checkpoint",
                              time.perf_counter() - started,
-                             cells=len(cells), bytes=len(data))
-        return len(data)
+                             cells=len(cells), bytes=size)
+        return size
 
     @classmethod
     def restore(cls, path: str | Path,
                 obs: AnyObsContext | None = None) -> "FleetSupervisor":
         """Rebuild a mid-run fleet from a :meth:`checkpoint` snapshot.
 
-        Snapshots are pickles — restore only files this tool wrote.
+        Snapshots are pickles — restore only files this tool wrote.  A
+        missing file, a wrong magic, version or length, and a payload
+        whose CRC-32 differs from the header's raise :class:`FleetError`
+        naming the file.
         """
         started = time.perf_counter()
         obs = obs if obs is not None else OBS_NOOP
@@ -215,16 +236,12 @@ class FleetSupervisor:
         if not target.exists():
             raise FleetError(f"no checkpoint at {target}")
         data = target.read_bytes()
+        payload = _checked_payload(data, target)
         try:
-            blob = pickle.loads(data)
+            blob = pickle.loads(payload)
         except Exception as exc:
             raise FleetError(f"unreadable checkpoint {target}: "
                              f"{exc}") from exc
-        version = blob.get("version") if isinstance(blob, dict) else None
-        if version != CHECKPOINT_VERSION:
-            raise FleetError(
-                f"unsupported checkpoint version: {version!r} (this"
-                f" build reads version {CHECKPOINT_VERSION})")
         config = blob["config"]
         controller = MultiCellController(obs=obs)
         supervisor = cls(config, controller, obs)
@@ -256,3 +273,26 @@ class FleetSupervisor:
             store.write_segments(base / name)
             written[name] = len(store)
         return written
+
+
+def _checked_payload(data: bytes, target: Path) -> memoryview:
+    """The pickled payload of a checkpoint file, once its header's
+    magic, version, length and CRC-32 all hold."""
+    if len(data) < CHECKPOINT_HEADER.size:
+        raise FleetError(f"truncated checkpoint {target}: {len(data)} bytes"
+                         f" is shorter than its header")
+    magic, version, length, crc = CHECKPOINT_HEADER.unpack_from(data)
+    if magic != CHECKPOINT_MAGIC:
+        raise FleetError(f"not a fleet checkpoint: {target}")
+    if version != CHECKPOINT_VERSION:
+        raise FleetError(
+            f"unsupported checkpoint version: {version} (this build reads"
+            f" version {CHECKPOINT_VERSION}): {target}")
+    payload = memoryview(data)[CHECKPOINT_HEADER.size:]
+    if len(payload) != length:
+        raise FleetError(f"truncated checkpoint {target}: payload of"
+                         f" {len(payload)} bytes, header says {length}")
+    if zlib.crc32(payload) != crc:
+        raise FleetError(f"corrupt checkpoint {target}: payload CRC-32 does"
+                         f" not match its header")
+    return payload

@@ -199,7 +199,7 @@ class NRScope:
         self._grid_decoder = GridDciDecoder(
             dci_cfg=knowledge.dci_size_config(), n_id=self.cell_n_id,
             noise_var=self.link.noise_variance(),
-            equalize=self.capture_impairments)
+            equalize=self.capture_impairments, scs_khz=self.scs_khz)
 
     @property
     def tracked_rntis(self) -> list[int]:

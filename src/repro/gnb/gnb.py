@@ -19,7 +19,9 @@ Two fidelity modes:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -76,19 +78,161 @@ class Msg4Record:
     rrc_setup: RrcSetup
 
 
+@dataclass(frozen=True)
+class UciRecord:
+    """Ground truth for one PUCCH UCI transmission (paper section 7's
+    future-work channel, implemented here)."""
+
+    slot_index: int
+    time_s: float
+    rnti: int
+    report: UciReport
+
+
+#: Struct codes of the :class:`~repro.phy.dci.Dci` fields the DCI log
+#: stores, in field order (``format`` is interned).  Widths follow the
+#: 3GPP ranges: an RNTI and the RIV of a 275-PRB BWP fit 16 bits, and
+#: every other DCI field is at most 5 bits wide.
+_DCI_CODES = {
+    "rnti": "H", "freq_alloc_riv": "H", "time_alloc": "B", "mcs": "B",
+    "ndi": "B", "rv": "B", "harq_id": "B", "dai": "B", "tpc": "B",
+    "pucch_resource": "B", "harq_feedback_timing": "B",
+    "antenna_ports": "B", "srs_request": "B", "dmrs_seq_init": "B",
+    "vrb_to_prb": "B", "bwp_indicator": "B", "freq_hopping": "B"}
+
+#: The same for :class:`~repro.phy.grant.Grant`, before and after its
+#: interned ``mapping_type`` and ``mcs``: PRBs <= 275 and
+#: N_RE = min(156, N'_RE) * PRBs <= 42,900 fit 16 bits, and a TBS of
+#: four layers over 275 PRBs fits 32.
+_GRANT_HEAD_CODES = {
+    "rnti": "H", "downlink": "?", "first_prb": "H", "n_prb": "H",
+    "first_symbol": "B", "n_symbols": "B"}
+_GRANT_TAIL_CODES = {
+    "tbs_bits": "I", "n_re": "H", "ndi": "B", "rv": "B", "harq_id": "B",
+    "n_layers": "B"}
+
+#: One DCI log row: the record's slot, time, RNTI, kind (the index of
+#: its interned ``(search_space, format, mapping_type, mcs)``), flags
+#: and payload counts, then the DCI, grant and PDCCH candidate fields.
+#: ``struct`` raises on a value its code cannot hold instead of
+#: wrapping it.
+_DCI_ROW = struct.Struct(
+    "<qdHH??II" + "".join(_DCI_CODES.values())
+    + "".join(_GRANT_HEAD_CODES.values())
+    + "".join(_GRANT_TAIL_CODES.values()) + "BB")
+_DCI_AT = 8
+_GRANT_AT = _DCI_AT + len(_DCI_CODES)
+_GRANT_TAIL_AT = _GRANT_AT + len(_GRANT_HEAD_CODES)
+_CANDIDATE_AT = _GRANT_TAIL_AT + len(_GRANT_TAIL_CODES)
+_dci_ints = attrgetter(*_DCI_CODES)
+_grant_ints = attrgetter(*_GRANT_HEAD_CODES, *_GRANT_TAIL_CODES)
+
+#: One UCI log row: slot, time, RNTI, the report's RNTI, slot and
+#: scheduling request, and its kind (interned ``(harq_ack, cqi)``).
+_UCI_ROW = struct.Struct("<qdHHq?H")
+
+
+class _Interned:
+    """Distinct values in first-seen order; a log row stores the index
+    of its value.  Pickles as the values alone."""
+
+    __slots__ = ("values", "_index")
+
+    def __init__(self, values: list | None = None) -> None:
+        self.values: list = values or []
+        self._index = {value: i for i, value in enumerate(self.values)}
+
+    def __getstate__(self) -> list:
+        return self.values
+
+    def __setstate__(self, values: list) -> None:
+        self.__init__(values)
+
+    def index(self, value) -> int:
+        at = self._index.get(value)
+        if at is None:
+            at = self._index[value] = len(self.values)
+            self.values.append(value)
+        return at
+
+
 class GnbLog:
-    """The gNB-side log used as evaluation ground truth."""
+    """The gNB-side log used as evaluation ground truth.
+
+    DCI and UCI records are kept as fixed-width packed rows (``struct``
+    layouts :data:`_DCI_ROW`, :data:`_UCI_ROW`), one append per record,
+    with each record's non-integer values interned in a small table the
+    row indexes.  ``dci_records`` and ``uci_records`` rebuild the
+    records on read, equal to the ones the gNB emitted; a pickle holds
+    the rows and the tables, not one object graph per record.  The few
+    MSG 4 records stay objects.
+    """
 
     def __init__(self) -> None:
-        self.dci_records: list[DciRecord] = []
         self.msg4_records: list[Msg4Record] = []
-        self.uci_records: list["UciRecord"] = []
+        self._dci_rows = bytearray()
+        self._dci_kinds = _Interned()
+        self._uci_rows = bytearray()
+        self._uci_kinds = _Interned()
 
     def add_dci(self, record: DciRecord) -> None:
-        self.dci_records.append(record)
+        dci, grant, candidate = record.dci, record.grant, record.candidate
+        kind = self._dci_kinds.index((record.search_space, dci.format,
+                                      grant.mapping_type, grant.mcs))
+        try:
+            row = _DCI_ROW.pack(
+                record.slot_index, record.time_s, record.rnti, kind,
+                record.is_retransmission, record.delivered,
+                record.payload_bytes, record.n_packets, *_dci_ints(dci),
+                *_grant_ints(grant), candidate.first_cce,
+                candidate.aggregation_level)
+        except struct.error as exc:
+            raise GnbError(f"DCI record outside the log's field widths:"
+                           f" {exc}: {record!r}") from exc
+        self._dci_rows += row
+
+    def add_uci(self, record: UciRecord) -> None:
+        report = record.report
+        kind = self._uci_kinds.index((report.harq_ack, report.cqi))
+        try:
+            row = _UCI_ROW.pack(
+                record.slot_index, record.time_s, record.rnti, report.rnti,
+                report.slot_index, report.scheduling_request, kind)
+        except struct.error as exc:
+            raise GnbError(f"UCI record outside the log's field widths:"
+                           f" {exc}: {record!r}") from exc
+        self._uci_rows += row
 
     def add_msg4(self, record: Msg4Record) -> None:
         self.msg4_records.append(record)
+
+    @property
+    def dci_records(self) -> list[DciRecord]:
+        """Every logged DCI, rebuilt from the rows in log order."""
+        kinds = self._dci_kinds.values
+        records = []
+        for row in _DCI_ROW.iter_unpack(self._dci_rows):
+            search_space, fmt, mapping_type, mcs = kinds[row[3]]
+            records.append(DciRecord(
+                row[0], row[1], row[2],
+                Dci(fmt, *row[_DCI_AT:_GRANT_AT]),
+                Grant(*row[_GRANT_AT:_GRANT_TAIL_AT], mapping_type, mcs,
+                      *row[_GRANT_TAIL_AT:_CANDIDATE_AT]),
+                PdcchCandidate(*row[_CANDIDATE_AT:]),
+                search_space, *row[4:_DCI_AT]))
+        return records
+
+    @property
+    def uci_records(self) -> list[UciRecord]:
+        """Every logged UCI, rebuilt from the rows in log order."""
+        kinds = self._uci_kinds.values
+        records = []
+        for (slot_index, time_s, rnti, report_rnti, report_slot, request,
+             kind) in _UCI_ROW.iter_unpack(self._uci_rows):
+            harq_ack, cqi = kinds[kind]
+            records.append(UciRecord(slot_index, time_s, rnti, UciReport(
+                report_rnti, report_slot, harq_ack, request, cqi)))
+        return records
 
     def downlink_records(self) -> list[DciRecord]:
         """DL scheduling DCIs (format 1_1, excluding broadcast)."""
@@ -99,17 +243,6 @@ class GnbLog:
         """UL scheduling DCIs (format 0_1)."""
         return [r for r in self.dci_records
                 if r.dci.format is DciFormat.UL_0_1]
-
-
-@dataclass(frozen=True)
-class UciRecord:
-    """Ground truth for one PUCCH UCI transmission (paper section 7's
-    future-work channel, implemented here)."""
-
-    slot_index: int
-    time_s: float
-    rnti: int
-    report: UciReport
 
 
 @dataclass
@@ -570,7 +703,7 @@ class GNodeB:
               coreset0 if record.search_space == "common" else dedicated,
               record.candidate) for record in output.dci_records],
             self._dci_cfg, grid, n_id=self.profile.cell_id,
-            slot_index=slot_index)
+            slot_index=slot_index, scs_khz=self.profile.scs_khz)
         output.grid = grid
 
     # ----------------------------------------------------------- step
@@ -591,7 +724,7 @@ class GNodeB:
             self._handle_msg4(self.rach.step(index), slot, output,
                               used_common)
 
-            plans = self.scheduler.schedule(index, self._view)
+            plans = self.scheduler.schedule(slot.slot, self._view)
             used_processes: dict[tuple[int, bool], set[int]] = {}
             for plan in plans:
                 record = self._resolve_plan(plan, index, time_s,
@@ -653,5 +786,5 @@ class GNodeB:
             record = UciRecord(slot_index=slot_index,
                                time_s=time_s, rnti=ue.rnti,
                                report=report)
-            self.log.uci_records.append(record)
+            self.log.add_uci(record)
             output.uci_records.append(record)

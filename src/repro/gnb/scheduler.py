@@ -258,7 +258,11 @@ class BaseScheduler:
                  ues: UeSource | Iterable[UeSchedulingContext],
                  schedule_uplink: bool = True) -> list[AllocationPlan]:
         """Produce this slot's allocation plans.  ``ues`` is a
-        :class:`UeSource` or the contexts of a :class:`ContextList`."""
+        :class:`UeSource` or the contexts of a :class:`ContextList`.
+
+        ``slot_index`` places the PDCCHs by the 38.213 search-space
+        hash, which numbers the slot within its frame; the gNB passes
+        that number, so the hash follows the cell's numerology."""
         source = ues if isinstance(ues, UeSource) else ContextList(ues)
         plans: list[AllocationPlan] = []
         used_cces: set[int] = set()

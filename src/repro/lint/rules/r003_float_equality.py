@@ -60,8 +60,9 @@ class FloatEqualityRule(Rule):
                     yield self.finding(
                         ctx, node,
                         "exact float comparison in a hot path: use "
-                        "math.isclose/np.isclose, or baseline it if the "
-                        "value is a true sentinel")
+                        "math.isclose/np.isclose, or compare against a "
+                        "named module-level constant if the value is a "
+                        "true sentinel")
                     break
                 if isinstance(op, (ast.Is, ast.IsNot)) and \
                         (_is_number_literal(right)

@@ -240,16 +240,19 @@ def _scrambled_qpsk_index(c_init: int, n_coded: int) -> np.ndarray:
 
 def encode_pdcch(items: Sequence[tuple[Dci, Coreset, PdcchCandidate]],
                  cfg: DciSizeConfig, grid: ResourceGrid, n_id: int,
-                 slot_index: int) -> list[np.ndarray | None]:
+                 slot_index: int,
+                 scs_khz: int = 30) -> list[np.ndarray | None]:
     """Encode one slot's DCIs and write them, with DMRS, into the grid.
 
-    ``items`` are ``(dci, coreset, candidate)`` in transmission order.
-    Returns each item's payload bits for ground-truth logging, or None
-    for a candidate that does not fit its CORESET (nothing of it is
-    written).  The result equals encoding the items one at a time: a
-    later item's REs overwrite an earlier one's where candidates
-    overlap, and data and DMRS REs never coincide (DMRS sits on
-    subcarriers 1, 5, 9 of every REG, whatever the CORESET).
+    ``items`` are ``(dci, coreset, candidate)`` in transmission order;
+    the DMRS numbers ``slot_index`` within the frame of a cell of
+    subcarrier spacing ``scs_khz``.  Returns each item's payload bits
+    for ground-truth logging, or None for a candidate that does not fit
+    its CORESET (nothing of it is written).  The result equals encoding
+    the items one at a time: a later item's REs overwrite an earlier
+    one's where candidates overlap, and data and DMRS REs never coincide
+    (DMRS sits on subcarriers 1, 5, 9 of every REG, whatever the
+    CORESET).
 
     The slot is one pass: ``pack`` per DCI, one CRC batch and one polar
     encode per (K, E), a cached scrambling sequence folded into the
@@ -290,7 +293,7 @@ def encode_pdcch(items: Sequence[tuple[Dci, Coreset, PdcchCandidate]],
         layout = _dmrs_layout(coreset, candidate.first_cce,
                               candidate.aggregation_level)
         dmrs_idx.append(layout.flat)
-        pilots.append(layout.pilots(n_id, slot_index))
+        pilots.append(layout.pilots(n_id, slot_index, scs_khz))
     data_at = np.concatenate(data_idx)
     dmrs_at = np.concatenate(dmrs_idx)
     np.put(grid.data, data_at, np.concatenate([symbols[i]
@@ -301,10 +304,11 @@ def encode_pdcch(items: Sequence[tuple[Dci, Coreset, PdcchCandidate]],
 
 @lru_cache(maxsize=4096)
 def _dmrs_pilots(n_id: int, reduced_slot: int, symbol: int,
-                 n_regs: int) -> np.ndarray:
+                 n_regs: int, scs_khz: int) -> np.ndarray:
     """:func:`~repro.phy.dmrs.pdcch_dmrs_symbols` for a slot reduced
     modulo the frame (the pilots repeat every frame), read-only."""
-    return read_only(pdcch_dmrs_symbols(n_id, symbol, reduced_slot, n_regs))
+    return read_only(pdcch_dmrs_symbols(n_id, symbol, reduced_slot, n_regs,
+                                        scs_khz))
 
 
 @dataclass(frozen=True)
@@ -325,11 +329,13 @@ class _DmrsLayout:
     per_symbol: tuple[tuple[int, int], ...]
     reg_order: np.ndarray
 
-    def pilots(self, n_id: int, slot_index: int) -> np.ndarray:
-        """The candidate's pilot symbols, aligned with ``flat``."""
-        reduced_slot = slot_index % slots_per_frame(30)
+    def pilots(self, n_id: int, slot_index: int,
+               scs_khz: int) -> np.ndarray:
+        """The candidate's pilot symbols, aligned with ``flat``, in a
+        cell of subcarrier spacing ``scs_khz``."""
+        reduced_slot = slot_index % slots_per_frame(scs_khz)
         return np.concatenate([
-            _dmrs_pilots(n_id, reduced_slot, symbol, n_regs)
+            _dmrs_pilots(n_id, reduced_slot, symbol, n_regs, scs_khz)
             for symbol, n_regs in self.per_symbol])
 
 
@@ -359,7 +365,7 @@ def _dmrs_layout(coreset: Coreset, first_cce: int,
 
 def estimate_channel(grid: ResourceGrid, coreset: Coreset,
                      candidate: PdcchCandidate, n_id: int,
-                     slot_index: int) -> complex:
+                     slot_index: int, scs_khz: int = 30) -> complex:
     """Least-squares channel estimate from the candidate's DMRS pilots.
 
     Averaging ``received / expected`` over the pilots gives the complex
@@ -371,7 +377,7 @@ def estimate_channel(grid: ResourceGrid, coreset: Coreset,
     layout = _dmrs_layout(coreset, candidate.first_cce,
                           candidate.aggregation_level)
     received = grid.data.reshape(-1)[layout.flat]
-    expected = layout.pilots(n_id, slot_index)
+    expected = layout.pilots(n_id, slot_index, scs_khz)
     power = float(np.mean(np.abs(expected) ** 2))
     products = (received * expected.conj())[layout.reg_order]
     estimate = np.mean(products) / max(power, 1e-12)

@@ -1,13 +1,14 @@
 """Tests for the checkpointable fleet supervisor."""
 
 import pickle
+import zlib
 
 import pytest
 
 from repro.analysis.summary import build_session_report
 from repro.constants import TTI_DURATION_S
-from repro.core.fleet import CHECKPOINT_VERSION, FleetConfig, \
-    FleetError, FleetSupervisor
+from repro.core.fleet import CHECKPOINT_HEADER, CHECKPOINT_MAGIC, \
+    CHECKPOINT_VERSION, FleetConfig, FleetError, FleetSupervisor
 from repro.obs import KNOWN_EVENTS, ObsContext, RingReporter, \
     validate_events
 
@@ -38,6 +39,18 @@ def spare_of(supervisor: FleetSupervisor) -> dict:
             build_session_report(scope, supervisor.now_s)
             .cell.mean_prb_utilisation)
     return out
+
+
+def payload_of(path) -> bytes:
+    """The pickled payload of a checkpoint file, header stripped."""
+    return path.read_bytes()[CHECKPOINT_HEADER.size:]
+
+
+def write_framed(path, payload: bytes, version: int) -> None:
+    """Write ``payload`` behind a valid header claiming ``version``."""
+    path.write_bytes(CHECKPOINT_HEADER.pack(
+        CHECKPOINT_MAGIC, version, len(payload), zlib.crc32(payload))
+        + payload)
 
 
 def telemetry_of(supervisor: FleetSupervisor) -> dict:
@@ -145,80 +158,32 @@ class TestCheckpointResume:
 
     def test_restore_rejects_foreign_version(self, tmp_path):
         path = tmp_path / "fleet.ckpt"
-        path.write_bytes(pickle.dumps(
-            {"version": CHECKPOINT_VERSION + 1, "cells": []}))
-        with pytest.raises(FleetError):
-            FleetSupervisor.restore(path)
-
-    def test_restore_rejects_previous_version(self, tmp_path):
-        # Version 1 snapshots held the spare estimator's object history.
-        assert CHECKPOINT_VERSION == 7
-        path = tmp_path / "fleet.ckpt"
-        path.write_bytes(pickle.dumps({"version": 1, "cells": []}))
-        with pytest.raises(FleetError):
-            FleetSupervisor.restore(path)
-
-    def test_restore_rejects_version_2_blob(self, tmp_path):
-        # Version 2 gNBs stepped each UE's channel on its own and held no
-        # UE table; resuming one would diverge from the cell it saved.
-        path = tmp_path / "fleet.ckpt"
-        supervisor = FleetSupervisor.build(small_config(n_cells=1))
-        supervisor.run(0.3, checkpoint_path=path)
-        blob = pickle.loads(path.read_bytes())
-        blob["version"] = 2
-        path.write_bytes(pickle.dumps(blob))
-        with pytest.raises(FleetError, match="version: 2"):
-            FleetSupervisor.restore(path)
-
-    def test_restore_rejects_version_3_blob(self, tmp_path):
-        # Version 3 gNBs called every buffer's traffic model each slot
-        # and held no due schedule; resuming one would lose arrivals.
-        path = tmp_path / "fleet.ckpt"
-        supervisor = FleetSupervisor.build(small_config(n_cells=1))
-        supervisor.run(0.3, checkpoint_path=path)
-        blob = pickle.loads(path.read_bytes())
-        blob["version"] = 3
-        path.write_bytes(pickle.dumps(blob))
-        with pytest.raises(FleetError, match="version: 3"):
-            FleetSupervisor.restore(path)
-
-    def test_restore_rejects_version_4_blob(self, tmp_path):
-        # Version 4 configs named an executor and version 4 scope
-        # counters held dropped DCIs; neither field exists any more.
-        path = tmp_path / "fleet.ckpt"
-        supervisor = FleetSupervisor.build(small_config(n_cells=1))
-        supervisor.run(0.3, checkpoint_path=path)
-        blob = pickle.loads(path.read_bytes())
-        blob["version"] = 4
-        object.__setattr__(blob["config"], "executor", "inline")
-        path.write_bytes(pickle.dumps(blob))
-        with pytest.raises(FleetError, match="version: 4"):
-            FleetSupervisor.restore(path)
-
-    def test_restore_rejects_version_5_blob(self, tmp_path):
-        # Version 5 gNBs held the generator of the PDSCH REs they
-        # rendered into iq grids; the error names both versions.
-        path = tmp_path / "fleet.ckpt"
-        supervisor = FleetSupervisor.build(small_config(n_cells=1))
-        supervisor.run(0.3, checkpoint_path=path)
-        blob = pickle.loads(path.read_bytes())
-        blob["version"] = 5
-        path.write_bytes(pickle.dumps(blob))
+        write_framed(path, pickle.dumps({"cells": []}),
+                     CHECKPOINT_VERSION + 1)
         with pytest.raises(FleetError,
-                           match=r"version: 5 \(this build reads version 7\)"):
+                           match=f"version: {CHECKPOINT_VERSION + 1}"):
             FleetSupervisor.restore(path)
 
-    def test_restore_rejects_version_6_blob(self, tmp_path):
-        # Version 6 spare-capacity estimators raised on an overbooked
-        # TTI and hold no count of them.
+    @pytest.mark.parametrize("version", range(1, CHECKPOINT_VERSION))
+    def test_restore_rejects_previous_version(self, tmp_path, version):
+        # Why a blob of each earlier version cannot resume here:
+        #   1: the spare estimator held an object history;
+        #   2: the gNB stepped each UE's channel alone, with no UE table;
+        #   3: the gNB called every traffic model each slot, with no due
+        #      schedule;
+        #   4: the config named an executor and the scope counters held
+        #      dropped DCIs;
+        #   5: the gNB held the generator of its iq grids' PDSCH REs;
+        #   6: the spare estimator raised on an overbooked TTI and kept
+        #      no count of them;
+        #   7: the gNB log held one record object per DCI and UCI.
+        assert CHECKPOINT_VERSION == 8
         path = tmp_path / "fleet.ckpt"
         supervisor = FleetSupervisor.build(small_config(n_cells=1))
         supervisor.run(0.3, checkpoint_path=path)
-        blob = pickle.loads(path.read_bytes())
-        blob["version"] = 6
-        path.write_bytes(pickle.dumps(blob))
-        with pytest.raises(FleetError,
-                           match=r"version: 6 \(this build reads version 7\)"):
+        write_framed(path, payload_of(path), version)
+        with pytest.raises(FleetError, match=(
+                rf"version: {version} \(this build reads version 8\)")):
             FleetSupervisor.restore(path)
 
     def test_restore_rejects_garbage(self, tmp_path):
@@ -226,6 +191,7 @@ class TestCheckpointResume:
         path.write_bytes(b"not a pickle")
         with pytest.raises(FleetError):
             FleetSupervisor.restore(path)
+
 
     def test_write_segments_per_cell(self, tmp_path):
         supervisor = FleetSupervisor.build(small_config())
@@ -237,6 +203,63 @@ class TestCheckpointResume:
             assert rows == len(scope.telemetry)
             assert (tmp_path / "segments" / name
                     / "manifest.json").exists()
+
+
+class TestCheckpointFaults:
+    """A damaged checkpoint is a FleetError naming the file, never a
+    resumed run with different state."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        path = tmp_path / "fleet.ckpt"
+        supervisor = FleetSupervisor.build(small_config(n_cells=1))
+        supervisor.run(0.6, checkpoint_path=path)
+        return supervisor, path
+
+    def test_truncated_mid_file(self, written):
+        _, path = written
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(FleetError, match=f"truncated.*{path.name}"):
+            FleetSupervisor.restore(path)
+
+    def test_truncated_inside_header(self, written):
+        _, path = written
+        path.write_bytes(path.read_bytes()[:CHECKPOINT_HEADER.size - 1])
+        with pytest.raises(FleetError, match=f"truncated.*{path.name}"):
+            FleetSupervisor.restore(path)
+
+    def test_bit_flip_in_a_column_array(self, written):
+        # The flip lands inside the gNB log's packed DCI rows: the
+        # pickle still loads, and only the CRC tells the state apart.
+        supervisor, path = written
+        data = bytearray(path.read_bytes())
+        log = supervisor.controller.stream(
+            supervisor.controller.cells[0]).sim.gnb.log
+        rows = bytes(log._dci_rows)
+        at = data.find(rows)
+        assert at > 0 and data.find(rows, at + 1) < 0
+        data[at + len(rows) // 2] ^= 0x10
+        flipped = bytes(data[CHECKPOINT_HEADER.size:])
+        assert pickle.loads(flipped)  # unpickles cleanly
+        path.write_bytes(bytes(data))
+        with pytest.raises(FleetError, match=f"corrupt.*{path.name}"):
+            FleetSupervisor.restore(path)
+
+    def test_bad_magic(self, written):
+        _, path = written
+        data = bytearray(path.read_bytes())
+        data[0] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(FleetError, match=f"not a fleet.*{path.name}"):
+            FleetSupervisor.restore(path)
+
+    def test_clean_round_trip_resumes(self, written, tmp_path):
+        supervisor, path = written
+        restored = FleetSupervisor.restore(path)
+        supervisor.run(0.3)
+        restored.run(0.3)
+        assert telemetry_of(restored) == telemetry_of(supervisor)
 
 
 class TestObsSpans:

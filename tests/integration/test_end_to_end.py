@@ -11,7 +11,8 @@ import pytest
 from repro import NRScope, Simulation, SRSRAN_PROFILE
 from repro.analysis.matching import match_dcis
 from repro.core.telemetry import TelemetryLog
-from repro.gnb.cell_config import AMARISOFT_PROFILE, MOSOLAB_PROFILE
+from repro.gnb.cell_config import AMARISOFT_PROFILE, MOSOLAB_PROFILE, \
+    TMOBILE_N25_PROFILE
 from repro.ue.population import Session
 
 
@@ -125,6 +126,27 @@ class TestFullIqChain:
         # Every decoded record's TBS matches ground truth exactly.
         for gt, est in result.matched:
             assert est.tbs_bits == gt.grant.tbs_bits
+
+
+    def test_15khz_cell_decodes_odd_frames(self):
+        """At 15 kHz a frame holds 10 slots: the gNB and the sniffer
+        number the slot within it the same way for the search-space
+        hash and the equalizer's DMRS pilots, so frames 1, 3, ...
+        decode like frames 0, 2, ..."""
+        sim = Simulation.build(TMOBILE_N25_PROFILE, n_ues=2, seed=75,
+                               fidelity="iq")
+        scope = NRScope.attach(sim, snr_db=15.0, capture_impairments=True)
+        sim.run(seconds=0.3)
+        truth = [r for r in sim.gnb.log.downlink_records()
+                 if r.search_space == "ue"]
+        for parity in (0, 1):
+            frames = [r for r in truth if r.slot_index // 10 % 2 == parity]
+            result = match_dcis(frames, [
+                e for e in scope.telemetry.records
+                if e.slot_index // 10 % 2 == parity], downlink=True)
+            assert len(frames) > 20
+            assert result.phantom == []
+            assert result.miss_rate < 0.1, parity
 
 
 class TestCrossConsistency:

@@ -319,6 +319,17 @@ class TestR003FloatEquality:
     def test_flags_float_equality_in_phy(self):
         findings = lint("def f(x):\n    return x == 1.0\n", "phy/agc.py")
         assert rule_ids(findings) == {"R003"}
+        assert "named module-level constant" in findings[0].message
+        assert "baseline" not in findings[0].message
+
+    def test_allows_a_named_sentinel(self):
+        src = """
+        UNSET_GAIN = -1.0
+
+        def f(x):
+            return x == UNSET_GAIN
+        """
+        assert not lint(src, "phy/agc.py")
 
     def test_flags_not_equal_in_radio(self):
         findings = lint("def f(r):\n    return r != 0.5\n",

@@ -388,7 +388,7 @@ class TestKernelCaches:
             "level matrix": pdcch._level_index_matrix(coreset, 2),
             "dmrs flat": dmrs.flat,
             "dmrs reg order": dmrs.reg_order,
-            "dmrs pilots": pdcch._dmrs_pilots(1, 3, 1, 12),
+            "dmrs pilots": pdcch._dmrs_pilots(1, 3, 1, 12, 30),
             "scrambling index": pdcch._scrambled_qpsk_index(1, 216),
             "descramble signs": descramble_signs(0x1234, 216),
             "polar generator": polar._generator(44, 216),

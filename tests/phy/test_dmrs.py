@@ -86,3 +86,40 @@ class TestGridIntegration:
         subcarriers, symbols = np.unravel_index(pilots, grid.data.shape)
         assert set(subcarriers % 12) == set(PDCCH_DMRS_POSITIONS)
         assert set(symbols) == {0}
+
+    @staticmethod
+    def _pilots_at(slot_index: int, scs_khz: int) -> np.ndarray:
+        """The DMRS REs a one-DCI slot's grid carries."""
+        from repro.phy.coreset import Coreset
+        from repro.phy.dci import Dci, DciFormat, DciSizeConfig, riv_encode
+        from repro.phy.pdcch import PdcchCandidate, \
+            _candidate_flat_indices, encode_pdcch
+        from repro.phy.resource_grid import ResourceGrid
+
+        grid = ResourceGrid(51)
+        coreset = Coreset(coreset_id=1, first_prb=0, n_prb=48,
+                          n_symbols=1)
+        dci = Dci(format=DciFormat.DL_1_1, rnti=0x4601,
+                  freq_alloc_riv=riv_encode(0, 4, 51), time_alloc=1,
+                  mcs=5, ndi=0, rv=0, harq_id=0)
+        encode_pdcch([(dci, coreset, PdcchCandidate(0, 1))],
+                     DciSizeConfig(n_prb_bwp=51), grid, n_id=500,
+                     slot_index=slot_index, scs_khz=scs_khz)
+        flat = grid.data.reshape(-1)
+        written = np.flatnonzero(flat)
+        return flat[np.setdiff1d(written,
+                                 _candidate_flat_indices(coreset, 0, 1))]
+
+    def test_15khz_pilots_repeat_every_ten_slots(self):
+        # 38.211 7.4.1.3.1 numbers the slot within its frame: at 15 kHz
+        # absolute slot 10 is frame 1, slot 0.
+        assert np.array_equal(self._pilots_at(10, 15),
+                              self._pilots_at(0, 15))
+        assert not np.array_equal(self._pilots_at(11, 15),
+                                  self._pilots_at(0, 15))
+
+    def test_30khz_pilots_repeat_every_twenty_slots(self):
+        assert np.array_equal(self._pilots_at(20, 30),
+                              self._pilots_at(0, 30))
+        assert not np.array_equal(self._pilots_at(10, 30),
+                                  self._pilots_at(0, 30))
