@@ -91,8 +91,9 @@ class SessionReport:
                 title=(f"Runtime stages - "
                        f"{stats.slots_completed}/{stats.slots_submitted}"
                        f" slots{keep_up}, {stats.budget_overruns} over "
-                       f"budget (a slot's DCI time counts its amortized "
-                       f"share of its window's traversal)"),
+                       f"budget of {stats.stage('dci').calls} decode slots"
+                       f" (a slot's DCI time is its pack, its replay and "
+                       f"an equal share of its window's shared work)"),
                 columns=("stage", "calls", "mean us", "max us"),
                 rows=tuple((s.name, s.calls, s.mean_us, 1e6 * s.max_s)
                            for s in stats.stages))

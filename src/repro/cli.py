@@ -55,10 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sniff.add_argument("--report", action="store_true",
                        help="print the full per-UE session report")
     sniff.add_argument("--runtime-stats", action="store_true",
-                       help="print per-stage runtime statistics "
-                            "(the dci stage's time and the slot budget "
-                            "check are amortized over each decode "
-                            "window)")
+                       help="print per-stage runtime statistics and "
+                            "how many decode slots went over budget (the "
+                            "dci stage's time and the slot budget check "
+                            "are amortized over each decode window)")
     sniff.add_argument("--obs", action="append", default=[],
                        metavar="SPEC",
                        help="enable the observability bus with a "
@@ -186,9 +186,10 @@ def cmd_sniff(args: argparse.Namespace) -> int:
               f"{stats.slots_completed}/{stats.slots_submitted} slots, "
               f"{stats.busy_per_air_s(profile.slot_duration_s):.2f} s "
               f"per air s (sniffer stages only), "
-              f"{stats.budget_overruns} over budget "
-              f"(a slot's DCI time counts its amortized share of its "
-              f"window's traversal)")
+              f"{stats.budget_overruns} over budget of "
+              f"{stats.stage('dci').calls} decode slots (a slot's DCI "
+              f"time is its pack, its replay and an equal share of its "
+              f"window's shared work)")
         for stage in stats.stages:
             print(f"  {stage.name:<8} {stage.calls:6d} calls, "
                   f"mean {stage.mean_us:9.1f} us, "

@@ -14,13 +14,14 @@ Two backends share one interface:
 Both return :class:`DecodedDci` lists; everything downstream (grants,
 HARQ tracking, throughput) is backend-agnostic.  The per-UE search of
 each slot is the slot runtime's parallel stage: :func:`grid_decode_job`
-runs a window of prepared slots with one polar traversal, and
-:func:`record_decode_job` runs one slot from its payload alone.
+runs a window of gathered slots as one array program
+(:class:`WindowSearch`), and :func:`record_decode_job` runs one slot
+from its payload alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
@@ -31,9 +32,9 @@ from repro.core.decode_model import counter_uniform, decode_succeeds, \
     pdcch_bler
 from repro.core.rach_sniffer import SpaceSnapshot
 from repro.phy import pdcch, polar
-from repro.phy.coreset import SearchSpace
+from repro.phy.coreset import Coreset, SearchSpace
 from repro.phy.dci import Dci, DciError, DciFormat, DciSizeConfig, \
-    dci_payload_size, unpack
+    dci_payload_size, unpack, unpack_rows
 from repro.phy.modulation import QPSK, demodulate_soft_batch
 from repro.phy.numerology import slots_per_frame
 # ``dci_crc_check_batch`` is no longer called here; bench_e2e/layers.py
@@ -61,7 +62,7 @@ class DecodedDci:
 
 
 @lru_cache(maxsize=65536)
-def _ue_entry_plan(space: SearchSpace, rnti: int, reduced_slot: int) \
+def _ue_entry_plan(space: SearchSpace, rnti: int, slot_in_frame: int) \
         -> tuple[tuple[int, int, bool, int], ...]:
     """One UE's candidate skeleton: ``(level, start, valid, cce_bits)``.
 
@@ -76,14 +77,14 @@ def _ue_entry_plan(space: SearchSpace, rnti: int, reduced_slot: int) \
     for level, count in space.candidates_per_level.items():
         if count == 0:
             continue
-        for start in space.candidate_cces(level, reduced_slot, rnti):
+        for start in space.candidate_cces(level, slot_in_frame, rnti):
             plan.append((level, start, start + level <= n_cce,
                          ((1 << level) - 1) << start))
     return tuple(plan)
 
 
-#: The UE-space formats the search tries, in attempt order; tables
-#: in :class:`PreparedSearch` are indexed by position in this tuple.
+#: The UE-space formats the search tries, in attempt order; the
+#: search's per-format tables are indexed by position in this tuple.
 _FORMATS = (DciFormat.DL_1_1, DciFormat.UL_0_1)
 
 
@@ -116,309 +117,433 @@ def _common_layout(space: SearchSpace, dci_cfg: DciSizeConfig,
 @dataclass(frozen=True, eq=False)
 class SearchLayout:
     """Phases 1-2 of a slot's UE-space search: everything that depends
-    only on the tracked spaces, the slot within its frame and the
-    decoder's size config and cell ID.
+    only on the tracked spaces, the slot within its frame and the cell
+    ID.
 
     It is the same for every slot at that offset into the frame, so
-    :meth:`GridDciDecoder.prepare` keeps it on the
-    :class:`SpaceSnapshot` and builds it once per snapshot and slot of
-    the frame.  Its arrays are shared and read-only.
+    :meth:`GridDciDecoder.gather` keeps it on the :class:`SpaceSnapshot`
+    and builds it once per snapshot and slot of the frame.  Its arrays
+    are shared and read-only.
     """
 
-    #: ``(rnti, level, start, valid, cce_bits, pos)`` in per-candidate
-    #: order; ``pos`` indexes the shared positions (-1 when invalid).
-    entries: tuple[tuple[int, int, int, bool, int, int], ...]
-    n_positions: int
-    #: Each entry's position, RNTI, first CCE and level, and the
-    #: entries with a position.
-    entry_pos: np.ndarray
-    entry_rnti: np.ndarray
-    entry_start: np.ndarray
-    entry_level: np.ndarray
-    valid_rows: np.ndarray
-    #: The positions the replay can reach, one group per (CORESET,
-    #: level); ``row_pos`` is each row's position.
+    #: ``(rnti, level, start, cce_bits)`` in per-candidate order;
+    #: ``cce_bits`` is the entry's CCE footprint as an int bitmask, so
+    #: the replay's claim checks are single AND operations.
+    entries: tuple[tuple[int, int, int, int], ...]
+    #: Each entry's row of :attr:`candidates` (-1 when the candidate
+    #: does not fit its CORESET).  Entries at one position share a row.
+    entry_row: np.ndarray
+    #: The positions the search can reach, one group per (CORESET,
+    #: level), and each row's ``(coreset, level, first CCE)``.
     candidates: CandidateLayout
-    row_pos: np.ndarray
-    #: Per group, the indices into :data:`_FORMATS` whose payload fits
-    #: its level and their polar codes; ``row_fits`` marks the rows of
-    #: groups where some format fits.
-    group_codes: tuple[tuple[tuple[int, ...],
-                             tuple[polar.PolarCode, ...]], ...]
-    row_fits: np.ndarray
+    positions: tuple[tuple[Coreset, int, int], ...]
 
     @classmethod
-    def build(cls, tracked: SpaceSnapshot, reduced_slot: int,
-              dci_cfg: DciSizeConfig, n_id: int) -> "SearchLayout":
+    def build(cls, tracked: SpaceSnapshot, slot_in_frame: int,
+              n_id: int) -> "SearchLayout":
         """The layout of one slot.
 
         Phase 1 enumerates entries in exact per-candidate order and
         maps each valid one onto its shared position, keyed by the
-        snapshot's interned CORESET index.  Each entry carries its CCE
-        footprint as an int bitmask, so the replay's claim checks are
-        single AND operations.  Phase 2 groups the positions per
-        (CORESET, level).
+        snapshot's interned CORESET index.  Phase 2 groups the
+        positions per (CORESET, level), one row each.
         """
         order, coresets = tracked.search_order()
-        positions: dict[tuple[int, int, int], int] = {}
-        entries: list[tuple[int, int, int, bool, int, int]] = []
+        groups: dict[tuple[int, int], dict[int, int]] = {}
+        entries: list[tuple[int, int, int, int]] = []
+        places: list[tuple[tuple[int, int], int] | None] = []
         for rnti, space, coreset_index in order:
             for level, start, valid, cce_bits in _ue_entry_plan(
-                    space, rnti, reduced_slot):
+                    space, rnti, slot_in_frame):
+                entries.append((rnti, level, start, cce_bits))
                 if valid:
-                    key = (coreset_index, level, start)
-                    pos = positions.get(key)
-                    if pos is None:
-                        pos = positions[key] = len(positions)
+                    starts = groups.setdefault((coreset_index, level), {})
+                    places.append(((coreset_index, level),
+                                   starts.setdefault(start, len(starts))))
                 else:
-                    pos = -1
-                entries.append((rnti, level, start, valid, cce_bits, pos))
-        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for (coreset_index, level, start), pos in positions.items():
-            groups.setdefault((coreset_index, level),
-                              []).append((pos, start))
+                    places.append(None)
+        first_rows: dict[tuple[int, int], int] = {}
+        n_rows = 0
+        for key, starts in groups.items():
+            first_rows[key] = n_rows
+            n_rows += len(starts)
+        entry_row = np.array([first_rows[place[0]] + place[1]
+                              if place else -1 for place in places],
+                             dtype=np.intp)
+        return cls(
+            entries=tuple(entries), entry_row=read_only(entry_row),
+            candidates=CandidateLayout.build(
+                [(coresets[coreset_index], level, list(starts))
+                 for (coreset_index, level), starts in groups.items()],
+                pdcch_scrambling_init(n_id)),
+            positions=tuple((coresets[coreset_index], level, start)
+                            for (coreset_index, level), starts
+                            in groups.items() for start in starts))
+
+
+@dataclass(frozen=True, eq=False)
+class WindowLayout:
+    """The :class:`SearchLayout` of every slot of a window, as one.
+
+    :attr:`candidates` stacks the slots' rows one group per level
+    (:meth:`~repro.phy.pdcch.CandidateLayout.stack`), so the window's
+    gate reduces once per level and each level is one polar block.
+    The entries are the slots' entries back to back, slot by slot, with
+    their rows renumbered into the stack.  It depends only on the
+    slots' layouts and the size config, so :func:`_window_layout` keeps
+    it on the snapshot when the slots share one.  Its arrays are shared
+    and read-only.
+    """
+
+    slots: tuple[SearchLayout, ...]
+    candidates: CandidateLayout
+    #: Each stacked row's index among the slots' rows, back to back.
+    rows: np.ndarray
+    #: Per group, the indices into :data:`_FORMATS` whose payload fits
+    #: its level and their polar codes.
+    group_codes: tuple[tuple[tuple[int, ...],
+                             tuple[polar.PolarCode, ...]], ...]
+    #: Per format, whether each row decodes under it; and whether each
+    #: row decodes under some format.
+    format_rows: tuple[np.ndarray, ...]
+    row_fits: np.ndarray
+    #: Per entry: its stacked row (-1 for none), its masked RNTI, its
+    #: first and end CCE and its slot.
+    entry_row: np.ndarray
+    entry_masked: np.ndarray
+    entry_start: np.ndarray
+    entry_end: np.ndarray
+    entry_slot: np.ndarray
+    #: Each slot's first entry, and the entry count last.
+    entry_bounds: tuple[int, ...]
+    #: Per slot, its entries with no row.
+    unplaced: tuple[int, ...]
+
+    @classmethod
+    def build(cls, slots: Sequence[SearchLayout],
+              dci_cfg: DciSizeConfig) -> "WindowLayout":
+        candidates, rows = CandidateLayout.stack(
+            [slot.candidates for slot in slots])
+        # Each slot row's stacked row, then -1 for "no row".
+        stacked = np.empty(rows.size + 1, dtype=np.intp)
+        stacked[rows] = np.arange(rows.size, dtype=np.intp)
+        stacked[-1] = -1
         info_lens = _info_lens(dci_cfg)
-        group_codes: list[tuple[tuple[int, ...],
-                                tuple[polar.PolarCode, ...]]] = []
-        fits_rows: list[bool] = []
-        for (_, level), members in groups.items():
+        group_codes = []
+        for level in candidates.levels:
             n_coded = level * BITS_PER_CCE
             fits = tuple(f for f, k in enumerate(info_lens) if k <= n_coded)
             group_codes.append((fits, tuple(
                 polar.construct(info_lens[f], n_coded) for f in fits)))
-            fits_rows.extend([bool(fits)] * len(members))
-        entry_pos = np.array([entry[5] for entry in entries],
-                             dtype=np.intp)
+        sizes = np.diff(np.array(candidates.row_bounds, dtype=np.intp))
+        format_rows = tuple(read_only(np.repeat(
+            np.array([f in fits for fits, _ in group_codes], dtype=bool),
+            sizes)) for f in range(len(_FORMATS)))
+        entry_rows, bounds, unplaced = [], [0], []
+        first_row = 0
+        for slot in slots:
+            row = slot.entry_row
+            entry_rows.append(stacked[np.where(row >= 0, row + first_row,
+                                               -1)])
+            bounds.append(bounds[-1] + row.size)
+            unplaced.append(int(np.count_nonzero(row < 0)))
+            first_row += slot.candidates.n_rows
+        entries = [entry for slot in slots for entry in slot.entries]
+        start = np.array([entry[2] for entry in entries], dtype=np.int64)
         return cls(
-            entries=tuple(entries), n_positions=len(positions),
-            entry_pos=read_only(entry_pos),
-            entry_rnti=read_only(np.array([entry[0] for entry in entries],
-                                           dtype=np.int64)),
-            entry_start=read_only(np.array(
-                [entry[2] for entry in entries], dtype=np.int64)),
-            entry_level=read_only(np.array(
+            slots=tuple(slots), candidates=candidates, rows=rows,
+            group_codes=tuple(group_codes), format_rows=format_rows,
+            row_fits=read_only(np.logical_or.reduce(format_rows)),
+            entry_row=read_only(np.concatenate(
+                entry_rows or [np.zeros(0, dtype=np.intp)])),
+            entry_masked=read_only(np.array(
+                [entry[0] for entry in entries], dtype=np.int64)
+                & MAX_RNTI),
+            entry_start=read_only(start),
+            entry_end=read_only(start + np.array(
                 [entry[1] for entry in entries], dtype=np.int64)),
-            valid_rows=read_only(np.flatnonzero(entry_pos >= 0)),
-            candidates=CandidateLayout.build(
-                [(coresets[coreset_index], level,
-                  [start for _, start in members])
-                 for (coreset_index, level), members in groups.items()],
-                pdcch_scrambling_init(n_id)),
-            row_pos=read_only(np.array(
-                [pos for members in groups.values() for pos, _ in members],
-                dtype=np.intp)),
-            group_codes=tuple(group_codes),
-            row_fits=read_only(np.array(fits_rows, dtype=bool)))
+            entry_slot=read_only(np.repeat(
+                np.arange(len(slots), dtype=np.intp),
+                np.diff(np.array(bounds, dtype=np.intp)))),
+            entry_bounds=tuple(bounds), unplaced=tuple(unplaced))
 
 
-@dataclass
-class PreparedSearch:
-    """One slot's UE-space search up to its polar decode.
-
-    :meth:`GridDciDecoder.prepare` fills it; :attr:`blocks` are the
-    slot's ``(llrs, codes)`` polar blocks, one per (CORESET, level)
-    group, and :meth:`finish` turns their decoded, CRC-checked rows
-    (:class:`WindowRows`) into the slot's DCIs.  It holds no grid and
-    no decoder, only arrays, tuples, the slot's read-only
-    :class:`SearchLayout` and the decoder's frozen settings, so a
-    window of them can be decoded late without reaching the session.
+@dataclass(eq=False)
+class SlotGather:
+    """One slot's share of the UE-space search, the payload
+    :meth:`GridDciDecoder.gather` packs: the slot's gathered candidate
+    REs, its :class:`SearchLayout` and the snapshot it came from, the
+    CCEs claimed up front and, with ``equalize``, each row's channel
+    gain (its estimate needs the grid).  It holds no grid and no
+    decoder, only arrays, the read-only layout and the decoder's
+    settings, so a window of them can be decoded late without reaching
+    the session.
     """
 
+    layout: SearchLayout
+    tracked: SpaceSnapshot
+    values: np.ndarray
+    claimed_bits: int
+    gains: np.ndarray | None
     dci_cfg: DciSizeConfig
+    noise_var: float
     use_energy_gate: bool
     use_cce_claiming: bool
-    layout: SearchLayout
-    claimed_bits: int
-    #: Per position, whether its REs passed the energy gate (all False
-    #: when the gate is off).
-    occupied: np.ndarray
-    blocks: list[tuple[np.ndarray, tuple[polar.PolarCode, ...]]] = \
-        field(default_factory=list)
-    #: Per block, its rows' positions and the indices into
-    #: :data:`_FORMATS` of its codes.
-    block_rows: list[tuple[np.ndarray, tuple[int, ...]]] = \
-        field(default_factory=list)
 
-    def finish(self, rows: "WindowRows", places: Sequence[tuple[int, int]],
-               claimed: set[int] | None = None) \
-            -> tuple[list[DecodedDci], int]:
-        """Phases 4-5: the slot's decoded DCIs and decode attempts.
 
-        ``rows`` are the window's checked rows and ``places`` this
-        slot's entry of :attr:`WindowBlocks.places`: where each of
-        :attr:`blocks` landed among them.
+def _window_layout(window: Sequence[SlotGather]) -> WindowLayout:
+    """The window's :class:`WindowLayout`, kept on the snapshot when
+    every slot shares one (keyed by the slots' layouts, so by each
+    slot's place in the frame).  A window whose snapshot changes (a UE
+    joined mid-window) builds one of its own."""
+    first = window[0]
+    layouts = tuple(slot.layout for slot in window)
+    if any(slot.tracked is not first.tracked for slot in window):
+        return WindowLayout.build(layouts, first.dci_cfg)
+    return first.tracked.layout(
+        ("window", layouts, first.dci_cfg),
+        lambda: WindowLayout.build(layouts, first.dci_cfg))
 
-        The per-candidate control flow (CCE claiming, energy gate,
-        per-format attempt accounting, ``unpack``) is *replayed* over
-        the shared rows, so decoded DCIs, claiming effects and the
-        attempt count are bit-identical to the per-candidate reference
-        in ``tests/core/test_batch_equivalence.py``.  The CCEs the
-        slot's decodes claim are added to ``claimed`` when given.
+
+#: Estimated set-up and check costs of a window in ns, in the units of
+#: :data:`~repro.phy.polar.OP_DISPATCH_NS`, from their element counts.
+#: The set-up (gate, demod, descramble, the traversal's construction)
+#: costs a fixed part plus a part per LLR the traversal loads (a tree's
+#: worth per replica row); the check (syndromes, lookups, unpack, the
+#: bulk count) a fixed part plus a part per entry.  Least-squares fits
+#: to 24 windows cut from captured srsRAN ``iq-session`` slots (1, 2, 4
+#: and 7 slots; median of 30 runs each, each part timed against the
+#: same run's traversal and scaled to its estimated op cost, shared
+#: 2-CPU host), within about 10% on the 7-slot windows; then scaled to
+#: the windows of ``iq-session`` runs, where cold caches slow the
+#: set-up and the check more than the traversal's middle slices: by
+#: 1.24 (set-up) and 1.2 (check's fixed part), their median ratios
+#: to those estimates over a run's 120 windows.
+_SETUP_NS = 170_000.0
+_SETUP_NS_PER_LLR = 9.7
+_CHECK_NS = 125_000.0
+_CHECK_NS_PER_ENTRY = 270.0
+
+
+class WindowSearch:
+    """The UE-space search of a window of :class:`SlotGather`: one
+    array program from the slots' gathered REs to each slot's DCIs.
+
+    Its three parts run in order.  Construction is the front end: one
+    gate reduction per level over the window's stacked rows, one demod
+    of every row that passes, one descramble per code tuple, and one
+    :class:`~repro.phy.polar.Traversal` of the blocks.  The caller runs
+    the traversal, then :meth:`check`, the back end: one syndrome
+    lookup over every live entry, one unpack per format of the rows
+    whose CRC passed, and one bulk count of each slot's misses.
+    :meth:`finish` is each slot's own replay over its CRC hits.
+
+    PDCCH scrambling is seeded from the cell ID alone
+    (``pdcch_scrambling_init(n_id)``, ``n_rnti = 0``), so a candidate's
+    LLRs and polar output depend only on its *position* (CORESET,
+    level, first CCE), never on which UE's search space hashed onto
+    it: each distinct position of a slot is decoded once, and every
+    tracked UE's entry reads its row.  A row's bits and syndrome do not
+    depend on the rows it shares the window with, so each slot's result
+    is that of a window of that slot alone.
+    """
+
+    def __init__(self, window: Sequence[SlotGather]) -> None:
+        first = window[0]
+        self.window = window
+        self.layout = layout = _window_layout(window)
+        candidates = layout.candidates
+        self._occupied = np.zeros(candidates.n_rows + 1, dtype=bool)
+        self._keep = layout.row_fits
+        self._codes: list[tuple[int, ...]] = []
+        blocks: list[tuple[np.ndarray, tuple[polar.PolarCode, ...]]] = []
+        values = candidates.take(np.concatenate(
+            [slot.values for slot in window]))
+        if first.use_energy_gate:
+            self._occupied[:-1] = candidates.energies(values) \
+                > occupancy_threshold(first.noise_var)
+            self._keep = self._keep & self._occupied[:-1]
+        if self._keep.any():
+            symbols = candidates.select(values, self._keep)
+            if first.gains is not None:
+                gains = np.concatenate([slot.gains for slot in window])[
+                    layout.rows][self._keep]
+                widths = candidates.row_widths[self._keep]
+                # Demodulating at unit noise then dividing per
+                # candidate is the per-candidate (d1-d0)/noise_var to
+                # the last bit: x/1.0 is exact, so each LLR still sees
+                # one division by its effective noise variance.
+                nv_eff = np.maximum(
+                    first.noise_var
+                    / np.maximum(np.abs(gains) ** 2, 1e-9), 1e-12)
+                llrs = demodulate_soft_batch(
+                    (symbols / np.repeat(gains, widths))[None, :], QPSK,
+                    1.0)[0]
+                llrs = llrs / np.repeat(nv_eff,
+                                        QPSK.bits_per_symbol * widths)
+            else:
+                llrs = demodulate_soft_batch(
+                    symbols[None, :], QPSK, max(first.noise_var, 1e-12))[0]
+            for (fits, codes), block in zip(
+                    layout.group_codes, candidates.split(llrs, self._keep)):
+                if block.shape[0]:
+                    blocks.append((block, codes))
+                    self._codes.append(fits)
+        self.traversal = Traversal(blocks)
+        #: Estimated ns of the set-up and of the check.
+        self.setup_cost = _SETUP_NS \
+            + _SETUP_NS_PER_LLR * self.traversal.n_llrs
+        self.check_cost = _CHECK_NS \
+            + _CHECK_NS_PER_ENTRY * layout.entry_row.size
+        self._hits: list[list[tuple[int, int, tuple]]] = []
+        self._misses: list[int] = []
+        self._covers: list[int] = []
+
+    def slice_ends(self) -> list[int]:
+        """Where each of ``len(window)`` slices of the shared work ends,
+        as a count of traversal ops, cutting the window's estimated cost
+        into equal slices: slice ``k`` ends at ``k / n`` of it.  The
+        set-up is in the first slice and the check in the last; when
+        the set-up alone is more than a slice, the slices after it
+        share the rest equally."""
+        traversal = self.traversal
+        n = len(self.window)
+        total = self.setup_cost + traversal.cost + self.check_cost
+        ends: list[int] = []
+        done = 0.0
+        for k in range(n - 1):
+            ends.append(traversal.ops_within(
+                done + (total - done) / (n - k) - self.setup_cost))
+            done = self.setup_cost + traversal.cost_of(ends[-1])
+        return ends + [traversal.n_ops]
+
+    def check(self) -> None:
+        """Phase 4, for the whole window once the traversal has run:
+        the CRC verdict of every live entry, the field values of every
+        CRC-passing row, and each slot's CRC hits and bulk misses.
+
+        An entry's CRC passes under a format exactly when its row's
+        syndrome (:func:`~repro.phy.pdcch.dci_crc_syndromes`) is the
+        entry's masked RNTI; a row that was not decoded reads ``-1``,
+        which no masked RNTI equals.
         """
-        decoded: list[DecodedDci] = []
         layout = self.layout
-        entries = layout.entries
-        if not entries:
-            return decoded, 0
-        # Each position's row among the window's rows, per format (-1,
-        # whose syndrome is the sentinel, where it was not decoded).
-        pos_rows = [np.full(layout.n_positions, -1, dtype=np.intp)
-                    for _ in _FORMATS]
-        for (pos_idx, fits), (block, first) in zip(self.block_rows, places):
-            for f in fits:
-                start = rows.firsts[f][block] + first
-                pos_rows[f][pos_idx] = np.arange(start,
-                                                 start + pos_idx.size)
+        n_slots = len(self.window)
+        outs = self.traversal.result()
+        entry_row = layout.entry_row
+        passed: list[np.ndarray] = []
+        decoded: list[tuple[np.ndarray, np.ndarray]] = []
+        for f, info_len in enumerate(_info_lens(self.window[0].dci_cfg)):
+            mats = [out[fits.index(f)]
+                    for fits, out in zip(self._codes, outs) if f in fits]
+            bits = np.concatenate(mats) if mats \
+                else np.zeros((0, info_len), dtype=np.uint8)
+            rows = np.flatnonzero(self._keep & layout.format_rows[f])
+            syndromes = np.full(self._occupied.size, -1, dtype=np.int64)
+            syndromes[rows] = dci_crc_syndromes(bits)
+            passed.append(syndromes[entry_row] == layout.entry_masked)
+            decoded.append((rows, bits))
+        hit = passed[0] | passed[1]
 
-        # The replay reaches an entry only when it has a position and,
-        # with the gate on, that position passed the gate.  Without the
-        # gate an entry with no position costs two attempts (both
-        # formats tried, both fail early) and nothing else.
-        entry_pos = layout.entry_pos
-        live = layout.valid_rows
-        if self.use_energy_gate:
-            live = live[self.occupied[entry_pos[live]]]
-            attempts = 0
-        else:
-            attempts = 2 * (len(entries) - live.size)
+        # The replay reaches an entry only when it has a row and, with
+        # the gate on, that row passed the gate.  Every such entry no
+        # CRC passed is a miss: two attempts, unless a claim covers one
+        # of its CCEs (counted off in ``finish``).  Without the gate an
+        # entry with no row costs two attempts and nothing else.
+        first = self.window[0]
+        live = self._occupied[entry_row] if first.use_energy_gate \
+            else entry_row >= 0
+        miss = live & ~hit
+        claiming = first.use_cce_claiming
+        if claiming:
+            for k, slot in enumerate(self.window):
+                if slot.claimed_bits:
+                    lo, hi = layout.entry_bounds[k:k + 2]
+                    miss[lo:hi] &= ~np.array(
+                        [bool(entry[3] & slot.claimed_bits)
+                         for entry in layout.slots[k].entries],
+                        dtype=bool)
+        counts = np.bincount(layout.entry_slot, weights=miss,
+                             minlength=n_slots)
+        self._misses = [2 * int(count) + (
+            0 if first.use_energy_gate else 2 * unplaced)
+            for count, unplaced in zip(counts.tolist(), layout.unplaced)]
 
-        # Phase 4: an entry's CRC passes under a format exactly when
-        # its position's syndrome is the entry's masked RNTI (the
-        # booleans of ``dci_crc_check_batch``).
-        masked = layout.entry_rnti[live] & MAX_RNTI
-        live_pos = entry_pos[live]
-        live_rows = [table[live_pos] for table in pos_rows]
-        passed = [syndromes[at] == masked
-                  for syndromes, at in zip(rows.syndromes, live_rows)]
-        hit = np.logical_or.reduce(passed)
+        # Field values of the CRC-passing rows, one unpack per format.
+        hits = np.flatnonzero(hit)
+        fields: list[list[dict[str, int] | None]] = [
+            [None] * hits.size for _ in _FORMATS]
+        for f, (fmt, (rows, bits)) in enumerate(zip(_FORMATS, decoded)):
+            at = np.flatnonzero(passed[f][hits])
+            if at.size:
+                picked = np.searchsorted(rows, entry_row[hits[at]])
+                for i, values in zip(at.tolist(), unpack_rows(
+                        bits[picked, :-DCI_CRC_LEN], fmt,
+                        first.dci_cfg)):
+                    fields[f][i] = values
+        self._hits = [[] for _ in range(n_slots)]
+        for i, (entry, k) in enumerate(zip(
+                hits.tolist(), layout.entry_slot[hits].tolist())):
+            self._hits[k].append((i, entry, tuple(per[i] for per in fields)))
 
-        # Phase 5: replay the per-candidate control flow over the live
-        # entries some CRC passed, in entry order.
-        claiming = self.use_cce_claiming
-        claimed_bits = self.claimed_bits
-        # ``(entry, first CCE, end CCE)`` of every claim, in replay
-        # order; each CCE claimed up front comes before every entry.
-        claims = [(-1, cce, cce + 1) for cce in range(
-            claimed_bits.bit_length()) if claimed_bits >> cce & 1] \
-            if claiming else []
-        for i in np.flatnonzero(hit).tolist():
-            idx = int(live[i])
-            rnti, level, start, _, cce_bits, _ = entries[idx]
+        # Which misses each hit would block by claiming, as a bitmask
+        # over the window's misses: the later misses of its slot whose
+        # CCEs overlap its own.
+        misses = np.flatnonzero(miss)
+        self._covers = [0] * hits.size
+        if claiming and hits.size and misses.size:
+            start, end = layout.entry_start, layout.entry_end
+            slot_of = layout.entry_slot
+            covers = (hits[:, None] < misses) \
+                & (slot_of[hits][:, None] == slot_of[misses]) \
+                & (start[hits][:, None] < end[misses]) \
+                & (start[misses] < end[hits][:, None])
+            self._covers = [int.from_bytes(row, "little") for row in
+                            np.packbits(covers, axis=1,
+                                        bitorder="little").tolist()]
+
+    def finish(self, k: int, claimed: set[int] | None = None) \
+            -> tuple[list[DecodedDci], int]:
+        """Phase 5 for slot ``k`` once :meth:`check` has run: its
+        decoded DCIs and decode attempts.
+
+        The per-candidate control flow (CCE claiming, per-format
+        attempt accounting, the format-identifier check of ``unpack``)
+        is *replayed* over the slot's CRC hits in entry order, and
+        every other live entry counts in bulk, so decoded DCIs,
+        claiming effects and the attempt count are bit-identical to the
+        per-candidate reference in
+        ``tests/core/test_batch_equivalence.py``.  Claims change only
+        at a decode, so the bulk count is exact once the misses a claim
+        covers are taken off.  The CCEs the slot's decodes claim are
+        added to ``claimed`` when given.
+        """
+        slot = self.window[k]
+        entries = slot.layout.entries
+        first_entry = self.layout.entry_bounds[k]
+        claiming = slot.use_cce_claiming
+        claimed_bits = slot.claimed_bits
+        covered = 0
+        attempts = self._misses[k]
+        decoded: list[DecodedDci] = []
+        for i, entry, fields in self._hits[k]:
+            rnti, level, start, cce_bits = entries[entry - first_entry]
             if claiming and cce_bits & claimed_bits:
                 continue
-            for f, fmt in enumerate(_FORMATS):
+            for fmt, values in zip(_FORMATS, fields):
                 attempts += 1
-                if not passed[f][i]:
+                if values is None:
                     continue
-                try:
-                    dci = unpack(rows.bits[f][live_rows[f][i]]
-                                 [:-DCI_CRC_LEN], fmt, self.dci_cfg, rnti)
-                except DciError:
-                    continue
-                decoded.append(DecodedDci(dci=dci, aggregation_level=level))
+                decoded.append(DecodedDci(
+                    dci=Dci(format=fmt, rnti=rnti, **values),
+                    aggregation_level=level))
                 if claiming:
                     claimed_bits |= cce_bits
-                    claims.append((idx, start, start + level))
+                    covered |= self._covers[i]
                     if claimed is not None:
                         claimed.update(range(start, start + level))
                 break
-
-        # Every other live entry fails both CRCs: two attempts, or none
-        # when a claim made before it covers one of its CCEs.  Claims
-        # change only at a decode, so these counts are exact.
-        misses = live[~hit]
-        blocked = np.zeros(misses.size, dtype=bool)
-        if claims:
-            first_cce = layout.entry_start[misses]
-            end_cce = first_cce + layout.entry_level[misses]
-            for after, first, end in claims:
-                blocked |= (misses > after) & (first_cce < end) \
-                    & (first < end_cce)
-        attempts += 2 * (misses.size - int(np.count_nonzero(blocked)))
-        return decoded, attempts
-
-
-@dataclass(frozen=True)
-class WindowRows:
-    """A window's decoded polar rows under each of :data:`_FORMATS`,
-    CRC-checked once for every RNTI hypothesis.
-
-    ``bits[f]`` stacks the window's decoded rows of format ``f`` (its
-    merged blocks in order) and ``syndromes[f]`` holds their
-    :func:`~repro.phy.pdcch.dci_crc_syndromes` and then ``-1``, which
-    no masked RNTI equals, so row ``-1`` stands for "not decoded".
-    ``firsts[f][m]`` is the first row of merged block ``m`` (-1 when
-    it has no code of format ``f``).
-    """
-
-    bits: tuple[np.ndarray, ...]
-    syndromes: tuple[np.ndarray, ...]
-    firsts: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class WindowBlocks:
-    """A window's polar blocks, merged: the blocks of every slot that
-    share a code tuple (the same level, so the same ``E`` and the same
-    formats) stacked into one, in slot order."""
-
-    blocks: list[tuple[np.ndarray, tuple[polar.PolarCode, ...]]]
-    #: Per merged block, the indices into :data:`_FORMATS` of its codes.
-    fits: list[tuple[int, ...]]
-    #: Per slot, per block of its :attr:`PreparedSearch.blocks`: the
-    #: merged block it joined and its first row there.
-    places: list[list[tuple[int, int]]]
-
-    @classmethod
-    def merge(cls, window: Sequence[PreparedSearch]) -> "WindowBlocks":
-        """Merge the blocks of ``window``'s slots."""
-        merged: dict[tuple[polar.PolarCode, ...], int] = {}
-        parts: list[list[np.ndarray]] = []
-        fits: list[tuple[int, ...]] = []
-        sizes: list[int] = []
-        places: list[list[tuple[int, int]]] = []
-        for prepared in window:
-            slot = []
-            for (llrs, codes), (_, block_fits) in zip(prepared.blocks,
-                                                      prepared.block_rows):
-                block = merged.setdefault(codes, len(parts))
-                if block == len(parts):
-                    parts.append([])
-                    fits.append(block_fits)
-                    sizes.append(0)
-                slot.append((block, sizes[block]))
-                parts[block].append(llrs)
-                sizes[block] += llrs.shape[0]
-            places.append(slot)
-        return cls(blocks=[(np.concatenate(part), codes)
-                           for part, codes in zip(parts, merged)],
-                   fits=fits, places=places)
-
-    def check(self, outs: Sequence[Sequence[np.ndarray]]) -> WindowRows:
-        """The checked rows of ``outs``, the decoded bits of
-        :attr:`blocks` (per block, one matrix per code, as
-        :meth:`~repro.phy.polar.Traversal.result` returns them): one
-        syndrome pass per format over the whole window."""
-        bits, syndromes, firsts = [], [], []
-        for f in range(len(_FORMATS)):
-            mats: list[np.ndarray] = []
-            starts: list[int] = []
-            n_rows = 0
-            for block_fits, block_outs in zip(self.fits, outs):
-                if f in block_fits:
-                    out = block_outs[block_fits.index(f)]
-                    starts.append(n_rows)
-                    mats.append(out)
-                    n_rows += out.shape[0]
-                else:
-                    starts.append(-1)
-            stacked = np.concatenate(mats) if mats \
-                else np.zeros((0, 0), dtype=np.uint8)
-            bits.append(stacked)
-            syndromes.append(np.append(dci_crc_syndromes(stacked), -1))
-            firsts.append(tuple(starts))
-        return WindowRows(bits=tuple(bits), syndromes=tuple(syndromes),
-                          firsts=tuple(firsts))
+        return decoded, attempts - 2 * covered.bit_count()
 
 
 class RecordDciDecoder:
@@ -521,111 +646,57 @@ class GridDciDecoder:
         UL 0_1 (one attempt each) until one passes the RNTI-masked CRC.
 
         This is the search's window decode (:func:`grid_decode_job`)
-        for a window of one slot: :meth:`prepare`, one
-        :func:`~repro.phy.polar.decode_blocks` traversal of its merged
-        blocks, one :meth:`WindowBlocks.check` and
-        :meth:`PreparedSearch.finish`.
+        for a window of one slot: :meth:`gather`, then a
+        :class:`WindowSearch` run to the end.
 
         ``claimed`` optionally pre-claims CCEs; the CCEs this slot's
         decodes claim are added to it.
         """
-        prepared = self.prepare(grid, slot_index, tracked, claimed)
-        merged = WindowBlocks.merge([prepared])
-        decoded, attempts = prepared.finish(
-            merged.check(polar.decode_blocks(merged.blocks)),
-            merged.places[0], claimed)
+        search = WindowSearch([self.gather(grid, slot_index, tracked,
+                                           claimed)])
+        search.traversal.step(search.traversal.n_ops)
+        search.check()
+        decoded, attempts = search.finish(0, claimed)
         self.attempts += attempts
         return decoded
 
-    def prepare(self, grid: ResourceGrid, slot_index: int,
-                tracked: Mapping[int, SearchSpace],
-                claimed: set[int] | None = None) -> "PreparedSearch":
-        """Phases 1-3 of the search: everything but the polar decode
-        and what follows it.
+    def gather(self, grid: ResourceGrid, slot_index: int,
+               tracked: Mapping[int, SearchSpace],
+               claimed: set[int] | None = None) -> SlotGather:
+        """The slot's own part of the search: its :class:`SearchLayout`
+        and one gather of every candidate position it reaches.
 
-        PDCCH scrambling is seeded from the cell ID alone
-        (``pdcch_scrambling_init(n_id)``, ``n_rnti = 0``), so a
-        candidate's LLRs and polar output depend only on its *position*
-        (CORESET, level, first CCE), never on which UE's search space
-        hashed onto it.  Each distinct eligible position is therefore
-        gathered, demodulated and descrambled once per slot, and every
-        tracked UE's entry reads its block from that shared table.
-
-        Phases 1-2 are the slot's :class:`SearchLayout`, built once per
-        snapshot and slot of the frame.  CCEs claimed up front do not
-        change it: :meth:`PreparedSearch.finish` skips their entries
-        before counting an attempt, as the per-candidate search does.
-        Phase 3 is one gather of every position, the energy
-        gate (per group, one row reduction) and one demod of the rows
-        that pass, descrambled per group.
+        The layout is built once per snapshot and slot of the frame.
+        CCEs claimed up front do not change it: the replay skips their
+        entries before counting an attempt, as the per-candidate search
+        does.  With ``equalize`` each position's DMRS channel estimate
+        is taken here too, since it reads the grid.
         """
         if not isinstance(tracked, SpaceSnapshot):
             tracked = SpaceSnapshot(tracked)
         claimed_bits = 0
         for cce in claimed or ():
             claimed_bits |= 1 << cce
-        reduced_slot = slot_index % slots_per_frame(self.scs_khz)
+        slot_in_frame = slot_index % slots_per_frame(self.scs_khz)
         layout = tracked.layout(
-            (reduced_slot, self.dci_cfg, self.n_id),
-            lambda: SearchLayout.build(tracked, reduced_slot,
-                                       self.dci_cfg, self.n_id))
-        prepared = PreparedSearch(
-            dci_cfg=self.dci_cfg, use_energy_gate=self.use_energy_gate,
-            use_cce_claiming=self.use_cce_claiming, layout=layout,
-            claimed_bits=claimed_bits,
-            occupied=np.zeros(layout.n_positions, dtype=bool))
-        candidates = layout.candidates
-        if not candidates.n_rows:
-            return prepared
-
-        # Phase 3: one gather and energy gate, then one demod of the
-        # rows that pass; every group's descrambled LLR block goes out
-        # with the DCI formats that fit its level.
-        values = candidates.gather(grid)
-        keep = layout.row_fits
-        if self.use_energy_gate:
-            passed = candidates.energies(values) \
-                > occupancy_threshold(self.noise_var)
-            prepared.occupied[layout.row_pos] = passed
-            keep = keep & passed
-        if not keep.any():
-            return prepared
-        symbols = candidates.select(values, keep)
+            (slot_in_frame, self.n_id),
+            lambda: SearchLayout.build(tracked, slot_in_frame, self.n_id))
+        gains = None
         if self.equalize:
-            positions = [(coreset, level, start)
-                         for coreset, level, starts in candidates.groups
-                         for start in starts]
             gains = np.array(
                 [estimate_channel(grid, coreset,
                                   PdcchCandidate(first_cce=start,
                                                  aggregation_level=level),
                                   self.n_id, slot_index, self.scs_khz)
-                 for (coreset, level, start), kept in zip(positions, keep)
-                 if kept],
+                 for coreset, level, start in layout.positions],
                 dtype=np.complex128)
-            widths = candidates.row_widths[keep]
-            # Demodulating at unit noise then dividing per candidate is
-            # the per-candidate (d1-d0)/noise_var to the last bit: x/1.0
-            # is exact, so each LLR still sees one division by its
-            # effective noise variance.
-            nv_eff = np.maximum(
-                self.noise_var / np.maximum(np.abs(gains) ** 2, 1e-9),
-                1e-12)
-            llrs = demodulate_soft_batch(
-                (symbols / np.repeat(gains, widths))[None, :], QPSK, 1.0)[0]
-            llrs = llrs / np.repeat(nv_eff, QPSK.bits_per_symbol * widths)
-        else:
-            llrs = demodulate_soft_batch(
-                symbols[None, :], QPSK, max(self.noise_var, 1e-12))[0]
-        bounds = candidates.row_bounds
-        for g, ((fits, codes), block) in enumerate(zip(
-                layout.group_codes, candidates.split(llrs, keep))):
-            if block.shape[0]:
-                rows = slice(bounds[g], bounds[g + 1])
-                prepared.blocks.append((block, codes))
-                prepared.block_rows.append(
-                    (layout.row_pos[rows][keep[rows]], fits))
-        return prepared
+        return SlotGather(
+            layout=layout, tracked=tracked,
+            values=layout.candidates.gather(grid),
+            claimed_bits=claimed_bits, gains=gains, dci_cfg=self.dci_cfg,
+            noise_var=self.noise_var,
+            use_energy_gate=self.use_energy_gate,
+            use_cce_claiming=self.use_cce_claiming)
 
     def blind_decode_common(self, grid: ResourceGrid, slot_index: int,
                             common_space: SearchSpace) -> list[DecodedDci]:
@@ -654,9 +725,8 @@ class GridDciDecoder:
             layout.select(values, keep)[None, :], QPSK,
             max(self.noise_var, 1e-12))[0]
         decoded: list[DecodedDci] = []
-        for group, code, block in zip(layout.groups, codes,
+        for level, code, block in zip(layout.levels, codes,
                                       layout.split(llrs, keep)):
-            level = group[1]
             if block.shape[0] == 0:
                 continue
             for bits in polar.decode_batch(block, code):
@@ -692,29 +762,29 @@ class GridDciDecoder:
 # so it cannot reach the session: the scope packs each slot's payload
 # on the backbone and merges the returned counters and decodes back.
 
-def grid_decode_job(window: list[PreparedSearch]) \
+def grid_decode_job(window: list[SlotGather]) \
         -> Iterator[tuple[list[DecodedDci], int] | None]:
-    """A window of slots' iq-fidelity searches, past their
-    :meth:`~GridDciDecoder.prepare`, decoded and checked as a whole:
-    the slots' blocks merged per code tuple, one polar traversal, one
-    CRC-syndrome pass, then each slot's :meth:`~PreparedSearch.finish`.
+    """A window of slots' iq-fidelity searches, from their
+    :meth:`~GridDciDecoder.gather`, as one :class:`WindowSearch`.
 
     A window job (see :class:`~repro.core.runtime.SlotRuntime`): it
-    yields ``None`` after each of ``len(window)`` equal slices of the
-    traversal's ops, then each slot's ``(decoded DCIs, attempts)`` in
-    slot order.  A row's bits and syndrome do not depend on the rows
-    it shares a traversal with, so every slot's result equals its own
+    yields ``None`` after each of ``len(window)`` slices of the shared
+    work, cut at equal estimated cost
+    (:meth:`WindowSearch.slice_ends`; the set-up runs in the first
+    slice, the check in the last), then each slot's ``(decoded DCIs,
+    attempts)`` in slot order, which equals its own
     :meth:`~GridDciDecoder.decode_slot_batch`.
     """
-    merged = WindowBlocks.merge(window)
-    traversal = Traversal(merged.blocks)
-    share = -(-traversal.n_ops // len(window))
-    for _ in window:
-        traversal.step(share)
+    search = WindowSearch(window)
+    traversal = search.traversal
+    ends = search.slice_ends()
+    for k, end in enumerate(ends, 1):
+        traversal.step(end - traversal.n_ops + traversal.remaining)
+        if k == len(ends):
+            search.check()
         yield None
-    rows = merged.check(traversal.result())
-    for prepared, places in zip(window, merged.places):
-        yield prepared.finish(rows, places)
+    for k in range(len(window)):
+        yield search.finish(k)
 
 
 def record_decode_job(payload: dict) \

@@ -21,8 +21,9 @@ Fig 12 experiment):
   with no parallel work of its own (a TDD uplink slot) or at
   :data:`WINDOW_SLOTS` slots.  A *window job* is a generator function
   of the window's payloads that does its shared work in one slice per
-  slot, then yields each slot's result (the iq DCI search decodes the
-  whole window in one polar traversal); a plain ``payload -> result``
+  slot, then yields each slot's result (the iq DCI search runs the
+  whole window as one array program, cut into slices of equal
+  estimated cost); a plain ``payload -> result``
   function runs as windows of one slot.  :class:`WindowRun` drives
   either.  The job never sees the context or the session, so it
   cannot reach backbone state.
@@ -412,7 +413,7 @@ class SlotRuntime:
             assert stage.pack is not None
             if self._windowed:
                 # A window job's pack is the slot's own share of its
-                # work (the iq search's prepare): it counts as decode
+                # work (the iq search's gather): it counts as decode
                 # time.  A per-slot job's pack only builds its payload.
                 start = time.perf_counter()
                 payload = stage.pack(ctx)

@@ -29,7 +29,7 @@ from repro.constants import SI_RNTI
 from repro.core.aggregation import PacketAggregationAnalyzer
 from repro.core.cell_search import CellSearcher
 from repro.core.dci_decoder import DecodedDci, GridDciDecoder, \
-    PreparedSearch, RecordDciDecoder, grid_decode_job, record_decode_job
+    RecordDciDecoder, SlotGather, grid_decode_job, record_decode_job
 from repro.core.harq_tracker import HarqTrackerBank
 from repro.core.rach_sniffer import RachSniffer
 from repro.obs.context import AnyObsContext, OBS_NOOP
@@ -535,21 +535,20 @@ class NRScope:
                 "slot": slot_index, "rnti": rnti, "stage": "dci",
                 "reason": "bler", "level": level}))
 
-    def _pack_dci(self, ctx: SlotContext) -> PreparedSearch | dict:
+    def _pack_dci(self, ctx: SlotContext) -> SlotGather | dict:
         """The DCI job's payload for this slot, built on the backbone.
 
-        In iq fidelity it is the slot's prepared search (gathered,
-        gated, demodulated and descrambled candidates, ready for the
-        window's polar traversal); in message fidelity, the slot's
-        records and the decode model's parameters.  Neither holds the
-        decoders themselves: the session RNG and counters stay on the
-        backbone.
+        In iq fidelity it is the slot's gather (its candidate REs and
+        search layout; the window does the rest as one array program);
+        in message fidelity, the slot's records and the decode model's
+        parameters.  Neither holds the decoders themselves: the session
+        RNG and counters stay on the backbone.
         """
         output = ctx.output
         if self.fidelity == "iq":
             assert self._grid_decoder is not None
-            return self._grid_decoder.prepare(ctx.grid, output.slot.index,
-                                              ctx.tracked)
+            return self._grid_decoder.gather(ctx.grid, output.slot.index,
+                                             ctx.tracked)
         rec = self._record_decoder
         assert rec is not None
         return {"snr_db": rec.sniffer_snr_db, "seed": rec.seed,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.dci_decoder import GridDciDecoder, PreparedSearch, \
+from repro.core.dci_decoder import GridDciDecoder, SlotGather, \
     grid_decode_job
 from repro.core.rach_sniffer import RachSniffer
 from repro.core.runtime import SlotContext, SlotRuntime, Stage
@@ -110,7 +110,7 @@ def build_runtime(workload: Workload,
                   noise_var: float = 1e-3) -> SlotRuntime:
     """The production stage graph over a fixed workload: OFDM
     demodulation on the backbone, the candidate search on the parallel
-    stage (prepared per slot, decoded per window), run inline."""
+    stage (gathered per slot, decoded per window), run inline."""
     decoder = GridDciDecoder(
         dci_cfg=workload.profile.dci_size_config(),
         n_id=workload.profile.cell_id, noise_var=noise_var)
@@ -119,8 +119,8 @@ def build_runtime(workload: Workload,
         ctx.grid = demodulate_slot(workload.samples, workload.ofdm)
         ctx.tracked = workload.tracked
 
-    def pack(ctx: SlotContext) -> PreparedSearch:
-        return decoder.prepare(ctx.grid, workload.slot_index, ctx.tracked)
+    def pack(ctx: SlotContext) -> SlotGather:
+        return decoder.gather(ctx.grid, workload.slot_index, ctx.tracked)
 
     def merge(ctx: SlotContext, result) -> None:
         ctx.decoded = result[0]
@@ -134,8 +134,8 @@ def build_runtime(workload: Workload,
 def _slot_us(runtime: SlotRuntime, n_slots: int) -> float:
     """One timed run: the mean per-slot time of ``n_slots`` slots.
 
-    The DCI stage's time per slot is amortized (its prepare and finish
-    plus its share of the window's polar traversal), and the runtime
+    The DCI stage's time per slot is amortized (its gather and finish
+    plus its share of the window's shared work), and the runtime
     is flushed before its stats are read, so slots still in their
     window count.
     """

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from repro.constants import AGGREGATION_LEVELS, N_REG_PER_CCE
+from repro.constants import AGGREGATION_LEVELS, N_REG_PER_CCE, \
+    SUPPORTED_SCS_KHZ
 from repro.phy.numerology import slots_per_frame
 
 
@@ -140,6 +141,8 @@ class SearchSpace:
         per-slot ``Y`` from the C-RNTI so that different UEs' candidates
         spread across the CORESET.  The sniffer reruns this exact hash for
         every tracked RNTI to know where to attempt decodes.
+        ``slot_index`` is the slot number within its frame,
+        ``n^mu_{s,f}`` (the caller knows the cell's numerology).
         """
         if level not in AGGREGATION_LEVELS:
             raise CoresetError(f"invalid aggregation level {level}")
@@ -175,27 +178,32 @@ _YP_COEFFICIENTS = (39827, 39829, 39839)
 _YP_MODULUS = 65537
 
 
-def _yp(rnti: int, coreset_id: int, slot_index: int,
-        scs_khz: int = 30) -> int:
+#: Slots in a frame at the widest supported subcarrier spacing: no
+#: slot number within a frame reaches it.
+_MAX_SLOTS_PER_FRAME = max(slots_per_frame(scs) for scs in SUPPORTED_SCS_KHZ)
+
+
+def _yp(rnti: int, coreset_id: int, slot_in_frame: int) -> int:
     """Per-slot UE-specific search-space hash Y_{p,n} (38.213 10.1).
 
-    The recursion depth follows the slot number within its frame, so
-    the reduction uses the numerology's slots-per-frame count (the
-    paper's lab cells all run 30 kHz).  The value only depends on the
-    slot *within* the frame, so the modular-multiplication chain is
-    memoized on the reduced slot number.
+    The recursion depth follows the slot number within its frame,
+    which the caller reduces with its own numerology.
     """
     if rnti <= 0:
         raise CoresetError("UE-specific search space needs a positive RNTI")
-    return _yp_reduced(rnti, coreset_id,
-                       slot_index % slots_per_frame(scs_khz))
+    if not 0 <= slot_in_frame < _MAX_SLOTS_PER_FRAME:
+        raise CoresetError(
+            f"slot {slot_in_frame} is not a slot number within a frame")
+    return _yp_chain(rnti, coreset_id, slot_in_frame)
 
 
 @lru_cache(maxsize=65536)
-def _yp_reduced(rnti: int, coreset_id: int, reduced_slot: int) -> int:
+def _yp_chain(rnti: int, coreset_id: int, slot_in_frame: int) -> int:
+    """The modular-multiplication chain of :func:`_yp`, memoized: the
+    value only depends on the slot *within* its frame."""
     a_p = _YP_COEFFICIENTS[coreset_id % 3]
     y = rnti
-    for _ in range(reduced_slot + 1):
+    for _ in range(slot_in_frame + 1):
         y = (a_p * y) % _YP_MODULUS
     return y
 

@@ -222,3 +222,41 @@ def unpack(bits: np.ndarray, fmt: DciFormat, cfg: DciSizeConfig,
             f" {fmt.value}")
     values = {k: v for k, v in values.items() if k in _VALID_FIELDS}
     return Dci(format=fmt, rnti=rnti, **values)
+
+
+@lru_cache(maxsize=64)
+def _field_weights(fmt: DciFormat, cfg: DciSizeConfig) \
+        -> tuple[tuple[str, ...], np.ndarray]:
+    """The names of ``fmt``'s fields (its :func:`field_layout`, the
+    identifier first) and the read-only ``(payload bits, fields)``
+    matrix whose product with a payload row is each field's value, MSB
+    first."""
+    layout = field_layout(fmt, cfg)
+    weights = np.zeros((sum(w for _, w in layout), len(layout)),
+                       dtype=np.int64)
+    bit = 0
+    for column, (_, width) in enumerate(layout):
+        weights[bit:bit + width, column] = \
+            1 << np.arange(width - 1, -1, -1, dtype=np.int64)
+        bit += width
+    weights.flags.writeable = False
+    return tuple(name for name, _ in layout), weights
+
+
+def unpack_rows(bits: np.ndarray, fmt: DciFormat,
+                cfg: DciSizeConfig) -> list[dict[str, int] | None]:
+    """:func:`unpack` of each row of stacked payloads, as field values:
+    per row the keyword arguments of its :class:`Dci` (all but format
+    and RNTI), or None where :func:`unpack` raises because the format
+    identifier bit is inconsistent.  One matrix product for all rows.
+    """
+    arr = np.asarray(bits, dtype=np.uint8)
+    names, weights = _field_weights(fmt, cfg)
+    if arr.ndim != 2 or arr.shape[1] != weights.shape[0]:
+        raise DciError(
+            f"payloads are {arr.shape}, format {fmt.value} needs rows of"
+            f" {weights.shape[0]} bits")
+    expected_id = 1 if fmt is DciFormat.DL_1_1 else 0
+    keep = [i for i, name in enumerate(names) if name in _VALID_FIELDS]
+    return [{names[i]: row[i] for i in keep} if row[0] == expected_id
+            else None for row in (arr @ weights).tolist()]

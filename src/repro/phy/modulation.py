@@ -177,12 +177,14 @@ def demodulate_qpsk(symbols: np.ndarray, noise_var: float) -> np.ndarray:
     syms = np.asarray(symbols, dtype=np.complex128).ravel()
     if noise_var <= 0:
         raise ModulationError(f"noise variance must be positive: {noise_var}")
-    d2 = np.abs(syms[None, :] - constellation(QPSK)[:, None]) ** 2
+    # One point at a time keeps each temporary a symbol row long (a
+    # window's 6-8k symbols stay in cache), with the same elementwise
+    # operations as a (4, S) distance matrix.
+    d0, d1, d2, d3 = (np.abs(syms - point) ** 2
+                      for point in constellation(QPSK))
     llrs = np.empty((syms.size, 2), dtype=np.float64)
-    np.subtract(np.minimum(d2[2], d2[3]), np.minimum(d2[0], d2[1]),
-                out=llrs[:, 0])
-    np.subtract(np.minimum(d2[1], d2[3]), np.minimum(d2[0], d2[2]),
-                out=llrs[:, 1])
+    np.subtract(np.minimum(d2, d3), np.minimum(d0, d1), out=llrs[:, 0])
+    np.subtract(np.minimum(d1, d3), np.minimum(d0, d2), out=llrs[:, 1])
     llrs /= noise_var
     return llrs.ravel()
 

@@ -365,12 +365,14 @@ def _dmrs_layout(coreset: Coreset, first_cce: int,
 
 def estimate_channel(grid: ResourceGrid, coreset: Coreset,
                      candidate: PdcchCandidate, n_id: int,
-                     slot_index: int, scs_khz: int = 30) -> complex:
+                     slot_index: int, scs_khz: int) -> complex:
     """Least-squares channel estimate from the candidate's DMRS pilots.
 
     Averaging ``received / expected`` over the pilots gives the complex
     gain a real receiver would equalise with; on a clean simulated link
-    this is ~1+0j, under phase/gain impairments it recovers them.
+    this is ~1+0j, under phase/gain impairments it recovers them.  The
+    pilots number ``slot_index`` within the frame of a cell of
+    subcarrier spacing ``scs_khz``.
     """
     if candidate.first_cce + candidate.aggregation_level > coreset.n_cces:
         return 1.0 + 0.0j
@@ -407,20 +409,21 @@ def _level_index_matrix(coreset: Coreset,
 
 @dataclass(frozen=True, eq=False)
 class CandidateLayout:
-    """Candidates of several (CORESET, level) groups, laid out so that
-    one slot reads all of them with one gather.
+    """Candidates in groups of one aggregation level each, laid out so
+    that one gather reads all of them.
 
-    ``groups`` are ``(coreset, level, starts)``.  Group ``g`` holds
-    rows ``row_bounds[g]:row_bounds[g + 1]``, one per start, whose data
-    REs are ``flat[re_bounds[g]:re_bounds[g + 1]]`` row after row,
-    ``widths[g]`` REs a row (the rows of :func:`_level_index_matrix`).
-    ``row_widths`` is each row's width and ``signs[g]`` the LLR
-    descramble signs of one row of group ``g`` (every row restarts the
-    cell's scrambling sequence).  The arrays are shared by every slot
-    that uses the layout, so they are read-only.
+    Group ``g`` holds rows ``row_bounds[g]:row_bounds[g + 1]`` of level
+    ``levels[g]``, whose data REs are ``flat[re_bounds[g]:re_bounds[g +
+    1]]`` row after row, ``widths[g]`` REs a row.  ``flat`` indexes a
+    grid's flattened data (:meth:`build`) or the gathers of several
+    layouts back to back (:meth:`stack`).  ``row_widths`` is each row's
+    width and ``signs[g]`` the LLR descramble signs of one row of group
+    ``g`` (every row restarts the cell's scrambling sequence).  The
+    arrays are shared by every slot that uses the layout, so they are
+    read-only.
     """
 
-    groups: tuple[tuple[Coreset, int, tuple[int, ...]], ...]
+    levels: tuple[int, ...]
     flat: np.ndarray
     row_bounds: tuple[int, ...]
     re_bounds: tuple[int, ...]
@@ -431,7 +434,9 @@ class CandidateLayout:
     @classmethod
     def build(cls, groups: Sequence[tuple[Coreset, int, Sequence[int]]],
               c_init: int) -> "CandidateLayout":
-        """The layout of ``groups``, descrambled with ``c_init``.
+        """The layout of ``(coreset, level, starts)`` groups over a
+        grid, descrambled with ``c_init``: one group per entry, one row
+        per start (the rows of :func:`_level_index_matrix`).
 
         Starts must be aligned to their level and in range, as
         :meth:`SearchSpace.candidate_cces` produces them.
@@ -450,9 +455,16 @@ class CandidateLayout:
             widths.append(width)
             row_bounds.append(row_bounds[-1] + len(starts))
             re_bounds.append(re_bounds[-1] + rows.size)
+        return cls._of(tuple(level for _, level, _ in groups), flats,
+                       row_bounds, re_bounds, widths, signs)
+
+    @classmethod
+    def _of(cls, levels: tuple[int, ...], flats: list[np.ndarray],
+            row_bounds: list[int], re_bounds: list[int],
+            widths: list[int], signs: list[np.ndarray]) \
+            -> "CandidateLayout":
         return cls(
-            groups=tuple((coreset, level, tuple(starts))
-                         for coreset, level, starts in groups),
+            levels=levels,
             flat=read_only(np.concatenate(
                 flats or [np.zeros(0, dtype=np.intp)])),
             row_bounds=tuple(row_bounds), re_bounds=tuple(re_bounds),
@@ -462,6 +474,49 @@ class CandidateLayout:
                 np.diff(np.array(row_bounds, dtype=np.intp)))),
             signs=tuple(signs))
 
+    @classmethod
+    def stack(cls, layouts: Sequence["CandidateLayout"]) \
+            -> tuple["CandidateLayout", np.ndarray]:
+        """The rows of ``layouts``, regrouped one group per level
+        (ascending), in layout order within a group.
+
+        The stacked ``flat`` indexes the layouts' gathers concatenated
+        in order (:meth:`take` of that concatenation reads every row),
+        and the returned array gives each stacked row's index among the
+        layouts' rows concatenated in order.  Groups of one level have
+        one width and one set of signs, whichever CORESET they sit in.
+        """
+        pieces: dict[int, list[tuple[int, int, int, int]]] = {}
+        signs: dict[int, np.ndarray] = {}
+        row_offset = re_offset = 0
+        for layout in layouts:
+            for g, level in enumerate(layout.levels):
+                pieces.setdefault(level, []).append((
+                    row_offset + layout.row_bounds[g],
+                    row_offset + layout.row_bounds[g + 1],
+                    re_offset + layout.re_bounds[g],
+                    re_offset + layout.re_bounds[g + 1]))
+                signs.setdefault(level, layout.signs[g])
+            row_offset += layout.n_rows
+            re_offset += layout.flat.size
+        levels = tuple(sorted(pieces))
+        flats: list[np.ndarray] = []
+        rows: list[np.ndarray] = []
+        row_bounds, re_bounds, widths = [0], [0], []
+        for level in levels:
+            for first_row, stop_row, first_re, stop_re in pieces[level]:
+                rows.append(np.arange(first_row, stop_row, dtype=np.intp))
+                flats.append(np.arange(first_re, stop_re, dtype=np.intp))
+            row_bounds.append(row_bounds[-1] + sum(
+                stop - first for first, stop, _, _ in pieces[level]))
+            re_bounds.append(re_bounds[-1] + sum(
+                stop - first for _, _, first, stop in pieces[level]))
+            widths.append(signs[level].size // QPSK.bits_per_symbol)
+        return (cls._of(levels, flats, row_bounds, re_bounds, widths,
+                        [signs[level] for level in levels]),
+                read_only(np.concatenate(
+                    rows or [np.zeros(0, dtype=np.intp)])))
+
     @property
     def n_rows(self) -> int:
         """Candidates in the layout, over all groups."""
@@ -469,7 +524,12 @@ class CandidateLayout:
 
     def gather(self, grid: ResourceGrid) -> np.ndarray:
         """Every row's REs from ``grid``, back to back."""
-        return grid.data.reshape(-1)[self.flat]
+        return self.take(grid.data.reshape(-1))
+
+    def take(self, values: np.ndarray) -> np.ndarray:
+        """Every row's REs from the flat ``values`` that :attr:`flat`
+        indexes, back to back."""
+        return values[self.flat]
 
     def energies(self, values: np.ndarray) -> np.ndarray:
         """Mean per-RE power of each row of the gathered ``values``.
@@ -549,7 +609,8 @@ def try_decode_pdcch(grid: ResourceGrid, cfg: DciSizeConfig,
                      coreset: Coreset, candidate: PdcchCandidate,
                      fmt: DciFormat, rnti: int, n_id: int,
                      noise_var: float, slot_index: int = 0,
-                     equalize: bool = False) -> Dci | None:
+                     equalize: bool = False,
+                     scs_khz: int | None = None) -> Dci | None:
     """Attempt to decode one candidate for one (RNTI, format) hypothesis.
 
     Returns the DCI when the polar decode succeeds *and* the
@@ -559,14 +620,17 @@ def try_decode_pdcch(grid: ResourceGrid, cfg: DciSizeConfig,
     With ``equalize`` the candidate's DMRS pilots provide a
     least-squares channel estimate that is divided out before
     demodulation (needed when the capture path applies gain/phase
-    impairments; ``slot_index`` seeds the pilot sequence).
+    impairments).  The pilots number ``slot_index`` within the frame of
+    a cell of subcarrier spacing ``scs_khz``, which ``equalize`` needs.
     """
     if candidate.first_cce + candidate.aggregation_level > coreset.n_cces:
         return None
     received = _gather_candidate(grid, coreset, candidate)
     if equalize:
+        if scs_khz is None:
+            raise PdcchError("equalizing needs the cell's scs_khz")
         gain = estimate_channel(grid, coreset, candidate, n_id,
-                                slot_index)
+                                slot_index, scs_khz)
         received = received / gain
         noise_var = noise_var / max(abs(gain) ** 2, 1e-9)
     llrs = demodulate_soft(received, QPSK, max(noise_var, 1e-12))

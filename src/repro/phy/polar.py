@@ -252,18 +252,25 @@ def decode(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
 
 
 # ------------------------------------------------------- batched decode
-def _llrs_to_mother_batch(llrs: np.ndarray, code: PolarCode) -> np.ndarray:
-    """Row-wise :func:`_llrs_to_mother` over a stacked ``(B, E)`` matrix."""
-    batch = llrs.shape[0]
-    out = np.zeros((batch, code.block_len), dtype=np.float64)
+def _write_mother(llrs: np.ndarray, code: PolarCode,
+                  out: np.ndarray) -> None:
+    """Row-wise :func:`_llrs_to_mother` of a stacked ``(B, E)`` matrix,
+    written into the last ``N`` columns of ``out`` with ``0.0`` in the
+    columns before them (see :class:`Traversal`).
+
+    Layout: llrs (B, E) float64
+    Layout: out (B, S) float64
+    """
+    lead = out.shape[1] - code.block_len
     base = min(code.rate_matched_len, code.block_len)
-    out[:, :base] = llrs[:, :base]
+    out[:, :lead] = 0.0
+    mother = out[:, lead:]
+    mother[:, :base] = llrs[:, :base]
     for start in range(code.block_len, code.rate_matched_len,
                        code.block_len):
         wrap = llrs[:, start:start + code.block_len]
-        out[:, :wrap.shape[1]] += wrap
-    out[:, base:] = _INF_LLR
-    return out
+        mother[:, :wrap.shape[1]] += wrap
+    mother[:, base:] = _INF_LLR
 
 
 # Plan op tags (see _sc_plan).  F/G/C are the ordinary SC butterfly
@@ -295,6 +302,29 @@ def fitted_width(rows: int) -> int:
 
 #: Compiled (frozen mask, width) programs an engine keeps for reuse.
 _PROGRAMS_PER_ENGINE = 32
+
+#: Estimated cost of one compiled op in ns: one ufunc dispatch plus a
+#: cost per element it writes.  Fitted to the traversals of 30
+#: captured srsRAN ``iq-session`` windows run whole, cut to 1, 2, 4 and
+#: 7 slots (10-74 replica rows, widths 16-96; best of 40 runs each,
+#: shared 2-CPU host): about 0.5 µs per op plus 0.6 ns per element.
+#: A pass's 512-row top-of-tree ops cost tens of dispatches each.
+OP_DISPATCH_NS = 500.0
+OP_ELEMENT_NS = 0.6
+#: Estimated cost of a pass's load (:meth:`_Engine.load`) per LLR it
+#: writes, in the same units: about 250 µs for the 37,888 LLRs of a
+#: 74-row pass of 512 leaves, timed inside ``iq-session`` runs, where
+#: the transposed writes miss the cache.
+LOAD_NS_PER_LLR = 6.5
+
+
+def _op_cost(fn, args: tuple) -> float:
+    """:data:`OP_DISPATCH_NS` plus :data:`OP_ELEMENT_NS` per element of
+    the array a compiled op writes (its last argument, or the array
+    whose ``fill`` it is)."""
+    written = args[-1] if isinstance(args[-1], np.ndarray) \
+        else fn.__self__
+    return OP_DISPATCH_NS + OP_ELEMENT_NS * written.size
 
 
 @lru_cache(maxsize=256)
@@ -426,8 +456,9 @@ class _Engine:
       ``+inf`` elsewhere (forcing bit 0, the scalar frozen-leaf rule).
       ``+0.0`` also turns a ``-0.0`` LLR into ``+0.0``, so ``value < 0``
       is the scalar rule ``llr < 0`` and ``copysign(1, value)`` is the
-      leaf's partial-sum sign.  After a pass ``offsets < 0`` are the
-      decoded bits; rows of pruned leaves keep their offset (bit 0).
+      leaf's partial-sum sign.  Only the leaves some replica decides
+      are loaded and read: after a pass their ``offsets < 0`` are the
+      decoded bits.
 
     A pass writes every scratch value before it reads it, except its
     loaded inputs, so what an earlier pass of any width left behind
@@ -529,41 +560,63 @@ class _Engine:
         return tuple(calls.setdefault((fn, *map(id, args)), (fn, args))
                      for fn, args in ops)
 
-    def program(self, frozen_bytes: bytes, width: int) -> tuple:
+    def program(self, frozen_bytes: bytes, width: int) \
+            -> tuple[tuple, np.ndarray]:
         """The compiled program for one frozen mask at one of
-        :data:`PROGRAM_WIDTHS` (cached, LRU)."""
+        :data:`PROGRAM_WIDTHS` (cached, LRU): its ops and, read-only,
+        their cumulative estimated cost (:func:`_op_cost`) before each
+        op and after the last."""
         key = (frozen_bytes, width)
-        ops = self._programs.pop(key, None)
-        if ops is None:
+        program = self._programs.pop(key, None)
+        if program is None:
             ops = self._compile(frozen_bytes, width)
+            costs = np.zeros(len(ops) + 1, dtype=np.float64)
+            np.cumsum([_op_cost(fn, args) for fn, args in ops],
+                      out=costs[1:])
+            costs.flags.writeable = False
+            program = (ops, costs)
             if len(self._programs) >= _PROGRAMS_PER_ENGINE:
                 del self._programs[next(iter(self._programs))]
-        self._programs[key] = ops
-        return ops
+        self._programs[key] = program
+        return program
 
-    def load(self, llrs: np.ndarray, offsets: np.ndarray) -> None:
-        """Stage the replica rows of one pass, at the width
-        :func:`fitted_width` gives for them.
+    def load(self, replicas: Sequence[tuple[np.ndarray, PolarCode,
+                                            np.ndarray, bool]],
+             leaves: np.ndarray) -> None:
+        """Write the replica rows of one pass straight into the input
+        buffers of the width :func:`fitted_width` gives for them: per
+        ``(llrs, code, leaf offsets, repeat)`` group, in column order,
+        its mother LLRs (:func:`_write_mother`, or a copy of the
+        previous group's when ``repeat``: the same rows under a code of
+        the same ``N``) and its offsets at ``leaves``, the only leaves
+        the program reads them at.
 
-        Columns past ``len(llrs)`` keep stale finite values from an
+        Columns past the pass's rows keep stale finite values from an
         earlier pass; their decisions are never read.
-
-        Layout: llrs (R, N) float64
-        Layout: offsets (R, N) float64
         """
-        rows = llrs.shape[0]
+        rows = sum(llrs.shape[0] for llrs, _, _, _ in replicas)
         buffers = self.buffers(fitted_width(rows))
-        buffers.llr[-1][:, :rows] = llrs.T
-        buffers.offsets[:, :rows] = offsets.T
+        llr, offsets = buffers.llr[-1], buffers.offsets
+        column = previous = 0
+        for llrs, code, leaf_offsets, repeat in replicas:
+            stop = column + llrs.shape[0]
+            if repeat:
+                llr[:, column:stop] = llr[:, previous:column]
+            else:
+                _write_mother(llrs, code, llr[:, column:stop].T)
+            offsets[leaves, column:stop] = leaf_offsets[:, None]
+            previous, column = column, stop
 
-    def read(self, out: np.ndarray) -> None:
-        """The decisions of a finished pass over ``len(out)`` rows.
+    def read(self, leaves: np.ndarray, out: np.ndarray) -> None:
+        """The decisions at ``leaves`` of a finished pass over
+        ``len(out)`` rows.
 
-        Layout: out (R, N) bool
+        Layout: leaves (U) intp
+        Layout: out (R, U) bool
         """
         rows = out.shape[0]
-        np.less(self.buffers(fitted_width(rows)).offsets[:, :rows].T, 0.0,
-                out=out)
+        out[:] = np.less(
+            self.buffers(fitted_width(rows)).offsets[leaves, :rows], 0.0).T
 
 
 #: Idle engines by tree size.  A traversal takes an engine out and
@@ -584,14 +637,17 @@ def _give_engine(engine: _Engine) -> None:
 
 
 @lru_cache(maxsize=256)
-def _placement(code: PolarCode, size: int) \
+def _placement(info_len: int, rate_matched_len: int, size: int) \
         -> tuple[np.ndarray, np.ndarray]:
-    """``code``'s info leaves and leaf offsets in a ``size``-leaf tree.
+    """The info leaves and leaf offsets of the ``(K, E)`` code in a
+    ``size``-leaf tree (keyed on ints: a :class:`PolarCode` hashes its
+    index tuples).
 
     A shorter code sits in the last ``N`` leaves (see
-    :func:`decode_blocks`), so its info set shifts by ``size - N``.
+    :class:`Traversal`), so its info set shifts by ``size - N``.
     Read-only: the arrays are shared by every decode.
     """
+    code = construct(info_len, rate_matched_len)
     info = np.array(code.info_indices, dtype=np.intp) \
         + (size - code.block_len)
     offsets = np.full(size, np.inf, dtype=np.float64)
@@ -620,10 +676,13 @@ class Traversal:
     it runs with.
 
     Each block's rows are rate-unmatched under their own code and
-    replicated once per code.  The traversal runs on a tree sized to
-    the largest mother code ``N_max`` in the call: a replica of a code
-    with ``N < N_max`` puts its mother LLRs in the last ``N`` leaves
-    with ``0.0`` in front, and its info set shifts by ``N_max - N``.
+    replicated once per code, straight into the engine's input buffers
+    as each pass loads (:meth:`_Engine.load`), so the blocks must not
+    change before the traversal is done.  The traversal runs on a tree
+    sized to the largest mother code ``N_max`` in the call: a replica
+    of a code with ``N < N_max`` puts its mother LLRs in the last ``N``
+    leaves with ``0.0`` in front, and its info set shifts by
+    ``N_max - N``.
     This is exact: the replica's leading leaves are all frozen for it,
     so its partial sums there are 0 and every g-node over the leading
     zeros computes ``bot + 0.0`` — the same value, up to the sign of a
@@ -660,36 +719,70 @@ class Traversal:
                         f" got {arr.shape[1]}")
                 size = max(size, code.block_len)
             checked.append((arr, codes))
-        n_rows = sum(arr.shape[0] * len(codes) for arr, codes in checked)
-        self._llrs = np.zeros((n_rows, size), dtype=np.float64)
-        self._offsets = np.empty((n_rows, size), dtype=np.float64)
+        # One replica group per (block, code): its rows, LLRs, code and
+        # leaf offsets, and its info leaves.
+        groups: list[tuple[int, int, np.ndarray, PolarCode, np.ndarray,
+                           np.ndarray]] = []
         frozen = np.ones(size, dtype=bool)
-        self._slices: list[list[tuple[int, int, np.ndarray]]] = []
-        row = 0
+        n_rows = 0
         for arr, codes in checked:
-            placed = []
             for code in codes:
-                stop = row + arr.shape[0]
-                info, leaf_offsets = _placement(code, size)
-                self._llrs[row:stop, size - code.block_len:] = \
-                    _llrs_to_mother_batch(arr, code)
-                self._offsets[row:stop] = leaf_offsets
+                info, leaf_offsets = _placement(code.info_len,
+                                                code.rate_matched_len, size)
                 frozen[info] = False
-                placed.append((row, stop, info))
-                row = stop
-            self._slices.append(placed)
-        self._bits = np.zeros((n_rows, size), dtype=bool)
+                groups.append((n_rows, n_rows + arr.shape[0], arr, code,
+                               leaf_offsets, info))
+                n_rows += arr.shape[0]
+        #: The leaves some replica decides: the only decisions read.
+        self._leaves = np.flatnonzero(~frozen)
+        self._bits = np.zeros((n_rows, self._leaves.size), dtype=bool)
+        self._slices: list[list[tuple[int, int, np.ndarray]]] = []
+        placed = iter(groups)
+        for arr, codes in checked:
+            self._slices.append([
+                (start, stop, np.searchsorted(self._leaves, info))
+                for start, stop, _, _, _, info in
+                (next(placed) for _ in codes)])
         self._engine: _Engine | None = None
-        #: Per pass, its rows and the program compiled at its width.
-        self._passes: list[tuple[int, int, tuple]] = []
+        #: Per pass, its rows, its program and the replica rows it loads.
+        self._passes: list[tuple[int, int, tuple, list]] = []
+        #: The estimated cost (:data:`OP_DISPATCH_NS`) of the first
+        #: ``i`` ops, each pass's load with its first op, for every
+        #: ``i`` from 0 to :attr:`n_ops`.
+        self._costs = np.zeros(1, dtype=np.float64)
         if n_rows:
             engine = self._engine = _take_engine(size)
             frozen_bytes = frozen.view(np.uint8).tobytes()
             cap = PROGRAM_WIDTHS[-1]
+            costs = []
             for start in range(0, n_rows, cap):
                 stop = min(start + cap, n_rows)
-                self._passes.append((start, stop, engine.program(
-                    frozen_bytes, fitted_width(stop - start))))
+                ops, pass_costs = engine.program(
+                    frozen_bytes, fitted_width(stop - start))
+                # The pass's load runs with its first op.
+                pass_costs = pass_costs + LOAD_NS_PER_LLR * size \
+                    * (stop - start) * (np.arange(len(ops) + 1) > 0)
+                replicas: list[tuple[np.ndarray, PolarCode, np.ndarray,
+                                     bool]] = []
+                loaded = None
+                for first, last, arr, code, leaf_offsets, _ in groups:
+                    if first < stop and start < last:
+                        lo = max(start, first) - first
+                        hi = min(stop, last) - first
+                        # The block's next code replicates the same rows.
+                        source = (id(arr), lo, hi, code.block_len)
+                        replicas.append((arr[lo:hi], code,
+                                         leaf_offsets[self._leaves],
+                                         source == loaded))
+                        loaded = source
+                self._passes.append((start, stop, ops, replicas))
+                costs.append(pass_costs)
+            self._costs = costs[0] if len(costs) == 1 \
+                else np.concatenate([self._costs] + [
+                    pass_costs[1:] + sum(c[-1] for c in costs[:p])
+                    for p, pass_costs in enumerate(costs)])
+        #: LLRs the passes load, a tree's worth per replica row.
+        self.n_llrs = n_rows * size
         #: Compiled ops per pass (every width compiles the same plan).
         self._pass_ops = len(self._passes[0][2]) if self._passes else 0
         #: Compiled ops the whole traversal runs.
@@ -701,6 +794,22 @@ class Traversal:
         """Ops left to run."""
         return self.n_ops - self._done
 
+    @property
+    def cost(self) -> float:
+        """Estimated ns of all the ops and loads (see
+        :data:`OP_DISPATCH_NS`)."""
+        return float(self._costs[-1])
+
+    def cost_of(self, n_ops: int) -> float:
+        """Estimated ns of the first ``n_ops`` ops."""
+        return float(self._costs[n_ops])
+
+    def ops_within(self, cost: float) -> int:
+        """How many ops, counted from the first, fit in ``cost``
+        estimated ns."""
+        return max(int(np.searchsorted(self._costs, cost,
+                                       side="right")) - 1, 0)
+
     def step(self, n: int) -> None:
         """Run the next ``n`` ops (fewer if fewer remain)."""
         stop_at = min(self.n_ops, self._done + max(n, 0))
@@ -708,16 +817,15 @@ class Traversal:
         while self._done < stop_at:
             assert engine is not None
             pass_index, op = divmod(self._done, self._pass_ops)
-            start, stop, ops = self._passes[pass_index]
+            start, stop, ops, replicas = self._passes[pass_index]
             if op == 0:
-                engine.load(self._llrs[start:stop],
-                            self._offsets[start:stop])
+                engine.load(replicas, self._leaves)
             end = min(len(ops), op + stop_at - self._done)
             for fn, args in ops[op:end]:
                 fn(*args)
             self._done += end - op
             if end == len(ops):
-                engine.read(self._bits[start:stop])
+                engine.read(self._leaves, self._bits[start:stop])
         if engine is not None and self._done == self.n_ops:
             self._engine = None
             _give_engine(engine)
@@ -728,8 +836,8 @@ class Traversal:
         that code."""
         if self.remaining:
             raise PolarError(f"traversal has {self.remaining} ops to go")
-        return [[self._bits[start:stop, info].view(np.uint8)
-                 for start, stop, info in placed]
+        return [[self._bits[start:stop, at].view(np.uint8)
+                 for start, stop, at in placed]
                 for placed in self._slices]
 
 

@@ -103,5 +103,6 @@ class TestKeepUp:
         assert keep_up > 0
         text = build_session_report(scope, 0.05).render()
         assert f"100/100 slots, {keep_up:.2f} s per air s, " \
-            f"{stats.budget_overruns} over budget" in text
-        assert "amortized share of its window's traversal" in text
+            f"{stats.budget_overruns} over budget of " \
+            f"{stats.stage('dci').calls} decode slots" in text
+        assert "an equal share of its window's shared work" in text

@@ -367,7 +367,8 @@ class TestKernelCaches:
     def test_shared_cached_arrays_are_read_only(self):
         """Every cached array a later slot reuses refuses writes: a
         caller that mutated one would corrupt every slot after it."""
-        from repro.core.dci_decoder import GridDciDecoder, _common_layout
+        from repro.core.dci_decoder import GridDciDecoder, \
+            _common_layout, _window_layout
         from repro.core.rach_sniffer import SpaceSnapshot
         from repro.phy import pdcch
 
@@ -377,11 +378,13 @@ class TestKernelCaches:
                                    SRSRAN_PROFILE.dci_size_config(), 1)
         decoder = GridDciDecoder(SRSRAN_PROFILE.dci_size_config(), n_id=1,
                                  noise_var=0.01)
-        search = decoder.prepare(
+        gathered = decoder.gather(
             ResourceGrid(SRSRAN_PROFILE.n_prb), 3,
             SpaceSnapshot({0x4601: SearchSpace(
                 search_space_id=1, coreset=coreset, is_common=False,
-                candidates_per_level={2: 2, 4: 2})})).layout
+                candidates_per_level={2: 2, 4: 2})}))
+        search = gathered.layout
+        window = _window_layout([gathered, gathered])
         shared = {
             "candidate indices": pdcch._candidate_flat_indices(
                 coreset, 0, 2),
@@ -397,11 +400,16 @@ class TestKernelCaches:
             "common signs": common.signs[0],
             "search flat": search.candidates.flat,
             "search signs": search.candidates.signs[0],
-            "entry pos": search.entry_pos,
-            "entry rnti": search.entry_rnti,
-            "valid rows": search.valid_rows,
-            "row pos": search.row_pos,
-            "row fits": search.row_fits,
+            "entry row": search.entry_row,
+            "window flat": window.candidates.flat,
+            "window rows": window.rows,
+            "window row fits": window.row_fits,
+            "window format rows": window.format_rows[0],
+            "window entry row": window.entry_row,
+            "window entry rnti": window.entry_masked,
+            "window entry start": window.entry_start,
+            "window entry end": window.entry_end,
+            "window entry slot": window.entry_slot,
         }
         for name, array in shared.items():
             assert array.size, name

@@ -28,32 +28,33 @@ def encode_one(gain=1.0 + 0j, slot_index=3, level=2):
 class TestEstimateChannel:
     def test_flat_channel_estimates_unity(self):
         _, grid, candidate = encode_one()
-        gain = estimate_channel(grid, CORESET, candidate, N_ID, 3)
+        gain = estimate_channel(grid, CORESET, candidate, N_ID, 3, 30)
         assert gain == pytest.approx(1.0 + 0j, abs=1e-9)
 
     @pytest.mark.parametrize("true_gain", [0.5 + 0j, 2.0j,
                                            0.7 - 1.1j, -1.0 + 0j])
     def test_recovers_complex_gain(self, true_gain):
         _, grid, candidate = encode_one(gain=true_gain)
-        gain = estimate_channel(grid, CORESET, candidate, N_ID, 3)
+        gain = estimate_channel(grid, CORESET, candidate, N_ID, 3, 30)
         assert gain == pytest.approx(true_gain, abs=1e-9)
 
     def test_estimate_under_noise(self, rng):
         _, grid, candidate = encode_one(gain=0.8 * np.exp(0.9j))
         noisy = grid.clone_with_noise(10.0, rng)
-        gain = estimate_channel(noisy, CORESET, candidate, N_ID, 3)
+        gain = estimate_channel(noisy, CORESET, candidate, N_ID, 3,
+                                30)
         assert abs(gain - 0.8 * np.exp(0.9j)) < 0.2
 
     def test_out_of_coreset_candidate(self):
         grid = ResourceGrid(51)
         gain = estimate_channel(grid, CORESET, PdcchCandidate(7, 4),
-                                N_ID, 0)
+                                N_ID, 0, 30)
         assert gain == 1.0 + 0.0j
 
     def test_empty_candidate_returns_unity_fallback(self):
         grid = ResourceGrid(51)
         gain = estimate_channel(grid, CORESET, PdcchCandidate(0, 2),
-                                N_ID, 0)
+                                N_ID, 0, 30)
         assert gain == 1.0 + 0.0j
 
 
@@ -69,7 +70,8 @@ class TestEqualizedDecode:
         dci, grid, candidate = encode_one(gain=np.exp(2.0j))
         equalized = try_decode_pdcch(grid, CFG, CORESET, candidate,
                                      DciFormat.DL_1_1, 0x4601, N_ID,
-                                     1e-4, slot_index=3, equalize=True)
+                                     1e-4, slot_index=3, equalize=True,
+                                     scs_khz=30)
         assert equalized == dci
 
     def test_equalized_decode_survives_gain_and_noise(self, rng):
@@ -82,7 +84,8 @@ class TestEqualizedDecode:
             decoded = try_decode_pdcch(noisy, CFG, CORESET, candidate,
                                        DciFormat.DL_1_1, 0x4601, N_ID,
                                        10 ** (-12 / 10),
-                                       slot_index=trial, equalize=True)
+                                       slot_index=trial, equalize=True,
+                                       scs_khz=30)
             hits += decoded == dci
         assert hits >= 9
 
@@ -90,7 +93,7 @@ class TestEqualizedDecode:
         dci, grid, candidate = encode_one()
         decoded = try_decode_pdcch(grid, CFG, CORESET, candidate,
                                    DciFormat.DL_1_1, 0x4601, N_ID, 1e-4,
-                                   slot_index=3, equalize=True)
+                                   slot_index=3, equalize=True, scs_khz=30)
         assert decoded == dci
 
 

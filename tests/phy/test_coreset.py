@@ -134,3 +134,69 @@ class TestCoreset0:
     def test_too_narrow(self):
         with pytest.raises(CoresetError):
             coreset0_for_bandwidth(20)
+
+
+def direct_candidates(rnti, coreset_id, slot_in_frame, level, n_candidates,
+                      n_cce):
+    """TS 38.213 §10.1, written out: ``Y_{p,-1} = n_RNTI``,
+    ``Y_{p,n} = (A_p * Y_{p,n-1}) mod 65537`` up to the slot number
+    within the frame, then ``L * ((Y + floor(m * N_CCE / (L * M)))
+    mod floor(N_CCE / L))`` per candidate ``m``."""
+    a_p = (39827, 39829, 39839)[coreset_id % 3]
+    y = rnti
+    for _ in range(slot_in_frame + 1):
+        y = a_p * y % 65537
+    return [level * ((y + m * n_cce // (level * n_candidates))
+                     % (n_cce // level)) for m in range(n_candidates)]
+
+
+class TestSixtyKhzSlots:
+    """A 60 kHz cell has 40 slots a frame: slots 20-39 hash on their own
+    slot numbers at both ends, not as slots 0-19."""
+
+    def test_hash_follows_the_slot_within_the_frame(self):
+        from dataclasses import replace
+
+        from repro.core.dci_decoder import GridDciDecoder
+        from repro.core.rach_sniffer import SpaceSnapshot
+        from repro.gnb.cell_config import SRSRAN_PROFILE
+        from repro.phy.numerology import SlotClock, slots_per_frame
+        from repro.phy.resource_grid import ResourceGrid
+
+        profile = replace(SRSRAN_PROFILE, name="sixty", scs_khz=60)
+        assert slots_per_frame(profile.scs_khz) == 40
+        space = profile.ue_search_space()
+        coreset = space.coreset
+        rnti = 0x4601
+        decoder = GridDciDecoder(profile.dci_size_config(),
+                                 n_id=profile.cell_id, noise_var=0.01,
+                                 scs_khz=profile.scs_khz)
+        grid = ResourceGrid(profile.n_prb)
+        tracked = SpaceSnapshot({rnti: space})
+        for slot in range(20, 40):
+            want = {level: direct_candidates(
+                rnti, coreset.coreset_id, slot, level, count,
+                coreset.n_cces)
+                for level, count in space.candidates_per_level.items()
+                if count}
+            # The gNB's scheduler passes the slot within the frame.
+            assert {level: space.candidate_cces(level, slot, rnti)
+                    for level in want} == want
+            # The sniffer reduces an absolute slot index with the
+            # cell's SCS: a slot of the third frame, 2 * 40 + slot.
+            index = SlotClock(sfn=2, slot=slot, scs_khz=60).index
+            entries = decoder.gather(grid, index, tracked).layout.entries
+            assert [(level, start) for _, level, start, _ in entries] \
+                == [(level, start) for level, starts in want.items()
+                    for start in starts]
+        # Slots 20-39 no longer repeat slots 0-19.
+        assert any(space.candidate_cces(2, slot, rnti)
+                   != space.candidate_cces(2, slot - 20, rnti)
+                   for slot in range(20, 40))
+
+    def test_slot_outside_any_frame_is_refused(self):
+        space = SearchSpace(1, make_coreset(), False, {2: 2})
+        with pytest.raises(CoresetError):
+            space.candidate_cces(2, 40, rnti=0x4601)
+        with pytest.raises(CoresetError):
+            space.candidate_cces(2, -1, rnti=0x4601)

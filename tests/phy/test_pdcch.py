@@ -281,7 +281,7 @@ class TestDmrsLayout:
                     assert got.data.tobytes() == want.data.tobytes()
                     got.data += rng.normal(size=got.data.shape)
                     assert estimate_channel(got, cs, cand, N_ID,
-                                            slot_index) == \
+                                            slot_index, 30) == \
                         estimate_per_re(got, cs, cand, N_ID, slot_index)
                     checked += 1
         assert checked > 3 * 5

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -57,6 +58,8 @@ class TestSniff:
         out = capsys.readouterr().out
         assert "runtime: 600/600 slots" in out
         assert " s per air s (sniffer stages only), " in out
+        stats = re.search(r" (\d+) over budget of (\d+) decode slots ", out)
+        assert stats and int(stats.group(1)) <= int(stats.group(2)) > 0
         assert "  dci " in out and "drops" not in out
 
     def test_obs_jsonl_stream(self, tmp_path, capsys):
