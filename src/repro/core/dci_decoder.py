@@ -28,8 +28,8 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.constants import DCI_CRC_LEN, MAX_RNTI
-from repro.core.decode_model import counter_uniform, decode_succeeds, \
-    pdcch_bler
+from repro.core.decode_model import counter_fold, counter_uniform_at, \
+    decode_succeeds, pdcch_bler
 from repro.core.rach_sniffer import SpaceSnapshot
 from repro.phy import pdcch, polar
 from repro.phy.coreset import Coreset, SearchSpace
@@ -808,15 +808,21 @@ def record_decode_job(payload: dict) \
     decoded: list[DecodedDci] = []
     miss_log: list[tuple[int, int, int]] = []
     attempts = misses = 0
+    # The (seed, slot) part of every key is folded once per slot.
+    slot_index: int | None = None
+    prefix = 0
     for record in payload["records"]:
         if record.search_space != "ue" or record.rnti not in tracked:
             continue
         attempts += 1
-        level = record.candidate.aggregation_level
-        draw = counter_uniform(
-            seed, record.slot_index, record.rnti,
-            record.candidate.first_cce, level,
-            int(record.dci.format == DciFormat.DL_1_1))
+        if record.slot_index != slot_index:
+            slot_index = record.slot_index
+            prefix = counter_fold(0, seed, slot_index)
+        candidate = record.candidate
+        level = candidate.aggregation_level
+        draw = counter_uniform_at(counter_fold(
+            prefix, record.rnti, candidate.first_cce, level,
+            record.dci.format is DciFormat.DL_1_1))
         if draw >= pdcch_bler(snr_db, level):
             decoded.append(DecodedDci(dci=record.dci,
                                       aggregation_level=level))

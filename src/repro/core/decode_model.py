@@ -9,10 +9,13 @@ Carlo trials per point — see tests/core/test_decode_model.py, which
 re-derives spot values from the live chain).
 
 Interpolation is linear in SNR between grid points and saturates at the
-table edges.
+table edges.  A session's sniffer SNR is fixed, so both BLER lookups
+are memoized: each (SNR, level) pair interpolates once.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,11 +45,13 @@ class DecodeModelError(ValueError):
     """Raised for unknown aggregation levels."""
 
 
+@lru_cache(maxsize=256)
 def pdcch_bler(snr_db: float, aggregation_level: int) -> float:
     """Probability this DCI decode fails at the sniffer.
 
     Linear interpolation of the calibrated table plus the residual
-    system-level miss floor.
+    system-level miss floor.  Memoized; an unknown level raises on
+    every call.
     """
     if aggregation_level not in BLER_TABLE:
         raise DecodeModelError(
@@ -73,18 +78,25 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def counter_uniform(*fields: int) -> float:
-    """Counter-based uniform in [0, 1): hash the key fields, no state.
+def counter_fold(state: int, *fields: int) -> int:
+    """Counter-based keying: fold key fields into a 64-bit state, no
+    generator.
 
     A decode decision keyed on (seed, slot, rnti, cce, ...) is the same
     no matter when or in which order it is evaluated — the property the
     slot runtime's windowed DCI stage needs to decode a slot late.
     Each field is folded through splitmix64 so nearby keys
-    (consecutive slots, adjacent CCEs) decorrelate.
+    (consecutive slots, adjacent CCEs) decorrelate.  A key is folded
+    from state 0, and keys sharing a prefix can fold it once:
+    ``counter_fold(counter_fold(0, *a), *b) == counter_fold(0, *a, *b)``.
     """
-    state = 0
     for value in fields:
         state = _splitmix64(state ^ (int(value) & _MASK64))
+    return state
+
+
+def counter_uniform_at(state: int) -> float:
+    """The uniform in [0, 1) of a folded key (:func:`counter_fold`)."""
     return _splitmix64(state) / float(1 << 64)
 
 
@@ -96,8 +108,9 @@ UCI_BLER = (0.947, 0.947, 0.91, 0.813, 0.737, 0.703, 0.56, 0.42, 0.277,
             0.13, 0.057, 0.027, 0.003, 0.0, 0.0, 0.0, 0.0)
 
 
+@lru_cache(maxsize=256)
 def uci_bler(snr_db: float) -> float:
-    """Decode-failure probability for an 11-bit UCI report."""
+    """Decode-failure probability for an 11-bit UCI report (memoized)."""
     coded = float(np.interp(snr_db, UCI_SNR_GRID_DB, UCI_BLER))
     return min(1.0, coded + RESIDUAL_MISS * (1.0 - coded))
 

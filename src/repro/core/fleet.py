@@ -60,7 +60,9 @@ class FleetError(ValueError):
 #: Version 7: the spare-capacity estimator counts overbooked TTIs.
 #: Version 8: the gNB log keeps packed rows instead of record objects,
 #: and the file starts with :data:`CHECKPOINT_HEADER`.
-CHECKPOINT_VERSION = 8
+#: Version 9: each gNB HARQ process holds its block's payload and
+#: geometry (no separate stash), and a UE's packet capture is columns.
+CHECKPOINT_VERSION = 9
 
 #: A checkpoint file is this header, then the pickled payload: magic,
 #: version, payload length and the payload's CRC-32.  ``restore`` checks

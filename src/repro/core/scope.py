@@ -40,7 +40,8 @@ from repro.core.decode_model import uci_decode_succeeds
 from repro.core.telemetry import TelemetryLog
 from repro.core.throughput import ThroughputBank
 from repro.core.uci_telemetry import UciObservation, UciTelemetry
-from repro.phy.grant import dci_to_grant
+from repro.phy.dci import DciFormat
+from repro.phy.grant import allocation
 from repro.phy.numerology import slot_duration_s
 from repro.gnb.gnb import SlotOutput
 from repro.radio.medium import Link
@@ -320,25 +321,28 @@ class NRScope:
                 continue
             ue.touch(time_s)
             ue.decoded_dcis += 1
-            grant = dci_to_grant(dci, ue.grant_config)
+            # The grant's allocation part is all the sinks read.
+            alloc = allocation(ue.grant_config, dci.freq_alloc_riv,
+                               dci.time_alloc, dci.mcs)
+            downlink = dci.format is DciFormat.DL_1_1
             is_retx = self.harq.observe(dci.rnti, dci.harq_id, dci.ndi,
-                                        grant.downlink)
+                                        downlink)
             self.telemetry.append_decode(
                 slot_index=slot_index, time_s=time_s, dci=dci,
-                grant=grant, aggregation_level=item.aggregation_level,
+                grant=alloc, aggregation_level=item.aggregation_level,
                 is_retransmission=is_retx)
             self.counters.dcis_decoded += 1
             if not is_retx:
-                self.throughput.add(dci.rnti, grant.downlink, time_s,
-                                    grant.tbs_bits)
-                if grant.downlink:
+                self.throughput.add(dci.rnti, downlink, time_s,
+                                    alloc.tbs_bits)
+                if downlink:
                     self.aggregation.observe(time_s, dci.rnti,
-                                             grant.tbs_bits)
-            if grant.downlink:
+                                             alloc.tbs_bits)
+            if downlink:
                 per_ue_prbs[dci.rnti] = per_ue_prbs.get(dci.rnti, 0) \
-                    + grant.n_prb
-                per_ue_mcs[dci.rnti] = grant.mcs.index
-                used_prbs += grant.n_prb
+                    + alloc.n_prb
+                per_ue_mcs[dci.rnti] = alloc.mcs.index
+                used_prbs += alloc.n_prb
         return TtiUsage(slot_index=slot_index, time_s=time_s,
                         used_prbs=used_prbs, per_ue_prbs=per_ue_prbs,
                         per_ue_mcs=per_ue_mcs)

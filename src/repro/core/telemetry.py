@@ -19,7 +19,7 @@ from typing import Any
 
 from repro.core.telemetry_store import TelemetryStore
 from repro.phy.dci import Dci, DciFormat
-from repro.phy.grant import Grant
+from repro.phy.grant import Allocation, Grant
 
 #: On-disk JSONL schema version.  v1 streams carried the record fields
 #: bare; v2 adds the ``v`` marker itself.  :meth:`TelemetryRecord.from_dict`
@@ -120,9 +120,10 @@ class TelemetryLog:
             aggregation_level=record.aggregation_level)
 
     def append_decode(self, slot_index: int, time_s: float, dci: Dci,
-                      grant: Grant, aggregation_level: int,
+                      grant: Grant | Allocation, aggregation_level: int,
                       is_retransmission: bool) -> None:
-        """Append one decode straight from the DCI/grant pair.
+        """Append one decode straight from the DCI and its grant (or the
+        grant's :class:`~repro.phy.grant.Allocation`, all a row reads).
 
         The sink stage's hot path: no dataclass is constructed, the
         fields go directly into the packed row.

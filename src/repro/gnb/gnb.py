@@ -31,7 +31,6 @@ from repro.phy.grant import Grant, dci_to_grant
 from repro.phy.numerology import SlotClock
 from repro.phy.pdcch import PdcchCandidate, encode_pdcch
 from repro.phy.resource_grid import ResourceGrid
-from repro.phy.tbs import transport_block_size
 from repro.phy.uci import UciReport
 from repro.gnb.cell_config import CellProfile
 from repro.gnb.harq import HarqEntity
@@ -134,13 +133,19 @@ _UCI_ROW = struct.Struct("<qdHHq?H")
 
 class _Interned:
     """Distinct values in first-seen order; a log row stores the index
-    of its value.  Pickles as the values alone."""
+    of its value.  Pickles as the values alone.
 
-    __slots__ = ("values", "_index")
+    ``by_key`` maps a caller's cheap key (one that identifies a value
+    without hashing it) to the value's index; a miss falls back to
+    :meth:`index` and fills it in.
+    """
+
+    __slots__ = ("values", "_index", "by_key")
 
     def __init__(self, values: list | None = None) -> None:
         self.values: list = values or []
         self._index = {value: i for i, value in enumerate(self.values)}
+        self.by_key: dict = {}
 
     def __getstate__(self) -> list:
         return self.values
@@ -177,8 +182,16 @@ class GnbLog:
 
     def add_dci(self, record: DciRecord) -> None:
         dci, grant, candidate = record.dci, record.grant, record.candidate
-        kind = self._dci_kinds.index((record.search_space, dci.format,
-                                      grant.mapping_type, grant.mcs))
+        mcs = grant.mcs
+        # The kind's fields as plain strings and numbers: hashing the
+        # DciFormat and McsEntry objects costs more than the row.
+        key = (record.search_space, dci.format is DciFormat.DL_1_1,
+               grant.mapping_type, mcs.index, mcs.code_rate_x1024,
+               mcs.modulation.name, mcs.modulation.bits_per_symbol)
+        kind = self._dci_kinds.by_key.get(key)
+        if kind is None:
+            kind = self._dci_kinds.by_key[key] = self._dci_kinds.index(
+                (record.search_space, dci.format, grant.mapping_type, mcs))
         try:
             row = _DCI_ROW.pack(
                 record.slot_index, record.time_s, record.rnti, kind,
@@ -313,25 +326,19 @@ class _SchedulerView(UeSource):
         gnb = self._gnb
         ue = gnb._ues[ue_id]
         assert ue.rnti is not None
+        pending = gnb._pending_retx.get(ue_id, [])
         return UeSchedulingContext(
             ue_id=ue_id, rnti=ue.rnti,
             dl_backlog_bytes=ue.dl_buffer.backlog_bytes,
             ul_backlog_bytes=gnb._known_ul_backlog.get(ue_id, 0),
             cqi=self.cqi(ue_id),
             olla_offset_db=gnb._olla_offset.get(ue_id, 0.0),
-            pending_retx=list(gnb._pending_retx.get(ue_id, [])),
-            retx_prb_sizes=dict(gnb._retx_sizes.get(ue_id, {})),
+            pending_retx=list(pending),
+            retx_prb_sizes={
+                (harq_id, downlink):
+                    gnb._harq[(ue_id, downlink)].processes[harq_id].geometry
+                for harq_id, downlink in pending},
             ewma_throughput_bps=self.ewma(ue_id))
-
-
-@dataclass
-class _HarqStash:
-    """Payload retained by the gNB for potential retransmission."""
-
-    payload_bytes: int
-    n_packets: int
-    n_prb: int
-    downlink: bool
 
 
 class GNodeB:
@@ -363,12 +370,10 @@ class GNodeB:
         self._by_rnti: dict[int, UserEquipment] = {}
         # DL and UL HARQ are independent protocol entities (38.321); a
         # shared entity would interleave NDI toggles across directions
-        # and break the sniffer's per-direction tracking.
+        # and break the sniffer's per-direction tracking.  Each process
+        # holds the block it awaits feedback for.
         self._harq: dict[tuple[int, bool], HarqEntity] = {}
-        self._stash: dict[tuple[int, int, bool], _HarqStash] = {}
         self._pending_retx: dict[int, list[tuple[int, bool]]] = {}
-        self._retx_sizes: dict[int, dict[tuple[int, bool],
-                                         tuple[int, int, int]]] = {}
         self._ewma: dict[int, float] = {}
         self._rrc_setup_cache: dict[int, RrcSetup] = {}
         # CQI as *reported* over PUCCH (used by link adaptation) and the
@@ -437,14 +442,11 @@ class GNodeB:
         self._harq.pop((ue_id, True), None)
         self._harq.pop((ue_id, False), None)
         self._pending_retx.pop(ue_id, None)
-        self._retx_sizes.pop(ue_id, None)
         self._ewma.pop(ue_id, None)
         self._reported_cqi.pop(ue_id, None)
         self._last_dl_ack.pop(ue_id, None)
         self._olla_offset.pop(ue_id, None)
         self._known_ul_backlog.pop(ue_id, None)
-        self._stash = {k: v for k, v in self._stash.items()
-                       if k[0] != ue_id}
 
     @property
     def connected_ues(self) -> list[UserEquipment]:
@@ -509,7 +511,6 @@ class GNodeB:
             self._harq[(ue.ue_id, True)] = HarqEntity()
             self._harq[(ue.ue_id, False)] = HarqEntity()
             self._pending_retx[ue.ue_id] = []
-            self._retx_sizes[ue.ue_id] = {}
             self._ewma[ue.ue_id] = 1.0
 
             rrc_setup = self._rrc_setup_for(event.tc_rnti)
@@ -562,14 +563,6 @@ class GNodeB:
         output.dci_records.append(record)
 
     # ------------------------------------------------------- data path
-    def _tbs_for_plan(self, plan: AllocationPlan) -> int:
-        config = self.scheduler.grant_config
-        return transport_block_size(
-            plan.n_prb, plan.n_symbols, plan.mcs,
-            n_layers=config.n_layers,
-            n_dmrs_per_prb=config.n_dmrs_per_prb,
-            n_oh_per_prb=config.xoverhead_res).tbs_bits
-
     def _resolve_plan(self, plan: AllocationPlan, slot_index: int,
                       time_s: float,
                       used_processes: dict[tuple[int, bool], set[int]]) \
@@ -587,7 +580,6 @@ class GNodeB:
         used = used_processes.setdefault((plan.ue_id, plan.downlink),
                                          set())
 
-        tbs_bits = self._tbs_for_plan(plan)
         if plan.is_retransmission and plan.retx_harq_id is not None:
             harq_id = plan.retx_harq_id
             pending = self._pending_retx.get(plan.ue_id, [])
@@ -595,28 +587,22 @@ class GNodeB:
                 return None
             pending.remove((harq_id, plan.downlink))
             _, ndi, rv = harq.transmit_retx(harq_id)
-            stash = self._stash.get((plan.ue_id, harq_id, plan.downlink))
-            payload_bytes = stash.payload_bytes if stash else 0
-            n_packets = stash.n_packets if stash else 0
+            process = harq.processes[harq_id]
         else:
+            tbs_bits = plan.tbs_bits
             result = harq.transmit_new(tbs_bits, exclude=used)
             if result is None:
                 return None  # all HARQ processes busy this slot
             harq_id, ndi, rv = result
-            if plan.downlink:
-                payload_bytes, n_packets = ue.dl_buffer.drain(tbs_bits // 8)
-            else:
-                payload_bytes, n_packets = ue.ul_buffer.drain(tbs_bits // 8)
+            process = harq.processes[harq_id]
+            buffer = ue.dl_buffer if plan.downlink else ue.ul_buffer
+            process.hold(*buffer.drain(tbs_bits // 8),
+                         (plan.n_prb, plan.time_alloc, plan.n_symbols))
+            if not plan.downlink:
                 # The PUSCH carries a buffer status report: the gNB's
                 # demand estimate snaps to the UE's remaining backlog.
-                self._known_ul_backlog[plan.ue_id] = \
-                    ue.ul_buffer.backlog_bytes
-            self._stash[(plan.ue_id, harq_id, plan.downlink)] = _HarqStash(
-                payload_bytes=payload_bytes, n_packets=n_packets,
-                n_prb=plan.n_prb, downlink=plan.downlink)
-            self._retx_sizes.setdefault(plan.ue_id, {})[
-                (harq_id, plan.downlink)] = (plan.n_prb, plan.time_alloc,
-                                             plan.n_symbols)
+                self._known_ul_backlog[plan.ue_id] = buffer.backlog_bytes
+        payload_bytes, n_packets = process.payload_bytes, process.n_packets
         used.add(harq_id)
 
         dci = build_dci(plan, self.profile.n_prb, ndi=ndi, rv=rv,
@@ -630,32 +616,19 @@ class GNodeB:
         # on real systems.
         effective_snr = self._table.snr_db(plan.ue_id)
         if plan.is_retransmission:
-            harq_entity = self._harq[(plan.ue_id, plan.downlink)]
-            n_copies = 1 + harq_entity.processes[harq_id].retx_count
+            n_copies = 1 + process.retx_count
             effective_snr += 10.0 * np.log10(max(n_copies, 1))
         survives = transport_block_survives(effective_snr, plan.mcs,
                                             self._rng)
         if survives:
             harq.handle_feedback(harq_id, ack=True)
-            stash = self._stash.pop((plan.ue_id, harq_id, plan.downlink),
-                                    None)
-            delivered_bytes = stash.payload_bytes if stash else payload_bytes
-            delivered_packets = stash.n_packets if stash else n_packets
             if plan.downlink:
-                ue.deliver_downlink(time_s, delivered_bytes,
-                                    delivered_packets)
+                ue.deliver_downlink(time_s, payload_bytes, n_packets)
             else:
-                ue.deliver_uplink(time_s, delivered_bytes,
-                                  delivered_packets)
-            payload_bytes = delivered_bytes
-            n_packets = delivered_packets
-        else:
-            action = harq.handle_feedback(harq_id, ack=False)
-            if action == "retransmit":
-                self._pending_retx.setdefault(plan.ue_id, []) \
-                    .append((harq_id, plan.downlink))
-            else:  # dropped after max retransmissions
-                self._stash.pop((plan.ue_id, harq_id, plan.downlink), None)
+                ue.deliver_uplink(time_s, payload_bytes, n_packets)
+        elif harq.handle_feedback(harq_id, ack=False) == "retransmit":
+            self._pending_retx.setdefault(plan.ue_id, []) \
+                .append((harq_id, plan.downlink))
 
         if plan.downlink:
             self._last_dl_ack[plan.ue_id] = 1 if survives else 0

@@ -22,15 +22,35 @@ class HarqError(ValueError):
 RV_SEQUENCE = (0, 2, 3, 1)
 
 
+#: The geometry of a process that holds no block.
+NO_GEOMETRY = (0, 0, 0)
+
+
 @dataclass
 class HarqProcess:
-    """One stop-and-wait process."""
+    """One stop-and-wait process.
+
+    While active it holds its transport block as the gNB sent it: the
+    payload (bytes, packets) a retransmission resends and a decode
+    delivers, and the geometry (PRBs, TDRA row, data symbols) a
+    retransmission repeats.
+    """
 
     process_id: int
     ndi: int = 0
     active: bool = False
     tbs_bits: int = 0
     retx_count: int = 0
+    payload_bytes: int = 0
+    n_packets: int = 0
+    geometry: tuple[int, int, int] = NO_GEOMETRY
+
+    def __reduce__(self):
+        # A gNB holds 32 processes per UE: pickle the values alone.
+        return (HarqProcess, (self.process_id, self.ndi, self.active,
+                              self.tbs_bits, self.retx_count,
+                              self.payload_bytes, self.n_packets,
+                              self.geometry))
 
     def start_new(self, tbs_bits: int) -> int:
         """Load new data; toggles and returns the NDI to signal."""
@@ -42,6 +62,14 @@ class HarqProcess:
         self.retx_count = 0
         return self.ndi
 
+    def hold(self, payload_bytes: int, n_packets: int,
+             geometry: tuple[int, int, int]) -> None:
+        """Keep the new block's payload and geometry until it is acked
+        or dropped."""
+        self.payload_bytes = payload_bytes
+        self.n_packets = n_packets
+        self.geometry = geometry
+
     def retransmit(self) -> tuple[int, int]:
         """Signal a retransmission; returns (ndi, rv)."""
         if not self.active:
@@ -52,9 +80,12 @@ class HarqProcess:
         return self.ndi, rv
 
     def ack(self) -> None:
-        """The UE decoded the block: the process frees up."""
+        """The UE decoded the block (or it was dropped): the process
+        frees up and lets go of the block."""
         self.active = False
         self.tbs_bits = 0
+        self.payload_bytes = self.n_packets = 0
+        self.geometry = NO_GEOMETRY
 
 
 @dataclass

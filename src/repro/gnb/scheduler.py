@@ -20,13 +20,19 @@ built only when the slot's loop reaches it.  It emits
 :class:`AllocationPlan` objects; the gNB resolves each plan against the
 UE's HARQ entity (assigning harq_id/NDI/RV) and only then builds the
 final DCI and grant.
+
+Sizing an allocation reads TBS from :func:`tbs_row`, one cached row per
+(grant config, MCS, data symbols), and the slot's taken CCEs are one
+integer bitmask.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 from repro.phy.coreset import SearchSpace
 from repro.phy.dci import Dci, DciFormat, riv_encode
@@ -52,6 +58,35 @@ DEFAULT_DATA_SYMBOLS = 12
 #: variety real schedulers emit (and the paper's Appendix B shows):
 #: (row index, data symbols).  Row 5 = 2:7, row 7 = 2:4.
 SHORT_TIME_ALLOCS = ((7, 4), (5, 7))
+
+#: Aggregation levels a PDCCH placement tries, the preferred one first.
+_LEVEL_ORDER = {level: (level,) + tuple(lv for lv in (2, 4, 8, 1)
+                                        if lv != level)
+                for level in (1, 2, 4, 8)}
+
+#: A placement's candidate, one shared frozen object per (first CCE,
+#: level): a CORESET has at most a few hundred.
+_candidate = lru_cache(maxsize=512)(PdcchCandidate)
+
+
+@lru_cache(maxsize=256)
+def tbs_row(config: GrantConfig, mcs: McsEntry,
+            n_symbols: int) -> tuple[int, ...]:
+    """TBS bits of 1, 2, ..., ``config.bwp_n_prb`` PRBs at ``mcs`` over
+    ``n_symbols`` data symbols: entry ``n - 1`` is the TBS of ``n``
+    PRBs.
+
+    TBS is non-decreasing in PRBs (a test checks every MCS table, TDRA
+    length and profile width), so ``bisect`` finds the smallest PRB
+    count that covers a payload.  Memoized per process and bounded; a
+    cell uses a few dozen rows.
+    """
+    # The uncached TBS: a row's entries would flood its per-call cache.
+    tbs = transport_block_size.__wrapped__
+    return tuple(tbs(n_prb, n_symbols, mcs, n_layers=config.n_layers,
+                     n_dmrs_per_prb=config.n_dmrs_per_prb,
+                     n_oh_per_prb=config.xoverhead_res).tbs_bits
+                 for n_prb in range(1, config.bwp_n_prb + 1))
 
 
 @dataclass
@@ -123,9 +158,10 @@ class ContextList(UeSource):
         return self._by_id[ue_id]
 
 
-@dataclass(frozen=True)
-class AllocationPlan:
-    """One scheduling decision awaiting HARQ resolution."""
+class AllocationPlan(NamedTuple):
+    """One scheduling decision awaiting HARQ resolution (a named tuple:
+    the scheduler makes one per DCI, and a tuple is the cheapest
+    immutable record to build)."""
 
     ue_id: int
     rnti: int
@@ -138,6 +174,9 @@ class AllocationPlan:
     retx_harq_id: int | None = None
     time_alloc: int = DEFAULT_TIME_ALLOC
     n_symbols: int = DEFAULT_DATA_SYMBOLS
+    #: TBS of the new transport block; 0 on a retransmission, which
+    #: resends the block its HARQ process holds.
+    tbs_bits: int = 0
 
 
 def build_dci(plan: AllocationPlan, bwp_n_prb: int, ndi: int, rv: int,
@@ -193,30 +232,16 @@ class BaseScheduler:
         return mcs_for_spectral_efficiency(efficiency,
                                            self.grant_config.mcs_table)
 
-    def _tbs_bits(self, n_prb: int, n_symbols: int,
-                  mcs: McsEntry) -> int:
-        return transport_block_size(
-            n_prb, n_symbols, mcs,
-            n_layers=self.grant_config.n_layers,
-            n_dmrs_per_prb=self.grant_config.n_dmrs_per_prb,
-            n_oh_per_prb=self.grant_config.xoverhead_res).tbs_bits
-
     def _prbs_for_bytes(self, backlog_bytes: int, mcs: McsEntry,
                         max_prb: int,
                         n_symbols: int = DEFAULT_DATA_SYMBOLS) -> int:
         """Smallest PRB count whose TBS covers the backlog, capped."""
+        if max_prb > self.grant_config.bwp_n_prb:
+            raise SchedulerError(f"PRB cap {max_prb} exceeds the BWP's "
+                                 f"{self.grant_config.bwp_n_prb}")
+        row = tbs_row(self.grant_config, mcs, n_symbols)
         target_bits = max(backlog_bytes, 1) * 8
-        low, high = 1, max(1, max_prb)
-        best = high
-        # TBS is monotone in PRBs; binary search the smallest cover.
-        while low <= high:
-            mid = (low + high) // 2
-            if self._tbs_bits(mid, n_symbols, mcs) >= target_bits:
-                best = mid
-                high = mid - 1
-            else:
-                low = mid + 1
-        return min(best, max_prb)
+        return min(bisect_left(row, target_bits, 0, max_prb) + 1, max_prb)
 
     def _time_alloc_for(self, backlog_bytes: int,
                         mcs: McsEntry) -> tuple[int, int]:
@@ -226,32 +251,33 @@ class BaseScheduler:
         symbols — the variety a sniffer's TDRA table must handle.
         """
         target_bits = max(backlog_bytes, 1) * 8
-        for row, n_symbols in SHORT_TIME_ALLOCS:
+        for time_alloc, n_symbols in SHORT_TIME_ALLOCS:
             # Would a single PRB at this length already cover it?
-            if self._tbs_bits(1, n_symbols, mcs) >= target_bits:
-                return row, n_symbols
+            if tbs_row(self.grant_config, mcs, n_symbols)[0] >= target_bits:
+                return time_alloc, n_symbols
         return DEFAULT_TIME_ALLOC, DEFAULT_DATA_SYMBOLS
 
     def _place_pdcch(self, rnti: int, slot_index: int, level: int,
-                     used_cces: set[int]) -> PdcchCandidate | None:
+                     used_cces: int) -> tuple[PdcchCandidate | None, int]:
         """First free candidate of the UE's search space at this level.
 
-        Falls back to other aggregation levels before giving up, the way
-        real schedulers retry; returns None when the CORESET is full
-        (that UE simply waits a slot).
+        ``used_cces`` is the slot's taken CCEs as a bitmask (bit ``i``
+        is CCE ``i``).  Falls back to other aggregation levels before
+        giving up, the way real schedulers retry.  Returns the
+        candidate and the mask with its CCEs taken, or ``None`` and the
+        mask unchanged when the CORESET is full (that UE simply waits a
+        slot).
         """
-        levels = [level] + [lv for lv in (2, 4, 8, 1) if lv != level]
-        for lv in levels:
-            if self.search_space.candidates_per_level.get(lv, 0) == 0:
+        space = self.search_space
+        for lv in _LEVEL_ORDER.get(level, (level, 2, 4, 8, 1)):
+            if space.candidates_per_level.get(lv, 0) == 0:
                 continue
-            for start in self.search_space.candidate_cces(lv, slot_index,
-                                                          rnti):
-                cces = set(range(start, start + lv))
+            span = (1 << lv) - 1
+            for start in space.candidate_cces(lv, slot_index, rnti):
+                cces = span << start
                 if not cces & used_cces:
-                    used_cces |= cces
-                    return PdcchCandidate(first_cce=start,
-                                          aggregation_level=lv)
-        return None
+                    return _candidate(start, lv), used_cces | cces
+        return None, used_cces
 
     # -- main entry ---------------------------------------------------
     def schedule(self, slot_index: int,
@@ -265,8 +291,9 @@ class BaseScheduler:
         that number, so the hash follows the cell's numerology."""
         source = ues if isinstance(ues, UeSource) else ContextList(ues)
         plans: list[AllocationPlan] = []
-        used_cces: set[int] = set()
-        n_prb_total = self.grant_config.bwp_n_prb
+        config = self.grant_config
+        used_cces = 0
+        n_prb_total = config.bwp_n_prb
         n_cces = self.search_space.coreset.n_cces
         next_prb = 0
 
@@ -274,7 +301,8 @@ class BaseScheduler:
         for ue_id in self._order(source.candidates(), source):
             # With every CCE taken, no later UE can get a PDCCH.
             if scheduled >= self.max_ues_per_slot \
-                    or next_prb >= n_prb_total or len(used_cces) >= n_cces:
+                    or next_prb >= n_prb_total \
+                    or used_cces.bit_count() >= n_cces:
                 break
             ue = source.context(ue_id)
             mcs = self._mcs_for(ue.cqi, ue.olla_offset_db)
@@ -289,8 +317,8 @@ class BaseScheduler:
                     (harq_id, downlink),
                     (4, DEFAULT_TIME_ALLOC, DEFAULT_DATA_SYMBOLS))
                 n_prb = min(orig_prb, n_prb_total - next_prb)
-                candidate = self._place_pdcch(ue.rnti, slot_index, level,
-                                              used_cces)
+                candidate, used_cces = self._place_pdcch(
+                    ue.rnti, slot_index, level, used_cces)
                 if candidate is None:
                     break
                 plans.append(AllocationPlan(
@@ -305,8 +333,8 @@ class BaseScheduler:
 
             # New downlink data (short TDRA rows for small payloads).
             if ue.dl_backlog_bytes > 0 and next_prb < n_prb_total:
-                candidate = self._place_pdcch(ue.rnti, slot_index, level,
-                                              used_cces)
+                candidate, used_cces = self._place_pdcch(
+                    ue.rnti, slot_index, level, used_cces)
                 if candidate is not None:
                     time_alloc, n_symbols = self._time_alloc_for(
                         ue.dl_backlog_bytes, mcs)
@@ -317,21 +345,23 @@ class BaseScheduler:
                         ue_id=ue.ue_id, rnti=ue.rnti, downlink=True,
                         first_prb=next_prb, n_prb=n_prb, mcs=mcs,
                         candidate=candidate, time_alloc=time_alloc,
-                        n_symbols=n_symbols))
+                        n_symbols=n_symbols,
+                        tbs_bits=tbs_row(config, mcs, n_symbols)[n_prb - 1]))
                     next_prb += n_prb
                     made_one = True
 
             # Uplink grant (also carried on the downlink PDCCH).
             if schedule_uplink and ue.ul_backlog_bytes > 0:
-                candidate = self._place_pdcch(ue.rnti, slot_index, level,
-                                              used_cces)
+                candidate, used_cces = self._place_pdcch(
+                    ue.rnti, slot_index, level, used_cces)
                 if candidate is not None:
                     n_prb = self._prbs_for_bytes(ue.ul_backlog_bytes, mcs,
                                                  n_prb_total)
+                    row = tbs_row(config, mcs, DEFAULT_DATA_SYMBOLS)
                     plans.append(AllocationPlan(
                         ue_id=ue.ue_id, rnti=ue.rnti, downlink=False,
                         first_prb=0, n_prb=n_prb, mcs=mcs,
-                        candidate=candidate))
+                        candidate=candidate, tbs_bits=row[n_prb - 1]))
                     made_one = True
 
             if made_one:

@@ -12,6 +12,8 @@ accounting exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from repro.phy.dci import Dci, DciError, DciFormat, riv_decode
 from repro.phy.mcs_tables import McsEntry, mcs_entry
@@ -114,37 +116,53 @@ def time_allocation(time_alloc_index: int) -> tuple[int, int, str]:
     return TDRA_TABLE[time_alloc_index]
 
 
-def dci_to_grant(dci: Dci, config: GrantConfig) -> Grant:
-    """Expand a decoded DCI into its grant, computing the TBS.
+class Allocation(NamedTuple):
+    """What a DCI's allocation fields mean under a grant config: the
+    part of a :class:`Grant` that does not vary per DCI."""
+
+    first_prb: int
+    n_prb: int
+    first_symbol: int
+    n_symbols: int
+    mapping_type: str
+    mcs: McsEntry
+    tbs_bits: int
+    n_re: int
+
+
+@lru_cache(maxsize=8192)
+def allocation(config: GrantConfig, riv: int, time_alloc: int,
+               mcs_index: int) -> Allocation:
+    """The :class:`Allocation` a DCI's RIV, TDRA index and MCS index
+    mean under ``config``.
 
     This is the paper's section 3.2.2 step: combine the DCI's frequency/
     time allocation and MCS with the RRC-known DMRS/overhead/layer
-    parameters and run the 38.214 TBS computation.
+    parameters and run the 38.214 TBS computation.  The gNB reaches it
+    through :func:`dci_to_grant` and the sniffer's sinks directly, and
+    it is memoized (bounded, per process) because a cell repeats a few
+    hundred allocations; a bad RIV or TDRA index is not cached, so it
+    raises on every call.
     """
     try:
-        first_prb, n_prb = riv_decode(dci.freq_alloc_riv, config.bwp_n_prb)
+        first_prb, n_prb = riv_decode(riv, config.bwp_n_prb)
     except DciError as exc:
         raise GrantError(f"bad frequency allocation: {exc}") from exc
-    first_symbol, n_symbols, mapping = time_allocation(dci.time_alloc)
-    mcs = mcs_entry(dci.mcs, config.mcs_table)
+    first_symbol, n_symbols, mapping = time_allocation(time_alloc)
+    mcs = mcs_entry(mcs_index, config.mcs_table)
     result: TbsResult = transport_block_size(
         n_prb=n_prb, n_symbols=n_symbols, mcs=mcs,
         n_layers=config.n_layers,
         n_dmrs_per_prb=config.n_dmrs_per_prb,
         n_oh_per_prb=config.xoverhead_res)
-    return Grant(
-        rnti=dci.rnti,
-        downlink=dci.format is DciFormat.DL_1_1,
-        first_prb=first_prb,
-        n_prb=n_prb,
-        first_symbol=first_symbol,
-        n_symbols=n_symbols,
-        mapping_type=mapping,
-        mcs=mcs,
-        tbs_bits=result.tbs_bits,
-        n_re=result.n_re,
-        ndi=dci.ndi,
-        rv=dci.rv,
-        harq_id=dci.harq_id,
-        n_layers=config.n_layers,
-    )
+    return Allocation(first_prb, n_prb, first_symbol, n_symbols, mapping,
+                      mcs, result.tbs_bits, result.n_re)
+
+
+def dci_to_grant(dci: Dci, config: GrantConfig) -> Grant:
+    """Expand a decoded DCI into its grant, computing the TBS
+    (:func:`allocation`)."""
+    return Grant(dci.rnti, dci.format is DciFormat.DL_1_1,
+                 *allocation(config, dci.freq_alloc_riv, dci.time_alloc,
+                             dci.mcs),
+                 dci.ndi, dci.rv, dci.harq_id, config.n_layers)

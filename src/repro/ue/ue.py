@@ -13,6 +13,7 @@ estimates are compared against.
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, field
 
 from repro.ue.channel import FadingChannel
@@ -35,38 +36,58 @@ class PacketRecord:
 
 
 class PacketCapture:
-    """tcpdump-equivalent trace of payloads delivered to/from one UE."""
+    """tcpdump-equivalent trace of payloads delivered to/from one UE.
+
+    Kept as columns (time, size, direction, packets), one append each
+    per delivery; :attr:`records` rebuilds the :class:`PacketRecord`
+    objects on read.
+    """
+
+    #: Largest size or packet count a column holds (unsigned 32-bit).
+    MAX_COUNT = (1 << 32) - 1
 
     def __init__(self) -> None:
-        self._records: list[PacketRecord] = []
-        self._times: list[float] = []
+        self._times = array("d")
+        self._sizes = array("I")
+        self._downlink = array("B")
+        self._packets = array("I")
 
     def record(self, time_s: float, size_bytes: int, downlink: bool,
                n_packets: int = 1) -> None:
         """Append one delivery; times must be non-decreasing."""
-        if self._times and time_s < self._times[-1]:
+        times = self._times
+        if times and time_s < times[-1]:
             raise UeError("capture timestamps must be non-decreasing")
         if size_bytes < 0:
             raise UeError(f"negative payload size: {size_bytes}")
-        self._records.append(PacketRecord(time_s, size_bytes, downlink,
-                                          n_packets))
-        self._times.append(time_s)
+        if size_bytes > self.MAX_COUNT \
+                or not 0 <= n_packets <= self.MAX_COUNT:
+            raise UeError(f"delivery outside the capture's columns: "
+                          f"{size_bytes} bytes, {n_packets} packets")
+        times.append(time_s)
+        self._sizes.append(size_bytes)
+        self._downlink.append(downlink)
+        self._packets.append(n_packets)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._times)
 
     @property
     def records(self) -> list[PacketRecord]:
         """All recorded deliveries, oldest first."""
-        return list(self._records)
+        return [PacketRecord(time_s, size, bool(downlink), n_packets)
+                for time_s, size, downlink, n_packets in zip(
+                    self._times, self._sizes, self._downlink,
+                    self._packets)]
 
     def bytes_between(self, start_s: float, end_s: float,
                       downlink: bool = True) -> int:
         """Payload bytes delivered in ``[start_s, end_s)``."""
         lo = bisect.bisect_left(self._times, start_s)
         hi = bisect.bisect_left(self._times, end_s)
-        return sum(r.size_bytes for r in self._records[lo:hi]
-                   if r.downlink == downlink)
+        return sum(size for size, flag in zip(self._sizes[lo:hi],
+                                              self._downlink[lo:hi])
+                   if flag == downlink)
 
     def bitrate_series(self, window_s: float, end_time_s: float,
                        downlink: bool = True) -> list[tuple[float, float]]:

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.decode_model import (
     BLER_TABLE,
     DecodeModelError,
     RESIDUAL_MISS,
     SNR_GRID_DB,
+    counter_fold,
+    counter_uniform_at,
     decode_succeeds,
     pdcch_bler,
 )
@@ -86,3 +90,18 @@ class TestCalibrationConsistency:
             errors += not np.array_equal(decoded, info)
         measured = errors / trials
         assert measured == pytest.approx(pdcch_bler(-4.0, 4), abs=0.17)
+
+
+class TestCounterKeys:
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=4),
+           st.lists(st.integers(0, 2**64 - 1), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_a_folded_prefix_continues_the_key(self, head, tail):
+        assert counter_fold(counter_fold(0, *head), *tail) == \
+            counter_fold(0, *head, *tail)
+
+    def test_uniform_in_unit_interval(self):
+        draws = [counter_uniform_at(counter_fold(0, 7, slot))
+                 for slot in range(2000)]
+        assert all(0.0 <= d < 1.0 for d in draws)
+        assert 0.45 < sum(draws) / len(draws) < 0.55

@@ -176,14 +176,16 @@ class TestCheckpointResume:
         #   5: the gNB held the generator of its iq grids' PDSCH REs;
         #   6: the spare estimator raised on an overbooked TTI and kept
         #      no count of them;
-        #   7: the gNB log held one record object per DCI and UCI.
-        assert CHECKPOINT_VERSION == 8
+        #   7: the gNB log held one record object per DCI and UCI;
+        #   8: the gNB kept HARQ payloads and geometries beside its
+        #      processes, and each UE's capture held record objects.
+        assert CHECKPOINT_VERSION == 9
         path = tmp_path / "fleet.ckpt"
         supervisor = FleetSupervisor.build(small_config(n_cells=1))
         supervisor.run(0.3, checkpoint_path=path)
         write_framed(path, payload_of(path), version)
         with pytest.raises(FleetError, match=(
-                rf"version: {version} \(this build reads version 8\)")):
+                rf"version: {version} \(this build reads version 9\)")):
             FleetSupervisor.restore(path)
 
     def test_restore_rejects_garbage(self, tmp_path):

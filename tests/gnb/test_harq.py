@@ -1,8 +1,11 @@
 """Tests for gNB-side HARQ entities."""
 
+import pickle
+
 import pytest
 
-from repro.gnb.harq import HarqEntity, HarqError, HarqProcess, RV_SEQUENCE
+from repro.gnb.harq import HarqEntity, HarqError, HarqProcess, \
+    NO_GEOMETRY, RV_SEQUENCE
 
 
 class TestHarqProcess:
@@ -34,6 +37,24 @@ class TestHarqProcess:
     def test_rejects_empty_block(self):
         with pytest.raises(HarqError):
             HarqProcess(0).start_new(0)
+
+    def test_holds_its_block_until_acked(self):
+        process = HarqProcess(3)
+        process.start_new(1000)
+        process.hold(120, 2, (6, 1, 12))
+        process.retransmit()
+        assert (process.payload_bytes, process.n_packets,
+                process.geometry) == (120, 2, (6, 1, 12))
+        process.ack()
+        assert (process.payload_bytes, process.n_packets,
+                process.geometry) == (0, 0, NO_GEOMETRY)
+
+    def test_pickles_by_value(self):
+        process = HarqProcess(3)
+        process.start_new(1000)
+        process.hold(120, 2, (6, 1, 12))
+        process.retransmit()
+        assert pickle.loads(pickle.dumps(process)) == process
 
 
 class TestHarqEntity:

@@ -196,7 +196,8 @@ def test_one_buffer_fed_twice_is_refused():
 # ------------------------------------------------------ lazy contexts
 def eager_contexts(gnb: GNodeB) -> list[UeSchedulingContext]:
     """Every candidate's context, built up front (the gNB's former
-    ``_contexts``, verbatim)."""
+    ``_contexts``, with the retransmission sizes read from the blocks
+    the UE's HARQ processes hold)."""
     contexts = []
     for ue in gnb._ues.values():
         if ue.rnti is None:
@@ -215,7 +216,11 @@ def eager_contexts(gnb: GNodeB) -> list[UeSchedulingContext]:
             cqi=gnb._table.cqi(ue_id) if cqi is None else cqi,
             olla_offset_db=gnb._olla_offset.get(ue_id, 0.0),
             pending_retx=list(pending),
-            retx_prb_sizes=dict(gnb._retx_sizes.get(ue_id, {})),
+            retx_prb_sizes={
+                (process.process_id, downlink): process.geometry
+                for downlink in (True, False)
+                for process in gnb._harq[(ue_id, downlink)].processes
+                if process.active},
             ewma_throughput_bps=gnb._ewma.get(ue_id, 1.0)))
     return contexts
 

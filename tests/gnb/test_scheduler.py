@@ -1,6 +1,8 @@
 """Tests for the MAC scheduler policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gnb.cell_config import SRSRAN_PROFILE
 from repro.gnb.scheduler import (
@@ -13,6 +15,7 @@ from repro.gnb.scheduler import (
 )
 from repro.phy.dci import DciFormat
 from repro.phy.grant import dci_to_grant
+from repro.phy.mcs_tables import TABLES
 
 
 def make_scheduler(cls=RoundRobinScheduler, **kwargs):
@@ -157,3 +160,85 @@ class TestBuildDci:
         plans = make_scheduler().schedule(0, [ue_ctx(0, dl=0, ul=1000)])
         dci = build_dci(plans[0], 51, ndi=0, rv=0, harq_id=0)
         assert dci.format is DciFormat.UL_0_1
+
+
+# ------------------------------------------------------- TBS rows
+def _tdra_symbol_counts():
+    from repro.phy.grant import TDRA_TABLE
+    return sorted({n_symbols for _, n_symbols, _ in TDRA_TABLE})
+
+
+def _profile_configs():
+    from repro.gnb.cell_config import ALL_PROFILES
+    return [profile.grant_config() for profile in ALL_PROFILES.values()]
+
+
+def _tbs(config, n_prb, n_symbols, mcs):
+    from repro.phy.tbs import transport_block_size
+    return transport_block_size(
+        n_prb, n_symbols, mcs, n_layers=config.n_layers,
+        n_dmrs_per_prb=config.n_dmrs_per_prb,
+        n_oh_per_prb=config.xoverhead_res).tbs_bits
+
+
+class TestTbsRows:
+    """The scheduler bisects cached TBS rows, which is exact only while
+    TBS never falls as PRBs grow."""
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_tbs_non_decreasing_in_prbs(self, table):
+        from dataclasses import replace
+
+        from repro.gnb.scheduler import tbs_row
+        for config in _profile_configs():
+            config = replace(config, mcs_table=table)
+            for mcs in TABLES[table]:
+                for n_symbols in _tdra_symbol_counts():
+                    row = tbs_row(config, mcs, n_symbols)
+                    assert len(row) == config.bwp_n_prb
+                    assert row[0] == _tbs(config, 1, n_symbols, mcs)
+                    assert row[-1] == _tbs(config, config.bwp_n_prb,
+                                           n_symbols, mcs)
+                    assert all(a <= b for a, b in zip(row, row[1:])), \
+                        (config, mcs, n_symbols)
+
+    def test_profiles_use_the_tables_checked(self):
+        from repro.gnb.cell_config import ALL_PROFILES
+        assert {p.mcs_table for p in ALL_PROFILES.values()} <= set(TABLES)
+
+    def test_cap_beyond_the_bwp_rejected(self):
+        from repro.phy.mcs_tables import mcs_entry
+        with pytest.raises(SchedulerError, match="exceeds"):
+            make_scheduler()._prbs_for_bytes(100, mcs_entry(10), 52)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sizing_matches_a_linear_scan(self, data):
+        from repro.gnb.cell_config import ALL_PROFILES
+        from repro.gnb.scheduler import (
+            DEFAULT_DATA_SYMBOLS, DEFAULT_TIME_ALLOC, SHORT_TIME_ALLOCS)
+        profile = data.draw(st.sampled_from(sorted(ALL_PROFILES)))
+        profile = ALL_PROFILES[profile]
+        config = profile.grant_config()
+        scheduler = RoundRobinScheduler(config, profile.ue_search_space())
+        mcs = data.draw(st.sampled_from(TABLES[config.mcs_table]))
+        n_symbols = data.draw(st.sampled_from(_tdra_symbol_counts()))
+        bwp = config.bwp_n_prb
+        max_prb = data.draw(st.one_of(st.just(1), st.just(bwp),
+                                      st.integers(1, bwp)))
+        backlog = data.draw(st.one_of(st.integers(0, 64),
+                                      st.integers(0, 400_000)))
+        target = max(backlog, 1) * 8
+
+        # Linear scan: the first PRB count whose TBS covers the target.
+        expected = next((n for n in range(1, max_prb + 1)
+                         if _tbs(config, n, n_symbols, mcs) >= target),
+                        max_prb)
+        assert scheduler._prbs_for_bytes(backlog, mcs, max_prb,
+                                         n_symbols=n_symbols) == expected
+
+        expected_alloc = next(
+            ((row, symbols) for row, symbols in SHORT_TIME_ALLOCS
+             if _tbs(config, 1, symbols, mcs) >= target),
+            (DEFAULT_TIME_ALLOC, DEFAULT_DATA_SYMBOLS))
+        assert scheduler._time_alloc_for(backlog, mcs) == expected_alloc

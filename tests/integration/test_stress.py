@@ -64,9 +64,11 @@ class TestStateBoundedness:
         sim.run(seconds=0.1)
         gnb = sim.gnb
         assert gnb.ues == {}
+        # No HARQ state of a removed UE remains: not its entities (and
+        # with them the blocks their processes held), nor its pending
+        # retransmissions.
         assert gnb._harq == {}
         assert gnb._pending_retx == {}
-        assert gnb._stash == {}
         assert gnb._reported_cqi == {}
         assert gnb._known_ul_backlog == {}
 

@@ -5,7 +5,8 @@ import pytest
 from repro.ue.channel import FadingChannel
 from repro.ue.table import UeTable
 from repro.ue.traffic import BulkDownload, TrafficBuffer
-from repro.ue.ue import PacketCapture, UeError, UserEquipment
+from repro.ue.ue import PacketCapture, PacketRecord, UeError, \
+    UserEquipment
 
 SLOT_S = 0.5e-3
 
@@ -53,6 +54,27 @@ class TestPacketCapture:
     def test_bad_window(self):
         with pytest.raises(UeError):
             PacketCapture().bitrate_series(0.0, 1.0)
+
+    def test_records_rebuilt_from_the_columns(self):
+        capture = PacketCapture()
+        capture.record(0.1, 100, downlink=True, n_packets=2)
+        capture.record(0.25, 999, downlink=False)
+        assert capture.records == [PacketRecord(0.1, 100, True, 2),
+                                   PacketRecord(0.25, 999, False, 1)]
+        assert len(capture) == 2
+
+    @pytest.mark.parametrize("size, n_packets", [
+        (PacketCapture.MAX_COUNT + 1, 1), (10, -1),
+        (10, PacketCapture.MAX_COUNT + 1)])
+    def test_delivery_outside_the_columns_keeps_nothing(self, size,
+                                                        n_packets):
+        capture = PacketCapture()
+        capture.record(0.1, 100, downlink=True)
+        with pytest.raises(UeError, match="outside"):
+            capture.record(0.2, size, downlink=True, n_packets=n_packets)
+        assert capture.records == [PacketRecord(0.1, 100, True, 1)]
+        capture.record(0.3, 5, downlink=True)
+        assert capture.bytes_between(0.0, 1.0) == 105
 
 
 class TestUserEquipment:
