@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.analysis.report import Table, print_tables
 from repro.core.dci_decoder import GridDciDecoder
-from repro.core.throughput import SlidingWindowEstimator
 from repro.experiments.common import run_session
 from repro.experiments.fig12_processing import build_workload
 from repro.gnb.cell_config import AMARISOFT_PROFILE, SRSRAN_PROFILE
@@ -160,17 +159,17 @@ def test_ablation_throughput_window(once):
         result = run_session(SRSRAN_PROFILE, n_ues=1, duration_s=3.0,
                              seed=37, traffic="video")
         rnti = result.scope.tracked_rntis[0]
-        samples = [(r.time_s, r.tbs_bits)
-                   for r in result.telemetry.for_rnti(rnti, downlink=True)
-                   if not r.is_retransmission]
+        table = result.telemetry.store.table()
+        new_data = table[(table["rnti"] == rnti) & (table["downlink"] == 1)
+                         & (table["is_retransmission"] == 0)]
+        times = new_data["time_s"]
+        cum_bits = np.concatenate(([0], np.cumsum(new_data["tbs_bits"])))
         rows = []
         for window_s in (0.05, 0.2, 1.0):
-            estimator = SlidingWindowEstimator(window_s=window_s)
-            rates = []
-            for t, bits in samples:
-                estimator.add(t, bits)
-                rates.append(estimator.rate_bps(t))
-            arr = np.array(rates[len(rates) // 4:])
+            # The rate as each block lands: bits in (t - window, t].
+            first = np.searchsorted(times, times - window_s, side="right")
+            rates = (cum_bits[1:] - cum_bits[first]) / window_s
+            arr = rates[len(rates) // 4:]
             rows.append((window_s, float(arr.mean() / 1e6),
                          float(arr.std() / 1e6)))
         return rows

@@ -33,8 +33,9 @@ def main() -> None:
     print()
 
     now = sim.now_s
+    rates = scope.per_ue_throughput(now)
     for rnti in scope.tracked_rntis:
-        rate = scope.throughput.rate_bps(rnti, now)
+        rate = rates[rnti]
         total = scope.telemetry.bits_between(rnti, 0.0, now)
         retx = scope.telemetry.retransmission_ratio(rnti)
         mcs = scope.telemetry.mcs_distribution(rnti)

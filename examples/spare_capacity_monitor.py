@@ -58,8 +58,9 @@ def main() -> None:
     while sim.now_s < SESSION_S:
         sim.run(seconds=REPORT_INTERVAL_S)
         now = sim.now_s
+        rates = scope.per_ue_throughput(now)
         for rnti in scope.tracked_rntis:
-            used = scope.throughput.rate_bps(rnti, now)
+            used = rates[rnti]
             spare_series = scope.spare.spare_rate_series(rnti, slot_s)
             recent = [v for t, v in spare_series
                       if t >= now - REPORT_INTERVAL_S]

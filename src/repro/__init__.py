@@ -18,8 +18,8 @@ Quickstart::
     sim = Simulation.build(SRSRAN_PROFILE, n_ues=2, seed=1)
     scope = NRScope.attach(sim)
     sim.run(seconds=1.0)
-    for record in scope.telemetry.per_ue_throughput():
-        print(record)
+    for rnti, rate_bps in scope.per_ue_throughput(sim.now_s).items():
+        print(f"UE 0x{rnti:04x}: {rate_bps / 1e6:.2f} Mbps")
 """
 
 __version__ = "1.0.0"

@@ -1,6 +1,5 @@
 """NR-Scope itself: cell search, RACH sniffing, DCI decoding, telemetry."""
 
-from repro.core.aggregation import PacketAggregationAnalyzer
 from repro.core.cell_search import CellKnowledge, CellSearcher
 from repro.core.dci_decoder import DecodedDci, GridDciDecoder, \
     RecordDciDecoder
@@ -17,7 +16,6 @@ from repro.core.runtime import RuntimeStats, SlotContext, SlotRuntime, \
 from repro.core.scope import NRScope, ScopeCounters
 from repro.core.spare_capacity import SpareCapacityEstimator, TtiUsage
 from repro.core.telemetry import TelemetryLog, TelemetryRecord
-from repro.core.throughput import SlidingWindowEstimator, ThroughputBank
 from repro.core.uci_telemetry import UciObservation, UciTelemetry
 
 __all__ = [
@@ -26,11 +24,11 @@ __all__ = [
     "FingerprintLibrary", "FusedStream", "GridDciDecoder",
     "HandoverEvent", "HarqTrackerBank",
     "MultiCellController", "NRScope",
-    "PacketAggregationAnalyzer", "RachSniffer", "RecordDciDecoder",
-    "RuntimeStats", "ScopeCounters", "SlidingWindowEstimator",
+    "RachSniffer", "RecordDciDecoder",
+    "RuntimeStats", "ScopeCounters",
     "SlotContext", "SlotRuntime", "SpareCapacityEstimator",
     "Stage", "StageStats", "TelemetryLog",
-    "TelemetryRecord", "ThroughputBank",
+    "TelemetryRecord",
     "TrackedUe", "TtiUsage",
     "RanFingerprint", "UciObservation", "UciTelemetry", "UeHarqTracker",
     "anomaly_score", "classify_scheduler",

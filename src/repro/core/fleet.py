@@ -62,7 +62,10 @@ class FleetError(ValueError):
 #: and the file starts with :data:`CHECKPOINT_HEADER`.
 #: Version 9: each gNB HARQ process holds its block's payload and
 #: geometry (no separate stash), and a UE's packet capture is columns.
-CHECKPOINT_VERSION = 9
+#: Version 10: the scope keeps no throughput or aggregation sink (both
+#: are reads over its telemetry store), and its HARQ trackers no
+#: counters.
+CHECKPOINT_VERSION = 10
 
 #: A checkpoint file is this header, then the pickled payload: magic,
 #: version, payload length and the payload's CRC-32.  ``restore`` checks

@@ -20,7 +20,7 @@ class HarqTrackerError(ValueError):
 
 @dataclass
 class UeHarqTracker:
-    """Per-UE NDI arrays (one per direction) plus counters."""
+    """Per-UE NDI arrays, one per direction."""
 
     n_processes: int = N_HARQ_PROCESSES
     dl_ndi: list[int | None] = field(default_factory=list)
@@ -31,8 +31,6 @@ class UeHarqTracker:
             self.dl_ndi = [None] * self.n_processes
         if not self.ul_ndi:
             self.ul_ndi = [None] * self.n_processes
-        self.new_data_count = 0
-        self.retransmission_count = 0
 
     def observe(self, harq_id: int, ndi: int, downlink: bool) -> bool:
         """Record one DCI; returns True when it is a retransmission.
@@ -44,20 +42,7 @@ class UeHarqTracker:
         array = self.dl_ndi if downlink else self.ul_ndi
         previous = array[harq_id]
         array[harq_id] = ndi
-        is_retx = previous is not None and previous == ndi
-        if is_retx:
-            self.retransmission_count += 1
-        else:
-            self.new_data_count += 1
-        return is_retx
-
-    @property
-    def retransmission_ratio(self) -> float:
-        """Retransmissions over all observed DCIs (paper Fig 15 right)."""
-        total = self.new_data_count + self.retransmission_count
-        if total == 0:
-            return 0.0
-        return self.retransmission_count / total
+        return previous is not None and previous == ndi
 
 
 class HarqTrackerBank:

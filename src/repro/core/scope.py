@@ -3,9 +3,9 @@
 One :class:`NRScope` instance is the paper's Fig 4 box: it attaches to a
 simulated cell as a passive observer, finds the cell (MIB/SIB1), sniffs
 the RACH for C-RNTIs and UE configurations, decodes every tracked UE's
-DCIs each TTI, and feeds the telemetry consumers — throughput
-estimation, HARQ/retransmission tracking, spare-capacity computation and
-packet-aggregation analysis.
+DCIs each TTI, and feeds the telemetry consumers — the columnar
+telemetry store (every per-UE rate and packet count is a read over its
+rows), HARQ/retransmission tracking and spare-capacity computation.
 
 Since the staged-runtime refactor the class is a *facade*: it assembles
 a :class:`~repro.core.runtime.SlotRuntime` whose backbone stages carry
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import SI_RNTI
-from repro.core.aggregation import PacketAggregationAnalyzer
 from repro.core.cell_search import CellSearcher
 from repro.core.dci_decoder import DecodedDci, GridDciDecoder, \
     RecordDciDecoder, SlotGather, grid_decode_job, record_decode_job
@@ -38,7 +37,6 @@ from repro.core.runtime import RuntimeStats, SlotContext, SlotRuntime, \
 from repro.core.spare_capacity import SpareCapacityEstimator, TtiUsage
 from repro.core.decode_model import uci_decode_succeeds
 from repro.core.telemetry import TelemetryLog
-from repro.core.throughput import ThroughputBank
 from repro.core.uci_telemetry import UciObservation, UciTelemetry
 from repro.phy.dci import DciFormat
 from repro.phy.grant import allocation
@@ -84,7 +82,7 @@ class NRScope:
     def __init__(self, link: Link, scs_khz: int = 30,
                  fidelity: str = "message", seed: int = 0,
                  window_s: float = 0.2, idle_timeout_s: float = 10.0,
-                 packet_bytes: int = 1400, cell_n_id: int = 0,
+                 cell_n_id: int = 0,
                  always_decode_setup: bool = False,
                  decode_uci: bool = True,
                  capture_impairments: bool = False,
@@ -93,10 +91,14 @@ class NRScope:
                  cell: str | None = None) -> None:
         if fidelity not in ("message", "iq"):
             raise ScopeError(f"unknown fidelity: {fidelity!r}")
+        if window_s <= 0:
+            raise ScopeError(f"throughput window must be positive: "
+                             f"{window_s}")
         self.link = link
         self.scs_khz = scs_khz
         self.fidelity = fidelity
         self.cell_n_id = cell_n_id
+        self.window_s = window_s
         self.idle_timeout_s = idle_timeout_s
         self.always_decode_setup = always_decode_setup
         self._rng = np.random.default_rng(seed)
@@ -115,9 +117,6 @@ class NRScope:
         self.counters = ScopeCounters()
         self.telemetry = TelemetryLog()
         self.harq = HarqTrackerBank()
-        self.throughput = ThroughputBank(window_s=window_s)
-        self.aggregation = PacketAggregationAnalyzer(
-            packet_bytes=packet_bytes)
         # UCI decoding (paper section 7 future work), heard
         # UPLINK_SNR_OFFSET_DB below the downlink.
         self.decode_uci = decode_uci
@@ -332,12 +331,6 @@ class NRScope:
                 grant=alloc, aggregation_level=item.aggregation_level,
                 is_retransmission=is_retx)
             self.counters.dcis_decoded += 1
-            if not is_retx:
-                self.throughput.add(dci.rnti, downlink, time_s,
-                                    alloc.tbs_bits)
-                if downlink:
-                    self.aggregation.observe(time_s, dci.rnti,
-                                             alloc.tbs_bits)
             if downlink:
                 per_ue_prbs[dci.rnti] = per_ue_prbs.get(dci.rnti, 0) \
                     + alloc.n_prb
@@ -388,8 +381,6 @@ class NRScope:
             "counters": self.counters,
             "telemetry": self.telemetry,
             "harq": self.harq,
-            "throughput": self.throughput,
-            "aggregation": self.aggregation,
             "uci": self.uci,
             "rach": self.rach,
             "spare": self.spare,
@@ -416,8 +407,6 @@ class NRScope:
         self.counters = state["counters"]
         self.telemetry = state["telemetry"]
         self.harq = state["harq"]
-        self.throughput = state["throughput"]
-        self.aggregation = state["aggregation"]
         self.uci = state["uci"]
         self.rach = state["rach"]
         self.spare = state["spare"]
@@ -473,7 +462,6 @@ class NRScope:
         for rnti in self.rach.prune_idle(output.slot.time_s,
                                          self.idle_timeout_s):
             self.harq.forget(rnti)
-            self.throughput.forget(rnti)
             self.uci.forget(rnti)
 
     def _stage_uci(self, ctx: SlotContext) -> None:
@@ -632,6 +620,30 @@ class NRScope:
     # ------------------------------------------------------ reporting
     def per_ue_throughput(self, now_s: float,
                           downlink: bool = True) -> dict[int, float]:
-        """Current windowed bit-rate estimate per tracked UE."""
-        return {rnti: self.throughput.rate_bps(rnti, now_s, downlink)
-                for rnti in self.tracked_rntis}
+        """Windowed bit rate per tracked UE (paper section 3.2.2).
+
+        "We record the TBS for every UE in each TTI, maintaining a
+        sliding window to calculate the bit rate for each UE": the TBS
+        of each UE's new-data rows with ``now_s - window_s < time_s``,
+        summed and divided by ``window_s``.  Retransmissions are left
+        out by the HARQ tracker's verdict, so a block's bits count
+        once, as in the bytes tcpdump sees on the phone.  Rows from
+        before the UE's current tracking (``first_seen_s``) are left
+        out too: a pruned RNTI that is found again starts from zero.
+        """
+        if self.rach is None or not self.rach.tracked:
+            return {}
+        tracked = sorted(self.rach.tracked.items())
+        rntis = np.array([rnti for rnti, _ in tracked])
+        since = np.array([ue.first_seen_s for _, ue in tracked])
+        rows = self.telemetry.store.rows_after(now_s - self.window_s)
+        # Each row's place in the sorted tracked table; a row counts
+        # when its RNTI is there and it belongs to the current tracking.
+        at = np.minimum(np.searchsorted(rntis, rows["rnti"]), len(rntis) - 1)
+        keep = (rows["downlink"] == (1 if downlink else 0)) \
+            & (rows["is_retransmission"] == 0) \
+            & (rntis[at] == rows["rnti"]) & (rows["time_s"] >= since[at])
+        bits = np.zeros(len(rntis), dtype=np.int64)
+        np.add.at(bits, at[keep], rows["tbs_bits"][keep])
+        return {rnti: total / self.window_s
+                for rnti, total in zip(rntis.tolist(), bits.tolist())}

@@ -305,6 +305,28 @@ class TelemetryStore:
         np.add.at(out, (row_idx, bin_idx), bits[hit])
         return out
 
+    def rows_after(self, after_s: float) -> np.ndarray:
+        """The rows with ``time_s > after_s``, in append order.
+
+        Rows arrive in time order (the sniffer commits slot by slot),
+        so the scan walks back from the head and stops at the first
+        chunk that starts at or before ``after_s``: a trailing window
+        costs its own rows, not the session's.
+        """
+        parts = list(self._chunks)
+        if self._head_used:
+            parts.append(self._head[:self._head_used])
+        tail: list[np.ndarray] = []
+        for part in reversed(parts):
+            start = int(np.searchsorted(part["time_s"], after_s,
+                                        side="right"))
+            tail.append(part[start:])
+            if start:
+                break
+        if not tail:
+            return np.empty(0, dtype=RECORD_DTYPE)
+        return np.concatenate(tail[::-1])
+
     def time_extents(self, rnti: int) -> tuple[float, float] | None:
         """(first, last) record time of one RNTI, or None if unseen."""
         rows = self.rows_for_rnti(rnti)

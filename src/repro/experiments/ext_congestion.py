@@ -117,7 +117,7 @@ def _run_sender(ran_aware: bool, duration_s: float,
 
         if ran_aware and scope.tracked_rntis:
             rnti = scope.tracked_rntis[0]
-            used = scope.throughput.rate_bps(rnti, now)
+            used = scope.per_ue_throughput(now)[rnti]
             spare_series = scope.spare.spare_rate_series(rnti, slot_s)
             recent = [v for t, v in spare_series if t >= now - CONTROL_S]
             spare = float(np.mean(recent)) if recent else 0.0

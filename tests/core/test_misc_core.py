@@ -2,41 +2,49 @@
 
 import pytest
 
-from repro.core.aggregation import AggregationError, \
-    PacketAggregationAnalyzer
 from repro.core.cell_search import BROADCAST_SNR_FLOOR_DB, CellSearcher
 from repro.core.feedback import FeedbackError, FeedbackService
 from repro.core.rach_sniffer import RachSniffer, RachSnifferError
+from repro.core.telemetry import TelemetryLog, TelemetryRecord
+from repro.experiments.fig16_scenarios import AggregationComparison, \
+    packets_per_tti
 from repro.gnb.cell_config import SRSRAN_PROFILE
 from repro.rrc.messages import RrcSetup
 
 
 class TestAggregation:
+    """Fig 16d's packets per TTI, read from the telemetry store."""
+
+    @staticmethod
+    def log(*rows):
+        log = TelemetryLog()
+        for rnti, tbs_bits, downlink, retx in rows:
+            log.add(TelemetryRecord(
+                slot_index=0, time_s=0.0, rnti=rnti, downlink=downlink,
+                tbs_bits=tbs_bits, n_prb=10, n_symbols=12, mcs_index=10,
+                harq_id=0, ndi=0, rv=0, is_retransmission=retx,
+                aggregation_level=4))
+        return log
+
     def test_packets_per_tti(self):
-        analyzer = PacketAggregationAnalyzer(packet_bytes=1000)
-        packets = analyzer.observe(0.0, 1, tbs_bits=24000)
-        assert packets == pytest.approx(3.0)
+        log = self.log((1, 33600, True, False))
+        assert packets_per_tti(log) == [3.0]
 
     def test_cdf(self):
-        analyzer = PacketAggregationAnalyzer(packet_bytes=1000)
-        for tbs in (8000, 16000, 24000, 32000):
-            analyzer.observe(0.0, 1, tbs)
-        cdf = analyzer.cdf()
+        comparison = AggregationComparison(spare=[4.0, 1.0, 3.0, 2.0],
+                                           competing=[])
+        cdf = comparison.spare_cdf()
         assert cdf[0] == (1.0, 0.25)
         assert cdf[-1] == (4.0, 1.0)
+        assert comparison.competing_cdf() == []
 
     def test_per_rnti_filter(self):
-        analyzer = PacketAggregationAnalyzer()
-        analyzer.observe(0.0, 1, 11200)
-        analyzer.observe(0.0, 2, 22400)
-        assert len(analyzer.packets_per_tti(1)) == 1
-        assert analyzer.cdf(99) == []
-
-    def test_validation(self):
-        with pytest.raises(AggregationError):
-            PacketAggregationAnalyzer(packet_bytes=0)
-        with pytest.raises(AggregationError):
-            PacketAggregationAnalyzer().observe(0.0, 1, -1)
+        # Uplink rows and retransmissions carry no new downlink packets.
+        log = self.log((1, 11200, True, False), (2, 22400, True, False),
+                       (1, 11200, True, True), (1, 11200, False, False))
+        assert packets_per_tti(log, 1) == [1.0]
+        assert packets_per_tti(log) == [1.0, 2.0]
+        assert packets_per_tti(log, 99) == []
 
 
 class TestCellSearcher:

@@ -238,6 +238,21 @@ class TestKernelsAgainstReference:
                 expected[b] += row["tbs_bits"]
             assert np.array_equal(matrix[i], expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(row_strategy, max_size=40),
+           chunk_rows=st.sampled_from([1, 3, 7, DEFAULT_CHUNK_ROWS]),
+           after_s=st.sampled_from([-1.0, 0.0, 2.5, 4.0, 8.0]))
+    def test_rows_after_matches_filter(self, rows, chunk_rows, after_s):
+        # The sniffer appends in time order, which the scan relies on.
+        rows = sorted(rows, key=lambda row: row["time_s"])
+        store = fill(TelemetryStore(chunk_rows=chunk_rows), rows)
+        tail = store.rows_after(after_s)
+        assert tail.dtype == RECORD_DTYPE
+        assert tail["time_s"].tolist() == \
+            [row["time_s"] for row in rows if row["time_s"] > after_s]
+        table = store.table()
+        assert np.array_equal(tail, table[table["time_s"] > after_s])
+
     def test_time_extents(self):
         store = fill(TelemetryStore(), [
             make_row(rnti=7, time_s=0.25), make_row(rnti=7, time_s=1.5),
