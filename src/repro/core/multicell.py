@@ -119,13 +119,18 @@ class MultiCellController:
         if not streams:
             self.now_s = target
             return
+        # A step moves only its own cell's clock, so each cell's time is
+        # read once per step of that cell.
+        times = [s.sim.now_s for s in streams]
         while True:
-            upcoming = [(s.sim.now_s, i) for i, s in enumerate(streams)
-                        if s.sim.now_s < target - 1e-12]
+            upcoming = [(t, i) for i, t in enumerate(times)
+                        if t < target - 1e-12]
             if not upcoming:
                 break
             _, index = min(upcoming)
-            streams[index].sim.step()
+            sim = streams[index].sim
+            sim.step()
+            times[index] = sim.now_s
         # The interleaved loop steps the sims directly, so barrier on
         # every cell's runtime before handing telemetry back.
         for stream in streams:

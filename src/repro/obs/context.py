@@ -95,6 +95,25 @@ class _NoOpObsContext:
 OBS_NOOP = _NoOpObsContext()
 
 
+def _microseconds(duration_s: float) -> float:
+    """``round(duration_s * 1e6, 3)``, bit for bit, mostly without the
+    decimal conversion ``round`` makes.
+
+    Below 1e12 ns a float's error is under 2**-14 ns, so when the
+    product sits more than 0.499 from a tie its nearest integer is the
+    correctly rounded count of nanoseconds, and that count over 1000.0
+    is the double nearest the decimal ``round`` prints and reads back.
+    Ties, zeros, negatives and huge or non-finite values take ``round``.
+    """
+    us = duration_s * 1e6
+    ns = us * 1000.0
+    if 0.0 < ns < 1e12:
+        whole = round(ns)
+        if -0.499 < ns - whole < 0.499:
+            return whole / 1000.0
+    return round(us, 3)
+
+
 class _Core:
     """State shared by a context and all its ``bind`` children."""
 
@@ -115,9 +134,15 @@ class ObsContext:
 
     Do not construct directly — use :meth:`create`, which returns the
     no-op singleton when no reporters are configured.
+
+    Each context caches one envelope head per ``(kind, name)``: ``v``,
+    ``seq``, ``run_id``, ``kind`` and ``name``, then its labels.  An
+    event is a copy of its head with ``seq`` stamped and the fields
+    added, so the key order, and which value wins when a field or a
+    label repeats a key, are those of assembling the event afresh.
     """
 
-    __slots__ = ("_core", "_labels")
+    __slots__ = ("_core", "_labels", "_heads", "_stamp")
 
     enabled = True
 
@@ -125,6 +150,9 @@ class ObsContext:
                  labels: tuple[tuple[str, Any], ...]) -> None:
         self._core = core
         self._labels = labels
+        self._heads: dict[tuple[str, str], dict[str, Any]] = {}
+        #: False when a label named ``seq`` stands in for the counter.
+        self._stamp = all(key != "seq" for key, _ in labels)
 
     @classmethod
     def create(cls, reporters: Iterable[Reporter] = (),
@@ -151,36 +179,76 @@ class ObsContext:
         return self._core.errors
 
     # ------------------------------------------------------- emission
-    def emit(self, name: str, _kind: str = "event",
-             **fields: Any) -> None:
-        """Assemble one event and hand it to every reporter."""
-        core = self._core
-        seq = core.seq
-        core.seq += 1
-        event: dict[str, Any] = {
-            "v": SCHEMA_VERSION, "seq": seq, "run_id": core.run_id,
-            "kind": _kind, "name": name,
+    def _head(self, kind: str, name: str) -> dict[str, Any]:
+        """The cached envelope of ``(kind, name)`` events."""
+        head: dict[str, Any] = {
+            "v": SCHEMA_VERSION, "seq": 0, "run_id": self._core.run_id,
+            "kind": kind, "name": name,
         }
-        for key, value in self._labels:
-            event[key] = value
-        if fields:
-            event.update(fields)
+        head.update(self._labels)
+        self._heads[(kind, name)] = head
+        return head
+
+    def _event(self, kind: str, name: str) -> dict[str, Any]:
+        """A new event: the head of ``(kind, name)``, ``seq`` stamped."""
+        core = self._core
+        event = (self._heads.get((kind, name))
+                 or self._head(kind, name)).copy()
+        if self._stamp:
+            event["seq"] = core.seq
+        core.seq += 1
+        return event
+
+    def _send(self, event: dict[str, Any]) -> None:
+        """Hand one event to every reporter."""
+        core = self._core
         for reporter in core.reporters:
             try:
                 reporter.emit(event)
             except Exception:  # noqa: BLE001 - reporters must not abort
                 core.errors += 1
 
+    def emit(self, name: str, _kind: str = "event",
+             **fields: Any) -> None:
+        """Assemble one event and hand it to every reporter."""
+        event = self._event(_kind, name)
+        event.update(fields)
+        self._send(event)
+
     def count(self, name: str, value: float = 1,
               **fields: Any) -> None:
         """Emit a monotonic counter increment."""
-        self.emit(name, _kind="counter", value=value, **fields)
+        if "_kind" in fields:
+            # Raises the duplicate-keyword TypeError.
+            self.emit(name, _kind="counter", **fields)
+        event = self._event("counter", name)
+        event["value"] = value
+        event.update(fields)
+        self._send(event)
 
     def timing(self, name: str, duration_s: float,
                **fields: Any) -> None:
         """Emit a span with an externally measured duration."""
-        self.emit(name, _kind="span",
-                  duration_us=round(duration_s * 1e6, 3), **fields)
+        duration_us = _microseconds(duration_s)
+        if "_kind" in fields or "duration_us" in fields:
+            # Raises the duplicate-keyword TypeError.
+            self.emit(name, _kind="span", duration_us=duration_us,
+                      **fields)
+        # ``_event`` and ``_send`` inlined: nearly every event of a
+        # session is a stage span.
+        core = self._core
+        event = (self._heads.get(("span", name))
+                 or self._head("span", name)).copy()
+        if self._stamp:
+            event["seq"] = core.seq
+        core.seq += 1
+        event["duration_us"] = duration_us
+        event.update(fields)
+        for reporter in core.reporters:
+            try:
+                reporter.emit(event)
+            except Exception:  # noqa: BLE001 - reporters must not abort
+                core.errors += 1
 
     @contextmanager
     def span(self, name: str, **fields: Any) -> Iterator[None]:

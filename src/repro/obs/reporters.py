@@ -130,6 +130,13 @@ SPAN_BUCKETS_US = (50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
                    10000.0, 50000.0, float("inf"))
 
 
+#: A series' key: the event name and its present ``LABEL_KEYS`` labels.
+SeriesKey = tuple[str, tuple[tuple[str, Any], ...]]
+
+#: Stands in for an absent label in a series tag (``None`` is a value).
+_ABSENT = object()
+
+
 class CounterReporter:
     """Prometheus-style aggregation of the event stream.
 
@@ -142,48 +149,65 @@ class CounterReporter:
       observation increments one bucket; the cumulative ``le`` counts
       are summed when read.
 
+    An event finds its series by its tag: the name, then the value or
+    absence of each of ``LABEL_KEYS``.  Counters (with events) and spans
+    cache tags apart, each tag mapped to what its family first stored
+    (``cell=1`` and ``cell=True`` share a series), so a series key is
+    built once.
+
     :meth:`render_text` dumps everything in the Prometheus text
     exposition format (deterministic ordering).
     """
 
     def __init__(self) -> None:
-        self._counters: dict[tuple[str, tuple[tuple[str, Any], ...]],
-                             float] = {}
-        self._hist: dict[tuple[str, tuple[tuple[str, Any], ...]],
-                         list[float]] = {}
-        self._hist_sum: dict[tuple[str, tuple[tuple[str, Any], ...]],
-                             float] = {}
+        self._counters: dict[SeriesKey, float] = {}
+        #: Per span series: one count per bucket, then the summed
+        #: duration.
+        self._spans: dict[SeriesKey, list[float]] = {}
+        self._counter_keys: dict[tuple[Any, ...], SeriesKey] = {}
+        self._span_series: dict[tuple[Any, ...], list[float]] = {}
         self.events_seen = 0
 
     @staticmethod
-    def _labels_of(event: Mapping[str, Any]) \
-            -> tuple[tuple[str, Any], ...]:
-        return tuple((k, event[k]) for k in LABEL_KEYS if k in event)
+    def _key_of(tag: tuple[Any, ...]) -> SeriesKey:
+        return (tag[0], tuple((k, v) for k, v in zip(LABEL_KEYS, tag[1:])
+                              if v is not _ABSENT))
 
     def emit(self, event: Mapping[str, Any]) -> None:
         self.events_seen += 1
-        kind = event.get("kind")
-        key = (str(event.get("name")), self._labels_of(event))
-        if kind == "counter":
-            raw = event.get("value", 1)
-            inc = float(raw) if isinstance(raw, (int, float)) \
-                and not isinstance(raw, bool) else 1.0
-            self._counters[key] = self._counters.get(key, 0.0) + inc
-        elif kind == "event":
-            self._counters[key] = self._counters.get(key, 0.0) + 1.0
-        elif kind == "span":
-            raw = event.get("duration_us", 0.0)
-            duration = float(raw) if isinstance(raw, (int, float)) \
-                and not isinstance(raw, bool) else 0.0
-            buckets = self._hist.get(key)
-            if buckets is None:
-                buckets = [0.0] * len(SPAN_BUCKETS_US)
-                self._hist[key] = buckets
+        get = event.get
+        kind = get("kind")
+        # The name, then each of ``LABEL_KEYS`` in order.
+        tag = (str(get("name")), get("cell", _ABSENT),
+               get("stage", _ABSENT), get("reason", _ABSENT),
+               get("outcome", _ABSENT))
+        if kind == "span":
+            series = self._span_series.get(tag)
+            if series is None:
+                series = self._spans.setdefault(
+                    self._key_of(tag), [0.0] * (len(SPAN_BUCKETS_US) + 1))
+                self._span_series[tag] = series
+            duration = get("duration_us", 0.0)
+            if type(duration) is not float:
+                duration = float(duration) \
+                    if isinstance(duration, (int, float)) \
+                    and not isinstance(duration, bool) else 0.0
             # One bucket per observation: the first bound >= duration
             # (a NaN duration is <= no bound and lands in none).
             if duration == duration:
-                buckets[bisect_left(SPAN_BUCKETS_US, duration)] += 1
-            self._hist_sum[key] = self._hist_sum.get(key, 0.0) + duration
+                series[bisect_left(SPAN_BUCKETS_US, duration)] += 1
+            series[-1] += duration
+        elif kind == "counter" or kind == "event":
+            key = self._counter_keys.get(tag)
+            if key is None:
+                key = self._counter_keys[tag] = self._key_of(tag)
+            if kind == "event":
+                inc = 1.0
+            else:
+                raw = get("value", 1)
+                inc = float(raw) if isinstance(raw, (int, float)) \
+                    and not isinstance(raw, bool) else 1.0
+            self._counters[key] = self._counters.get(key, 0.0) + inc
 
     # ------------------------------------------------------------ query
     def value(self, name: str, **labels: Any) -> float:
@@ -204,16 +228,16 @@ class CounterReporter:
         """Total observations of a span histogram (subset label match)."""
         want = set(labels.items())
         total = 0.0
-        for (hname, hlabels), buckets in self._hist.items():
+        for (hname, hlabels), series in self._spans.items():
             if hname == name and want <= set(hlabels):
-                total += sum(buckets)
+                total += sum(series[:-1])
         return total
 
     def span_sum_us(self, name: str, **labels: Any) -> float:
         """Summed duration of a span histogram, in microseconds."""
         want = set(labels.items())
-        return sum(value for (hname, hlabels), value
-                   in self._hist_sum.items()
+        return sum(series[-1] for (hname, hlabels), series
+                   in self._spans.items()
                    if hname == name and want <= set(hlabels))
 
     # ----------------------------------------------------------- render
@@ -247,15 +271,15 @@ class CounterReporter:
                     f"{metric}{self._format_labels(labels)} {value}")
         by_hist: dict[str, list[tuple[tuple[tuple[str, Any], ...],
                                       list[float]]]] = {}
-        for (name, labels), buckets in self._hist.items():
-            by_hist.setdefault(name, []).append((labels, buckets))
+        for (name, labels), series in self._spans.items():
+            by_hist.setdefault(name, []).append((labels, series))
         for name in sorted(by_hist):
             metric = self._metric_name(name, "_duration_us")
             lines.append(f"# TYPE {metric} histogram")
-            for labels, buckets in sorted(by_hist[name],
-                                          key=lambda item: item[0]):
+            for labels, series in sorted(by_hist[name],
+                                         key=lambda item: item[0]):
                 count = 0.0
-                for bound, in_bucket in zip(SPAN_BUCKETS_US, buckets):
+                for bound, in_bucket in zip(SPAN_BUCKETS_US, series):
                     count += in_bucket
                     le = "+Inf" if bound == float("inf") else \
                         f"{bound:g}"
@@ -263,7 +287,7 @@ class CounterReporter:
                         f"{metric}_bucket"
                         f"{self._format_labels(labels, (('le', le),))}"
                         f" {int(count)}")
-                total = self._hist_sum[(name, labels)]
+                total = series[-1]
                 lines.append(f"{metric}_sum"
                              f"{self._format_labels(labels)}"
                              f" {total:.3f}")

@@ -1,9 +1,15 @@
 """Tests for the ObsContext / no-op singleton pair."""
 
-import pytest
+import math
+import struct
 
-from repro.obs import OBS_NOOP, ObsContext, RingReporter, \
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs import OBS_NOOP, JsonlReporter, ObsContext, RingReporter, \
     validate_events
+from repro.obs.context import _microseconds
 
 
 class TestNoOp:
@@ -106,3 +112,109 @@ class TestEnabled:
     def test_default_run_id_is_generated(self):
         obs = ObsContext.create([RingReporter()])
         assert len(obs.run_id) == 12
+
+
+#: The stream of :meth:`TestAssembly.test_lines_are_byte_exact`, as the
+#: bus assembled it before events were copied from cached heads.
+EXPECTED_LINES = [
+    '{"v":1,"seq":0,"run_id":"r1","kind":"event","name":"session.start",'
+    '"site":"lab","fidelity":"iq","seed":7}',
+    '{"v":1,"seq":1,"run_id":"r1","kind":"event","name":"dci.miss",'
+    '"site":"lab","cell":"a","rnti":17921,"slot":3}',
+    '{"v":1,"seq":2,"run_id":"r1","kind":"event","name":"dci.miss",'
+    '"site":"lab","cell":"z","slot":4}',
+    '{"v":1,"seq":3,"run_id":"r1","kind":"counter","name":"dci.decoded",'
+    '"site":"lab","cell":"b","stage":"dci","value":2}',
+    '{"v":1,"seq":4,"run_id":"r1","kind":"counter","name":"dci.decoded",'
+    '"site":"lab","cell":"a","value":1}',
+    '{"v":1,"seq":5,"run_id":"r1","kind":"counter","name":"dci.decoded",'
+    '"site":"lab","cell":"b","stage":"rach","value":3,"slot":5}',
+    '{"v":1,"seq":6,"run_id":"r1","kind":"span","name":"stage.span",'
+    '"site":"lab","cell":"b","stage":"dci","duration_us":1234.568,'
+    '"slot":5,"outcome":"ok"}',
+    '{"v":1,"seq":7,"run_id":"r1","kind":"span","name":"stage.span",'
+    '"site":"lab","cell":"a","duration_us":25.0,"stage":"sync","slot":0,'
+    '"outcome":"halt"}',
+    '{"v":1,"seq":"fixed","run_id":"r1","kind":"span",'
+    '"name":"fleet.checkpoint","site":"lab","duration_us":250000.0,'
+    '"bytes":4096}',
+    '{"v":1,"seq":9,"run_id":"r1","kind":"event","name":"session.end",'
+    '"site":"lab","slots":6}',
+]
+
+
+class TestAssembly:
+    """Every way of emitting, through ``JsonlReporter``, byte for byte."""
+
+    def test_lines_are_byte_exact(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        obs = ObsContext.create([JsonlReporter(path)], run_id="r1",
+                                site="lab")
+        cell = obs.bind(cell="a")
+        stage = cell.bind(stage="dci", cell="b")
+        fixed = obs.bind(seq="fixed")
+        obs.emit("session.start", fidelity="iq", seed=7)
+        cell.emit("dci.miss", rnti=0x4601, slot=3)
+        # A field overrides a label in the label's place.
+        cell.emit("dci.miss", cell="z", slot=4)
+        stage.emit("dci.decoded", _kind="counter", value=2)
+        cell.count("dci.decoded")
+        stage.count("dci.decoded", value=3, slot=5, stage="rach")
+        stage.timing("stage.span", 0.0012345678, slot=5, outcome="ok")
+        # The runtime's halted-slot span: the stage is a field.
+        cell.timing("stage.span", 2.5e-05, stage="sync", slot=0,
+                    outcome="halt")
+        # A label named seq stands in for the counter, which still
+        # advances.
+        fixed.timing("fleet.checkpoint", 0.25, bytes=4096)
+        obs.emit("session.end", slots=6)
+        obs.close()
+        assert path.read_text().splitlines() == EXPECTED_LINES
+
+    @pytest.mark.parametrize("call", [
+        lambda obs: obs.count("x", _kind="event"),
+        lambda obs: obs.timing("x", 0.1, duration_us=1.0),
+        lambda obs: obs.timing("x", 0.1, _kind="event"),
+    ])
+    def test_duplicate_keywords_raise_and_emit_nothing(self, call):
+        ring = RingReporter()
+        obs = ObsContext.create([ring], run_id="r1").bind(cell="a")
+        with pytest.raises(TypeError, match="multiple values"):
+            call(obs)
+        obs.emit("after")
+        assert [e["seq"] for e in ring.events] == [0]
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+class TestMicroseconds:
+    """``timing`` stamps ``round(duration_s * 1e6, 3)``, bit for bit."""
+
+    @given(st.floats(allow_nan=False))
+    @settings(max_examples=400, deadline=None)
+    def test_any_float(self, duration_s):
+        assert _bits(_microseconds(duration_s)) == \
+            _bits(round(duration_s * 1e6, 3))
+
+    @given(st.integers(0, 10 ** 12), st.integers(-4, 4))
+    @settings(max_examples=400, deadline=None)
+    def test_near_ties(self, thousandths, ulps):
+        # Durations whose nanosecond count lands on or next to x.5.
+        duration_s = (thousandths + 0.5) / 1e9
+        toward = math.inf if ulps > 0 else 0.0
+        for _ in range(abs(ulps)):
+            duration_s = math.nextafter(duration_s, toward)
+        assert _bits(_microseconds(duration_s)) == \
+            _bits(round(duration_s * 1e6, 3))
+
+    @pytest.mark.parametrize("duration_s", [
+        0.0, -0.0, 5e-324, 1e-12, 2.5e-9, -2.5e-9, 1e3, 1e6,
+        float("inf"), float("-inf")])
+    def test_edges(self, duration_s):
+        assert _bits(_microseconds(duration_s)) == \
+            _bits(round(duration_s * 1e6, 3))
+
+    def test_nan(self):
+        assert _microseconds(float("nan")) != _microseconds(float("nan"))

@@ -1,6 +1,7 @@
 """Tests for the three shipped reporters and the spec parser."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 
 from repro.obs import CounterReporter, JsonlReporter, Reporter, \
     ReporterError, RingReporter, reporters_from_specs
-from repro.obs.reporters import SPAN_BUCKETS_US
+from repro.obs.reporters import LABEL_KEYS, SPAN_BUCKETS_US
+
+
+def labels_of(event):
+    """An event's metric labels: its ``LABEL_KEYS`` fields, in order."""
+    return tuple((k, event[k]) for k in LABEL_KEYS if k in event)
 
 
 def make_event(name="dci.miss", kind="event", seq=0, **fields):
@@ -147,13 +153,14 @@ class CumulativeReference(CounterReporter):
     def __init__(self):
         super().__init__()
         self._cumulative = {}
+        self._sums = {}
 
     def emit(self, event):
         if event.get("kind") != "span":
             super().emit(event)
             return
         self.events_seen += 1
-        key = (str(event.get("name")), self._labels_of(event))
+        key = (str(event.get("name")), labels_of(event))
         raw = event.get("duration_us", 0.0)
         duration = float(raw) if isinstance(raw, (int, float)) \
             and not isinstance(raw, bool) else 0.0
@@ -162,7 +169,7 @@ class CumulativeReference(CounterReporter):
         for i, bound in enumerate(SPAN_BUCKETS_US):
             if duration <= bound:
                 buckets[i] += 1
-        self._hist_sum[key] = self._hist_sum.get(key, 0.0) + duration
+        self._sums[key] = self._sums.get(key, 0.0) + duration
 
     def span_count(self, name, **labels):
         want = set(labels.items())
@@ -187,13 +194,174 @@ class CumulativeReference(CounterReporter):
                         f"{metric}_bucket"
                         f"{self._format_labels(labels, (('le', le),))}"
                         f" {int(count)}")
-                total = self._hist_sum[(name, labels)]
+                total = self._sums[(name, labels)]
                 lines.append(f"{metric}_sum{self._format_labels(labels)}"
                              f" {total:.3f}")
                 lines.append(f"{metric}_count"
                              f"{self._format_labels(labels)}"
                              f" {int(buckets[-1])}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _fold(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _as_float(raw, default):
+    return float(raw) if isinstance(raw, (int, float)) \
+        and not isinstance(raw, bool) else default
+
+
+def _format(labels):
+    if not labels:
+        return ""
+    return "{" + ",".join(f'{k}="{v}"' for k, v in labels) + "}"
+
+
+class PlainAggregation:
+    """What :class:`CounterReporter` computes, written plainly: each
+    series keeps every increment and every duration it saw, and every
+    figure is folded from those lists when read."""
+
+    def __init__(self):
+        self.counters = {}
+        self.spans = {}
+        self.events_seen = 0
+
+    def emit(self, event):
+        self.events_seen += 1
+        key = (str(event.get("name")), labels_of(event))
+        kind = event.get("kind")
+        if kind == "counter":
+            self.counters.setdefault(key, []).append(
+                _as_float(event.get("value", 1), 1.0))
+        elif kind == "event":
+            self.counters.setdefault(key, []).append(1.0)
+        elif kind == "span":
+            self.spans.setdefault(key, []).append(
+                _as_float(event.get("duration_us", 0.0), 0.0))
+
+    @staticmethod
+    def _matching(series, name, labels):
+        want = set(labels.items())
+        return [values for (sname, slabels), values in series.items()
+                if sname == name and want <= set(slabels)]
+
+    def value(self, name, **labels):
+        total = 0.0
+        for increments in self._matching(self.counters, name, labels):
+            total += _fold(increments)
+        return total
+
+    def span_count(self, name, **labels):
+        total = 0.0
+        for durations in self._matching(self.spans, name, labels):
+            total += sum(1 for d in durations if d == d)
+        return total
+
+    def span_sum_us(self, name, **labels):
+        return sum(_fold(durations)
+                   for durations in self._matching(self.spans, name, labels))
+
+    def render_text(self):
+        lines = []
+        for name in sorted({name for name, _ in self.counters}):
+            metric = "nrscope_" + name.replace(".", "_") + "_total"
+            lines.append(f"# TYPE {metric} counter")
+            rows = [(labels, _fold(increments)) for (sname, labels),
+                    increments in self.counters.items() if sname == name]
+            for labels, total in sorted(rows, key=lambda row: row[0]):
+                shown = int(total) if total == int(total) else total
+                lines.append(f"{metric}{_format(labels)} {shown}")
+        for name in sorted({name for name, _ in self.spans}):
+            metric = "nrscope_" + name.replace(".", "_") + "_duration_us"
+            lines.append(f"# TYPE {metric} histogram")
+            rows = [(labels, durations) for (sname, labels), durations
+                    in self.spans.items() if sname == name]
+            for labels, durations in sorted(rows, key=lambda row: row[0]):
+                text = tuple((k, str(v)) for k, v in labels)
+                for bound in SPAN_BUCKETS_US:
+                    le = "+Inf" if bound == float("inf") else f"{bound:g}"
+                    below = sum(1 for d in durations if d <= bound)
+                    lines.append(f"{metric}_bucket"
+                                 f"{_format(text + (('le', le),))} {below}")
+                lines.append(f"{metric}_sum{_format(text)}"
+                             f" {_fold(durations):.3f}")
+                lines.append(f"{metric}_count{_format(text)}"
+                             f" {sum(1 for d in durations if d == d)}")
+        return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result as its repr, or the type of what it raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except (TypeError, ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+#: Label values, one family per label key and example, so rendered
+#: series stay sortable; ``None`` is a value, unlike an absent label.
+LABEL_FAMILIES = [
+    st.sampled_from(["a", "b", "ok"]),
+    st.one_of(st.integers(-2, 2), st.booleans(),
+              st.floats(-1e3, 1e3, allow_nan=False)),
+    st.none(),
+]
+
+#: Span durations and counter values, including the ones the reporter
+#: reads as 0 or 1 (bools, text, absent) and NaN, drawn on its own so
+#: that most runs see it.
+RAW_NUMBERS = st.one_of(st.floats(), st.just(math.nan),
+                        st.integers(-10, 10 ** 6), st.booleans(),
+                        st.just("x"), st.none())
+
+
+@st.composite
+def event_streams(draw):
+    families = {key: draw(st.sampled_from(LABEL_FAMILIES))
+                for key in LABEL_KEYS}
+    stream = []
+    for seq in range(draw(st.integers(0, 50))):
+        fields = {}
+        for key in draw(st.lists(st.sampled_from(LABEL_KEYS),
+                                 unique=True, max_size=4)):
+            fields[key] = draw(families[key])
+        if draw(st.booleans()):
+            fields["slot"] = draw(st.integers(0, 9))
+        kind = draw(st.sampled_from(["span", "counter", "event", "gauge"]))
+        raw = draw(RAW_NUMBERS)
+        if raw is not None:
+            fields["duration_us" if kind == "span" else "value"] = raw
+        name = draw(st.sampled_from(["stage.span", "dci.decoded",
+                                     "dci.miss"]))
+        stream.append(make_event(name, kind=kind, seq=seq, **fields))
+    return stream
+
+
+class TestCounterReporterAgainstPlainAggregation:
+    @given(event_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_every_figure_matches(self, stream):
+        reporter, plain = CounterReporter(), PlainAggregation()
+        for event in stream:
+            reporter.emit(event)
+            plain.emit(event)
+        assert reporter.events_seen == plain.events_seen
+        assert _outcome(reporter.render_text) == \
+            _outcome(plain.render_text)
+        queries = [{}] + [dict(labels_of(event)) for event in stream] \
+            + [{key: value} for event in stream
+               for key, value in labels_of(event)]
+        for name in ("stage.span", "dci.decoded", "dci.miss"):
+            for labels in queries:
+                for figure in ("value", "span_count", "span_sum_us"):
+                    assert _outcome(getattr(reporter, figure), name,
+                                    **labels) == \
+                        _outcome(getattr(plain, figure), name, **labels)
 
 
 class TestSpecs:
