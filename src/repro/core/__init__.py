@@ -14,7 +14,7 @@ from repro.core.rach_sniffer import RachSniffer, TrackedUe
 from repro.core.runtime import RuntimeStats, SlotContext, SlotRuntime, \
     Stage, StageStats
 from repro.core.scope import NRScope, ScopeCounters
-from repro.core.spare_capacity import SpareCapacityEstimator, TtiUsage
+from repro.core.spare_capacity import SpareCapacityEstimator
 from repro.core.telemetry import TelemetryLog, TelemetryRecord
 from repro.core.uci_telemetry import UciObservation, UciTelemetry
 
@@ -29,7 +29,7 @@ __all__ = [
     "SlotContext", "SlotRuntime", "SpareCapacityEstimator",
     "Stage", "StageStats", "TelemetryLog",
     "TelemetryRecord",
-    "TrackedUe", "TtiUsage",
+    "TrackedUe",
     "RanFingerprint", "UciObservation", "UciTelemetry", "UeHarqTracker",
     "anomaly_score", "classify_scheduler",
     "correlate_streams", "decode_succeeds", "detect_handovers",

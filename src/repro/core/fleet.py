@@ -65,7 +65,9 @@ class FleetError(ValueError):
 #: Version 10: the scope keeps no throughput or aggregation sink (both
 #: are reads over its telemetry store), and its HARQ trackers no
 #: counters.
-CHECKPOINT_VERSION = 10
+#: Version 11: the spare-capacity estimator keeps per TTI only its slot,
+#: time and tracked set, and reads the rest from the telemetry store.
+CHECKPOINT_VERSION = 11
 
 #: A checkpoint file is this header, then the pickled payload: magic,
 #: version, payload length and the payload's CRC-32.  ``restore`` checks

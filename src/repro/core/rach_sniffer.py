@@ -54,10 +54,12 @@ class SpaceSnapshot(Mapping[int, SearchSpace]):
     the search layouts) is derived from the table alone.
     """
 
-    __slots__ = ("_spaces", "_order", "_layouts")
+    __slots__ = ("_spaces", "rntis", "_order", "_layouts")
 
     def __init__(self, spaces: Mapping[int, SearchSpace]) -> None:
         self._spaces = dict(spaces)
+        #: The tracked RNTIs, ascending.
+        self.rntis = tuple(sorted(self._spaces))
         self._order: tuple | None = None
         self._layouts: dict[Hashable, Any] = {}
 

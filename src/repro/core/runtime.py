@@ -62,12 +62,12 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.constants import TTI_DURATION_S
 from repro.core.dci_decoder import DecodedDci
+from repro.core.rach_sniffer import SpaceSnapshot
 from repro.obs.context import AnyObsContext, OBS_NOOP
-from repro.phy.coreset import SearchSpace
 from repro.phy.resource_grid import ResourceGrid
 
 
@@ -89,9 +89,10 @@ class SlotContext:
     output: object
     seq: int = -1                 #: commit-order ticket (runtime-assigned)
     grid: ResourceGrid | None = None
-    #: Read-only ``rnti -> search space`` snapshot for the parallel
-    #: stage (see :meth:`~repro.core.rach_sniffer.RachSniffer.space_snapshot`).
-    tracked: Mapping[int, SearchSpace] = field(default_factory=dict)
+    #: Read-only ``rnti -> search space`` snapshot of the UEs tracked
+    #: in this slot, for the parallel stage and the sinks (see
+    #: :meth:`~repro.core.rach_sniffer.RachSniffer.space_snapshot`).
+    tracked: SpaceSnapshot | None = None
     decoded: list[DecodedDci] = field(default_factory=list)
     #: (rnti, time_s) activity marks deferred to the sink stage so that
     #: idle-pruning sees them in slot order.

@@ -34,7 +34,7 @@ from repro.core.rach_sniffer import RachSniffer
 from repro.obs.context import AnyObsContext, OBS_NOOP
 from repro.core.runtime import RuntimeStats, SlotContext, SlotRuntime, \
     Stage
-from repro.core.spare_capacity import SpareCapacityEstimator, TtiUsage
+from repro.core.spare_capacity import SpareCapacityEstimator
 from repro.core.decode_model import uci_decode_succeeds
 from repro.core.telemetry import TelemetryLog
 from repro.core.uci_telemetry import UciObservation, UciTelemetry
@@ -84,7 +84,6 @@ class NRScope:
                  window_s: float = 0.2, idle_timeout_s: float = 10.0,
                  cell_n_id: int = 0,
                  always_decode_setup: bool = False,
-                 decode_uci: bool = True,
                  capture_impairments: bool = False,
                  waveform_bootstrap: bool = False,
                  obs: AnyObsContext | None = None,
@@ -119,7 +118,6 @@ class NRScope:
         self.harq = HarqTrackerBank()
         # UCI decoding (paper section 7 future work), heard
         # UPLINK_SNR_OFFSET_DB below the downlink.
-        self.decode_uci = decode_uci
         self.uci = UciTelemetry()
         # Front-end impairments: a slowly drifting complex gain applied
         # to every IQ capture (oscillator drift / AGC wobble).  The grid
@@ -192,7 +190,7 @@ class NRScope:
         self.rach = RachSniffer(bwp_n_prb=knowledge.n_prb)
         self.spare = SpareCapacityEstimator(
             grant_config=knowledge.base_grant_config(),
-            n_prb_carrier=knowledge.n_prb)
+            n_prb_carrier=knowledge.n_prb, store=self.telemetry.store)
         self._record_decoder = RecordDciDecoder(
             sniffer_snr_db=self.link.snr_db,
             seed=int(self._rng.integers(0, 2**31)))
@@ -306,13 +304,10 @@ class NRScope:
 
     # ------------------------------------------------------- DCI path
     def _process_decoded(self, decoded: list[DecodedDci],
-                         output: SlotOutput) -> TtiUsage:
+                         output: SlotOutput) -> None:
         assert self.rach is not None
         time_s = output.slot.time_s
         slot_index = output.slot.index
-        per_ue_prbs: dict[int, int] = {}
-        per_ue_mcs: dict[int, int] = {}
-        used_prbs = 0
         for item in decoded:
             dci = item.dci
             ue = self.rach.tracked.get(dci.rnti)
@@ -331,14 +326,6 @@ class NRScope:
                 grant=alloc, aggregation_level=item.aggregation_level,
                 is_retransmission=is_retx)
             self.counters.dcis_decoded += 1
-            if downlink:
-                per_ue_prbs[dci.rnti] = per_ue_prbs.get(dci.rnti, 0) \
-                    + alloc.n_prb
-                per_ue_mcs[dci.rnti] = alloc.mcs.index
-                used_prbs += alloc.n_prb
-        return TtiUsage(slot_index=slot_index, time_s=time_s,
-                        used_prbs=used_prbs, per_ue_prbs=per_ue_prbs,
-                        per_ue_mcs=per_ue_mcs)
 
     # ------------------------------------------------------ main loop
     def observe_slot(self, output: SlotOutput) -> None:
@@ -473,8 +460,7 @@ class NRScope:
         they land in slot order.
         """
         output = ctx.output
-        if output.uci_records and self.decode_uci and \
-                self.rach is not None:
+        if output.uci_records and self.rach is not None:
             snr = self.link.snr_db - UPLINK_SNR_OFFSET_DB
             for record in output.uci_records:
                 if not self.rach.is_tracked(record.rnti):
@@ -573,10 +559,13 @@ class NRScope:
                     ue.touch(time_s)
         if ctx.skip_decode:
             return
-        assert self.spare is not None
+        assert self.spare is not None and ctx.tracked is not None
         decoded_before = self.counters.dcis_decoded
-        usage = self._process_decoded(ctx.decoded, output)
-        self.spare.observe_tti(usage, known_rntis=self.tracked_rntis)
+        self._process_decoded(ctx.decoded, output)
+        # The slot's own tracked set (its RACH stage's snapshot), so
+        # shares do not depend on how the decode windows fell.
+        self.spare.observe_tti(output.slot.index, output.slot.time_s,
+                               ctx.tracked.rntis)
         if self._obs:
             n_decoded = self.counters.dcis_decoded - decoded_before
             if n_decoded:

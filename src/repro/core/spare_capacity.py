@@ -7,21 +7,21 @@ DCIs it decoded in the TTI, splits the remainder evenly, and prices each
 UE's share at that UE's *own* current MCS — which is why two UEs with
 identical spare PRBs report different spare bit rates (Fig 14a).
 
-The history is columnar: append-only typed arrays, one row per TTI
-(slot, time, used PRBs, fair-share PRBs, share count) and one row per
-share holding only what varies per UE (RNTI, MCS, used PRBs).  The slot
-path extends each column once per TTI and builds no per-share object;
-shares are priced into bits when a reader asks.  The columns pickle as
-raw buffers, so a checkpoint copies bytes instead of walking objects.
+What each DCI carried is a downlink row of the telemetry store, which
+the estimator holds by reference.  Per TTI it keeps only the slot, the
+time and the index of the TTI's tracked set (a list of ascending RNTI
+tuples that grows when the set changes).  Every read joins the two: a
+row's slot finds its TTI, and a UE's MCS is that of its last downlink
+row at or before the TTI (0 before its first).
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.telemetry_store import TelemetryStore
 from repro.phy.grant import GrantConfig
 from repro.phy.mcs_tables import mcs_entry
 from repro.phy.tbs import transport_block_size
@@ -52,46 +52,56 @@ class SpareCapacityError(ValueError):
     """Raised for inconsistent TTI accounting."""
 
 
-@dataclass(frozen=True)
-class TtiUsage:
-    """One TTI's decoded allocation picture."""
-
-    slot_index: int
-    time_s: float
-    used_prbs: int
-    per_ue_prbs: dict[int, int]       # rnti -> PRBs this TTI
-    per_ue_mcs: dict[int, int]        # rnti -> MCS index this TTI
-
-
 class SpareCapacityEstimator:
-    """Turns per-TTI decoded grants into spare-capacity shares."""
+    """Fair-share spare capacity per TTI, read over a telemetry store."""
 
     def __init__(self, grant_config: GrantConfig, n_prb_carrier: int,
-                 n_symbols: int = 12) -> None:
+                 store: TelemetryStore, n_symbols: int = 12) -> None:
         if n_prb_carrier < 1:
             raise SpareCapacityError(
                 f"carrier must have PRBs: {n_prb_carrier}")
         self.grant_config = grant_config
         self.n_prb_carrier = n_prb_carrier
         self.n_symbols = n_symbols
-        self._last_mcs: dict[int, int] = {}
-        # Per TTI.  PRB counts fit 16 bits (a carrier has <= 275 PRBs).
+        self.store = store
         self._tti_slot = array("q")
         self._tti_time = array("d")
-        self._tti_used = array("H")
-        self._tti_spare = array("H")      # fair-share PRBs per UE
-        self._tti_shares = array("I")     # shares this TTI
-        # Per share, in TTI order.
-        self._rnti = array("H")
-        self._mcs = array("B")
-        self._used = array("H")
-        #: TTIs whose decoded PRBs exceeded the carrier.
-        self.overbooked = 0
+        self._tti_set = array("I")        # index into _sets
+        #: Each tracked set in TTI order, as ascending RNTIs; a set is
+        #: appended only when it differs from the last one.
+        self._sets: list[tuple[int, ...]] = []
 
     @property
     def n_ttis(self) -> int:
         """TTIs observed so far."""
         return len(self._tti_slot)
+
+    def observe_tti(self, slot_index: int, time_s: float,
+                    rntis: tuple[int, ...]) -> None:
+        """Record one TTI whose decodes are already in the store.
+
+        ``rntis`` are the UEs tracked in this TTI, ascending: all of
+        them, idle ones included, own an equal part of its spare room.
+        """
+        sets = self._sets
+        if not sets or rntis != sets[-1]:
+            sets.append(rntis)
+        self._tti_slot.append(slot_index)
+        self._tti_time.append(time_s)
+        self._tti_set.append(len(sets) - 1)
+
+    def _downlink(self, rnti: int | None = None) -> np.ndarray:
+        """The store's downlink rows (of one RNTI), in slot order."""
+        store = self.store
+        rows = store.table() if rnti is None \
+            else store.table()[store.rows_for_rnti(rnti)]
+        return rows[rows["downlink"] == 1]
+
+    def _per_tti_prbs(self, rows: np.ndarray) -> np.ndarray:
+        """PRBs of ``rows`` summed per TTI (each row's slot is a TTI's)."""
+        tti = np.searchsorted(_view(self._tti_slot), rows["slot_index"])
+        return np.bincount(tti, weights=rows["n_prb"],
+                           minlength=self.n_ttis).astype(np.int64)
 
     def _bits_for(self, n_prb: int, mcs_index: int) -> int:
         if n_prb < 1:
@@ -110,61 +120,46 @@ class SpareCapacityEstimator:
                          for pair in pairs.tolist()], dtype=np.int64)
         return bits[inverse]
 
-    def observe_tti(self, usage: TtiUsage,
-                    known_rntis: list[int] | None = None) -> None:
-        """Record the fair-share split for one TTI.
-
-        ``known_rntis`` widens the split to UEs that were idle this TTI
-        (they still own a fair share of the spare room); their MCS falls
-        back to the last one observed.
-
-        A TTI whose decoded PRBs exceed the carrier, which one
-        CRC-passing phantom DCI can cause, is recorded with no spare
-        PRBs and counted in :attr:`overbooked`: the sniffer keeps going.
-        """
-        spare = self.n_prb_carrier - usage.used_prbs
-        if spare < 0:
-            self.overbooked += 1
-            spare = 0
-        self._last_mcs.update(usage.per_ue_mcs)
-        per_ue_prbs = usage.per_ue_prbs
-        participants = sorted(per_ue_prbs.keys() | set(known_rntis or ()))
-        self._tti_slot.append(usage.slot_index)
-        self._tti_time.append(usage.time_s)
-        self._tti_used.append(usage.used_prbs)
-        self._tti_shares.append(len(participants))
-        if not participants:
-            self._tti_spare.append(0)
-            return
-        self._tti_spare.append(spare // len(participants))
-        last_mcs = self._last_mcs
-        self._rnti.extend(participants)
-        self._mcs.extend([last_mcs.get(rnti, 0) for rnti in participants])
-        self._used.extend([per_ue_prbs.get(rnti, 0)
-                           for rnti in participants])
-
     def tti_table(self) -> np.ndarray:
-        """Every observed TTI as a :data:`TTI_DTYPE` array."""
+        """Every observed TTI as a :data:`TTI_DTYPE` array.  A TTI
+        overbooked by a CRC-passing phantom DCI has no spare PRBs."""
         table = np.empty(self.n_ttis, dtype=TTI_DTYPE)
         table["slot_index"] = _view(self._tti_slot)
         table["time_s"] = _view(self._tti_time)
-        table["used_prbs"] = _view(self._tti_used)
-        table["spare_prbs"] = _view(self._tti_spare)
-        table["n_shares"] = _view(self._tti_shares)
+        used = self._per_tti_prbs(self._downlink())
+        n_shares = np.array([len(rntis) for rntis in self._sets],
+                            dtype=np.int64)[_view(self._tti_set)]
+        spare = np.maximum(self.n_prb_carrier - used, 0)
+        table["used_prbs"] = used
+        table["spare_prbs"] = np.where(
+            n_shares > 0, spare // np.maximum(n_shares, 1), 0)
+        table["n_shares"] = n_shares
         return table
 
+    @property
+    def overbooked(self) -> int:
+        """TTIs whose decoded PRBs exceeded the carrier."""
+        used = self._per_tti_prbs(self._downlink())
+        return int(np.count_nonzero(used > self.n_prb_carrier))
+
     def shares(self, rnti: int) -> np.ndarray:
-        """One UE's share in every TTI it took part in, priced into
+        """One UE's share in every TTI it was tracked in, priced into
         bits at its MCS of that TTI, as a :data:`SHARE_DTYPE` array."""
-        rows = np.flatnonzero(_view(self._rnti) == rnti)
-        ends = np.cumsum(_view(self._tti_shares), dtype=np.int64)
-        tti = np.searchsorted(ends, rows, side="right")
-        out = np.empty(rows.size, dtype=SHARE_DTYPE)
-        out["slot_index"] = _view(self._tti_slot)[tti]
-        out["time_s"] = _view(self._tti_time)[tti]
-        out["used_prbs"] = _view(self._used)[rows]
-        out["spare_prbs"] = _view(self._tti_spare)[tti]
-        out["mcs_index"] = _view(self._mcs)[rows]
+        member = np.array([rnti in rntis for rntis in self._sets],
+                          dtype=bool)
+        tti = np.flatnonzero(member[_view(self._tti_set)])
+        table = self.tti_table()[tti]
+        rows = self._downlink(rnti)
+        # The MCS of the UE's last row at or before each TTI; place 0
+        # stands for "no row yet".
+        mcs = np.concatenate(([0], rows["mcs_index"]))
+        out = np.empty(tti.size, dtype=SHARE_DTYPE)
+        out["slot_index"] = table["slot_index"]
+        out["time_s"] = table["time_s"]
+        out["used_prbs"] = self._per_tti_prbs(rows)[tti]
+        out["spare_prbs"] = table["spare_prbs"]
+        out["mcs_index"] = mcs[np.searchsorted(
+            rows["slot_index"], table["slot_index"], side="right")]
         out["used_bits"] = self._price(out["used_prbs"], out["mcs_index"])
         out["spare_bits"] = self._price(out["spare_prbs"],
                                         out["mcs_index"])

@@ -61,10 +61,10 @@ class TestUciBlerModel:
 
 
 class TestUciEndToEnd:
-    def run_session(self, seconds=1.5, snr_db=20.0, **scope_kwargs):
+    def run_session(self, seconds=1.5, snr_db=20.0):
         sim = Simulation.build(SRSRAN_PROFILE, n_ues=2, seed=51,
                                channel="pedestrian")
-        scope = NRScope.attach(sim, snr_db=snr_db, **scope_kwargs)
+        scope = NRScope.attach(sim, snr_db=snr_db)
         sim.run(seconds=seconds)
         return sim, scope
 
@@ -91,10 +91,6 @@ class TestUciEndToEnd:
             # (healthy channel: CQI ~13-15 implies mid/high MCS).
             assert (sum(cqis) / len(cqis) > 9) == \
                 (sum(mcss) / len(mcss) > 8)
-
-    def test_uci_disabled(self):
-        sim, scope = self.run_session(decode_uci=False)
-        assert len(scope.uci) == 0
 
     def test_weak_uplink_misses_reports(self):
         _, strong = self.run_session(snr_db=20.0)

@@ -70,10 +70,16 @@ def without_durations(events):
 
 
 def outcome(scope):
-    """Everything the session committed, as comparable values."""
+    """Everything the session committed, as comparable values: the
+    telemetry, the counters, the tracked set, the UCI reports and the
+    spare-capacity split of every TTI and every RNTI the session saw."""
+    spare = scope.spare
     return ([record.to_json() for record in scope.telemetry.records],
             scope.counters, scope._grid_decoder.attempts,
-            scope.tracked_rntis, scope.uci.observations)
+            scope.tracked_rntis, scope.uci.observations,
+            spare.tti_table().tolist(),
+            {rnti: spare.shares(rnti).tolist()
+             for rnti in scope.telemetry.rntis()})
 
 
 def run_pair(profile, slots, monkeypatch, **kwargs):
